@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 SPECTRAL = ("x", "y", "z", "v")
@@ -190,20 +191,10 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return MultiPoly(self.vars)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(i + j for i, j in zip(ea, eb))
-                acc = out.get(exp, Fraction(0)) + ca * cb
-                if acc:
-                    out[exp] = acc
-                else:
-                    out.pop(exp, None)
-        res = MultiPoly(self.vars)
-        res.terms = out
-        return res
+        # one integer product over the cleared denominators, rescaled once per term
+        A, den_a = _to_int(self)
+        B, den_b = _to_int(other)
+        return _from_int(self.vars, _ip_mul(A, B), den_a * den_b)
 
     __rmul__ = __mul__
 
@@ -375,26 +366,29 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-# -- gcd: primitive subresultant remainder sequence, recursive on variables --
+# -- integer kernel: products, and the gcd by a primitive subresultant
+# remainder sequence, recursive on variables --
 #
-# The gcd runs over integer coefficients (denominators cleared once at entry)
-# for speed; the subresultant divisor bookkeeping keeps intermediate
-# coefficients small without per-step content extraction.
+# MultiPoly products and the gcd run over integer coefficients (denominators
+# cleared once at entry) for speed; the subresultant divisor bookkeeping keeps
+# intermediate coefficients small without per-step content extraction.
 
 _IntPoly = dict  # exponent tuple -> nonzero int
 
 
-def _to_int(p: MultiPoly) -> _IntPoly:
+def _to_int(p: MultiPoly) -> tuple[_IntPoly, int]:
+    """(P, l) with l the lcm of the coefficient denominators and P = l * p."""
     denlcm = 1
     for c in p.terms.values():
         d = c.denominator
         denlcm = denlcm * d // _int_gcd(denlcm, d)
-    return {e: int(c * denlcm) for e, c in p.terms.items()}
+    return {e: c.numerator * (denlcm // c.denominator) for e, c in p.terms.items()}, denlcm
 
 
-def _from_int(vars: tuple[str, ...], P: _IntPoly) -> MultiPoly:
+def _from_int(vars: tuple[str, ...], P: _IntPoly, den: int = 1) -> MultiPoly:
+    """The polynomial P / den."""
     res = MultiPoly(vars)
-    res.terms = {e: Fraction(c) for e, c in P.items()}
+    res.terms = {e: Fraction(c, den) for e, c in P.items()}
     return res
 
 
@@ -413,10 +407,11 @@ def _ip_mul(P: _IntPoly, Q: _IntPoly) -> _IntPoly:
     if not P or not Q:
         return {}
     out: _IntPoly = {}
+    get = out.get
     for ea, ca in P.items():
         for eb, cb in Q.items():
-            e = tuple(i + j for i, j in zip(ea, eb))
-            acc = out.get(e, 0) + ca * cb
+            e = tuple(map(add, ea, eb))
+            acc = get(e, 0) + ca * cb
             if acc:
                 out[e] = acc
             else:
@@ -716,7 +711,8 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return p.monic()
     if p.is_constant() or q.is_constant():
         return MultiPoly.const(p.vars, 1)
-    P, Q = _to_int(p), _to_int(q)
+    P, _ = _to_int(p)
+    Q, _ = _to_int(q)
     # split off the monomial gcd so the PRS only sees trimmed inputs
     nvars = len(p.vars)
     mono_p = [min(e[k] for e in P) for k in range(nvars)]

@@ -4,8 +4,11 @@ suites, and the transfer-matrix commutation harness.
 The symbolic Yang-Baxter check works on cleared denominators: each R-matrix
 is a polynomial matrix over one scalar polynomial, both sides of the identity
 are assembled as polynomial matrices, and the residual is the cross-
-multiplied difference.  Equality of rational-function matrices is thereby
-decided with polynomial arithmetic only.
+multiplied difference.  Denominator factors shared by both sides are
+cancelled first, so only the unmatched ones are cross-multiplied; since every
+factor is nonzero, the verdict is unchanged, and a nonzero residual is still
+reported by the term count of the fully cross-multiplied one.  Equality of
+rational-function matrices is thereby decided with polynomial arithmetic only.
 
 The randomized mode is exact polynomial identity testing: spectral variables
 and free representation parameters are drawn as random rationals, both sides
@@ -26,7 +29,7 @@ from .exactnum.scalar import format_scalar
 from .baxter import H_closed, SpectralFn, f_eval, h_fun, rhat_cleared
 from .ncalg import relations_for
 from .report import VerifyReport
-from .reps import Rep, check_relations
+from .reps import Rep, _residual_size, check_relations
 
 _M64 = (1 << 64) - 1
 
@@ -82,25 +85,39 @@ def ybe_symbolic(rep: Rep, fn: SpectralFn, vars: tuple[str, str, str] = ("x", "y
         factors[key] = rhat_cleared(rep, site, fn, u, w, symbols)
 
     def side(seq):
-        P, d = factors[seq[0]]
+        P = factors[seq[0]][0]
         for key in seq[1:]:
-            P2, d2 = factors[key]
-            P = P * P2
-            d = d * d2
-        return P, d
+            P = P * factors[key][0]
+        return P, [factors[key][1] for key in seq]
 
-    lhs_P, lhs_d = side([(1, x, y), (2, x, z), (1, y, z)])
-    rhs_P, rhs_d = side([(2, y, z), (1, x, z), (2, x, y)])
-    worst = 0
-    for i in range(rep.dim):
-        for j in range(rep.dim):
-            resid = lhs_P[i, j] * rhs_d - rhs_P[i, j] * lhs_d
-            if not resid.is_zero:
-                worst = max(worst, resid.num_terms())
+    lhs_P, lhs_ds = side([(1, x, y), (2, x, z), (1, y, z)])
+    rhs_P, rhs_ds = side([(2, y, z), (1, x, z), (2, x, y)])
+    # Cancel the denominator factors both sides share; the full cross-multiplied
+    # residual is resid * prod(shared), and every factor is nonzero.
+    lhs_only, rhs_only, shared = list(lhs_ds), [], []
+    for d in rhs_ds:
+        if d in lhs_only:
+            lhs_only.remove(d)
+            shared.append(d)
+        else:
+            rhs_only.append(d)
+    lhs_scale, rhs_scale, common = (_product(ds) for ds in (rhs_only, lhs_only, shared))
+    resid = _times(lhs_P, lhs_scale) - _times(rhs_P, rhs_scale)
+    worst = max((_times(e, common).num_terms() for e in resid.entries if e), default=0)
     report = VerifyReport("ybe symbolic", mode={"kind": "symbolic", "vars": list(vars)})
     report.add_residual("ybe", worst)
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
+
+
+def _product(factors: list[MultiPoly]) -> MultiPoly | None:
+    """The product of the factors; None stands for the empty product."""
+    return math.prod(factors[1:], start=factors[0]) if factors else None
+
+
+def _times(value, factor: MultiPoly | None):
+    """value * factor, skipping the multiply when factor is the empty product."""
+    return value if factor is None else value * factor
 
 
 # -- braided Yang-Baxter, randomized -------------------------------------------
@@ -181,10 +198,6 @@ def ybe_random(
 def _vacuous(label: str, lhs: FieldMatrix, rhs: FieldMatrix, report: VerifyReport) -> None:
     if lhs.is_zero and rhs.is_zero:
         report.notes.append(f"{label}: vacuous (both sides identically zero)")
-
-
-def _residual_size(m: FieldMatrix) -> int:
-    return max((e.num_terms() for e in m.entries if e), default=0)
 
 
 def _record(report: VerifyReport, label: str, lhs: FieldMatrix, rhs: FieldMatrix) -> None:

@@ -102,17 +102,32 @@ def test_serialize_sorted_and_deterministic():
     assert p.serialize() == [[[0, 2], "1"], [[1, 0], "1"], [[0, 0], "-3"]]
 
 
-small_coeff = st.integers(min_value=-4, max_value=4)
+small_coeff = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=4))
 
 
 def poly_strategy(max_terms=4, max_exp=3):
     term = st.tuples(st.tuples(st.integers(0, max_exp), st.integers(0, max_exp)), small_coeff)
     return st.lists(term, min_size=0, max_size=max_terms).map(
         lambda terms: sum(
-            (MultiPoly(V, {e: Fraction(c)}) for e, c in terms if c),
+            (MultiPoly(V, {e: c}) for e, c in terms if c),
             MultiPoly.zero(V),
         )
     )
+
+
+def _termwise_product(p, q):
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            exp = tuple(i + j for i, j in zip(ea, eb))
+            out[exp] = out.get(exp, Fraction(0)) + ca * cb
+    return MultiPoly(V, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(), poly_strategy())
+def test_product_matches_termwise_fraction_product(p, q):
+    assert p * q == _termwise_product(p, q)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from baxcheck.baxter import SpectralFn
-from baxcheck.exactnum import FieldMatrix, RatFunc
+from baxcheck.baxter import SpectralFn, rhat_cleared
+from baxcheck.exactnum import FieldMatrix, RatFunc, canonical_vars
 from baxcheck.reps import Rep, builtin_rep
 from baxcheck.verify import (
     DetRng,
@@ -23,7 +23,39 @@ def test_ybe_symbolic_pass_and_negative_control():
     assert ybe_symbolic(rep, SpectralFn.case_i(2, 1, 0, 1)).passed
     control = ybe_symbolic(rep, SpectralFn.case_ii())
     assert control.status == "fail"
-    assert control.residuals[0][1] > 0
+    # the term count of the fully cross-multiplied residual, as before cancellation
+    assert control.residuals == [("ybe", 1124)]
+
+
+def _ybe_cross_multiplied(rep, fn):
+    """Reference residual size: cross-multiply the full side denominators."""
+    symbols = canonical_vars(set(rep.params) | {"x", "y", "z"})
+
+    def side(keys):
+        factors = [rhat_cleared(rep, site, fn, u, w, symbols) for site, u, w in keys]
+        P, d = factors[0]
+        for P2, d2 in factors[1:]:
+            P, d = P * P2, d * d2
+        return P, d
+
+    lhs_P, lhs_d = side([(1, "x", "y"), (2, "x", "z"), (1, "y", "z")])
+    rhs_P, rhs_d = side([(2, "y", "z"), (1, "x", "z"), (2, "x", "y")])
+    resid = lhs_P.scale(rhs_d) - rhs_P.scale(lhs_d)
+    return max((e.num_terms() for e in resid.entries if e), default=0)
+
+
+@pytest.mark.parametrize("values", [[1, 2], [2, "lam"], ["lam", "lam"]])
+@pytest.mark.parametrize(
+    "fn", [SpectralFn.case_ii(), SpectralFn.case_iii(), SpectralFn.case_i(2, 1, 0, 1)], ids=["ii", "iii", "i"]
+)
+def test_ybe_symbolic_matches_full_cross_multiplication(values, fn):
+    # scalar sites with different values share no denominator factor, so the
+    # residual is fully cross-multiplied; with equal values all factors cancel
+    rep = builtin_rep("scalar", values=values)
+    expected = _ybe_cross_multiplied(rep, fn)
+    report = ybe_symbolic(rep, fn)
+    assert report.residuals == [("ybe", expected)]
+    assert report.passed == (expected == 0)
 
 
 def test_ybe_requires_three_strands():
