@@ -99,6 +99,8 @@ def _parse_rep(record, where: str = "rep"):
     if name == "scalar":
         values = _take(record, "values")
         if values is not None:
+            if not isinstance(values, list):
+                raise JobError(f"{where}.values: expected a list of scalars")
             kwargs["values"] = [_scalar_or_symbolic(v, f"{where}.values") for v in values]
         n = _take(record, "n")
         if n is not None:
@@ -150,6 +152,8 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
     job = dict(job)
     _take(job, "note")  # free-form documentation, ignored
     command = _take(job, "command", required=True)
+    if command not in COMMANDS:
+        raise JobError(f"unknown command {command!r}")
     accepts = {"verify-ybe": ("seed", "trials", "mode"), "transfer-commute": ("seed",)}
     if overrides:
         for field in accepts.get(command, ()):
@@ -158,8 +162,6 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
     expect = _take(job, "expect", default="pass")
     if expect not in ("pass", "fail"):
         raise JobError(f"expect: must be 'pass' or 'fail', got {expect!r}")
-    if command not in COMMANDS:
-        raise JobError(f"unknown command {command!r}")
 
     if command == "batch":
         subjobs = _take(job, "jobs", required=True)
@@ -211,12 +213,7 @@ def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
         params = _parse_parameters(_take(job, "parameters"), "parameters")
         rep = _parse_rep(_take(job, "rep", required=True))
         _reject_unknown(job)
-        try:
-            rels = relations_for(algebra, n, params)
-            report = check_relations(rep, rels)
-        except ValueError as exc:
-            raise JobError(str(exc)) from exc
-        return report, {}
+        return check_relations(rep, relations_for(algebra, n, params)), {}
 
     if command == "scalar-reps":
         algebra = _parse_algebra(_take(job, "algebra", required=True))
@@ -224,12 +221,11 @@ def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
         assignment = _take(job, "assignment")
         n = _int_field(job, "n", default=3)
         _reject_unknown(job)
-        try:
-            classes = classify_scalar(algebra, params)
-        except ValueError as exc:
-            raise JobError(str(exc)) from exc
+        classes = classify_scalar(algebra, params)
         report = VerifyReport("scalar classification")
         if assignment is not None:
+            if not isinstance(assignment, list):
+                raise JobError("assignment: expected a list of scalars")
             values = [_scalar(v, "assignment") for v in assignment]
             ok = verify_scalar(values, algebra, params, n=n)
             report.add_residual("assignment", 0 if ok else 1)
@@ -273,10 +269,7 @@ def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
         if suite == "A":
             args = {k: _scalar(_take(job, k, required=True), k) for k in ("alpha1", "alpha2", "b", "c")}
             _reject_unknown(job)
-            try:
-                return lemma_suite_A(rep, **args), {}
-            except ValueError as exc:
-                raise JobError(str(exc)) from exc
+            return lemma_suite_A(rep, **args), {}
         if suite == "B":
             _reject_unknown(job)
             return lemma_suite_B(rep), {}
@@ -289,7 +282,9 @@ def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
         lengths = _take(job, "lengths")
         if lengths is None:
             lengths = [_int_field(job, "length", default=3)]
-        elif not isinstance(lengths, list) or not all(isinstance(v, int) for v in lengths):
+        elif not isinstance(lengths, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in lengths
+        ):
             raise JobError("lengths: expected a list of integers")
         pairs = _int_field(job, "pairs", default=5)
         seed = _int_field(job, "seed", default=0)
@@ -301,7 +296,7 @@ def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
         for L in lengths:
             try:
                 sub = transfer_commute(rep, site, fn, L, count=pairs, seed=seed, corrupt=corrupt)
-            except (ValueError, PoleError) as exc:
+            except PoleError as exc:
                 raise JobError(str(exc)) from exc
             for label, size in sub.residuals:
                 merged.add_residual(f"L={L} {label}", size)
@@ -319,10 +314,7 @@ def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
         q = _scalar_or_symbolic(_take(job, "q"), "q")
         b = _scalar_or_symbolic(_take(job, "b"), "b")
         _reject_unknown(job)
-        try:
-            return correspondence_check(kind, rep, q=q, b=b), {}
-        except ValueError as exc:
-            raise JobError(str(exc)) from exc
+        return correspondence_check(kind, rep, q=q, b=b), {}
 
     raise JobError(f"unknown command {command!r}")
 

@@ -1,8 +1,12 @@
 """Sparse multivariate polynomials over the rationals.
 
-A polynomial is a dict mapping exponent tuples to nonzero Fraction
-coefficients, together with a fixed tuple of variable names; the zero
-polynomial is the empty dict.  All arithmetic is exact.
+A polynomial is a dict mapping exponent tuples to nonzero int numerators over
+one positive int denominator, with a fixed tuple of variable names; the zero
+polynomial is the empty dict over 1.  The pair is kept in lowest terms (the
+denominator and all numerators have gcd 1), so the stored form of a
+polynomial is unique and equality is structural.  All arithmetic is exact and
+runs on the integer kernel below; rational coefficients appear only at the
+interface (construction, leading terms, evaluation, serialization).
 
 The variable order is global and deterministic: the spectral symbols
 x, y, z, v come first (in that order), every other symbol follows
@@ -14,7 +18,7 @@ later variable in the tuple is the more significant one, so canonical forms
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
@@ -37,12 +41,6 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational scalar, got {type(value).__name__}")
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    # gcd(p/q, r/s) = gcd(p*s, r*q)/(q*s), always nonnegative
-    num = _int_gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
-
-
 def _grlex_key(exp: tuple[int, ...]) -> tuple:
     # Later variables are more significant, so compare reversed exponents.
     return (sum(exp), tuple(reversed(exp)))
@@ -51,9 +49,9 @@ def _grlex_key(exp: tuple[int, ...]) -> tuple:
 class MultiPoly:
     """Exact sparse polynomial in a fixed, ordered tuple of variables."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "den")
 
-    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         self.vars = tuple(vars)
         nvars = len(self.vars)
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -65,7 +63,10 @@ class MultiPoly:
                 if len(exp) != nvars:
                     raise ValueError(f"exponent {exp} does not match {nvars} variables")
                 clean[tuple(exp)] = coeff
-        self.terms = clean
+        # over the lcm of reduced denominators the numerators are already coprime to it
+        den = _int_lcm(*(c.denominator for c in clean.values()))
+        self.terms = {exp: c.numerator * (den // c.denominator) for exp, c in clean.items()}
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -75,9 +76,6 @@ class MultiPoly:
 
     @classmethod
     def const(cls, vars: tuple[str, ...], value) -> "MultiPoly":
-        value = _as_fraction(value)
-        if value == 0:
-            return cls(vars)
         return cls(vars, {(0,) * len(vars): value})
 
     @classmethod
@@ -86,7 +84,7 @@ class MultiPoly:
             raise ValueError(f"unknown variable {name!r} (have {vars})")
         exp = [0] * len(vars)
         exp[vars.index(name)] = 1
-        return cls(vars, {tuple(exp): Fraction(1)})
+        return cls(vars, {tuple(exp): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -100,7 +98,7 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.den == other.den and self.terms == other.terms
 
     __hash__ = None  # mutable mapping inside
 
@@ -113,14 +111,7 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        return max((sum(exp) for exp in self.terms), default=0)
-
-    def degree_in(self, name: str) -> int:
-        i = self.vars.index(name)
-        return max((exp[i] for exp in self.terms), default=0)
+        return Fraction(next(iter(self.terms.values())), self.den)
 
     def valuation_in(self, name: str) -> int | None:
         """Smallest exponent of `name` over all terms; None for the zero polynomial."""
@@ -134,7 +125,7 @@ class MultiPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        return exp, Fraction(self.terms[exp], self.den)
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -157,23 +148,22 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
+        # over the common denominator lcm(den_a, den_b) = den_a * ma = den_b * mb
+        g = _int_gcd(self.den, other.den)
+        ma, mb = other.den // g, self.den // g
+        out = _ip_scale(self.terms, ma)
         for exp, coeff in other.terms.items():
-            acc = out.get(exp, Fraction(0)) + coeff
+            acc = out.get(exp, 0) + coeff * mb
             if acc:
                 out[exp] = acc
             else:
                 out.pop(exp, None)
-        res = MultiPoly(self.vars)
-        res.terms = out
-        return res
+        return _make(self.vars, out, self.den * ma)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = MultiPoly(self.vars)
-        res.terms = {exp: -coeff for exp, coeff in self.terms.items()}
-        return res
+        return _make(self.vars, {exp: -coeff for exp, coeff in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -191,10 +181,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # one integer product over the cleared denominators, rescaled once per term
-        A, den_a = _to_int(self)
-        B, den_b = _to_int(other)
-        return _from_int(self.vars, _ip_mul(A, B), den_a * den_b)
+        return _make(self.vars, _ip_mul(self.terms, other.terms), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -210,58 +197,32 @@ class MultiPoly:
             n >>= 1
         return result
 
+    def scale(self, factor) -> "MultiPoly":
+        """Multiply by a rational scalar."""
+        factor = _as_fraction(factor)
+        if not factor:
+            return MultiPoly(self.vars)
+        return _make(self.vars, _ip_scale(self.terms, factor.numerator), self.den * factor.denominator)
+
     # -- normal forms ------------------------------------------------------
-
-    def content(self) -> Fraction:
-        """Positive rational gcd of the coefficients (0 for the zero polynomial)."""
-        acc = Fraction(0)
-        for coeff in self.terms.values():
-            acc = _frac_gcd(acc, coeff)
-        return acc
-
-    def primitive(self) -> "MultiPoly":
-        """Divide out the rational content; leading coefficient made positive."""
-        if not self.terms:
-            return self
-        c = self.content()
-        if self.leading()[1] < 0:
-            c = -c
-        res = MultiPoly(self.vars)
-        res.terms = {exp: coeff / c for exp, coeff in self.terms.items()}
-        return res
 
     def monic(self) -> "MultiPoly":
         """Scale so the graded-lex leading coefficient is 1."""
         if not self.terms:
             return self
-        lc = self.leading()[1]
-        res = MultiPoly(self.vars)
-        res.terms = {exp: coeff / lc for exp, coeff in self.terms.items()}
-        return res
+        return self.scale(1 / self.leading()[1])
 
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact division; raises ValueError when the division is not exact."""
         divisor = self._coerce(divisor)
         if divisor is None or divisor.is_zero:
             raise ValueError("division by zero polynomial")
-        if not self.terms:
-            return MultiPoly(self.vars)
-        ed, cd = divisor.leading()
-        quot: dict[tuple[int, ...], Fraction] = {}
-        rem = self
-        while rem.terms:
-            er, cr = rem.leading()
-            exp = tuple(i - j for i, j in zip(er, ed))
-            if any(e < 0 for e in exp):
-                raise ValueError("inexact polynomial division")
-            coeff = cr / cd
-            quot[exp] = coeff
-            t = MultiPoly(self.vars)
-            t.terms = {exp: coeff}
-            rem = rem - t * divisor
-        res = MultiPoly(self.vars)
-        res.terms = quot
-        return res
+        # self / divisor = (A / Bp) * den_b / (den_a * content(B)) for the
+        # primitive part Bp of B; by Gauss's lemma A / Bp is integral when exact
+        content = _int_gcd(*divisor.terms.values())
+        primitive = {exp: c // content for exp, c in divisor.terms.items()}
+        quot = _ip_divexact(self.terms, primitive)
+        return _make(self.vars, _ip_scale(quot, divisor.den), self.den * content)
 
     # -- evaluation / substitution ------------------------------------------
 
@@ -278,7 +239,7 @@ class MultiPoly:
                 if e:
                     term *= val**e
             total += term
-        return total
+        return total / self.den
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
         """Substitute variables by variables (e.g. y := x), staying in the same ring.
@@ -289,21 +250,19 @@ class MultiPoly:
             if src not in self.vars or dst not in self.vars:
                 raise ValueError(f"unknown variable in substitution {src!r}->{dst!r}")
         idx = {name: k for k, name in enumerate(self.vars)}
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: _IntPoly = {}
         for exp, coeff in self.terms.items():
             new = [0] * len(self.vars)
             for k, e in enumerate(exp):
                 tgt = mapping.get(self.vars[k], self.vars[k])
                 new[idx[tgt]] += e
             key = tuple(new)
-            acc = out.get(key, Fraction(0)) + coeff
+            acc = out.get(key, 0) + coeff
             if acc:
                 out[key] = acc
             else:
                 out.pop(key, None)
-        res = MultiPoly(self.vars)
-        res.terms = out
-        return res
+        return _make(self.vars, out, self.den)
 
     def lift(self, new_vars: tuple[str, ...]) -> "MultiPoly":
         """Embed into a ring with more variables (must contain the current ones)."""
@@ -314,22 +273,20 @@ class MultiPoly:
             if name not in new_vars:
                 raise ValueError(f"target variables {new_vars} do not contain {name!r}")
             pos.append(new_vars.index(name))
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: _IntPoly = {}
         for exp, coeff in self.terms.items():
             new = [0] * len(new_vars)
             for p, e in zip(pos, exp):
                 new[p] = e
             out[tuple(new)] = coeff
-        res = MultiPoly(tuple(new_vars))
-        res.terms = out
-        return res
+        return _make(tuple(new_vars), out, self.den)
 
     # -- serialization ------------------------------------------------------
 
     def sorted_terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """Terms in descending graded-lex order (the canonical term list)."""
         for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            yield exp, self.terms[exp]
+            yield exp, Fraction(self.terms[exp], self.den)
 
     def serialize(self) -> list[list]:
         from .scalar import format_scalar
@@ -366,30 +323,33 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-# -- integer kernel: products, and the gcd by a primitive subresultant
-# remainder sequence, recursive on variables --
+# -- integer kernel: products, exact division, and the gcd by a primitive
+# subresultant remainder sequence, recursive on variables --
 #
-# MultiPoly products and the gcd run over integer coefficients (denominators
-# cleared once at entry) for speed; the subresultant divisor bookkeeping keeps
-# intermediate coefficients small without per-step content extraction.
+# These work on MultiPoly numerators directly; the subresultant divisor
+# bookkeeping keeps intermediate coefficients small without per-step content
+# extraction.
 
 _IntPoly = dict  # exponent tuple -> nonzero int
 
 
-def _to_int(p: MultiPoly) -> tuple[_IntPoly, int]:
-    """(P, l) with l the lcm of the coefficient denominators and P = l * p."""
-    denlcm = 1
-    for c in p.terms.values():
-        d = c.denominator
-        denlcm = denlcm * d // _int_gcd(denlcm, d)
-    return {e: c.numerator * (denlcm // c.denominator) for e, c in p.terms.items()}, denlcm
-
-
-def _from_int(vars: tuple[str, ...], P: _IntPoly, den: int = 1) -> MultiPoly:
-    """The polynomial P / den."""
-    res = MultiPoly(vars)
-    res.terms = {e: Fraction(c, den) for e, c in P.items()}
+def _make(vars: tuple[str, ...], terms: _IntPoly, den: int) -> MultiPoly:
+    """The polynomial terms / den (den > 0, terms nonzero) in lowest terms."""
+    if den != 1:
+        g = _int_gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {exp: c // g for exp, c in terms.items()}
+    res = MultiPoly.__new__(MultiPoly)
+    res.vars = vars
+    res.terms = terms
+    res.den = den
     return res
+
+
+def _ip_scale(P: _IntPoly, k: int) -> _IntPoly:
+    """A fresh dict holding k * P (k nonzero)."""
+    return dict(P) if k == 1 else {exp: c * k for exp, c in P.items()}
 
 
 def _ip_sub(P: _IntPoly, Q: _IntPoly) -> _IntPoly:
@@ -711,8 +671,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return p.monic()
     if p.is_constant() or q.is_constant():
         return MultiPoly.const(p.vars, 1)
-    P, _ = _to_int(p)
-    Q, _ = _to_int(q)
+    P, Q = p.terms, q.terms
     # split off the monomial gcd so the PRS only sees trimmed inputs
     nvars = len(p.vars)
     mono_p = [min(e[k] for e in P) for k in range(nvars)]
@@ -725,4 +684,4 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     G = _ip_gcd(P, Q)
     if any(mono):
         G = {tuple(i + j for i, j in zip(e, mono)): c for e, c in G.items()}
-    return _from_int(p.vars, G).monic()
+    return _make(p.vars, G, 1).monic()

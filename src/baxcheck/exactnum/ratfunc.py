@@ -40,8 +40,8 @@ class RatFunc:
                 den = den.divexact(g)
         lc = den.leading()[1]
         if lc != 1:
-            num = _scale(num, Fraction(1) / lc)
-            den = _scale(den, Fraction(1) / lc)
+            num = num.scale(1 / lc)
+            den = den.scale(1 / lc)
         self.num = num
         self.den = den
 
@@ -234,12 +234,6 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def _scale(p: MultiPoly, factor: Fraction) -> MultiPoly:
-    out = MultiPoly(p.vars)
-    out.terms = {exp: coeff * factor for exp, coeff in p.terms.items()}
-    return out
-
-
 def _cross_cancel(n: MultiPoly, d: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Divide out gcd(n, d); used to keep product inputs reduced."""
     if n.is_zero or n.is_constant() or d.is_constant():
@@ -259,8 +253,8 @@ def _reduced(num: MultiPoly, den: MultiPoly) -> RatFunc:
         return out
     lc = den.leading()[1]
     if lc != 1:
-        num = _scale(num, Fraction(1) / lc)
-        den = _scale(den, Fraction(1) / lc)
+        num = num.scale(1 / lc)
+        den = den.scale(1 / lc)
     out.num = num
     out.den = den
     return out

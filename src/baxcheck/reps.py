@@ -410,33 +410,23 @@ def correspondence_check(kind: str, rep: Rep, q=None, b=None) -> VerifyReport:
 
     if kind == "braid_coset_to_A":
         pre = check_relations(lifted, relations_for("Braid", rep.n), "precheck braid")
-        _merge_precheck(report, pre)
         extra = _extra_braid_coset_elements(rep.n, b_rf, symbols)
-        for label, element in extra:
-            value = evaluate_element(element, lifted.matrices, rep.dim, symbols)
-            size = 0 if value.is_zero else _residual_size(value)
-            report.residuals.append((f"precheck {label}", size))
-            if size:
-                report.status = "error"
-                report.notes.append(f"precondition failed: {label}")
-        if report.status == "error":
-            return report
         shifted = _shift_rep(lifted, -b_rf)
     else:  # B_to_A_shift
         pre = check_relations(lifted, relations_for("B", rep.n), "precheck B")
-        _merge_precheck(report, pre)
         extra = _extra_B_remark_elements(rep.n, symbols)
-        for label, element in extra:
-            value = evaluate_element(element, lifted.matrices, rep.dim, symbols)
-            size = 0 if value.is_zero else _residual_size(value)
-            report.residuals.append((f"precheck {label}", size))
-            if size:
-                report.status = "error"
-                report.notes.append(f"precondition failed: {label}")
-        if report.status == "error":
-            return report
         # sigma -> b*(sigma - 1), the inverse of sigma -> sigma/b + 1
         shifted = _shift_rep(lifted, -RatFunc.one(symbols), scale=b_rf)
+    _merge_precheck(report, pre)
+    for label, element in extra:
+        value = evaluate_element(element, lifted.matrices, rep.dim, symbols)
+        size = 0 if value.is_zero else _residual_size(value)
+        report.residuals.append((f"precheck {label}", size))
+        if size:
+            report.status = "error"
+            report.notes.append(f"precondition failed: {label}")
+    if report.status == "error":
+        return report
 
     target = relations_for("A", rep.n, {"a": 0, "b": b_rf, "c": -(b_rf * b_rf)})
     main = check_relations(shifted, target, "A(0,b,-b^2)")

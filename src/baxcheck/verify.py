@@ -206,6 +206,17 @@ def _record(report: VerifyReport, label: str, lhs: FieldMatrix, rhs: FieldMatrix
     _vacuous(label, lhs, rhs, report)
 
 
+def _precheck_failed(report: VerifyReport, pre: VerifyReport, t0: float) -> bool:
+    """Mark report as a precondition error when the rep fails its relations."""
+    if pre.passed:
+        return False
+    report.status = "error"
+    report.residuals = [(f"precheck {label}", size) for label, size in pre.residuals]
+    report.notes.append("precondition failed: rep does not satisfy the relations")
+    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
+    return True
+
+
 def lemma_suite_A(
     rep: Rep,
     alpha1,
@@ -228,12 +239,8 @@ def lemma_suite_A(
         raise ValueError("identity suite needs generators at sites 1 and 2")
     t0 = time.monotonic()
     report = VerifyReport("lemma suite A", mode={"kind": "symbolic", "a": format_scalar(a)})
-    pre = check_relations(rep, relations_for("A", rep.n, {"a": a, "b": b, "c": c}), "precheck")
-    if not pre.passed:
-        report.status = "error"
-        report.residuals = [(f"precheck {label}", size) for label, size in pre.residuals]
-        report.notes.append("precondition failed: rep does not satisfy the relations")
-        report.elapsed_ms = int((time.monotonic() - t0) * 1000)
+    rels = relations_for("A", rep.n, {"a": a, "b": b, "c": c})
+    if _precheck_failed(report, check_relations(rep, rels), t0):
         return report
 
     symbols = canonical_vars(set(rep.params) | {zvar, vvar})
@@ -270,12 +277,7 @@ def lemma_suite_B(rep: Rep, zvar: str = "z", vvar: str = "v") -> VerifyReport:
         raise ValueError("identity suite needs generators at sites 1 and 2")
     t0 = time.monotonic()
     report = VerifyReport("lemma suite B", mode={"kind": "symbolic"})
-    pre = check_relations(rep, relations_for("B", rep.n), "precheck")
-    if not pre.passed:
-        report.status = "error"
-        report.residuals = [(f"precheck {label}", size) for label, size in pre.residuals]
-        report.notes.append("precondition failed: rep does not satisfy the relations")
-        report.elapsed_ms = int((time.monotonic() - t0) * 1000)
+    if _precheck_failed(report, check_relations(rep, relations_for("B", rep.n)), t0):
         return report
 
     symbols = canonical_vars(set(rep.params) | {zvar, vvar})
@@ -378,20 +380,11 @@ def choose_reference_point(fn: SpectralFn) -> Fraction:
 
 def _poly_substitute_const(p: MultiPoly, name: str, value: Fraction) -> MultiPoly:
     idx = p.vars.index(name)
-    out = MultiPoly.zero(p.vars)
-    for exp, coeff in p.terms.items():
-        scaled = coeff * (value ** exp[idx])
-        if not scaled:
-            continue
-        new = list(exp)
-        new[idx] = 0
-        key = tuple(new)
-        acc = out.terms.get(key, Fraction(0)) + scaled
-        if acc:
-            out.terms[key] = acc
-        else:
-            out.terms.pop(key, None)
-    return out
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exp, coeff in p.sorted_terms():
+        key = exp[:idx] + (0,) + exp[idx + 1:]
+        out[key] = out.get(key, 0) + coeff * value ** exp[idx]
+    return MultiPoly(p.vars, out)
 
 
 def transfer_commute(

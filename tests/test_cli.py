@@ -62,6 +62,10 @@ def test_unknown_field_rejected(tmp_path):
 def test_unknown_command_rejected(tmp_path):
     code, _ = invoke(tmp_path, {"command": "explode"})
     assert code == EXIT_USAGE
+    # a non-string command must not reach the override lookup
+    code, out = invoke(tmp_path, {"command": ["x"]})
+    assert code == EXIT_USAGE
+    assert "unknown command" in json.loads(out)["error"]
 
 
 def test_missing_job_file():
@@ -142,6 +146,24 @@ def test_run_job_api_errors():
             "command": "verify-ybe",
             "rep": {"builtin": "scalar", "values": ["1"], "n": 2},
             "fn": {"case": "ii"},
+        })
+    # list fields must be lists, never strings or ints iterated or unpacked
+    for assignment in ("10", 10):
+        with pytest.raises(JobError):
+            run_job({"command": "scalar-reps", "algebra": "Braid", "assignment": assignment})
+    for values in ("10", 10):
+        with pytest.raises(JobError):
+            run_job({
+                "command": "check-algebra",
+                "algebra": "Braid",
+                "rep": {"builtin": "scalar", "values": values, "n": 3},
+            })
+    with pytest.raises(JobError):
+        run_job({
+            "command": "transfer-commute",
+            "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
+            "fn": {"case": "hecke"},
+            "lengths": [True],
         })
 
 

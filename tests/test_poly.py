@@ -74,6 +74,10 @@ def test_divexact_rejects_inexact():
     x, y = x_y()
     with pytest.raises(ValueError):
         (x * x + 1).divexact(y)
+    # rational coefficients and integer content on either side
+    assert (3 * x + Fraction(3, 2)).divexact(2 * x + 1) == MultiPoly.const(V, Fraction(3, 2))
+    with pytest.raises(ValueError):
+        (x + Fraction(1, 2)).divexact(2 * x + 2)
 
 
 def test_rename_merges_variables():
@@ -117,8 +121,8 @@ def poly_strategy(max_terms=4, max_exp=3):
 
 def _termwise_product(p, q):
     out = {}
-    for ea, ca in p.terms.items():
-        for eb, cb in q.terms.items():
+    for ea, ca in p.sorted_terms():
+        for eb, cb in q.sorted_terms():
             exp = tuple(i + j for i, j in zip(ea, eb))
             out[exp] = out.get(exp, Fraction(0)) + ca * cb
     return MultiPoly(V, out)
@@ -154,3 +158,15 @@ def test_divexact_undoes_multiplication(p, q):
 def test_ring_axioms_spotcheck(p, q, r):
     assert (p + q) * r == p * r + q * r
     assert (p * q) * r == p * (q * r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(), poly_strategy())
+def test_results_are_in_normal_form(p, q):
+    # rebuilding from the rational term list must give the stored form back
+    results = [p + q, p - q, p * q, -p, p.monic()]
+    if not q.is_zero:
+        results.append((p * q).divexact(q))
+    for r in results:
+        assert MultiPoly(V, dict(r.sorted_terms())) == r
+    assert (p + q) - q == p
