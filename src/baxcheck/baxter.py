@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, canonical_vars
+from .exactnum.ratfunc import denominator_lcm
 from .exactnum.scalar import format_scalar, parse_scalar
 from .reps import Rep
 
@@ -137,16 +138,8 @@ def _site_matrix(rep: Rep, i: int) -> FieldMatrix:
 
 def cleared_sigma(rep: Rep, i: int, symbols: tuple[str, ...]) -> tuple[FieldMatrix, MultiPoly]:
     """(S, s0) with polynomial S and scalar s0 such that sigma_i = S / s0."""
-    from .exactnum import poly_gcd
-
     sigma = _site_matrix(rep, i).map_entries(lambda e: e.lift(symbols))
-    s0 = MultiPoly.const(symbols, 1)
-    for e in sigma.entries:
-        if e.den.is_constant():
-            s0 = s0 * e.den
-            continue
-        g = poly_gcd(s0, e.den)
-        s0 = s0.divexact(g) * e.den
+    s0 = denominator_lcm(sigma.entries, symbols)
     S = sigma.map_entries(lambda e: e.num * s0.divexact(e.den))
     return S, s0
 

@@ -102,10 +102,8 @@ def _parse_rep(record, where: str = "rep"):
             if not isinstance(values, list):
                 raise JobError(f"{where}.values: expected a list of scalars")
             kwargs["values"] = [_scalar_or_symbolic(v, f"{where}.values") for v in values]
-        n = _take(record, "n")
+        n = _int_field(record, "n")
         if n is not None:
-            if not isinstance(n, int):
-                raise JobError(f"{where}.n: expected an integer")
             kwargs["n"] = n
     else:
         kwargs = _parse_parameters(_take(record, "parameters"), f"{where}.parameters")

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .poly import MultiPoly, poly_gcd
-from .ratfunc import RatFunc
+from .poly import MultiPoly
+from .ratfunc import RatFunc, denominator_lcm
 
 
 class SingularMatrixError(ArithmeticError):
@@ -297,13 +297,7 @@ def _clear_ratfunc_rows(mat: FieldMatrix) -> tuple[FieldMatrix, list[MultiPoly]]
     rowdens = []
     out = []
     for i in range(mat.rows):
-        den = MultiPoly.const(vars, 1)
-        for e in mat.row(i):
-            if e.den.is_constant():
-                den = den * e.den
-                continue
-            g = poly_gcd(den, e.den)
-            den = den.divexact(g) * e.den  # lcm
+        den = denominator_lcm(mat.row(i), vars)
         rowdens.append(den)
         for e in mat.row(i):
             out.append(e.num * den.divexact(e.den))

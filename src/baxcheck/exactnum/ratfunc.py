@@ -234,6 +234,18 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
+def denominator_lcm(values, vars: tuple[str, ...]) -> MultiPoly:
+    """lcm of the denominators of the RatFunc values, accumulated in order."""
+    den = MultiPoly.const(vars, 1)
+    for e in values:
+        if e.den.is_constant():
+            den = den * e.den
+            continue
+        g = poly_gcd(den, e.den)
+        den = den.divexact(g) * e.den
+    return den
+
+
 def _cross_cancel(n: MultiPoly, d: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Divide out gcd(n, d); used to keep product inputs reduced."""
     if n.is_zero or n.is_constant() or d.is_constant():

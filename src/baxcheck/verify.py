@@ -333,36 +333,44 @@ def lemma_suite_B(rep: Rep, zvar: str = "z", vvar: str = "v") -> VerifyReport:
 # -- transfer-matrix commutation harness ---------------------------------------------
 
 
-def _flip_operator(d: int) -> FieldMatrix:
-    one, zero = Fraction(1), Fraction(0)
-    entries = [zero] * (d * d * d * d)
-    for i in range(d):
-        for j in range(d):
-            entries[(i * d + j) * d * d + (j * d + i)] = one
-    return FieldMatrix(d * d, d * d, entries)
+MAX_CHAIN_LENGTH = 8  # d <= 2 for every square builtin: monodromies up to 512 x 512
 
 
-def _embed_pair(op: FieldMatrix, d: int, legs: int, a: int, b: int) -> FieldMatrix:
-    """Embed a two-site operator onto legs (a, b) of a `legs`-fold product space."""
-    dim = d**legs
+def _transfer_matrix(rhat: FieldMatrix, d: int, L: int) -> FieldMatrix:
+    """t = tr_0 R_{0L} ... R_{01} with R = P * rhat, contracted leg by leg.
+
+    Starting from the identity on the d^(L+1)-dimensional chain (leg 0 is the
+    auxiliary space, the most significant digit), each right factor R_{0,site}
+    mixes only the auxiliary digit and the digit of leg `site` of a column, so
+    every output entry sums d*d terms.  The leg swap is read off the indices,
+    R[(a,s),(a',s')] = rhat[(s,a),(a',s')].
+    """
+    dim, aux, dd = d ** (L + 1), d**L, d * d
     zero = Fraction(0)
-    out = [zero] * (dim * dim)
-
-    def decode(idx: int) -> list[int]:
-        digits = []
-        for _ in range(legs):
-            digits.append(idx % d)
-            idx //= d
-        return digits[::-1]
-
+    R = [rhat[s2 * d + a2, a * d + s] for a2 in range(d) for s2 in range(d) for a in range(d) for s in range(d)]
+    sites = []
+    for site in range(L, 0, -1):
+        stride = d ** (L - site)
+        offsets = [a * aux + s * stride for a in range(d) for s in range(d)]
+        sites.append((offsets, [b for b in range(aux) if not b // stride % d]))
+    entries = []
     for r in range(dim):
-        dr = decode(r)
-        for c in range(dim):
-            dc = decode(c)
-            if any(dr[k] != dc[k] for k in range(legs) if k not in (a, b)):
-                continue
-            out[r * dim + c] = op[dr[a] * d + dr[b], dc[a] * d + dc[b]]
-    return FieldMatrix(dim, dim, out)
+        row = [zero] * dim
+        row[r] = Fraction(1)
+        for offsets, bases in sites:
+            out = [zero] * dim
+            for base in bases:
+                nonzero = [(k * dd, row[base + off]) for k, off in enumerate(offsets) if row[base + off]]
+                for j, off in enumerate(offsets):
+                    acc = zero
+                    for kj, t in nonzero:
+                        m = R[kj + j]
+                        if m:
+                            acc += t * m
+                    out[base + off] = acc
+            row = out
+        entries.extend(row)
+    return FieldMatrix(dim, dim, entries).partial_trace_first(d)
 
 
 def choose_reference_point(fn: SpectralFn) -> Fraction:
@@ -402,9 +410,11 @@ def transfer_commute(
     The rep dimension must be a perfect square d*d; the site-i matrix is read
     as an operator on V (x) V with dim V = d.  R(x) = P * Rhat(x, y0) with P
     the leg swap; the transfer matrix is the auxiliary-space partial trace of
-    the ordered product of R across L sites.  The commutator [t(x1), t(x2)]
-    is checked exactly at each rational point pair.  corrupt=True perturbs
-    one entry of every Rhat as a negative control.
+    the ordered product of R across L sites, applied leg by leg (no embedded
+    d^(L+1)-square copy of R is formed).  The commutator [t(x1), t(x2)] is
+    checked exactly at each rational point pair.  L must lie in
+    1..MAX_CHAIN_LENGTH.  corrupt=True perturbs one entry of every Rhat as a
+    negative control.
     """
     t0 = time.monotonic()
     if rep.params:
@@ -412,8 +422,8 @@ def transfer_commute(
     d = math.isqrt(rep.dim)
     if d * d != rep.dim:
         raise ValueError(f"rep dimension {rep.dim} is not a perfect square")
-    if L < 1:
-        raise ValueError("chain length must be positive")
+    if not 1 <= L <= MAX_CHAIN_LENGTH:
+        raise ValueError(f"chain length must be between 1 and {MAX_CHAIN_LENGTH}, got {L}")
     y0 = choose_reference_point(fn)
     report = VerifyReport(
         "transfer commutation",
@@ -436,24 +446,14 @@ def transfer_commute(
 
     sigma = rep.matrices[i].map_entries(lambda e: e.constant_value())
     f = f_eval(fn, "x", "y")
-    P = _flip_operator(d)
 
-    def transfer(xval: Fraction) -> FieldMatrix:
-        f_xy0 = f.eval({"x": xval, "y": y0})
-        f_y0x = f.eval({"x": y0, "y": xval})
-        rhat = _numeric_rhat(sigma, f_xy0, f_y0x)
+    def rhat_at(xval: Fraction) -> FieldMatrix:
+        rhat = _numeric_rhat(sigma, f.eval({"x": xval, "y": y0}), f.eval({"x": y0, "y": xval}))
         if corrupt:
             # a weight-breaking entry; perturbations inside the conserved
             # blocks of this family do not disturb commutation
-            rhat = FieldMatrix(rhat.rows, rhat.cols, list(rhat.entries))
-            rhat.entries[1] = rhat.entries[1] + 1
-        R = P * rhat
-        legs = L + 1
-        T = None
-        for site in range(L, 0, -1):
-            big = _embed_pair(R, d, legs, 0, site)
-            T = big if T is None else T * big
-        return T.partial_trace_first(d)
+            rhat.entries[1] += 1
+        return rhat
 
     if points is None:
         points = []
@@ -467,8 +467,8 @@ def transfer_commute(
                 return report
             x1, x2 = sample_fraction(rng), sample_fraction(rng)
             try:
-                _probe_rhat(sigma, f, x1, y0)
-                _probe_rhat(sigma, f, x2, y0)
+                rhat_at(x1)
+                rhat_at(x2)
             except (PoleError, SingularMatrixError, ZeroDivisionError):
                 attempts += 1
                 continue
@@ -477,7 +477,7 @@ def transfer_commute(
 
     for k, (x1, x2) in enumerate(points):
         try:
-            t1, t2 = transfer(Fraction(x1)), transfer(Fraction(x2))
+            t1, t2 = (_transfer_matrix(rhat_at(Fraction(x)), d, L) for x in (x1, x2))
         except (PoleError, SingularMatrixError, ZeroDivisionError) as exc:
             raise PoleError(f"pole at supplied point pair ({x1}, {x2}); resample") from exc
         comm = t1 * t2 - t2 * t1
@@ -486,7 +486,3 @@ def transfer_commute(
         report.mode["points"].append([format_scalar(Fraction(x1)), format_scalar(Fraction(x2))])
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
-
-
-def _probe_rhat(sigma: FieldMatrix, f: RatFunc, xval: Fraction, y0: Fraction) -> None:
-    _numeric_rhat(sigma, f.eval({"x": xval, "y": y0}), f.eval({"x": y0, "y": xval}))

@@ -165,6 +165,21 @@ def test_run_job_api_errors():
             "fn": {"case": "hecke"},
             "lengths": [True],
         })
+    # chain lengths are capped before anything is allocated
+    for field, value in (("lengths", [9]), ("length", 1000000)):
+        with pytest.raises(JobError, match="chain length"):
+            run_job({
+                "command": "transfer-commute",
+                "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
+                "fn": {"case": "hecke"},
+                field: value,
+            })
+    with pytest.raises(JobError, match="expected an integer"):
+        run_job({
+            "command": "check-algebra",
+            "algebra": "Braid",
+            "rep": {"builtin": "scalar", "values": ["1"], "n": True},
+        })
 
 
 def test_report_payload_excludes_timing(tmp_path):

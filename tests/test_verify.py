@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from baxcheck.baxter import SpectralFn, rhat_cleared
+from baxcheck.baxter import SpectralFn, f_eval, rhat_cleared
 from baxcheck.exactnum import FieldMatrix, RatFunc, canonical_vars
 from baxcheck.reps import Rep, builtin_rep
 from baxcheck.verify import (
     DetRng,
+    _numeric_rhat,
+    _transfer_matrix,
     choose_reference_point,
     lemma_suite_A,
     lemma_suite_B,
@@ -192,6 +194,68 @@ def test_transfer_explicit_points():
     fn = SpectralFn.hecke_ratio()
     report = transfer_commute(rep, 1, fn, 2, points=[(Fraction(3), Fraction(5, 2))])
     assert report.passed
+
+
+def _dense_transfer(rhat, d, L):
+    """Reference: embed R = P * rhat densely on legs (0, site) and multiply."""
+    legs, dim = L + 1, d ** (L + 1)
+    flip = FieldMatrix(d * d, d * d, [
+        Fraction(int(r == (c % d) * d + c // d)) for r in range(d * d) for c in range(d * d)
+    ])
+    R = flip * rhat
+
+    def digits(idx):
+        return [idx // d ** (legs - 1 - k) % d for k in range(legs)]
+
+    def embed(site):
+        out = []
+        for r in range(dim):
+            dr = digits(r)
+            for c in range(dim):
+                dc = digits(c)
+                same = all(dr[k] == dc[k] for k in range(legs) if k not in (0, site))
+                out.append(R[dr[0] * d + dr[site], dc[0] * d + dc[site]] if same else Fraction(0))
+        return FieldMatrix(dim, dim, out)
+
+    T = embed(L)
+    for site in range(L - 1, 0, -1):
+        T = T * embed(site)
+    return T.partial_trace_first(d)
+
+
+def _hecke_rhat(x, corrupt=False):
+    sigma = builtin_rep("Hecke3_std", q=2).matrices[1].map_entries(lambda e: e.constant_value())
+    f = f_eval(SpectralFn.hecke_ratio(), "x", "y")
+    rhat = _numeric_rhat(sigma, f.eval({"x": x, "y": 1}), f.eval({"x": 1, "y": x}))
+    if corrupt:
+        rhat.entries[1] += 1
+    return rhat
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "rhat",
+    [
+        _hecke_rhat(Fraction(3)),
+        _hecke_rhat(Fraction(-7, 5)),
+        _hecke_rhat(Fraction(3), corrupt=True),
+        # no zero entry and no symmetry, so any index mix-up shows
+        FieldMatrix(4, 4, [Fraction(4 * i + j + 1, 7 - j) * (-1) ** (i * j) for i in range(4) for j in range(4)]),
+    ],
+    ids=["hecke-3", "hecke-7/5", "hecke-3-corrupt", "dense"],
+)
+def test_transfer_matrix_matches_dense_embedding(rhat, L):
+    assert _transfer_matrix(rhat, 2, L) == _dense_transfer(rhat, 2, L)
+
+
+def test_transfer_deeper_chain():
+    rep = builtin_rep("Hecke3_std", q=2)
+    fn = SpectralFn.hecke_ratio()
+    pair = [(Fraction(3), Fraction(-7, 5))]
+    assert transfer_commute(rep, 1, fn, 6, points=pair).passed
+    bad = transfer_commute(rep, 1, fn, 6, points=pair, corrupt=True)
+    assert bad.status == "fail"
+    assert [size for _, size in bad.residuals] == [1586]
 
 
 def test_det_rng_is_deterministic_and_split_is_stable():
