@@ -28,7 +28,7 @@ from .reps import (
     flip_rep,
     verify_scalar,
 )
-from .verify import lemma_suite_A, lemma_suite_B, transfer_commute, ybe_random, ybe_symbolic
+from .verify import check_chain_length, lemma_suite_A, lemma_suite_B, transfer_commute, ybe_random, ybe_symbolic
 
 COMMANDS = (
     "check-algebra",
@@ -290,6 +290,8 @@ def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
         if not isinstance(corrupt, bool):
             raise JobError("corrupt: expected true or false")
         _reject_unknown(job)
+        for L in lengths:  # the whole list is checked before any chain is built
+            check_chain_length(L)
         merged = VerifyReport("transfer commutation", mode={"kind": "randomized", "seed": seed, "runs": []})
         for L in lengths:
             try:

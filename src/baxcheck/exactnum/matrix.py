@@ -1,13 +1,18 @@
 """Dense matrices over an exact field (rationals or rational functions).
 
-Inversion is fraction-free: denominators are cleared row by row, determinants
-and cofactors run over the polynomial (or integer) ring with Bareiss-style
-exact divisions, and a single division pass at the end produces the inverse.
-This bounds intermediate expression swell over rational-function fields.
+Determinants and inverses are fraction-free: denominators are cleared row by
+row (rational-function rows become polynomials, rational rows become Python
+ints), determinants and cofactors run over that ring with Bareiss-style exact
+divisions (`divexact` or `//`), and a single division pass at the end
+produces the field result.  This bounds intermediate expression swell over
+rational-function fields and keeps gcds out of the elimination over the
+rationals.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -24,8 +29,9 @@ class SingularMatrixError(ArithmeticError):
 
 
 class FieldMatrix:
-    """Row-major dense matrix; entries are Fraction, RatFunc, or MultiPoly
-    (one kind per matrix)."""
+    """Row-major dense matrix; entries are Fraction (or int), RatFunc, or
+    MultiPoly (one kind per matrix).  det and inv take field entries
+    (Fraction or RatFunc); adjugate_det takes ring entries (int or MultiPoly)."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -190,32 +196,25 @@ class FieldMatrix:
         """Exact determinant via fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        kind = _entry_kind(self.entries)
-        if kind is RatFunc:
-            mat, rowdens = _clear_ratfunc_rows(self)
-            d = _bareiss_det(mat.to_rows(), _poly_div)
-            vars = self.entries[0].vars
-            denom = MultiPoly.const(vars, 1)
-            for rd in rowdens:
-                denom = denom * rd
-            return RatFunc(d, denom)
-        d = _bareiss_det([list(r) for r in self.to_rows()], lambda a, b: a / b)
-        return d
+        mat, rowdens = _clear_rows(self)
+        d = _bareiss_det(mat.to_rows(), _ring_div(mat.entries))
+        denom = math.prod(rowdens)
+        return RatFunc(d, denom) if _entry_kind(self.entries) is RatFunc else Fraction(d, denom)
 
     def adjugate_det(self) -> tuple["FieldMatrix", object]:
         """(adj, det) over the entry ring, with adj * self = det * identity.
 
-        Entries must be ring elements (MultiPoly or Fraction); cofactor
+        Entries must be ring elements, MultiPoly or int (clear field
+        denominators first); any other entry raises TypeError.  Cofactor
         determinants run through fraction-free Bareiss elimination.
         """
         if self.rows != self.cols:
             raise ValueError("adjugate of a non-square matrix")
         n = self.rows
-        kind = _entry_kind(self.entries)
-        div = _poly_div if kind is MultiPoly else (lambda a, b: a / b)
+        div = _ring_div(self.entries)
         det = _bareiss_det([list(r) for r in self.to_rows()], div)
         if n == 1:
-            one = _ring_one(self.entries)
+            one = MultiPoly.const(self.entries[0].vars, 1) if div is _poly_div else 1
             return FieldMatrix(1, 1, [one]), det
         adj = [None] * (n * n)
         for i in range(n):
@@ -235,24 +234,18 @@ class FieldMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        kind = _entry_kind(self.entries)
-        if kind is RatFunc:
+        # inv(A) = adj(M) * diag(rowdens) / det(M) with M = diag(rowdens) * A
+        mat, rowdens = _clear_rows(self)
+        adj, det = mat.adjugate_det()
+        if _entry_kind(self.entries) is RatFunc:
             vars = self.entries[0].vars
-            mat, rowdens = _clear_ratfunc_rows(self)
-            adj, det = mat.adjugate_det()
             if det.is_zero:
                 raise SingularMatrixError("singular matrix: determinant is 0", determinant=RatFunc.zero(vars))
             detrf = RatFunc(det)
-            out = []
-            # inv(A) = adj(M) * diag(rowdens) / det(M) with M = diag(rowdens) * A
-            for i in range(n):
-                for j in range(n):
-                    out.append(RatFunc(adj[i, j] * rowdens[j]) / detrf)
-            return FieldMatrix(n, n, out)
-        adj, det = self.adjugate_det()
+            return FieldMatrix(n, n, [RatFunc(adj[i, j] * rowdens[j]) / detrf for i in range(n) for j in range(n)])
         if not det:
             raise SingularMatrixError("singular matrix: determinant is 0", determinant=Fraction(0))
-        return adj.map_entries(lambda e: e / det)
+        return FieldMatrix(n, n, [Fraction(adj[i, j] * rowdens[j], det) for i in range(n) for j in range(n)])
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in self.row(i)) for i in range(self.rows)) + "]"
@@ -282,25 +275,36 @@ def _poly_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return a.divexact(b)
 
 
-def _ring_one(entries):
-    e = entries[0]
-    if isinstance(e, RatFunc):
-        return RatFunc.one(e.vars)
-    if isinstance(e, MultiPoly):
-        return MultiPoly.const(e.vars, 1)
-    return Fraction(1)
+def _ring_div(entries) -> Callable:
+    """The exact division of the entry ring: divexact over MultiPoly, // over int."""
+    if all(isinstance(e, MultiPoly) for e in entries):
+        return _poly_div
+    if all(isinstance(e, int) for e in entries):
+        return operator.floordiv
+    raise TypeError("Bareiss elimination needs MultiPoly or int entries; clear denominators first")
 
 
-def _clear_ratfunc_rows(mat: FieldMatrix) -> tuple[FieldMatrix, list[MultiPoly]]:
-    """Clear denominators row by row: returns (M, rowdens) with M = diag(rowdens) * mat."""
-    vars = mat.entries[0].vars
+def _clear_rows(mat: FieldMatrix) -> tuple[FieldMatrix, list]:
+    """Clear denominators row by row: returns (M, rowdens) with M = diag(rowdens) * mat.
+
+    RatFunc rows become MultiPoly rows; Fraction (or int) rows become int rows.
+    """
+    kind = _entry_kind(mat.entries)
+    if kind is MultiPoly:
+        raise TypeError("det and inv need Fraction or RatFunc entries; use adjugate_det over MultiPoly")
     rowdens = []
     out = []
-    for i in range(mat.rows):
-        den = denominator_lcm(mat.row(i), vars)
-        rowdens.append(den)
-        for e in mat.row(i):
-            out.append(e.num * den.divexact(e.den))
+    if kind is RatFunc:
+        vars = mat.entries[0].vars
+        for i in range(mat.rows):
+            den = denominator_lcm(mat.row(i), vars)
+            rowdens.append(den)
+            out.extend(e.num * den.divexact(e.den) for e in mat.row(i))
+    else:
+        for i in range(mat.rows):
+            den = math.lcm(*(e.denominator for e in mat.row(i)))
+            rowdens.append(den)
+            out.extend(e.numerator * (den // e.denominator) for e in mat.row(i))
     return FieldMatrix(mat.rows, mat.cols, out), rowdens
 
 
@@ -308,7 +312,7 @@ def _bareiss_det(rows: list[list], div: Callable):
     """Fraction-free Bareiss determinant; mutates its argument.
 
     Intermediate entries are minors of the input, so every division by the
-    previous pivot is exact over the entry ring.
+    previous pivot is exact over the entry ring; div is that exact division.
     """
     n = len(rows)
     if n == 1:

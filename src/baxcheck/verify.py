@@ -142,6 +142,8 @@ def ybe_random(
     """Randomized exact-evaluation check of the braided Yang-Baxter equation."""
     if rep.n < 3:
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     x, y, z = vars
     t0 = time.monotonic()
     f = f_eval(fn, "x", "y")
@@ -343,10 +345,11 @@ def _transfer_matrix(rhat: FieldMatrix, d: int, L: int) -> FieldMatrix:
     auxiliary space, the most significant digit), each right factor R_{0,site}
     mixes only the auxiliary digit and the digit of leg `site` of a column, so
     every output entry sums d*d terms.  The leg swap is read off the indices,
-    R[(a,s),(a',s')] = rhat[(s,a),(a',s')].
+    R[(a,s),(a',s')] = rhat[(s,a),(a',s')].  The arithmetic is that of the
+    rhat entries: an int rhat D * rhat' gives the int matrix D^L * t(rhat').
     """
     dim, aux, dd = d ** (L + 1), d**L, d * d
-    zero = Fraction(0)
+    zero = 0
     R = [rhat[s2 * d + a2, a * d + s] for a2 in range(d) for s2 in range(d) for a in range(d) for s in range(d)]
     sites = []
     for site in range(L, 0, -1):
@@ -356,7 +359,7 @@ def _transfer_matrix(rhat: FieldMatrix, d: int, L: int) -> FieldMatrix:
     entries = []
     for r in range(dim):
         row = [zero] * dim
-        row[r] = Fraction(1)
+        row[r] = 1
         for offsets, bases in sites:
             out = [zero] * dim
             for base in bases:
@@ -371,6 +374,18 @@ def _transfer_matrix(rhat: FieldMatrix, d: int, L: int) -> FieldMatrix:
             row = out
         entries.extend(row)
     return FieldMatrix(dim, dim, entries).partial_trace_first(d)
+
+
+def check_chain_length(L: int) -> None:
+    """Raise ValueError unless 1 <= L <= MAX_CHAIN_LENGTH."""
+    if not 1 <= L <= MAX_CHAIN_LENGTH:
+        raise ValueError(f"chain length must be between 1 and {MAX_CHAIN_LENGTH}, got {L}")
+
+
+def _integer_scaled(m: FieldMatrix) -> FieldMatrix:
+    """D * m as an int matrix, with D the lcm of the entry denominators."""
+    D = math.lcm(*(e.denominator for e in m.entries))
+    return FieldMatrix(m.rows, m.cols, [e.numerator * (D // e.denominator) for e in m.entries])
 
 
 def choose_reference_point(fn: SpectralFn) -> Fraction:
@@ -413,8 +428,15 @@ def transfer_commute(
     the ordered product of R across L sites, applied leg by leg (no embedded
     d^(L+1)-square copy of R is formed).  The commutator [t(x1), t(x2)] is
     checked exactly at each rational point pair.  L must lie in
-    1..MAX_CHAIN_LENGTH.  corrupt=True perturbs one entry of every Rhat as a
-    negative control.
+    1..MAX_CHAIN_LENGTH, and at least one point pair is checked.
+    corrupt=True perturbs one entry of every Rhat as a negative control.
+
+    All chain arithmetic runs on Python ints: each (perturbed) Rhat is scaled
+    by one common denominator D, so the chain builds D^L * t exactly.  Since
+    [c1 t1, c2 t2] = c1 c2 [t1, t2] for nonzero c1, c2, the commutator of the
+    scaled matrices has the same nonzero entries as the rational one, and the
+    reported residual sizes are unchanged.  A per-row scaling would not
+    commute with the chain product, hence one scalar per matrix.
     """
     t0 = time.monotonic()
     if rep.params:
@@ -422,8 +444,10 @@ def transfer_commute(
     d = math.isqrt(rep.dim)
     if d * d != rep.dim:
         raise ValueError(f"rep dimension {rep.dim} is not a perfect square")
-    if not 1 <= L <= MAX_CHAIN_LENGTH:
-        raise ValueError(f"chain length must be between 1 and {MAX_CHAIN_LENGTH}, got {L}")
+    check_chain_length(L)
+    n_pairs = count if points is None else len(points)
+    if n_pairs < 1:
+        raise ValueError(f"need at least one point pair, got {n_pairs}")
     y0 = choose_reference_point(fn)
     report = VerifyReport(
         "transfer commutation",
@@ -477,7 +501,7 @@ def transfer_commute(
 
     for k, (x1, x2) in enumerate(points):
         try:
-            t1, t2 = (_transfer_matrix(rhat_at(Fraction(x)), d, L) for x in (x1, x2))
+            t1, t2 = (_transfer_matrix(_integer_scaled(rhat_at(Fraction(x))), d, L) for x in (x1, x2))
         except (PoleError, SingularMatrixError, ZeroDivisionError) as exc:
             raise PoleError(f"pole at supplied point pair ({x1}, {x2}); resample") from exc
         comm = t1 * t2 - t2 * t1

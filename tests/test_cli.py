@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from baxcheck import cli
 from baxcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, JobError, run_job
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -133,6 +134,17 @@ def test_batch_job_aggregates(tmp_path):
     assert [j["exit_code"] for j in payload["jobs"]] == [0, 0]
 
 
+# the known-failing pairing: A3_2dim does not solve the case-ii Yang-Baxter equation
+A3_II_RANDOM = {
+    "command": "verify-ybe",
+    "fn": {"case": "ii"},
+    "mode": "random",
+    "rep": {"builtin": "A3_2dim", "parameters": {"c": "1", "mu": None}},
+    "seed": 1,
+    "trials": 2,
+}
+
+
 def test_run_job_api_errors():
     with pytest.raises(JobError):
         run_job({"command": "verify-ybe", "rep": {"builtin": "A3_2dim"}})  # missing fn
@@ -180,6 +192,36 @@ def test_run_job_api_errors():
             "algebra": "Braid",
             "rep": {"builtin": "scalar", "values": ["1"], "n": True},
         })
+    # randomized checks with nothing to sample are usage errors, not vacuous passes
+    for extra in ({"pairs": 0}, {"pairs": -4, "corrupt": True}):
+        with pytest.raises(JobError, match="point pair"):
+            run_job({
+                "command": "transfer-commute",
+                "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
+                "fn": {"case": "hecke"},
+                **extra,
+            })
+    with pytest.raises(JobError, match="trials"):
+        run_job(dict(A3_II_RANDOM, trials=0))
+
+
+def test_zero_trials_override_rejected(tmp_path):
+    code, out = invoke(tmp_path, A3_II_RANDOM, extra=("--trials", "0"))
+    assert code == EXIT_USAGE
+    assert "trials" in json.loads(out)["error"]
+
+
+def test_transfer_lengths_checked_before_any_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "transfer_commute", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(JobError, match="got 9"):
+        run_job({
+            "command": "transfer-commute",
+            "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
+            "fn": {"case": "hecke"},
+            "lengths": [5, 9],
+        })
+    assert calls == []
 
 
 def test_report_payload_excludes_timing(tmp_path):

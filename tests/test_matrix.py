@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from baxcheck.exactnum import FieldMatrix, MultiPoly, RatFunc, SingularMatrixError, canonical_vars
 
@@ -103,3 +105,48 @@ def test_shape_errors():
         rational([[1, 2]]).inv()
     with pytest.raises(ValueError):
         FieldMatrix(2, 2, [Fraction(1)] * 3)
+
+
+@st.composite
+def rational_square(draw):
+    """An n x n rational matrix, n = 1..4; about half the draws repeat a scaled row."""
+    n = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        factor = draw(entry)
+        rows[dst] = [factor * e for e in rows[src]]
+    return rows
+
+
+def _to_fraction(value) -> Fraction:
+    return Fraction(int(value.p), int(value.q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_square())
+def test_det_and_inv_match_sympy(rows):
+    m = FieldMatrix.from_rows(rows)
+    ref = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row] for row in rows])
+    ref_det = _to_fraction(ref.det())
+    assert m.det() == ref_det
+    if ref_det == 0:
+        with pytest.raises(SingularMatrixError):
+            m.inv()
+        return
+    inv = m.inv()
+    assert all(type(e) is Fraction for e in inv.entries)
+    assert inv.to_rows() == [[_to_fraction(e) for e in row] for row in ref.inv().tolist()]
+
+
+def test_entry_kinds_are_checked():
+    adj, det = FieldMatrix.from_rows([[2, 1], [4, 3]]).adjugate_det()
+    assert det == 2 and adj == FieldMatrix.from_rows([[3, -1], [-4, 2]])
+    with pytest.raises(TypeError):
+        rational([[2, 1], [4, 3]]).adjugate_det()
+    x = RatFunc.var(V, "x")
+    with pytest.raises(TypeError):
+        FieldMatrix.from_rows([[x, x], [x, x + 1]]).adjugate_det()
+    with pytest.raises(TypeError):
+        FieldMatrix.from_rows([[x.num, x.num], [x.num, x.den]]).det()

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -245,7 +246,30 @@ def _hecke_rhat(x, corrupt=False):
     ids=["hecke-3", "hecke-7/5", "hecke-3-corrupt", "dense"],
 )
 def test_transfer_matrix_matches_dense_embedding(rhat, L):
-    assert _transfer_matrix(rhat, 2, L) == _dense_transfer(rhat, 2, L)
+    reference = _dense_transfer(rhat, 2, L)
+    assert _transfer_matrix(rhat, 2, L) == reference
+    # the integer route: D * rhat builds D^L * t, entirely in ints
+    D, scaled = _scaled(rhat)
+    t = _transfer_matrix(scaled, 2, L)
+    assert all(type(e) is int for e in t.entries)
+    assert t == reference.scale(D**L)
+
+
+def _scaled(rhat):
+    D = math.lcm(*(e.denominator for e in rhat.entries))
+    return D, rhat.map_entries(lambda e: int(e * D))
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_commutator_support_same_over_fractions_and_ints(corrupt):
+    def support(t1, t2):
+        return [bool(e) for e in (t1 * t2 - t2 * t1).entries]
+
+    rhats = [_hecke_rhat(Fraction(3), corrupt), _hecke_rhat(Fraction(-7, 5), corrupt)]
+    over_q = support(*(_transfer_matrix(r, 2, 3) for r in rhats))
+    over_z = support(*(_transfer_matrix(_scaled(r)[1], 2, 3) for r in rhats))
+    assert over_q == over_z
+    assert any(over_q) == corrupt
 
 
 def test_transfer_deeper_chain():
