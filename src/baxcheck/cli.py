@@ -28,7 +28,18 @@ from .reps import (
     flip_rep,
     verify_scalar,
 )
-from .verify import check_chain_length, lemma_suite_A, lemma_suite_B, transfer_commute, ybe_random, ybe_symbolic
+from .verify import (
+    MAX_GENERATORS,
+    MAX_PAIRS,
+    MAX_SERIES_ORDER,
+    MAX_TRIALS,
+    check_chain_length,
+    lemma_suite_A,
+    lemma_suite_B,
+    transfer_commute,
+    ybe_random,
+    ybe_symbolic,
+)
 
 COMMANDS = (
     "check-algebra",
@@ -102,7 +113,7 @@ def _parse_rep(record, where: str = "rep"):
             if not isinstance(values, list):
                 raise JobError(f"{where}.values: expected a list of scalars")
             kwargs["values"] = [_scalar_or_symbolic(v, f"{where}.values") for v in values]
-        n = _int_field(record, "n")
+        n = _int_field(record, "n", cap=MAX_GENERATORS)
         if n is not None:
             kwargs["n"] = n
     else:
@@ -130,12 +141,14 @@ def _parse_algebra(value, where: str = "algebra") -> str:
     return value
 
 
-def _int_field(job: dict, field: str, default=None, required: bool = False):
+def _int_field(job: dict, field: str, default=None, required: bool = False, cap: int | None = None):
     value = _take(job, field, required=required, default=default)
     if value is None:
         return None
     if not isinstance(value, int) or isinstance(value, bool):
         raise JobError(f"{field}: expected an integer")
+    if cap is not None and value > cap:
+        raise JobError(f"{field}: at most {cap}, got {value}")
     return value
 
 
@@ -207,7 +220,7 @@ def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
 
     if command == "check-algebra":
         algebra = _parse_algebra(_take(job, "algebra", required=True))
-        n = _int_field(job, "n", default=3)
+        n = _int_field(job, "n", default=3, cap=MAX_GENERATORS)
         params = _parse_parameters(_take(job, "parameters"), "parameters")
         rep = _parse_rep(_take(job, "rep", required=True))
         _reject_unknown(job)
@@ -217,7 +230,7 @@ def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
         algebra = _parse_algebra(_take(job, "algebra", required=True))
         params = _parse_parameters(_take(job, "parameters"), "parameters")
         assignment = _take(job, "assignment")
-        n = _int_field(job, "n", default=3)
+        n = _int_field(job, "n", default=3, cap=MAX_GENERATORS)
         _reject_unknown(job)
         classes = classify_scalar(algebra, params)
         report = VerifyReport("scalar classification")
@@ -230,10 +243,10 @@ def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
         return report, {"classes": [c.to_record() for c in classes]}
 
     if command == "baxterise":
+        series_order = _int_field(job, "series_order", cap=MAX_SERIES_ORDER)
         rep = _parse_rep(_take(job, "rep", required=True))
         fn = _parse_fn(_take(job, "fn", required=True))
         site = _int_field(job, "site", default=1)
-        series_order = _int_field(job, "series_order")
         _reject_unknown(job)
         R = build_R(rep, site, fn)
         report = VerifyReport("baxterise")
@@ -249,10 +262,10 @@ def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
         return report, {"rmatrix": matrix}
 
     if command == "verify-ybe":
+        trials = _int_field(job, "trials", default=20, cap=MAX_TRIALS)
         rep = _parse_rep(_take(job, "rep", required=True))
         fn = _parse_fn(_take(job, "fn", required=True))
         mode = _take(job, "mode", default="symbolic")
-        trials = _int_field(job, "trials", default=20)
         seed = _int_field(job, "seed", default=0)
         _reject_unknown(job)
         if mode == "symbolic":
@@ -274,6 +287,7 @@ def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
         raise JobError(f"suite: expected 'A' or 'B', got {suite!r}")
 
     if command == "transfer-commute":
+        pairs = _int_field(job, "pairs", default=5, cap=MAX_PAIRS)
         rep = _parse_rep(_take(job, "rep", required=True))
         fn = _parse_fn(_take(job, "fn", required=True))
         site = _int_field(job, "site", default=1)
@@ -284,7 +298,6 @@ def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
             isinstance(v, int) and not isinstance(v, bool) for v in lengths
         ):
             raise JobError("lengths: expected a list of integers")
-        pairs = _int_field(job, "pairs", default=5)
         seed = _int_field(job, "seed", default=0)
         corrupt = _take(job, "corrupt", default=False)
         if not isinstance(corrupt, bool):

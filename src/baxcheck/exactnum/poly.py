@@ -8,6 +8,12 @@ polynomial is unique and equality is structural.  All arithmetic is exact and
 runs on the integer kernel below; rational coefficients appear only at the
 interface (construction, leading terms, evaluation, serialization).
 
+`poly_gcd` returns the monic gcd together with both cofactors.  It runs the
+heuristic GCDHEU of Char, Geddes & Gonnet (evaluate at a large integer, take
+one integer gcd, interpolate back) and certifies each result by exact
+division, which also yields the cofactors; a subresultant remainder sequence
+is kept only as the fallback when the heuristic gives up.
+
 The variable order is global and deterministic: the spectral symbols
 x, y, z, v come first (in that order), every other symbol follows
 alphabetically.  Monomials compare in graded lexicographic order where the
@@ -18,7 +24,7 @@ later variable in the tuple is the more significant one, so canonical forms
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
@@ -323,12 +329,12 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-# -- integer kernel: products, exact division, and the gcd by a primitive
-# subresultant remainder sequence, recursive on variables --
+# -- integer kernel: products, exact division, and the subresultant gcd --
 #
-# These work on MultiPoly numerators directly; the subresultant divisor
+# These work on MultiPoly numerators directly.  `_ip_gcd` runs a primitive
+# subresultant remainder sequence, recursive on variables; its divisor
 # bookkeeping keeps intermediate coefficients small without per-step content
-# extraction.
+# extraction.  It is only the fallback of the heuristic gcd further down.
 
 _IntPoly = dict  # exponent tuple -> nonzero int
 
@@ -350,6 +356,11 @@ def _make(vars: tuple[str, ...], terms: _IntPoly, den: int) -> MultiPoly:
 def _ip_scale(P: _IntPoly, k: int) -> _IntPoly:
     """A fresh dict holding k * P (k nonzero)."""
     return dict(P) if k == 1 else {exp: c * k for exp, c in P.items()}
+
+
+def _ip_scale_down(P: _IntPoly, k: int) -> _IntPoly:
+    """P / k for a positive k dividing every coefficient."""
+    return P if k == 1 else {e: c // k for e, c in P.items()}
 
 
 def _ip_sub(P: _IntPoly, Q: _IntPoly) -> _IntPoly:
@@ -431,9 +442,20 @@ def _ip_divexact(P: _IntPoly, D: _IntPoly) -> _IntPoly:
         raise ValueError("division by zero polynomial")
     if not P:
         return {}
+    if len(D) == 1:
+        # a monomial (such as the gcd 1 of coprime inputs): one pass, no leading-term search
+        ((ed, cd),) = D.items()
+        quot: _IntPoly = {}
+        for e, c in P.items():
+            q, r = divmod(c, cd)
+            e = tuple(i - j for i, j in zip(e, ed))
+            if r or min(e) < 0:
+                raise ValueError("inexact polynomial division")
+            quot[e] = q
+        return quot
     ed = max(D, key=_grlex_key)
     cd = D[ed]
-    quot: _IntPoly = {}
+    quot = {}
     rem = dict(P)
     while rem:
         er = max(rem, key=_grlex_key)
@@ -484,119 +506,6 @@ def _ip_content_wrt(P: _IntPoly, m: int) -> _IntPoly:
     return acc
 
 
-def _iu_prem(u: dict, v: dict) -> dict:
-    """Univariate integer pseudo-remainder (exponent -> coefficient dicts)."""
-    dv = max(v)
-    lv = v[dv]
-    r = dict(u)
-    dr = max(r, default=-1)
-    e = dr - dv + 1
-    while r and dr >= dv:
-        lr = r[dr]
-        nr: dict = {}
-        for k, c in r.items():
-            nr[k] = c * lv
-        for k, c in v.items():
-            key = k + dr - dv
-            acc = nr.get(key, 0) - lr * c
-            if acc:
-                nr[key] = acc
-            else:
-                nr.pop(key, None)
-        r = nr
-        e -= 1
-        dr = max(r, default=-1)
-    if r and e > 0:
-        s = lv**e
-        r = {k: c * s for k, c in r.items()}
-    return r
-
-
-def _iu_content(u: dict) -> int:
-    g = 0
-    for c in u.values():
-        g = _int_gcd(g, c)
-    return g
-
-
-def _iu_gcd(u: dict, v: dict) -> dict:
-    """Primitive gcd of univariate integer polynomials (subresultant PRS)."""
-    if not u:
-        return v
-    if not v:
-        return u
-    cu, cv = _iu_content(u), _iu_content(v)
-    cont = _int_gcd(cu, cv)
-    a = {k: c // cu for k, c in u.items()}
-    b = {k: c // cv for k, c in v.items()}
-    if max(a) < max(b):
-        a, b = b, a
-    g = h = 1
-    while True:
-        delta = max(a) - max(b)
-        r = _iu_prem(a, b)
-        if not r:
-            cb = _iu_content(b)
-            part = {k: c // cb for k, c in b.items()}
-            break
-        if max(r) == 0:
-            part = {0: 1}
-            break
-        divisor = g * h**delta
-        a, b = b, {k: c // divisor for k, c in r.items()}
-        g = a[max(a)]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g**delta // h ** (delta - 1)
-    return {k: c * cont for k, c in part.items()}
-
-
-def _ip_specialize(P: _IntPoly, m: int, vals: dict[int, int]) -> dict:
-    """Evaluate all variables except index m at integer values; univariate result."""
-    out: dict = {}
-    for exp, coeff in P.items():
-        term = coeff
-        for idx, e in enumerate(exp):
-            if idx == m or not e:
-                continue
-            term *= vals[idx] ** e
-        if term:
-            acc = out.get(exp[m], 0) + term
-            if acc:
-                out[exp[m]] = acc
-            else:
-                out.pop(exp[m], None)
-    return out
-
-
-_PROBE_POINTS = (
-    {"mult": 3, "add": 2},
-    {"mult": 5, "add": -3},
-    {"mult": 7, "add": 5},
-    {"mult": 11, "add": -7},
-)
-
-
-def _probe_gcd_degree(A: _IntPoly, B: _IntPoly, m: int) -> int | None:
-    """Degree in variable m of gcd(A, B) after a random integer specialization.
-
-    The specialized gcd degree is an upper bound for the true one, so a
-    result of 0 proves coprimality in variable m.  Returns None when no
-    specialization keeps both leading coefficients alive.
-    """
-    nvars = len(next(iter(A)))
-    da, db = _ip_deg(A, m), _ip_deg(B, m)
-    for point in _PROBE_POINTS:
-        vals = {idx: (point["mult"] * (idx + 2) + point["add"]) for idx in range(nvars)}
-        ua = _ip_specialize(A, m, vals)
-        ub = _ip_specialize(B, m, vals)
-        if not ua or not ub or max(ua) != da or max(ub) != db:
-            continue
-        return max(_iu_gcd(ua, ub))
-    return None
-
-
 def _ip_gcd(P: _IntPoly, Q: _IntPoly) -> _IntPoly:
     """gcd in Z[vars] (sign not normalized), subresultant PRS on the top variable."""
     mp, mq = _ip_max_used(P), _ip_max_used(Q)
@@ -621,17 +530,6 @@ def _ip_gcd(P: _IntPoly, Q: _IntPoly) -> _IntPoly:
     if _ip_deg(A, m) < _ip_deg(B, m):
         A, B = B, A
     one = {(0,) * len(next(iter(A))): 1}
-    probe = _probe_gcd_degree(A, B, m)
-    if probe == 0:
-        return cont
-    if probe is not None and probe == _ip_deg(B, m):
-        # plausible divisor: certify by one exact division attempt
-        try:
-            _ip_divexact(A, B)
-        except ValueError:
-            pass
-        else:
-            return _ip_mul(cont, B)
     g = dict(one)
     h = dict(one)
     while True:
@@ -652,12 +550,85 @@ def _ip_gcd(P: _IntPoly, Q: _IntPoly) -> _IntPoly:
     return _ip_mul(cont, part)
 
 
-def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Monic gcd of two polynomials over the same variable tuple.
+# -- heuristic gcd with cofactors (GCDHEU) --
+#
+# Char, Geddes & Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm based on
+# integer GCD computation", J. Symbolic Computation 7 (1989).  Evaluating one
+# variable at an integer xi maps gcd(P, Q) into the gcd of the images, one
+# variable fewer; the recursion ends in one integer gcd, and the image gcd is
+# read back as a polynomial by its balanced base-xi digits.  For
+# xi >= 2 * min(|P|, |Q|) + 2 (max-norms) the primitive part H of that
+# interpolation is gcd(P, Q) exactly when H divides both P and Q, so the
+# trial division both certifies the result and yields the cofactors.
 
-    Computed by a subresultant polynomial-remainder sequence with
-    content/primitive-part splitting, recursing through the variables over
-    integer coefficients.  Both-zero input is a usage error.
+_HEU_TRIES = 6
+
+
+def _ip_eval(P: _IntPoly, m: int, xi: int) -> _IntPoly:
+    """P with variable m set to xi (its exponent slot stays, at 0)."""
+    out: _IntPoly = {}
+    for e, c in P.items():
+        k = e[m]
+        if k:
+            c *= xi**k
+            e = e[:m] + (0,) + e[m + 1 :]
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ip_interpolate(H: _IntPoly, m: int, xi: int) -> _IntPoly:
+    """The polynomial in variable m whose xi-adic symmetric digits are H's coefficients."""
+    out: _IntPoly = {}
+    half = xi // 2
+    for e, c in H.items():
+        k = 0
+        while c:
+            c, d = divmod(c, xi)
+            if d > half:
+                d -= xi
+                c += 1
+            if d:
+                out[e[:m] + (k,) + e[m + 1 :]] = d
+            k += 1
+    return out
+
+
+def _heu_gcd(P: _IntPoly, Q: _IntPoly) -> tuple[_IntPoly, _IntPoly, _IntPoly] | None:
+    """(G, P/G, Q/G) with G = gcd(P, Q) up to sign, or None if every xi fails."""
+    mp, mq = _ip_max_used(P), _ip_max_used(Q)
+    c = _int_gcd(*P.values(), *Q.values())
+    if mp is None or mq is None:
+        # a constant side: the gcd is the integer content both share
+        return {(0,) * len(next(iter(P))): c}, _ip_scale_down(P, c), _ip_scale_down(Q, c)
+    m = max(mp, mq)
+    P, Q = _ip_scale_down(P, c), _ip_scale_down(Q, c)
+    xi = 2 * min(max(map(abs, P.values())), max(map(abs, Q.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        Pxi, Qxi = _ip_eval(P, m, xi), _ip_eval(Q, m, xi)
+        if Pxi and Qxi:
+            image = _heu_gcd(Pxi, Qxi)
+            if image is None:
+                return None
+            H = _ip_interpolate(image[0], m, xi)
+            H = _ip_scale_down(H, _int_gcd(*H.values()))
+            try:
+                return _ip_scale(H, c), _ip_divexact(P, H), _ip_divexact(Q, H)
+            except ValueError:
+                pass
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def poly_gcd(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """Monic gcd g of two polynomials over one variable tuple, with cofactors.
+
+    Returns (g, p/g, q/g).  The gcd of the integer numerators comes from
+    GCDHEU (above): evaluation at a large integer, one integer gcd, and
+    xi-adic interpolation, accepted only when it divides both numerators
+    exactly; that division certifies the gcd and gives the cofactors.  If
+    every evaluation point fails, the subresultant remainder sequence
+    (`_ip_gcd`) and two exact divisions give the same triple.  Both-zero
+    input is a usage error.
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise TypeError("poly_gcd expects two MultiPoly arguments")
@@ -665,23 +636,20 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         raise ValueError(f"mismatched variable lists {p.vars} vs {q.vars}")
     if p.is_zero and q.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    if p.is_zero:
-        return q.monic()
-    if q.is_zero:
-        return p.monic()
+    if p.is_zero or q.is_zero:
+        nonzero = q if p.is_zero else p
+        g, unit = nonzero.monic(), MultiPoly.const(p.vars, nonzero.leading()[1])
+        return (g, p, unit) if p.is_zero else (g, unit, q)
     if p.is_constant() or q.is_constant():
-        return MultiPoly.const(p.vars, 1)
+        return MultiPoly.const(p.vars, 1), p, q
     P, Q = p.terms, q.terms
-    # split off the monomial gcd so the PRS only sees trimmed inputs
-    nvars = len(p.vars)
-    mono_p = [min(e[k] for e in P) for k in range(nvars)]
-    mono_q = [min(e[k] for e in Q) for k in range(nvars)]
-    mono = tuple(min(a, b) for a, b in zip(mono_p, mono_q))
-    if any(mono_p):
-        P = {tuple(i - j for i, j in zip(e, mono_p)): c for e, c in P.items()}
-    if any(mono_q):
-        Q = {tuple(i - j for i, j in zip(e, mono_q)): c for e, c in Q.items()}
-    G = _ip_gcd(P, Q)
-    if any(mono):
-        G = {tuple(i + j for i, j in zip(e, mono)): c for e, c in G.items()}
-    return _make(p.vars, G, 1).monic()
+    found = _heu_gcd(P, Q)
+    if found is None:
+        G = _ip_gcd(P, Q)
+        found = G, _ip_divexact(P, G), _ip_divexact(Q, G)
+    G, CP, CQ = found
+    # g = G / lc(G) is monic, so p / g = CP * lc(G) / p.den
+    lc = G[max(G, key=_grlex_key)]
+    sign = 1 if lc > 0 else -1
+    g = _make(p.vars, _ip_scale(G, sign), lc * sign)
+    return g, _make(p.vars, _ip_scale(CP, lc), p.den), _make(p.vars, _ip_scale(CQ, lc), q.den)

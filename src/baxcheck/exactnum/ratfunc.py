@@ -34,10 +34,7 @@ class RatFunc:
             return
         # constants are units: no gcd needed when either side is constant
         if not den.is_constant() and not num.is_constant():
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num = num.divexact(g)
-                den = den.divexact(g)
+            _, num, den = poly_gcd(num, den)
         lc = den.leading()[1]
         if lc != 1:
             num = num.scale(1 / lc)
@@ -120,22 +117,14 @@ class RatFunc:
         # classic reduced addition: all gcds stay operand-sized
         d1, d2 = self.den, other.den
         if d1.is_constant() or d2.is_constant():
-            g = None
-        else:
-            g = poly_gcd(d1, d2)
-            if g.is_constant():
-                g = None
-        if g is None:
-            num = self.num * d2 + other.num * d1
-            return _reduced(num, d1 * d2)
-        d1g = d1.divexact(g)
-        t = self.num * d2.divexact(g) + other.num * d1g
-        if t.is_zero:
-            return RatFunc.zero(self.vars)
-        h = poly_gcd(t, g) if not t.is_constant() else None
-        if h is None or h.is_constant():
+            return _reduced(self.num * d2 + other.num * d1, d1 * d2)
+        g, d1g, d2g = poly_gcd(d1, d2)
+        t = self.num * d2g + other.num * d1g
+        if g.is_constant() or t.is_constant():
             return _reduced(t, d1g * d2)
-        return _reduced(t.divexact(h), d1g * d2.divexact(h))
+        # t is coprime to d1g and d2g, so its gcd with d1g * g * d2g divides g
+        h, th, gh = poly_gcd(t, g)
+        return _reduced(th, d1g * d2 if h.is_constant() else d1g * gh * d2g)
 
     __radd__ = __add__
 
@@ -241,8 +230,8 @@ def denominator_lcm(values, vars: tuple[str, ...]) -> MultiPoly:
         if e.den.is_constant():
             den = den * e.den
             continue
-        g = poly_gcd(den, e.den)
-        den = den.divexact(g) * e.den
+        _, den_g, _ = poly_gcd(den, e.den)
+        den = den_g * e.den
     return den
 
 
@@ -250,10 +239,7 @@ def _cross_cancel(n: MultiPoly, d: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Divide out gcd(n, d); used to keep product inputs reduced."""
     if n.is_zero or n.is_constant() or d.is_constant():
         return n, d
-    g = poly_gcd(n, d)
-    if g.is_constant():
-        return n, d
-    return n.divexact(g), d.divexact(g)
+    return poly_gcd(n, d)[1:]
 
 
 def _reduced(num: MultiPoly, den: MultiPoly) -> RatFunc:

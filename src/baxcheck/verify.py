@@ -336,6 +336,13 @@ def lemma_suite_B(rep: Rep, zvar: str = "z", vvar: str = "v") -> VerifyReport:
 
 
 MAX_CHAIN_LENGTH = 8  # d <= 2 for every square builtin: monodromies up to 512 x 512
+# Job-size caps, enforced when a job is parsed and before any work starts:
+# generators n of an algebra or scalar rep, series truncation order,
+# randomized YBE trials and transfer point pairs.
+MAX_GENERATORS = 16
+MAX_SERIES_ORDER = 64
+MAX_TRIALS = 1000
+MAX_PAIRS = 100
 
 
 def _transfer_matrix(rhat: FieldMatrix, d: int, L: int) -> FieldMatrix:

@@ -7,6 +7,7 @@ import pytest
 
 from baxcheck import cli
 from baxcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, JobError, run_job
+from baxcheck.verify import MAX_GENERATORS, MAX_PAIRS, MAX_SERIES_ORDER, MAX_TRIALS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -145,7 +146,7 @@ A3_II_RANDOM = {
 }
 
 
-def test_run_job_api_errors():
+def test_run_job_api_errors(monkeypatch):
     with pytest.raises(JobError):
         run_job({"command": "verify-ybe", "rep": {"builtin": "A3_2dim"}})  # missing fn
     with pytest.raises(JobError):
@@ -203,6 +204,28 @@ def test_run_job_api_errors():
             })
     with pytest.raises(JobError, match="trials"):
         run_job(dict(A3_II_RANDOM, trials=0))
+    # job sizes are capped before any rep is built or any check starts
+    def never(*args, **kwargs):
+        raise AssertionError("work started on a job over a size cap")
+
+    for name in ("builtin_rep", "build_R", "series_agreement_order", "relations_for", "check_relations",
+                 "classify_scalar", "verify_scalar", "ybe_random", "ybe_symbolic", "transfer_commute"):
+        monkeypatch.setattr(cli, name, never)
+    hecke = {"builtin": "Hecke3_std", "parameters": {"q": "2"}}
+    over_cap = [
+        ("series_order", {"command": "baxterise", "rep": hecke, "fn": {"case": "hecke"},
+                          "series_order": MAX_SERIES_ORDER + 1}),
+        ("series_order", {"command": "baxterise", "rep": hecke, "fn": {"case": "hecke"}, "series_order": 1000000}),
+        ("n", {"command": "check-algebra", "algebra": "Braid", "rep": hecke, "n": MAX_GENERATORS + 1}),
+        ("n", {"command": "check-algebra", "algebra": "Braid", "rep": hecke, "n": 1000000}),
+        ("n", {"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "n": 1000000}}),
+        ("n", {"command": "scalar-reps", "algebra": "A", "n": 1000000}),
+        ("trials", dict(A3_II_RANDOM, trials=MAX_TRIALS + 1)),
+        ("pairs", {"command": "transfer-commute", "rep": hecke, "fn": {"case": "hecke"}, "pairs": MAX_PAIRS + 1}),
+    ]
+    for field, job in over_cap:
+        with pytest.raises(JobError, match=f"^{field}: at most"):
+            run_job(job)
 
 
 def test_zero_trials_override_rejected(tmp_path):

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
-from baxcheck.exactnum import MultiPoly, canonical_vars, poly_gcd
+from baxcheck.exactnum import MultiPoly, canonical_vars, poly, poly_gcd
 
 V = canonical_vars(["x", "y"])
 
@@ -36,24 +37,37 @@ def test_binomial_square():
 def test_gcd_difference_of_squares():
     x, y = x_y()
     p, q = x * x - y * y, x + y
-    g = poly_gcd(p, q)
+    g, pg, qg = poly_gcd(p, q)
     assert g == (x + y).monic()
     # oracle: the gcd divides both inputs exactly
     assert p.divexact(g) * g == p
     assert q.divexact(g) * g == q
+    # the cofactors are those quotients
+    assert (pg, qg) == (p.divexact(g), q.divexact(g)) == (x - y, MultiPoly.const(V, 1))
+    assert g * pg == p and g * qg == q
 
 
 def test_gcd_with_zero_normalizes():
     x, y = x_y()
     p = 2 * x + 2 * y
-    assert poly_gcd(p, MultiPoly.zero(V)) == p.monic()
-    assert poly_gcd(MultiPoly.zero(V), p) == p.monic()
+    zero = MultiPoly.zero(V)
+    g, pg, zg = poly_gcd(p, zero)
+    assert g == p.monic()
+    assert g * pg == p and pg == MultiPoly.const(V, 2) and zg == zero
+    g, zg, pg = poly_gcd(zero, p)
+    assert g == p.monic()
+    assert g * pg == p and pg == MultiPoly.const(V, 2) and zg == zero
 
 
 def test_gcd_constants_are_units():
     three = MultiPoly.const(V, 3)
     six = MultiPoly.const(V, 6)
-    assert poly_gcd(three, six) == MultiPoly.const(V, 1)
+    g, tg, sg = poly_gcd(three, six)
+    assert g == MultiPoly.const(V, 1)
+    assert (tg, sg) == (three, six)
+    x, y = x_y()
+    g, tg, pg = poly_gcd(three, x * y + 2)
+    assert g == MultiPoly.const(V, 1) and (tg, pg) == (three, x * y + 2)
 
 
 def test_gcd_both_zero_is_usage_error():
@@ -78,6 +92,10 @@ def test_divexact_rejects_inexact():
     assert (3 * x + Fraction(3, 2)).divexact(2 * x + 1) == MultiPoly.const(V, Fraction(3, 2))
     with pytest.raises(ValueError):
         (x + Fraction(1, 2)).divexact(2 * x + 2)
+    # monomial divisors take a one-pass route with the same exactness checks
+    assert (2 * x * y + 4 * x).divexact(2 * x) == y + 2
+    with pytest.raises(ValueError):
+        (x * y + 1).divexact(3 * x)
 
 
 def test_rename_merges_variables():
@@ -140,9 +158,81 @@ def test_gcd_common_factor_property(p, q, g):
     # gcd(p*g, q*g) is an associate of g * gcd(p, q)
     if p.is_zero or q.is_zero or g.is_zero:
         return
-    left = poly_gcd(p * g, q * g)
-    right = (g * poly_gcd(p, q)).monic()
+    left, pg_cof, qg_cof = poly_gcd(p * g, q * g)
+    right = (g * poly_gcd(p, q)[0]).monic()
     assert left == right
+    assert left * pg_cof == p * g and left * qg_cof == q * g
+
+
+GCD_VARS = ("x", "y", "z")
+
+
+@st.composite
+def planted_gcd_inputs(draw):
+    """(p*g, q*g) in 1-3 variables with rational coefficients and a planted factor g."""
+    nvars = draw(st.integers(1, 3))
+    vars = GCD_VARS[:nvars]
+    exp = st.tuples(*[st.integers(0, 3)] * nvars)
+
+    def poly_in(max_terms):
+        terms = draw(st.lists(st.tuples(exp, small_coeff), min_size=0, max_size=max_terms))
+        return sum((MultiPoly(vars, {e: c}) for e, c in terms if c), MultiPoly.zero(vars))
+
+    g = poly_in(3)
+    return poly_in(4) * g, poly_in(4) * g
+
+
+def _to_sympy(p: MultiPoly) -> sympy.Poly:
+    gens = sympy.symbols(p.vars)
+    expr = sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.prod(s**k for s, k in zip(gens, e))
+         for e, c in p.sorted_terms()),
+        sympy.Integer(0),
+    )
+    return sympy.Poly(expr, *gens, domain=sympy.QQ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_gcd_inputs())
+def test_gcd_matches_sympy_with_cofactors(pq):
+    p, q = pq
+    assume(not (p.is_zero and q.is_zero))
+    g, pg, qg = poly_gcd(p, q)
+    assert g.leading()[1] == 1
+    assert g * pg == p and g * qg == q
+    # equal up to a rational unit: both sides made monic in sympy's own order
+    assert _to_sympy(g).monic() == sympy.gcd(_to_sympy(p), _to_sympy(q)).monic()
+
+
+def _fallback_cases():
+    x, y = x_y()
+    z3 = canonical_vars(["x", "y", "z"])
+    a, b, c = (MultiPoly.var(z3, n) for n in z3)
+    half = Fraction(1, 2)
+    return [
+        (x * x - y * y, x + y),
+        ((x + y) * (x - 2 * y), (x + y) * (3 * x * y + 1)),
+        (x * x * y, x * y * y),
+        ((half * x + y) * (x + 3), (half * x + y) * (y - half)),
+        (x * x + 1, x * y + 2),
+        ((a * b - c + 2) * (a + c), (a * b - c + 2) * (b * b - half * a)),
+    ]
+
+
+def test_gcd_fallback_gives_same_triple(monkeypatch):
+    cases = _fallback_cases()
+    # the heuristic succeeds on every case, so the expected triples are its own
+    assert all(poly._heu_gcd(p.terms, q.terms) is not None for p, q in cases)
+    expected = [poly_gcd(p, q) for p, q in cases]
+    failures = []
+
+    def give_up(P, Q):
+        failures.append((P, Q))
+        return None
+
+    monkeypatch.setattr(poly, "_heu_gcd", give_up)
+    assert [poly_gcd(p, q) for p, q in cases] == expected
+    assert len(failures) == len(cases)  # every case took the subresultant route
 
 
 @settings(max_examples=40, deadline=None)
