@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, canonical_vars
 from .exactnum.ratfunc import denominator_lcm
-from .exactnum.scalar import format_scalar, parse_scalar
 from .reps import Rep
 
 SPECTRAL_CASES = ("i", "ii", "iii", "hecke")
@@ -70,35 +69,6 @@ class SpectralFn:
         if self.case != "i":
             raise ValueError("only case i carries the derived parameter a")
         return self.alpha1 * self.alpha2
-
-    def to_record(self) -> dict:
-        if self.case == "i":
-            return {
-                "case": "i",
-                "alpha1": format_scalar(self.alpha1),
-                "alpha2": format_scalar(self.alpha2),
-                "b": format_scalar(self.b),
-                "c": format_scalar(self.c),
-            }
-        return {"case": self.case}
-
-    @classmethod
-    def from_record(cls, record: dict) -> "SpectralFn":
-        record = dict(record)
-        case = record.pop("case", None)
-        if case == "i":
-            try:
-                args = {k: parse_scalar(record.pop(k)) for k in ("alpha1", "alpha2", "b", "c")}
-            except KeyError as exc:
-                raise ValueError(f"case i needs alpha1, alpha2, b, c: missing {exc}") from exc
-            if record:
-                raise ValueError(f"unexpected spectral-fn fields {sorted(record)}")
-            return cls.case_i(**args)
-        if record:
-            raise ValueError(f"unexpected spectral-fn fields {sorted(record)}")
-        if case in ("ii", "iii", "hecke"):
-            return cls(case)
-        raise ValueError(f"unknown spectral-fn case {case!r}")
 
 
 def f_eval(fn: SpectralFn, u: str = "x", v: str = "y") -> RatFunc:

@@ -1,10 +1,24 @@
 """Command-line front end: JSON job files in, verification reports out.
 
-Every scalar in a job file is a string "p" or "p/q" (null means: keep the
-parameter symbolic); unknown fields are rejected.  Reports are serialized
-with sorted keys and no timestamps, so the same job and seed produce
-byte-identical output.  Exit codes: 0 pass, 1 mathematical fail (including
-failed preconditions), 2 usage/schema error, 3 internal error.
+A job is one JSON object with a `command`.  The `COMMANDS` table below is
+the whole job schema: for each command, its handler and an ordered spec
+giving every field's parser and its default (or REQUIRED).  Rules shared by
+every field:
+
+* null counts as absent, so the default applies; a required field left null
+  is reported missing;
+* every scalar is a string "p" or "p/q"; inside `parameters` and a scalar
+  rep's `values`, a null item keeps that parameter symbolic;
+* unknown fields are rejected, and every field is parsed before any
+  representation is built or any check starts;
+* `lengths` and a `batch`'s `jobs` must be nonempty lists; a batch takes no
+  `expect`, and batches do not nest.
+
+--seed, --trials and --mode replace a job's field exactly when its command's
+spec has that field.  Reports are serialized with sorted keys and no
+timestamps, so the same job and seed produce byte-identical output.  Exit
+codes: 0 pass, 1 mathematical fail (including failed preconditions), 2
+usage/schema error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -14,9 +28,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .baxter import SpectralFn, build_R, check_regularity, check_unitarity, series_agreement_order
+from .baxter import SPECTRAL_CASES, SpectralFn, build_R, check_regularity, check_unitarity, series_agreement_order
 from .exactnum import PoleError, parse_scalar
-from .ncalg import PROP1_TERMS, prop1_certificate, relations_for
+from .ncalg import ALGEBRAS, PROP1_TERMS, prop1_certificate, relations_for
 from .report import VerifyReport
 from .reps import (
     BUILTIN_NAMES,
@@ -41,36 +55,34 @@ from .verify import (
     ybe_symbolic,
 )
 
-COMMANDS = (
-    "check-algebra",
-    "scalar-reps",
-    "baxterise",
-    "verify-ybe",
-    "verify-lemmas",
-    "transfer-commute",
-    "prop1",
-    "correspondences",
-    "batch",
-)
-
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
+REQUIRED = object()  # the spec default of a field that must be given
 
 
 class JobError(ValueError):
     """Schema or usage problem in a job file."""
 
 
-def _take(job: dict, field: str, required: bool = False, default=None):
-    if field in job:
-        return job.pop(field)
-    if required:
-        raise JobError(f"missing required field {field!r}")
-    return default
+def _fields(record: dict, spec: dict) -> dict:
+    """Pop and parse every field of spec from record, in spec order."""
+    args = {}
+    for field, (parse, default) in spec.items():
+        value = record.pop(field, None)
+        if value is not None:
+            args[field] = parse(value, field)
+        elif default is REQUIRED:
+            raise JobError(f"missing required field {field!r}")
+        else:
+            args[field] = default
+    return args
 
 
-def _reject_unknown(job: dict) -> None:
-    if job:
-        raise JobError(f"unknown fields {sorted(job)}")
+def _reject_unknown(record: dict) -> None:
+    if record:
+        raise JobError(f"unknown fields {sorted(record)}")
+
+
+# -- field parsers: (value, where) -> parsed value, or JobError -----------------
 
 
 def _scalar(value, where: str) -> Fraction:
@@ -82,116 +94,254 @@ def _scalar(value, where: str) -> Fraction:
         raise JobError(f"{where}: {exc}") from exc
 
 
-def _scalar_or_symbolic(value, where: str):
-    if value is None:
-        return None
-    return _scalar(value, where)
+def _symbolic(value, where: str) -> Fraction | None:
+    """A scalar, or None (null) for a parameter kept symbolic."""
+    return None if value is None else _scalar(value, where)
 
 
-def _parse_parameters(record, where: str) -> dict:
-    if record is None:
-        return {}
-    if not isinstance(record, dict):
-        raise JobError(f"{where}: expected an object of named scalars")
-    return {name: _scalar_or_symbolic(v, f"{where}.{name}") for name, v in record.items()}
+def _bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise JobError(f"{where}: expected true or false")
+    return value
 
 
-def _parse_rep(record, where: str = "rep"):
-    if not isinstance(record, dict):
+def _int(cap: int | None = None):
+    def parse(value, where: str) -> int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise JobError(f"{where}: expected an integer")
+        if cap is not None and value > cap:
+            raise JobError(f"{where}: at most {cap}, got {value}")
+        return value
+
+    return parse
+
+
+def _one_of(options: tuple):
+    def parse(value, where: str):
+        if value not in options:
+            raise JobError(f"unknown {where} {value!r}, expected one of {options}")
+        return value
+
+    return parse
+
+
+def _list(item, nonempty: bool = False):
+    def parse(value, where: str) -> list:
+        if not isinstance(value, list) or (nonempty and not value):
+            raise JobError(f"{where}: expected a {'nonempty ' if nonempty else ''}list")
+        return [item(v, where) for v in value]
+
+    return parse
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
         raise JobError(f"{where}: expected an object")
-    record = dict(record)
-    name = _take(record, "builtin", required=True)
-    if name not in BUILTIN_NAMES:
-        raise JobError(f"{where}: unknown builtin {name!r}")
-    do_flip = _take(record, "flip", default=False)
-    if not isinstance(do_flip, bool):
-        raise JobError(f"{where}.flip: expected true or false")
-    kwargs = {}
-    if name == "scalar":
-        values = _take(record, "values")
-        if values is not None:
-            if not isinstance(values, list):
-                raise JobError(f"{where}.values: expected a list of scalars")
-            kwargs["values"] = [_scalar_or_symbolic(v, f"{where}.values") for v in values]
-        n = _int_field(record, "n", cap=MAX_GENERATORS)
-        if n is not None:
-            kwargs["n"] = n
+    return dict(value)
+
+
+def _parameters(value, where: str) -> dict:
+    return {name: _symbolic(v, f"{where}.{name}") for name, v in _object(value, where).items()}
+
+
+def _rep(value, where: str) -> dict:
+    """A builtin-rep record, checked but not yet built (see _build)."""
+    record = _object(value, where)
+    rep = _fields(record, {"builtin": (_one_of(BUILTIN_NAMES), REQUIRED), "flip": (_bool, False)})
+    if rep["builtin"] == "scalar":
+        rep["kwargs"] = _fields(record, {"values": (_list(_symbolic), None), "n": _N})
     else:
-        kwargs = _parse_parameters(_take(record, "parameters"), f"{where}.parameters")
+        rep["kwargs"] = _fields(record, {"parameters": (_parameters, {})})["parameters"]
     _reject_unknown(record)
+    return rep
+
+
+def _fn(value, where: str) -> SpectralFn:
+    record = _object(value, where)
+    case = _fields(record, {"case": (_one_of(SPECTRAL_CASES), REQUIRED)})["case"]
+    args = _fields(record, {name: (_scalar, REQUIRED) for name in ("alpha1", "alpha2", "b", "c") if case == "i"})
+    _reject_unknown(record)
+    if case != "i":
+        return SpectralFn(case)
     try:
-        rep = builtin_rep(name, **kwargs)
-        return flip_rep(rep) if do_flip else rep
+        return SpectralFn.case_i(**args)
     except ValueError as exc:
         raise JobError(f"{where}: {exc}") from exc
 
 
-def _parse_fn(record, where: str = "fn") -> SpectralFn:
-    if not isinstance(record, dict):
-        raise JobError(f"{where}: expected an object")
+def _build(rep: dict):
     try:
-        return SpectralFn.from_record(record)
+        built = builtin_rep(rep["builtin"], **rep["kwargs"])
     except ValueError as exc:
-        raise JobError(f"{where}: {exc}") from exc
+        raise JobError(f"rep: {exc}") from exc
+    return flip_rep(built) if rep["flip"] else built
 
 
-def _parse_algebra(value, where: str = "algebra") -> str:
-    if value not in ("Braid", "Hecke", "A", "B", "C"):
-        raise JobError(f"{where}: unknown algebra {value!r}")
-    return value
+# -- handlers: parsed fields -> (report, extra payload fields) -------------------
 
 
-def _int_field(job: dict, field: str, default=None, required: bool = False, cap: int | None = None):
-    value = _take(job, field, required=required, default=default)
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise JobError(f"{field}: expected an integer")
-    if cap is not None and value > cap:
-        raise JobError(f"{field}: at most {cap}, got {value}")
-    return value
+def _prop1(omit_term):
+    residual, ok = prop1_certificate(omit_term=omit_term)
+    report = VerifyReport("prop1 certificate")
+    report.add_residual("residual", 0 if ok else residual.num_terms())
+    return report, {"residual_terms": residual.num_terms()}
+
+
+def _check_algebra(algebra, n, parameters, rep):
+    return check_relations(_build(rep), relations_for(algebra, n, parameters)), {}
+
+
+def _scalar_reps(algebra, parameters, assignment, n):
+    classes = classify_scalar(algebra, parameters)
+    report = VerifyReport("scalar classification")
+    if assignment is not None:
+        ok = verify_scalar(assignment, algebra, parameters, n=n)
+        report.add_residual("assignment", 0 if ok else 1)
+    return report, {"classes": [c.to_record() for c in classes]}
+
+
+def _baxterise(series_order, rep, fn, site):
+    rep = _build(rep)
+    R = build_R(rep, site, fn)
+    report = VerifyReport("baxterise")
+    report.add_residual("regularity", 0 if check_regularity(R) else 1)
+    report.add_residual("unitarity", 0 if check_unitarity(rep, site, fn) else 1)
+    if series_order is not None:
+        val = series_agreement_order(rep, site, series_order)
+        ok = val is None or val >= series_order + 1
+        report.add_residual(f"series agreement order > {series_order}", 0 if ok else 1)
+        if val is None:
+            report.notes.append("series agreement: closed form and truncation coincide")
+    matrix = [[str(R.value[i, j]) for j in range(R.value.cols)] for i in range(R.value.rows)]
+    return report, {"rmatrix": matrix}
+
+
+def _verify_ybe(trials, rep, fn, mode, seed):
+    if mode == "symbolic":
+        return ybe_symbolic(_build(rep), fn), {}
+    return ybe_random(_build(rep), fn, trials=trials, seed=seed), {}
+
+
+def _verify_lemmas(suite, rep, **scalars):
+    """Suite A needs alpha1, alpha2, b and c; suite B takes none of them."""
+    if suite == "B":
+        given = sorted(name for name, value in scalars.items() if value is not None)
+        if given:
+            raise JobError(f"unknown fields {given}")
+        return lemma_suite_B(_build(rep)), {}
+    for name, value in scalars.items():
+        if value is None:
+            raise JobError(f"missing required field {name!r}")
+    return lemma_suite_A(_build(rep), **scalars), {}
+
+
+def _transfer_commute(pairs, rep, fn, site, lengths, length, seed, corrupt):
+    if lengths is not None and length is not None:
+        raise JobError("give either lengths or length, not both")
+    if lengths is None:
+        lengths = [3 if length is None else length]
+    for L in lengths:  # the whole list is checked before any chain is built
+        check_chain_length(L)
+    rep = _build(rep)
+    merged = VerifyReport("transfer commutation", mode={"kind": "randomized", "seed": seed, "runs": []})
+    for L in lengths:
+        try:
+            sub = transfer_commute(rep, site, fn, L, count=pairs, seed=seed, corrupt=corrupt)
+        except PoleError as exc:
+            raise JobError(str(exc)) from exc
+        for label, size in sub.residuals:
+            merged.add_residual(f"L={L} {label}", size)
+        merged.notes.extend(f"L={L}: {note}" for note in sub.notes)
+        merged.mode["runs"].append(sub.mode)
+        if sub.status == "error":
+            merged.status = "error"
+    return merged, {}
+
+
+def _correspondences(kind, rep, q, b):
+    return correspondence_check(kind, _build(rep), q=q, b=b), {}
+
+
+def _batch(jobs, overrides):
+    if any(sub.get("command") == "batch" for sub in jobs):
+        raise JobError("jobs: batches do not nest")
+    payloads = []
+    worst = EXIT_PASS
+    for sub in jobs:
+        payload, code = run_job(sub, overrides)
+        payloads.append(payload)
+        worst = max(worst, code)
+    return {"command": "batch", "jobs": payloads, "exit_code": worst}, worst
+
+
+_EXPECT = {"expect": (_one_of(("pass", "fail")), "pass")}
+_ALGEBRA, _N, _PARAMETERS = (_one_of(ALGEBRAS), REQUIRED), (_int(MAX_GENERATORS), 3), (_parameters, None)
+_REP, _FN, _SITE, _SEED = (_rep, REQUIRED), (_fn, REQUIRED), (_int(), 1), (_int(), 0)
+
+# The job schema.  Handlers reach the workers (ybe_symbolic, builtin_rep, ...)
+# through this module's globals, so rebinding a global by name reroutes them.
+COMMANDS = {
+    "prop1": (_prop1, {**_EXPECT, "omit_term": (_one_of(PROP1_TERMS), None)}),
+    "check-algebra": (
+        _check_algebra, {**_EXPECT, "algebra": _ALGEBRA, "n": _N, "parameters": _PARAMETERS, "rep": _REP}
+    ),
+    "scalar-reps": (
+        _scalar_reps,
+        {**_EXPECT, "algebra": _ALGEBRA, "parameters": _PARAMETERS, "assignment": (_list(_scalar), None), "n": _N},
+    ),
+    "baxterise": (
+        _baxterise,
+        {**_EXPECT, "series_order": (_int(MAX_SERIES_ORDER), None), "rep": _REP, "fn": _FN, "site": _SITE},
+    ),
+    "verify-ybe": (
+        _verify_ybe,
+        {**_EXPECT, "trials": (_int(MAX_TRIALS), 20), "rep": _REP, "fn": _FN,
+         "mode": (_one_of(("symbolic", "random")), "symbolic"), "seed": _SEED},
+    ),
+    "verify-lemmas": (
+        _verify_lemmas,
+        {**_EXPECT, "suite": (_one_of(("A", "B")), REQUIRED), "rep": _REP,
+         **{name: (_scalar, None) for name in ("alpha1", "alpha2", "b", "c")}},
+    ),
+    "transfer-commute": (
+        _transfer_commute,
+        {**_EXPECT, "pairs": (_int(MAX_PAIRS), 5), "rep": _REP, "fn": _FN, "site": _SITE,
+         "lengths": (_list(_int(), nonempty=True), None), "length": (_int(), None), "seed": _SEED,
+         "corrupt": (_bool, False)},
+    ),
+    "correspondences": (
+        _correspondences,
+        {**_EXPECT, "kind": (_one_of(CORRESPONDENCE_KINDS), REQUIRED), "rep": _REP, "q": (_symbolic, None),
+         "b": (_symbolic, None)},
+    ),
+    "batch": (_batch, {"jobs": (_list(_object, nonempty=True), REQUIRED)}),
+}
 
 
 def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
     """Execute one job; returns (payload, exit_code).
 
-    overrides may carry seed/trials/mode from the command line; they replace
-    the corresponding job fields wherever a command accepts them.
+    overrides may carry seed/trials/mode from the command line; each replaces
+    the job's field exactly when the command's spec has that field.
     """
-    if not isinstance(job, dict):
-        raise JobError("job must be a JSON object")
-    job = dict(job)
-    _take(job, "note")  # free-form documentation, ignored
-    command = _take(job, "command", required=True)
-    if command not in COMMANDS:
-        raise JobError(f"unknown command {command!r}")
-    accepts = {"verify-ybe": ("seed", "trials", "mode"), "transfer-commute": ("seed",)}
-    if overrides:
-        for field in accepts.get(command, ()):
-            if overrides.get(field) is not None:
-                job[field] = overrides[field]
-    expect = _take(job, "expect", default="pass")
-    if expect not in ("pass", "fail"):
-        raise JobError(f"expect: must be 'pass' or 'fail', got {expect!r}")
-
+    job = _object(job, "job")
+    job.pop("note", None)  # free-form documentation, ignored
+    command = _fields(job, {"command": (_one_of(tuple(COMMANDS)), REQUIRED)})["command"]
+    handler, spec = COMMANDS[command]
+    for field, value in (overrides or {}).items():
+        if field in spec and value is not None:
+            job[field] = value
+    args = _fields(job, spec)
+    _reject_unknown(job)
     if command == "batch":
-        subjobs = _take(job, "jobs", required=True)
-        _reject_unknown(job)
-        if not isinstance(subjobs, list) or not subjobs:
-            raise JobError("batch: jobs must be a nonempty list")
-        payloads = []
-        worst = EXIT_PASS
-        for sub in subjobs:
-            payload, code = run_job(sub, overrides)
-            payloads.append(payload)
-            worst = max(worst, code)
-        return {"command": "batch", "jobs": payloads, "exit_code": worst}, worst
+        return handler(args["jobs"], overrides)
 
+    expect = args.pop("expect")
     try:
-        report, extra = _dispatch(command, job)
+        report, extra = handler(**args)
+    except JobError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, JobError):
-            raise
         raise JobError(str(exc)) from exc
     except ArithmeticError as exc:
         # singular factors and unresolvable poles are mathematical outcomes
@@ -205,131 +355,6 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
     payload = {"command": command, "expect": expect, "report": report.to_record(), "exit_code": code}
     payload.update(extra)
     return payload, code
-
-
-def _dispatch(command: str, job: dict) -> tuple[VerifyReport, dict]:
-    if command == "prop1":
-        omit = _take(job, "omit_term")
-        _reject_unknown(job)
-        if omit is not None and omit not in PROP1_TERMS:
-            raise JobError(f"omit_term: expected one of {PROP1_TERMS}")
-        residual, ok = prop1_certificate(omit_term=omit)
-        report = VerifyReport("prop1 certificate")
-        report.add_residual("residual", 0 if ok else residual.num_terms())
-        return report, {"residual_terms": residual.num_terms()}
-
-    if command == "check-algebra":
-        algebra = _parse_algebra(_take(job, "algebra", required=True))
-        n = _int_field(job, "n", default=3, cap=MAX_GENERATORS)
-        params = _parse_parameters(_take(job, "parameters"), "parameters")
-        rep = _parse_rep(_take(job, "rep", required=True))
-        _reject_unknown(job)
-        return check_relations(rep, relations_for(algebra, n, params)), {}
-
-    if command == "scalar-reps":
-        algebra = _parse_algebra(_take(job, "algebra", required=True))
-        params = _parse_parameters(_take(job, "parameters"), "parameters")
-        assignment = _take(job, "assignment")
-        n = _int_field(job, "n", default=3, cap=MAX_GENERATORS)
-        _reject_unknown(job)
-        classes = classify_scalar(algebra, params)
-        report = VerifyReport("scalar classification")
-        if assignment is not None:
-            if not isinstance(assignment, list):
-                raise JobError("assignment: expected a list of scalars")
-            values = [_scalar(v, "assignment") for v in assignment]
-            ok = verify_scalar(values, algebra, params, n=n)
-            report.add_residual("assignment", 0 if ok else 1)
-        return report, {"classes": [c.to_record() for c in classes]}
-
-    if command == "baxterise":
-        series_order = _int_field(job, "series_order", cap=MAX_SERIES_ORDER)
-        rep = _parse_rep(_take(job, "rep", required=True))
-        fn = _parse_fn(_take(job, "fn", required=True))
-        site = _int_field(job, "site", default=1)
-        _reject_unknown(job)
-        R = build_R(rep, site, fn)
-        report = VerifyReport("baxterise")
-        report.add_residual("regularity", 0 if check_regularity(R) else 1)
-        report.add_residual("unitarity", 0 if check_unitarity(rep, site, fn) else 1)
-        if series_order is not None:
-            val = series_agreement_order(rep, site, series_order)
-            ok = val is None or val >= series_order + 1
-            report.add_residual(f"series agreement order > {series_order}", 0 if ok else 1)
-            if val is None:
-                report.notes.append("series agreement: closed form and truncation coincide")
-        matrix = [[str(R.value[i, j]) for j in range(R.value.cols)] for i in range(R.value.rows)]
-        return report, {"rmatrix": matrix}
-
-    if command == "verify-ybe":
-        trials = _int_field(job, "trials", default=20, cap=MAX_TRIALS)
-        rep = _parse_rep(_take(job, "rep", required=True))
-        fn = _parse_fn(_take(job, "fn", required=True))
-        mode = _take(job, "mode", default="symbolic")
-        seed = _int_field(job, "seed", default=0)
-        _reject_unknown(job)
-        if mode == "symbolic":
-            return ybe_symbolic(rep, fn), {}
-        if mode == "random":
-            return ybe_random(rep, fn, trials=trials, seed=seed), {}
-        raise JobError(f"mode: expected 'symbolic' or 'random', got {mode!r}")
-
-    if command == "verify-lemmas":
-        suite = _take(job, "suite", required=True)
-        rep = _parse_rep(_take(job, "rep", required=True))
-        if suite == "A":
-            args = {k: _scalar(_take(job, k, required=True), k) for k in ("alpha1", "alpha2", "b", "c")}
-            _reject_unknown(job)
-            return lemma_suite_A(rep, **args), {}
-        if suite == "B":
-            _reject_unknown(job)
-            return lemma_suite_B(rep), {}
-        raise JobError(f"suite: expected 'A' or 'B', got {suite!r}")
-
-    if command == "transfer-commute":
-        pairs = _int_field(job, "pairs", default=5, cap=MAX_PAIRS)
-        rep = _parse_rep(_take(job, "rep", required=True))
-        fn = _parse_fn(_take(job, "fn", required=True))
-        site = _int_field(job, "site", default=1)
-        lengths = _take(job, "lengths")
-        if lengths is None:
-            lengths = [_int_field(job, "length", default=3)]
-        elif not isinstance(lengths, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in lengths
-        ):
-            raise JobError("lengths: expected a list of integers")
-        seed = _int_field(job, "seed", default=0)
-        corrupt = _take(job, "corrupt", default=False)
-        if not isinstance(corrupt, bool):
-            raise JobError("corrupt: expected true or false")
-        _reject_unknown(job)
-        for L in lengths:  # the whole list is checked before any chain is built
-            check_chain_length(L)
-        merged = VerifyReport("transfer commutation", mode={"kind": "randomized", "seed": seed, "runs": []})
-        for L in lengths:
-            try:
-                sub = transfer_commute(rep, site, fn, L, count=pairs, seed=seed, corrupt=corrupt)
-            except PoleError as exc:
-                raise JobError(str(exc)) from exc
-            for label, size in sub.residuals:
-                merged.add_residual(f"L={L} {label}", size)
-            merged.notes.extend(f"L={L}: {note}" for note in sub.notes)
-            merged.mode["runs"].append(sub.mode)
-            if sub.status == "error":
-                merged.status = "error"
-        return merged, {}
-
-    if command == "correspondences":
-        kind = _take(job, "kind", required=True)
-        if kind not in CORRESPONDENCE_KINDS:
-            raise JobError(f"kind: expected one of {CORRESPONDENCE_KINDS}")
-        rep = _parse_rep(_take(job, "rep", required=True))
-        q = _scalar_or_symbolic(_take(job, "q"), "q")
-        b = _scalar_or_symbolic(_take(job, "b"), "b")
-        _reject_unknown(job)
-        return correspondence_check(kind, rep, q=q, b=b), {}
-
-    raise JobError(f"unknown command {command!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -347,7 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.job, "r", encoding="utf-8") as fh:
             job = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, invalid UTF-8 and over-long integers
         _emit({"error": f"cannot read job: {exc}", "exit_code": EXIT_USAGE}, args.out)
         return EXIT_USAGE
 

@@ -152,9 +152,6 @@ class FieldMatrix:
     def map_entries(self, fn: Callable) -> "FieldMatrix":
         return FieldMatrix(self.rows, self.cols, [fn(e) for e in self.entries])
 
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)])
-
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")

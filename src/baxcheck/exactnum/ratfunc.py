@@ -60,10 +60,6 @@ class RatFunc:
     def var(cls, vars: tuple[str, ...], name: str) -> "RatFunc":
         return cls(MultiPoly.var(vars, name))
 
-    @classmethod
-    def from_poly(cls, poly: MultiPoly) -> "RatFunc":
-        return cls(poly)
-
     # -- queries -----------------------------------------------------------
 
     @property

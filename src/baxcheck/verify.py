@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, canonical_vars
 from .exactnum.scalar import format_scalar
-from .baxter import H_closed, SpectralFn, f_eval, h_fun, rhat_cleared
+from .baxter import H_closed, SpectralFn, _site_matrix, f_eval, h_fun, rhat_cleared
 from .ncalg import relations_for
 from .report import VerifyReport
 from .reps import Rep, _residual_size, check_relations
@@ -452,6 +452,7 @@ def transfer_commute(
     if d * d != rep.dim:
         raise ValueError(f"rep dimension {rep.dim} is not a perfect square")
     check_chain_length(L)
+    sigma = _site_matrix(rep, i).map_entries(lambda e: e.constant_value())
     n_pairs = count if points is None else len(points)
     if n_pairs < 1:
         raise ValueError(f"need at least one point pair, got {n_pairs}")
@@ -475,7 +476,6 @@ def transfer_commute(
         report.elapsed_ms = int((time.monotonic() - t0) * 1000)
         return report
 
-    sigma = rep.matrices[i].map_entries(lambda e: e.constant_value())
     f = f_eval(fn, "x", "y")
 
     def rhat_at(xval: Fraction) -> FieldMatrix:

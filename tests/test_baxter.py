@@ -42,16 +42,6 @@ def test_case_i_validates_alpha_difference():
         SpectralFn.case_ii().a
 
 
-def test_spectral_fn_record_roundtrip():
-    fn = SpectralFn.case_i(2, 1, 0, 1)
-    assert SpectralFn.from_record(fn.to_record()) == fn
-    assert SpectralFn.from_record({"case": "ii"}) == SpectralFn.case_ii()
-    with pytest.raises(ValueError):
-        SpectralFn.from_record({"case": "i", "alpha1": "2"})
-    with pytest.raises(ValueError):
-        SpectralFn.from_record({"case": "ii", "extra": "1"})
-
-
 def test_f_eval_needs_distinct_symbols():
     with pytest.raises(ValueError):
         f_eval(SpectralFn.case_ii(), "x", "x")

@@ -1,9 +1,12 @@
+import copy
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baxcheck import cli
 from baxcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, JobError, run_job
@@ -204,6 +207,16 @@ def test_run_job_api_errors(monkeypatch):
             })
     with pytest.raises(JobError, match="trials"):
         run_job(dict(A3_II_RANDOM, trials=0))
+    with pytest.raises(JobError, match="lengths: expected a nonempty list"):
+        run_job({
+            "command": "transfer-commute",
+            "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
+            "fn": {"case": "hecke"},
+            "lengths": [],
+        })
+    # a batch has no verdict of its own to invert
+    with pytest.raises(JobError, match="expect"):
+        run_job({"command": "batch", "jobs": [{"command": "prop1"}], "expect": "fail"})
     # job sizes are capped before any rep is built or any check starts
     def never(*args, **kwargs):
         raise AssertionError("work started on a job over a size cap")
@@ -226,6 +239,137 @@ def test_run_job_api_errors(monkeypatch):
     for field, job in over_cap:
         with pytest.raises(JobError, match=f"^{field}: at most"):
             run_job(job)
+
+
+HECKE_Q2 = {"builtin": "Hecke3_std", "parameters": {"q": "2"}}
+SCALAR_23 = {"builtin": "scalar", "values": ["2", "3"]}
+
+
+@pytest.mark.parametrize(
+    "job, field",
+    [
+        ({"command": "check-algebra", "algebra": "Hecke", "parameters": {"q": "2"}, "rep": HECKE_Q2}, "n"),
+        ({"command": "scalar-reps", "algebra": "A", "parameters": {"a": "1", "b": "0", "c": "1"},
+          "assignment": ["1", "-1"]}, "n"),
+        ({"command": "verify-ybe", "rep": SCALAR_23, "fn": {"case": "ii"}, "mode": "random"}, "trials"),
+        ({"command": "verify-ybe", "rep": SCALAR_23, "fn": {"case": "ii"}, "mode": "random"}, "seed"),
+        ({"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "length": 2}, "pairs"),
+        ({"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "pairs": 1}, "length"),
+        ({"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "pairs": 1}, "seed"),
+    ],
+)
+def test_null_field_takes_default(job, field):
+    assert run_job(dict(job, **{field: None})) == run_job(job)
+
+
+def test_spectral_fn_record_errors():
+    case_i = {"case": "i", "alpha1": "2", "alpha2": "1", "b": "0", "c": "1"}
+    missing_alpha2 = {k: v for k, v in case_i.items() if k != "alpha2"}
+    for fn, message in (
+        (missing_alpha2, "missing required field 'alpha2'"),
+        ({"case": "ii", "extra": "1"}, "unknown fields"),
+        (dict(case_i, extra="1"), "unknown fields"),
+        ({"case": "iv"}, "unknown case"),
+    ):
+        with pytest.raises(JobError, match=message):
+            run_job({"command": "baxterise", "rep": SCALAR_23, "fn": fn})
+
+
+def _write_bytes(tmp_path, data: bytes):
+    path = tmp_path / "job.json"
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'\xff\xfe{"command": "prop1"}',
+        b"[" * 1000 + b"]" * 1000,
+        b'{"command": "prop1", "note": ' + b"9" * 5000 + b"}",
+        json.dumps({"command": "batch", "jobs": [{"command": "batch", "jobs": [{"command": "prop1"}]}]}).encode(),
+    ],
+    ids=["invalid-utf8", "nested-1000", "5000-digit-int", "nested-batch"],
+)
+def test_unusable_job_file_is_usage_error(tmp_path, data):
+    proc = subprocess.run(
+        [sys.executable, "-m", "baxcheck.cli", "--job", str(_write_bytes(tmp_path, data))],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert json.loads(proc.stdout)["error"]
+    assert proc.stderr == ""
+
+
+# cheap valid jobs, one or more per command, for the schema fuzz below
+FUZZ_JOBS = [
+    {"command": "prop1", "omit_term": "r3", "expect": "fail", "note": "control"},
+    {"command": "check-algebra", "algebra": "Hecke", "n": 3, "parameters": {"q": "2"}, "rep": HECKE_Q2},
+    {"command": "check-algebra", "algebra": "A", "parameters": {"a": "1", "b": None, "c": "1"},
+     "rep": dict(SCALAR_23, flip=True, n=3)},
+    {"command": "scalar-reps", "algebra": "A", "parameters": {"a": "1", "b": "0", "c": "1"},
+     "assignment": ["1", "-1"], "n": 3},
+    {"command": "baxterise", "rep": SCALAR_23, "fn": {"case": "i", "alpha1": "2", "alpha2": "1", "b": "0", "c": "1"},
+     "site": 1, "series_order": 2},
+    {"command": "verify-ybe", "rep": SCALAR_23, "fn": {"case": "ii"}, "mode": "random", "trials": 2, "seed": 1},
+    {"command": "verify-lemmas", "suite": "A", "rep": SCALAR_23, "alpha1": "2", "alpha2": "1", "b": "0", "c": "1"},
+    {"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "lengths": [1, 2], "pairs": 1,
+     "seed": 0, "corrupt": False, "site": 1},
+    {"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "length": 2, "pairs": 1},
+    {"command": "correspondences", "kind": "hecke_in_A", "rep": HECKE_Q2, "q": "2", "b": None},
+    {"command": "batch", "jobs": [{"command": "scalar-reps", "algebra": "B", "assignment": ["1", "0"]}]},
+]
+FUZZ_VALUES = (None, True, "x", [], {}, 10**6, -1)
+
+
+def _slots(node, path=()):
+    """The path of every field and list item in node, nested records included."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _slots(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _mutations():
+    """Every single mutation of a FUZZ_JOBS entry: add an unknown field to a
+    record, drop a field or list item, or set it to one of FUZZ_VALUES."""
+    for index, job in enumerate(FUZZ_JOBS):
+        for path in [(), *_slots(job)]:
+            if isinstance(_at(job, path), dict):
+                yield index, path, ("add",)
+            if path:
+                yield index, path, ("drop",)
+                for value in FUZZ_VALUES:
+                    yield index, path, ("set", value)
+
+
+MUTATIONS = list(_mutations())
+
+
+@settings(max_examples=2 * len(MUTATIONS), deadline=None)
+@given(st.sampled_from(MUTATIONS))
+def test_mutated_jobs_end_in_job_error_or_exit_code(mutation):
+    index, path, action = mutation
+    job = copy.deepcopy(FUZZ_JOBS[index])
+    if action[0] == "add":
+        _at(job, path)["surprise"] = 1
+    elif action[0] == "drop":
+        del _at(job, path[:-1])[path[-1]]
+    else:
+        _at(job, path[:-1])[path[-1]] = copy.deepcopy(action[1])
+    try:
+        payload, code = run_job(job)
+    except JobError:
+        return
+    assert code in (0, 1, 2, 3)
+    json.dumps(payload)
 
 
 def test_zero_trials_override_rejected(tmp_path):
