@@ -1,12 +1,25 @@
 """Sparse multivariate polynomials over the rationals.
 
-A polynomial is a dict mapping exponent tuples to nonzero int numerators over
-one positive int denominator, with a fixed tuple of variable names; the zero
-polynomial is the empty dict over 1.  The pair is kept in lowest terms (the
-denominator and all numerators have gcd 1), so the stored form of a
+A polynomial is a dict mapping packed monomials to nonzero int numerators
+over one positive int denominator, with a fixed tuple of variable names; the
+zero polynomial is the empty dict over 1.  The pair is kept in lowest terms
+(the denominator and all numerators have gcd 1), so the stored form of a
 polynomial is unique and equality is structural.  All arithmetic is exact and
-runs on the integer kernel below; rational coefficients appear only at the
-interface (construction, leading terms, evaluation, serialization).
+runs on the integer kernel below; rational coefficients and exponent tuples
+appear only at the interface (construction, leading terms, evaluation,
+serialization).
+
+A monomial x_0^e_0 ... x_{n-1}^e_{n-1} is packed into one int (Monagan &
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): e_i sits in the `_W`-bit field i, variable 0 least
+significant, and the total degree sits in field n above the variables.  The
+total degree of every monomial stays below 2**(_W-1), so the top bit of each
+field is a guard bit that is always clear.  Then a monomial product is one int
+addition, and a monomial quotient ea - eb is exact iff no field borrows, i.e.
+iff no guard bit of the difference is set.  The constructor rejects exponents
+that are not nonnegative ints or whose total degree reaches 2**(_W-1), and a
+product whose degree would reach it raises ValueError instead of answering
+wrong.
 
 `poly_gcd` returns the monic gcd together with both cofactors.  It runs the
 heuristic GCDHEU of Char, Geddes & Gonnet (evaluate at a large integer, take
@@ -17,18 +30,22 @@ is kept only as the fallback when the heuristic gives up.
 The variable order is global and deterministic: the spectral symbols
 x, y, z, v come first (in that order), every other symbol follows
 alphabetically.  Monomials compare in graded lexicographic order where the
-later variable in the tuple is the more significant one, so canonical forms
-(leading terms, monic normalization) are reproducible across runs.
+later variable in the tuple is the more significant one, which is exactly the
+order of the packed ints, so canonical forms (leading terms, monic
+normalization) are reproducible across runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
-from operator import add
 from typing import Iterable, Iterator, Mapping
 
 SPECTRAL = ("x", "y", "z", "v")
+
+_W = 32  # bits per exponent field
+_MASK = (1 << _W) - 1
+_DEG_LIMIT = 1 << (_W - 1)  # every total degree stays below this
 
 
 def canonical_vars(names: Iterable[str]) -> tuple[str, ...]:
@@ -47,9 +64,31 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational scalar, got {type(value).__name__}")
 
 
-def _grlex_key(exp: tuple[int, ...]) -> tuple:
-    # Later variables are more significant, so compare reversed exponents.
-    return (sum(exp), tuple(reversed(exp)))
+def _pack(exp: tuple[int, ...]) -> int:
+    """The packed key of an exponent tuple; ValueError for an invalid exponent."""
+    key = deg = 0
+    for e in reversed(exp):
+        if type(e) is not int or e < 0:
+            raise ValueError(f"exponents must be nonnegative ints, got {exp}")
+        key = key << _W | e
+        deg += e
+    if deg >= _DEG_LIMIT:
+        raise ValueError(f"total degree of {exp} is not below 2**{_W - 1}")
+    return deg << (_W * len(exp)) | key
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    return tuple(key >> (_W * i) & _MASK for i in range(n))
+
+
+def _field(m: int, n: int) -> int:
+    """The key of one power of variable m: its field and the degree field."""
+    return 1 << (_W * m) | 1 << (_W * n)
+
+
+def _guards(n: int) -> int:
+    """The guard bits of all n + 1 fields."""
+    return ((1 << (_W * (n + 1))) - 1) // _MASK << (_W - 1)
 
 
 class MultiPoly:
@@ -60,7 +99,7 @@ class MultiPoly:
     def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         self.vars = tuple(vars)
         nvars = len(self.vars)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[int, Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
                 coeff = _as_fraction(coeff)
@@ -68,7 +107,7 @@ class MultiPoly:
                     continue
                 if len(exp) != nvars:
                     raise ValueError(f"exponent {exp} does not match {nvars} variables")
-                clean[tuple(exp)] = coeff
+                clean[_pack(exp)] = coeff
         # over the lcm of reduced denominators the numerators are already coprime to it
         den = _int_lcm(*(c.denominator for c in clean.values()))
         self.terms = {exp: c.numerator * (den // c.denominator) for exp, c in clean.items()}
@@ -82,15 +121,15 @@ class MultiPoly:
 
     @classmethod
     def const(cls, vars: tuple[str, ...], value) -> "MultiPoly":
-        return cls(vars, {(0,) * len(vars): value})
+        if not isinstance(value, int):  # ints carry numerator and denominator too
+            value = _as_fraction(value)
+        return _make(tuple(vars), {0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def var(cls, vars: tuple[str, ...], name: str) -> "MultiPoly":
         if name not in vars:
             raise ValueError(f"unknown variable {name!r} (have {vars})")
-        exp = [0] * len(vars)
-        exp[vars.index(name)] = 1
-        return cls(vars, {tuple(exp): 1})
+        return _make(tuple(vars), {_field(vars.index(name), len(vars)): 1}, 1)
 
     # -- basic queries -----------------------------------------------------
 
@@ -109,7 +148,7 @@ class MultiPoly:
     __hash__ = None  # mutable mapping inside
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
+        return not any(self.terms)  # the constant monomial is key 0
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (usage error otherwise)."""
@@ -117,21 +156,21 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return Fraction(next(iter(self.terms.values())), self.den)
+        return Fraction(self.terms[0], self.den)
 
     def valuation_in(self, name: str) -> int | None:
         """Smallest exponent of `name` over all terms; None for the zero polynomial."""
         if not self.terms:
             return None
-        i = self.vars.index(name)
-        return min(exp[i] for exp in self.terms)
+        shift = _W * self.vars.index(name)
+        return min(e >> shift & _MASK for e in self.terms)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading (exponent, coefficient) under graded lex; usage error if zero."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, Fraction(self.terms[exp], self.den)
+        exp = max(self.terms)
+        return _unpack(exp, len(self.vars)), Fraction(self.terms[exp], self.den)
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -187,7 +226,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _make(self.vars, _ip_mul(self.terms, other.terms), self.den * other.den)
+        return _make(self.vars, _ip_mul(self.terms, other.terms, len(self.vars)), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -227,7 +266,7 @@ class MultiPoly:
         # primitive part Bp of B; by Gauss's lemma A / Bp is integral when exact
         content = _int_gcd(*divisor.terms.values())
         primitive = {exp: c // content for exp, c in divisor.terms.items()}
-        quot = _ip_divexact(self.terms, primitive)
+        quot = _ip_divexact(self.terms, primitive, len(self.vars))
         return _make(self.vars, _ip_scale(quot, divisor.den), self.den * content)
 
     # -- evaluation / substitution ------------------------------------------
@@ -241,9 +280,11 @@ class MultiPoly:
         total = Fraction(0)
         for exp, coeff in self.terms.items():
             term = coeff
-            for e, val in zip(exp, values):
+            for val in values:
+                e = exp & _MASK
                 if e:
                     term *= val**e
+                exp >>= _W
             total += term
         return total / self.den
 
@@ -255,14 +296,15 @@ class MultiPoly:
         for src, dst in mapping.items():
             if src not in self.vars or dst not in self.vars:
                 raise ValueError(f"unknown variable in substitution {src!r}->{dst!r}")
-        idx = {name: k for k, name in enumerate(self.vars)}
+        # moving a field keeps the total degree, so the degree field stays
+        moves = [(_W * k, _W * self.vars.index(mapping[name]))
+                 for k, name in enumerate(self.vars) if mapping.get(name, name) != name]
         out: _IntPoly = {}
         for exp, coeff in self.terms.items():
-            new = [0] * len(self.vars)
-            for k, e in enumerate(exp):
-                tgt = mapping.get(self.vars[k], self.vars[k])
-                new[idx[tgt]] += e
-            key = tuple(new)
+            key = exp
+            for src, dst in moves:
+                e = exp >> src & _MASK
+                key += (e << dst) - (e << src)
             acc = out.get(key, 0) + coeff
             if acc:
                 out[key] = acc
@@ -272,27 +314,29 @@ class MultiPoly:
 
     def lift(self, new_vars: tuple[str, ...]) -> "MultiPoly":
         """Embed into a ring with more variables (must contain the current ones)."""
-        if tuple(new_vars) == self.vars:
+        new_vars = tuple(new_vars)
+        if new_vars == self.vars:
             return self
-        pos = []
         for name in self.vars:
             if name not in new_vars:
                 raise ValueError(f"target variables {new_vars} do not contain {name!r}")
-            pos.append(new_vars.index(name))
+        # source field k (the degree field last) goes to target field dst
+        dsts = [new_vars.index(name) for name in self.vars] + [len(new_vars)]
         out: _IntPoly = {}
         for exp, coeff in self.terms.items():
-            new = [0] * len(new_vars)
-            for p, e in zip(pos, exp):
-                new[p] = e
-            out[tuple(new)] = coeff
-        return _make(tuple(new_vars), out, self.den)
+            key = 0
+            for k, dst in enumerate(dsts):
+                key |= (exp >> (_W * k) & _MASK) << (_W * dst)
+            out[key] = coeff
+        return _make(new_vars, out, self.den)
 
     # -- serialization ------------------------------------------------------
 
     def sorted_terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """Terms in descending graded-lex order (the canonical term list)."""
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            yield exp, Fraction(self.terms[exp], self.den)
+        n = len(self.vars)
+        for exp in sorted(self.terms, reverse=True):
+            yield _unpack(exp, n), Fraction(self.terms[exp], self.den)
 
     def serialize(self) -> list[list]:
         from .scalar import format_scalar
@@ -331,12 +375,14 @@ class MultiPoly:
 
 # -- integer kernel: products, exact division, and the subresultant gcd --
 #
-# These work on MultiPoly numerators directly.  `_ip_gcd` runs a primitive
-# subresultant remainder sequence, recursive on variables; its divisor
-# bookkeeping keeps intermediate coefficients small without per-step content
-# extraction.  It is only the fallback of the heuristic gcd further down.
+# These work on MultiPoly numerators directly, keyed by packed monomials;
+# `n` is the number of variables, so field n holds the total degree.  Key 0 is
+# the constant monomial.  `_ip_gcd` runs a primitive subresultant remainder
+# sequence, recursive on variables; its divisor bookkeeping keeps intermediate
+# coefficients small without per-step content extraction.  It is only the
+# fallback of the heuristic gcd further down.
 
-_IntPoly = dict  # exponent tuple -> nonzero int
+_IntPoly = dict  # packed monomial -> nonzero int
 
 
 def _make(vars: tuple[str, ...], terms: _IntPoly, den: int) -> MultiPoly:
@@ -374,14 +420,17 @@ def _ip_sub(P: _IntPoly, Q: _IntPoly) -> _IntPoly:
     return out
 
 
-def _ip_mul(P: _IntPoly, Q: _IntPoly) -> _IntPoly:
+def _ip_mul(P: _IntPoly, Q: _IntPoly, n: int) -> _IntPoly:
     if not P or not Q:
         return {}
+    # the largest key has the largest total degree
+    if (max(P) + max(Q)) >> (_W * n) >= _DEG_LIMIT:
+        raise ValueError(f"product total degree is not below 2**{_W - 1}")
     out: _IntPoly = {}
     get = out.get
     for ea, ca in P.items():
         for eb, cb in Q.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             acc = get(e, 0) + ca * cb
             if acc:
                 out[e] = acc
@@ -390,83 +439,62 @@ def _ip_mul(P: _IntPoly, Q: _IntPoly) -> _IntPoly:
     return out
 
 
-def _ip_pow(P: _IntPoly, n: int) -> _IntPoly:
-    # P is never zero here (subresultant divisors are nonzero)
-    if n == 0:
-        return {(0,) * len(next(iter(P))): 1}
-    out = P
-    for _ in range(n - 1):
-        out = _ip_mul(out, P)
+def _ip_pow(P: _IntPoly, k: int, n: int) -> _IntPoly:
+    out = {0: 1}
+    for _ in range(k):
+        out = _ip_mul(out, P, n)
     return out
 
 
-def _ip_max_used(P: _IntPoly) -> int | None:
-    best = None
-    for exp in P:
-        for k in range(len(exp) - 1, -1, -1):
-            if exp[k]:
-                if best is None or k > best:
-                    best = k
-                break
-    return best
+def _ip_max_used(P: _IntPoly, n: int) -> int:
+    """The highest variable occurring in P, or -1 if P is constant."""
+    top = max((e & ((1 << (_W * n)) - 1) for e in P), default=0)
+    return (top.bit_length() - 1) // _W
 
 
 def _ip_deg(P: _IntPoly, m: int) -> int:
-    return max((e[m] for e in P), default=0)
+    shift = _W * m
+    return max((e >> shift & _MASK for e in P), default=0)
 
 
-def _ip_coeff(P: _IntPoly, m: int, k: int) -> _IntPoly:
-    out = {}
-    for e, c in P.items():
-        if e[m] == k:
-            n = list(e)
-            n[m] = 0
-            out[tuple(n)] = c
-    return out
+def _ip_coeff(P: _IntPoly, m: int, k: int, n: int) -> _IntPoly:
+    """The coefficient of variable m to the power k, as a polynomial."""
+    shift, drop = _W * m, k * _field(m, n)
+    return {e - drop: c for e, c in P.items() if e >> shift & _MASK == k}
 
 
-def _ip_shift(P: _IntPoly, m: int, k: int) -> _IntPoly:
-    if k == 0:
-        return P
-    out = {}
-    for e, c in P.items():
-        n = list(e)
-        n[m] += k
-        out[tuple(n)] = c
-    return out
-
-
-def _ip_divexact(P: _IntPoly, D: _IntPoly) -> _IntPoly:
+def _ip_divexact(P: _IntPoly, D: _IntPoly, n: int) -> _IntPoly:
     """Exact division in Z[vars]; greedy on graded-lex leading terms."""
     if not D:
         raise ValueError("division by zero polynomial")
     if not P:
         return {}
+    guards = _guards(n)
     if len(D) == 1:
         # a monomial (such as the gcd 1 of coprime inputs): one pass, no leading-term search
         ((ed, cd),) = D.items()
         quot: _IntPoly = {}
         for e, c in P.items():
             q, r = divmod(c, cd)
-            e = tuple(i - j for i, j in zip(e, ed))
-            if r or min(e) < 0:
+            e -= ed
+            if r or e & guards:
                 raise ValueError("inexact polynomial division")
             quot[e] = q
         return quot
-    ed = max(D, key=_grlex_key)
+    ed = max(D)
     cd = D[ed]
     quot = {}
     rem = dict(P)
     while rem:
-        er = max(rem, key=_grlex_key)
+        er = max(rem)
         cr = rem[er]
-        e = tuple(i - j for i, j in zip(er, ed))
-        if any(v < 0 for v in e) or cr % cd:
+        e = er - ed
+        if e & guards or cr % cd:
             raise ValueError("inexact polynomial division")
         q = cr // cd
         quot[e] = q
         for ed2, cd2 in D.items():
-            key = tuple(i + j for i, j in zip(e, ed2))
+            key = e + ed2
             acc = rem.get(key, 0) - q * cd2
             if acc:
                 rem[key] = acc
@@ -475,79 +503,71 @@ def _ip_divexact(P: _IntPoly, D: _IntPoly) -> _IntPoly:
     return quot
 
 
-def _ip_prem(A: _IntPoly, B: _IntPoly, m: int) -> _IntPoly:
+def _ip_prem(A: _IntPoly, B: _IntPoly, m: int, n: int) -> _IntPoly:
     """Standard pseudo-remainder lc(B)^(dA-dB+1) * A mod B, wrt variable m."""
     db = _ip_deg(B, m)
-    lb = _ip_coeff(B, m, db)
+    lb = _ip_coeff(B, m, db, n)
     R = A
     dr = _ip_deg(R, m)
     e = dr - db + 1
     while R and dr >= db:
-        lr = _ip_coeff(R, m, dr)
-        R = _ip_sub(_ip_mul(lb, R), _ip_shift(_ip_mul(lr, B), m, dr - db))
+        # lc(R) times variable m to the dr - db, a monomial key
+        lr = _ip_mul(_ip_coeff(R, m, dr, n), {(dr - db) * _field(m, n): 1}, n)
+        R = _ip_sub(_ip_mul(lb, R, n), _ip_mul(lr, B, n))
         e -= 1
         dr = _ip_deg(R, m)
     if R and e > 0:
-        R = _ip_mul(_ip_pow(lb, e), R)
+        R = _ip_mul(_ip_pow(lb, e, n), R, n)
     return R
 
 
-def _ip_content_wrt(P: _IntPoly, m: int) -> _IntPoly:
+def _ip_content_wrt(P: _IntPoly, m: int, n: int) -> _IntPoly:
     acc: _IntPoly | None = None
-    one_exp = (0,) * len(next(iter(P)))
     for k in range(_ip_deg(P, m) + 1):
-        c = _ip_coeff(P, m, k)
+        c = _ip_coeff(P, m, k, n)
         if not c:
             continue
-        acc = c if acc is None else _ip_gcd(acc, c)
-        if acc == {one_exp: 1}:
+        acc = c if acc is None else _ip_gcd(acc, c, n)
+        if acc == {0: 1}:
             break
     assert acc is not None
     return acc
 
 
-def _ip_gcd(P: _IntPoly, Q: _IntPoly) -> _IntPoly:
+def _ip_gcd(P: _IntPoly, Q: _IntPoly, n: int) -> _IntPoly:
     """gcd in Z[vars] (sign not normalized), subresultant PRS on the top variable."""
-    mp, mq = _ip_max_used(P), _ip_max_used(Q)
-    if mp is None and mq is None:
-        g = 0
-        for c in P.values():
-            g = _int_gcd(g, c)
-        for c in Q.values():
-            g = _int_gcd(g, c)
-        exp = (0,) * len(next(iter(P))) if P else (0,) * len(next(iter(Q)))
-        return {exp: g}
-    if mp is None or (mq is not None and mp < mq):
-        return _ip_gcd(P, _ip_content_wrt(Q, mq))
-    if mq is None or mq < mp:
-        return _ip_gcd(_ip_content_wrt(P, mp), Q)
+    mp, mq = _ip_max_used(P, n), _ip_max_used(Q, n)
+    if mp < 0 and mq < 0:
+        return {0: _int_gcd(*P.values(), *Q.values())}
+    if mp < mq:
+        return _ip_gcd(P, _ip_content_wrt(Q, mq, n), n)
+    if mq < mp:
+        return _ip_gcd(_ip_content_wrt(P, mp, n), Q, n)
     m = mp
-    contP = _ip_content_wrt(P, m)
-    contQ = _ip_content_wrt(Q, m)
-    cont = _ip_gcd(contP, contQ)
-    A = _ip_divexact(P, contP)
-    B = _ip_divexact(Q, contQ)
+    contP = _ip_content_wrt(P, m, n)
+    contQ = _ip_content_wrt(Q, m, n)
+    cont = _ip_gcd(contP, contQ, n)
+    A = _ip_divexact(P, contP, n)
+    B = _ip_divexact(Q, contQ, n)
     if _ip_deg(A, m) < _ip_deg(B, m):
         A, B = B, A
-    one = {(0,) * len(next(iter(A))): 1}
-    g = dict(one)
-    h = dict(one)
+    g = h = one = {0: 1}
     while True:
         delta = _ip_deg(A, m) - _ip_deg(B, m)
-        R = _ip_prem(A, B, m)
+        R = _ip_prem(A, B, m, n)
         if not R:
-            part = _ip_divexact(B, _ip_content_wrt(B, m))
+            part = _ip_divexact(B, _ip_content_wrt(B, m, n), n)
             break
         if _ip_deg(R, m) == 0:
             part = one
             break
-        A, B = B, _ip_divexact(R, _ip_mul(g, _ip_pow(h, delta)))
-        g = _ip_coeff(A, m, _ip_deg(A, m))
+        A, B = B, _ip_divexact(R, _ip_mul(g, _ip_pow(h, delta, n), n), n)
+        g = _ip_coeff(A, m, _ip_deg(A, m), n)
         if delta == 1:
             h = g
         elif delta > 1:
-            h = _ip_divexact(_ip_pow(g, delta), _ip_pow(h, delta - 1))
-    return _ip_mul(cont, part)
+            h = _ip_divexact(_ip_pow(g, delta, n), _ip_pow(h, delta - 1, n), n)
+    return _ip_mul(cont, part, n)
 
 
 # -- heuristic gcd with cofactors (GCDHEU) --
@@ -564,55 +584,56 @@ def _ip_gcd(P: _IntPoly, Q: _IntPoly) -> _IntPoly:
 _HEU_TRIES = 6
 
 
-def _ip_eval(P: _IntPoly, m: int, xi: int) -> _IntPoly:
-    """P with variable m set to xi (its exponent slot stays, at 0)."""
+def _ip_eval(P: _IntPoly, m: int, xi: int, n: int) -> _IntPoly:
+    """P with variable m set to xi (its field cleared)."""
+    shift, unit = _W * m, _field(m, n)
     out: _IntPoly = {}
     for e, c in P.items():
-        k = e[m]
+        k = e >> shift & _MASK
         if k:
             c *= xi**k
-            e = e[:m] + (0,) + e[m + 1 :]
+            e -= k * unit
         out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
 
 
-def _ip_interpolate(H: _IntPoly, m: int, xi: int) -> _IntPoly:
+def _ip_interpolate(H: _IntPoly, m: int, xi: int, n: int) -> _IntPoly:
     """The polynomial in variable m whose xi-adic symmetric digits are H's coefficients."""
+    unit = _field(m, n)
     out: _IntPoly = {}
     half = xi // 2
     for e, c in H.items():
-        k = 0
         while c:
             c, d = divmod(c, xi)
             if d > half:
                 d -= xi
                 c += 1
             if d:
-                out[e[:m] + (k,) + e[m + 1 :]] = d
-            k += 1
+                out[e] = d
+            e += unit
     return out
 
 
-def _heu_gcd(P: _IntPoly, Q: _IntPoly) -> tuple[_IntPoly, _IntPoly, _IntPoly] | None:
+def _heu_gcd(P: _IntPoly, Q: _IntPoly, n: int) -> tuple[_IntPoly, _IntPoly, _IntPoly] | None:
     """(G, P/G, Q/G) with G = gcd(P, Q) up to sign, or None if every xi fails."""
-    mp, mq = _ip_max_used(P), _ip_max_used(Q)
+    mp, mq = _ip_max_used(P, n), _ip_max_used(Q, n)
     c = _int_gcd(*P.values(), *Q.values())
-    if mp is None or mq is None:
+    if mp < 0 or mq < 0:
         # a constant side: the gcd is the integer content both share
-        return {(0,) * len(next(iter(P))): c}, _ip_scale_down(P, c), _ip_scale_down(Q, c)
+        return {0: c}, _ip_scale_down(P, c), _ip_scale_down(Q, c)
     m = max(mp, mq)
     P, Q = _ip_scale_down(P, c), _ip_scale_down(Q, c)
     xi = 2 * min(max(map(abs, P.values())), max(map(abs, Q.values()))) + 29
     for _ in range(_HEU_TRIES):
-        Pxi, Qxi = _ip_eval(P, m, xi), _ip_eval(Q, m, xi)
+        Pxi, Qxi = _ip_eval(P, m, xi, n), _ip_eval(Q, m, xi, n)
         if Pxi and Qxi:
-            image = _heu_gcd(Pxi, Qxi)
+            image = _heu_gcd(Pxi, Qxi, n)
             if image is None:
                 return None
-            H = _ip_interpolate(image[0], m, xi)
+            H = _ip_interpolate(image[0], m, xi, n)
             H = _ip_scale_down(H, _int_gcd(*H.values()))
             try:
-                return _ip_scale(H, c), _ip_divexact(P, H), _ip_divexact(Q, H)
+                return _ip_scale(H, c), _ip_divexact(P, H, n), _ip_divexact(Q, H, n)
             except ValueError:
                 pass
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
@@ -642,14 +663,14 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPol
         return (g, p, unit) if p.is_zero else (g, unit, q)
     if p.is_constant() or q.is_constant():
         return MultiPoly.const(p.vars, 1), p, q
-    P, Q = p.terms, q.terms
-    found = _heu_gcd(P, Q)
+    P, Q, n = p.terms, q.terms, len(p.vars)
+    found = _heu_gcd(P, Q, n)
     if found is None:
-        G = _ip_gcd(P, Q)
-        found = G, _ip_divexact(P, G), _ip_divexact(Q, G)
+        G = _ip_gcd(P, Q, n)
+        found = G, _ip_divexact(P, G, n), _ip_divexact(Q, G, n)
     G, CP, CQ = found
     # g = G / lc(G) is monic, so p / g = CP * lc(G) / p.den
-    lc = G[max(G, key=_grlex_key)]
+    lc = G[max(G)]
     sign = 1 if lc > 0 else -1
     g = _make(p.vars, _ip_scale(G, sign), lc * sign)
     return g, _make(p.vars, _ip_scale(CP, lc), p.den), _make(p.vars, _ip_scale(CQ, lc), q.den)

@@ -102,6 +102,17 @@ def test_rename_merges_variables():
     x, y = x_y()
     assert (x + y).rename({"y": "x"}) == 2 * x
     assert (x * y).rename({"y": "x"}) == x * x
+    assert (x * y**2 + 3 * y).rename({"x": "y", "y": "x"}) == x**2 * y + 3 * x
+
+
+def test_lift_places_variables_by_name():
+    small, big = ("x", "mu"), canonical_vars(["x", "y", "mu"])
+    p = MultiPoly(small, {(2, 1): 3, (0, 4): Fraction(1, 2)})
+    lifted = p.lift(big)
+    assert lifted == MultiPoly(big, {(2, 0, 1): 3, (0, 0, 4): Fraction(1, 2)})
+    assert lifted.eval({"x": 2, "y": 5, "mu": 3}) == p.eval({"x": 2, "mu": 3})
+    with pytest.raises(ValueError):
+        lifted.lift(small)
 
 
 def test_leading_term_prefers_later_variable():
@@ -222,11 +233,11 @@ def _fallback_cases():
 def test_gcd_fallback_gives_same_triple(monkeypatch):
     cases = _fallback_cases()
     # the heuristic succeeds on every case, so the expected triples are its own
-    assert all(poly._heu_gcd(p.terms, q.terms) is not None for p, q in cases)
+    assert all(poly._heu_gcd(p.terms, q.terms, len(p.vars)) is not None for p, q in cases)
     expected = [poly_gcd(p, q) for p, q in cases]
     failures = []
 
-    def give_up(P, Q):
+    def give_up(P, Q, n):
         failures.append((P, Q))
         return None
 
@@ -260,3 +271,81 @@ def test_results_are_in_normal_form(p, q):
     for r in results:
         assert MultiPoly(V, dict(r.sorted_terms())) == r
     assert (p + q) - q == p
+
+
+@pytest.mark.parametrize("exp", [
+    (-1, 0), (0, -3), (1.0, 0), (0, 2.0), (True, 0), (0, False),  # not a natural number
+    (2**31, 0), (2**30, 2**30), (0, 2**40),  # total degree at or past the limit
+])
+def test_constructor_rejects_invalid_exponents(exp):
+    with pytest.raises(ValueError):
+        MultiPoly(V, {exp: 1})
+
+
+def test_largest_total_degree_builds_and_products_past_it_raise():
+    x, y = x_y()
+    top = x ** (2**31 - 1)
+    assert top.serialize() == [[[2147483647, 0], "1"]]
+    assert MultiPoly(V, {(2**31 - 1, 0): 1}) == top
+    for factor in (x, y, x + 1):
+        with pytest.raises(ValueError):
+            top * factor
+    with pytest.raises(ValueError):
+        x ** (2**31)
+
+
+def test_divexact_raises_on_exponent_borrows():
+    xyz = canonical_vars(["x", "y", "z"])
+    x, y, z = (MultiPoly.var(xyz, n) for n in xyz)
+    for num, den in [(x * y**2, x**2), (y, x), (x * z, y * z), (x * y**2 + z, x**2 + z)]:
+        with pytest.raises(ValueError):
+            num.divexact(den)
+
+
+DIV_VARS = ("x", "y", "z", "v", "a")
+
+
+@st.composite
+def division_inputs(draw):
+    """(f, g) in 3-5 variables with g nonzero; f is sometimes a multiple of g."""
+    nvars = draw(st.integers(3, 5))
+    vars = canonical_vars(DIV_VARS[:nvars])
+    exp = st.tuples(*[st.integers(0, 3)] * nvars)
+
+    def poly_in(min_terms, max_terms):
+        terms = draw(st.dictionaries(exp, small_coeff.filter(bool), min_size=min_terms, max_size=max_terms))
+        return MultiPoly(vars, terms)
+
+    g = poly_in(1, 3)
+    f = poly_in(0, 4)
+    if draw(st.booleans()):
+        f = f * g + poly_in(0, 1)
+    return f, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(division_inputs())
+def test_divexact_matches_sympy_division(fg):
+    f, g = fg
+    quot, rem = sympy.div(_to_sympy(f), _to_sympy(g))
+    if rem.is_zero:
+        assert _to_sympy(f.divexact(g)) == quot
+    else:
+        with pytest.raises(ValueError):
+            f.divexact(g)
+
+
+def _grlex_reference(exp):
+    # graded lex with later variables more significant, independent of the packed keys
+    return (sum(exp), exp[::-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 40)] * 5), small_coeff.filter(bool), min_size=1, max_size=12))
+def test_term_order_matches_reference_grlex(terms):
+    vars = canonical_vars(DIV_VARS)
+    p = MultiPoly(vars, terms)
+    expected = sorted(terms, key=_grlex_reference, reverse=True)
+    assert [exp for exp, _ in p.sorted_terms()] == expected
+    assert p.leading() == (expected[0], terms[expected[0]])
+    assert [exp for exp, _ in p.serialize()] == [list(e) for e in expected]
