@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, canonical_vars
-from .exactnum.ratfunc import denominator_lcm
 from .reps import Rep
 
 SPECTRAL_CASES = ("i", "ii", "iii", "hecke")
@@ -106,14 +105,6 @@ def _site_matrix(rep: Rep, i: int) -> FieldMatrix:
     return rep.matrices[i]
 
 
-def cleared_sigma(rep: Rep, i: int, symbols: tuple[str, ...]) -> tuple[FieldMatrix, MultiPoly]:
-    """(S, s0) with polynomial S and scalar s0 such that sigma_i = S / s0."""
-    sigma = _site_matrix(rep, i).map_entries(lambda e: e.lift(symbols))
-    s0 = denominator_lcm(sigma.entries, symbols)
-    S = sigma.map_entries(lambda e: e.num * s0.divexact(e.den))
-    return S, s0
-
-
 def rhat_cleared(
     rep: Rep, i: int, fn: SpectralFn, u: str, w: str, symbols: tuple[str, ...]
 ) -> tuple[FieldMatrix, MultiPoly]:
@@ -125,7 +116,7 @@ def rhat_cleared(
     """
     f_uw = f_eval(fn, u, w).lift(symbols)
     f_wu = f_eval(fn, w, u).lift(symbols)
-    S, s0 = cleared_sigma(rep, i, symbols)
+    S, s0 = _site_matrix(rep, i).map_entries(lambda e: e.lift(symbols)).cleared()  # sigma_i = S / s0
     d = rep.dim
     ident = FieldMatrix.identity(d, MultiPoly.const(symbols, 1))
     A = ident.scale(f_uw.den * s0) - S.scale(f_uw.num)

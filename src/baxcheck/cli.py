@@ -47,6 +47,7 @@ from .verify import (
     MAX_PAIRS,
     MAX_SERIES_ORDER,
     MAX_TRIALS,
+    SAMPLING_FAILURE,
     check_chain_length,
     lemma_suite_A,
     lemma_suite_B,
@@ -348,7 +349,7 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
         report = VerifyReport(command, status="error", notes=[str(exc)])
         extra = {}
     code = EXIT_PASS if report.passed else EXIT_FAIL
-    if any(note.startswith("measure-zero") for note in report.notes):
+    if any(note.endswith(SAMPLING_FAILURE) for note in report.notes):  # transfer notes carry an L= prefix
         code = EXIT_INTERNAL
     if expect == "fail":
         code = EXIT_PASS if report.status == "fail" else EXIT_FAIL

@@ -1,12 +1,12 @@
 """Dense matrices over an exact field (rationals or rational functions).
 
 Determinants and inverses are fraction-free: denominators are cleared row by
-row (rational-function rows become polynomials, rational rows become Python
-ints), determinants and cofactors run over that ring with Bareiss-style exact
-divisions (`divexact` or `//`), and a single division pass at the end
-produces the field result.  This bounds intermediate expression swell over
-rational-function fields and keeps gcds out of the elimination over the
-rationals.
+row with `cleared` (rational-function rows become polynomials, rational rows
+become Python ints), determinants and cofactors run over that ring with
+Bareiss-style exact divisions (`divexact` or `//`), and a single division pass
+at the end produces the field result.  This bounds intermediate expression
+swell over rational-function fields and keeps gcds out of the elimination over
+the rationals.
 """
 
 from __future__ import annotations
@@ -193,10 +193,11 @@ class FieldMatrix:
         """Exact determinant via fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        mat, rowdens = _clear_rows(self)
+        cleared = [FieldMatrix(1, self.cols, self.row(i)).cleared() for i in range(self.rows)]
+        mat = FieldMatrix(self.rows, self.cols, [e for row, _ in cleared for e in row.entries])
         d = _bareiss_det(mat.to_rows(), _ring_div(mat.entries))
-        denom = math.prod(rowdens)
-        return RatFunc(d, denom) if _entry_kind(self.entries) is RatFunc else Fraction(d, denom)
+        field = _fraction_field(d)
+        return field(d, math.prod(den for _, den in cleared))
 
     def adjugate_det(self) -> tuple["FieldMatrix", object]:
         """(adj, det) over the entry ring, with adj * self = det * identity.
@@ -232,17 +233,27 @@ class FieldMatrix:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         # inv(A) = adj(M) * diag(rowdens) / det(M) with M = diag(rowdens) * A
-        mat, rowdens = _clear_rows(self)
-        adj, det = mat.adjugate_det()
-        if _entry_kind(self.entries) is RatFunc:
-            vars = self.entries[0].vars
-            if det.is_zero:
-                raise SingularMatrixError("singular matrix: determinant is 0", determinant=RatFunc.zero(vars))
-            detrf = RatFunc(det)
-            return FieldMatrix(n, n, [RatFunc(adj[i, j] * rowdens[j]) / detrf for i in range(n) for j in range(n)])
+        cleared = [FieldMatrix(1, n, self.row(i)).cleared() for i in range(n)]
+        adj, det = FieldMatrix(n, n, [e for row, _ in cleared for e in row.entries]).adjugate_det()
+        field = _fraction_field(det)
         if not det:
-            raise SingularMatrixError("singular matrix: determinant is 0", determinant=Fraction(0))
-        return FieldMatrix(n, n, [Fraction(adj[i, j] * rowdens[j], det) for i in range(n) for j in range(n)])
+            raise SingularMatrixError("singular matrix: determinant is 0", determinant=field(det))
+        return FieldMatrix(n, n, [field(adj[i, j] * cleared[j][1], det) for i in range(n) for j in range(n)])
+
+    def cleared(self) -> tuple["FieldMatrix", object]:
+        """(M, D) with M = D * self over the entry ring and D the lcm of the entry denominators.
+
+        RatFunc entries clear to MultiPoly over a MultiPoly D; Fraction (or
+        int) entries clear to int over an int D.  Ring entries raise TypeError.
+        """
+        kind = _entry_kind(self.entries)
+        if kind is MultiPoly:
+            raise TypeError("clearing denominators needs Fraction or RatFunc entries; use adjugate_det over MultiPoly")
+        if kind is RatFunc:
+            D = denominator_lcm(self.entries, self.entries[0].vars)
+            return self.map_entries(lambda e: e.num * D.divexact(e.den)), D
+        D = math.lcm(*(e.denominator for e in self.entries))
+        return self.map_entries(lambda e: e.numerator * (D // e.denominator)), D
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in self.row(i)) for i in range(self.rows)) + "]"
@@ -268,6 +279,11 @@ def _entry_kind(entries):
     return Fraction
 
 
+def _fraction_field(ring_value) -> Callable:
+    """The fraction field of ring_value's ring: RatFunc over MultiPoly, Fraction over int."""
+    return RatFunc if isinstance(ring_value, MultiPoly) else Fraction
+
+
 def _poly_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return a.divexact(b)
 
@@ -279,30 +295,6 @@ def _ring_div(entries) -> Callable:
     if all(isinstance(e, int) for e in entries):
         return operator.floordiv
     raise TypeError("Bareiss elimination needs MultiPoly or int entries; clear denominators first")
-
-
-def _clear_rows(mat: FieldMatrix) -> tuple[FieldMatrix, list]:
-    """Clear denominators row by row: returns (M, rowdens) with M = diag(rowdens) * mat.
-
-    RatFunc rows become MultiPoly rows; Fraction (or int) rows become int rows.
-    """
-    kind = _entry_kind(mat.entries)
-    if kind is MultiPoly:
-        raise TypeError("det and inv need Fraction or RatFunc entries; use adjugate_det over MultiPoly")
-    rowdens = []
-    out = []
-    if kind is RatFunc:
-        vars = mat.entries[0].vars
-        for i in range(mat.rows):
-            den = denominator_lcm(mat.row(i), vars)
-            rowdens.append(den)
-            out.extend(e.num * den.divexact(e.den) for e in mat.row(i))
-    else:
-        for i in range(mat.rows):
-            den = math.lcm(*(e.denominator for e in mat.row(i)))
-            rowdens.append(den)
-            out.extend(e.numerator * (den // e.denominator) for e in mat.row(i))
-    return FieldMatrix(mat.rows, mat.cols, out), rowdens
 
 
 def _bareiss_det(rows: list[list], div: Callable):

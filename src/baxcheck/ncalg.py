@@ -302,28 +302,20 @@ def relations_for(algebra: str, n: int, params: Mapping | None = None) -> Relati
                 )
             )
 
-    if algebra == "B":
+    if algebra in ("B", "C"):
+        tag = algebra.lower() * 2
         for i in range(1, n - 1):
             s, t = gen(i), gen(i + 1)
-            elements.append((f"bb2({i})", s**2 * t - s * t**2 - (s**2 - t**2 + t - s)))
+            if algebra == "C":
+                # tau_j = sigma_(n-j) on the same index alphabet: C relation k at
+                # site i is the flip of B relation k at site n-1-i, i.e. s and t swap
+                s, t = t, s
+            elements.append((f"{tag}2({i})", s**2 * t - s * t**2 - (s**2 - t**2 + t - s)))
             elements.append(
-                (f"bb3({i})", t**3 * s - t * s**3 - (t**2 * s - t * s**2 + t**3 - s**3 - t**2 + s**2))
+                (f"{tag}3({i})", t**3 * s - t * s**3 - (t**2 * s - t * s**2 + t**3 - s**3 - t**2 + s**2))
             )
             elements.append(
-                (f"bb4({i})", t**4 * s - t * s**4 - (t**2 * s - t * s**2 + t**4 - s**4 - t**2 + s**2))
-            )
-
-    if algebra == "C":
-        # generators tau_j live on the same index alphabet; tau_j = sigma_(n-j)
-        # is realized by flip, not by a second symbol table
-        for i in range(1, n - 1):
-            s, t = gen(i), gen(i + 1)
-            elements.append((f"cc2({i})", t**2 * s - t * s**2 - (t**2 - s**2 + s - t)))
-            elements.append(
-                (f"cc3({i})", s**3 * t - s * t**3 - (s**2 * t - s * t**2 + s**3 - t**3 - s**2 + t**2))
-            )
-            elements.append(
-                (f"cc4({i})", s**4 * t - s * t**4 - (s**2 * t - s * t**2 + s**4 - t**4 - s**2 + t**2))
+                (f"{tag}4({i})", t**4 * s - t * s**4 - (t**2 * s - t * s**2 + t**4 - s**4 - t**2 + s**2))
             )
 
     return RelationSet(algebra=algebra, n=n, symbols=symbols, params=dict(params or {}), elements=elements)

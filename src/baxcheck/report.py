@@ -13,8 +13,7 @@ class VerifyReport:
     the residual was exactly zero, otherwise it is the largest nonzero term
     count seen in the residual.  notes carries flags such as vacuous passes
     and pole resamples.  mode records how the check ran (symbolic, or
-    randomized with seed/trials).  elapsed_ms is wall-clock timing and is
-    excluded from serialized payloads so reports stay byte-reproducible.
+    randomized with seed/trials).
     """
 
     name: str
@@ -22,12 +21,17 @@ class VerifyReport:
     residuals: list[tuple[str, int]] = field(default_factory=list)
     mode: dict = field(default_factory=lambda: {"kind": "symbolic"})
     notes: list[str] = field(default_factory=list)
-    elapsed_ms: int = 0
 
     def add_residual(self, label: str, size: int) -> None:
         self.residuals.append((label, size))
         if size and self.status == "pass":
             self.status = "fail"
+
+    def error(self, note: str) -> "VerifyReport":
+        """Mark the run as an error (a failed precondition or sampling) and return it."""
+        self.status = "error"
+        self.notes.append(note)
+        return self
 
     @property
     def passed(self) -> bool:

@@ -388,56 +388,37 @@ def correspondence_check(kind: str, rep: Rep, q=None, b=None) -> VerifyReport:
         qv, qsyms = _param(q, "q")
         symbols = canonical_vars(set(rep.params) | qsyms)
         q_rf = _entry(qv, symbols)
+        lifted = shifted = rep.lift(symbols)
+        prechecks = [("precheck Hecke:", relations_for("Hecke", rep.n, {"q": q_rf}))]
+        target, target_params = "A(0,0,-q)", {"a": 0, "b": 0, "c": -q_rf}
+    else:
+        if b is None:
+            b = "b" if kind == "braid_coset_to_A" else Fraction(1)
+        bv, bsyms = _param(b, "b")
+        if isinstance(bv, Fraction) and bv == 0:
+            raise ValueError(f"{kind} requires b != 0")
+        symbols = canonical_vars(set(rep.params) | bsyms)
+        b_rf = _entry(bv, symbols)
         lifted = rep.lift(symbols)
-        pre = check_relations(lifted, relations_for("Hecke", rep.n, {"q": q_rf}), "precheck Hecke")
-        _merge_precheck(report, pre)
-        if report.status == "error":
-            return report
-        target = relations_for("A", rep.n, {"a": 0, "b": 0, "c": -q_rf})
-        main = check_relations(lifted, target, "A(0,0,-q)")
-        for label, size in main.residuals:
-            report.add_residual(f"A(0,0,-q):{label}", size)
-        return report
+        if kind == "braid_coset_to_A":
+            source = ("precheck braid:", relations_for("Braid", rep.n))
+            extra = _extra_braid_coset_elements(rep.n, b_rf, symbols)
+            shifted = _shift_rep(lifted, -b_rf)
+        else:  # B_to_A_shift
+            source = ("precheck B:", relations_for("B", rep.n))
+            extra = _extra_B_remark_elements(rep.n, symbols)
+            # sigma -> b*(sigma - 1), the inverse of sigma -> sigma/b + 1
+            shifted = _shift_rep(lifted, -RatFunc.one(symbols), scale=b_rf)
+        prechecks = [source, ("precheck ", RelationSet(kind, rep.n, symbols, {}, extra))]
+        target, target_params = "A(0,b,-b^2)", {"a": 0, "b": b_rf, "c": -(b_rf * b_rf)}
 
-    if b is None:
-        b = "b" if kind == "braid_coset_to_A" else Fraction(1)
-    bv, bsyms = _param(b, "b")
-    if isinstance(bv, Fraction) and bv == 0:
-        raise ValueError(f"{kind} requires b != 0")
-    symbols = canonical_vars(set(rep.params) | bsyms)
-    b_rf = _entry(bv, symbols)
-    lifted = rep.lift(symbols)
-
-    if kind == "braid_coset_to_A":
-        pre = check_relations(lifted, relations_for("Braid", rep.n), "precheck braid")
-        extra = _extra_braid_coset_elements(rep.n, b_rf, symbols)
-        shifted = _shift_rep(lifted, -b_rf)
-    else:  # B_to_A_shift
-        pre = check_relations(lifted, relations_for("B", rep.n), "precheck B")
-        extra = _extra_B_remark_elements(rep.n, symbols)
-        # sigma -> b*(sigma - 1), the inverse of sigma -> sigma/b + 1
-        shifted = _shift_rep(lifted, -RatFunc.one(symbols), scale=b_rf)
-    _merge_precheck(report, pre)
-    for label, element in extra:
-        value = evaluate_element(element, lifted.matrices, rep.dim, symbols)
-        size = 0 if value.is_zero else _residual_size(value)
-        report.residuals.append((f"precheck {label}", size))
-        if size:
-            report.status = "error"
-            report.notes.append(f"precondition failed: {label}")
+    for prefix, rels in prechecks:
+        for label, size in check_relations(lifted, rels).residuals:
+            report.add_residual(prefix + label, size)
+            if size:
+                report.error(f"precondition failed: {label}")
     if report.status == "error":
         return report
-
-    target = relations_for("A", rep.n, {"a": 0, "b": b_rf, "c": -(b_rf * b_rf)})
-    main = check_relations(shifted, target, "A(0,b,-b^2)")
-    for label, size in main.residuals:
-        report.add_residual(f"A(0,b,-b^2):{label}", size)
+    for label, size in check_relations(shifted, relations_for("A", rep.n, target_params)).residuals:
+        report.add_residual(f"{target}:{label}", size)
     return report
-
-
-def _merge_precheck(report: VerifyReport, pre: VerifyReport) -> None:
-    for label, size in pre.residuals:
-        report.residuals.append((f"{pre.name}:{label}", size))
-        if size:
-            report.status = "error"
-            report.notes.append(f"precondition failed: {label}")

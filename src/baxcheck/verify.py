@@ -20,9 +20,9 @@ at-a-random-point caveat, which the acceptance fixtures exercise both ways.
 from __future__ import annotations
 
 import math
-import time
 from fractions import Fraction
-from typing import Sequence
+from itertools import permutations
+from typing import Callable, Sequence
 
 from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, canonical_vars
 from .exactnum.scalar import format_scalar
@@ -68,21 +68,21 @@ def sample_fraction(rng: DetRng) -> Fraction:
 
 # -- braided Yang-Baxter, symbolic ---------------------------------------------
 
+# The Rhat factors (site, u, w) of R1(x,y) R2(x,z) R1(y,z) = R2(y,z) R1(x,z) R2(x,y),
+# with u and w indices into the spectral variables (x, y, z).
+_YBE_LHS = ((1, 0, 1), (2, 0, 2), (1, 1, 2))
+_YBE_RHS = ((2, 1, 2), (1, 0, 2), (2, 0, 1))
+
 
 def ybe_symbolic(rep: Rep, fn: SpectralFn, vars: tuple[str, str, str] = ("x", "y", "z")) -> VerifyReport:
     """Exact check of R1(x,y) R2(x,z) R1(y,z) = R2(y,z) R1(x,z) R2(x,y)."""
     if rep.n < 3:
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
-    x, y, z = vars
-    t0 = time.monotonic()
-    symbols = canonical_vars(set(rep.params) | {x, y, z})
+    symbols = canonical_vars(set(rep.params) | set(vars))
     factors = {
-        (1, x, y): None, (2, x, z): None, (1, y, z): None,
-        (2, y, z): None, (1, x, z): None, (2, x, y): None,
+        (site, u, w): rhat_cleared(rep, site, fn, vars[u], vars[w], symbols)
+        for site, u, w in _YBE_LHS + _YBE_RHS
     }
-    for key in factors:
-        site, u, w = key
-        factors[key] = rhat_cleared(rep, site, fn, u, w, symbols)
 
     def side(seq):
         P = factors[seq[0]][0]
@@ -90,8 +90,8 @@ def ybe_symbolic(rep: Rep, fn: SpectralFn, vars: tuple[str, str, str] = ("x", "y
             P = P * factors[key][0]
         return P, [factors[key][1] for key in seq]
 
-    lhs_P, lhs_ds = side([(1, x, y), (2, x, z), (1, y, z)])
-    rhs_P, rhs_ds = side([(2, y, z), (1, x, z), (2, x, y)])
+    lhs_P, lhs_ds = side(_YBE_LHS)
+    rhs_P, rhs_ds = side(_YBE_RHS)
     # Cancel the denominator factors both sides share; the full cross-multiplied
     # residual is resid * prod(shared), and every factor is nonzero.
     lhs_only, rhs_only, shared = list(lhs_ds), [], []
@@ -106,7 +106,6 @@ def ybe_symbolic(rep: Rep, fn: SpectralFn, vars: tuple[str, str, str] = ("x", "y
     worst = max((_times(e, common).num_terms() for e in resid.entries if e), default=0)
     report = VerifyReport("ybe symbolic", mode={"kind": "symbolic", "vars": list(vars)})
     report.add_residual("ybe", worst)
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 
 
@@ -121,6 +120,22 @@ def _times(value, factor: MultiPoly | None):
 
 
 # -- braided Yang-Baxter, randomized -------------------------------------------
+
+MAX_RESAMPLES = 100  # consecutive pole or singular draws before a run gives up
+SAMPLING_FAILURE = f"measure-zero sampling failure: {MAX_RESAMPLES} consecutive poles"
+
+
+def _regular_draw(draw: Callable[[DetRng], object], rng: DetRng) -> tuple[object | None, int]:
+    """(draw(rng), resamples), redrawing while a pole or singular factor is hit.
+
+    The value is None once MAX_RESAMPLES draws in a row have failed.
+    """
+    for resamples in range(MAX_RESAMPLES):
+        try:
+            return draw(rng), resamples
+        except (PoleError, SingularMatrixError, ZeroDivisionError):
+            pass
+    return None, MAX_RESAMPLES
 
 
 def _numeric_rhat(sigma: FieldMatrix, f_uw: Fraction, f_wu: Fraction) -> FieldMatrix:
@@ -144,45 +159,29 @@ def ybe_random(
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    x, y, z = vars
-    t0 = time.monotonic()
     f = f_eval(fn, "x", "y")
-    free = list(rep.params)
     report = VerifyReport(
         "ybe randomized",
         mode={"kind": "randomized", "seed": seed, "trials": trials, "samples": [], "resamples": 0},
     )
+
+    def draw(rng: DetRng):
+        point = {name: sample_fraction(rng) for name in vars}
+        params = {name: sample_fraction(rng) for name in rep.params}
+        mats = rep.evaluate(params)
+        # f once per ordered pair of spectral variables
+        fv = {(u, w): f.eval({"x": point[vars[u]], "y": point[vars[w]]}) for u, w in permutations(range(3), 2)}
+        R = {(site, u, w): _numeric_rhat(mats[site], fv[u, w], fv[w, u]) for site, u, w in _YBE_LHS + _YBE_RHS}
+        return point, params, R
+
     worst = 0
     for trial in range(trials):
-        rng = split_rng(seed, trial)
-        resamples = 0
-        while True:
-            if resamples > 100:
-                report.status = "error"
-                report.notes.append("measure-zero sampling failure: 100 consecutive poles")
-                report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-                return report
-            point = {name: sample_fraction(rng) for name in (x, y, z)}
-            params = {name: sample_fraction(rng) for name in free}
-            try:
-                mats = rep.evaluate(params)
-                fv = {}
-                for u, w in ((x, y), (x, z), (y, z)):
-                    fv[(u, w)] = f.eval({"x": point[u], "y": point[w]})
-                    fv[(w, u)] = f.eval({"x": point[w], "y": point[u]})
-                R = {
-                    (site, u, w): _numeric_rhat(mats[site], fv[(u, w)], fv[(w, u)])
-                    for site, u, w in (
-                        (1, x, y), (2, x, z), (1, y, z), (2, y, z), (1, x, z), (2, x, y),
-                    )
-                }
-            except (PoleError, SingularMatrixError, ZeroDivisionError):
-                resamples += 1
-                report.mode["resamples"] += 1
-                continue
-            break
-        lhs = R[(1, x, y)] * R[(2, x, z)] * R[(1, y, z)]
-        rhs = R[(2, y, z)] * R[(1, x, z)] * R[(2, x, y)]
+        drawn, resamples = _regular_draw(draw, split_rng(seed, trial))
+        report.mode["resamples"] += resamples
+        if drawn is None:
+            return report.error(SAMPLING_FAILURE)
+        point, params, R = drawn
+        lhs, rhs = (R[seq[0]] * R[seq[1]] * R[seq[2]] for seq in (_YBE_LHS, _YBE_RHS))
         diff = lhs - rhs
         if not diff.is_zero:
             worst = max(worst, sum(1 for e in diff.entries if e))
@@ -190,33 +189,38 @@ def ybe_random(
             {name: format_scalar(val) for name, val in list(point.items()) + list(params.items())}
         )
     report.add_residual("ybe", worst)
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 
 
 # -- auxiliary identity suites ----------------------------------------------------
 
 
-def _vacuous(label: str, lhs: FieldMatrix, rhs: FieldMatrix, report: VerifyReport) -> None:
+def _record(report: VerifyReport, label: str, lhs: FieldMatrix, rhs: FieldMatrix) -> None:
+    diff = lhs - rhs
+    report.add_residual(label, 0 if diff.is_zero else _residual_size(diff))
     if lhs.is_zero and rhs.is_zero:
         report.notes.append(f"{label}: vacuous (both sides identically zero)")
 
 
-def _record(report: VerifyReport, label: str, lhs: FieldMatrix, rhs: FieldMatrix) -> None:
-    diff = lhs - rhs
-    report.add_residual(label, 0 if diff.is_zero else _residual_size(diff))
-    _vacuous(label, lhs, rhs, report)
+def _suite(report: VerifyReport, rep: Rep, algebra: str, params: dict | None, zvar: str, vvar: str):
+    """The setup both identity suites share.
 
-
-def _precheck_failed(report: VerifyReport, pre: VerifyReport, t0: float) -> bool:
-    """Mark report as a precondition error when the rep fails its relations."""
-    if pre.passed:
-        return False
-    report.status = "error"
-    report.residuals = [(f"precheck {label}", size) for label, size in pre.residuals]
-    report.notes.append("precondition failed: rep does not satisfy the relations")
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return True
+    Returns (symbols, s1, s2, H1(z), H2(z), H1(v), H2(v), z, v) over
+    Q(z, v, rep params), or None, with report marked as an error, when the
+    rep fails the relations of algebra at params.
+    """
+    if rep.n < 3:
+        raise ValueError("identity suite needs generators at sites 1 and 2")
+    pre = check_relations(rep, relations_for(algebra, rep.n, params))
+    if not pre.passed:
+        report.residuals = [(f"precheck {label}", size) for label, size in pre.residuals]
+        report.error("precondition failed: rep does not satisfy the relations")
+        return None
+    symbols = canonical_vars(set(rep.params) | {zvar, vvar})
+    lift = lambda m: m.map_entries(lambda e: e.lift(symbols))
+    H = [lift(H_closed(rep, site, var)) for var in (zvar, vvar) for site in (1, 2)]
+    return (symbols, lift(rep.matrices[1]), lift(rep.matrices[2]), *H,
+            RatFunc.var(symbols, zvar), RatFunc.var(symbols, vvar))
 
 
 def lemma_suite_A(
@@ -237,21 +241,11 @@ def lemma_suite_A(
     a = alpha1 * alpha2
     if a == 0:
         raise ValueError("identity suite requires a = alpha1*alpha2 != 0")
-    if rep.n < 3:
-        raise ValueError("identity suite needs generators at sites 1 and 2")
-    t0 = time.monotonic()
     report = VerifyReport("lemma suite A", mode={"kind": "symbolic", "a": format_scalar(a)})
-    rels = relations_for("A", rep.n, {"a": a, "b": b, "c": c})
-    if _precheck_failed(report, check_relations(rep, rels), t0):
+    ops = _suite(report, rep, "A", {"a": a, "b": b, "c": c}, zvar, vvar)
+    if ops is None:
         return report
-
-    symbols = canonical_vars(set(rep.params) | {zvar, vvar})
-    lift = lambda m: m.map_entries(lambda e: e.lift(symbols))
-    s1 = lift(rep.matrices[1])
-    s2 = lift(rep.matrices[2])
-    H1z, H2z = lift(H_closed(rep, 1, zvar)), lift(H_closed(rep, 2, zvar))
-    H1v, H2v = lift(H_closed(rep, 1, vvar)), lift(H_closed(rep, 2, vvar))
-    zz, vv = RatFunc.var(symbols, zvar), RatFunc.var(symbols, vvar)
+    symbols, s1, s2, H1z, H2z, H1v, H2v, zz, vv = ops
     hz = h_fun(a, b, c, zvar).lift(symbols)
     hv = h_fun(a, b, c, vvar).lift(symbols)
     M = s2 * s2 * s1 - s2 * s1 * s1  # the recurring cubic difference
@@ -269,26 +263,16 @@ def lemma_suite_A(
         - (H1z - H2z).scale(RatFunc.const(symbols, a) / (zz * (vv - zz) * hz))
     )
     _record(report, "rel5", rel5_lhs, rel5_rhs)
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 
 
 def lemma_suite_B(rep: Rep, zvar: str = "z", vvar: str = "v") -> VerifyReport:
     """The five auxiliary identities behind the parameter-free baxterisation."""
-    if rep.n < 3:
-        raise ValueError("identity suite needs generators at sites 1 and 2")
-    t0 = time.monotonic()
     report = VerifyReport("lemma suite B", mode={"kind": "symbolic"})
-    if _precheck_failed(report, check_relations(rep, relations_for("B", rep.n)), t0):
+    ops = _suite(report, rep, "B", None, zvar, vvar)
+    if ops is None:
         return report
-
-    symbols = canonical_vars(set(rep.params) | {zvar, vvar})
-    lift = lambda m: m.map_entries(lambda e: e.lift(symbols))
-    s1 = lift(rep.matrices[1])
-    s2 = lift(rep.matrices[2])
-    H1z, H2z = lift(H_closed(rep, 1, zvar)), lift(H_closed(rep, 2, zvar))
-    H1v, H2v = lift(H_closed(rep, 1, vvar)), lift(H_closed(rep, 2, vvar))
-    zz, vv = RatFunc.var(symbols, zvar), RatFunc.var(symbols, vvar)
+    symbols, s1, s2, H1z, H2z, H1v, H2v, zz, vv = ops
     one = RatFunc.one(symbols)
 
     K = s2 * s2 * s1 - s2 * s1 * s1 + s1 * s1 - s2 * s2  # recurring combination
@@ -328,7 +312,6 @@ def lemma_suite_B(rep: Rep, zvar: str = "z", vvar: str = "v") -> VerifyReport:
         + (H1v - H2v).scale((vv - zz + 1) / ((vv - zz) * (zz - 1)))
         - (H1z - H2z).scale(vv / (zz * (vv - 1) * (vv - zz))),
     )
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report
 
 
@@ -389,12 +372,6 @@ def check_chain_length(L: int) -> None:
         raise ValueError(f"chain length must be between 1 and {MAX_CHAIN_LENGTH}, got {L}")
 
 
-def _integer_scaled(m: FieldMatrix) -> FieldMatrix:
-    """D * m as an int matrix, with D the lcm of the entry denominators."""
-    D = math.lcm(*(e.denominator for e in m.entries))
-    return FieldMatrix(m.rows, m.cols, [e.numerator * (D // e.denominator) for e in m.entries])
-
-
 def choose_reference_point(fn: SpectralFn) -> Fraction:
     """y0 = 0 unless the spectral function has a pole there, else y0 = 1."""
     f = f_eval(fn, "x", "y")
@@ -445,7 +422,6 @@ def transfer_commute(
     reported residual sizes are unchanged.  A per-row scaling would not
     commute with the chain product, hence one scalar per matrix.
     """
-    t0 = time.monotonic()
     if rep.params:
         raise ValueError("transfer harness needs a numeric representation (no free parameters)")
     d = math.isqrt(rep.dim)
@@ -469,12 +445,8 @@ def transfer_commute(
         },
     )
 
-    pre = ybe_random(rep, fn, trials=3, seed=_mix(seed ^ 0xB7E1))
-    if not pre.passed:
-        report.status = "error"
-        report.notes.append("precondition failed: randomized Yang-Baxter check did not pass")
-        report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-        return report
+    if not ybe_random(rep, fn, trials=3, seed=_mix(seed ^ 0xB7E1)).passed:
+        return report.error("precondition failed: randomized Yang-Baxter check did not pass")
 
     f = f_eval(fn, "x", "y")
 
@@ -486,34 +458,28 @@ def transfer_commute(
             rhat.entries[1] += 1
         return rhat
 
+    def draw_pair(rng: DetRng) -> tuple[Fraction, Fraction]:
+        x1, x2 = sample_fraction(rng), sample_fraction(rng)
+        rhat_at(x1)
+        rhat_at(x2)
+        return x1, x2
+
     if points is None:
         points = []
         rng = split_rng(seed, 0xF00D)
-        attempts = 0
         while len(points) < count:
-            if attempts > 100:
-                report.status = "error"
-                report.notes.append("measure-zero sampling failure while drawing point pairs")
-                report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-                return report
-            x1, x2 = sample_fraction(rng), sample_fraction(rng)
-            try:
-                rhat_at(x1)
-                rhat_at(x2)
-            except (PoleError, SingularMatrixError, ZeroDivisionError):
-                attempts += 1
-                continue
-            attempts = 0
-            points.append((x1, x2))
+            pair, _ = _regular_draw(draw_pair, rng)
+            if pair is None:
+                return report.error(SAMPLING_FAILURE)
+            points.append(pair)
 
     for k, (x1, x2) in enumerate(points):
         try:
-            t1, t2 = (_transfer_matrix(_integer_scaled(rhat_at(Fraction(x))), d, L) for x in (x1, x2))
+            t1, t2 = (_transfer_matrix(rhat_at(Fraction(x)).cleared()[0], d, L) for x in (x1, x2))
         except (PoleError, SingularMatrixError, ZeroDivisionError) as exc:
             raise PoleError(f"pole at supplied point pair ({x1}, {x2}); resample") from exc
         comm = t1 * t2 - t2 * t1
         size = 0 if comm.is_zero else sum(1 for e in comm.entries if e)
         report.add_residual(f"pair{k} [t({format_scalar(Fraction(x1))}), t({format_scalar(Fraction(x2))})]", size)
         report.mode["points"].append([format_scalar(Fraction(x1)), format_scalar(Fraction(x2))])
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report

@@ -150,3 +150,35 @@ def test_entry_kinds_are_checked():
         FieldMatrix.from_rows([[x, x], [x, x + 1]]).adjugate_det()
     with pytest.raises(TypeError):
         FieldMatrix.from_rows([[x.num, x.num], [x.num, x.den]]).det()
+
+
+def test_cleared_scales_to_the_entry_ring():
+    rng = random.Random(19)
+
+    def rpoly():
+        p = MultiPoly.zero(V)
+        for _ in range(rng.randint(1, 3)):
+            e = (rng.randint(0, 2), rng.randint(0, 1))
+            p = p + MultiPoly(V, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))})
+        return p
+
+    def ratfunc():
+        while True:
+            den = rpoly()
+            if not den.is_zero:
+                return RatFunc(rpoly(), den)
+
+    for _ in range(8):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        A = FieldMatrix(rows, cols, [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rows * cols)])
+        M, D = A.cleared()
+        assert type(D) is int and D > 0
+        assert all(type(e) is int for e in M.entries)
+        assert M == A.scale(D)
+        A = FieldMatrix(rows, cols, [ratfunc() for _ in range(rows * cols)])
+        M, D = A.cleared()
+        assert isinstance(D, MultiPoly) and not D.is_zero
+        assert all(type(e) is MultiPoly for e in M.entries)
+        assert all(RatFunc(m) == a for m, a in zip(M.entries, A.scale(D).entries))
+    with pytest.raises(TypeError):
+        FieldMatrix.from_rows([[MultiPoly.var(V, "x"), MultiPoly.const(V, 1)]]).cleared()

@@ -113,10 +113,12 @@ def test_flip_is_multiplicative():
 
 
 def test_c_relations_are_flip_images_of_b():
-    b = dict(relations_for("B", 3).elements)
-    c = dict(relations_for("C", 3).elements)
-    for bb, cc in (("bb2(1)", "cc2(1)"), ("bb3(1)", "cc3(1)"), ("bb4(1)", "cc4(1)")):
-        assert flip(b[bb]) == c[cc]
+    for n in range(3, 7):
+        b = dict(relations_for("B", n).elements)
+        c = dict(relations_for("C", n).elements)
+        for i in range(1, n - 1):
+            for k in (2, 3, 4):
+                assert flip(b[f"bb{k}({i})"]) == c[f"cc{k}({n - 1 - i})"], (n, i, k)
 
 
 def test_associativity_and_distributivity():

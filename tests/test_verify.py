@@ -3,10 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from baxcheck import verify
 from baxcheck.baxter import SpectralFn, f_eval, rhat_cleared
+from baxcheck.cli import EXIT_INTERNAL, run_job
 from baxcheck.exactnum import FieldMatrix, RatFunc, canonical_vars
+from baxcheck.report import VerifyReport
 from baxcheck.reps import Rep, builtin_rep
 from baxcheck.verify import (
+    MAX_RESAMPLES,
+    SAMPLING_FAILURE,
     DetRng,
     _numeric_rhat,
     _transfer_matrix,
@@ -291,3 +296,38 @@ def test_det_rng_is_deterministic_and_split_is_stable():
     for other in (0, 1, 2):
         sample_fraction(split_rng(7, other))
     assert sample_fraction(split_rng(7, 3)) == s3
+
+
+def test_ybe_random_gives_up_after_max_resamples(monkeypatch):
+    # every coordinate 0: f = -x/y has a pole at y = 0, so no draw is regular
+    monkeypatch.setattr(verify, "sample_fraction", lambda rng: Fraction(0))
+    report = ybe_random(builtin_rep("Hecke3_std"), SpectralFn.hecke_ratio(), trials=3)
+    assert report.status == "error"
+    assert report.notes == ["measure-zero sampling failure: 100 consecutive poles"] == [SAMPLING_FAILURE]
+    assert report.mode["resamples"] == MAX_RESAMPLES == 100
+    assert report.mode["samples"] == [] and report.residuals == []
+    job = {"command": "verify-ybe", "mode": "random", "rep": {"builtin": "Hecke3_std"}, "fn": {"case": "hecke"}}
+    payload, code = run_job(job)
+    assert code == EXIT_INTERNAL
+    assert payload["report"]["notes"] == [SAMPLING_FAILURE]
+
+
+def test_transfer_point_pairs_give_up_after_max_resamples(monkeypatch):
+    # y0 = 1 for f = -x/y, and f(1, 0) is a pole, so no point pair can be drawn
+    monkeypatch.setattr(verify, "sample_fraction", lambda rng: Fraction(0))
+    monkeypatch.setattr(verify, "ybe_random", lambda *args, **kwargs: VerifyReport("ybe randomized"))
+    rep = builtin_rep("Hecke3_std", q=2)
+    report = transfer_commute(rep, 1, SpectralFn.hecke_ratio(), 2, count=1)
+    assert report.status == "error"
+    assert report.notes == [SAMPLING_FAILURE]
+    assert report.mode["y0"] == "1" and report.mode["points"] == []
+    job = {
+        "command": "transfer-commute",
+        "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
+        "fn": {"case": "hecke"},
+        "length": 2,
+        "pairs": 1,
+    }
+    payload, code = run_job(job)
+    assert code == EXIT_INTERNAL
+    assert payload["report"]["notes"] == [f"L=2: {SAMPLING_FAILURE}"]
