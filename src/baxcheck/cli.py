@@ -243,20 +243,10 @@ def _transfer_commute(pairs, rep, fn, site, lengths, length, seed, corrupt):
         lengths = [3 if length is None else length]
     for L in lengths:  # the whole list is checked before any chain is built
         check_chain_length(L)
-    rep = _build(rep)
-    merged = VerifyReport("transfer commutation", mode={"kind": "randomized", "seed": seed, "runs": []})
-    for L in lengths:
-        try:
-            sub = transfer_commute(rep, site, fn, L, count=pairs, seed=seed, corrupt=corrupt)
-        except PoleError as exc:
-            raise JobError(str(exc)) from exc
-        for label, size in sub.residuals:
-            merged.add_residual(f"L={L} {label}", size)
-        merged.notes.extend(f"L={L}: {note}" for note in sub.notes)
-        merged.mode["runs"].append(sub.mode)
-        if sub.status == "error":
-            merged.status = "error"
-    return merged, {}
+    try:
+        return transfer_commute(_build(rep), site, fn, lengths, count=pairs, seed=seed, corrupt=corrupt), {}
+    except PoleError as exc:
+        raise JobError(str(exc)) from exc
 
 
 def _correspondences(kind, rep, q, b):

@@ -172,6 +172,10 @@ class MultiPoly:
         exp = max(self.terms)
         return _unpack(exp, len(self.vars)), Fraction(self.terms[exp], self.den)
 
+    def _lc(self) -> Fraction:
+        """The leading coefficient of a nonzero polynomial, without unpacking its exponent."""
+        return Fraction(self.terms[max(self.terms)], self.den)
+
     def num_terms(self) -> int:
         return len(self.terms)
 
@@ -255,7 +259,7 @@ class MultiPoly:
         """Scale so the graded-lex leading coefficient is 1."""
         if not self.terms:
             return self
-        return self.scale(1 / self.leading()[1])
+        return self.scale(1 / self._lc())
 
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact division; raises ValueError when the division is not exact."""
@@ -272,21 +276,29 @@ class MultiPoly:
     # -- evaluation / substitution ------------------------------------------
 
     def eval(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at a full assignment of all variables."""
+        """Evaluate at a full assignment of all variables.
+
+        With value a_i / b_i for variable i, whose top degree is top_i, each
+        term scaled by prod b_i^top_i is an int, so the sum runs over ints and
+        one Fraction is formed at the end.
+        """
         missing = [v for v in self.vars if v not in point]
         if missing:
             raise ValueError(f"missing assignment for {missing}")
         values = [_as_fraction(point[v]) for v in self.vars]
-        total = Fraction(0)
+        den, scaled = self.den, []
+        for i, val in enumerate(values):
+            top = max((exp >> (_W * i) & _MASK for exp in self.terms), default=0)
+            if top:
+                scaled.append((_W * i, top, val.numerator, val.denominator))
+                den *= val.denominator**top
+        total = 0
         for exp, coeff in self.terms.items():
-            term = coeff
-            for val in values:
-                e = exp & _MASK
-                if e:
-                    term *= val**e
-                exp >>= _W
-            total += term
-        return total / self.den
+            for shift, top, a, b in scaled:
+                e = exp >> shift & _MASK
+                coeff *= a**e * b ** (top - e)
+            total += coeff
+        return Fraction(total, den)
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
         """Substitute variables by variables (e.g. y := x), staying in the same ring.
@@ -659,7 +671,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPol
         raise ValueError("gcd(0, 0) is undefined")
     if p.is_zero or q.is_zero:
         nonzero = q if p.is_zero else p
-        g, unit = nonzero.monic(), MultiPoly.const(p.vars, nonzero.leading()[1])
+        g, unit = nonzero.monic(), MultiPoly.const(p.vars, nonzero._lc())
         return (g, p, unit) if p.is_zero else (g, unit, q)
     if p.is_constant() or q.is_constant():
         return MultiPoly.const(p.vars, 1), p, q

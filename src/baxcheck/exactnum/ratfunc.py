@@ -35,7 +35,7 @@ class RatFunc:
         # constants are units: no gcd needed when either side is constant
         if not den.is_constant() and not num.is_constant():
             _, num, den = poly_gcd(num, den)
-        lc = den.leading()[1]
+        lc = den._lc()
         if lc != 1:
             num = num.scale(1 / lc)
             den = den.scale(1 / lc)
@@ -245,7 +245,7 @@ def _reduced(num: MultiPoly, den: MultiPoly) -> RatFunc:
         out.num = num
         out.den = MultiPoly.const(num.vars, 1)
         return out
-    lc = den.leading()[1]
+    lc = den._lc()
     if lc != 1:
         num = num.scale(1 / lc)
         den = den.scale(1 / lc)

@@ -398,7 +398,7 @@ def transfer_commute(
     rep: Rep,
     i: int,
     fn: SpectralFn,
-    L: int,
+    lengths: Sequence[int],
     points: Sequence[tuple[Fraction, Fraction]] | None = None,
     count: int = 5,
     seed: int = 0,
@@ -411,9 +411,16 @@ def transfer_commute(
     the leg swap; the transfer matrix is the auxiliary-space partial trace of
     the ordered product of R across L sites, applied leg by leg (no embedded
     d^(L+1)-square copy of R is formed).  The commutator [t(x1), t(x2)] is
-    checked exactly at each rational point pair.  L must lie in
-    1..MAX_CHAIN_LENGTH, and at least one point pair is checked.
-    corrupt=True perturbs one entry of every Rhat as a negative control.
+    checked exactly at each rational point pair for each L in lengths (each
+    in 1..MAX_CHAIN_LENGTH); at least one pair is checked.  corrupt=True
+    perturbs one entry of every Rhat as a negative control.
+
+    The usage checks, y0, the seeded randomized Yang-Baxter precheck, the
+    point-pair draw and each point's Rhat run once per call; only the
+    transfer matrices and their commutator run per length.  Residuals are
+    labelled "L=... pair...", notes "L=...: ...", and mode["runs"] has one
+    record per length.  A failed precheck or sampling is an error with one
+    note per length.
 
     All chain arithmetic runs on Python ints: each (perturbed) Rhat is scaled
     by one common denominator D, so the chain builds D^L * t exactly.  Since
@@ -427,59 +434,62 @@ def transfer_commute(
     d = math.isqrt(rep.dim)
     if d * d != rep.dim:
         raise ValueError(f"rep dimension {rep.dim} is not a perfect square")
-    check_chain_length(L)
+    if not lengths:
+        raise ValueError("need at least one chain length")
+    for L in lengths:
+        check_chain_length(L)
     sigma = _site_matrix(rep, i).map_entries(lambda e: e.constant_value())
     n_pairs = count if points is None else len(points)
     if n_pairs < 1:
         raise ValueError(f"need at least one point pair, got {n_pairs}")
     y0 = choose_reference_point(fn)
-    report = VerifyReport(
-        "transfer commutation",
-        mode={
-            "kind": "randomized",
-            "seed": seed,
-            "L": L,
-            "y0": format_scalar(y0),
-            "corrupt": corrupt,
-            "points": [],
-        },
-    )
+    base = {"kind": "randomized", "seed": seed, "y0": format_scalar(y0), "corrupt": corrupt}
+    runs = [{**base, "L": L, "points": []} for L in lengths]
+    report = VerifyReport("transfer commutation", mode={"kind": "randomized", "seed": seed, "runs": runs})
+
+    def error(note: str) -> VerifyReport:
+        for L in lengths:
+            report.error(f"L={L}: {note}")
+        return report
 
     if not ybe_random(rep, fn, trials=3, seed=_mix(seed ^ 0xB7E1)).passed:
-        return report.error("precondition failed: randomized Yang-Baxter check did not pass")
+        return error("precondition failed: randomized Yang-Baxter check did not pass")
 
     f = f_eval(fn, "x", "y")
 
     def rhat_at(xval: Fraction) -> FieldMatrix:
+        """D * Rhat(xval, y0), an int matrix."""
         rhat = _numeric_rhat(sigma, f.eval({"x": xval, "y": y0}), f.eval({"x": y0, "y": xval}))
         if corrupt:
             # a weight-breaking entry; perturbations inside the conserved
             # blocks of this family do not disturb commutation
             rhat.entries[1] += 1
-        return rhat
+        return rhat.cleared()[0]
 
-    def draw_pair(rng: DetRng) -> tuple[Fraction, Fraction]:
-        x1, x2 = sample_fraction(rng), sample_fraction(rng)
-        rhat_at(x1)
-        rhat_at(x2)
-        return x1, x2
+    def pair_at(x1, x2):
+        x1, x2 = Fraction(x1), Fraction(x2)
+        return (x1, x2), (rhat_at(x1), rhat_at(x2))
 
+    pairs = []
     if points is None:
-        points = []
         rng = split_rng(seed, 0xF00D)
-        while len(points) < count:
-            pair, _ = _regular_draw(draw_pair, rng)
+        while len(pairs) < count:
+            pair, _ = _regular_draw(lambda rng: pair_at(sample_fraction(rng), sample_fraction(rng)), rng)
             if pair is None:
-                return report.error(SAMPLING_FAILURE)
-            points.append(pair)
+                return error(SAMPLING_FAILURE)
+            pairs.append(pair)
+    else:
+        for x1, x2 in points:
+            try:
+                pairs.append(pair_at(x1, x2))
+            except (PoleError, SingularMatrixError, ZeroDivisionError) as exc:
+                raise PoleError(f"pole at supplied point pair ({x1}, {x2}); resample") from exc
 
-    for k, (x1, x2) in enumerate(points):
-        try:
-            t1, t2 = (_transfer_matrix(rhat_at(Fraction(x)).cleared()[0], d, L) for x in (x1, x2))
-        except (PoleError, SingularMatrixError, ZeroDivisionError) as exc:
-            raise PoleError(f"pole at supplied point pair ({x1}, {x2}); resample") from exc
-        comm = t1 * t2 - t2 * t1
-        size = 0 if comm.is_zero else sum(1 for e in comm.entries if e)
-        report.add_residual(f"pair{k} [t({format_scalar(Fraction(x1))}), t({format_scalar(Fraction(x2))})]", size)
-        report.mode["points"].append([format_scalar(Fraction(x1)), format_scalar(Fraction(x2))])
+    for L, run in zip(lengths, runs):
+        for k, ((x1, x2), rhats) in enumerate(pairs):
+            t1, t2 = (_transfer_matrix(rhat, d, L) for rhat in rhats)
+            comm = t1 * t2 - t2 * t1
+            size = 0 if comm.is_zero else sum(1 for e in comm.entries if e)
+            report.add_residual(f"L={L} pair{k} [t({format_scalar(x1)}), t({format_scalar(x2)})]", size)
+            run["points"].append([format_scalar(x1), format_scalar(x2)])
     return report

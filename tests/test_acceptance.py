@@ -196,11 +196,11 @@ def test_criterion_9_transfer_matrices():
     start = time.monotonic()
     rep = builtin_rep("Hecke3_std", q=2)
     fn = SpectralFn.hecke_ratio()
-    for L in (2, 3, 4):
-        report = transfer_commute(rep, 1, fn, L, count=5, seed=1)
-        assert report.passed, (L, report.residuals)
-        assert len(report.residuals) == 5
-    control = transfer_commute(rep, 1, fn, 3, count=5, seed=1, corrupt=True)
+    report = transfer_commute(rep, 1, fn, (2, 3, 4), count=5, seed=1)
+    assert report.passed, report.residuals
+    assert len(report.residuals) == 15
+    assert [(run["L"], len(run["points"])) for run in report.mode["runs"]] == [(2, 5), (3, 5), (4, 5)]
+    control = transfer_commute(rep, 1, fn, [3], count=5, seed=1, corrupt=True)
     assert control.status == "fail"
     assert any(size for _, size in control.residuals)
     elapsed = time.monotonic() - start

@@ -349,3 +349,33 @@ def test_term_order_matches_reference_grlex(terms):
     assert [exp for exp, _ in p.sorted_terms()] == expected
     assert p.leading() == (expected[0], terms[expected[0]])
     assert [exp for exp, _ in p.serialize()] == [list(e) for e in expected]
+    assert p._lc() == terms[expected[0]]
+
+
+def _fraction_eval(p, point):
+    """Reference: evaluate term by term in Fraction arithmetic."""
+    total = Fraction(0)
+    for exp, coeff in p.sorted_terms():
+        for name, e in zip(p.vars, exp):
+            coeff *= point[name] ** e
+        total += coeff
+    return total
+
+
+@st.composite
+def eval_inputs(draw):
+    """A polynomial in 1-3 variables and a rational point, zero coordinates included."""
+    vars = canonical_vars(["x", "y", "z"][: draw(st.integers(1, 3))])
+    exps = st.tuples(*[st.integers(0, 4)] * len(vars))
+    terms = draw(st.dictionaries(exps, small_coeff, max_size=8))
+    coord = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30)))
+    return MultiPoly(vars, terms), {name: draw(coord) for name in vars}
+
+
+@settings(max_examples=100, deadline=None)
+@given(eval_inputs())
+def test_eval_matches_fraction_evaluation(inputs):
+    p, point = inputs
+    value = p.eval(point)
+    assert type(value) is Fraction
+    assert value == _fraction_eval(p, point)

@@ -177,28 +177,31 @@ def test_reference_point_choice():
 def test_transfer_commutes_and_corruption_breaks_it():
     rep = builtin_rep("Hecke3_std", q=2)
     fn = SpectralFn.hecke_ratio()
-    good = transfer_commute(rep, 1, fn, 2, count=3, seed=5)
+    good = transfer_commute(rep, 1, fn, [2], count=3, seed=5)
     assert good.passed
-    bad = transfer_commute(rep, 1, fn, 2, count=3, seed=5, corrupt=True)
+    bad = transfer_commute(rep, 1, fn, [2], count=3, seed=5, corrupt=True)
     assert bad.status == "fail"
 
 
 def test_transfer_trivial_chain():
     rep = builtin_rep("Hecke3_std", q=2)
-    assert transfer_commute(rep, 1, SpectralFn.hecke_ratio(), 1, count=2, seed=1).passed
+    assert transfer_commute(rep, 1, SpectralFn.hecke_ratio(), [1], count=2, seed=1).passed
 
 
 def test_transfer_usage_errors():
     with pytest.raises(ValueError):
-        transfer_commute(builtin_rep("B3_2dim", nu=1, mu=2), 1, SpectralFn.case_ii(), 2)
+        transfer_commute(builtin_rep("B3_2dim", nu=1, mu=2), 1, SpectralFn.case_ii(), [2])
     with pytest.raises(ValueError):
-        transfer_commute(builtin_rep("Hecke3_std"), 1, SpectralFn.hecke_ratio(), 2)
+        transfer_commute(builtin_rep("Hecke3_std"), 1, SpectralFn.hecke_ratio(), [2])
+    for lengths in ([], [2, 9]):
+        with pytest.raises(ValueError, match="chain length"):
+            transfer_commute(builtin_rep("Hecke3_std", q=2), 1, SpectralFn.hecke_ratio(), lengths)
 
 
 def test_transfer_explicit_points():
     rep = builtin_rep("Hecke3_std", q=2)
     fn = SpectralFn.hecke_ratio()
-    report = transfer_commute(rep, 1, fn, 2, points=[(Fraction(3), Fraction(5, 2))])
+    report = transfer_commute(rep, 1, fn, [2], points=[(Fraction(3), Fraction(5, 2))])
     assert report.passed
 
 
@@ -281,8 +284,8 @@ def test_transfer_deeper_chain():
     rep = builtin_rep("Hecke3_std", q=2)
     fn = SpectralFn.hecke_ratio()
     pair = [(Fraction(3), Fraction(-7, 5))]
-    assert transfer_commute(rep, 1, fn, 6, points=pair).passed
-    bad = transfer_commute(rep, 1, fn, 6, points=pair, corrupt=True)
+    assert transfer_commute(rep, 1, fn, [6], points=pair).passed
+    bad = transfer_commute(rep, 1, fn, [6], points=pair, corrupt=True)
     assert bad.status == "fail"
     assert [size for _, size in bad.residuals] == [1586]
 
@@ -317,10 +320,10 @@ def test_transfer_point_pairs_give_up_after_max_resamples(monkeypatch):
     monkeypatch.setattr(verify, "sample_fraction", lambda rng: Fraction(0))
     monkeypatch.setattr(verify, "ybe_random", lambda *args, **kwargs: VerifyReport("ybe randomized"))
     rep = builtin_rep("Hecke3_std", q=2)
-    report = transfer_commute(rep, 1, SpectralFn.hecke_ratio(), 2, count=1)
+    report = transfer_commute(rep, 1, SpectralFn.hecke_ratio(), [2], count=1)
     assert report.status == "error"
-    assert report.notes == [SAMPLING_FAILURE]
-    assert report.mode["y0"] == "1" and report.mode["points"] == []
+    assert report.notes == [f"L=2: {SAMPLING_FAILURE}"]
+    assert report.mode["runs"][0]["y0"] == "1" and report.mode["runs"][0]["points"] == []
     job = {
         "command": "transfer-commute",
         "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
@@ -331,3 +334,68 @@ def test_transfer_point_pairs_give_up_after_max_resamples(monkeypatch):
     payload, code = run_job(job)
     assert code == EXIT_INTERNAL
     assert payload["report"]["notes"] == [f"L=2: {SAMPLING_FAILURE}"]
+
+
+def _hecke_transfer(lengths, corrupt=False):
+    return transfer_commute(builtin_rep("Hecke3_std", q=2), 1, SpectralFn.hecke_ratio(), lengths,
+                            count=2, seed=3, corrupt=corrupt)
+
+
+@pytest.mark.parametrize("case, status", [("pass", "pass"), ("corrupt", "fail"), ("precheck", "error"),
+                                          ("sampling", "error")])
+def test_transfer_lengths_concatenate_single_length_reports(monkeypatch, case, status):
+    if case == "precheck":
+        monkeypatch.setattr(verify, "ybe_random", lambda *args, **kwargs: VerifyReport("ybe", status="fail"))
+    if case == "sampling":
+        # no regular point pair exists (see above); the precheck is passed by fiat
+        monkeypatch.setattr(verify, "sample_fraction", lambda rng: Fraction(0))
+        monkeypatch.setattr(verify, "ybe_random", lambda *args, **kwargs: VerifyReport("ybe randomized"))
+    merged = _hecke_transfer([2, 3], corrupt=case == "corrupt")
+    singles = [_hecke_transfer([L], corrupt=case == "corrupt") for L in (2, 3)]
+    assert merged.status == status and [single.status for single in singles] == [status, status]
+    for field in ("residuals", "notes"):
+        assert getattr(merged, field) == [item for single in singles for item in getattr(single, field)]
+    assert merged.mode["runs"] == [run for single in singles for run in single.mode["runs"]]
+    assert {k: v for k, v in merged.mode.items() if k != "runs"} == {"kind": "randomized", "seed": 3}
+    if status == "error":
+        assert merged.residuals == [] and all(run["points"] == [] for run in merged.mode["runs"])
+        assert [note.split(": ")[0] for note in merged.notes] == ["L=2", "L=3"]
+    if case == "sampling":
+        job = {
+            "command": "transfer-commute",
+            "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
+            "fn": {"case": "hecke"},
+            "lengths": [2, 3],
+            "pairs": 2,
+        }
+        payload, code = run_job(job)
+        assert code == EXIT_INTERNAL
+        assert payload["report"]["notes"] == [f"L=2: {SAMPLING_FAILURE}", f"L=3: {SAMPLING_FAILURE}"]
+
+
+def test_transfer_job_shares_precheck_points_and_rhats(monkeypatch):
+    counts = {"ybe_random": 0, "_numeric_rhat": 0}
+
+    def counted(name):
+        original = getattr(verify, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, wrapper)
+
+    counted("ybe_random")
+    counted("_numeric_rhat")
+    job = {  # the first job of fixtures/criterion9.json
+        "command": "transfer-commute",
+        "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
+        "fn": {"case": "hecke"},
+        "lengths": [2, 3, 4],
+        "pairs": 5,
+        "seed": 1,
+    }
+    _, code = run_job(job)
+    assert code == 0
+    # one precheck of 3 trials x 6 Rhats, then 2 Rhats per drawn pair, for all lengths together
+    assert counts == {"ybe_random": 1, "_numeric_rhat": 3 * 6 + 5 * 2}
