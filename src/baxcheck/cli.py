@@ -48,7 +48,7 @@ from .verify import (
     MAX_SERIES_ORDER,
     MAX_TRIALS,
     SAMPLING_FAILURE,
-    check_chain_length,
+    check_chain_lengths,
     lemma_suite_A,
     lemma_suite_B,
     transfer_commute,
@@ -241,8 +241,7 @@ def _transfer_commute(pairs, rep, fn, site, lengths, length, seed, corrupt):
         raise JobError("give either lengths or length, not both")
     if lengths is None:
         lengths = [3 if length is None else length]
-    for L in lengths:  # the whole list is checked before any chain is built
-        check_chain_length(L)
+    check_chain_lengths(lengths)  # the whole list is checked before any chain is built
     try:
         return transfer_commute(_build(rep), site, fn, lengths, count=pairs, seed=seed, corrupt=corrupt), {}
     except PoleError as exc:

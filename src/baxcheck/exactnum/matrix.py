@@ -176,15 +176,15 @@ class FieldMatrix:
         """Trace out the first tensor factor of size dim_first."""
         if self.rows != self.cols or self.rows % dim_first:
             raise ValueError("matrix is not square with a compatible tensor split")
-        m = self.rows // dim_first
+        m, n, entries = self.rows // dim_first, self.cols, self.entries
         out = []
         for i in range(m):
-            for j in range(m):
-                acc = None
-                for a in range(dim_first):
-                    e = self[a * m + i, a * m + j]
-                    acc = e if acc is None else acc + e
-                out.append(acc)
+            # row i of the result sums the diagonal blocks' rows: entries (a*m + i, a*m + j)
+            row = entries[i * n : i * n + m]
+            for a in range(1, dim_first):
+                start = (a * m + i) * n + a * m
+                row = list(map(operator.add, row, entries[start : start + m]))
+            out.extend(row)
         return FieldMatrix(m, m, out)
 
     # -- determinant and inverse ---------------------------------------------

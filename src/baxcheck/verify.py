@@ -328,48 +328,60 @@ MAX_TRIALS = 1000
 MAX_PAIRS = 100
 
 
-def _transfer_matrix(rhat: FieldMatrix, d: int, L: int) -> FieldMatrix:
-    """t = tr_0 R_{0L} ... R_{01} with R = P * rhat, contracted leg by leg.
+def _transfer_matrices(rhat: FieldMatrix, d: int, lengths: Sequence[int]) -> dict[int, FieldMatrix]:
+    """{L: t_L} with t_L = tr_0 R_{0L} ... R_{01} and R = P * rhat, from one monodromy.
 
-    Starting from the identity on the d^(L+1)-dimensional chain (leg 0 is the
-    auxiliary space, the most significant digit), each right factor R_{0,site}
-    mixes only the auxiliary digit and the digit of leg `site` of a column, so
-    every output entry sums d*d terms.  The leg swap is read off the indices,
-    R[(a,s),(a',s')] = rhat[(s,a),(a',s')].  The arithmetic is that of the
-    rhat entries: an int rhat D * rhat' gives the int matrix D^L * t(rhat').
+    Leg 0 is the auxiliary space (the most significant digit).  M_0 = 1 on it,
+    and each step M_L = R_{0L} (M_{L-1} (x) 1) appends leg L as the least
+    significant digit:
+    M_L[(a,I,i),(c,J,j)] = sum_b R[(a,i),(b,j)] M_{L-1}[(b,I),(c,J)],
+    with the leg swap read off the indices, R[(a,i),(b,j)] = rhat[(i,a),(b,j)].
+    Rows are kept as {column: entry} dicts of nonzero entries, and only the
+    nonzero R entries are visited.  Each requested length is traced from the
+    monodromy of that length.  The arithmetic is that of the rhat entries: an
+    int rhat D * rhat' gives the int matrices D^L * t(rhat').
     """
-    dim, aux, dd = d ** (L + 1), d**L, d * d
-    zero = 0
-    R = [rhat[s2 * d + a2, a * d + s] for a2 in range(d) for s2 in range(d) for a in range(d) for s in range(d)]
-    sites = []
-    for site in range(L, 0, -1):
-        stride = d ** (L - site)
-        offsets = [a * aux + s * stride for a in range(d) for s in range(d)]
-        sites.append((offsets, [b for b in range(aux) if not b // stride % d]))
-    entries = []
-    for r in range(dim):
-        row = [zero] * dim
-        row[r] = 1
-        for offsets, bases in sites:
-            out = [zero] * dim
-            for base in bases:
-                nonzero = [(k * dd, row[base + off]) for k, off in enumerate(offsets) if row[base + off]]
-                for j, off in enumerate(offsets):
-                    acc = zero
-                    for kj, t in nonzero:
-                        m = R[kj + j]
-                        if m:
-                            acc += t * m
-                    out[base + off] = acc
-            row = out
-        entries.extend(row)
-    return FieldMatrix(dim, dim, entries).partial_trace_first(d)
+    nonzero = [
+        [(b, j, rhat[i * d + a, b * d + j]) for b in range(d) for j in range(d) if rhat[i * d + a, b * d + j]]
+        for a in range(d)
+        for i in range(d)
+    ]
+    rows: list[dict[int, object]] = [{a: 1} for a in range(d)]
+    out = {}
+    for L in range(1, max(lengths) + 1):
+        chain = d ** (L - 1)  # chain states I of M_{L-1}
+        new_rows = []
+        for a in range(d):
+            for I in range(chain):
+                for i in range(d):
+                    row: dict[int, object] = {}
+                    for b, j, r in nonzero[a * d + i]:
+                        for col, m in rows[b * chain + I].items():
+                            key = col * d + j
+                            row[key] = row.get(key, 0) + r * m
+                    new_rows.append(row)
+        rows = new_rows
+        if L in lengths:
+            dim = d ** (L + 1)
+            entries = [0] * (dim * dim)
+            for r, row in enumerate(rows):
+                for col, m in row.items():
+                    entries[r * dim + col] = m
+            out[L] = FieldMatrix(dim, dim, entries).partial_trace_first(d)
+    return out
 
 
-def check_chain_length(L: int) -> None:
-    """Raise ValueError unless 1 <= L <= MAX_CHAIN_LENGTH."""
-    if not 1 <= L <= MAX_CHAIN_LENGTH:
-        raise ValueError(f"chain length must be between 1 and {MAX_CHAIN_LENGTH}, got {L}")
+def check_chain_lengths(lengths: Sequence[int]) -> None:
+    """Raise ValueError unless lengths is nonempty, each in 1..MAX_CHAIN_LENGTH, none repeated."""
+    if not lengths:
+        raise ValueError("need at least one chain length")
+    seen = set()
+    for L in lengths:
+        if not 1 <= L <= MAX_CHAIN_LENGTH:
+            raise ValueError(f"chain length must be between 1 and {MAX_CHAIN_LENGTH}, got {L}")
+        if L in seen:
+            raise ValueError(f"chain length {L} is repeated")
+        seen.add(L)
 
 
 def choose_reference_point(fn: SpectralFn) -> Fraction:
@@ -408,19 +420,21 @@ def transfer_commute(
 
     The rep dimension must be a perfect square d*d; the site-i matrix is read
     as an operator on V (x) V with dim V = d.  R(x) = P * Rhat(x, y0) with P
-    the leg swap; the transfer matrix is the auxiliary-space partial trace of
-    the ordered product of R across L sites, applied leg by leg (no embedded
-    d^(L+1)-square copy of R is formed).  The commutator [t(x1), t(x2)] is
-    checked exactly at each rational point pair for each L in lengths (each
-    in 1..MAX_CHAIN_LENGTH); at least one pair is checked.  corrupt=True
-    perturbs one entry of every Rhat as a negative control.
+    the leg swap; the transfer matrix t_L is the auxiliary-space partial trace
+    of the monodromy R_{0L} ... R_{01}.  One monodromy per point is extended a
+    site at a time up to the longest requested length and traced at each
+    requested length (see _transfer_matrices).  The commutator [t(x1), t(x2)]
+    is checked exactly at each rational point pair for each L in lengths
+    (each in 1..MAX_CHAIN_LENGTH, none repeated); at least one pair is
+    checked.  corrupt=True perturbs one entry of every Rhat as a negative
+    control; it needs d >= 2.
 
     The usage checks, y0, the seeded randomized Yang-Baxter precheck, the
-    point-pair draw and each point's Rhat run once per call; only the
-    transfer matrices and their commutator run per length.  Residuals are
-    labelled "L=... pair...", notes "L=...: ...", and mode["runs"] has one
-    record per length.  A failed precheck or sampling is an error with one
-    note per length.
+    point-pair draw, each point's Rhat and each point's monodromy run once per
+    call; only the traces and the commutators run per length.  Residuals are
+    labelled "L=... pair..." and come length by length in the given order,
+    notes "L=...: ...", and mode["runs"] has one record per length.  A failed
+    precheck or sampling is an error with one note per length.
 
     All chain arithmetic runs on Python ints: each (perturbed) Rhat is scaled
     by one common denominator D, so the chain builds D^L * t exactly.  Since
@@ -434,10 +448,9 @@ def transfer_commute(
     d = math.isqrt(rep.dim)
     if d * d != rep.dim:
         raise ValueError(f"rep dimension {rep.dim} is not a perfect square")
-    if not lengths:
-        raise ValueError("need at least one chain length")
-    for L in lengths:
-        check_chain_length(L)
+    if corrupt and d < 2:
+        raise ValueError(f"corrupt needs a site matrix on V (x) V with dim V >= 2, got dim V = {d}")
+    check_chain_lengths(lengths)
     sigma = _site_matrix(rep, i).map_entries(lambda e: e.constant_value())
     n_pairs = count if points is None else len(points)
     if n_pairs < 1:
@@ -485,11 +498,12 @@ def transfer_commute(
             except (PoleError, SingularMatrixError, ZeroDivisionError) as exc:
                 raise PoleError(f"pole at supplied point pair ({x1}, {x2}); resample") from exc
 
+    sizes = []  # sizes[k][L]: nonzero entries of pair k's commutator at chain length L
+    for _, rhats in pairs:
+        ts1, ts2 = (_transfer_matrices(rhat, d, lengths) for rhat in rhats)
+        sizes.append({L: sum(1 for e in (ts1[L] * ts2[L] - ts2[L] * ts1[L]).entries if e) for L in lengths})
     for L, run in zip(lengths, runs):
-        for k, ((x1, x2), rhats) in enumerate(pairs):
-            t1, t2 = (_transfer_matrix(rhat, d, L) for rhat in rhats)
-            comm = t1 * t2 - t2 * t1
-            size = 0 if comm.is_zero else sum(1 for e in comm.entries if e)
-            report.add_residual(f"L={L} pair{k} [t({format_scalar(x1)}), t({format_scalar(x2)})]", size)
+        for k, ((x1, x2), _) in enumerate(pairs):
+            report.add_residual(f"L={L} pair{k} [t({format_scalar(x1)}), t({format_scalar(x2)})]", sizes[k][L])
             run["points"].append([format_scalar(x1), format_scalar(x2)])
     return report

@@ -190,6 +190,16 @@ def test_run_job_api_errors(monkeypatch):
                 "fn": {"case": "hecke"},
                 field: value,
             })
+    # a 1x1 Rhat has no off-diagonal entry for the negative control to perturb
+    with pytest.raises(JobError, match="corrupt"):
+        run_job({
+            "command": "transfer-commute",
+            "rep": {"builtin": "scalar", "values": ["2", "2"]},
+            "fn": {"case": "hecke"},
+            "lengths": [2],
+            "pairs": 1,
+            "corrupt": True,
+        })
     with pytest.raises(JobError, match="expected an integer"):
         run_job({
             "command": "check-algebra",
@@ -387,6 +397,15 @@ def test_transfer_lengths_checked_before_any_run(monkeypatch):
             "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
             "fn": {"case": "hecke"},
             "lengths": [5, 9],
+        })
+    # a repeated length is rejected, so a list holds at most MAX_CHAIN_LENGTH lengths
+    with pytest.raises(JobError, match="chain length 1 is repeated"):
+        run_job({
+            "command": "transfer-commute",
+            "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
+            "fn": {"case": "hecke"},
+            "lengths": [1] * 20000,
+            "pairs": 100,
         })
     assert calls == []
 

@@ -14,7 +14,7 @@ from baxcheck.verify import (
     SAMPLING_FAILURE,
     DetRng,
     _numeric_rhat,
-    _transfer_matrix,
+    _transfer_matrices,
     choose_reference_point,
     lemma_suite_A,
     lemma_suite_B,
@@ -193,7 +193,7 @@ def test_transfer_usage_errors():
         transfer_commute(builtin_rep("B3_2dim", nu=1, mu=2), 1, SpectralFn.case_ii(), [2])
     with pytest.raises(ValueError):
         transfer_commute(builtin_rep("Hecke3_std"), 1, SpectralFn.hecke_ratio(), [2])
-    for lengths in ([], [2, 9]):
+    for lengths in ([], [2, 9], [2, 3, 2]):
         with pytest.raises(ValueError, match="chain length"):
             transfer_commute(builtin_rep("Hecke3_std", q=2), 1, SpectralFn.hecke_ratio(), lengths)
 
@@ -254,13 +254,35 @@ def _hecke_rhat(x, corrupt=False):
     ids=["hecke-3", "hecke-7/5", "hecke-3-corrupt", "dense"],
 )
 def test_transfer_matrix_matches_dense_embedding(rhat, L):
-    reference = _dense_transfer(rhat, 2, L)
-    assert _transfer_matrix(rhat, 2, L) == reference
+    # one call builds every length up to L, asked for longest first
+    _check_against_dense(rhat, 2, range(L, 0, -1))
+
+
+@pytest.mark.parametrize(
+    "d, rhat, lengths",
+    [
+        (1, FieldMatrix(1, 1, [Fraction(-5, 3)]), [1, 2, 3, 4]),
+        # every builtin has d <= 2, so only d = 3 tells the leg dimension d from the pair dimension d*d
+        (3, FieldMatrix(9, 9, [Fraction(9 * i + j + 1, 11 - j) * (-1) ** (i * j + i) for i in range(9)
+                               for j in range(9)]), [1, 2, 3]),
+    ],
+    ids=["d1", "d3-dense"],
+)
+def test_transfer_matrices_match_dense_embedding_across_d(d, rhat, lengths):
+    _check_against_dense(rhat, d, lengths)
+
+
+def _check_against_dense(rhat, d, lengths):
+    ts = _transfer_matrices(rhat, d, lengths)
+    assert sorted(ts) == sorted(lengths)
     # the integer route: D * rhat builds D^L * t, entirely in ints
     D, scaled = _scaled(rhat)
-    t = _transfer_matrix(scaled, 2, L)
-    assert all(type(e) is int for e in t.entries)
-    assert t == reference.scale(D**L)
+    int_ts = _transfer_matrices(scaled, d, lengths)
+    for L in lengths:
+        reference = _dense_transfer(rhat, d, L)
+        assert ts[L] == reference
+        assert all(type(e) is int for e in int_ts[L].entries)
+        assert int_ts[L] == reference.scale(D**L)
 
 
 def _scaled(rhat):
@@ -274,8 +296,8 @@ def test_commutator_support_same_over_fractions_and_ints(corrupt):
         return [bool(e) for e in (t1 * t2 - t2 * t1).entries]
 
     rhats = [_hecke_rhat(Fraction(3), corrupt), _hecke_rhat(Fraction(-7, 5), corrupt)]
-    over_q = support(*(_transfer_matrix(r, 2, 3) for r in rhats))
-    over_z = support(*(_transfer_matrix(_scaled(r)[1], 2, 3) for r in rhats))
+    over_q = support(*(_transfer_matrices(r, 2, [3])[3] for r in rhats))
+    over_z = support(*(_transfer_matrices(_scaled(r)[1], 2, [3])[3] for r in rhats))
     assert over_q == over_z
     assert any(over_q) == corrupt
 
@@ -350,16 +372,19 @@ def test_transfer_lengths_concatenate_single_length_reports(monkeypatch, case, s
         # no regular point pair exists (see above); the precheck is passed by fiat
         monkeypatch.setattr(verify, "sample_fraction", lambda rng: Fraction(0))
         monkeypatch.setattr(verify, "ybe_random", lambda *args, **kwargs: VerifyReport("ybe randomized"))
-    merged = _hecke_transfer([2, 3], corrupt=case == "corrupt")
-    singles = [_hecke_transfer([L], corrupt=case == "corrupt") for L in (2, 3)]
-    assert merged.status == status and [single.status for single in singles] == [status, status]
-    for field in ("residuals", "notes"):
-        assert getattr(merged, field) == [item for single in singles for item in getattr(single, field)]
-    assert merged.mode["runs"] == [run for single in singles for run in single.mode["runs"]]
-    assert {k: v for k, v in merged.mode.items() if k != "runs"} == {"kind": "randomized", "seed": 3}
-    if status == "error":
-        assert merged.residuals == [] and all(run["points"] == [] for run in merged.mode["runs"])
-        assert [note.split(": ")[0] for note in merged.notes] == ["L=2", "L=3"]
+    singles = {L: _hecke_transfer([L], corrupt=case == "corrupt") for L in (2, 3)}
+    assert [single.status for single in singles.values()] == [status, status]
+    # merged reports follow the given order of lengths, sorted or not
+    for lengths in ([2, 3], [3, 2]):
+        merged = _hecke_transfer(lengths, corrupt=case == "corrupt")
+        assert merged.status == status
+        for field in ("residuals", "notes"):
+            assert getattr(merged, field) == [item for L in lengths for item in getattr(singles[L], field)]
+        assert merged.mode["runs"] == [run for L in lengths for run in singles[L].mode["runs"]]
+        assert {k: v for k, v in merged.mode.items() if k != "runs"} == {"kind": "randomized", "seed": 3}
+        if status == "error":
+            assert merged.residuals == [] and all(run["points"] == [] for run in merged.mode["runs"])
+            assert [note.split(": ")[0] for note in merged.notes] == [f"L={L}" for L in lengths]
     if case == "sampling":
         job = {
             "command": "transfer-commute",
@@ -374,7 +399,7 @@ def test_transfer_lengths_concatenate_single_length_reports(monkeypatch, case, s
 
 
 def test_transfer_job_shares_precheck_points_and_rhats(monkeypatch):
-    counts = {"ybe_random": 0, "_numeric_rhat": 0}
+    counts = {"ybe_random": 0, "_numeric_rhat": 0, "_transfer_matrices": 0}
 
     def counted(name):
         original = getattr(verify, name)
@@ -387,6 +412,7 @@ def test_transfer_job_shares_precheck_points_and_rhats(monkeypatch):
 
     counted("ybe_random")
     counted("_numeric_rhat")
+    counted("_transfer_matrices")
     job = {  # the first job of fixtures/criterion9.json
         "command": "transfer-commute",
         "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
@@ -397,5 +423,5 @@ def test_transfer_job_shares_precheck_points_and_rhats(monkeypatch):
     }
     _, code = run_job(job)
     assert code == 0
-    # one precheck of 3 trials x 6 Rhats, then 2 Rhats per drawn pair, for all lengths together
-    assert counts == {"ybe_random": 1, "_numeric_rhat": 3 * 6 + 5 * 2}
+    # one precheck of 3 trials x 6 Rhats, then 2 Rhats and 2 monodromies per drawn pair, for all lengths together
+    assert counts == {"ybe_random": 1, "_numeric_rhat": 3 * 6 + 5 * 2, "_transfer_matrices": 5 * 2}
