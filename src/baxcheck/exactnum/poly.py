@@ -23,9 +23,9 @@ wrong.
 
 `poly_gcd` returns the monic gcd together with both cofactors.  It runs the
 heuristic GCDHEU of Char, Geddes & Gonnet (evaluate at a large integer, take
-one integer gcd, interpolate back) and certifies each result by exact
-division, which also yields the cofactors; a subresultant remainder sequence
-is kept only as the fallback when the heuristic gives up.
+one integer gcd, interpolate back) at ever larger points until the candidate
+divides both inputs exactly; that division proves the result and yields the
+cofactors.
 
 The variable order is global and deterministic: the spectral symbols
 x, y, z, v come first (in that order), every other symbol follows
@@ -385,14 +385,11 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-# -- integer kernel: products, exact division, and the subresultant gcd --
+# -- integer kernel: products and exact division --
 #
 # These work on MultiPoly numerators directly, keyed by packed monomials;
 # `n` is the number of variables, so field n holds the total degree.  Key 0 is
-# the constant monomial.  `_ip_gcd` runs a primitive subresultant remainder
-# sequence, recursive on variables; its divisor bookkeeping keeps intermediate
-# coefficients small without per-step content extraction.  It is only the
-# fallback of the heuristic gcd further down.
+# the constant monomial.
 
 _IntPoly = dict  # packed monomial -> nonzero int
 
@@ -421,17 +418,6 @@ def _ip_scale_down(P: _IntPoly, k: int) -> _IntPoly:
     return P if k == 1 else {e: c // k for e, c in P.items()}
 
 
-def _ip_sub(P: _IntPoly, Q: _IntPoly) -> _IntPoly:
-    out = dict(P)
-    for e, c in Q.items():
-        acc = out.get(e, 0) - c
-        if acc:
-            out[e] = acc
-        else:
-            out.pop(e, None)
-    return out
-
-
 def _ip_mul(P: _IntPoly, Q: _IntPoly, n: int) -> _IntPoly:
     if not P or not Q:
         return {}
@@ -451,28 +437,10 @@ def _ip_mul(P: _IntPoly, Q: _IntPoly, n: int) -> _IntPoly:
     return out
 
 
-def _ip_pow(P: _IntPoly, k: int, n: int) -> _IntPoly:
-    out = {0: 1}
-    for _ in range(k):
-        out = _ip_mul(out, P, n)
-    return out
-
-
 def _ip_max_used(P: _IntPoly, n: int) -> int:
     """The highest variable occurring in P, or -1 if P is constant."""
     top = max((e & ((1 << (_W * n)) - 1) for e in P), default=0)
     return (top.bit_length() - 1) // _W
-
-
-def _ip_deg(P: _IntPoly, m: int) -> int:
-    shift = _W * m
-    return max((e >> shift & _MASK for e in P), default=0)
-
-
-def _ip_coeff(P: _IntPoly, m: int, k: int, n: int) -> _IntPoly:
-    """The coefficient of variable m to the power k, as a polynomial."""
-    shift, drop = _W * m, k * _field(m, n)
-    return {e - drop: c for e, c in P.items() if e >> shift & _MASK == k}
 
 
 def _ip_divexact(P: _IntPoly, D: _IntPoly, n: int) -> _IntPoly:
@@ -515,73 +483,6 @@ def _ip_divexact(P: _IntPoly, D: _IntPoly, n: int) -> _IntPoly:
     return quot
 
 
-def _ip_prem(A: _IntPoly, B: _IntPoly, m: int, n: int) -> _IntPoly:
-    """Standard pseudo-remainder lc(B)^(dA-dB+1) * A mod B, wrt variable m."""
-    db = _ip_deg(B, m)
-    lb = _ip_coeff(B, m, db, n)
-    R = A
-    dr = _ip_deg(R, m)
-    e = dr - db + 1
-    while R and dr >= db:
-        # lc(R) times variable m to the dr - db, a monomial key
-        lr = _ip_mul(_ip_coeff(R, m, dr, n), {(dr - db) * _field(m, n): 1}, n)
-        R = _ip_sub(_ip_mul(lb, R, n), _ip_mul(lr, B, n))
-        e -= 1
-        dr = _ip_deg(R, m)
-    if R and e > 0:
-        R = _ip_mul(_ip_pow(lb, e, n), R, n)
-    return R
-
-
-def _ip_content_wrt(P: _IntPoly, m: int, n: int) -> _IntPoly:
-    acc: _IntPoly | None = None
-    for k in range(_ip_deg(P, m) + 1):
-        c = _ip_coeff(P, m, k, n)
-        if not c:
-            continue
-        acc = c if acc is None else _ip_gcd(acc, c, n)
-        if acc == {0: 1}:
-            break
-    assert acc is not None
-    return acc
-
-
-def _ip_gcd(P: _IntPoly, Q: _IntPoly, n: int) -> _IntPoly:
-    """gcd in Z[vars] (sign not normalized), subresultant PRS on the top variable."""
-    mp, mq = _ip_max_used(P, n), _ip_max_used(Q, n)
-    if mp < 0 and mq < 0:
-        return {0: _int_gcd(*P.values(), *Q.values())}
-    if mp < mq:
-        return _ip_gcd(P, _ip_content_wrt(Q, mq, n), n)
-    if mq < mp:
-        return _ip_gcd(_ip_content_wrt(P, mp, n), Q, n)
-    m = mp
-    contP = _ip_content_wrt(P, m, n)
-    contQ = _ip_content_wrt(Q, m, n)
-    cont = _ip_gcd(contP, contQ, n)
-    A = _ip_divexact(P, contP, n)
-    B = _ip_divexact(Q, contQ, n)
-    if _ip_deg(A, m) < _ip_deg(B, m):
-        A, B = B, A
-    g = h = one = {0: 1}
-    while True:
-        delta = _ip_deg(A, m) - _ip_deg(B, m)
-        R = _ip_prem(A, B, m, n)
-        if not R:
-            part = _ip_divexact(B, _ip_content_wrt(B, m, n), n)
-            break
-        if _ip_deg(R, m) == 0:
-            part = one
-            break
-        A, B = B, _ip_divexact(R, _ip_mul(g, _ip_pow(h, delta, n), n), n)
-        g = _ip_coeff(A, m, _ip_deg(A, m), n)
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = _ip_divexact(_ip_pow(g, delta, n), _ip_pow(h, delta - 1, n), n)
-    return _ip_mul(cont, part, n)
-
-
 # -- heuristic gcd with cofactors (GCDHEU) --
 #
 # Char, Geddes & Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm based on
@@ -592,8 +493,18 @@ def _ip_gcd(P: _IntPoly, Q: _IntPoly, n: int) -> _IntPoly:
 # xi >= 2 * min(|P|, |Q|) + 2 (max-norms) the primitive part H of that
 # interpolation is gcd(P, Q) exactly when H divides both P and Q, so the
 # trial division both certifies the result and yields the cofactors.
-
-_HEU_TRIES = 6
+#
+# A failed trial only means xi was unlucky, and the loop retries at a larger
+# xi until one succeeds.  It ends: write P = G*A and Q = G*B with A, B
+# coprime.  The image gcd at xi is G(xi) * k * K for an integer k and a
+# polynomial K in the remaining variables.  k divides a content of res(A, B)
+# taken in the evaluated variable (or of the side free of it), which does not
+# depend on xi, and K is a unit except at finitely many xi, since a factor
+# common to A(xi) and B(xi) for infinitely many xi would divide both A and B.
+# So once xi > 2 * |k| * |G| outside those values, the balanced digits give
+# back k * G, whose primitive part G divides both inputs.  xi at least doubles
+# per try, and the recursive image gcds end by induction on the number of
+# variables.
 
 
 def _ip_eval(P: _IntPoly, m: int, xi: int, n: int) -> _IntPoly:
@@ -626,8 +537,8 @@ def _ip_interpolate(H: _IntPoly, m: int, xi: int, n: int) -> _IntPoly:
     return out
 
 
-def _heu_gcd(P: _IntPoly, Q: _IntPoly, n: int) -> tuple[_IntPoly, _IntPoly, _IntPoly] | None:
-    """(G, P/G, Q/G) with G = gcd(P, Q) up to sign, or None if every xi fails."""
+def _heu_gcd(P: _IntPoly, Q: _IntPoly, n: int) -> tuple[_IntPoly, _IntPoly, _IntPoly]:
+    """(G, P/G, Q/G) with G = gcd(P, Q) up to sign."""
     mp, mq = _ip_max_used(P, n), _ip_max_used(Q, n)
     c = _int_gcd(*P.values(), *Q.values())
     if mp < 0 or mq < 0:
@@ -636,20 +547,16 @@ def _heu_gcd(P: _IntPoly, Q: _IntPoly, n: int) -> tuple[_IntPoly, _IntPoly, _Int
     m = max(mp, mq)
     P, Q = _ip_scale_down(P, c), _ip_scale_down(Q, c)
     xi = 2 * min(max(map(abs, P.values())), max(map(abs, Q.values()))) + 29
-    for _ in range(_HEU_TRIES):
+    while True:
         Pxi, Qxi = _ip_eval(P, m, xi, n), _ip_eval(Q, m, xi, n)
         if Pxi and Qxi:
-            image = _heu_gcd(Pxi, Qxi, n)
-            if image is None:
-                return None
-            H = _ip_interpolate(image[0], m, xi, n)
+            H = _ip_interpolate(_heu_gcd(Pxi, Qxi, n)[0], m, xi, n)
             H = _ip_scale_down(H, _int_gcd(*H.values()))
             try:
                 return _ip_scale(H, c), _ip_divexact(P, H, n), _ip_divexact(Q, H, n)
             except ValueError:
                 pass
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
-    return None
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
@@ -657,11 +564,9 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPol
 
     Returns (g, p/g, q/g).  The gcd of the integer numerators comes from
     GCDHEU (above): evaluation at a large integer, one integer gcd, and
-    xi-adic interpolation, accepted only when it divides both numerators
-    exactly; that division certifies the gcd and gives the cofactors.  If
-    every evaluation point fails, the subresultant remainder sequence
-    (`_ip_gcd`) and two exact divisions give the same triple.  Both-zero
-    input is a usage error.
+    xi-adic interpolation, retried at larger points until it divides both
+    numerators exactly; that division certifies the gcd and gives the
+    cofactors.  Both-zero input is a usage error.
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise TypeError("poly_gcd expects two MultiPoly arguments")
@@ -675,12 +580,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPol
         return (g, p, unit) if p.is_zero else (g, unit, q)
     if p.is_constant() or q.is_constant():
         return MultiPoly.const(p.vars, 1), p, q
-    P, Q, n = p.terms, q.terms, len(p.vars)
-    found = _heu_gcd(P, Q, n)
-    if found is None:
-        G = _ip_gcd(P, Q, n)
-        found = G, _ip_divexact(P, G, n), _ip_divexact(Q, G, n)
-    G, CP, CQ = found
+    G, CP, CQ = _heu_gcd(p.terms, q.terms, len(p.vars))
     # g = G / lc(G) is monic, so p / g = CP * lc(G) / p.den
     lc = G[max(G)]
     sign = 1 if lc > 0 else -1

@@ -53,9 +53,6 @@ class Rep:
         """Numeric matrices at a full rational assignment of the parameters."""
         return {i: m.map_entries(lambda e: e.eval(point)) for i, m in self.matrices.items()}
 
-    def identity(self) -> FieldMatrix:
-        return FieldMatrix.identity(self.dim, RatFunc.one(self.params))
-
     def serialize(self) -> dict:
         return {
             "n": self.n,
@@ -270,16 +267,18 @@ def classify_scalar(algebra: str, params: Mapping | None = None) -> list[ScalarR
     a = 0 and b != 0, and the quadratic degenerates entirely at a = b = 0).
     """
     uniform = ScalarRepClass("uniform", None, "every generator equal to one free scalar")
+    given = dict(params or {})
     if algebra in ("B", "C"):
+        _reject_extras(algebra, given)
         return [uniform, ScalarRepClass("zero-pattern", (Fraction(0), Fraction(1)), "values in {0, 1}")]
     if algebra == "A":
-        given = dict(params or {})
         try:
-            a = Fraction(given.get("a", 0))
-            b = Fraction(given.get("b", 0))
-            c = Fraction(given.get("c", 0))
+            a = Fraction(given.pop("a", 0))
+            b = Fraction(given.pop("b", 0))
+            c = Fraction(given.pop("c", 0))
         except (TypeError, ValueError) as exc:
             raise ValueError("classify_scalar needs rational a, b, c") from exc
+        _reject_extras(algebra, given)
         if a == 0:
             if b == 0:
                 if c == 0:

@@ -227,6 +227,10 @@ def test_run_job_api_errors(monkeypatch):
     # a batch has no verdict of its own to invert
     with pytest.raises(JobError, match="expect"):
         run_job({"command": "batch", "jobs": [{"command": "prop1"}], "expect": "fail"})
+    # parameter names the algebra lacks are rejected with or without an assignment
+    for algebra, parameters in (("A", {"a": "1", "b": "1", "c": "2", "q": "7"}), ("B", {"a": "5"})):
+        with pytest.raises(JobError, match="unexpected parameters"):
+            run_job({"command": "scalar-reps", "algebra": algebra, "parameters": parameters})
     # job sizes are capped before any rep is built or any check starts
     def never(*args, **kwargs):
         raise AssertionError("work started on a job over a size cap")

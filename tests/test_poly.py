@@ -203,11 +203,7 @@ def _to_sympy(p: MultiPoly) -> sympy.Poly:
     return sympy.Poly(expr, *gens, domain=sympy.QQ)
 
 
-@settings(max_examples=60, deadline=None)
-@given(planted_gcd_inputs())
-def test_gcd_matches_sympy_with_cofactors(pq):
-    p, q = pq
-    assume(not (p.is_zero and q.is_zero))
+def _assert_gcd_matches_sympy(p, q):
     g, pg, qg = poly_gcd(p, q)
     assert g.leading()[1] == 1
     assert g * pg == p and g * qg == q
@@ -215,7 +211,15 @@ def test_gcd_matches_sympy_with_cofactors(pq):
     assert _to_sympy(g).monic() == sympy.gcd(_to_sympy(p), _to_sympy(q)).monic()
 
 
-def _fallback_cases():
+@settings(max_examples=60, deadline=None)
+@given(planted_gcd_inputs())
+def test_gcd_matches_sympy_with_cofactors(pq):
+    p, q = pq
+    assume(not (p.is_zero and q.is_zero))
+    _assert_gcd_matches_sympy(p, q)
+
+
+def _pinned_gcd_cases():
     x, y = x_y()
     z3 = canonical_vars(["x", "y", "z"])
     a, b, c = (MultiPoly.var(z3, n) for n in z3)
@@ -230,20 +234,43 @@ def _fallback_cases():
     ]
 
 
-def test_gcd_fallback_gives_same_triple(monkeypatch):
-    cases = _fallback_cases()
-    # the heuristic succeeds on every case, so the expected triples are its own
-    assert all(poly._heu_gcd(p.terms, q.terms, len(p.vars)) is not None for p, q in cases)
-    expected = [poly_gcd(p, q) for p, q in cases]
-    failures = []
+def test_gcd_pinned_pairs_match_sympy():
+    for p, q in _pinned_gcd_cases():
+        _assert_gcd_matches_sympy(p, q)
 
-    def give_up(P, Q, n):
-        failures.append((P, Q))
-        return None
 
-    monkeypatch.setattr(poly, "_heu_gcd", give_up)
-    assert [poly_gcd(p, q) for p, q in cases] == expected
-    assert len(failures) == len(cases)  # every case took the subresultant route
+def test_gcd_retries_at_larger_points_until_certified(monkeypatch):
+    # the evaluation points of every GCDHEU call still running, recursive ones included
+    frames, most = [], []
+    heu_gcd, ip_eval = poly._heu_gcd, poly._ip_eval
+
+    def counted_gcd(P, Q, n):
+        frames.append(set())
+        try:
+            return heu_gcd(P, Q, n)
+        finally:
+            most[-1] = max(most[-1], len(frames.pop()))
+
+    def counted_eval(P, m, xi, n):
+        frames[-1].add(xi)
+        return ip_eval(P, m, xi, n)
+
+    monkeypatch.setattr(poly, "_heu_gcd", counted_gcd)
+    monkeypatch.setattr(poly, "_ip_eval", counted_eval)
+    z3 = canonical_vars(["x", "y", "z"])
+    x, y, z = (MultiPoly.var(z3, n) for n in z3)
+    third, ninth = Fraction(1, 3), Fraction(1, 9)
+    # on each pair some recursion level fails its trial division at the first two points
+    cases = [
+        (-12 * y**2 * z**3 + 15 * y**3 * z**2, 6 * x**2 * y**4 * z),
+        (third * x**3 * y * z**4 - 4 * ninth * x**2 * z**4, 2 * x**3 * y**2 * z),
+        (-4 * third * x**4 * y**2 * z + 16 * ninth * x**3 * y**2 * z,
+         third * x * y**3 * z**4 - 4 * third * x**3 * y**2 * z),
+    ]
+    for p, q in cases:
+        most.append(0)
+        _assert_gcd_matches_sympy(p, q)
+    assert all(k >= 3 for k in most)
 
 
 @settings(max_examples=40, deadline=None)
