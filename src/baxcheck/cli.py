@@ -106,10 +106,12 @@ def _bool(value, where: str) -> bool:
     return value
 
 
-def _int(cap: int | None = None):
+def _int(cap: int | None = None, floor: int | None = None):
     def parse(value, where: str) -> int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise JobError(f"{where}: expected an integer")
+        if floor is not None and value < floor:
+            raise JobError(f"{where}: at least {floor}, got {value}")
         if cap is not None and value > cap:
             raise JobError(f"{where}: at most {cap}, got {value}")
         return value
@@ -265,7 +267,8 @@ def _batch(jobs, overrides):
 
 
 _EXPECT = {"expect": (_one_of(("pass", "fail")), "pass")}
-_ALGEBRA, _N, _PARAMETERS = (_one_of(ALGEBRAS), REQUIRED), (_int(MAX_GENERATORS), 3), (_parameters, None)
+_ALGEBRA, _PARAMETERS = (_one_of(ALGEBRAS), REQUIRED), (_parameters, None)
+_N = (_int(MAX_GENERATORS, floor=2), 3)  # an algebra or scalar rep needs a generator
 _REP, _FN, _SITE, _SEED = (_rep, REQUIRED), (_fn, REQUIRED), (_int(), 1), (_int(), 0)
 
 # The job schema.  Handlers reach the workers (ybe_symbolic, builtin_rep, ...)

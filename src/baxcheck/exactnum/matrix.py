@@ -122,24 +122,32 @@ class FieldMatrix:
         return FieldMatrix(self.rows, self.cols, [-a for a in self.entries])
 
     def __mul__(self, other):
+        """Matrix product, or scale for a non-matrix factor.
+
+        Sparse on both sides: each nonzero left entry a_it meets only the
+        nonzero entries b_tj of right row t, summed into a per-row dict.  An
+        entry no product reaches is one shared zero of the kind of a * b,
+        built once per product, when first needed.
+        """
         if isinstance(other, FieldMatrix):
             if self.cols != other.rows:
                 raise ValueError(f"incompatible shapes {self.rows}x{self.cols} and {other.rows}x{other.cols}")
             n, m, k = self.rows, other.cols, self.cols
+            right = [[(j, b) for j, b in enumerate(other.entries[t * m : (t + 1) * m]) if b] for t in range(k)]
+            zero = None
             out = []
             for i in range(n):
-                arow = self.row(i)
-                for j in range(m):
-                    acc = None
-                    for t in range(k):
-                        a = arow[t]
-                        if not a:
-                            continue
-                        prod = a * other.entries[t * m + j]
-                        acc = prod if acc is None else acc + prod
-                    if acc is None:
-                        acc = arow[0] - arow[0]
-                    out.append(acc)
+                acc = {}
+                for a, brow in zip(self.entries[i * k : (i + 1) * k], right):
+                    if a:
+                        for j, b in brow:
+                            if j in acc:
+                                acc[j] += a * b
+                            else:
+                                acc[j] = a * b
+                if zero is None and len(acc) < m:
+                    zero = (self.entries[0] * 0) * (other.entries[0] * 0)
+                out.extend(acc.get(j, zero) for j in range(m))
             return FieldMatrix(n, m, out)
         return self.scale(other)
 
@@ -210,17 +218,16 @@ class FieldMatrix:
             raise ValueError("adjugate of a non-square matrix")
         n = self.rows
         div = _ring_div(self.entries)
-        det = _bareiss_det([list(r) for r in self.to_rows()], div)
+        det = _bareiss_det(self.to_rows(), div)
         if n == 1:
             one = MultiPoly.const(self.entries[0].vars, 1) if div is _poly_div else 1
             return FieldMatrix(1, 1, [one]), det
+        rows = self.to_rows()
         adj = [None] * (n * n)
         for i in range(n):
+            others = rows[:i] + rows[i + 1 :]
             for j in range(n):
-                minor = [
-                    [self[r, c] for c in range(n) if c != j]
-                    for r in range(n) if r != i
-                ]
+                minor = [row[:j] + row[j + 1 :] for row in others]
                 cof = _bareiss_det(minor, div)
                 if (i + j) % 2:
                     cof = -cof

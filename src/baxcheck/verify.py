@@ -139,12 +139,16 @@ def _regular_draw(draw: Callable[[DetRng], object], rng: DetRng) -> tuple[object
 
 
 def _numeric_rhat(sigma: FieldMatrix, f_uw: Fraction, f_wu: Fraction) -> FieldMatrix:
+    """Rhat = (1 - f_uw sigma)(1 - f_wu sigma)^-1 at a numeric point, from one inverse."""
     d = sigma.rows
-    one = Fraction(1)
-    ident = FieldMatrix.identity(d, one)
-    M = ident - sigma.scale(f_uw)
-    N = ident - sigma.scale(f_wu)
-    return M * N.inv()
+    if not f_wu:
+        return FieldMatrix.identity(d, Fraction(1)) - sigma.scale(f_uw)
+    # N = 1 - b sigma and r = a/b give 1 - a sigma = r N + (1 - r), so Rhat = r + (1 - r) N^-1
+    r = Fraction(f_uw) / f_wu
+    rhat = (FieldMatrix.identity(d, Fraction(1)) - sigma.scale(f_wu)).inv().scale(1 - r)
+    for k in range(0, d * d, d + 1):
+        rhat.entries[k] += r
+    return rhat
 
 
 def ybe_random(
@@ -171,7 +175,11 @@ def ybe_random(
         mats = rep.evaluate(params)
         # f once per ordered pair of spectral variables
         fv = {(u, w): f.eval({"x": point[vars[u]], "y": point[vars[w]]}) for u, w in permutations(range(3), 2)}
-        R = {(site, u, w): _numeric_rhat(mats[site], fv[u, w], fv[w, u]) for site, u, w in _YBE_LHS + _YBE_RHS}
+        # each Rhat as (D * Rhat, D) over the ints
+        R = {
+            (site, u, w): _numeric_rhat(mats[site], fv[u, w], fv[w, u]).cleared()
+            for site, u, w in _YBE_LHS + _YBE_RHS
+        }
         return point, params, R
 
     worst = 0
@@ -181,8 +189,11 @@ def ybe_random(
         if drawn is None:
             return report.error(SAMPLING_FAILURE)
         point, params, R = drawn
-        lhs, rhs = (R[seq[0]] * R[seq[1]] * R[seq[2]] for seq in (_YBE_LHS, _YBE_RHS))
-        diff = lhs - rhs
+        (lhs, c_lhs), (rhs, c_rhs) = (
+            (R[a][0] * R[b][0] * R[c][0], R[a][1] * R[b][1] * R[c][1]) for a, b, c in (_YBE_LHS, _YBE_RHS)
+        )
+        # c_lhs * c_rhs * (lhs/c_lhs - rhs/c_rhs), nonzero exactly where the rational difference is
+        diff = lhs.scale(c_rhs) - rhs.scale(c_lhs)
         if not diff.is_zero:
             worst = max(worst, sum(1 for e in diff.entries if e))
         report.mode["samples"].append(

@@ -253,6 +253,18 @@ def test_run_job_api_errors(monkeypatch):
     for field, job in over_cap:
         with pytest.raises(JobError, match=f"^{field}: at most"):
             run_job(job)
+    # an algebra or scalar rep needs at least one generator: n >= 2
+    scalar_a = {"command": "scalar-reps", "algebra": "A", "parameters": {"a": "1", "b": "2", "c": "3"}}
+    under_floor = [
+        (-3, dict(scalar_a, n=-3)),
+        (1, dict(scalar_a, n=1)),
+        (0, {"command": "check-algebra", "algebra": "Braid", "rep": hecke, "n": 0}),
+        (0, {"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "values": ["1"], "n": 0}}),
+        (-1, {"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "n": -1}}),
+    ]
+    for n, job in under_floor:
+        with pytest.raises(JobError, match=rf"^n: at least 2, got {n}$"):
+            run_job(job)
 
 
 HECKE_Q2 = {"builtin": "Hecke3_std", "parameters": {"q": "2"}}

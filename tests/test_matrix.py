@@ -182,3 +182,68 @@ def test_cleared_scales_to_the_entry_ring():
         assert all(RatFunc(m) == a for m, a in zip(M.entries, A.scale(D).entries))
     with pytest.raises(TypeError):
         FieldMatrix.from_rows([[MultiPoly.var(V, "x"), MultiPoly.const(V, 1)]]).cleared()
+
+
+def _naive_product(A, B):
+    """Reference: every entry the full sum over t of A[i, t] * B[t, j], zero terms included."""
+    out = []
+    for i in range(A.rows):
+        for j in range(B.cols):
+            acc = A[i, 0] * B[0, j]
+            for t in range(1, A.cols):
+                acc = acc + A[i, t] * B[t, j]
+            out.append(acc)
+    return FieldMatrix(A.rows, B.cols, out)
+
+
+def _sparse_entries(rng):
+    """(entry(), zero) per kind; about 70% of the entries drawn are zero."""
+
+    def rpoly():
+        p = MultiPoly.zero(V)
+        while p.is_zero:
+            for _ in range(rng.randint(1, 2)):
+                e = (rng.randint(0, 2), rng.randint(0, 1))
+                p = p + MultiPoly(V, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))})
+        return p
+
+    return {
+        "int": (lambda: rng.choice([-3, -1, 1, 2, 7]), 0),
+        "fraction": (lambda: Fraction(rng.choice([-5, -1, 2, 9]), rng.randint(1, 4)), Fraction(0)),
+        "poly": (rpoly, MultiPoly.zero(V)),
+        "ratfunc": (lambda: RatFunc(rpoly(), rpoly()), RatFunc.zero(V)),
+    }
+
+
+@pytest.mark.parametrize("left, right", [
+    ("int", "int"), ("fraction", "fraction"), ("poly", "poly"), ("ratfunc", "ratfunc"), ("int", "fraction"),
+])
+def test_sparse_product_matches_naive(left, right):
+    rng = random.Random(f"{left}*{right}")
+    kinds = _sparse_entries(rng)
+
+    def sparse(rows, cols, kind, zero_row=None, zero_col=None):
+        entry, zero = kinds[kind]
+        return FieldMatrix(rows, cols, [
+            entry() if rng.random() < 0.3 and r != zero_row and c != zero_col else zero
+            for r in range(rows) for c in range(cols)
+        ])
+
+    shapes = [(1, 4, 1), (4, 1, 4), (1, 1, 5), (5, 1, 1), (1, 3, 4), (3, 4, 1)]
+    shapes += [(rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)) for _ in range(10)]
+    for n, k, m in shapes:
+        A = sparse(n, k, left, zero_row=rng.randrange(n) if n > 1 else None)
+        B = sparse(k, m, right, zero_col=rng.randrange(m) if m > 1 else None)
+        product = A * B
+        assert (product.rows, product.cols) == (n, m)
+        assert product == _naive_product(A, B)
+        kind = type(A.entries[0] * B.entries[0])
+        assert all(type(e) is kind for e in product.entries)
+    # an all-zero factor: every product entry is a missing one
+    for A, B in (
+        (FieldMatrix.zeros(2, 3, kinds[left][1]), sparse(3, 2, right)),
+        (sparse(2, 3, left), FieldMatrix.zeros(3, 2, kinds[right][1])),
+    ):
+        product = A * B
+        assert product.is_zero and product == _naive_product(A, B)
+        assert all(type(e) is type(A.entries[0] * B.entries[0]) for e in product.entries)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from baxcheck import verify
 from baxcheck.baxter import SpectralFn, f_eval, rhat_cleared
 from baxcheck.cli import EXIT_INTERNAL, run_job
-from baxcheck.exactnum import FieldMatrix, RatFunc, canonical_vars
+from baxcheck.exactnum import FieldMatrix, PoleError, RatFunc, SingularMatrixError, canonical_vars
 from baxcheck.report import VerifyReport
 from baxcheck.reps import Rep, builtin_rep
 from baxcheck.verify import (
@@ -78,6 +79,75 @@ def test_ybe_random_agrees_with_symbolic():
     assert good.passed
     bad = ybe_random(rep, SpectralFn.case_ii(), trials=6, seed=3)
     assert bad.status == "fail"
+
+
+def _two_inverse_rhat(sigma, a, b):
+    """Reference: (1 - a sigma)(1 - b sigma)^-1 as written, one product and one inverse."""
+    ident = FieldMatrix.identity(sigma.rows, Fraction(1))
+    return (ident - sigma.scale(a)) * (ident - sigma.scale(b)).inv()
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_numeric_rhat_matches_product_with_inverse(d):
+    rng = random.Random(d)
+
+    def scalar():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    checked = 0
+    for _ in range(40):
+        sigma = FieldMatrix(d, d, [scalar() if rng.random() < 0.6 else Fraction(0) for _ in range(d * d)])
+        a, b = scalar(), rng.choice([Fraction(0), scalar()])
+        try:
+            reference = _two_inverse_rhat(sigma, a, b)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                _numeric_rhat(sigma, a, b)
+            continue
+        rhat = _numeric_rhat(sigma, a, b)
+        assert rhat == reference and all(type(e) is Fraction for e in rhat.entries)
+        checked += 1
+    for a, b in ((Fraction(3, 2), Fraction(0)), (Fraction(0), Fraction(0)), (Fraction(5, 7), Fraction(5, 7))):
+        assert _numeric_rhat(sigma, a, b) == _two_inverse_rhat(sigma, a, b)
+    assert checked >= 20
+    # N = 1 - b sigma is singular when 1/b is an eigenvalue of sigma
+    sigma = FieldMatrix(d, d, [Fraction(2 + i) if i == j else Fraction(0) for i in range(d) for j in range(d)])
+    with pytest.raises(SingularMatrixError):
+        _numeric_rhat(sigma, Fraction(1), Fraction(1, 3))
+
+
+def _fraction_ybe_worst(rep, fn, trials, seed):
+    """Reference for ybe_random: rational Rhats, worst nonzero-entry count of lhs - rhs over the trials."""
+    f = f_eval(fn, "x", "y")
+    worst = 0
+    for trial in range(trials):
+        rng = split_rng(seed, trial)
+        while True:  # the draw order of ybe_random: x, y, z, then the rep parameters
+            point = [sample_fraction(rng) for _ in range(3)]
+            params = {name: sample_fraction(rng) for name in rep.params}
+            try:
+                mats = rep.evaluate(params)
+                R = {
+                    (site, u, w): _two_inverse_rhat(
+                        mats[site], f.eval({"x": point[u], "y": point[w]}), f.eval({"x": point[w], "y": point[u]})
+                    )
+                    for site, u, w in verify._YBE_LHS + verify._YBE_RHS
+                }
+                break
+            except (PoleError, SingularMatrixError, ZeroDivisionError):
+                continue
+        lhs, rhs = (R[seq[0]] * R[seq[1]] * R[seq[2]] for seq in (verify._YBE_LHS, verify._YBE_RHS))
+        worst = max(worst, sum(1 for e in (lhs - rhs).entries if e))
+    return worst
+
+
+def test_ybe_random_integer_sides_match_fraction_reference():
+    rep = builtin_rep("A3_2dim", c=1)
+    for fn, seed in ((SpectralFn.case_ii(), 1), (SpectralFn.case_ii(), 5), (SpectralFn.case_i(2, 1, 0, 1), 3)):
+        report = ybe_random(rep, fn, trials=3, seed=seed)
+        assert report.residuals == [("ybe", _fraction_ybe_worst(rep, fn, 3, seed))]
+    assert not report.residuals[0][1]
+    assert ybe_random(rep, SpectralFn.case_ii(), trials=3, seed=1).residuals[0][1] > 0
 
 
 def test_ybe_random_reports_are_seed_reproducible():
