@@ -99,12 +99,6 @@ class RMatrixSym:
     value: FieldMatrix  # RatFunc entries
 
 
-def _site_matrix(rep: Rep, i: int) -> FieldMatrix:
-    if i not in rep.matrices:
-        raise ValueError(f"site {i} outside 1..{rep.n - 1}")
-    return rep.matrices[i]
-
-
 def rhat_cleared(
     rep: Rep, i: int, fn: SpectralFn, u: str, w: str, symbols: tuple[str, ...]
 ) -> tuple[FieldMatrix, MultiPoly]:
@@ -116,7 +110,7 @@ def rhat_cleared(
     """
     f_uw = f_eval(fn, u, w).lift(symbols)
     f_wu = f_eval(fn, w, u).lift(symbols)
-    S, s0 = _site_matrix(rep, i).map_entries(lambda e: e.lift(symbols)).cleared()  # sigma_i = S / s0
+    S, s0 = rep.site(i, symbols).cleared()  # sigma_i = S / s0
     d = rep.dim
     ident = FieldMatrix.identity(d, MultiPoly.const(symbols, 1))
     A = ident.scale(f_uw.den * s0) - S.scale(f_uw.num)
@@ -127,8 +121,9 @@ def rhat_cleared(
             f"R-matrix factor is identically singular: det(1 - f({w},{u})*sigma_{i}) = 0",
             determinant=det,
         )
-    P = (A * adj).scale(f_wu.den * s0)
-    delta = f_uw.den * s0 * det
+    # A/(f_uw.den s0) * (B/(f_wu.den s0))^-1: the factor s0 of both cancels
+    P = (A * adj).scale(f_wu.den)
+    delta = f_uw.den * det
     return P, delta
 
 
@@ -158,15 +153,7 @@ def check_unitarity(rep: Rep, i: int, fn: SpectralFn, vars: tuple[str, str] = ("
     symbols = canonical_vars(set(rep.params) | {u, w})
     P1, d1 = rhat_cleared(rep, i, fn, u, w, symbols)
     P2, d2 = rhat_cleared(rep, i, fn, w, u, symbols)
-    prod = P1 * P2
-    scale = d1 * d2
-    d = rep.dim
-    for r in range(d):
-        for c in range(d):
-            want = scale if r == c else MultiPoly.zero(symbols)
-            if prod[r, c] != want:
-                return False
-    return True
+    return P1 * P2 == FieldMatrix.identity(rep.dim, d1 * d2)
 
 
 # -- H-operator utilities -------------------------------------------------------
@@ -175,7 +162,7 @@ def check_unitarity(rep: Rep, i: int, fn: SpectralFn, vars: tuple[str, str] = ("
 def H_closed(rep: Rep, i: int, z: str = "z") -> FieldMatrix:
     """H_i(z) = sigma_i (1 - z sigma_i)^(-1) over Q(z + rep params)."""
     symbols = canonical_vars(set(rep.params) | {z})
-    sigma = _site_matrix(rep, i).map_entries(lambda e: e.lift(symbols))
+    sigma = rep.site(i, symbols)
     zz = RatFunc.var(symbols, z)
     ident = FieldMatrix.identity(rep.dim, RatFunc.one(symbols))
     return sigma * (ident - sigma.scale(zz)).inv()
@@ -186,7 +173,7 @@ def H_series(rep: Rep, i: int, order: int, z: str = "z") -> FieldMatrix:
     if order < 0:
         raise ValueError("order must be nonnegative")
     symbols = canonical_vars(set(rep.params) | {z})
-    sigma = _site_matrix(rep, i).map_entries(lambda e: e.lift(symbols))
+    sigma = rep.site(i, symbols)
     zz = RatFunc.var(symbols, z)
     acc = FieldMatrix.zeros(rep.dim, rep.dim, RatFunc.zero(symbols))
     power = sigma

@@ -199,7 +199,6 @@ class RelationSet:
     algebra: str
     n: int
     symbols: tuple[str, ...]
-    params: dict
     elements: list[tuple[str, NCPoly]]
 
     def labels(self) -> list[str]:
@@ -209,37 +208,42 @@ class RelationSet:
         return len(self.elements)
 
 
-def _resolve_params(names: Iterable[str], given: Mapping | None) -> tuple[tuple[str, ...], dict[str, RatFunc]]:
+def resolve_params(names: Iterable[str], given: Mapping | None) -> tuple[tuple[str, ...], dict[str, RatFunc]]:
     """Build the coefficient field and one RatFunc per named parameter.
 
-    A value of None means the parameter stays symbolic (its own symbol);
-    ints/Fractions are constants; a RatFunc value is used as-is (so e.g. the
-    parameter c of A can be set to -q).
+    None (or an absent name) keeps the parameter symbolic as its own symbol; a
+    str names the symbol to use; an int or Fraction is a constant; a RatFunc
+    is lifted (so e.g. the parameter c of A can be set to -q).  Unknown names
+    and values of any other type raise ValueError.
     """
     given = dict(given or {})
     unknown = set(given) - set(names)
     if unknown:
         raise ValueError(f"unexpected parameters {sorted(unknown)}")
+    values = {name: given.get(name) for name in names}
     sym_names: set[str] = set()
-    for name in names:
-        value = given.get(name)
+    for name, value in values.items():
         if value is None:
             sym_names.add(name)
+        elif isinstance(value, str):
+            sym_names.add(value)
         elif isinstance(value, RatFunc):
             sym_names.update(value.vars)
+        elif not isinstance(value, (int, Fraction)):
+            raise ValueError(f"parameter {name}: expected rational, symbol name, RatFunc, or None; got {value!r}")
     symbols = canonical_vars(sym_names)
     out: dict[str, RatFunc] = {}
-    for name in names:
-        value = given.get(name)
-        if value is None:
-            out[name] = RatFunc.var(symbols, name)
+    for name, value in values.items():
+        if value is None or isinstance(value, str):
+            out[name] = RatFunc.var(symbols, name if value is None else value)
         elif isinstance(value, RatFunc):
             out[name] = value.lift(symbols)
-        elif isinstance(value, (int, Fraction)):
-            out[name] = RatFunc.const(symbols, value)
         else:
-            raise ValueError(f"parameter {name}: expected rational, RatFunc, or None")
+            out[name] = RatFunc.const(symbols, value)
     return symbols, out
+
+
+_ALGEBRA_PARAMS = {"A": ("a", "b", "c"), "Hecke": ("q",)}  # the other algebras take none
 
 
 def relations_for(algebra: str, n: int, params: Mapping | None = None) -> RelationSet:
@@ -252,13 +256,7 @@ def relations_for(algebra: str, n: int, params: Mapping | None = None) -> Relati
         raise ValueError(f"unknown algebra {algebra!r}, expected one of {ALGEBRAS}")
     if n < 2:
         raise ValueError("n must be at least 2")
-
-    if algebra == "A":
-        symbols, vals = _resolve_params(("a", "b", "c"), params)
-    elif algebra == "Hecke":
-        symbols, vals = _resolve_params(("q",), params)
-    else:
-        symbols, vals = _resolve_params((), params)
+    symbols, vals = resolve_params(_ALGEBRA_PARAMS.get(algebra, ()), params)
 
     def gen(i: int) -> NCPoly:
         return NCPoly.gen(n, i, symbols)
@@ -318,7 +316,7 @@ def relations_for(algebra: str, n: int, params: Mapping | None = None) -> Relati
                 (f"{tag}4({i})", t**4 * s - t * s**4 - (t**2 * s - t * s**2 + t**4 - s**4 - t**2 + s**2))
             )
 
-    return RelationSet(algebra=algebra, n=n, symbols=symbols, params=dict(params or {}), elements=elements)
+    return RelationSet(algebra=algebra, n=n, symbols=symbols, elements=elements)
 
 
 PROP1_TERMS = ("r3", "commutator", "left_r1", "right_r1", "b_r1")

@@ -18,10 +18,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactnum import FieldMatrix, RatFunc, canonical_vars
-from .ncalg import NCPoly, RelationSet, relations_for
+from .ncalg import NCPoly, RelationSet, relations_for, resolve_params
 from .report import VerifyReport
-
-BUILTIN_NAMES = ("A3_2dim", "B3_2dim", "C3_2dim", "Hecke3_std", "Hecke3_burau", "scalar")
 
 CORRESPONDENCE_KINDS = ("hecke_in_A", "braid_coset_to_A", "B_to_A_shift")
 
@@ -43,11 +41,17 @@ class Rep:
             if m.rows != self.dim or m.cols != self.dim:
                 raise ValueError(f"generator {i}: expected {self.dim}x{self.dim}")
 
+    def site(self, i: int, symbols: tuple[str, ...] | None = None) -> FieldMatrix:
+        """Generator i's matrix, lifted to symbols when they are given."""
+        if i not in self.matrices:
+            raise ValueError(f"site {i} outside 1..{self.n - 1}")
+        m = self.matrices[i]
+        return m if symbols is None else m.map_entries(lambda e: e.lift(symbols))
+
     def lift(self, symbols: tuple[str, ...]) -> "Rep":
         if symbols == self.params:
             return self
-        mats = {i: m.map_entries(lambda e: e.lift(symbols)) for i, m in self.matrices.items()}
-        return Rep(self.n, self.dim, symbols, mats)
+        return Rep(self.n, self.dim, symbols, {i: self.site(i, symbols) for i in self.matrices})
 
     def evaluate(self, point: Mapping[str, Fraction]) -> dict[int, FieldMatrix]:
         """Numeric matrices at a full rational assignment of the parameters."""
@@ -65,33 +69,35 @@ class Rep:
         }
 
 
-def _param(value, default_symbol: str) -> tuple[object, set[str]]:
-    """Normalize one rep parameter: None means 'stay symbolic'."""
-    if value is None:
-        return default_symbol, {default_symbol}
-    if isinstance(value, str):
-        return value, {value}
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value), set()
-    raise ValueError(f"parameter must be rational, a symbol name, or None; got {value!r}")
+def _b3_rows(one, zero, nu, mu):
+    return [[[nu * mu, zero], [nu, one]], [[one, -mu], [zero, nu * mu]]]
 
 
-def _entry(value, symbols: tuple[str, ...]) -> RatFunc:
-    if isinstance(value, str):
-        return RatFunc.var(symbols, value)
-    if isinstance(value, RatFunc):
-        return value.lift(symbols)
-    return RatFunc.const(symbols, value)
-
-
-def _matrix(rows: Sequence[Sequence], symbols: tuple[str, ...]) -> FieldMatrix:
-    return FieldMatrix.from_rows([[_entry(e, symbols) for e in row] for row in rows])
+# family -> (parameter names, rows(one, zero, *parameters): the rows of
+# generator 1's matrix, generator 2's, ... over the resolved parameters)
+_FAMILIES = {
+    "A3_2dim": (("c", "mu"), lambda one, zero, c, mu: [
+        [[zero, c], [zero, zero]],
+        [[mu, -(mu * mu)], [one, -mu]],
+    ]),
+    "B3_2dim": (("nu", "mu"), _b3_rows),
+    "C3_2dim": (("nu", "mu"), lambda *args: _b3_rows(*args)[::-1]),  # the index flip of B3_2dim
+    "Hecke3_std": (("q",), lambda one, zero, q: [
+        [[q, zero, zero, zero], [zero, zero, q, zero], [zero, -one, q + one, zero], [zero, zero, zero, q]],
+    ] * 2),
+    "Hecke3_burau": (("q",), lambda one, zero, q: [
+        [[q, one], [zero, one]],
+        [[one, zero], [-q, q]],
+    ]),
+}
+BUILTIN_NAMES = (*_FAMILIES, "scalar")
 
 
 def builtin_rep(name: str, **params) -> Rep:
     """Built-in representation families.
 
-    Parameters default to symbolic (pass None or omit); rationals fix them.
+    Parameters are resolved by ncalg.resolve_params: None or omitted stays
+    symbolic, a str names the symbol, rationals and RatFuncs fix them.
       A3_2dim(c, mu)       2x2, both generators square to zero
       B3_2dim(nu, mu)      2x2
       C3_2dim(nu, mu)      the index flip of B3_2dim
@@ -103,75 +109,29 @@ def builtin_rep(name: str, **params) -> Rep:
       scalar(values, n)    1x1 matrices; values is one rational or symbol
                            name per generator
     """
-    if name == "A3_2dim":
-        c, syms_c = _param(params.pop("c", None), "c")
-        mu, syms_m = _param(params.pop("mu", None), "mu")
-        _reject_extras(name, params)
-        symbols = canonical_vars(syms_c | syms_m)
-        mu_rf = _entry(mu, symbols)
-        s1 = _matrix([[0, c], [0, 0]], symbols)
-        s2 = FieldMatrix.from_rows(
-            [[mu_rf, -(mu_rf * mu_rf)], [RatFunc.one(symbols), -mu_rf]]
-        )
-        return Rep(3, 2, symbols, {1: s1, 2: s2})
-
-    if name in ("B3_2dim", "C3_2dim"):
-        nu, syms_n = _param(params.pop("nu", None), "nu")
-        mu, syms_m = _param(params.pop("mu", None), "mu")
-        _reject_extras(name, params)
-        symbols = canonical_vars(syms_n | syms_m)
-        nu_rf, mu_rf = _entry(nu, symbols), _entry(mu, symbols)
-        one, zero = RatFunc.one(symbols), RatFunc.zero(symbols)
-        s1 = FieldMatrix.from_rows([[nu_rf * mu_rf, zero], [nu_rf, one]])
-        s2 = FieldMatrix.from_rows([[one, -mu_rf], [zero, nu_rf * mu_rf]])
-        rep = Rep(3, 2, symbols, {1: s1, 2: s2})
-        return flip_rep(rep) if name == "C3_2dim" else rep
-
-    if name == "Hecke3_std":
-        q, syms_q = _param(params.pop("q", None), "q")
-        _reject_extras(name, params)
-        symbols = canonical_vars(syms_q)
-        q_rf = _entry(q, symbols)
-        one, zero = RatFunc.one(symbols), RatFunc.zero(symbols)
-        s = FieldMatrix.from_rows(
-            [
-                [q_rf, zero, zero, zero],
-                [zero, zero, q_rf, zero],
-                [zero, -one, q_rf + one, zero],
-                [zero, zero, zero, q_rf],
-            ]
-        )
-        return Rep(3, 4, symbols, {1: s, 2: s})
-
-    if name == "Hecke3_burau":
-        q, syms_q = _param(params.pop("q", None), "q")
-        _reject_extras(name, params)
-        symbols = canonical_vars(syms_q)
-        q_rf = _entry(q, symbols)
-        one, zero = RatFunc.one(symbols), RatFunc.zero(symbols)
-        s1 = FieldMatrix.from_rows([[q_rf, one], [zero, one]])
-        s2 = FieldMatrix.from_rows([[one, zero], [-q_rf, q_rf]])
-        return Rep(3, 2, symbols, {1: s1, 2: s2})
-
     if name == "scalar":
-        values = params.pop("values", None)
-        n = params.pop("n", 3)
-        _reject_extras(name, params)
-        if values is None:
-            values = ["lam"] * (n - 1)
-        if len(values) != n - 1:
-            raise ValueError(f"need {n - 1} scalar values for n={n}")
-        syms = set()
-        vals = []
-        for v in values:
-            v, s = _param(v, "lam")
-            vals.append(v)
-            syms |= s
-        symbols = canonical_vars(syms)
-        mats = {i + 1: FieldMatrix(1, 1, [_entry(v, symbols)]) for i, v in enumerate(vals)}
-        return Rep(n, 1, symbols, mats)
+        return _scalar_rep(**params)
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown representation {name!r}, expected one of {BUILTIN_NAMES}")
+    names, rows = _FAMILIES[name]
+    try:
+        symbols, vals = resolve_params(names, params)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    gens = rows(RatFunc.one(symbols), RatFunc.zero(symbols), *(vals[p] for p in names))
+    return Rep(len(gens) + 1, len(gens[0]), symbols, {i: FieldMatrix.from_rows(g) for i, g in enumerate(gens, 1)})
 
-    raise ValueError(f"unknown representation {name!r}, expected one of {BUILTIN_NAMES}")
+
+def _scalar_rep(values: Sequence | None = None, n: int = 3, **extras) -> Rep:
+    """One 1x1 matrix per generator; a value of None is the symbol lam."""
+    _reject_extras("scalar", extras)
+    if values is None:
+        values = [None] * (n - 1)
+    if len(values) != n - 1:
+        raise ValueError(f"need {n - 1} scalar values for n={n}")
+    names = [str(i) for i in range(1, n)]
+    symbols, vals = resolve_params(names, {k: "lam" if v is None else v for k, v in zip(names, values)})
+    return Rep(n, 1, symbols, {i: FieldMatrix(1, 1, [vals[str(i)]]) for i in range(1, n)})
 
 
 def _reject_extras(name: str, params: dict) -> None:
@@ -185,10 +145,6 @@ def flip_rep(rep: Rep) -> Rep:
 
 
 # -- relation checking --------------------------------------------------------
-
-
-def _joint_symbols(rep: Rep, rels: RelationSet) -> tuple[str, ...]:
-    return canonical_vars(set(rep.params) | set(rels.symbols))
 
 
 def evaluate_element(element: NCPoly, matrices: Mapping[int, FieldMatrix], dim: int, symbols: tuple[str, ...]) -> FieldMatrix:
@@ -207,13 +163,13 @@ def _residual_size(m: FieldMatrix) -> int:
     return max((e.num_terms() for e in m.entries if e), default=0)
 
 
-def check_relations(rep: Rep, rels: RelationSet, name: str | None = None) -> VerifyReport:
+def check_relations(rep: Rep, rels: RelationSet) -> VerifyReport:
     """Substitute the rep into every relation element; pass iff all are zero."""
     if rep.n != rels.n:
         raise ValueError(f"rep has n={rep.n} but relations have n={rels.n}")
-    symbols = _joint_symbols(rep, rels)
+    symbols = canonical_vars(set(rep.params) | set(rels.symbols))
     lifted = rep.lift(symbols)
-    report = VerifyReport(name or f"{rels.algebra}({rels.n}) relations")
+    report = VerifyReport(f"{rels.algebra}({rels.n}) relations")
     for label, element in rels.elements:
         value = evaluate_element(element, lifted.matrices, rep.dim, symbols)
         report.add_residual(label, 0 if value.is_zero else _residual_size(value))
@@ -374,31 +330,33 @@ def correspondence_check(kind: str, rep: Rep, q=None, b=None) -> VerifyReport:
     B_to_A_shift: a B rep satisfying the extra remark relation maps, via
     b*(sigma - 1), to a rep at (0, b, -b^2) (b != 0).
 
-    The input rep must pass its own source relations; failures there are
-    reported with status "error" and the offending residuals.
+    q belongs to hecke_in_A alone and b to the other two kinds; giving a kind
+    the parameter it does not use raises ValueError.  The input rep must pass
+    its own source relations; failures there are reported with status "error"
+    and the offending residuals.
     """
     if kind not in CORRESPONDENCE_KINDS:
         raise ValueError(f"unknown correspondence {kind!r}, expected one of {CORRESPONDENCE_KINDS}")
+    given = {name: value for name, value in (("q", q), ("b", b)) if value is not None}
+    if kind == "B_to_A_shift":
+        given.setdefault("b", Fraction(1))
+    try:
+        param_symbols, vals = resolve_params(("q",) if kind == "hecke_in_A" else ("b",), given)
+    except ValueError as exc:
+        raise ValueError(f"{kind}: {exc}") from exc
+    symbols = canonical_vars(set(rep.params) | set(param_symbols))
+    lifted = rep.lift(symbols)
     report = VerifyReport(f"correspondence {kind}")
 
     if kind == "hecke_in_A":
-        if q is None:
-            q = "q"
-        qv, qsyms = _param(q, "q")
-        symbols = canonical_vars(set(rep.params) | qsyms)
-        q_rf = _entry(qv, symbols)
-        lifted = shifted = rep.lift(symbols)
+        q_rf = vals["q"].lift(symbols)
+        shifted = lifted
         prechecks = [("precheck Hecke:", relations_for("Hecke", rep.n, {"q": q_rf}))]
         target, target_params = "A(0,0,-q)", {"a": 0, "b": 0, "c": -q_rf}
     else:
-        if b is None:
-            b = "b" if kind == "braid_coset_to_A" else Fraction(1)
-        bv, bsyms = _param(b, "b")
-        if isinstance(bv, Fraction) and bv == 0:
+        b_rf = vals["b"].lift(symbols)
+        if not b_rf:
             raise ValueError(f"{kind} requires b != 0")
-        symbols = canonical_vars(set(rep.params) | bsyms)
-        b_rf = _entry(bv, symbols)
-        lifted = rep.lift(symbols)
         if kind == "braid_coset_to_A":
             source = ("precheck braid:", relations_for("Braid", rep.n))
             extra = _extra_braid_coset_elements(rep.n, b_rf, symbols)
@@ -408,7 +366,7 @@ def correspondence_check(kind: str, rep: Rep, q=None, b=None) -> VerifyReport:
             extra = _extra_B_remark_elements(rep.n, symbols)
             # sigma -> b*(sigma - 1), the inverse of sigma -> sigma/b + 1
             shifted = _shift_rep(lifted, -RatFunc.one(symbols), scale=b_rf)
-        prechecks = [source, ("precheck ", RelationSet(kind, rep.n, symbols, {}, extra))]
+        prechecks = [source, ("precheck ", RelationSet(kind, rep.n, symbols, extra))]
         target, target_params = "A(0,b,-b^2)", {"a": 0, "b": b_rf, "c": -(b_rf * b_rf)}
 
     for prefix, rels in prechecks:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, canonical_vars
 from .exactnum.scalar import format_scalar
-from .baxter import H_closed, SpectralFn, _site_matrix, f_eval, h_fun, rhat_cleared
+from .baxter import H_closed, SpectralFn, f_eval, h_fun, rhat_cleared
 from .ncalg import relations_for
 from .report import VerifyReport
 from .reps import Rep, _residual_size, check_relations
@@ -228,9 +228,8 @@ def _suite(report: VerifyReport, rep: Rep, algebra: str, params: dict | None, zv
         report.error("precondition failed: rep does not satisfy the relations")
         return None
     symbols = canonical_vars(set(rep.params) | {zvar, vvar})
-    lift = lambda m: m.map_entries(lambda e: e.lift(symbols))
-    H = [lift(H_closed(rep, site, var)) for var in (zvar, vvar) for site in (1, 2)]
-    return (symbols, lift(rep.matrices[1]), lift(rep.matrices[2]), *H,
+    H = [H_closed(rep, site, var).map_entries(lambda e: e.lift(symbols)) for var in (zvar, vvar) for site in (1, 2)]
+    return (symbols, rep.site(1, symbols), rep.site(2, symbols), *H,
             RatFunc.var(symbols, zvar), RatFunc.var(symbols, vvar))
 
 
@@ -462,7 +461,7 @@ def transfer_commute(
     if corrupt and d < 2:
         raise ValueError(f"corrupt needs a site matrix on V (x) V with dim V >= 2, got dim V = {d}")
     check_chain_lengths(lengths)
-    sigma = _site_matrix(rep, i).map_entries(lambda e: e.constant_value())
+    sigma = rep.site(i).map_entries(lambda e: e.constant_value())
     n_pairs = count if points is None else len(points)
     if n_pairs < 1:
         raise ValueError(f"need at least one point pair, got {n_pairs}")

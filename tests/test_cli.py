@@ -398,6 +398,18 @@ def test_mutated_jobs_end_in_job_error_or_exit_code(mutation):
     json.dumps(payload)
 
 
+@pytest.mark.parametrize(
+    "kind, field",
+    [("hecke_in_A", "b"), ("braid_coset_to_A", "q"), ("B_to_A_shift", "q")],
+)
+def test_correspondence_field_of_another_kind_is_usage_error(tmp_path, kind, field):
+    # q belongs to hecke_in_A alone, b to the other two kinds
+    job = {"command": "correspondences", "kind": kind, "rep": {"builtin": "Hecke3_burau"}, field: "0"}
+    code, out = invoke(tmp_path, job)
+    assert code == EXIT_USAGE
+    assert json.loads(out)["error"] == f"{kind}: unexpected parameters ['{field}']"
+
+
 def test_zero_trials_override_rejected(tmp_path):
     code, out = invoke(tmp_path, A3_II_RANDOM, extra=("--trials", "0"))
     assert code == EXIT_USAGE

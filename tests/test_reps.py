@@ -179,12 +179,78 @@ def test_scalar_uniform_rep_is_trivial_correspondence():
     assert correspondence_check("B_to_A_shift", lam, b=Fraction(2)).passed
 
 
+# builtin_rep(name, **kwargs).serialize()["params"] and its matrices, symbolic
+# and at one numeric assignment
+SERIALIZED = [
+    ("A3_2dim", {}, ["c", "mu"], {"1": [["0", "c"], ["0", "0"]], "2": [["mu", "-mu^2"], ["1", "-mu"]]}),
+    ("A3_2dim", {"c": 2, "mu": Fraction(1, 3)}, [],
+     {"1": [["0", "2"], ["0", "0"]], "2": [["1/3", "-1/9"], ["1", "-1/3"]]}),
+    ("B3_2dim", {}, ["mu", "nu"], {"1": [["mu*nu", "0"], ["nu", "1"]], "2": [["1", "-mu"], ["0", "mu*nu"]]}),
+    ("B3_2dim", {"nu": 2, "mu": Fraction(1, 3)}, [],
+     {"1": [["2/3", "0"], ["2", "1"]], "2": [["1", "-1/3"], ["0", "2/3"]]}),
+    ("C3_2dim", {}, ["mu", "nu"], {"2": [["mu*nu", "0"], ["nu", "1"]], "1": [["1", "-mu"], ["0", "mu*nu"]]}),
+    ("C3_2dim", {"nu": 2, "mu": Fraction(1, 3)}, [],
+     {"2": [["2/3", "0"], ["2", "1"]], "1": [["1", "-1/3"], ["0", "2/3"]]}),
+    ("Hecke3_std", {}, ["q"], {
+        str(i): [["q", "0", "0", "0"], ["0", "0", "q", "0"], ["0", "-1", "q + 1", "0"], ["0", "0", "0", "q"]]
+        for i in (1, 2)
+    }),
+    ("Hecke3_std", {"q": 2}, [], {
+        str(i): [["2", "0", "0", "0"], ["0", "0", "2", "0"], ["0", "-1", "3", "0"], ["0", "0", "0", "2"]]
+        for i in (1, 2)
+    }),
+    ("Hecke3_burau", {}, ["q"], {"1": [["q", "1"], ["0", "1"]], "2": [["1", "0"], ["-q", "q"]]}),
+    ("Hecke3_burau", {"q": Fraction(-1, 2)}, [],
+     {"1": [["-1/2", "1"], ["0", "1"]], "2": [["1", "0"], ["1/2", "-1/2"]]}),
+    ("scalar", {}, ["lam"], {"1": [["lam"]], "2": [["lam"]]}),
+    ("scalar", {"values": [2, Fraction(1, 2)]}, [], {"1": [["2"]], "2": [["1/2"]]}),
+]
+
+
 def test_rep_serialization_shape():
-    rep = builtin_rep("B3_2dim", nu=Fraction(2), mu=Fraction(1, 3))
-    record = rep.serialize()
-    assert record["n"] == 3 and record["dim"] == 2
-    assert set(record["matrices"]) == {"1", "2"}
-    assert record["matrices"]["1"][1][0] == "2"
+    for name, kwargs, params, matrices in SERIALIZED:
+        record = builtin_rep(name, **kwargs).serialize()
+        dim = len(matrices["1"])
+        assert record == {"n": 3, "dim": dim, "params": params, "matrices": matrices}, (name, kwargs)
+
+
+T = RatFunc.var(("t",), "t")
+Q = RatFunc.var(("q",), "q")
+
+
+@pytest.mark.parametrize(
+    "given, want",
+    [
+        ({}, Q),  # an absent name stays symbolic as its own symbol
+        ({"q": None}, Q),
+        ({"q": "t"}, T),  # a str names the symbol
+        ({"q": 2}, RatFunc.const((), 2)),
+        ({"q": Fraction(-1, 3)}, RatFunc.const((), Fraction(-1, 3))),
+        ({"q": (T + 1) / T}, (T + 1) / T),  # a RatFunc is lifted
+        ({"b": 2}, r"unexpected parameters \['b'\]$"),
+        ({"q": 0.5}, "got 0.5$"),
+    ],
+    ids=["absent", "None", "str", "int", "Fraction", "RatFunc", "unknown-name", "float"],
+)
+def test_parameter_resolution_is_shared(given, want):
+    """builtin_rep, relations_for and correspondence_check resolve q alike."""
+    if isinstance(want, str):
+        for call in (
+            lambda: builtin_rep("Hecke3_std", **given),
+            lambda: relations_for("Hecke", 3, given),
+            lambda: correspondence_check("hecke_in_A", builtin_rep("Hecke3_std"), **given),
+        ):
+            with pytest.raises(ValueError, match=want):
+                call()
+        return
+    rep = builtin_rep("Hecke3_std", **given)
+    assert rep.params == want.vars and rep.matrices[1][0, 0] == want
+    rels = relations_for("Hecke", 3, given)
+    # (s - 1)(s - q) has constant coefficient q
+    assert rels.symbols == want.vars and dict(rels.elements)["hecke(1)"].terms[()] == want
+    assert correspondence_check("hecke_in_A", rep, **given).passed
+    # a different q fails the Hecke precheck
+    assert correspondence_check("hecke_in_A", rep, q=want + 1).status == "error"
 
 
 def test_evaluate_at_point():
