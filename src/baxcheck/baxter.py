@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, canonical_vars
+from .exactnum.poly import SPECTRAL
 from .reps import Rep
 
 SPECTRAL_CASES = ("i", "ii", "iii", "hecke")
@@ -89,14 +91,31 @@ def f_eval(fn: SpectralFn, u: str = "x", v: str = "y") -> RatFunc:
     raise ValueError(f"unknown spectral-fn case {fn.case!r}")
 
 
+def spectral_symbols(rep: Rep, names: Sequence[str]) -> tuple[str, ...]:
+    """canonical_vars of rep's parameters and the distinct spectral symbols names.
+
+    Raises ValueError when a rep parameter has the name of a spectral
+    variable (x, y, z, v, or one of names): the two would merge into one
+    symbol, and the check would test a different identity.
+    """
+    if len(set(names)) != len(names):
+        raise ValueError("spectral arguments must be distinct symbols")
+    clash = sorted(set(rep.params) & (set(SPECTRAL) | set(names)))
+    if clash:
+        raise ValueError(f"rep parameters {clash} collide with spectral variable names")
+    return canonical_vars(set(rep.params) | set(names))
+
+
 @dataclass
 class RMatrixSym:
-    """A baxterised R-matrix over Q(vars + rep params)."""
+    """A baxterised R-matrix over Q(vars + rep params), with its cleared form P / delta."""
 
     rep: Rep
     site: int
     vars: tuple[str, str]
     value: FieldMatrix  # RatFunc entries
+    P: FieldMatrix  # MultiPoly entries
+    delta: MultiPoly
 
 
 def rhat_cleared(
@@ -127,14 +146,26 @@ def rhat_cleared(
     return P, delta
 
 
+def rename_cleared(P: FieldMatrix, delta: MultiPoly, mapping: Mapping[str, str]) -> tuple[FieldMatrix, MultiPoly]:
+    """(P, delta) with spectral variables renamed, e.g. Rhat(x, y) to Rhat(x, z) by y := z.
+
+    Renaming is a ring map, so the result is exactly a cleared form of Rhat
+    at the renamed pair.  While the renamed spectral variables keep their
+    canonical order (x, y, z, v ahead of every rep parameter), every term
+    keeps its place in the packed order, and the result is also exactly what
+    rhat_cleared builds at that pair.
+    """
+    return P.map_entries(lambda e: e.rename(mapping)), delta.rename(mapping)
+
+
 def build_R(rep: Rep, i: int, fn: SpectralFn, vars: tuple[str, str] = ("x", "y")) -> RMatrixSym:
     """The baxterised R-matrix with canonical rational-function entries."""
     u, w = vars
-    symbols = canonical_vars(set(rep.params) | {u, w})
+    symbols = spectral_symbols(rep, vars)
     P, delta = rhat_cleared(rep, i, fn, u, w, symbols)
     drf = RatFunc(delta)
     value = P.map_entries(lambda e: RatFunc(e) / drf)
-    return RMatrixSym(rep=rep, site=i, vars=(u, w), value=value)
+    return RMatrixSym(rep=rep, site=i, vars=(u, w), value=value, P=P, delta=delta)
 
 
 def check_regularity(R: RMatrixSym) -> bool:
@@ -147,13 +178,14 @@ def check_regularity(R: RMatrixSym) -> bool:
     return at_diag.is_identity()
 
 
-def check_unitarity(rep: Rep, i: int, fn: SpectralFn, vars: tuple[str, str] = ("x", "y")) -> bool:
-    """Rhat(x, y) * Rhat(y, x) = identity, checked on cleared denominators."""
-    u, w = vars
-    symbols = canonical_vars(set(rep.params) | {u, w})
-    P1, d1 = rhat_cleared(rep, i, fn, u, w, symbols)
-    P2, d2 = rhat_cleared(rep, i, fn, w, u, symbols)
-    return P1 * P2 == FieldMatrix.identity(rep.dim, d1 * d2)
+def check_unitarity(R: RMatrixSym) -> bool:
+    """Rhat(x, y) * Rhat(y, x) = identity, checked on cleared denominators.
+
+    Rhat(y, x) is R's cleared form with its two spectral variables swapped.
+    """
+    u, w = R.vars
+    P2, d2 = rename_cleared(R.P, R.delta, {u: w, w: u})
+    return R.P * P2 == FieldMatrix.identity(R.rep.dim, R.delta * d2)
 
 
 # -- H-operator utilities -------------------------------------------------------
@@ -161,7 +193,7 @@ def check_unitarity(rep: Rep, i: int, fn: SpectralFn, vars: tuple[str, str] = ("
 
 def H_closed(rep: Rep, i: int, z: str = "z") -> FieldMatrix:
     """H_i(z) = sigma_i (1 - z sigma_i)^(-1) over Q(z + rep params)."""
-    symbols = canonical_vars(set(rep.params) | {z})
+    symbols = spectral_symbols(rep, (z,))
     sigma = rep.site(i, symbols)
     zz = RatFunc.var(symbols, z)
     ident = FieldMatrix.identity(rep.dim, RatFunc.one(symbols))
@@ -172,7 +204,7 @@ def H_series(rep: Rep, i: int, order: int, z: str = "z") -> FieldMatrix:
     """Truncated series sum_{l=0..order} sigma_i^(l+1) z^l."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    symbols = canonical_vars(set(rep.params) | {z})
+    symbols = spectral_symbols(rep, (z,))
     sigma = rep.site(i, symbols)
     zz = RatFunc.var(symbols, z)
     acc = FieldMatrix.zeros(rep.dim, rep.dim, RatFunc.zero(symbols))

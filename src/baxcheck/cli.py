@@ -23,7 +23,6 @@ usage/schema error, 3 internal error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
@@ -208,7 +207,7 @@ def _baxterise(series_order, rep, fn, site):
     R = build_R(rep, site, fn)
     report = VerifyReport("baxterise")
     report.add_residual("regularity", 0 if check_regularity(R) else 1)
-    report.add_residual("unitarity", 0 if check_unitarity(rep, site, fn) else 1)
+    report.add_residual("unitarity", 0 if check_unitarity(R) else 1)
     if series_order is not None:
         val = series_agreement_order(rep, site, series_order)
         ok = val is None or val >= series_order + 1
@@ -351,6 +350,8 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # only the command line needs it, so importing the package skips it
+
     parser = argparse.ArgumentParser(
         prog="baxcheck",
         description="Exact verification jobs for baxterised R-matrices and braid-quotient algebras.",

@@ -24,9 +24,9 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Sequence
 
-from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, canonical_vars
+from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError
 from .exactnum.scalar import format_scalar
-from .baxter import H_closed, SpectralFn, f_eval, h_fun, rhat_cleared
+from .baxter import H_closed, SpectralFn, f_eval, h_fun, rename_cleared, rhat_cleared, spectral_symbols
 from .ncalg import relations_for
 from .report import VerifyReport
 from .reps import Rep, _residual_size, check_relations
@@ -75,14 +75,23 @@ _YBE_RHS = ((2, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 def ybe_symbolic(rep: Rep, fn: SpectralFn, vars: tuple[str, str, str] = ("x", "y", "z")) -> VerifyReport:
-    """Exact check of R1(x,y) R2(x,z) R1(y,z) = R2(y,z) R1(x,z) R2(x,y)."""
+    """Exact check of R1(x,y) R2(x,z) R1(y,z) = R2(y,z) R1(x,z) R2(x,y).
+
+    Each site's Rhat is built once, at (x, y); its (x, z) and (y, z) factors
+    are renames of it (see baxter.rename_cleared).  With vars out of
+    canonical order a renamed factor may differ from the directly built one
+    by a nonzero scalar, which scales both terms of the fully cross-
+    multiplied residual alike and so leaves the report unchanged.
+    """
     if rep.n < 3:
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
-    symbols = canonical_vars(set(rep.params) | set(vars))
-    factors = {
-        (site, u, w): rhat_cleared(rep, site, fn, vars[u], vars[w], symbols)
-        for site, u, w in _YBE_LHS + _YBE_RHS
-    }
+    symbols = spectral_symbols(rep, vars)
+    x, y, z = vars
+    factors = {}
+    for site in (1, 2):
+        P, delta = factors[site, 0, 1] = rhat_cleared(rep, site, fn, x, y, symbols)
+        factors[site, 0, 2] = rename_cleared(P, delta, {y: z})
+        factors[site, 1, 2] = rename_cleared(P, delta, {x: y, y: z})
 
     def side(seq):
         P = factors[seq[0]][0]
@@ -163,6 +172,7 @@ def ybe_random(
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    spectral_symbols(rep, vars)  # rejects a rep parameter named like a spectral variable
     f = f_eval(fn, "x", "y")
     report = VerifyReport(
         "ybe randomized",
@@ -222,12 +232,12 @@ def _suite(report: VerifyReport, rep: Rep, algebra: str, params: dict | None, zv
     """
     if rep.n < 3:
         raise ValueError("identity suite needs generators at sites 1 and 2")
+    symbols = spectral_symbols(rep, (zvar, vvar))
     pre = check_relations(rep, relations_for(algebra, rep.n, params))
     if not pre.passed:
         report.residuals = [(f"precheck {label}", size) for label, size in pre.residuals]
         report.error("precondition failed: rep does not satisfy the relations")
         return None
-    symbols = canonical_vars(set(rep.params) | {zvar, vvar})
     H = [H_closed(rep, site, var).map_entries(lambda e: e.lift(symbols)) for var in (zvar, vvar) for site in (1, 2)]
     return (symbols, rep.site(1, symbols), rep.site(2, symbols), *H,
             RatFunc.var(symbols, zvar), RatFunc.var(symbols, vvar))

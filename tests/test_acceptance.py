@@ -114,7 +114,7 @@ def test_criterion_4_regularity_and_unitarity():
         for fn_name, fn in ALL_FNS.items():
             R = build_R(rep, 1, fn)
             assert check_regularity(R), (rep_name, fn_name)
-            assert check_unitarity(rep, 1, fn), (rep_name, fn_name)
+            assert check_unitarity(R), (rep_name, fn_name)
             cells += 1
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"{elapsed:.2f}s"

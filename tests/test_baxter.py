@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from baxcheck.baxter import (
@@ -9,10 +11,21 @@ from baxcheck.baxter import (
     check_unitarity,
     f_eval,
     h_fun,
+    rename_cleared,
+    rhat_cleared,
     series_agreement_order,
+    spectral_symbols,
 )
 from baxcheck.exactnum import FieldMatrix, RatFunc, SingularMatrixError, canonical_vars
-from baxcheck.reps import Rep, builtin_rep
+from baxcheck.reps import BUILTIN_NAMES, Rep, builtin_rep
+
+FIVE_FNS = {
+    "i(2,1,0,1)": SpectralFn.case_i(2, 1, 0, 1),
+    "i(-1,0,2,3)": SpectralFn.case_i(-1, 0, 2, 3),
+    "ii": SpectralFn.case_ii(),
+    "iii": SpectralFn.case_iii(),
+    "hecke": SpectralFn.hecke_ratio(),
+}
 
 
 def test_case_ii_on_the_diagonal():
@@ -90,16 +103,67 @@ def test_regularity_and_unitarity_sample(case):
         rep = builtin_rep(name) if name != "A3_2dim" else builtin_rep(name, c=1)
         R = build_R(rep, 1, fn)
         assert check_regularity(R)
-        assert check_unitarity(rep, 1, fn)
+        assert check_unitarity(R)
 
 
 def test_identically_singular_factor_is_reported():
-    # a contrived 1x1 rep whose entry involves the spectral variables
+    # a contrived 1x1 rep whose entry involves the spectral variables; build_R
+    # rejects such a rep, and over a rep free of them det(1 - f sigma) has
+    # constant term 1 in f, so the guard is reached through rhat_cleared
     vars = canonical_vars({"x", "y"})
     x, y = RatFunc.var(vars, "x"), RatFunc.var(vars, "y")
     rep = Rep(3, 1, vars, {1: FieldMatrix(1, 1, [-(x / y)]), 2: FieldMatrix(1, 1, [x])})
     with pytest.raises(SingularMatrixError):
+        rhat_cleared(rep, 1, SpectralFn.hecke_ratio(), "x", "y", vars)
+    with pytest.raises(ValueError, match="collide"):
         build_R(rep, 1, SpectralFn.hecke_ratio())
+
+
+@pytest.mark.parametrize("fn", FIVE_FNS.values(), ids=FIVE_FNS)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_renamed_rhat_equals_rhat_built_at_the_renamed_pair(name, fn):
+    rep = builtin_rep(name)
+    xyz = spectral_symbols(rep, ("x", "y", "z"))
+    xy = spectral_symbols(rep, ("x", "y"))
+    for site in range(1, rep.n):
+        P, delta = rhat_cleared(rep, site, fn, "x", "y", xyz)
+        assert rename_cleared(P, delta, {"y": "z"}) == rhat_cleared(rep, site, fn, "x", "z", xyz)
+        assert rename_cleared(P, delta, {"x": "y", "y": "z"}) == rhat_cleared(rep, site, fn, "y", "z", xyz)
+        R = build_R(rep, site, fn)
+        assert rename_cleared(R.P, R.delta, {"x": "y", "y": "x"}) == rhat_cleared(rep, site, fn, "y", "x", xy)
+
+
+def test_unitarity_fails_on_a_perturbed_cleared_matrix():
+    R = build_R(builtin_rep("B3_2dim"), 1, SpectralFn.case_ii())
+    assert check_unitarity(R)
+    entries = list(R.P.entries)
+    entries[1] = entries[1] + 1
+    assert not check_unitarity(dataclasses.replace(R, P=FieldMatrix(R.P.rows, R.P.cols, entries)))
+
+
+def test_unitarity_of_reversed_spectral_pair():
+    R = build_R(builtin_rep("B3_2dim"), 2, SpectralFn.case_iii(), vars=("y", "x"))
+    assert check_regularity(R)
+    assert check_unitarity(R)
+
+
+def test_spectral_symbols_reject_colliding_names():
+    rep = builtin_rep("B3_2dim", mu="x")
+    assert spectral_symbols(builtin_rep("B3_2dim"), ("y", "x")) == ("x", "y", "mu", "nu")
+    with pytest.raises(ValueError, match="collide"):
+        spectral_symbols(rep, ("z",))  # x is reserved even when unused
+    with pytest.raises(ValueError, match="collide"):
+        spectral_symbols(builtin_rep("B3_2dim"), ("mu", "y"))
+    with pytest.raises(ValueError, match="distinct"):
+        spectral_symbols(builtin_rep("B3_2dim"), ("x", "x"))
+    for call in (
+        lambda: build_R(rep, 1, SpectralFn.case_ii()),
+        lambda: H_closed(rep, 1),
+        lambda: H_series(rep, 1, 2),
+        lambda: series_agreement_order(rep, 1, 2),
+    ):
+        with pytest.raises(ValueError, match="collide"):
+            call()
 
 
 def test_H_closed_nilpotent_equals_generator():

@@ -67,6 +67,50 @@ def test_ybe_symbolic_matches_full_cross_multiplication(values, fn):
     assert report.passed == (expected == 0)
 
 
+@pytest.mark.parametrize("name, residual", [("B3_2dim", 0), ("A3_2dim", 1942)])
+def test_ybe_symbolic_with_spectral_variables_out_of_order(name, residual):
+    # renamed factors may differ from directly built ones by a nonzero scalar
+    # here; the report does not
+    report = ybe_symbolic(builtin_rep(name), SpectralFn.case_ii(), vars=("z", "x", "y"))
+    assert report.to_record() == {
+        "name": "ybe symbolic",
+        "status": "fail" if residual else "pass",
+        "residuals": [["ybe", residual]],
+        "mode": {"kind": "symbolic", "vars": ["z", "x", "y"]},
+        "notes": [],
+    }
+
+
+def test_ybe_symbolic_builds_one_rhat_per_site(monkeypatch):
+    calls = []
+
+    def counted(rep, i, fn, u, w, symbols):
+        calls.append((i, u, w))
+        return rhat_cleared(rep, i, fn, u, w, symbols)
+
+    monkeypatch.setattr(verify, "rhat_cleared", counted)
+    assert ybe_symbolic(builtin_rep("B3_2dim"), SpectralFn.case_ii()).passed
+    assert calls == [(1, "x", "y"), (2, "x", "y")]
+
+
+def test_spectral_name_collisions_are_rejected():
+    # mu named x would merge with the spectral x symbolically but be drawn
+    # independently in the randomized check
+    rep = builtin_rep("B3_2dim", mu="x")
+    fn = SpectralFn.case_ii()
+    for call in (
+        lambda: ybe_symbolic(rep, fn),
+        lambda: ybe_random(rep, fn, trials=2),
+        lambda: ybe_symbolic(builtin_rep("B3_2dim"), fn, vars=("x", "nu", "z")),
+        lambda: lemma_suite_B(builtin_rep("B3_2dim", nu="v")),
+        lambda: transfer_commute(builtin_rep("Hecke3_std", q="x"), 1, SpectralFn.hecke_ratio(), lengths=[2]),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    with pytest.raises(ValueError, match="distinct"):
+        ybe_symbolic(builtin_rep("B3_2dim"), fn, vars=("x", "y", "x"))
+
+
 def test_ybe_requires_three_strands():
     lam = builtin_rep("scalar", values=[1], n=2)
     with pytest.raises(ValueError):
