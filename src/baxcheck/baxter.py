@@ -158,14 +158,13 @@ def rename_cleared(P: FieldMatrix, delta: MultiPoly, mapping: Mapping[str, str])
     return P.map_entries(lambda e: e.rename(mapping)), delta.rename(mapping)
 
 
-def build_R(rep: Rep, i: int, fn: SpectralFn, vars: tuple[str, str] = ("x", "y")) -> RMatrixSym:
-    """The baxterised R-matrix with canonical rational-function entries."""
-    u, w = vars
-    symbols = spectral_symbols(rep, vars)
-    P, delta = rhat_cleared(rep, i, fn, u, w, symbols)
+def build_R(rep: Rep, i: int, fn: SpectralFn) -> RMatrixSym:
+    """The baxterised R-matrix Rhat_i(x, y) with canonical rational-function entries."""
+    symbols = spectral_symbols(rep, ("x", "y"))
+    P, delta = rhat_cleared(rep, i, fn, "x", "y", symbols)
     drf = RatFunc(delta)
     value = P.map_entries(lambda e: RatFunc(e) / drf)
-    return RMatrixSym(rep=rep, site=i, vars=(u, w), value=value, P=P, delta=delta)
+    return RMatrixSym(rep=rep, site=i, vars=("x", "y"), value=value, P=P, delta=delta)
 
 
 def check_regularity(R: RMatrixSym) -> bool:
@@ -175,7 +174,7 @@ def check_regularity(R: RMatrixSym) -> bool:
         at_diag = R.value.map_entries(lambda e: e.rename({w: u}))
     except PoleError as exc:
         raise SingularMatrixError(f"R-matrix singular on the diagonal {w} = {u}") from exc
-    return at_diag.is_identity()
+    return at_diag == FieldMatrix.identity(R.rep.dim, RatFunc.one(at_diag.entries[0].vars))
 
 
 def check_unitarity(R: RMatrixSym) -> bool:
@@ -200,13 +199,13 @@ def H_closed(rep: Rep, i: int, z: str = "z") -> FieldMatrix:
     return sigma * (ident - sigma.scale(zz)).inv()
 
 
-def H_series(rep: Rep, i: int, order: int, z: str = "z") -> FieldMatrix:
+def H_series(rep: Rep, i: int, order: int) -> FieldMatrix:
     """Truncated series sum_{l=0..order} sigma_i^(l+1) z^l."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    symbols = spectral_symbols(rep, (z,))
+    symbols = spectral_symbols(rep, ("z",))
     sigma = rep.site(i, symbols)
-    zz = RatFunc.var(symbols, z)
+    zz = RatFunc.var(symbols, "z")
     acc = FieldMatrix.zeros(rep.dim, rep.dim, RatFunc.zero(symbols))
     power = sigma
     zpow = RatFunc.one(symbols)
@@ -227,17 +226,17 @@ def h_fun(a, b, c, z: str = "z") -> RatFunc:
     return RatFunc.const(vars, a) / (c * zz * zz - b * zz - a)
 
 
-def series_agreement_order(rep: Rep, i: int, order: int, z: str = "z") -> int | None:
+def series_agreement_order(rep: Rep, i: int, order: int) -> int | None:
     """Smallest z-valuation over entries of H_closed - H_series(order).
 
     None means the difference is identically zero (agreement to all orders).
     The valuation of a rational function is val(num) - val(den).
     """
-    diff = H_closed(rep, i, z) - H_series(rep, i, order, z)
+    diff = H_closed(rep, i, "z") - H_series(rep, i, order)
     best: int | None = None
     for e in diff.entries:
         if e.is_zero:
             continue
-        val = e.num.valuation_in(z) - (e.den.valuation_in(z) or 0)
+        val = e.num.valuation_in("z") - (e.den.valuation_in("z") or 0)
         best = val if best is None else min(best, val)
     return best

@@ -237,11 +237,7 @@ def _verify_lemmas(suite, rep, **scalars):
     return lemma_suite_A(_build(rep), **scalars), {}
 
 
-def _transfer_commute(pairs, rep, fn, site, lengths, length, seed, corrupt):
-    if lengths is not None and length is not None:
-        raise JobError("give either lengths or length, not both")
-    if lengths is None:
-        lengths = [3 if length is None else length]
+def _transfer_commute(pairs, rep, fn, site, lengths, seed, corrupt):
     check_chain_lengths(lengths)  # the whole list is checked before any chain is built
     try:
         return transfer_commute(_build(rep), site, fn, lengths, count=pairs, seed=seed, corrupt=corrupt), {}
@@ -298,7 +294,7 @@ COMMANDS = {
     "transfer-commute": (
         _transfer_commute,
         {**_EXPECT, "pairs": (_int(MAX_PAIRS), 5), "rep": _REP, "fn": _FN, "site": _SITE,
-         "lengths": (_list(_int(), nonempty=True), None), "length": (_int(), None), "seed": _SEED,
+         "lengths": (_list(_int(), nonempty=True), (3,)), "seed": _SEED,
          "corrupt": (_bool, False)},
     ),
     "correspondences": (

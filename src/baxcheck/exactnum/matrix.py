@@ -1,12 +1,12 @@
 """Dense matrices over an exact field (rationals or rational functions).
 
-Determinants and inverses are fraction-free: denominators are cleared row by
-row with `cleared` (rational-function rows become polynomials, rational rows
-become Python ints), determinants and cofactors run over that ring with
-Bareiss-style exact divisions (`divexact` or `//`), and a single division pass
-at the end produces the field result.  This bounds intermediate expression
-swell over rational-function fields and keeps gcds out of the elimination over
-the rationals.
+Inverses are fraction-free: denominators are cleared row by row with
+`cleared` (rational-function rows become polynomials, rational rows become
+Python ints), determinants and cofactors run over that ring with Bareiss-style
+exact divisions (`divexact` or `//`), and a single division pass at the end
+produces the field result.  This bounds intermediate expression swell over
+rational-function fields and keeps gcds out of the elimination over the
+rationals.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ class SingularMatrixError(ArithmeticError):
 
 class FieldMatrix:
     """Row-major dense matrix; entries are Fraction (or int), RatFunc, or
-    MultiPoly (one kind per matrix).  det and inv take field entries
-    (Fraction or RatFunc); adjugate_det takes ring entries (int or MultiPoly)."""
+    MultiPoly (one kind per matrix).  inv takes field entries (Fraction or
+    RatFunc); adjugate_det takes ring entries (int or MultiPoly)."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -91,19 +91,6 @@ class FieldMatrix:
     def is_zero(self) -> bool:
         return all(not e for e in self.entries)
 
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self[i, j]
-                if i == j:
-                    if not _is_one(e):
-                        return False
-                elif e:
-                    return False
-        return True
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_same_shape(self, other: "FieldMatrix") -> None:
@@ -160,26 +147,6 @@ class FieldMatrix:
     def map_entries(self, fn: Callable) -> "FieldMatrix":
         return FieldMatrix(self.rows, self.cols, [fn(e) for e in self.entries])
 
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        acc = self[0, 0]
-        for i in range(1, self.rows):
-            acc = acc + self[i, i]
-        return acc
-
-    def kron(self, other: "FieldMatrix") -> "FieldMatrix":
-        """Tensor (Kronecker) product."""
-        r, c = self.rows * other.rows, self.cols * other.cols
-        out = [None] * (r * c)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self[i, j]
-                for p in range(other.rows):
-                    for q in range(other.cols):
-                        out[(i * other.rows + p) * c + (j * other.cols + q)] = a * other[p, q]
-        return FieldMatrix(r, c, out)
-
     def partial_trace_first(self, dim_first: int) -> "FieldMatrix":
         """Trace out the first tensor factor of size dim_first."""
         if self.rows != self.cols or self.rows % dim_first:
@@ -196,16 +163,6 @@ class FieldMatrix:
         return FieldMatrix(m, m, out)
 
     # -- determinant and inverse ---------------------------------------------
-
-    def det(self):
-        """Exact determinant via fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        cleared = [FieldMatrix(1, self.cols, self.row(i)).cleared() for i in range(self.rows)]
-        mat = FieldMatrix(self.rows, self.cols, [e for row, _ in cleared for e in row.entries])
-        d = _bareiss_det(mat.to_rows(), _ring_div(mat.entries))
-        field = _fraction_field(d)
-        return field(d, math.prod(den for _, den in cleared))
 
     def adjugate_det(self) -> tuple["FieldMatrix", object]:
         """(adj, det) over the entry ring, with adj * self = det * identity.
@@ -267,14 +224,6 @@ class FieldMatrix:
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.rows}x{self.cols}, {self})"
-
-
-def _is_one(e) -> bool:
-    if isinstance(e, RatFunc):
-        return e.is_one()
-    if isinstance(e, MultiPoly):
-        return e.is_constant() and e.constant_value() == 1
-    return e == 1
 
 
 def _entry_kind(entries):

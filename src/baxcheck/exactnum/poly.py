@@ -7,7 +7,7 @@ zero polynomial is the empty dict over 1.  The pair is kept in lowest terms
 polynomial is unique and equality is structural.  All arithmetic is exact and
 runs on the integer kernel below; rational coefficients and exponent tuples
 appear only at the interface (construction, leading terms, evaluation,
-serialization).
+printing).
 
 A monomial x_0^e_0 ... x_{n-1}^e_{n-1} is packed into one int (Monagan &
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -342,18 +342,13 @@ class MultiPoly:
             out[key] = coeff
         return _make(new_vars, out, self.den)
 
-    # -- serialization ------------------------------------------------------
+    # -- formatting ---------------------------------------------------------
 
     def sorted_terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """Terms in descending graded-lex order (the canonical term list)."""
         n = len(self.vars)
         for exp in sorted(self.terms, reverse=True):
             yield _unpack(exp, n), Fraction(self.terms[exp], self.den)
-
-    def serialize(self) -> list[list]:
-        from .scalar import format_scalar
-
-        return [[list(exp), format_scalar(coeff)] for exp, coeff in self.sorted_terms()]
 
     def __str__(self) -> str:
         if not self.terms:

@@ -79,9 +79,6 @@ class RatFunc:
     def constant_value(self) -> Fraction:
         return self.num.constant_value() / self.den.constant_value()
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def num_terms(self) -> int:
         return self.num.num_terms() + self.den.num_terms()
 
@@ -205,10 +202,7 @@ class RatFunc:
         out.den = self.den.lift(new_vars)
         return out
 
-    # -- serialization -------------------------------------------------------
-
-    def serialize(self) -> dict:
-        return {"num": self.num.serialize(), "den": self.den.serialize()}
+    # -- formatting ------------------------------------------------------------
 
     def __str__(self) -> str:
         if self.den.is_constant() and self.den.constant_value() == 1:

@@ -156,14 +156,11 @@ class NCPoly:
             out = out * self
         return out
 
-    # -- serialization ------------------------------------------------------------
+    # -- formatting ---------------------------------------------------------------
 
     def sorted_words(self) -> list[Word]:
         """Deterministic order: by length, then lexicographic."""
         return sorted(self.terms, key=lambda w: (len(w), w))
-
-    def serialize(self) -> list[list[str]]:
-        return [["".join(map(str, w)), str(self.terms[w])] for w in self.sorted_words()]
 
     def __str__(self) -> str:
         if not self.terms:

@@ -26,7 +26,11 @@ CORRESPONDENCE_KINDS = ("hecke_in_A", "braid_coset_to_A", "B_to_A_shift")
 
 @dataclass
 class Rep:
-    """Matrices over Q(params) for the generators of an n-strand algebra."""
+    """Matrices over Q(params) for the generators of an n-strand algebra.
+
+    Every entry is a RatFunc over exactly params: a symbol the rep does not
+    declare could merge with a spectral variable of the same name.
+    """
 
     n: int
     dim: int
@@ -40,6 +44,8 @@ class Rep:
         for i, m in self.matrices.items():
             if m.rows != self.dim or m.cols != self.dim:
                 raise ValueError(f"generator {i}: expected {self.dim}x{self.dim}")
+            if not all(isinstance(e, RatFunc) and e.vars == self.params for e in m.entries):
+                raise ValueError(f"generator {i}: entries must be rational functions over {self.params}")
 
     def site(self, i: int, symbols: tuple[str, ...] | None = None) -> FieldMatrix:
         """Generator i's matrix, lifted to symbols when they are given."""
@@ -56,17 +62,6 @@ class Rep:
     def evaluate(self, point: Mapping[str, Fraction]) -> dict[int, FieldMatrix]:
         """Numeric matrices at a full rational assignment of the parameters."""
         return {i: m.map_entries(lambda e: e.eval(point)) for i, m in self.matrices.items()}
-
-    def serialize(self) -> dict:
-        return {
-            "n": self.n,
-            "dim": self.dim,
-            "params": list(self.params),
-            "matrices": {
-                str(i): [[str(e) for e in m.row(r)] for r in range(m.rows)]
-                for i, m in self.matrices.items()
-            },
-        }
 
 
 def _b3_rows(one, zero, nu, mu):
@@ -172,7 +167,7 @@ def check_relations(rep: Rep, rels: RelationSet) -> VerifyReport:
     report = VerifyReport(f"{rels.algebra}({rels.n}) relations")
     for label, element in rels.elements:
         value = evaluate_element(element, lifted.matrices, rep.dim, symbols)
-        report.add_residual(label, 0 if value.is_zero else _residual_size(value))
+        report.add_residual(label, _residual_size(value))
     return report
 
 

@@ -70,28 +70,26 @@ def sample_fraction(rng: DetRng) -> Fraction:
 
 # The Rhat factors (site, u, w) of R1(x,y) R2(x,z) R1(y,z) = R2(y,z) R1(x,z) R2(x,y),
 # with u and w indices into the spectral variables (x, y, z).
+_YBE_VARS = ("x", "y", "z")
 _YBE_LHS = ((1, 0, 1), (2, 0, 2), (1, 1, 2))
 _YBE_RHS = ((2, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
-def ybe_symbolic(rep: Rep, fn: SpectralFn, vars: tuple[str, str, str] = ("x", "y", "z")) -> VerifyReport:
+def ybe_symbolic(rep: Rep, fn: SpectralFn) -> VerifyReport:
     """Exact check of R1(x,y) R2(x,z) R1(y,z) = R2(y,z) R1(x,z) R2(x,y).
 
     Each site's Rhat is built once, at (x, y); its (x, z) and (y, z) factors
-    are renames of it (see baxter.rename_cleared).  With vars out of
-    canonical order a renamed factor may differ from the directly built one
-    by a nonzero scalar, which scales both terms of the fully cross-
-    multiplied residual alike and so leaves the report unchanged.
+    are renames of it that keep the canonical order of x, y, z, so each is
+    exactly the factor built at its pair (see baxter.rename_cleared).
     """
     if rep.n < 3:
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
-    symbols = spectral_symbols(rep, vars)
-    x, y, z = vars
+    symbols = spectral_symbols(rep, _YBE_VARS)
     factors = {}
     for site in (1, 2):
-        P, delta = factors[site, 0, 1] = rhat_cleared(rep, site, fn, x, y, symbols)
-        factors[site, 0, 2] = rename_cleared(P, delta, {y: z})
-        factors[site, 1, 2] = rename_cleared(P, delta, {x: y, y: z})
+        P, delta = factors[site, 0, 1] = rhat_cleared(rep, site, fn, "x", "y", symbols)
+        factors[site, 0, 2] = rename_cleared(P, delta, {"y": "z"})
+        factors[site, 1, 2] = rename_cleared(P, delta, {"x": "y", "y": "z"})
 
     def side(seq):
         P = factors[seq[0]][0]
@@ -113,7 +111,7 @@ def ybe_symbolic(rep: Rep, fn: SpectralFn, vars: tuple[str, str, str] = ("x", "y
     lhs_scale, rhs_scale, common = (_product(ds) for ds in (rhs_only, lhs_only, shared))
     resid = _times(lhs_P, lhs_scale) - _times(rhs_P, rhs_scale)
     worst = max((_times(e, common).num_terms() for e in resid.entries if e), default=0)
-    report = VerifyReport("ybe symbolic", mode={"kind": "symbolic", "vars": list(vars)})
+    report = VerifyReport("ybe symbolic", mode={"kind": "symbolic", "vars": list(_YBE_VARS)})
     report.add_residual("ybe", worst)
     return report
 
@@ -160,19 +158,13 @@ def _numeric_rhat(sigma: FieldMatrix, f_uw: Fraction, f_wu: Fraction) -> FieldMa
     return rhat
 
 
-def ybe_random(
-    rep: Rep,
-    fn: SpectralFn,
-    trials: int = 20,
-    seed: int = 0,
-    vars: tuple[str, str, str] = ("x", "y", "z"),
-) -> VerifyReport:
+def ybe_random(rep: Rep, fn: SpectralFn, trials: int = 20, seed: int = 0) -> VerifyReport:
     """Randomized exact-evaluation check of the braided Yang-Baxter equation."""
     if rep.n < 3:
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    spectral_symbols(rep, vars)  # rejects a rep parameter named like a spectral variable
+    spectral_symbols(rep, _YBE_VARS)  # rejects a rep parameter named like a spectral variable
     f = f_eval(fn, "x", "y")
     report = VerifyReport(
         "ybe randomized",
@@ -180,17 +172,17 @@ def ybe_random(
     )
 
     def draw(rng: DetRng):
-        point = {name: sample_fraction(rng) for name in vars}
+        xs = [sample_fraction(rng) for _ in _YBE_VARS]
         params = {name: sample_fraction(rng) for name in rep.params}
         mats = rep.evaluate(params)
         # f once per ordered pair of spectral variables
-        fv = {(u, w): f.eval({"x": point[vars[u]], "y": point[vars[w]]}) for u, w in permutations(range(3), 2)}
+        fv = {(u, w): f.eval({"x": xs[u], "y": xs[w]}) for u, w in permutations(range(3), 2)}
         # each Rhat as (D * Rhat, D) over the ints
         R = {
             (site, u, w): _numeric_rhat(mats[site], fv[u, w], fv[w, u]).cleared()
             for site, u, w in _YBE_LHS + _YBE_RHS
         }
-        return point, params, R
+        return dict(zip(_YBE_VARS, xs)), params, R
 
     worst = 0
     for trial in range(trials):
@@ -218,12 +210,12 @@ def ybe_random(
 
 def _record(report: VerifyReport, label: str, lhs: FieldMatrix, rhs: FieldMatrix) -> None:
     diff = lhs - rhs
-    report.add_residual(label, 0 if diff.is_zero else _residual_size(diff))
+    report.add_residual(label, _residual_size(diff))
     if lhs.is_zero and rhs.is_zero:
         report.notes.append(f"{label}: vacuous (both sides identically zero)")
 
 
-def _suite(report: VerifyReport, rep: Rep, algebra: str, params: dict | None, zvar: str, vvar: str):
+def _suite(report: VerifyReport, rep: Rep, algebra: str, params: dict | None):
     """The setup both identity suites share.
 
     Returns (symbols, s1, s2, H1(z), H2(z), H1(v), H2(v), z, v) over
@@ -232,26 +224,18 @@ def _suite(report: VerifyReport, rep: Rep, algebra: str, params: dict | None, zv
     """
     if rep.n < 3:
         raise ValueError("identity suite needs generators at sites 1 and 2")
-    symbols = spectral_symbols(rep, (zvar, vvar))
+    symbols = spectral_symbols(rep, ("z", "v"))
     pre = check_relations(rep, relations_for(algebra, rep.n, params))
     if not pre.passed:
         report.residuals = [(f"precheck {label}", size) for label, size in pre.residuals]
         report.error("precondition failed: rep does not satisfy the relations")
         return None
-    H = [H_closed(rep, site, var).map_entries(lambda e: e.lift(symbols)) for var in (zvar, vvar) for site in (1, 2)]
+    H = [H_closed(rep, site, var).map_entries(lambda e: e.lift(symbols)) for var in ("z", "v") for site in (1, 2)]
     return (symbols, rep.site(1, symbols), rep.site(2, symbols), *H,
-            RatFunc.var(symbols, zvar), RatFunc.var(symbols, vvar))
+            RatFunc.var(symbols, "z"), RatFunc.var(symbols, "v"))
 
 
-def lemma_suite_A(
-    rep: Rep,
-    alpha1,
-    alpha2,
-    b,
-    c,
-    zvar: str = "z",
-    vvar: str = "v",
-) -> VerifyReport:
+def lemma_suite_A(rep: Rep, alpha1, alpha2, b, c) -> VerifyReport:
     """The four auxiliary identities behind the three-parameter baxterisation.
 
     Works over Q(z, v, rep params) with a = alpha1*alpha2 != 0; the rep must
@@ -262,12 +246,12 @@ def lemma_suite_A(
     if a == 0:
         raise ValueError("identity suite requires a = alpha1*alpha2 != 0")
     report = VerifyReport("lemma suite A", mode={"kind": "symbolic", "a": format_scalar(a)})
-    ops = _suite(report, rep, "A", {"a": a, "b": b, "c": c}, zvar, vvar)
+    ops = _suite(report, rep, "A", {"a": a, "b": b, "c": c})
     if ops is None:
         return report
     symbols, s1, s2, H1z, H2z, H1v, H2v, zz, vv = ops
-    hz = h_fun(a, b, c, zvar).lift(symbols)
-    hv = h_fun(a, b, c, vvar).lift(symbols)
+    hz = h_fun(a, b, c, "z").lift(symbols)
+    hv = h_fun(a, b, c, "v").lift(symbols)
     M = s2 * s2 * s1 - s2 * s1 * s1  # the recurring cubic difference
 
     _record(report, "rel1a", (s2 * s2 * s2 * s1 * s1 - s2 * s2 * s1 * s1 * s1).scale(a), M.scale(-c))
@@ -286,10 +270,10 @@ def lemma_suite_A(
     return report
 
 
-def lemma_suite_B(rep: Rep, zvar: str = "z", vvar: str = "v") -> VerifyReport:
+def lemma_suite_B(rep: Rep) -> VerifyReport:
     """The five auxiliary identities behind the parameter-free baxterisation."""
     report = VerifyReport("lemma suite B", mode={"kind": "symbolic"})
-    ops = _suite(report, rep, "B", None, zvar, vvar)
+    ops = _suite(report, rep, "B", None)
     if ops is None:
         return report
     symbols, s1, s2, H1z, H2z, H1v, H2v, zz, vv = ops

@@ -141,12 +141,6 @@ def test_unitarity_fails_on_a_perturbed_cleared_matrix():
     assert not check_unitarity(dataclasses.replace(R, P=FieldMatrix(R.P.rows, R.P.cols, entries)))
 
 
-def test_unitarity_of_reversed_spectral_pair():
-    R = build_R(builtin_rep("B3_2dim"), 2, SpectralFn.case_iii(), vars=("y", "x"))
-    assert check_regularity(R)
-    assert check_unitarity(R)
-
-
 def test_spectral_symbols_reject_colliding_names():
     rep = builtin_rep("B3_2dim", mu="x")
     assert spectral_symbols(builtin_rep("B3_2dim"), ("y", "x")) == ("x", "y", "mu", "nu")

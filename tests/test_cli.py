@@ -62,6 +62,16 @@ def test_unknown_field_rejected(tmp_path):
     job = {"command": "prop1", "surprise": 1}
     code, _ = invoke(tmp_path, job)
     assert code == EXIT_USAGE
+    # chain lengths come only as the list `lengths`
+    job = {
+        "command": "transfer-commute",
+        "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
+        "fn": {"case": "hecke"},
+        "length": 2,
+    }
+    code, out = invoke(tmp_path, job)
+    assert code == EXIT_USAGE
+    assert json.loads(out)["error"] == "unknown fields ['length']"
 
 
 def test_unknown_command_rejected(tmp_path):
@@ -182,13 +192,13 @@ def test_run_job_api_errors(monkeypatch):
             "lengths": [True],
         })
     # chain lengths are capped before anything is allocated
-    for field, value in (("lengths", [9]), ("length", 1000000)):
+    for lengths in ([9], [1000000]):
         with pytest.raises(JobError, match="chain length"):
             run_job({
                 "command": "transfer-commute",
                 "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
                 "fn": {"case": "hecke"},
-                field: value,
+                "lengths": lengths,
             })
     # a 1x1 Rhat has no off-diagonal entry for the negative control to perturb
     with pytest.raises(JobError, match="corrupt"):
@@ -279,8 +289,8 @@ SCALAR_23 = {"builtin": "scalar", "values": ["2", "3"]}
           "assignment": ["1", "-1"]}, "n"),
         ({"command": "verify-ybe", "rep": SCALAR_23, "fn": {"case": "ii"}, "mode": "random"}, "trials"),
         ({"command": "verify-ybe", "rep": SCALAR_23, "fn": {"case": "ii"}, "mode": "random"}, "seed"),
-        ({"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "length": 2}, "pairs"),
-        ({"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "pairs": 1}, "length"),
+        ({"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "lengths": [2]}, "pairs"),
+        ({"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "pairs": 1}, "lengths"),
         ({"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "pairs": 1}, "seed"),
     ],
 )
@@ -342,7 +352,7 @@ FUZZ_JOBS = [
     {"command": "verify-lemmas", "suite": "A", "rep": SCALAR_23, "alpha1": "2", "alpha2": "1", "b": "0", "c": "1"},
     {"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "lengths": [1, 2], "pairs": 1,
      "seed": 0, "corrupt": False, "site": 1},
-    {"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "length": 2, "pairs": 1},
+    {"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "lengths": [2], "pairs": 1},
     {"command": "correspondences", "kind": "hecke_in_A", "rep": HECKE_Q2, "q": "2", "b": None},
     {"command": "batch", "jobs": [{"command": "scalar-reps", "algebra": "B", "assignment": ["1", "0"]}]},
 ]

@@ -1,15 +1,19 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and every
+private helper is used somewhere in the package.
 
-Package __init__ files are skipped: their imports are the public re-exports.
+Package __init__ files are skipped as modules under test: their imports are
+the public re-exports.  They still count as places that use a helper.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "baxcheck"
-MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -45,3 +49,39 @@ def test_module_level_imports_are_used(path):
     used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"unused imports in {path.name}: {unused}"
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names read as a bare name or an attribute, except inside a def of that name."""
+    refs = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            refs.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return refs
+
+
+@functools.cache
+def _package_references() -> set[str]:
+    return set().union(*(_references(ast.parse(p.read_text(encoding="utf-8"))) for p in SOURCES))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_private_helpers_are_used(path):
+    used = _package_references()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    dead = {
+        node.name: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__") and node.name not in used
+    }
+    assert not dead, f"private helpers in {path.name} that nothing in the package uses: {dead}"

@@ -14,6 +14,7 @@ from baxcheck.reps import (
     flip_rep,
     verify_scalar,
 )
+from helpers import kron
 
 
 def test_a3_satisfies_relations_with_fully_symbolic_parameters():
@@ -53,8 +54,17 @@ def test_hecke_std_quadratic_and_tensor_braid():
     assert check_relations(rep, relations_for("Hecke", 3)).passed
     s = rep.matrices[1]
     ident = FieldMatrix.identity(2, RatFunc.one(rep.params))
-    s_left, s_right = s.kron(ident), ident.kron(s)
+    s_left, s_right = kron(s, ident), kron(ident, s)
     assert s_left * s_right * s_left == s_right * s_left * s_right
+
+
+def test_rep_entries_are_rational_functions_over_its_params():
+    # an entry over an undeclared symbol x would merge with the spectral x
+    x = RatFunc.var(("x",), "x")
+    with pytest.raises(ValueError, match="rational functions over"):
+        Rep(3, 1, (), {1: FieldMatrix(1, 1, [x]), 2: FieldMatrix(1, 1, [x])})
+    with pytest.raises(ValueError, match="rational functions over"):
+        Rep(3, 1, (), {1: FieldMatrix(1, 1, [Fraction(2)]), 2: FieldMatrix(1, 1, [Fraction(2)])})
 
 
 def test_hecke_burau_has_distinct_generators():
@@ -179,8 +189,8 @@ def test_scalar_uniform_rep_is_trivial_correspondence():
     assert correspondence_check("B_to_A_shift", lam, b=Fraction(2)).passed
 
 
-# builtin_rep(name, **kwargs).serialize()["params"] and its matrices, symbolic
-# and at one numeric assignment
+# the params and printed matrices of builtin_rep(name, **kwargs), symbolic and
+# at one numeric assignment
 SERIALIZED = [
     ("A3_2dim", {}, ["c", "mu"], {"1": [["0", "c"], ["0", "0"]], "2": [["mu", "-mu^2"], ["1", "-mu"]]}),
     ("A3_2dim", {"c": 2, "mu": Fraction(1, 3)}, [],
@@ -207,9 +217,14 @@ SERIALIZED = [
 ]
 
 
+def _rep_record(rep: Rep) -> dict:
+    matrices = {str(i): [[str(e) for e in m.row(r)] for r in range(m.rows)] for i, m in rep.matrices.items()}
+    return {"n": rep.n, "dim": rep.dim, "params": list(rep.params), "matrices": matrices}
+
+
 def test_rep_serialization_shape():
     for name, kwargs, params, matrices in SERIALIZED:
-        record = builtin_rep(name, **kwargs).serialize()
+        record = _rep_record(builtin_rep(name, **kwargs))
         dim = len(matrices["1"])
         assert record == {"n": 3, "dim": dim, "params": params, "matrices": matrices}, (name, kwargs)
 
