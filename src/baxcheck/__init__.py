@@ -9,7 +9,6 @@ the supporting operator identities, and the commutation of transfer matrices.
 """
 
 from .exactnum import (
-    ExactScalar,
     FieldMatrix,
     MultiPoly,
     PoleError,
@@ -49,7 +48,6 @@ from .verify import lemma_suite_A, lemma_suite_B, transfer_commute, ybe_random, 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactScalar",
     "FieldMatrix",
     "H_closed",
     "H_series",

@@ -108,11 +108,10 @@ def spectral_symbols(rep: Rep, names: Sequence[str]) -> tuple[str, ...]:
 
 @dataclass
 class RMatrixSym:
-    """A baxterised R-matrix over Q(vars + rep params), with its cleared form P / delta."""
+    """A baxterised R-matrix Rhat(x, y) over Q(x, y + rep params), with its cleared form P / delta."""
 
     rep: Rep
     site: int
-    vars: tuple[str, str]
     value: FieldMatrix  # RatFunc entries
     P: FieldMatrix  # MultiPoly entries
     delta: MultiPoly
@@ -164,16 +163,15 @@ def build_R(rep: Rep, i: int, fn: SpectralFn) -> RMatrixSym:
     P, delta = rhat_cleared(rep, i, fn, "x", "y", symbols)
     drf = RatFunc(delta)
     value = P.map_entries(lambda e: RatFunc(e) / drf)
-    return RMatrixSym(rep=rep, site=i, vars=("x", "y"), value=value, P=P, delta=delta)
+    return RMatrixSym(rep=rep, site=i, value=value, P=P, delta=delta)
 
 
 def check_regularity(R: RMatrixSym) -> bool:
     """Rhat(x, x) = identity, after cancelling the removable x = y locus."""
-    u, w = R.vars
     try:
-        at_diag = R.value.map_entries(lambda e: e.rename({w: u}))
+        at_diag = R.value.map_entries(lambda e: e.rename({"y": "x"}))
     except PoleError as exc:
-        raise SingularMatrixError(f"R-matrix singular on the diagonal {w} = {u}") from exc
+        raise SingularMatrixError("R-matrix singular on the diagonal y = x") from exc
     return at_diag == FieldMatrix.identity(R.rep.dim, RatFunc.one(at_diag.entries[0].vars))
 
 
@@ -182,8 +180,7 @@ def check_unitarity(R: RMatrixSym) -> bool:
 
     Rhat(y, x) is R's cleared form with its two spectral variables swapped.
     """
-    u, w = R.vars
-    P2, d2 = rename_cleared(R.P, R.delta, {u: w, w: u})
+    P2, d2 = rename_cleared(R.P, R.delta, {"x": "y", "y": "x"})
     return R.P * P2 == FieldMatrix.identity(R.rep.dim, R.delta * d2)
 
 

@@ -11,8 +11,8 @@ every field:
   rep's `values`, a null item keeps that parameter symbolic;
 * unknown fields are rejected, and every field is parsed before any
   representation is built or any check starts;
-* `lengths` and a `batch`'s `jobs` must be nonempty lists; a batch takes no
-  `expect`, and batches do not nest.
+* `lengths`, `assignment` and a `batch`'s `jobs` must be nonempty lists; a
+  batch takes no `expect`, and batches do not nest.
 
 --seed, --trials and --mode replace a job's field exactly when its command's
 spec has that field.  Reports are serialized with sorted keys and no
@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 
 from .baxter import SPECTRAL_CASES, SpectralFn, build_R, check_regularity, check_unitarity, series_agreement_order
-from .exactnum import PoleError, parse_scalar
+from .exactnum import parse_scalar
 from .ncalg import ALGEBRAS, PROP1_TERMS, prop1_certificate, relations_for
 from .report import VerifyReport
 from .reps import (
@@ -127,10 +127,12 @@ def _one_of(options: tuple):
     return parse
 
 
-def _list(item, nonempty: bool = False):
+def _list(item, nonempty: bool = False, cap: int | None = None):
     def parse(value, where: str) -> list:
         if not isinstance(value, list) or (nonempty and not value):
             raise JobError(f"{where}: expected a {'nonempty ' if nonempty else ''}list")
+        if cap is not None and len(value) > cap:
+            raise JobError(f"{where}: at most {cap} items, got {len(value)}")
         return [item(v, where) for v in value]
 
     return parse
@@ -189,15 +191,16 @@ def _prop1(omit_term):
     return report, {"residual_terms": residual.num_terms()}
 
 
-def _check_algebra(algebra, n, parameters, rep):
-    return check_relations(_build(rep), relations_for(algebra, n, parameters)), {}
+def _check_algebra(algebra, parameters, rep):
+    rep = _build(rep)
+    return check_relations(rep, relations_for(algebra, rep.n, parameters)), {}
 
 
-def _scalar_reps(algebra, parameters, assignment, n):
+def _scalar_reps(algebra, parameters, assignment):
     classes = classify_scalar(algebra, parameters)
     report = VerifyReport("scalar classification")
     if assignment is not None:
-        ok = verify_scalar(assignment, algebra, parameters, n=n)
+        ok = verify_scalar(assignment, algebra, parameters)
         report.add_residual("assignment", 0 if ok else 1)
     return report, {"classes": [c.to_record() for c in classes]}
 
@@ -239,10 +242,7 @@ def _verify_lemmas(suite, rep, **scalars):
 
 def _transfer_commute(pairs, rep, fn, site, lengths, seed, corrupt):
     check_chain_lengths(lengths)  # the whole list is checked before any chain is built
-    try:
-        return transfer_commute(_build(rep), site, fn, lengths, count=pairs, seed=seed, corrupt=corrupt), {}
-    except PoleError as exc:
-        raise JobError(str(exc)) from exc
+    return transfer_commute(_build(rep), site, fn, lengths, count=pairs, seed=seed, corrupt=corrupt), {}
 
 
 def _correspondences(kind, rep, q, b):
@@ -263,7 +263,7 @@ def _batch(jobs, overrides):
 
 _EXPECT = {"expect": (_one_of(("pass", "fail")), "pass")}
 _ALGEBRA, _PARAMETERS = (_one_of(ALGEBRAS), REQUIRED), (_parameters, None)
-_N = (_int(MAX_GENERATORS, floor=2), 3)  # an algebra or scalar rep needs a generator
+_N = (_int(MAX_GENERATORS, floor=2), 3)  # a scalar rep needs a generator
 _REP, _FN, _SITE, _SEED = (_rep, REQUIRED), (_fn, REQUIRED), (_int(), 1), (_int(), 0)
 
 # The job schema.  Handlers reach the workers (ybe_symbolic, builtin_rep, ...)
@@ -271,11 +271,12 @@ _REP, _FN, _SITE, _SEED = (_rep, REQUIRED), (_fn, REQUIRED), (_int(), 1), (_int(
 COMMANDS = {
     "prop1": (_prop1, {**_EXPECT, "omit_term": (_one_of(PROP1_TERMS), None)}),
     "check-algebra": (
-        _check_algebra, {**_EXPECT, "algebra": _ALGEBRA, "n": _N, "parameters": _PARAMETERS, "rep": _REP}
+        _check_algebra, {**_EXPECT, "algebra": _ALGEBRA, "parameters": _PARAMETERS, "rep": _REP}
     ),
     "scalar-reps": (
         _scalar_reps,
-        {**_EXPECT, "algebra": _ALGEBRA, "parameters": _PARAMETERS, "assignment": (_list(_scalar), None), "n": _N},
+        {**_EXPECT, "algebra": _ALGEBRA, "parameters": _PARAMETERS,
+         "assignment": (_list(_scalar, nonempty=True, cap=MAX_GENERATORS - 1), None)},
     ),
     "baxterise": (
         _baxterise,

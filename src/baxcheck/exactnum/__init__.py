@@ -1,13 +1,12 @@
 """Exact arithmetic core: rationals, sparse polynomials, rational functions,
 and dense matrices over any of them with fraction-free inversion."""
 
-from .scalar import ExactScalar, format_scalar, parse_scalar
+from .scalar import format_scalar, parse_scalar
 from .poly import MultiPoly, canonical_vars, poly_gcd
 from .ratfunc import PoleError, RatFunc
 from .matrix import FieldMatrix, SingularMatrixError
 
 __all__ = [
-    "ExactScalar",
     "FieldMatrix",
     "MultiPoly",
     "PoleError",

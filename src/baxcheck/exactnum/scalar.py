@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-ExactScalar = Fraction
-
 _SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 

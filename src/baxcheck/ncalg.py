@@ -19,9 +19,6 @@ from .exactnum import RatFunc, canonical_vars
 
 Word = tuple[int, ...]
 
-ALGEBRAS = ("Braid", "Hecke", "A", "B", "C")
-
-
 class NCPoly:
     """Noncommutative polynomial in generators sigma_1 .. sigma_(n-1)."""
 
@@ -179,13 +176,10 @@ def nc_commutator(p: NCPoly, q: NCPoly) -> NCPoly:
     return p * q - q * p
 
 
-def flip(p: NCPoly, n: int | None = None) -> NCPoly:
+def flip(p: NCPoly) -> NCPoly:
     """Replace every index j by n - j letterwise; coefficients unchanged."""
-    n = p.n if n is None else n
-    if n != p.n:
-        raise ValueError("flip strand count does not match the element")
     res = NCPoly(p.n, p.symbols)
-    res.terms = {tuple(n - j for j in w): c for w, c in p.terms.items()}
+    res.terms = {tuple(p.n - j for j in w): c for w, c in p.terms.items()}
     return res
 
 
@@ -240,7 +234,50 @@ def resolve_params(names: Iterable[str], given: Mapping | None) -> tuple[tuple[s
     return symbols, out
 
 
-_ALGEBRA_PARAMS = {"A": ("a", "b", "c"), "Hecke": ("q",)}  # the other algebras take none
+def site_relations(n: int, symbols: tuple[str, ...], families) -> list[tuple[str, NCPoly]]:
+    """(f"{label}({i})", element(s, t)) with s = sigma_i, t = sigma_(i+1), for i = 1 .. n-2.
+
+    families is a sequence of (label, element) pairs; at each site they come
+    in the given order.
+    """
+    out = []
+    for i in range(1, n - 1):
+        s, t = NCPoly.gen(n, i, symbols), NCPoly.gen(n, i + 1, symbols)
+        out.extend((f"{label}({i})", element(s, t)) for label, element in families)
+    return out
+
+
+_BRAID = (("braid", lambda s, t: s * t * s - t * s * t),)
+_B_CUBICS = (
+    ("bb2", lambda s, t: s**2 * t - s * t**2 - (s**2 - t**2 + t - s)),
+    ("bb3", lambda s, t: t**3 * s - t * s**3 - (t**2 * s - t * s**2 + t**3 - s**3 - t**2 + s**2)),
+    ("bb4", lambda s, t: t**4 * s - t * s**4 - (t**2 * s - t * s**2 + t**4 - s**4 - t**2 + s**2)),
+)
+# tau_j = sigma_(n-j) on the same index alphabet: C relation k at site i is the
+# flip of B relation k at site n-1-i, i.e. s and t swap
+_C_CUBICS = tuple(("cc" + label[2:], lambda s, t, f=f: f(t, s)) for label, f in _B_CUBICS)
+
+
+def _a_cubics(a: RatFunc, b: RatFunc, c: RatFunc):
+    return (
+        ("aa1", lambda s, t: nc_commutator(s**2, t) - nc_commutator(s, t**2)),
+        ("aa2", lambda s, t: nc_commutator(t * s, s + t) - (a * (s**3 - t**3) + b * (s**2 - t**2) - c * (s - t))),
+        ("aa5", lambda s, t: a * (s * t**3 - s**3 * t) + b * (t**2 * s - t * s**2)),
+        ("aa3", lambda s, t: a * (t**3 * s - t * s**3) + b * (t**2 * s - t * s**2)),
+        ("aa4", lambda s, t: (a * a) * (t**4 * s - t * s**4) - (b * b + a * c) * (t**2 * s - t * s**2)),
+    )
+
+
+# algebra -> (parameter names, blocks(*resolved values)); each block is a
+# tuple of per-site families, and the blocks follow one another in the set
+_ALGEBRA_TABLE = {
+    "Braid": ((), lambda: (_BRAID,)),
+    "Hecke": (("q",), lambda q: (_BRAID,)),  # the quadratic is added per generator
+    "A": (("a", "b", "c"), lambda a, b, c: (_a_cubics(a, b, c),)),
+    "B": ((), lambda: (_BRAID, _B_CUBICS)),
+    "C": ((), lambda: (_BRAID, _C_CUBICS)),
+}
+ALGEBRAS = tuple(_ALGEBRA_TABLE)
 
 
 def relations_for(algebra: str, n: int, params: Mapping | None = None) -> RelationSet:
@@ -253,66 +290,18 @@ def relations_for(algebra: str, n: int, params: Mapping | None = None) -> Relati
         raise ValueError(f"unknown algebra {algebra!r}, expected one of {ALGEBRAS}")
     if n < 2:
         raise ValueError("n must be at least 2")
-    symbols, vals = resolve_params(_ALGEBRA_PARAMS.get(algebra, ()), params)
+    names, blocks = _ALGEBRA_TABLE[algebra]
+    symbols, vals = resolve_params(names, params)
 
     def gen(i: int) -> NCPoly:
         return NCPoly.gen(n, i, symbols)
 
-    elements: list[tuple[str, NCPoly]] = []
-
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            elements.append((f"locality({i},{j})", nc_commutator(gen(i), gen(j))))
-
-    if algebra in ("Braid", "Hecke", "B", "C"):
-        for i in range(1, n - 1):
-            s, t = gen(i), gen(i + 1)
-            elements.append((f"braid({i})", s * t * s - t * s * t))
-
+    elements = [(f"locality({i},{j})", nc_commutator(gen(i), gen(j))) for i in range(1, n) for j in range(i + 2, n)]
+    for block in blocks(*(vals[name] for name in names)):
+        elements += site_relations(n, symbols, block)
     if algebra == "Hecke":
-        q = vals["q"]
-        for i in range(1, n):
-            s = gen(i)
-            one = NCPoly.one(n, symbols)
-            elements.append((f"hecke({i})", (s - one) * (s - q * one)))
-
-    if algebra == "A":
-        a, b, c = vals["a"], vals["b"], vals["c"]
-        for i in range(1, n - 1):
-            s, t = gen(i), gen(i + 1)
-            elements.append((f"aa1({i})", nc_commutator(s**2, t) - nc_commutator(s, t**2)))
-            elements.append(
-                (
-                    f"aa2({i})",
-                    nc_commutator(t * s, s + t)
-                    - (a * (s**3 - t**3) + b * (s**2 - t**2) - c * (s - t)),
-                )
-            )
-            elements.append((f"aa5({i})", a * (s * t**3 - s**3 * t) + b * (t**2 * s - t * s**2)))
-            elements.append((f"aa3({i})", a * (t**3 * s - t * s**3) + b * (t**2 * s - t * s**2)))
-            elements.append(
-                (
-                    f"aa4({i})",
-                    (a * a) * (t**4 * s - t * s**4) - (b * b + a * c) * (t**2 * s - t * s**2),
-                )
-            )
-
-    if algebra in ("B", "C"):
-        tag = algebra.lower() * 2
-        for i in range(1, n - 1):
-            s, t = gen(i), gen(i + 1)
-            if algebra == "C":
-                # tau_j = sigma_(n-j) on the same index alphabet: C relation k at
-                # site i is the flip of B relation k at site n-1-i, i.e. s and t swap
-                s, t = t, s
-            elements.append((f"{tag}2({i})", s**2 * t - s * t**2 - (s**2 - t**2 + t - s)))
-            elements.append(
-                (f"{tag}3({i})", t**3 * s - t * s**3 - (t**2 * s - t * s**2 + t**3 - s**3 - t**2 + s**2))
-            )
-            elements.append(
-                (f"{tag}4({i})", t**4 * s - t * s**4 - (t**2 * s - t * s**2 + t**4 - s**4 - t**2 + s**2))
-            )
-
+        one = NCPoly.one(n, symbols)
+        elements += [(f"hecke({i})", (gen(i) - one) * (gen(i) - vals["q"] * one)) for i in range(1, n)]
     return RelationSet(algebra=algebra, n=n, symbols=symbols, elements=elements)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactnum import FieldMatrix, RatFunc, canonical_vars
-from .ncalg import NCPoly, RelationSet, relations_for, resolve_params
+from .ncalg import NCPoly, RelationSet, relations_for, resolve_params, site_relations
 from .report import VerifyReport
 
 CORRESPONDENCE_KINDS = ("hecke_in_A", "braid_coset_to_A", "B_to_A_shift")
@@ -260,14 +260,14 @@ def classify_scalar(algebra: str, params: Mapping | None = None) -> list[ScalarR
     raise ValueError(f"scalar classification covers A, B, C; got {algebra!r}")
 
 
-def verify_scalar(assignment: Sequence[Fraction], algebra: str, params: Mapping | None = None, n: int = 3) -> bool:
+def verify_scalar(assignment: Sequence[Fraction], algebra: str, params: Mapping | None = None) -> bool:
     """Substitute one scalar per generator into the relation set; exact pass/fail.
 
-    This is the direct evaluation route, independent of classify_scalar.
+    The strand count n is len(assignment) + 1.  This is the direct evaluation
+    route, independent of classify_scalar.
     """
     values = [Fraction(v) for v in assignment]
-    if len(values) != n - 1:
-        raise ValueError(f"need {n - 1} scalars for n={n}")
+    n = len(values) + 1
     rep = builtin_rep("scalar", values=values, n=n)
     rels = relations_for(algebra, n, params)
     return check_relations(rep, rels).passed
@@ -278,41 +278,23 @@ def verify_scalar(assignment: Sequence[Fraction], algebra: str, params: Mapping 
 
 def _shift_rep(rep: Rep, shift: RatFunc, scale: RatFunc | None = None) -> Rep:
     """Map every generator matrix M to scale * (M + shift * I)."""
-    one = FieldMatrix.identity(rep.dim, RatFunc.one(rep.params))
-    mats = {}
-    for i, m in rep.matrices.items():
-        out = m + one.scale(shift)
-        if scale is not None:
-            out = out.scale(scale)
-        mats[i] = out
+    step = FieldMatrix.identity(rep.dim, RatFunc.one(rep.params)).scale(shift)
+    mats = {i: m + step if scale is None else (m + step).scale(scale) for i, m in rep.matrices.items()}
     return Rep(rep.n, rep.dim, rep.params, mats)
 
 
-def _extra_braid_coset_elements(n: int, b: RatFunc, symbols: tuple[str, ...]) -> list[tuple[str, NCPoly]]:
-    """The two cubic elements cutting the braid algebra down to the shifted
+def _coset_families(b: RatFunc):
+    """The two cubic families cutting the braid algebra down to the shifted
     three-parameter algebra with (0, b, -b^2)."""
-    out = []
     bb = b * b
-    for i in range(1, n - 1):
-        s = NCPoly.gen(n, i, symbols)
-        t = NCPoly.gen(n, i + 1, symbols)
-        out.append(
-            (f"coset1({i})", t**2 * s - t * s**2 - (bb * (s - t) - b * (s**2 - t**2)))
-        )
-        out.append(
-            (f"coset2({i})", s**2 * t - s * t**2 - (bb * (t - s) - b * (t**2 - s**2)))
-        )
-    return out
+    return (
+        ("coset1", lambda s, t: t**2 * s - t * s**2 - (bb * (s - t) - b * (s**2 - t**2))),
+        ("coset2", lambda s, t: s**2 * t - s * t**2 - (bb * (t - s) - b * (t**2 - s**2))),
+    )
 
 
-def _extra_B_remark_elements(n: int, symbols: tuple[str, ...]) -> list[tuple[str, NCPoly]]:
-    """The extra relation of the B-to-A remark: ts^2 - t^2 s = s^2 - t^2 + t - s."""
-    out = []
-    for i in range(1, n - 1):
-        s = NCPoly.gen(n, i, symbols)
-        t = NCPoly.gen(n, i + 1, symbols)
-        out.append((f"remark({i})", t * s**2 - t**2 * s - (s**2 - t**2 + t - s)))
-    return out
+# the extra relation of the B-to-A remark: ts^2 - t^2 s = s^2 - t^2 + t - s
+_REMARK = (("remark", lambda s, t: t * s**2 - t**2 * s - (s**2 - t**2 + t - s)),)
 
 
 def correspondence_check(kind: str, rep: Rep, q=None, b=None) -> VerifyReport:
@@ -353,15 +335,13 @@ def correspondence_check(kind: str, rep: Rep, q=None, b=None) -> VerifyReport:
         if not b_rf:
             raise ValueError(f"{kind} requires b != 0")
         if kind == "braid_coset_to_A":
-            source = ("precheck braid:", relations_for("Braid", rep.n))
-            extra = _extra_braid_coset_elements(rep.n, b_rf, symbols)
-            shifted = _shift_rep(lifted, -b_rf)
-        else:  # B_to_A_shift
-            source = ("precheck B:", relations_for("B", rep.n))
-            extra = _extra_B_remark_elements(rep.n, symbols)
-            # sigma -> b*(sigma - 1), the inverse of sigma -> sigma/b + 1
-            shifted = _shift_rep(lifted, -RatFunc.one(symbols), scale=b_rf)
-        prechecks = [source, ("precheck ", RelationSet(kind, rep.n, symbols, extra))]
+            source, families, shifted = "Braid", _coset_families(b_rf), _shift_rep(lifted, -b_rf)
+        else:  # B_to_A_shift: sigma -> b*(sigma - 1), the inverse of sigma -> sigma/b + 1
+            source, families, shifted = "B", _REMARK, _shift_rep(lifted, -RatFunc.one(symbols), b_rf)
+        prechecks = [
+            (f"precheck {'braid' if source == 'Braid' else source}:", relations_for(source, rep.n)),
+            ("precheck ", RelationSet(kind, rep.n, symbols, site_relations(rep.n, symbols, families))),
+        ]
         target, target_params = "A(0,b,-b^2)", {"a": 0, "b": b_rf, "c": -(b_rf * b_rf)}
 
     for prefix, rels in prechecks:

@@ -324,7 +324,7 @@ def lemma_suite_B(rep: Rep) -> VerifyReport:
 
 MAX_CHAIN_LENGTH = 8  # d <= 2 for every square builtin: monodromies up to 512 x 512
 # Job-size caps, enforced when a job is parsed and before any work starts:
-# generators n of an algebra or scalar rep, series truncation order,
+# strand count n of a scalar rep or assignment, series truncation order,
 # randomized YBE trials and transfer point pairs.
 MAX_GENERATORS = 16
 MAX_SERIES_ORDER = 64
@@ -415,7 +415,6 @@ def transfer_commute(
     i: int,
     fn: SpectralFn,
     lengths: Sequence[int],
-    points: Sequence[tuple[Fraction, Fraction]] | None = None,
     count: int = 5,
     seed: int = 0,
     corrupt: bool = False,
@@ -456,9 +455,8 @@ def transfer_commute(
         raise ValueError(f"corrupt needs a site matrix on V (x) V with dim V >= 2, got dim V = {d}")
     check_chain_lengths(lengths)
     sigma = rep.site(i).map_entries(lambda e: e.constant_value())
-    n_pairs = count if points is None else len(points)
-    if n_pairs < 1:
-        raise ValueError(f"need at least one point pair, got {n_pairs}")
+    if count < 1:
+        raise ValueError(f"need at least one point pair, got {count}")
     y0 = choose_reference_point(fn)
     base = {"kind": "randomized", "seed": seed, "y0": format_scalar(y0), "corrupt": corrupt}
     runs = [{**base, "L": L, "points": []} for L in lengths]
@@ -484,23 +482,15 @@ def transfer_commute(
         return rhat.cleared()[0]
 
     def pair_at(x1, x2):
-        x1, x2 = Fraction(x1), Fraction(x2)
         return (x1, x2), (rhat_at(x1), rhat_at(x2))
 
     pairs = []
-    if points is None:
-        rng = split_rng(seed, 0xF00D)
-        while len(pairs) < count:
-            pair, _ = _regular_draw(lambda rng: pair_at(sample_fraction(rng), sample_fraction(rng)), rng)
-            if pair is None:
-                return error(SAMPLING_FAILURE)
-            pairs.append(pair)
-    else:
-        for x1, x2 in points:
-            try:
-                pairs.append(pair_at(x1, x2))
-            except (PoleError, SingularMatrixError, ZeroDivisionError) as exc:
-                raise PoleError(f"pole at supplied point pair ({x1}, {x2}); resample") from exc
+    rng = split_rng(seed, 0xF00D)
+    while len(pairs) < count:
+        pair, _ = _regular_draw(lambda rng: pair_at(sample_fraction(rng), sample_fraction(rng)), rng)
+        if pair is None:
+            return error(SAMPLING_FAILURE)
+        pairs.append(pair)
 
     sizes = []  # sizes[k][L]: nonzero entries of pair k's commutator at chain length L
     for _, rhats in pairs:

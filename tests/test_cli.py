@@ -253,28 +253,49 @@ def test_run_job_api_errors(monkeypatch):
         ("series_order", {"command": "baxterise", "rep": hecke, "fn": {"case": "hecke"},
                           "series_order": MAX_SERIES_ORDER + 1}),
         ("series_order", {"command": "baxterise", "rep": hecke, "fn": {"case": "hecke"}, "series_order": 1000000}),
-        ("n", {"command": "check-algebra", "algebra": "Braid", "rep": hecke, "n": MAX_GENERATORS + 1}),
-        ("n", {"command": "check-algebra", "algebra": "Braid", "rep": hecke, "n": 1000000}),
         ("n", {"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "n": 1000000}}),
-        ("n", {"command": "scalar-reps", "algebra": "A", "n": 1000000}),
+        # n = len(assignment) + 1 is capped like n, before any item is parsed
+        ("assignment", {"command": "scalar-reps", "algebra": "A", "assignment": ["1"] * MAX_GENERATORS}),
+        ("assignment", {"command": "scalar-reps", "algebra": "B", "assignment": [None] * 1000000}),
         ("trials", dict(A3_II_RANDOM, trials=MAX_TRIALS + 1)),
         ("pairs", {"command": "transfer-commute", "rep": hecke, "fn": {"case": "hecke"}, "pairs": MAX_PAIRS + 1}),
     ]
     for field, job in over_cap:
         with pytest.raises(JobError, match=f"^{field}: at most"):
             run_job(job)
-    # an algebra or scalar rep needs at least one generator: n >= 2
-    scalar_a = {"command": "scalar-reps", "algebra": "A", "parameters": {"a": "1", "b": "2", "c": "3"}}
+    # a scalar rep needs at least one generator: n >= 2
     under_floor = [
-        (-3, dict(scalar_a, n=-3)),
-        (1, dict(scalar_a, n=1)),
-        (0, {"command": "check-algebra", "algebra": "Braid", "rep": hecke, "n": 0}),
         (0, {"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "values": ["1"], "n": 0}}),
         (-1, {"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "n": -1}}),
     ]
     for n, job in under_floor:
         with pytest.raises(JobError, match=rf"^n: at least 2, got {n}$"):
             run_job(job)
+    with pytest.raises(JobError, match="^assignment: expected a nonempty list$"):
+        run_job({"command": "scalar-reps", "algebra": "A", "assignment": []})
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        {"command": "check-algebra", "algebra": "Hecke", "parameters": {"q": "2"}, "rep": {"builtin": "Hecke3_std"}},
+        {"command": "scalar-reps", "algebra": "B", "assignment": ["1", "0"]},
+    ],
+)
+def test_strand_count_is_not_a_job_field(tmp_path, job):
+    # the rep or the assignment fixes n
+    code, out = invoke(tmp_path, dict(job, n=3))
+    assert code == EXIT_USAGE
+    assert json.loads(out)["error"] == "unknown fields ['n']"
+
+
+def test_assignment_sets_the_strand_count():
+    job = {"command": "scalar-reps", "algebra": "B", "assignment": ["1", "0", "1"]}
+    payload, code = run_job(job)
+    assert code == EXIT_PASS and payload["report"]["residuals"] == [["assignment", 0]]
+    # (1, 0, 2) fails only at the third generator, which n = 3 would not reach
+    payload, code = run_job(dict(job, assignment=["1", "0", "2"]))
+    assert code == EXIT_FAIL and payload["report"]["residuals"] == [["assignment", 1]]
 
 
 HECKE_Q2 = {"builtin": "Hecke3_std", "parameters": {"q": "2"}}
@@ -284,9 +305,8 @@ SCALAR_23 = {"builtin": "scalar", "values": ["2", "3"]}
 @pytest.mark.parametrize(
     "job, field",
     [
-        ({"command": "check-algebra", "algebra": "Hecke", "parameters": {"q": "2"}, "rep": HECKE_Q2}, "n"),
-        ({"command": "scalar-reps", "algebra": "A", "parameters": {"a": "1", "b": "0", "c": "1"},
-          "assignment": ["1", "-1"]}, "n"),
+        ({"command": "check-algebra", "algebra": "Braid", "rep": HECKE_Q2}, "parameters"),
+        ({"command": "scalar-reps", "algebra": "A", "parameters": {"a": "1", "b": "0", "c": "1"}}, "assignment"),
         ({"command": "verify-ybe", "rep": SCALAR_23, "fn": {"case": "ii"}, "mode": "random"}, "trials"),
         ({"command": "verify-ybe", "rep": SCALAR_23, "fn": {"case": "ii"}, "mode": "random"}, "seed"),
         ({"command": "transfer-commute", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "lengths": [2]}, "pairs"),
@@ -341,11 +361,11 @@ def test_unusable_job_file_is_usage_error(tmp_path, data):
 # cheap valid jobs, one or more per command, for the schema fuzz below
 FUZZ_JOBS = [
     {"command": "prop1", "omit_term": "r3", "expect": "fail", "note": "control"},
-    {"command": "check-algebra", "algebra": "Hecke", "n": 3, "parameters": {"q": "2"}, "rep": HECKE_Q2},
+    {"command": "check-algebra", "algebra": "Hecke", "parameters": {"q": "2"}, "rep": HECKE_Q2},
     {"command": "check-algebra", "algebra": "A", "parameters": {"a": "1", "b": None, "c": "1"},
      "rep": dict(SCALAR_23, flip=True, n=3)},
     {"command": "scalar-reps", "algebra": "A", "parameters": {"a": "1", "b": "0", "c": "1"},
-     "assignment": ["1", "-1"], "n": 3},
+     "assignment": ["1", "-1"]},
     {"command": "baxterise", "rep": SCALAR_23, "fn": {"case": "i", "alpha1": "2", "alpha2": "1", "b": "0", "c": "1"},
      "site": 1, "series_order": 2},
     {"command": "verify-ybe", "rep": SCALAR_23, "fn": {"case": "ii"}, "mode": "random", "trials": 2, "seed": 1},

@@ -173,6 +173,76 @@ def test_correspondence_unknown_kind():
         correspondence_check("bogus", builtin_rep("B3_2dim"))
 
 
+# n = 4 has two sites, so these pin the order of the per-site families and
+# their elements' content where the golden reports (all n = 3) cannot.
+# UNIFORM is lam at every generator; MIXED is (lam, 2, lam), so the two sites
+# see (s, t) = (lam, 2) and (2, lam) and most residuals are nonzero.
+UNIFORM, MIXED = {"n": 4}, {"values": [None, 2, None], "n": 4}
+A_AT_N4 = [("locality(1,3)", 0)] + [(f"{f}({i})", 0) for i in (1, 2) for f in ("aa1", "aa2", "aa5", "aa3", "aa4")]
+
+
+@pytest.mark.parametrize(
+    "algebra, rep, expected",
+    [
+        ("Braid", UNIFORM, [("locality(1,3)", 0), ("braid(1)", 0), ("braid(2)", 0)]),
+        ("Braid", MIXED, [("locality(1,3)", 0), ("braid(1)", 3), ("braid(2)", 3)]),
+        ("Hecke", UNIFORM, [("locality(1,3)", 0), ("braid(1)", 0), ("braid(2)", 0),
+                            ("hecke(1)", 5), ("hecke(2)", 5), ("hecke(3)", 5)]),
+        ("Hecke", MIXED, [("locality(1,3)", 0), ("braid(1)", 3), ("braid(2)", 3),
+                          ("hecke(1)", 5), ("hecke(2)", 3), ("hecke(3)", 5)]),
+        ("A", UNIFORM, A_AT_N4),
+        ("A", MIXED, [("locality(1,3)", 0),
+                      ("aa1(1)", 0), ("aa2(1)", 7), ("aa5(1)", 5), ("aa3(1)", 5), ("aa4(1)", 7),
+                      ("aa1(2)", 0), ("aa2(2)", 7), ("aa5(2)", 5), ("aa3(2)", 5), ("aa4(2)", 7)]),
+        ("B", UNIFORM, [("locality(1,3)", 0), ("braid(1)", 0), ("braid(2)", 0),
+                        ("bb2(1)", 0), ("bb3(1)", 0), ("bb4(1)", 0), ("bb2(2)", 0), ("bb3(2)", 0), ("bb4(2)", 0)]),
+        ("B", MIXED, [("locality(1,3)", 0), ("braid(1)", 3), ("braid(2)", 3),
+                      ("bb2(1)", 4), ("bb3(1)", 5), ("bb4(1)", 5), ("bb2(2)", 4), ("bb3(2)", 5), ("bb4(2)", 5)]),
+        ("C", UNIFORM, [("locality(1,3)", 0), ("braid(1)", 0), ("braid(2)", 0),
+                        ("cc2(1)", 0), ("cc3(1)", 0), ("cc4(1)", 0), ("cc2(2)", 0), ("cc3(2)", 0), ("cc4(2)", 0)]),
+        ("C", MIXED, [("locality(1,3)", 0), ("braid(1)", 3), ("braid(2)", 3),
+                      ("cc2(1)", 4), ("cc3(1)", 5), ("cc4(1)", 5), ("cc2(2)", 4), ("cc3(2)", 5), ("cc4(2)", 5)]),
+    ],
+)
+def test_relation_residuals_at_n4(algebra, rep, expected):
+    assert check_relations(builtin_rep("scalar", **rep), relations_for(algebra, 4)).residuals == expected
+
+
+@pytest.mark.parametrize(
+    "kind, values, status, expected",
+    [
+        ("hecke_in_A", [1, 1, 1], "pass",
+         [("precheck Hecke:locality(1,3)", 0), ("precheck Hecke:braid(1)", 0), ("precheck Hecke:braid(2)", 0),
+          ("precheck Hecke:hecke(1)", 0), ("precheck Hecke:hecke(2)", 0), ("precheck Hecke:hecke(3)", 0)]
+         + [(f"A(0,0,-q):{label}", 0) for label, _ in A_AT_N4]),
+        ("hecke_in_A", MIXED["values"], "error",
+         [("precheck Hecke:locality(1,3)", 0), ("precheck Hecke:braid(1)", 3), ("precheck Hecke:braid(2)", 3),
+          ("precheck Hecke:hecke(1)", 5), ("precheck Hecke:hecke(2)", 3), ("precheck Hecke:hecke(3)", 5)]),
+        ("braid_coset_to_A", [1, 1, 1], "pass",
+         [("precheck braid:locality(1,3)", 0), ("precheck braid:braid(1)", 0), ("precheck braid:braid(2)", 0),
+          ("precheck coset1(1)", 0), ("precheck coset2(1)", 0), ("precheck coset1(2)", 0), ("precheck coset2(2)", 0)]
+         + [(f"A(0,b,-b^2):{label}", 0) for label, _ in A_AT_N4]),
+        ("braid_coset_to_A", MIXED["values"], "error",
+         [("precheck braid:locality(1,3)", 0), ("precheck braid:braid(1)", 3), ("precheck braid:braid(2)", 3),
+          ("precheck coset1(1)", 7), ("precheck coset2(1)", 7), ("precheck coset1(2)", 7), ("precheck coset2(2)", 7)]),
+        ("B_to_A_shift", [1, 1, 1], "pass",
+         [("precheck B:locality(1,3)", 0), ("precheck B:braid(1)", 0), ("precheck B:braid(2)", 0),
+          ("precheck B:bb2(1)", 0), ("precheck B:bb3(1)", 0), ("precheck B:bb4(1)", 0),
+          ("precheck B:bb2(2)", 0), ("precheck B:bb3(2)", 0), ("precheck B:bb4(2)", 0),
+          ("precheck remark(1)", 0), ("precheck remark(2)", 0)]
+         + [(f"A(0,b,-b^2):{label}", 0) for label, _ in A_AT_N4]),
+        ("B_to_A_shift", MIXED["values"], "error",
+         [("precheck B:locality(1,3)", 0), ("precheck B:braid(1)", 3), ("precheck B:braid(2)", 3),
+          ("precheck B:bb2(1)", 4), ("precheck B:bb3(1)", 5), ("precheck B:bb4(1)", 5),
+          ("precheck B:bb2(2)", 4), ("precheck B:bb3(2)", 5), ("precheck B:bb4(2)", 5),
+          ("precheck remark(1)", 4), ("precheck remark(2)", 4)]),
+    ],
+)
+def test_correspondence_residuals_at_n4(kind, values, status, expected):
+    report = correspondence_check(kind, builtin_rep("scalar", values=values, n=4))
+    assert (report.status, report.residuals) == (status, expected)
+
+
 def test_builtin_rejects_unknown():
     with pytest.raises(ValueError):
         builtin_rep("nope")
