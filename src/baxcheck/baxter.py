@@ -108,7 +108,12 @@ def spectral_symbols(rep: Rep, names: Sequence[str]) -> tuple[str, ...]:
 
 @dataclass
 class RMatrixSym:
-    """A baxterised R-matrix Rhat(x, y) over Q(x, y + rep params), with its cleared form P / delta."""
+    """A baxterised R-matrix Rhat(x, y) over Q(x, y + rep params), with its reduced cleared form P / delta.
+
+    delta is the lcm of the canonical denominators of value's entries and P
+    is delta * value, so no nonconstant polynomial divides delta and every
+    entry of P.
+    """
 
     rep: Rep
     site: int
@@ -163,6 +168,7 @@ def build_R(rep: Rep, i: int, fn: SpectralFn) -> RMatrixSym:
     P, delta = rhat_cleared(rep, i, fn, "x", "y", symbols)
     drf = RatFunc(delta)
     value = P.map_entries(lambda e: RatFunc(e) / drf)
+    P, delta = value.cleared()
     return RMatrixSym(rep=rep, site=i, value=value, P=P, delta=delta)
 
 
@@ -176,9 +182,10 @@ def check_regularity(R: RMatrixSym) -> bool:
 
 
 def check_unitarity(R: RMatrixSym) -> bool:
-    """Rhat(x, y) * Rhat(y, x) = identity, checked on cleared denominators.
+    """Rhat(x, y) * Rhat(y, x) = identity, checked on R's reduced cleared form.
 
-    Rhat(y, x) is R's cleared form with its two spectral variables swapped.
+    P(x, y) * P(y, x) is compared with delta(x, y) * delta(y, x) times the
+    identity; Rhat(y, x) is that form with its two spectral variables swapped.
     """
     P2, d2 = rename_cleared(R.P, R.delta, {"x": "y", "y": "x"})
     return R.P * P2 == FieldMatrix.identity(R.rep.dim, R.delta * d2)

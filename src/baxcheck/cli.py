@@ -153,7 +153,7 @@ def _rep(value, where: str) -> dict:
     record = _object(value, where)
     rep = _fields(record, {"builtin": (_one_of(BUILTIN_NAMES), REQUIRED), "flip": (_bool, False)})
     if rep["builtin"] == "scalar":
-        rep["kwargs"] = _fields(record, {"values": (_list(_symbolic), None), "n": _N})
+        rep["kwargs"] = _fields(record, {"values": (_list(_symbolic, cap=MAX_GENERATORS - 1), None), "n": _N})
     else:
         rep["kwargs"] = _fields(record, {"parameters": (_parameters, {})})["parameters"]
     _reject_unknown(record)

@@ -230,6 +230,10 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other.den == 1 and other.terms == {0: 1}:
+            return self
+        if self.den == 1 and self.terms == {0: 1}:
+            return other
         return _make(self.vars, _ip_mul(self.terms, other.terms, len(self.vars)), self.den * other.den)
 
     __rmul__ = __mul__

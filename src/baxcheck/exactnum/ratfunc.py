@@ -35,8 +35,8 @@ class RatFunc:
         # constants are units: no gcd needed when either side is constant
         if not den.is_constant() and not num.is_constant():
             _, num, den = poly_gcd(num, den)
-        lc = den._lc()
-        if lc != 1:
+        if den.terms[max(den.terms)] != den.den:  # lc != 1: terms/den is in lowest terms, den > 0
+            lc = den._lc()
             num = num.scale(1 / lc)
             den = den.scale(1 / lc)
         self.num = num
@@ -239,8 +239,8 @@ def _reduced(num: MultiPoly, den: MultiPoly) -> RatFunc:
         out.num = num
         out.den = MultiPoly.const(num.vars, 1)
         return out
-    lc = den._lc()
-    if lc != 1:
+    if den.terms[max(den.terms)] != den.den:  # lc != 1: terms/den is in lowest terms, den > 0
+        lc = den._lc()
         num = num.scale(1 / lc)
         den = den.scale(1 / lc)
     out.num = num

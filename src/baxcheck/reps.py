@@ -145,10 +145,9 @@ def flip_rep(rep: Rep) -> Rep:
 def evaluate_element(element: NCPoly, matrices: Mapping[int, FieldMatrix], dim: int, symbols: tuple[str, ...]) -> FieldMatrix:
     """Image of a free-algebra element under the evaluation homomorphism."""
     acc = FieldMatrix.zeros(dim, dim, RatFunc.zero(symbols))
-    identity = FieldMatrix.identity(dim, RatFunc.one(symbols))
     for word, coeff in element.terms.items():
-        m = identity
-        for idx in word:
+        m = matrices[word[0]] if word else FieldMatrix.identity(dim, RatFunc.one(symbols))
+        for idx in word[1:]:
             m = m * matrices[idx]
         acc = acc + m.scale(coeff.lift(symbols))
     return acc

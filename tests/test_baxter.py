@@ -16,7 +16,8 @@ from baxcheck.baxter import (
     series_agreement_order,
     spectral_symbols,
 )
-from baxcheck.exactnum import FieldMatrix, RatFunc, SingularMatrixError, canonical_vars
+from baxcheck.exactnum import FieldMatrix, RatFunc, SingularMatrixError, canonical_vars, poly_gcd
+from baxcheck.exactnum.ratfunc import denominator_lcm
 from baxcheck.reps import BUILTIN_NAMES, Rep, builtin_rep
 
 FIVE_FNS = {
@@ -129,16 +130,41 @@ def test_renamed_rhat_equals_rhat_built_at_the_renamed_pair(name, fn):
         P, delta = rhat_cleared(rep, site, fn, "x", "y", xyz)
         assert rename_cleared(P, delta, {"y": "z"}) == rhat_cleared(rep, site, fn, "x", "z", xyz)
         assert rename_cleared(P, delta, {"x": "y", "y": "z"}) == rhat_cleared(rep, site, fn, "y", "z", xyz)
+        # build_R's form is reduced, so Rhat(y, x) is compared by value
         R = build_R(rep, site, fn)
-        assert rename_cleared(R.P, R.delta, {"x": "y", "y": "x"}) == rhat_cleared(rep, site, fn, "y", "x", xy)
+        assert _by_value(*rename_cleared(R.P, R.delta, {"x": "y", "y": "x"})) == _by_value(
+            *rhat_cleared(rep, site, fn, "y", "x", xy)
+        )
+
+
+def _by_value(P, delta):
+    """The matrix P / delta with canonical RatFunc entries."""
+    d = RatFunc(delta)
+    return P.map_entries(lambda e: RatFunc(e) / d)
+
+
+@pytest.mark.parametrize("fn", FIVE_FNS.values(), ids=FIVE_FNS)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_build_R_stores_the_reduced_cleared_form(name, fn):
+    rep = builtin_rep(name)
+    for site in range(1, rep.n):
+        R = build_R(rep, site, fn)
+        assert R.delta == denominator_lcm(R.value.entries, R.delta.vars)
+        assert _by_value(R.P, R.delta) == R.value
+        common = R.delta
+        for e in R.P.entries:
+            common = poly_gcd(common, e)[0]
+        assert common.is_constant()
 
 
 def test_unitarity_fails_on_a_perturbed_cleared_matrix():
-    R = build_R(builtin_rep("B3_2dim"), 1, SpectralFn.case_ii())
-    assert check_unitarity(R)
-    entries = list(R.P.entries)
-    entries[1] = entries[1] + 1
-    assert not check_unitarity(dataclasses.replace(R, P=FieldMatrix(R.P.rows, R.P.cols, entries)))
+    # B3_2dim's cleared form has no common factor; on Hecke3_std case i, build_R drops one
+    for name, fn in (("B3_2dim", SpectralFn.case_ii()), ("Hecke3_std", FIVE_FNS["i(2,1,0,1)"])):
+        R = build_R(builtin_rep(name), 1, fn)
+        assert check_unitarity(R)
+        entries = list(R.P.entries)
+        entries[1] = entries[1] + 1
+        assert not check_unitarity(dataclasses.replace(R, P=FieldMatrix(R.P.rows, R.P.cols, entries)))
 
 
 def test_spectral_symbols_reject_colliding_names():

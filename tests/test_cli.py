@@ -257,6 +257,11 @@ def test_run_job_api_errors(monkeypatch):
         # n = len(assignment) + 1 is capped like n, before any item is parsed
         ("assignment", {"command": "scalar-reps", "algebra": "A", "assignment": ["1"] * MAX_GENERATORS}),
         ("assignment", {"command": "scalar-reps", "algebra": "B", "assignment": [None] * 1000000}),
+        # a scalar rep takes n - 1 values, capped like n, before any item is parsed
+        ("values", {"command": "check-algebra", "algebra": "Braid",
+                    "rep": {"builtin": "scalar", "values": ["1"] * MAX_GENERATORS}}),
+        ("values", {"command": "check-algebra", "algebra": "Braid",
+                    "rep": {"builtin": "scalar", "values": [None] * 1000000}}),
         ("trials", dict(A3_II_RANDOM, trials=MAX_TRIALS + 1)),
         ("pairs", {"command": "transfer-commute", "rep": hecke, "fn": {"case": "hecke"}, "pairs": MAX_PAIRS + 1}),
     ]

@@ -169,6 +169,15 @@ def test_product_matches_termwise_fraction_product(p, q):
 
 
 @settings(max_examples=40, deadline=None)
+@given(poly_strategy())
+def test_unit_factor_leaves_a_product_unchanged(p):
+    one, half = MultiPoly.const(V, 1), MultiPoly.const(V, Fraction(1, 2))
+    assert p * one == p and one * p == p and p * 1 == p and 1 * p == p
+    # half stores the terms {0: 1} of the unit polynomial over den 2
+    assert p * half == p.scale(Fraction(1, 2)) and half * p == p.scale(Fraction(1, 2))
+
+
+@settings(max_examples=40, deadline=None)
 @given(poly_strategy(), poly_strategy(), poly_strategy())
 def test_gcd_common_factor_property(p, q, g):
     # gcd(p*g, q*g) is an associate of g * gcd(p, q)

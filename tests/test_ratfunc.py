@@ -52,6 +52,10 @@ def test_zero_divisor_raises():
 def test_denominator_is_monic():
     r = RatFunc(X, 3 * Y + 3 * X)
     assert r.den.leading()[1] == 1
+    # x/2 + 1 stores the leading numerator 1 over den 2, so it is not monic
+    half_x_plus_1 = X.scale(Fraction(1, 2)) + 1
+    assert RatFunc(X, half_x_plus_1).den == X + 2
+    assert (RatFunc(X) / RatFunc(half_x_plus_1)).den == X + 2
 
 
 small_coeff = st.integers(min_value=-3, max_value=3)
@@ -76,6 +80,26 @@ def test_canonical_form_is_route_independent(p, q):
     direct = RatFunc(p, q)
     routed = RatFunc(p) / RatFunc(q)
     assert direct.num == routed.num and direct.den == routed.den
+
+
+# denominators: the unit polynomial, other constants, and polynomials
+den_strategy = st.one_of(
+    st.just(MultiPoly.const(V, 1)),
+    small_coeff.filter(bool).map(lambda c: MultiPoly.const(V, Fraction(c, 2))),
+    poly_strategy().filter(bool),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(), den_strategy, poly_strategy(), den_strategy)
+def test_arithmetic_matches_the_cross_multiplied_canonical_form(p, q, r, s):
+    a, b = RatFunc(p, q), RatFunc(r, s)
+    pairs = [(a + b, a.num * b.den + b.num * a.den, a.den * b.den), (a * b, a.num * b.num, a.den * b.den)]
+    if b:
+        pairs.append((a / b, a.num * b.den, a.den * b.num))
+    for result, num, den in pairs:
+        direct = RatFunc(num, den)
+        assert result.num == direct.num and result.den == direct.den
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from baxcheck.exactnum import FieldMatrix, RatFunc
-from baxcheck.ncalg import relations_for
+from baxcheck.ncalg import NCPoly, relations_for
 from baxcheck.reps import (
     Rep,
     builtin_rep,
     check_relations,
     classify_scalar,
     correspondence_check,
+    evaluate_element,
     flip_rep,
     verify_scalar,
 )
@@ -29,6 +30,15 @@ def test_a3_generators_square_to_zero():
     for i in (1, 2):
         m = rep.matrices[i]
         assert (m * m).is_zero
+
+
+def test_evaluate_element_of_the_empty_word_and_of_one_generator():
+    rep = builtin_rep("B3_2dim")
+    one = RatFunc.one(rep.params)
+    assert evaluate_element(NCPoly.one(3, rep.params), rep.matrices, rep.dim, rep.params) == FieldMatrix.identity(2, one)
+    for i in (1, 2):
+        word = NCPoly.gen(3, i, rep.params)
+        assert evaluate_element(word, rep.matrices, rep.dim, rep.params) == rep.matrices[i]
 
 
 def test_b3_and_c3_pass_their_relations():
