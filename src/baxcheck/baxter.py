@@ -7,9 +7,10 @@ the series/closed-form agreement is checked by tests, never used as the
 construction mechanism.
 
 Both a canonical form (RatFunc entries) and a cleared form (one polynomial
-matrix over a single scalar denominator) are provided; the cleared form is
-what the heavy verification suites use, since identity checks can then
-cross-multiply denominators and compare polynomials, with no gcd work.
+matrix over a single scalar denominator) are provided; every check reads the
+cleared form (regularity, unitarity, the Yang-Baxter suites), since identity
+checks can then cross-multiply denominators and compare polynomials, with no
+gcd work.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, canonical_vars
+from .exactnum import FieldMatrix, MultiPoly, RatFunc, SingularMatrixError, canonical_vars
 from .exactnum.poly import SPECTRAL
 from .reps import Rep
 
@@ -166,19 +167,23 @@ def build_R(rep: Rep, i: int, fn: SpectralFn) -> RMatrixSym:
     """The baxterised R-matrix Rhat_i(x, y) with canonical rational-function entries."""
     symbols = spectral_symbols(rep, ("x", "y"))
     P, delta = rhat_cleared(rep, i, fn, "x", "y", symbols)
-    drf = RatFunc(delta)
-    value = P.map_entries(lambda e: RatFunc(e) / drf)
+    value = P.map_entries(lambda e: RatFunc(e, delta))
     P, delta = value.cleared()
     return RMatrixSym(rep=rep, site=i, value=value, P=P, delta=delta)
 
 
 def check_regularity(R: RMatrixSym) -> bool:
-    """Rhat(x, x) = identity, after cancelling the removable x = y locus."""
-    try:
-        at_diag = R.value.map_entries(lambda e: e.rename({"y": "x"}))
-    except PoleError as exc:
-        raise SingularMatrixError("R-matrix singular on the diagonal y = x") from exc
-    return at_diag == FieldMatrix.identity(R.rep.dim, RatFunc.one(at_diag.entries[0].vars))
+    """Rhat(x, x) = identity, checked on R's reduced cleared form.
+
+    delta is the lcm of the canonical denominators, so delta(x, x) = 0
+    exactly when some entry has a pole all along y = x, which raises
+    SingularMatrixError.  Otherwise Rhat(x, x) = 1 iff P(x, x) = delta(x, x)
+    times the identity.
+    """
+    P, delta = rename_cleared(R.P, R.delta, {"y": "x"})
+    if delta.is_zero:
+        raise SingularMatrixError("R-matrix singular on the diagonal y = x")
+    return P == FieldMatrix.identity(R.rep.dim, delta)
 
 
 def check_unitarity(R: RMatrixSym) -> bool:

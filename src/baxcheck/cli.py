@@ -42,6 +42,7 @@ from .reps import (
     verify_scalar,
 )
 from .verify import (
+    MAX_BATCH_JOBS,
     MAX_GENERATORS,
     MAX_PAIRS,
     MAX_SERIES_ORDER,
@@ -303,7 +304,7 @@ COMMANDS = {
         {**_EXPECT, "kind": (_one_of(CORRESPONDENCE_KINDS), REQUIRED), "rep": _REP, "q": (_symbolic, None),
          "b": (_symbolic, None)},
     ),
-    "batch": (_batch, {"jobs": (_list(_object, nonempty=True), REQUIRED)}),
+    "batch": (_batch, {"jobs": (_list(_object, nonempty=True, cap=MAX_BATCH_JOBS), REQUIRED)}),
 }
 
 

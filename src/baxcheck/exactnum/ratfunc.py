@@ -187,13 +187,6 @@ class RatFunc:
             raise PoleError(f"pole of {self} at {dict(point)}")
         return self.num.eval(point) / d
 
-    def rename(self, mapping: Mapping[str, str]) -> "RatFunc":
-        """Variable-for-variable substitution; raises PoleError if the denominator collapses."""
-        den = self.den.rename(mapping)
-        if den.is_zero:
-            raise PoleError(f"substitution {mapping} annihilates the denominator of {self}")
-        return RatFunc(self.num.rename(mapping), den)
-
     def lift(self, new_vars: tuple[str, ...]) -> "RatFunc":
         if tuple(new_vars) == self.vars:
             return self

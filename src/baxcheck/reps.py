@@ -213,50 +213,35 @@ def classify_scalar(algebra: str, params: Mapping | None = None) -> list[ScalarR
 
     The uniform family always exists.  The zero-pattern family allows each
     generator independently to be 0 or a root of the characteristic quadratic
-    a*l^2 + b*l - c (for the three-parameter algebra; the value is c/b when
-    a = 0 and b != 0, and the quadratic degenerates entirely at a = b = 0).
+    a*l^2 + b*l - c (for the three-parameter algebra, whose a, b and c are
+    read by ncalg.resolve_params and must all be rational; the quadratic
+    degenerates to the one root c/b at a = 0, and to none at a = b = 0).
     """
     uniform = ScalarRepClass("uniform", None, "every generator equal to one free scalar")
     given = dict(params or {})
     if algebra in ("B", "C"):
         _reject_extras(algebra, given)
         return [uniform, ScalarRepClass("zero-pattern", (Fraction(0), Fraction(1)), "values in {0, 1}")]
-    if algebra == "A":
-        try:
-            a = Fraction(given.pop("a", 0))
-            b = Fraction(given.pop("b", 0))
-            c = Fraction(given.pop("c", 0))
-        except (TypeError, ValueError) as exc:
-            raise ValueError("classify_scalar needs rational a, b, c") from exc
-        _reject_extras(algebra, given)
-        if a == 0:
-            if b == 0:
-                if c == 0:
-                    raise ValueError("degenerate algebra parameters (0, 0, 0): every scalar assignment works")
-                return [
-                    uniform,
-                    ScalarRepClass("zero-pattern", (Fraction(0),), "only the zero value"),
-                ]
-            return [
-                uniform,
-                ScalarRepClass("zero-pattern", (Fraction(0), c / b), _values_text((Fraction(0), c / b))),
-            ]
-        disc = b * b + 4 * a * c
-        root = _sqrt_fraction(disc)
+    if algebra != "A":
+        raise ValueError(f"scalar classification covers A, B, C; got {algebra!r}")
+    _, vals = resolve_params(("a", "b", "c"), given)
+    if not all(v.is_constant() for v in vals.values()):
+        raise ValueError("scalar classification needs rational a, b, c")
+    a, b, c = (vals[name].constant_value() for name in ("a", "b", "c"))
+    if a:
+        root = _sqrt_fraction(b * b + 4 * a * c)
         if root is None:
-            return [
-                uniform,
-                ScalarRepClass(
-                    "zero-pattern",
-                    None,
-                    "values 0 and the two (irrational) roots of the quadratic",
-                ),
-            ]
-        lo = (-b - root) / (2 * a)
-        hi = (-b + root) / (2 * a)
-        values = tuple(sorted({Fraction(0), lo, hi}))
-        return [uniform, ScalarRepClass("zero-pattern", values, _values_text(values))]
-    raise ValueError(f"scalar classification covers A, B, C; got {algebra!r}")
+            irrational = "values 0 and the two (irrational) roots of the quadratic"
+            return [uniform, ScalarRepClass("zero-pattern", None, irrational)]
+        roots = {(-b - root) / (2 * a), (-b + root) / (2 * a)}
+    elif b:
+        roots = {c / b}
+    elif c:
+        roots = set()
+    else:
+        raise ValueError("degenerate algebra parameters (0, 0, 0): every scalar assignment works")
+    values = tuple(sorted({Fraction(0)} | roots))
+    return [uniform, ScalarRepClass("zero-pattern", values, _values_text(values))]
 
 
 def verify_scalar(assignment: Sequence[Fraction], algebra: str, params: Mapping | None = None) -> bool:

@@ -91,14 +91,8 @@ def ybe_symbolic(rep: Rep, fn: SpectralFn) -> VerifyReport:
         factors[site, 0, 2] = rename_cleared(P, delta, {"y": "z"})
         factors[site, 1, 2] = rename_cleared(P, delta, {"x": "y", "y": "z"})
 
-    def side(seq):
-        P = factors[seq[0]][0]
-        for key in seq[1:]:
-            P = P * factors[key][0]
-        return P, [factors[key][1] for key in seq]
-
-    lhs_P, lhs_ds = side(_YBE_LHS)
-    rhs_P, rhs_ds = side(_YBE_RHS)
+    lhs_P, lhs_ds = _side(factors, _YBE_LHS)
+    rhs_P, rhs_ds = _side(factors, _YBE_RHS)
     # Cancel the denominator factors both sides share; the full cross-multiplied
     # residual is resid * prod(shared), and every factor is nonzero.
     lhs_only, rhs_only, shared = list(lhs_ds), [], []
@@ -108,22 +102,21 @@ def ybe_symbolic(rep: Rep, fn: SpectralFn) -> VerifyReport:
             shared.append(d)
         else:
             rhs_only.append(d)
-    lhs_scale, rhs_scale, common = (_product(ds) for ds in (rhs_only, lhs_only, shared))
-    resid = _times(lhs_P, lhs_scale) - _times(rhs_P, rhs_scale)
-    worst = max((_times(e, common).num_terms() for e in resid.entries if e), default=0)
+    one = MultiPoly.const(symbols, 1)  # the empty product; multiplying by it returns the other factor
+    lhs_scale, rhs_scale, common = (math.prod(ds, start=one) for ds in (rhs_only, lhs_only, shared))
+    resid = lhs_P * lhs_scale - rhs_P * rhs_scale
+    worst = max(((e * common).num_terms() for e in resid.entries if e), default=0)
     report = VerifyReport("ybe symbolic", mode={"kind": "symbolic", "vars": list(_YBE_VARS)})
     report.add_residual("ybe", worst)
     return report
 
 
-def _product(factors: list[MultiPoly]) -> MultiPoly | None:
-    """The product of the factors; None stands for the empty product."""
-    return math.prod(factors[1:], start=factors[0]) if factors else None
-
-
-def _times(value, factor: MultiPoly | None):
-    """value * factor, skipping the multiply when factor is the empty product."""
-    return value if factor is None else value * factor
+def _side(factors: dict, seq: Sequence[tuple[int, int, int]]) -> tuple[FieldMatrix, list]:
+    """(M1 M2 M3, [D1, D2, D3]) for the cleared factors (M, D) that seq names, in order."""
+    M = factors[seq[0]][0]
+    for key in seq[1:]:
+        M = M * factors[key][0]
+    return M, [factors[key][1] for key in seq]
 
 
 # -- braided Yang-Baxter, randomized -------------------------------------------
@@ -145,17 +138,21 @@ def _regular_draw(draw: Callable[[DetRng], object], rng: DetRng) -> tuple[object
     return None, MAX_RESAMPLES
 
 
-def _numeric_rhat(sigma: FieldMatrix, f_uw: Fraction, f_wu: Fraction) -> FieldMatrix:
-    """Rhat = (1 - f_uw sigma)(1 - f_wu sigma)^-1 at a numeric point, from one inverse."""
+def _numeric_rhat(sigma: FieldMatrix, f_uw: Fraction, f_wu: Fraction) -> tuple[FieldMatrix, int]:
+    """Rhat = (1 - f_uw sigma)(1 - f_wu sigma)^-1 at a numeric point, from one inverse.
+
+    Returned cleared, as (M, D): the int matrix M = D * Rhat over the lcm D of
+    Rhat's entry denominators.
+    """
     d = sigma.rows
     if not f_wu:
-        return FieldMatrix.identity(d, Fraction(1)) - sigma.scale(f_uw)
+        return (FieldMatrix.identity(d, Fraction(1)) - sigma.scale(f_uw)).cleared()
     # N = 1 - b sigma and r = a/b give 1 - a sigma = r N + (1 - r), so Rhat = r + (1 - r) N^-1
     r = Fraction(f_uw) / f_wu
     rhat = (FieldMatrix.identity(d, Fraction(1)) - sigma.scale(f_wu)).inv().scale(1 - r)
     for k in range(0, d * d, d + 1):
         rhat.entries[k] += r
-    return rhat
+    return rhat.cleared()
 
 
 def ybe_random(rep: Rep, fn: SpectralFn, trials: int = 20, seed: int = 0) -> VerifyReport:
@@ -178,10 +175,7 @@ def ybe_random(rep: Rep, fn: SpectralFn, trials: int = 20, seed: int = 0) -> Ver
         # f once per ordered pair of spectral variables
         fv = {(u, w): f.eval({"x": xs[u], "y": xs[w]}) for u, w in permutations(range(3), 2)}
         # each Rhat as (D * Rhat, D) over the ints
-        R = {
-            (site, u, w): _numeric_rhat(mats[site], fv[u, w], fv[w, u]).cleared()
-            for site, u, w in _YBE_LHS + _YBE_RHS
-        }
+        R = {(site, u, w): _numeric_rhat(mats[site], fv[u, w], fv[w, u]) for site, u, w in _YBE_LHS + _YBE_RHS}
         return dict(zip(_YBE_VARS, xs)), params, R
 
     worst = 0
@@ -191,9 +185,8 @@ def ybe_random(rep: Rep, fn: SpectralFn, trials: int = 20, seed: int = 0) -> Ver
         if drawn is None:
             return report.error(SAMPLING_FAILURE)
         point, params, R = drawn
-        (lhs, c_lhs), (rhs, c_rhs) = (
-            (R[a][0] * R[b][0] * R[c][0], R[a][1] * R[b][1] * R[c][1]) for a, b, c in (_YBE_LHS, _YBE_RHS)
-        )
+        (lhs, lhs_ds), (rhs, rhs_ds) = _side(R, _YBE_LHS), _side(R, _YBE_RHS)
+        c_lhs, c_rhs = math.prod(lhs_ds), math.prod(rhs_ds)
         # c_lhs * c_rhs * (lhs/c_lhs - rhs/c_rhs), nonzero exactly where the rational difference is
         diff = lhs.scale(c_rhs) - rhs.scale(c_lhs)
         if not diff.is_zero:
@@ -325,11 +318,12 @@ def lemma_suite_B(rep: Rep) -> VerifyReport:
 MAX_CHAIN_LENGTH = 8  # d <= 2 for every square builtin: monodromies up to 512 x 512
 # Job-size caps, enforced when a job is parsed and before any work starts:
 # strand count n of a scalar rep or assignment, series truncation order,
-# randomized YBE trials and transfer point pairs.
+# randomized YBE trials, transfer point pairs and the jobs of one batch.
 MAX_GENERATORS = 16
 MAX_SERIES_ORDER = 64
 MAX_TRIALS = 1000
 MAX_PAIRS = 100
+MAX_BATCH_JOBS = 64
 
 
 def _transfer_matrices(rhat: FieldMatrix, d: int, lengths: Sequence[int]) -> dict[int, FieldMatrix]:
@@ -474,12 +468,13 @@ def transfer_commute(
 
     def rhat_at(xval: Fraction) -> FieldMatrix:
         """D * Rhat(xval, y0), an int matrix."""
-        rhat = _numeric_rhat(sigma, f.eval({"x": xval, "y": y0}), f.eval({"x": y0, "y": xval}))
+        M, D = _numeric_rhat(sigma, f.eval({"x": xval, "y": y0}), f.eval({"x": y0, "y": xval}))
         if corrupt:
-            # a weight-breaking entry; perturbations inside the conserved
-            # blocks of this family do not disturb commutation
-            rhat.entries[1] += 1
-        return rhat.cleared()[0]
+            # Rhat[1] += 1, a weight-breaking entry whose denominator stays the
+            # same; perturbations inside the conserved blocks of this family
+            # do not disturb commutation
+            M.entries[1] += D
+        return M
 
     def pair_at(x1, x2):
         return (x1, x2), (rhat_at(x1), rhat_at(x2))

@@ -153,6 +153,11 @@ def test_criterion_6_scalar_classification_vs_brute_force():
         ("A", {"a": 1, "b": 0, "c": 1}, {Fraction(0), Fraction(1), Fraction(-1)}),
         ("B", None, {Fraction(0), Fraction(1)}),
         ("C", None, {Fraction(0), Fraction(1)}),
+        # a = 0: the quadratic degenerates to the one root c/b, or to none at b = 0
+        ("A", {"a": 0, "b": 1, "c": 2}, {Fraction(0), Fraction(2)}),
+        ("A", {"a": 0, "b": 2, "c": -1}, {Fraction(0), Fraction(-1, 2)}),
+        ("A", {"a": 0, "b": 1, "c": 0}, {Fraction(0)}),
+        ("A", {"a": 0, "b": 0, "c": 3}, {Fraction(0)}),
     ]
     for algebra, params, expected_values in cases:
         classes = classify_scalar(algebra, params)
@@ -165,7 +170,8 @@ def test_criterion_6_scalar_classification_vs_brute_force():
             assert verify_scalar([lam, lam], algebra, params), (algebra, lam)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    announce(6, f"169-point grid matches the classification for A(1,0,1), B, C; 10-point uniform sample in {elapsed:.1f}s")
+    announce(6, f"169-point grid matches the classification for A(1,0,1), B, C and four A(0,b,c); "
+                f"10-point uniform sample in {elapsed:.1f}s")
 
 
 def test_criterion_7_series_consistency():

@@ -5,6 +5,7 @@ import pytest
 from baxcheck.baxter import (
     H_closed,
     H_series,
+    RMatrixSym,
     SpectralFn,
     build_R,
     check_regularity,
@@ -16,9 +17,10 @@ from baxcheck.baxter import (
     series_agreement_order,
     spectral_symbols,
 )
-from baxcheck.exactnum import FieldMatrix, RatFunc, SingularMatrixError, canonical_vars, poly_gcd
+from baxcheck.exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, canonical_vars, poly_gcd
 from baxcheck.exactnum.ratfunc import denominator_lcm
 from baxcheck.reps import BUILTIN_NAMES, Rep, builtin_rep
+from helpers import rename_ratfunc
 
 FIVE_FNS = {
     "i(2,1,0,1)": SpectralFn.case_i(2, 1, 0, 1),
@@ -31,7 +33,7 @@ FIVE_FNS = {
 
 def test_case_ii_on_the_diagonal():
     f = f_eval(SpectralFn.case_ii())
-    assert f.rename({"y": "x"}) == RatFunc.var(f.vars, "x")
+    assert rename_ratfunc(f, {"y": "x"}) == RatFunc.var(f.vars, "x")
 
 
 def test_case_i_specialization():
@@ -165,6 +167,52 @@ def test_unitarity_fails_on_a_perturbed_cleared_matrix():
         entries = list(R.P.entries)
         entries[1] = entries[1] + 1
         assert not check_unitarity(dataclasses.replace(R, P=FieldMatrix(R.P.rows, R.P.cols, entries)))
+
+
+def _regular_by_canonical_entries(R):
+    """Reference for check_regularity: rename y := x in num and den of each canonical entry."""
+    try:
+        at_diag = R.value.map_entries(lambda e: rename_ratfunc(e, {"y": "x"}))
+    except PoleError:
+        return "singular"
+    return at_diag == FieldMatrix.identity(R.rep.dim, RatFunc.one(at_diag.entries[0].vars))
+
+
+def _regular_by_cleared_form(R):
+    try:
+        return check_regularity(R)
+    except SingularMatrixError:
+        return "singular"
+
+
+@pytest.mark.parametrize("fn", FIVE_FNS.values(), ids=FIVE_FNS)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_regularity_on_the_cleared_form_matches_the_canonical_entries(name, fn):
+    rep = builtin_rep(name)
+    for site in range(1, rep.n):
+        R = build_R(rep, site, fn)
+        assert _regular_by_cleared_form(R) == _regular_by_canonical_entries(R) is True
+
+
+def test_regularity_fails_alike_at_q_minus_one():
+    # at q = -1 the Hecke relation (s - 1)(s + 1) = 0 lets Rhat(x, x) differ from 1
+    for name in ("Hecke3_std", "Hecke3_burau"):
+        for label, fn in FIVE_FNS.items():
+            R = build_R(builtin_rep(name, q=-1), 1, fn)
+            regular = _regular_by_cleared_form(R)
+            assert regular == _regular_by_canonical_entries(R)
+            assert regular is (label != "hecke"), (name, label)
+
+
+def test_regularity_raises_on_a_pole_all_along_the_diagonal():
+    vars = canonical_vars({"x", "y"})
+    x, y = MultiPoly.var(vars, "x"), MultiPoly.var(vars, "y")
+    delta = x - y
+    P = FieldMatrix(1, 1, [x])
+    rep = Rep(2, 1, (), {1: FieldMatrix(1, 1, [RatFunc.one(())])})
+    R = RMatrixSym(rep=rep, site=1, value=P.map_entries(lambda e: RatFunc(e, delta)), P=P, delta=delta)
+    with pytest.raises(SingularMatrixError, match="diagonal"):
+        check_regularity(R)
 
 
 def test_spectral_symbols_reject_colliding_names():

@@ -1,0 +1,51 @@
+"""The benchmark's own judgement of one traced pass, per workload.
+
+Each workload runs once through `perfbench/worker.py WORKLOAD 0 trace` in a
+fresh interpreter, exactly as `perfbench/run.py` spawns it.  The pass must
+meet the benchmark's contract: every job ends with its expected exit code and
+its pinned payload digest (`run.judge`), and the per-layer counts keep the
+zero / non-zero pattern of `perfbench/predictions.json`
+(`run.check_predictions`).  The test only reads `perfbench/`.
+"""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench/run.py as a module; it imports its siblings jobs and speed by name."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+@pytest.mark.parametrize("workload", ["ybe-symbolic", "canonical-forms", "numeric-chain"])
+def test_traced_pass_meets_the_benchmark_contract(bench, workload):
+    assert workload in bench.WORKLOADS
+    proc = subprocess.run(
+        [sys.executable, "-E", "-s", str(PERFBENCH / "worker.py"), workload, str(bench.DEFAULT_SEED), "trace"],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    lines = proc.stdout.splitlines()
+    assert lines[0].strip() == b"ready"
+    result = json.loads(lines[-1])
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    predictions = json.loads((PERFBENCH / "predictions.json").read_text())
+    assert bench.judge(result["records"], digests, bench.DEFAULT_SEED) == []
+    assert bench.check_predictions(workload, bench._layer_values(result["trace"]), predictions) == []

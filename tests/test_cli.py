@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from baxcheck import cli
 from baxcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, JobError, run_job
-from baxcheck.verify import MAX_GENERATORS, MAX_PAIRS, MAX_SERIES_ORDER, MAX_TRIALS
+from baxcheck.verify import MAX_BATCH_JOBS, MAX_GENERATORS, MAX_PAIRS, MAX_SERIES_ORDER, MAX_TRIALS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -146,6 +146,23 @@ def test_batch_job_aggregates(tmp_path):
     assert code == EXIT_PASS
     payload = json.loads(out)
     assert [j["exit_code"] for j in payload["jobs"]] == [0, 0]
+
+
+def test_scalar_reps_with_a_symbolic_parameter_is_usage_error(tmp_path):
+    # b and c are absent, so they stay symbolic rather than counting as 0
+    code, out = invoke(tmp_path, {"command": "scalar-reps", "algebra": "A", "parameters": {"a": "1"}})
+    assert code == EXIT_USAGE
+    assert json.loads(out)["error"] == "scalar classification needs rational a, b, c"
+
+
+def test_batch_over_the_job_cap_is_rejected_before_any_job_runs(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a sub-job ran in a batch over the job cap")
+
+    monkeypatch.setattr(cli, "prop1_certificate", never)
+    for count in (MAX_BATCH_JOBS + 1, 20000):
+        with pytest.raises(JobError, match=f"^jobs: at most {MAX_BATCH_JOBS} items, got {count}$"):
+            run_job({"command": "batch", "jobs": [{"command": "prop1"}] * count})
 
 
 # the known-failing pairing: A3_2dim does not solve the case-ii Yang-Baxter equation

@@ -129,6 +129,27 @@ def test_classify_scalar_families():
         classify_scalar("Hecke")
 
 
+def test_classify_scalar_zero_pattern_is_sorted_and_distinct():
+    # b*l - c has the one root c/b at a = 0; it joins 0 once and in order
+    for params, values, text in (
+        ({"a": 0, "b": 1, "c": 0}, ["0"], "values in {0}"),
+        ({"a": 0, "b": 1, "c": -2}, ["-2", "0"], "values in {-2, 0}"),
+        ({"a": 0, "b": 0, "c": 5}, ["0"], "values in {0}"),
+        ({"a": 1, "b": 0, "c": 0}, ["0"], "values in {0}"),
+    ):
+        record = classify_scalar("A", params)[1].to_record()
+        assert (record["values"], record["description"]) == (values, text), params
+
+
+def test_classify_scalar_needs_rational_parameters():
+    # an absent or named parameter stays symbolic, as in verify_scalar; none counts as 0
+    for params in ({"a": 1}, {"a": 1, "b": 0}, {"a": 1, "b": 0, "c": "q"}, None):
+        with pytest.raises(ValueError, match="needs rational a, b, c"):
+            classify_scalar("A", params)
+    with pytest.raises(ValueError, match=r"unexpected parameters \['q'\]"):
+        classify_scalar("A", {"a": 1, "b": 0, "c": 1, "q": 2})
+
+
 def test_verify_scalar_examples():
     params = {"a": 1, "b": 0, "c": 1}
     assert verify_scalar([Fraction(1), Fraction(-1)], "A", params)

@@ -115,6 +115,13 @@ def _two_inverse_rhat(sigma, a, b):
     return (ident - sigma.scale(a)) * (ident - sigma.scale(b)).inv()
 
 
+def _uncleared(M, D):
+    """The Fraction matrix M / D, after checking (M, D) is a reduced int cleared form."""
+    assert type(D) is int and D > 0 and all(type(e) is int for e in M.entries)
+    assert math.gcd(D, *M.entries) == 1
+    return M.map_entries(lambda e: Fraction(e, D))
+
+
 @pytest.mark.parametrize("d", [2, 4])
 def test_numeric_rhat_matches_product_with_inverse(d):
     rng = random.Random(d)
@@ -132,11 +139,10 @@ def test_numeric_rhat_matches_product_with_inverse(d):
             with pytest.raises(SingularMatrixError):
                 _numeric_rhat(sigma, a, b)
             continue
-        rhat = _numeric_rhat(sigma, a, b)
-        assert rhat == reference and all(type(e) is Fraction for e in rhat.entries)
+        assert _uncleared(*_numeric_rhat(sigma, a, b)) == reference
         checked += 1
     for a, b in ((Fraction(3, 2), Fraction(0)), (Fraction(0), Fraction(0)), (Fraction(5, 7), Fraction(5, 7))):
-        assert _numeric_rhat(sigma, a, b) == _two_inverse_rhat(sigma, a, b)
+        assert _uncleared(*_numeric_rhat(sigma, a, b)) == _two_inverse_rhat(sigma, a, b)
     assert checked >= 20
     # N = 1 - b sigma is singular when 1/b is an eigenvalue of sigma
     sigma = FieldMatrix(d, d, [Fraction(2 + i) if i == j else Fraction(0) for i in range(d) for j in range(d)])
@@ -326,7 +332,7 @@ def _dense_transfer(rhat, d, L):
 def _hecke_rhat(x, corrupt=False):
     sigma = builtin_rep("Hecke3_std", q=2).matrices[1].map_entries(lambda e: e.constant_value())
     f = f_eval(SpectralFn.hecke_ratio(), "x", "y")
-    rhat = _numeric_rhat(sigma, f.eval({"x": x, "y": 1}), f.eval({"x": 1, "y": x}))
+    rhat = _uncleared(*_numeric_rhat(sigma, f.eval({"x": x, "y": 1}), f.eval({"x": 1, "y": x})))
     if corrupt:
         rhat.entries[1] += 1
     return rhat
@@ -486,6 +492,30 @@ def test_transfer_lengths_concatenate_single_length_reports(monkeypatch, case, s
         payload, code = run_job(job)
         assert code == EXIT_INTERNAL
         assert payload["report"]["notes"] == [f"L=2: {SAMPLING_FAILURE}", f"L=3: {SAMPLING_FAILURE}"]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_corrupt_perturbs_the_cleared_rhat_as_the_rational_one(monkeypatch, seed):
+    # M[1] += D is Rhat[1] += 1 cleared: the perturbed entry keeps its denominator
+    seen = []
+    original = verify._transfer_matrices
+
+    def capture(rhat, d, lengths):
+        seen.append(rhat)
+        return original(rhat, d, lengths)
+
+    monkeypatch.setattr(verify, "_transfer_matrices", capture)
+    rep, fn = builtin_rep("Hecke3_std", q=2), SpectralFn.hecke_ratio()
+    report = transfer_commute(rep, 1, fn, [2], count=4, seed=seed, corrupt=True)
+    assert report.status == "fail"
+    sigma = rep.site(1).map_entries(lambda e: e.constant_value())
+    f, y0 = f_eval(fn, "x", "y"), choose_reference_point(fn)
+    xs = [Fraction(x) for pair in report.mode["runs"][0]["points"] for x in pair]
+    assert len(seen) == len(xs) == 8
+    for x, M in zip(xs, seen):
+        rhat = _two_inverse_rhat(sigma, f.eval({"x": x, "y": y0}), f.eval({"x": y0, "y": x}))
+        rhat.entries[1] += 1
+        assert M == rhat.cleared()[0]
 
 
 def test_transfer_job_shares_precheck_points_and_rhats(monkeypatch):
