@@ -9,8 +9,10 @@ construction mechanism.
 Both a canonical form (RatFunc entries) and a cleared form (one polynomial
 matrix over a single scalar denominator) are provided; every check reads the
 cleared form (regularity, unitarity, the Yang-Baxter suites), since identity
-checks can then cross-multiply denominators and compare polynomials, with no
-gcd work.
+checks can then cross-multiply denominators and compare polynomials.  Their
+one gcd step is reduce_cleared, once per site: it divides the cleared form by
+the common factor of its denominator and all its entries, which rhat_cleared
+leaves in.  (build_R's canonical entries take one more gcd each.)
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactnum import FieldMatrix, MultiPoly, RatFunc, SingularMatrixError, canonical_vars
+from .exactnum import FieldMatrix, MultiPoly, RatFunc, SingularMatrixError, canonical_vars, poly_gcd
 from .exactnum.poly import SPECTRAL
 from .reps import Rep
 
@@ -130,7 +132,9 @@ def rhat_cleared(
 
     P/d equals (1 - f(u,w) sigma_i)(1 - f(w,u) sigma_i)^(-1); d is the
     determinant-bearing scalar, identically zero exactly when the inverse
-    does not exist, which raises SingularMatrixError.
+    does not exist, which raises SingularMatrixError.  The pair is
+    unreduced: d and the entries of P may share a nonconstant factor (see
+    reduce_cleared).
     """
     f_uw = f_eval(fn, u, w).lift(symbols)
     f_wu = f_eval(fn, w, u).lift(symbols)
@@ -151,6 +155,26 @@ def rhat_cleared(
     return P, delta
 
 
+def reduce_cleared(P: FieldMatrix, delta: MultiPoly) -> tuple[FieldMatrix, MultiPoly, MultiPoly]:
+    """(P/g, delta/g, g) for the gcd g of a nonzero delta and every entry of P.
+
+    g is folded with poly_gcd over delta and the nonzero entries of P, then
+    scaled so that delta/g is monic.  P/g over delta/g is the same matrix as
+    P over delta, and no nonconstant polynomial divides delta/g and every
+    entry of P/g, so delta/g is the monic lcm of the canonical denominators
+    of the entries.  Both divisions are exact: g * (P/g) == P and
+    g * (delta/g) == delta.
+    """
+    g = delta
+    for e in P.entries:
+        if g.is_constant():
+            break
+        if e:
+            g = poly_gcd(g, e)[0]
+    g = g.monic().scale(delta.leading()[1])
+    return P.map_entries(lambda e: e.divexact(g)), delta.divexact(g), g
+
+
 def rename_cleared(P: FieldMatrix, delta: MultiPoly, mapping: Mapping[str, str]) -> tuple[FieldMatrix, MultiPoly]:
     """(P, delta) with spectral variables renamed, e.g. Rhat(x, y) to Rhat(x, z) by y := z.
 
@@ -166,9 +190,8 @@ def rename_cleared(P: FieldMatrix, delta: MultiPoly, mapping: Mapping[str, str])
 def build_R(rep: Rep, i: int, fn: SpectralFn) -> RMatrixSym:
     """The baxterised R-matrix Rhat_i(x, y) with canonical rational-function entries."""
     symbols = spectral_symbols(rep, ("x", "y"))
-    P, delta = rhat_cleared(rep, i, fn, "x", "y", symbols)
+    P, delta, _ = reduce_cleared(*rhat_cleared(rep, i, fn, "x", "y", symbols))
     value = P.map_entries(lambda e: RatFunc(e, delta))
-    P, delta = value.cleared()
     return RMatrixSym(rep=rep, site=i, value=value, P=P, delta=delta)
 
 

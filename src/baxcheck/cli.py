@@ -7,8 +7,9 @@ every field:
 
 * null counts as absent, so the default applies; a required field left null
   is reported missing;
-* every scalar is a string "p" or "p/q"; inside `parameters` and a scalar
-  rep's `values`, a null item keeps that parameter symbolic;
+* every scalar is a string "p" or "p/q" whose numerator and denominator
+  fit in MAX_SCALAR_BITS bits; inside `parameters` and a scalar rep's
+  `values`, a null item keeps that parameter symbolic;
 * unknown fields are rejected, and every field is parsed before any
   representation is built or any check starts;
 * `lengths`, `assignment` and a `batch`'s `jobs` must be nonempty lists; a
@@ -45,6 +46,7 @@ from .verify import (
     MAX_BATCH_JOBS,
     MAX_GENERATORS,
     MAX_PAIRS,
+    MAX_SCALAR_BITS,
     MAX_SERIES_ORDER,
     MAX_TRIALS,
     SAMPLING_FAILURE,
@@ -86,13 +88,23 @@ def _reject_unknown(record: dict) -> None:
 # -- field parsers: (value, where) -> parsed value, or JobError -----------------
 
 
+# the longest 'p/q' whose parts fit MAX_SCALAR_BITS: a sign, two parts and the slash
+_MAX_SCALAR_CHARS = 2 * len(str(1 << MAX_SCALAR_BITS)) + 2
+
+
 def _scalar(value, where: str) -> Fraction:
     if not isinstance(value, str):
         raise JobError(f"{where}: scalars must be 'p/q' strings, got {value!r}")
+    # checked before parsing, so no int is ever built from an oversized string
+    if len(value) > _MAX_SCALAR_CHARS:
+        raise JobError(f"{where}: scalar strings have at most {_MAX_SCALAR_CHARS} characters, got {len(value)}")
     try:
-        return parse_scalar(value)
+        scalar = parse_scalar(value)
     except ValueError as exc:
         raise JobError(f"{where}: {exc}") from exc
+    if max(scalar.numerator.bit_length(), scalar.denominator.bit_length()) > MAX_SCALAR_BITS:
+        raise JobError(f"{where}: numerator and denominator must fit in {MAX_SCALAR_BITS} bits")
+    return scalar
 
 
 def _symbolic(value, where: str) -> Fraction | None:

@@ -4,11 +4,15 @@ suites, and the transfer-matrix commutation harness.
 The symbolic Yang-Baxter check works on cleared denominators: each R-matrix
 is a polynomial matrix over one scalar polynomial, both sides of the identity
 are assembled as polynomial matrices, and the residual is the cross-
-multiplied difference.  Denominator factors shared by both sides are
-cancelled first, so only the unmatched ones are cross-multiplied; since every
-factor is nonzero, the verdict is unchanged, and a nonzero residual is still
-reported by the term count of the fully cross-multiplied one.  Equality of
-rational-function matrices is thereby decided with polynomial arithmetic only.
+multiplied difference.  Each site's cleared form is first divided by its
+content g, the common factor of its denominator and all its entries
+(baxter.reduce_cleared), and denominator factors shared by both sides are
+cancelled, so only the unmatched reduced ones are cross-multiplied.  Every
+removed factor is nonzero, so the verdict is unchanged.  A nonzero residual
+is reported by the term count of the fully cross-multiplied unreduced one:
+the shared factors and the g of every Rhat factor are multiplied back in, and
+only then.  Equality of rational-function matrices is thereby decided with
+polynomial arithmetic only.
 
 The randomized mode is exact polynomial identity testing: spectral variables
 and free representation parameters are drawn as random rationals, both sides
@@ -26,7 +30,16 @@ from typing import Callable, Sequence
 
 from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError
 from .exactnum.scalar import format_scalar
-from .baxter import H_closed, SpectralFn, f_eval, h_fun, rename_cleared, rhat_cleared, spectral_symbols
+from .baxter import (
+    H_closed,
+    SpectralFn,
+    f_eval,
+    h_fun,
+    reduce_cleared,
+    rename_cleared,
+    rhat_cleared,
+    spectral_symbols,
+)
 from .ncalg import relations_for
 from .report import VerifyReport
 from .reps import Rep, _residual_size, check_relations
@@ -78,23 +91,30 @@ _YBE_RHS = ((2, 1, 2), (1, 0, 2), (2, 0, 1))
 def ybe_symbolic(rep: Rep, fn: SpectralFn) -> VerifyReport:
     """Exact check of R1(x,y) R2(x,z) R1(y,z) = R2(y,z) R1(x,z) R2(x,y).
 
-    Each site's Rhat is built once, at (x, y); its (x, z) and (y, z) factors
-    are renames of it that keep the canonical order of x, y, z, so each is
-    exactly the factor built at its pair (see baxter.rename_cleared).
+    Each site's Rhat is built once, at (x, y), and divided by its content g
+    (baxter.reduce_cleared); its (x, z) and (y, z) factors, and their g, are
+    renames that keep the canonical order of x, y, z, so each is exactly the
+    factor built at its pair (see baxter.rename_cleared), divided by the
+    renamed g.
+
+    The six factors are six distinct keys, so the unreduced fully
+    cross-multiplied residual is the reduced one times the product of the six
+    g's.  A nonzero residual is multiplied back by them, and by the shared
+    denominator factors, before its terms are counted.
     """
     if rep.n < 3:
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
     symbols = spectral_symbols(rep, _YBE_VARS)
-    factors = {}
+    factors = {}  # (site, u, w) -> (P/g, delta/g, g)
     for site in (1, 2):
-        P, delta = factors[site, 0, 1] = rhat_cleared(rep, site, fn, "x", "y", symbols)
-        factors[site, 0, 2] = rename_cleared(P, delta, {"y": "z"})
-        factors[site, 1, 2] = rename_cleared(P, delta, {"x": "y", "y": "z"})
+        P, delta, g = factors[site, 0, 1] = reduce_cleared(*rhat_cleared(rep, site, fn, "x", "y", symbols))
+        for key, mapping in (((site, 0, 2), {"y": "z"}), ((site, 1, 2), {"x": "y", "y": "z"})):
+            factors[key] = (*rename_cleared(P, delta, mapping), g.rename(mapping))
 
     lhs_P, lhs_ds = _side(factors, _YBE_LHS)
     rhs_P, rhs_ds = _side(factors, _YBE_RHS)
     # Cancel the denominator factors both sides share; the full cross-multiplied
-    # residual is resid * prod(shared), and every factor is nonzero.
+    # residual is resid * prod(shared) * prod(g), and every factor is nonzero.
     lhs_only, rhs_only, shared = list(lhs_ds), [], []
     for d in rhs_ds:
         if d in lhs_only:
@@ -103,16 +123,19 @@ def ybe_symbolic(rep: Rep, fn: SpectralFn) -> VerifyReport:
         else:
             rhs_only.append(d)
     one = MultiPoly.const(symbols, 1)  # the empty product; multiplying by it returns the other factor
-    lhs_scale, rhs_scale, common = (math.prod(ds, start=one) for ds in (rhs_only, lhs_only, shared))
+    lhs_scale, rhs_scale = (math.prod(ds, start=one) for ds in (rhs_only, lhs_only))
     resid = lhs_P * lhs_scale - rhs_P * rhs_scale
-    worst = max(((e * common).num_terms() for e in resid.entries if e), default=0)
+    worst = 0
+    if not resid.is_zero:
+        common = math.prod(shared + [g for _, _, g in factors.values()], start=one)
+        worst = max((e * common).num_terms() for e in resid.entries if e)
     report = VerifyReport("ybe symbolic", mode={"kind": "symbolic", "vars": list(_YBE_VARS)})
     report.add_residual("ybe", worst)
     return report
 
 
 def _side(factors: dict, seq: Sequence[tuple[int, int, int]]) -> tuple[FieldMatrix, list]:
-    """(M1 M2 M3, [D1, D2, D3]) for the cleared factors (M, D) that seq names, in order."""
+    """(M1 M2 M3, [D1, D2, D3]) for the cleared factors (M, D, ...) that seq names, in order."""
     M = factors[seq[0]][0]
     for key in seq[1:]:
         M = M * factors[key][0]
@@ -318,12 +341,14 @@ def lemma_suite_B(rep: Rep) -> VerifyReport:
 MAX_CHAIN_LENGTH = 8  # d <= 2 for every square builtin: monodromies up to 512 x 512
 # Job-size caps, enforced when a job is parsed and before any work starts:
 # strand count n of a scalar rep or assignment, series truncation order,
-# randomized YBE trials, transfer point pairs and the jobs of one batch.
+# randomized YBE trials, transfer point pairs, the jobs of one batch, and the
+# bit length of the numerator and of the denominator of every job scalar.
 MAX_GENERATORS = 16
 MAX_SERIES_ORDER = 64
 MAX_TRIALS = 1000
 MAX_PAIRS = 100
 MAX_BATCH_JOBS = 64
+MAX_SCALAR_BITS = 256
 
 
 def _transfer_matrices(rhat: FieldMatrix, d: int, lengths: Sequence[int]) -> dict[int, FieldMatrix]:

@@ -12,6 +12,7 @@ from baxcheck.baxter import (
     check_unitarity,
     f_eval,
     h_fun,
+    reduce_cleared,
     rename_cleared,
     rhat_cleared,
     series_agreement_order,
@@ -153,10 +154,38 @@ def test_build_R_stores_the_reduced_cleared_form(name, fn):
         R = build_R(rep, site, fn)
         assert R.delta == denominator_lcm(R.value.entries, R.delta.vars)
         assert _by_value(R.P, R.delta) == R.value
-        common = R.delta
-        for e in R.P.entries:
+        assert _common_factor(R.P, R.delta).is_constant()
+
+
+def _common_factor(P, delta):
+    """gcd of delta and every nonzero entry of P, folded with poly_gcd."""
+    common = delta
+    for e in P.entries:
+        if e:
             common = poly_gcd(common, e)[0]
-        assert common.is_constant()
+    return common
+
+
+@pytest.mark.parametrize("fn", FIVE_FNS.values(), ids=FIVE_FNS)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_reduce_cleared_divides_out_the_content(name, fn):
+    rep = builtin_rep(name)
+    symbols = spectral_symbols(rep, ("x", "y"))
+    for site in range(1, rep.n):
+        P, delta = rhat_cleared(rep, site, fn, "x", "y", symbols)
+        P_red, delta_red, g = reduce_cleared(P, delta)
+        assert P_red.map_entries(lambda e: g * e) == P
+        assert g * delta_red == delta
+        assert delta_red.leading()[1] == 1
+        assert _common_factor(P_red, delta_red).is_constant()
+
+
+@pytest.mark.parametrize("name, fn", [("B3_2dim", "ii"), ("C3_2dim", "iii"), ("Hecke3_std", "hecke")])
+def test_reduce_cleared_content_is_nonconstant_on_benchmark_rows(name, fn):
+    rep = builtin_rep(name)
+    for site in (1, 2):
+        _, _, g = reduce_cleared(*rhat_cleared(rep, site, FIVE_FNS[fn], "x", "y", spectral_symbols(rep, ("x", "y"))))
+        assert not g.is_constant()
 
 
 def test_unitarity_fails_on_a_perturbed_cleared_matrix():

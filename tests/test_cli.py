@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from baxcheck import cli
 from baxcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, JobError, run_job
-from baxcheck.verify import MAX_BATCH_JOBS, MAX_GENERATORS, MAX_PAIRS, MAX_SERIES_ORDER, MAX_TRIALS
+from baxcheck.verify import MAX_BATCH_JOBS, MAX_GENERATORS, MAX_PAIRS, MAX_SCALAR_BITS, MAX_SERIES_ORDER, MAX_TRIALS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -338,6 +338,37 @@ SCALAR_23 = {"builtin": "scalar", "values": ["2", "3"]}
 )
 def test_null_field_takes_default(job, field):
     assert run_job(dict(job, **{field: None})) == run_job(job)
+
+
+_SCALAR_FIELDS = {
+    "parameters": lambda s: {"command": "scalar-reps", "algebra": "A", "parameters": {"a": s, "b": "0", "c": "1"}},
+    "values": lambda s: {"command": "check-algebra", "algebra": "Braid",
+                         "rep": {"builtin": "scalar", "values": [s, s]}},
+    "fn": lambda s: {"command": "baxterise", "rep": SCALAR_23,
+                     "fn": {"case": "i", "alpha1": "2", "alpha2": "1", "b": "0", "c": s}},
+}
+
+
+@pytest.mark.parametrize("field", _SCALAR_FIELDS)
+def test_scalar_size_cap(field):
+    job = _SCALAR_FIELDS[field]
+    top = (1 << MAX_SCALAR_BITS) - 1
+    for scalar in (str(top), f"-{top}/{top - 1}", f"1/{top}"):
+        run_job(job(scalar))  # a verdict either way, never a JobError
+    for scalar in (str(top + 1), f"-{top + 1}", f"1/{top + 1}", f"{top + 1}/3"):
+        with pytest.raises(JobError, match=f"must fit in {MAX_SCALAR_BITS} bits"):
+            run_job(job(scalar))
+    with pytest.raises(JobError, match="scalar strings have at most"):
+        run_job(job(str(top) + "0" * 100))
+
+
+def test_oversized_scalar_string_is_rejected_before_parsing(monkeypatch):
+    parse, parsed = cli.parse_scalar, []
+    monkeypatch.setattr(cli, "parse_scalar", lambda text: parsed.append(text) or parse(text))
+    for job in _SCALAR_FIELDS.values():
+        with pytest.raises(JobError, match=r"scalar strings have at most \d+ characters, got 5000"):
+            run_job(job("9" * 5000))
+    assert max(map(len, parsed), default=0) < 5000
 
 
 def test_spectral_fn_record_errors():

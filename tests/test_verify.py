@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from baxcheck import verify
-from baxcheck.baxter import SpectralFn, f_eval, rhat_cleared
+from baxcheck import baxter, verify
+from baxcheck.baxter import SpectralFn, f_eval, reduce_cleared, rhat_cleared, spectral_symbols
 from baxcheck.cli import EXIT_INTERNAL, run_job
 from baxcheck.exactnum import FieldMatrix, PoleError, RatFunc, SingularMatrixError, canonical_vars
 from baxcheck.report import VerifyReport
@@ -68,6 +68,24 @@ def test_ybe_symbolic_matches_full_cross_multiplication(values, fn):
     assert report.passed == (expected == 0)
 
 
+@pytest.mark.parametrize(
+    "name, fn",
+    [("A3_2dim", SpectralFn.case_ii()), ("B3_2dim", SpectralFn.case_i(2, 1, 0, 1)),
+     ("Hecke3_burau", SpectralFn.case_i(-1, 0, 2, 3))],
+    ids=["A3_2dim-ii", "B3_2dim-i(2,1,0,1)", "Hecke3_burau-i(-1,0,2,3)"],
+)
+def test_ybe_symbolic_matches_full_cross_multiplication_on_failing_builtins(name, fn):
+    # each site's cleared R-hat here has a nonconstant content g, so the count
+    # is right only when every factor's g is multiplied back into the residual
+    rep = builtin_rep(name)
+    symbols = spectral_symbols(rep, ("x", "y", "z"))
+    for site in (1, 2):
+        assert not reduce_cleared(*rhat_cleared(rep, site, fn, "x", "y", symbols))[2].is_constant()
+    expected = _ybe_cross_multiplied(rep, fn)
+    assert expected > 0
+    assert ybe_symbolic(rep, fn).residuals == [("ybe", expected)]
+
+
 def test_ybe_symbolic_builds_one_rhat_per_site(monkeypatch):
     calls = []
 
@@ -78,6 +96,24 @@ def test_ybe_symbolic_builds_one_rhat_per_site(monkeypatch):
     monkeypatch.setattr(verify, "rhat_cleared", counted)
     assert ybe_symbolic(builtin_rep("B3_2dim"), SpectralFn.case_ii()).passed
     assert calls == [(1, "x", "y"), (2, "x", "y")]
+
+
+def test_ybe_symbolic_and_build_R_reduce_once_per_site(monkeypatch):
+    calls = []
+
+    def counted(P, delta):
+        calls.append(delta.vars)
+        return reduce_cleared(P, delta)
+
+    rep = builtin_rep("B3_2dim")
+    monkeypatch.setattr(verify, "reduce_cleared", counted)
+    monkeypatch.setattr(baxter, "reduce_cleared", counted)
+    assert ybe_symbolic(rep, SpectralFn.case_ii()).passed
+    for site in (1, 2):
+        baxter.build_R(rep, site, SpectralFn.case_ii())
+    # ybe_symbolic's two reductions over (x, y, z), then build_R's one per site over (x, y)
+    xyz, xy = ("x", "y", "z", "mu", "nu"), ("x", "y", "mu", "nu")
+    assert calls == [xyz, xyz, xy, xy]
 
 
 def test_spectral_name_collisions_are_rejected():
