@@ -33,15 +33,14 @@ from .reps import (
 )
 from .baxter import (
     RMatrixSym,
-    SpectralFn,
     H_closed,
     H_series,
     build_R,
     check_regularity,
     check_unitarity,
-    f_eval,
     h_fun,
     series_agreement_order,
+    spectral_fn,
 )
 from .verify import lemma_suite_A, lemma_suite_B, transfer_commute, ybe_random, ybe_symbolic
 
@@ -60,7 +59,6 @@ __all__ = [
     "Rep",
     "ScalarRepClass",
     "SingularMatrixError",
-    "SpectralFn",
     "VerifyReport",
     "build_R",
     "builtin_rep",
@@ -70,7 +68,6 @@ __all__ = [
     "check_unitarity",
     "classify_scalar",
     "correspondence_check",
-    "f_eval",
     "flip",
     "flip_rep",
     "format_scalar",
@@ -83,6 +80,7 @@ __all__ = [
     "prop1_certificate",
     "relations_for",
     "series_agreement_order",
+    "spectral_fn",
     "transfer_commute",
     "verify_scalar",
     "ybe_random",

@@ -1,9 +1,11 @@
 """Spectral functions and the baxterised R-matrix constructor.
 
 Rhat_i(x, y) = (1 - f(x, y) s_i) (1 - f(y, x) s_i)^(-1) over the exact
-rational-function field.  The inverse is an exact matrix inverse, which
-agrees with the formal geometric series wherever that series makes sense;
-the series/closed-form agreement is checked by tests, never used as the
+rational-function field.  A spectral function f is just that RatFunc f(x, y),
+built once by spectral_fn; rhat_cleared reads f(u, w) and f(w, u) off it by
+renaming.  The inverse is an exact matrix inverse, which agrees with the
+formal geometric series wherever that series makes sense; the
+series/closed-form agreement is checked by tests, never used as the
 construction mechanism.
 
 Both a canonical form (RatFunc entries) and a cleared form (one polynomial
@@ -28,12 +30,11 @@ from .reps import Rep
 SPECTRAL_CASES = ("i", "ii", "iii", "hecke")
 
 
-@dataclass(frozen=True)
-class SpectralFn:
-    """One admissible spectral-function family.
+def spectral_fn(case: str, alpha1=None, alpha2=None, b=None, c=None) -> RatFunc:
+    """The spectral function f(x, y) of one admissible family, canonical over ("x", "y").
 
-    case "i":   f(x, y) = (a1*x + a2*y + b*x*y) / (1 + c*x*y), a1 - a2 = +-1;
-                the derived product a = a1*a2 is exposed read-only.
+    case "i":   f(x, y) = (alpha1*x + alpha2*y + b*x*y) / (1 + c*x*y), with all
+                four parameters given and alpha1 - alpha2 = +-1.
     case "ii":  f(x, y) = (1 + y) * x / (1 + x)
     case "iii": f(x, y) = (1 + x) * y / (1 + y)
     case "hecke": f(x, y) = -x / y.  The sign matches the quadratic
@@ -41,57 +42,26 @@ class SpectralFn:
                 set: with it the braided Yang-Baxter equation, regularity,
                 and the transfer harness all hold; with +x/y all three
                 provably fail on faithful Hecke representations.
+    Cases ii, iii and hecke take no parameters.
     """
-
-    case: str
-    alpha1: Fraction | None = None
-    alpha2: Fraction | None = None
-    b: Fraction | None = None
-    c: Fraction | None = None
-
-    @classmethod
-    def case_i(cls, alpha1, alpha2, b, c) -> "SpectralFn":
-        alpha1, alpha2, b, c = (Fraction(v) for v in (alpha1, alpha2, b, c))
-        if alpha1 - alpha2 not in (1, -1):
-            raise ValueError("case i requires alpha1 - alpha2 in {1, -1}")
-        return cls("i", alpha1, alpha2, b, c)
-
-    @classmethod
-    def case_ii(cls) -> "SpectralFn":
-        return cls("ii")
-
-    @classmethod
-    def case_iii(cls) -> "SpectralFn":
-        return cls("iii")
-
-    @classmethod
-    def hecke_ratio(cls) -> "SpectralFn":
-        return cls("hecke")
-
-    @property
-    def a(self) -> Fraction:
-        if self.case != "i":
-            raise ValueError("only case i carries the derived parameter a")
-        return self.alpha1 * self.alpha2
-
-
-def f_eval(fn: SpectralFn, u: str = "x", v: str = "y") -> RatFunc:
-    """The spectral function as a canonical rational function of (u, v)."""
-    if u == v:
-        raise ValueError("spectral arguments must be distinct symbols")
-    vars = canonical_vars({u, v})
-    uu, vv = RatFunc.var(vars, u), RatFunc.var(vars, v)
-    if fn.case == "i":
-        num = fn.alpha1 * uu + fn.alpha2 * vv + fn.b * uu * vv
-        den = 1 + fn.c * uu * vv
-        return num / den
-    if fn.case == "ii":
-        return (1 + vv) * uu / (1 + uu)
-    if fn.case == "iii":
-        return (1 + uu) * vv / (1 + vv)
-    if fn.case == "hecke":
-        return -uu / vv
-    raise ValueError(f"unknown spectral-fn case {fn.case!r}")
+    params = (alpha1, alpha2, b, c)
+    if case not in SPECTRAL_CASES:
+        raise ValueError(f"unknown spectral-fn case {case!r}, expected one of {SPECTRAL_CASES}")
+    if case != "i" and any(v is not None for v in params):
+        raise ValueError(f"case {case} takes no parameters")
+    x, y = RatFunc.var(("x", "y"), "x"), RatFunc.var(("x", "y"), "y")
+    if case == "ii":
+        return (1 + y) * x / (1 + x)
+    if case == "iii":
+        return (1 + x) * y / (1 + y)
+    if case == "hecke":
+        return -x / y
+    if any(v is None for v in params):
+        raise ValueError("case i needs alpha1, alpha2, b and c")
+    alpha1, alpha2, b, c = (Fraction(v) for v in params)
+    if alpha1 - alpha2 not in (1, -1):
+        raise ValueError("case i requires alpha1 - alpha2 in {1, -1}")
+    return (alpha1 * x + alpha2 * y + b * x * y) / (1 + c * x * y)
 
 
 def spectral_symbols(rep: Rep, names: Sequence[str]) -> tuple[str, ...]:
@@ -126,33 +96,49 @@ class RMatrixSym:
 
 
 def rhat_cleared(
-    rep: Rep, i: int, fn: SpectralFn, u: str, w: str, symbols: tuple[str, ...]
+    rep: Rep, i: int, f: RatFunc, u: str, w: str, symbols: tuple[str, ...]
 ) -> tuple[FieldMatrix, MultiPoly]:
     """Rhat_i(u, w) as (P, d): a polynomial matrix over a scalar denominator.
 
-    P/d equals (1 - f(u,w) sigma_i)(1 - f(w,u) sigma_i)^(-1); d is the
-    determinant-bearing scalar, identically zero exactly when the inverse
+    f is the spectral function f(x, y) of spectral_fn, and symbols holds x, y,
+    u and w.  P/d equals (1 - f(u,w) sigma_i)(1 - f(w,u) sigma_i)^(-1); d is
+    the determinant-bearing scalar, identically zero exactly when the inverse
     does not exist, which raises SingularMatrixError.  The pair is
     unreduced: d and the entries of P may share a nonconstant factor (see
     reduce_cleared).
     """
-    f_uw = f_eval(fn, u, w).lift(symbols)
-    f_wu = f_eval(fn, w, u).lift(symbols)
+    if u == w:
+        raise ValueError("spectral arguments must be distinct symbols")
+    f = f.lift(symbols)
+    (uw_num, uw_den), (wu_num, wu_den) = _at(f, u, w), _at(f, w, u)
     S, s0 = rep.site(i, symbols).cleared()  # sigma_i = S / s0
     d = rep.dim
     ident = FieldMatrix.identity(d, MultiPoly.const(symbols, 1))
-    A = ident.scale(f_uw.den * s0) - S.scale(f_uw.num)
-    B = ident.scale(f_wu.den * s0) - S.scale(f_wu.num)
+    A = ident.scale(uw_den * s0) - S.scale(uw_num)
+    B = ident.scale(wu_den * s0) - S.scale(wu_num)
     adj, det = B.adjugate_det()
     if det.is_zero:
         raise SingularMatrixError(
             f"R-matrix factor is identically singular: det(1 - f({w},{u})*sigma_{i}) = 0",
             determinant=det,
         )
-    # A/(f_uw.den s0) * (B/(f_wu.den s0))^-1: the factor s0 of both cancels
-    P = (A * adj).scale(f_wu.den)
-    delta = f_uw.den * det
+    # A/(uw_den s0) * (B/(wu_den s0))^-1: the factor s0 of both cancels
+    P = (A * adj).scale(wu_den)
+    delta = uw_den * det
     return P, delta
+
+
+def _at(f: RatFunc, u: str, w: str) -> tuple[MultiPoly, MultiPoly]:
+    """A numerator and a denominator of f(u, w), renamed from f(x, y) = num/den.
+
+    u != w, so the pair stays coprime.  It is not rescaled to a monic
+    denominator: rhat_cleared's pair then changes by a constant factor at
+    most, which reduce_cleared divides out.
+    """
+    if (u, w) == ("x", "y"):
+        return f.num, f.den
+    mapping = {"x": u, "y": w}
+    return f.num.rename(mapping), f.den.rename(mapping)
 
 
 def reduce_cleared(P: FieldMatrix, delta: MultiPoly) -> tuple[FieldMatrix, MultiPoly, MultiPoly]:
@@ -187,10 +173,10 @@ def rename_cleared(P: FieldMatrix, delta: MultiPoly, mapping: Mapping[str, str])
     return P.map_entries(lambda e: e.rename(mapping)), delta.rename(mapping)
 
 
-def build_R(rep: Rep, i: int, fn: SpectralFn) -> RMatrixSym:
-    """The baxterised R-matrix Rhat_i(x, y) with canonical rational-function entries."""
+def build_R(rep: Rep, i: int, f: RatFunc) -> RMatrixSym:
+    """The baxterised R-matrix Rhat_i(x, y) of the spectral function f, with canonical rational-function entries."""
     symbols = spectral_symbols(rep, ("x", "y"))
-    P, delta, _ = reduce_cleared(*rhat_cleared(rep, i, fn, "x", "y", symbols))
+    P, delta, _ = reduce_cleared(*rhat_cleared(rep, i, f, "x", "y", symbols))
     value = P.map_entries(lambda e: RatFunc(e, delta))
     return RMatrixSym(rep=rep, site=i, value=value, P=P, delta=delta)
 

@@ -12,8 +12,12 @@ every field:
   `values`, a null item keeps that parameter symbolic;
 * unknown fields are rejected, and every field is parsed before any
   representation is built or any check starts;
-* `lengths`, `assignment` and a `batch`'s `jobs` must be nonempty lists; a
-  batch takes no `expect`, and batches do not nest.
+* every integer field but `seed` has a floor and a cap (the MAX_ constants
+  below); the `lengths` items are checked by verify.check_chain_lengths
+  before any representation is built;
+* `lengths`, `assignment`, a scalar rep's `values` and a `batch`'s `jobs`
+  must be nonempty lists; a batch takes no `expect`, and batches do not
+  nest.
 
 --seed, --trials and --mode replace a job's field exactly when its command's
 spec has that field.  Reports are serialized with sorted keys and no
@@ -28,8 +32,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .baxter import SPECTRAL_CASES, SpectralFn, build_R, check_regularity, check_unitarity, series_agreement_order
-from .exactnum import parse_scalar
+from .baxter import SPECTRAL_CASES, build_R, check_regularity, check_unitarity, series_agreement_order, spectral_fn
+from .exactnum import RatFunc, parse_scalar
 from .ncalg import ALGEBRAS, PROP1_TERMS, prop1_certificate, relations_for
 from .report import VerifyReport
 from .reps import (
@@ -43,12 +47,6 @@ from .reps import (
     verify_scalar,
 )
 from .verify import (
-    MAX_BATCH_JOBS,
-    MAX_GENERATORS,
-    MAX_PAIRS,
-    MAX_SCALAR_BITS,
-    MAX_SERIES_ORDER,
-    MAX_TRIALS,
     SAMPLING_FAILURE,
     check_chain_lengths,
     lemma_suite_A,
@@ -60,6 +58,18 @@ from .verify import (
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 REQUIRED = object()  # the spec default of a field that must be given
+
+# Job-size caps, enforced when a job is parsed and before any work starts:
+# strand count n of a scalar rep or assignment (so sites run 1..n - 1),
+# series truncation order, randomized YBE trials, transfer point pairs, the
+# jobs of one batch, and the bit length of the numerator and of the
+# denominator of every job scalar.
+MAX_GENERATORS = 16
+MAX_SERIES_ORDER = 64
+MAX_TRIALS = 1000
+MAX_PAIRS = 100
+MAX_BATCH_JOBS = 64
+MAX_SCALAR_BITS = 256
 
 
 class JobError(ValueError):
@@ -166,22 +176,22 @@ def _rep(value, where: str) -> dict:
     record = _object(value, where)
     rep = _fields(record, {"builtin": (_one_of(BUILTIN_NAMES), REQUIRED), "flip": (_bool, False)})
     if rep["builtin"] == "scalar":
-        rep["kwargs"] = _fields(record, {"values": (_list(_symbolic, cap=MAX_GENERATORS - 1), None), "n": _N})
+        values = _list(_symbolic, nonempty=True, cap=MAX_GENERATORS - 1)  # n = len(values) + 1
+        rep["kwargs"] = _fields(record, {"values": (values, (None, None))})
     else:
         rep["kwargs"] = _fields(record, {"parameters": (_parameters, {})})["parameters"]
     _reject_unknown(record)
     return rep
 
 
-def _fn(value, where: str) -> SpectralFn:
+def _fn(value, where: str) -> RatFunc:
+    """The job's spectral function f(x, y), built here once (see baxter.spectral_fn)."""
     record = _object(value, where)
     case = _fields(record, {"case": (_one_of(SPECTRAL_CASES), REQUIRED)})["case"]
     args = _fields(record, {name: (_scalar, REQUIRED) for name in ("alpha1", "alpha2", "b", "c") if case == "i"})
     _reject_unknown(record)
-    if case != "i":
-        return SpectralFn(case)
     try:
-        return SpectralFn.case_i(**args)
+        return spectral_fn(case, **args)
     except ValueError as exc:
         raise JobError(f"{where}: {exc}") from exc
 
@@ -241,7 +251,7 @@ def _verify_ybe(trials, rep, fn, mode, seed):
 
 
 def _verify_lemmas(suite, rep, **scalars):
-    """Suite A needs alpha1, alpha2, b and c; suite B takes none of them."""
+    """Suite A needs alpha1, alpha2, b and c, and reads a = alpha1*alpha2; suite B takes none of them."""
     if suite == "B":
         given = sorted(name for name, value in scalars.items() if value is not None)
         if given:
@@ -250,7 +260,7 @@ def _verify_lemmas(suite, rep, **scalars):
     for name, value in scalars.items():
         if value is None:
             raise JobError(f"missing required field {name!r}")
-    return lemma_suite_A(_build(rep), **scalars), {}
+    return lemma_suite_A(_build(rep), scalars["alpha1"] * scalars["alpha2"], scalars["b"], scalars["c"]), {}
 
 
 def _transfer_commute(pairs, rep, fn, site, lengths, seed, corrupt):
@@ -276,8 +286,7 @@ def _batch(jobs, overrides):
 
 _EXPECT = {"expect": (_one_of(("pass", "fail")), "pass")}
 _ALGEBRA, _PARAMETERS = (_one_of(ALGEBRAS), REQUIRED), (_parameters, None)
-_N = (_int(MAX_GENERATORS, floor=2), 3)  # a scalar rep needs a generator
-_REP, _FN, _SITE, _SEED = (_rep, REQUIRED), (_fn, REQUIRED), (_int(), 1), (_int(), 0)
+_REP, _FN, _SITE, _SEED = (_rep, REQUIRED), (_fn, REQUIRED), (_int(MAX_GENERATORS - 1, floor=1), 1), (_int(), 0)
 
 # The job schema.  Handlers reach the workers (ybe_symbolic, builtin_rep, ...)
 # through this module's globals, so rebinding a global by name reroutes them.
@@ -293,11 +302,11 @@ COMMANDS = {
     ),
     "baxterise": (
         _baxterise,
-        {**_EXPECT, "series_order": (_int(MAX_SERIES_ORDER), None), "rep": _REP, "fn": _FN, "site": _SITE},
+        {**_EXPECT, "series_order": (_int(MAX_SERIES_ORDER, floor=0), None), "rep": _REP, "fn": _FN, "site": _SITE},
     ),
     "verify-ybe": (
         _verify_ybe,
-        {**_EXPECT, "trials": (_int(MAX_TRIALS), 20), "rep": _REP, "fn": _FN,
+        {**_EXPECT, "trials": (_int(MAX_TRIALS, floor=1), 20), "rep": _REP, "fn": _FN,
          "mode": (_one_of(("symbolic", "random")), "symbolic"), "seed": _SEED},
     ),
     "verify-lemmas": (
@@ -307,7 +316,7 @@ COMMANDS = {
     ),
     "transfer-commute": (
         _transfer_commute,
-        {**_EXPECT, "pairs": (_int(MAX_PAIRS), 5), "rep": _REP, "fn": _FN, "site": _SITE,
+        {**_EXPECT, "pairs": (_int(MAX_PAIRS, floor=1), 5), "rep": _REP, "fn": _FN, "site": _SITE,
          "lengths": (_list(_int(), nonempty=True), (3,)), "seed": _SEED,
          "corrupt": (_bool, False)},
     ),

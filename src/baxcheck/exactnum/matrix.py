@@ -177,7 +177,7 @@ class FieldMatrix:
         div = _ring_div(self.entries)
         det = _bareiss_det(self.to_rows(), div)
         if n == 1:
-            one = MultiPoly.const(self.entries[0].vars, 1) if div is _poly_div else 1
+            one = 1 if div is operator.floordiv else MultiPoly.const(self.entries[0].vars, 1)
             return FieldMatrix(1, 1, [one]), det
         rows = self.to_rows()
         adj = [None] * (n * n)
@@ -196,10 +196,10 @@ class FieldMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
+        field = _entry_kind(self.entries)
         # inv(A) = adj(M) * diag(rowdens) / det(M) with M = diag(rowdens) * A
         cleared = [FieldMatrix(1, n, self.row(i)).cleared() for i in range(n)]
         adj, det = FieldMatrix(n, n, [e for row, _ in cleared for e in row.entries]).adjugate_det()
-        field = _fraction_field(det)
         if not det:
             raise SingularMatrixError("singular matrix: determinant is 0", determinant=field(det))
         return FieldMatrix(n, n, [field(adj[i, j] * cleared[j][1], det) for i in range(n) for j in range(n)])
@@ -235,19 +235,10 @@ def _entry_kind(entries):
     return Fraction
 
 
-def _fraction_field(ring_value) -> Callable:
-    """The fraction field of ring_value's ring: RatFunc over MultiPoly, Fraction over int."""
-    return RatFunc if isinstance(ring_value, MultiPoly) else Fraction
-
-
-def _poly_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a.divexact(b)
-
-
 def _ring_div(entries) -> Callable:
     """The exact division of the entry ring: divexact over MultiPoly, // over int."""
     if all(isinstance(e, MultiPoly) for e in entries):
-        return _poly_div
+        return MultiPoly.divexact
     if all(isinstance(e, int) for e in entries):
         return operator.floordiv
     raise TypeError("Bareiss elimination needs MultiPoly or int entries; clear denominators first")

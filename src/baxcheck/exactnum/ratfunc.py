@@ -22,25 +22,18 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        if den is None:
-            den = MultiPoly.const(num.vars, 1)
+        if den is None:  # a polynomial over 1 is already canonical
+            self.num, self.den = num, MultiPoly.const(num.vars, 1)
+            return
         if num.vars != den.vars:
             raise ValueError(f"mismatched variable lists {num.vars} vs {den.vars}")
         if den.is_zero:
             raise ZeroDivisionError("zero divisor")
-        if num.is_zero:
-            self.num = num
-            self.den = MultiPoly.const(num.vars, 1)
-            return
         # constants are units: no gcd needed when either side is constant
-        if not den.is_constant() and not num.is_constant():
+        if not (num.is_zero or num.is_constant() or den.is_constant()):
             _, num, den = poly_gcd(num, den)
-        if den.terms[max(den.terms)] != den.den:  # lc != 1: terms/den is in lowest terms, den > 0
-            lc = den._lc()
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        self.num = num
-        self.den = den
+        canonical = _reduced(num, den)
+        self.num, self.den = canonical.num, canonical.den
 
     # -- constructors ------------------------------------------------------
 
@@ -229,13 +222,10 @@ def _reduced(num: MultiPoly, den: MultiPoly) -> RatFunc:
     """Build a RatFunc from an already-coprime num/den pair (monic pass only)."""
     out = RatFunc.__new__(RatFunc)
     if num.is_zero:
-        out.num = num
-        out.den = MultiPoly.const(num.vars, 1)
-        return out
-    if den.terms[max(den.terms)] != den.den:  # lc != 1: terms/den is in lowest terms, den > 0
+        den = MultiPoly.const(num.vars, 1)
+    elif den.terms[max(den.terms)] != den.den:  # lc != 1: terms/den is in lowest terms, den > 0
         lc = den._lc()
-        num = num.scale(1 / lc)
-        den = den.scale(1 / lc)
+        num, den = num.scale(1 / lc), den.scale(1 / lc)
     out.num = num
     out.den = den
     return out

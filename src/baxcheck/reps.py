@@ -101,8 +101,8 @@ def builtin_rep(name: str, **params) -> Rep:
                            relation on (C^2)^3, which the transfer harness
                            relies on
       Hecke3_burau(q)      2x2 with distinct generator images
-      scalar(values, n)    1x1 matrices; values is one rational or symbol
-                           name per generator
+      scalar(values)       1x1 matrices; values is one rational or symbol
+                           name per generator, (None, None) by default
     """
     if name == "scalar":
         return _scalar_rep(**params)
@@ -117,13 +117,12 @@ def builtin_rep(name: str, **params) -> Rep:
     return Rep(len(gens) + 1, len(gens[0]), symbols, {i: FieldMatrix.from_rows(g) for i, g in enumerate(gens, 1)})
 
 
-def _scalar_rep(values: Sequence | None = None, n: int = 3, **extras) -> Rep:
-    """One 1x1 matrix per generator; a value of None is the symbol lam."""
+def _scalar_rep(values: Sequence = (None, None), **extras) -> Rep:
+    """One 1x1 matrix per generator, n = len(values) + 1; a value of None is the symbol lam."""
     _reject_extras("scalar", extras)
-    if values is None:
-        values = [None] * (n - 1)
-    if len(values) != n - 1:
-        raise ValueError(f"need {n - 1} scalar values for n={n}")
+    if not values:
+        raise ValueError("a scalar rep needs at least one value")
+    n = len(values) + 1
     names = [str(i) for i in range(1, n)]
     symbols, vals = resolve_params(names, {k: "lam" if v is None else v for k, v in zip(names, values)})
     return Rep(n, 1, symbols, {i: FieldMatrix(1, 1, [vals[str(i)]]) for i in range(1, n)})
@@ -250,10 +249,8 @@ def verify_scalar(assignment: Sequence[Fraction], algebra: str, params: Mapping 
     The strand count n is len(assignment) + 1.  This is the direct evaluation
     route, independent of classify_scalar.
     """
-    values = [Fraction(v) for v in assignment]
-    n = len(values) + 1
-    rep = builtin_rep("scalar", values=values, n=n)
-    rels = relations_for(algebra, n, params)
+    rep = builtin_rep("scalar", values=[Fraction(v) for v in assignment])
+    rels = relations_for(algebra, rep.n, params)
     return check_relations(rep, rels).passed
 
 

@@ -32,8 +32,6 @@ from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrix
 from .exactnum.scalar import format_scalar
 from .baxter import (
     H_closed,
-    SpectralFn,
-    f_eval,
     h_fun,
     reduce_cleared,
     rename_cleared,
@@ -88,8 +86,8 @@ _YBE_LHS = ((1, 0, 1), (2, 0, 2), (1, 1, 2))
 _YBE_RHS = ((2, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
-def ybe_symbolic(rep: Rep, fn: SpectralFn) -> VerifyReport:
-    """Exact check of R1(x,y) R2(x,z) R1(y,z) = R2(y,z) R1(x,z) R2(x,y).
+def ybe_symbolic(rep: Rep, f: RatFunc) -> VerifyReport:
+    """Exact check of R1(x,y) R2(x,z) R1(y,z) = R2(y,z) R1(x,z) R2(x,y) for the spectral function f.
 
     Each site's Rhat is built once, at (x, y), and divided by its content g
     (baxter.reduce_cleared); its (x, z) and (y, z) factors, and their g, are
@@ -107,7 +105,7 @@ def ybe_symbolic(rep: Rep, fn: SpectralFn) -> VerifyReport:
     symbols = spectral_symbols(rep, _YBE_VARS)
     factors = {}  # (site, u, w) -> (P/g, delta/g, g)
     for site in (1, 2):
-        P, delta, g = factors[site, 0, 1] = reduce_cleared(*rhat_cleared(rep, site, fn, "x", "y", symbols))
+        P, delta, g = factors[site, 0, 1] = reduce_cleared(*rhat_cleared(rep, site, f, "x", "y", symbols))
         for key, mapping in (((site, 0, 2), {"y": "z"}), ((site, 1, 2), {"x": "y", "y": "z"})):
             factors[key] = (*rename_cleared(P, delta, mapping), g.rename(mapping))
 
@@ -178,14 +176,13 @@ def _numeric_rhat(sigma: FieldMatrix, f_uw: Fraction, f_wu: Fraction) -> tuple[F
     return rhat.cleared()
 
 
-def ybe_random(rep: Rep, fn: SpectralFn, trials: int = 20, seed: int = 0) -> VerifyReport:
-    """Randomized exact-evaluation check of the braided Yang-Baxter equation."""
+def ybe_random(rep: Rep, f: RatFunc, trials: int = 20, seed: int = 0) -> VerifyReport:
+    """Randomized exact-evaluation check of the braided Yang-Baxter equation for the spectral function f."""
     if rep.n < 3:
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     spectral_symbols(rep, _YBE_VARS)  # rejects a rep parameter named like a spectral variable
-    f = f_eval(fn, "x", "y")
     report = VerifyReport(
         "ybe randomized",
         mode={"kind": "randomized", "seed": seed, "trials": trials, "samples": [], "resamples": 0},
@@ -251,16 +248,15 @@ def _suite(report: VerifyReport, rep: Rep, algebra: str, params: dict | None):
             RatFunc.var(symbols, "z"), RatFunc.var(symbols, "v"))
 
 
-def lemma_suite_A(rep: Rep, alpha1, alpha2, b, c) -> VerifyReport:
+def lemma_suite_A(rep: Rep, a, b, c) -> VerifyReport:
     """The four auxiliary identities behind the three-parameter baxterisation.
 
-    Works over Q(z, v, rep params) with a = alpha1*alpha2 != 0; the rep must
-    first pass the three-parameter relations at (a, b, c).
+    Works over Q(z, v, rep params) with a != 0; the rep must first pass the
+    three-parameter relations at (a, b, c).
     """
-    alpha1, alpha2, b, c = Fraction(alpha1), Fraction(alpha2), Fraction(b), Fraction(c)
-    a = alpha1 * alpha2
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a == 0:
-        raise ValueError("identity suite requires a = alpha1*alpha2 != 0")
+        raise ValueError("identity suite requires a != 0")
     report = VerifyReport("lemma suite A", mode={"kind": "symbolic", "a": format_scalar(a)})
     ops = _suite(report, rep, "A", {"a": a, "b": b, "c": c})
     if ops is None:
@@ -339,16 +335,6 @@ def lemma_suite_B(rep: Rep) -> VerifyReport:
 
 
 MAX_CHAIN_LENGTH = 8  # d <= 2 for every square builtin: monodromies up to 512 x 512
-# Job-size caps, enforced when a job is parsed and before any work starts:
-# strand count n of a scalar rep or assignment, series truncation order,
-# randomized YBE trials, transfer point pairs, the jobs of one batch, and the
-# bit length of the numerator and of the denominator of every job scalar.
-MAX_GENERATORS = 16
-MAX_SERIES_ORDER = 64
-MAX_TRIALS = 1000
-MAX_PAIRS = 100
-MAX_BATCH_JOBS = 64
-MAX_SCALAR_BITS = 256
 
 
 def _transfer_matrices(rhat: FieldMatrix, d: int, lengths: Sequence[int]) -> dict[int, FieldMatrix]:
@@ -407,9 +393,8 @@ def check_chain_lengths(lengths: Sequence[int]) -> None:
         seen.add(L)
 
 
-def choose_reference_point(fn: SpectralFn) -> Fraction:
-    """y0 = 0 unless the spectral function has a pole there, else y0 = 1."""
-    f = f_eval(fn, "x", "y")
+def choose_reference_point(f: RatFunc) -> Fraction:
+    """y0 = 0 unless the spectral function f(x, y) has a pole there, else y0 = 1."""
     for y0 in (Fraction(0), Fraction(1)):
         # both orders f(x, y0) and f(y0, x) must stay finite as functions of x
         if _poly_substitute_const(f.den, "y", y0).is_zero:
@@ -432,13 +417,13 @@ def _poly_substitute_const(p: MultiPoly, name: str, value: Fraction) -> MultiPol
 def transfer_commute(
     rep: Rep,
     i: int,
-    fn: SpectralFn,
+    f: RatFunc,
     lengths: Sequence[int],
     count: int = 5,
     seed: int = 0,
     corrupt: bool = False,
 ) -> VerifyReport:
-    """Exact commutation of transfer matrices built from one two-site R-matrix.
+    """Exact commutation of transfer matrices built from one two-site R-matrix and the spectral function f.
 
     The rep dimension must be a perfect square d*d; the site-i matrix is read
     as an operator on V (x) V with dim V = d.  R(x) = P * Rhat(x, y0) with P
@@ -476,7 +461,7 @@ def transfer_commute(
     sigma = rep.site(i).map_entries(lambda e: e.constant_value())
     if count < 1:
         raise ValueError(f"need at least one point pair, got {count}")
-    y0 = choose_reference_point(fn)
+    y0 = choose_reference_point(f)
     base = {"kind": "randomized", "seed": seed, "y0": format_scalar(y0), "corrupt": corrupt}
     runs = [{**base, "L": L, "points": []} for L in lengths]
     report = VerifyReport("transfer commutation", mode={"kind": "randomized", "seed": seed, "runs": runs})
@@ -486,10 +471,8 @@ def transfer_commute(
             report.error(f"L={L}: {note}")
         return report
 
-    if not ybe_random(rep, fn, trials=3, seed=_mix(seed ^ 0xB7E1)).passed:
+    if not ybe_random(rep, f, trials=3, seed=_mix(seed ^ 0xB7E1)).passed:
         return error("precondition failed: randomized Yang-Baxter check did not pass")
-
-    f = f_eval(fn, "x", "y")
 
     def rhat_at(xval: Fraction) -> FieldMatrix:
         """D * Rhat(xval, y0), an int matrix."""

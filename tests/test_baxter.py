@@ -6,16 +6,15 @@ from baxcheck.baxter import (
     H_closed,
     H_series,
     RMatrixSym,
-    SpectralFn,
     build_R,
     check_regularity,
     check_unitarity,
-    f_eval,
     h_fun,
     reduce_cleared,
     rename_cleared,
     rhat_cleared,
     series_agreement_order,
+    spectral_fn,
     spectral_symbols,
 )
 from baxcheck.exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, canonical_vars, poly_gcd
@@ -24,53 +23,97 @@ from baxcheck.reps import BUILTIN_NAMES, Rep, builtin_rep
 from helpers import rename_ratfunc
 
 FIVE_FNS = {
-    "i(2,1,0,1)": SpectralFn.case_i(2, 1, 0, 1),
-    "i(-1,0,2,3)": SpectralFn.case_i(-1, 0, 2, 3),
-    "ii": SpectralFn.case_ii(),
-    "iii": SpectralFn.case_iii(),
-    "hecke": SpectralFn.hecke_ratio(),
+    "i(2,1,0,1)": spectral_fn("i", 2, 1, 0, 1),
+    "i(-1,0,2,3)": spectral_fn("i", -1, 0, 2, 3),
+    "ii": spectral_fn("ii"),
+    "iii": spectral_fn("iii"),
+    "hecke": spectral_fn("hecke"),
+}
+XY = ("x", "y")
+X, Y = RatFunc.var(XY, "x"), RatFunc.var(XY, "y")
+# f(y, x) for each of FIVE_FNS, written out by hand: case i(a1, a2, b, c) with
+# x and y swapped is case i(a2, a1, b, c), case ii swapped is case iii, and
+# the ratio -x/y swapped is -y/x
+SWAPPED = {
+    "i(2,1,0,1)": spectral_fn("i", 1, 2, 0, 1),
+    "i(-1,0,2,3)": spectral_fn("i", 0, -1, 2, 3),
+    "ii": spectral_fn("iii"),
+    "iii": spectral_fn("ii"),
+    "hecke": -Y / X,
 }
 
 
 def test_case_ii_on_the_diagonal():
-    f = f_eval(SpectralFn.case_ii())
-    assert rename_ratfunc(f, {"y": "x"}) == RatFunc.var(f.vars, "x")
+    f = spectral_fn("ii")
+    assert f.vars == XY
+    assert rename_ratfunc(f, {"y": "x"}) == X
 
 
 def test_case_i_specialization():
-    f = f_eval(SpectralFn.case_i(1, 0, 0, 1))
-    vars = f.vars
-    x, y = RatFunc.var(vars, "x"), RatFunc.var(vars, "y")
-    assert f == x / (1 + x * y)
+    assert spectral_fn("i", 1, 0, 0, 1) == X / (1 + X * Y)
+    assert spectral_fn("i", "3/2", "1/2", -1, 2) == (3 * X + Y - 2 * X * Y) / (2 + 4 * X * Y)
+
+
+def test_cases_ii_and_iii():
+    assert spectral_fn("ii") == (1 + Y) * X / (1 + X)
+    assert spectral_fn("iii") == (1 + X) * Y / (1 + Y)
 
 
 def test_ratio_function_sign_matches_hecke_normalization():
-    f = f_eval(SpectralFn.hecke_ratio())
-    vars = f.vars
-    assert f == -RatFunc.var(vars, "x") / RatFunc.var(vars, "y")
+    assert spectral_fn("hecke") == -X / Y
 
 
 def test_case_i_validates_alpha_difference():
-    with pytest.raises(ValueError):
-        SpectralFn.case_i(2, 0, 0, 1)
-    fn = SpectralFn.case_i(3, 2, 1, 1)
-    assert fn.a == 6
-    with pytest.raises(ValueError):
-        SpectralFn.case_ii().a
+    for alphas in ((2, 0), (0, 0), ("1/2", 0)):
+        with pytest.raises(ValueError, match="alpha1 - alpha2"):
+            spectral_fn("i", *alphas, 0, 1)
+    assert spectral_fn("i", 3, 2, 1, 1) == (3 * X + 2 * Y + X * Y) / (1 + X * Y)
 
 
-def test_f_eval_needs_distinct_symbols():
-    with pytest.raises(ValueError):
-        f_eval(SpectralFn.case_ii(), "x", "x")
+def test_spectral_fn_rejects_parameters_outside_case_i():
+    for case in ("ii", "iii", "hecke"):
+        for params in ((1,), (None, 0), (None, None, None, 1)):
+            with pytest.raises(ValueError, match=f"case {case} takes no parameters"):
+                spectral_fn(case, *params)
+    with pytest.raises(ValueError, match="case i needs"):
+        spectral_fn("i", 2, 1, 0)
+
+
+def test_spectral_fn_rejects_an_unknown_case():
+    for case in ("iv", "I", "ratio", ""):
+        with pytest.raises(ValueError, match="unknown spectral-fn case"):
+            spectral_fn(case)
+
+
+def test_rhat_cleared_needs_distinct_symbols():
+    rep = builtin_rep("B3_2dim")
+    symbols = spectral_symbols(rep, ("x", "y", "z"))
+    for u in ("x", "y", "z"):
+        with pytest.raises(ValueError, match="distinct"):
+            rhat_cleared(rep, 1, spectral_fn("ii"), u, u, symbols)
+
+
+@pytest.mark.parametrize("label", FIVE_FNS)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_r_matrix_solves_its_defining_relation_with_a_hand_swapped_f(name, label):
+    # Rhat (1 - f(y, x) sigma) = 1 - f(x, y) sigma, with f(y, x) from SWAPPED
+    rep = builtin_rep(name)
+    symbols = spectral_symbols(rep, XY)
+    fxy, fyx = FIVE_FNS[label].lift(symbols), SWAPPED[label].lift(symbols)
+    ident = FieldMatrix.identity(rep.dim, RatFunc.one(symbols))
+    for site in range(1, rep.n):
+        sigma = rep.site(site, symbols)
+        R = build_R(rep, site, FIVE_FNS[label])
+        assert R.value * (ident - sigma.scale(fyx)) == ident - sigma.scale(fxy)
 
 
 def test_nilpotent_r_matrix_closed_form():
     rep = builtin_rep("A3_2dim", c=1)
-    fn = SpectralFn.case_i(2, 1, 0, 1)
+    fn = spectral_fn("i", 2, 1, 0, 1)
     R = build_R(rep, 1, fn)
     symbols = canonical_vars(set(rep.params) | {"x", "y"})
-    fxy = f_eval(fn, "x", "y").lift(symbols)
-    fyx = f_eval(fn, "y", "x").lift(symbols)
+    fxy = fn.lift(symbols)
+    fyx = SWAPPED["i(2,1,0,1)"].lift(symbols)
     sigma = rep.matrices[1].map_entries(lambda e: e.lift(symbols))
     ident = FieldMatrix.identity(2, RatFunc.one(symbols))
     assert R.value == ident + sigma.scale(fyx - fxy)
@@ -78,31 +121,31 @@ def test_nilpotent_r_matrix_closed_form():
 
 def test_r_matrix_defining_invariant():
     rep = builtin_rep("B3_2dim")
-    fn = SpectralFn.case_ii()
+    fn = spectral_fn("ii")
     R = build_R(rep, 1, fn)
     symbols = canonical_vars(set(rep.params) | {"x", "y"})
     sigma = rep.matrices[1].map_entries(lambda e: e.lift(symbols))
     ident = FieldMatrix.identity(2, RatFunc.one(symbols))
-    fxy = f_eval(fn, "x", "y").lift(symbols)
-    fyx = f_eval(fn, "y", "x").lift(symbols)
+    fxy = fn.lift(symbols)
+    fyx = SWAPPED["ii"].lift(symbols)
     assert R.value * (ident - sigma.scale(fyx)) == ident - sigma.scale(fxy)
 
 
 def test_scalar_r_matrix_is_ratio_of_scalars():
     rep = builtin_rep("scalar")  # one symbolic value for every generator
-    fn = SpectralFn.case_ii()
+    fn = spectral_fn("ii")
     R = build_R(rep, 1, fn)
     symbols = canonical_vars(set(rep.params) | {"x", "y"})
     lam = RatFunc.var(symbols, "lam")
-    fxy = f_eval(fn, "x", "y").lift(symbols)
-    fyx = f_eval(fn, "y", "x").lift(symbols)
+    fxy = fn.lift(symbols)
+    fyx = SWAPPED["ii"].lift(symbols)
     assert R.value[0, 0] == (1 - fxy * lam) / (1 - fyx * lam)
 
 
 @pytest.mark.parametrize("case", ["i", "ii", "iii", "hecke"])
 def test_regularity_and_unitarity_sample(case):
-    fn = {"i": SpectralFn.case_i(2, 1, 0, 1), "ii": SpectralFn.case_ii(),
-          "iii": SpectralFn.case_iii(), "hecke": SpectralFn.hecke_ratio()}[case]
+    fn = {"i": spectral_fn("i", 2, 1, 0, 1), "ii": spectral_fn("ii"), "iii": spectral_fn("iii"),
+          "hecke": spectral_fn("hecke")}[case]
     for name in ("A3_2dim", "Hecke3_std"):
         rep = builtin_rep(name) if name != "A3_2dim" else builtin_rep(name, c=1)
         R = build_R(rep, 1, fn)
@@ -118,9 +161,9 @@ def test_identically_singular_factor_is_reported():
     x, y = RatFunc.var(vars, "x"), RatFunc.var(vars, "y")
     rep = Rep(3, 1, vars, {1: FieldMatrix(1, 1, [-(x / y)]), 2: FieldMatrix(1, 1, [x])})
     with pytest.raises(SingularMatrixError):
-        rhat_cleared(rep, 1, SpectralFn.hecke_ratio(), "x", "y", vars)
+        rhat_cleared(rep, 1, spectral_fn("hecke"), "x", "y", vars)
     with pytest.raises(ValueError, match="collide"):
-        build_R(rep, 1, SpectralFn.hecke_ratio())
+        build_R(rep, 1, spectral_fn("hecke"))
 
 
 @pytest.mark.parametrize("fn", FIVE_FNS.values(), ids=FIVE_FNS)
@@ -190,7 +233,7 @@ def test_reduce_cleared_content_is_nonconstant_on_benchmark_rows(name, fn):
 
 def test_unitarity_fails_on_a_perturbed_cleared_matrix():
     # B3_2dim's cleared form has no common factor; on Hecke3_std case i, build_R drops one
-    for name, fn in (("B3_2dim", SpectralFn.case_ii()), ("Hecke3_std", FIVE_FNS["i(2,1,0,1)"])):
+    for name, fn in (("B3_2dim", spectral_fn("ii")), ("Hecke3_std", FIVE_FNS["i(2,1,0,1)"])):
         R = build_R(builtin_rep(name), 1, fn)
         assert check_unitarity(R)
         entries = list(R.P.entries)
@@ -254,7 +297,7 @@ def test_spectral_symbols_reject_colliding_names():
     with pytest.raises(ValueError, match="distinct"):
         spectral_symbols(builtin_rep("B3_2dim"), ("x", "x"))
     for call in (
-        lambda: build_R(rep, 1, SpectralFn.case_ii()),
+        lambda: build_R(rep, 1, spectral_fn("ii")),
         lambda: H_closed(rep, 1),
         lambda: H_series(rep, 1, 2),
         lambda: series_agreement_order(rep, 1, 2),

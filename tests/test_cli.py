@@ -9,8 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baxcheck import cli
-from baxcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, JobError, run_job
-from baxcheck.verify import MAX_BATCH_JOBS, MAX_GENERATORS, MAX_PAIRS, MAX_SCALAR_BITS, MAX_SERIES_ORDER, MAX_TRIALS
+from baxcheck.cli import (
+    EXIT_FAIL,
+    EXIT_PASS,
+    EXIT_USAGE,
+    MAX_BATCH_JOBS,
+    MAX_GENERATORS,
+    MAX_PAIRS,
+    MAX_SCALAR_BITS,
+    MAX_SERIES_ORDER,
+    MAX_TRIALS,
+    JobError,
+    run_job,
+)
+from baxcheck.verify import MAX_CHAIN_LENGTH
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -187,7 +199,7 @@ def test_run_job_api_errors(monkeypatch):
         # deep usage error surfaces as a schema/usage failure, not internal
         run_job({
             "command": "verify-ybe",
-            "rep": {"builtin": "scalar", "values": ["1"], "n": 2},
+            "rep": {"builtin": "scalar", "values": ["1"]},
             "fn": {"case": "ii"},
         })
     # list fields must be lists, never strings or ints iterated or unpacked
@@ -199,7 +211,7 @@ def test_run_job_api_errors(monkeypatch):
             run_job({
                 "command": "check-algebra",
                 "algebra": "Braid",
-                "rep": {"builtin": "scalar", "values": values, "n": 3},
+                "rep": {"builtin": "scalar", "values": values},
             })
     with pytest.raises(JobError):
         run_job({
@@ -227,15 +239,11 @@ def test_run_job_api_errors(monkeypatch):
             "pairs": 1,
             "corrupt": True,
         })
-    with pytest.raises(JobError, match="expected an integer"):
-        run_job({
-            "command": "check-algebra",
-            "algebra": "Braid",
-            "rep": {"builtin": "scalar", "values": ["1"], "n": True},
-        })
+    with pytest.raises(JobError, match="^site: expected an integer$"):
+        run_job({"command": "baxterise", "rep": {"builtin": "scalar"}, "fn": {"case": "ii"}, "site": True})
     # randomized checks with nothing to sample are usage errors, not vacuous passes
     for extra in ({"pairs": 0}, {"pairs": -4, "corrupt": True}):
-        with pytest.raises(JobError, match="point pair"):
+        with pytest.raises(JobError, match="^pairs: at least 1, got"):
             run_job({
                 "command": "transfer-commute",
                 "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
@@ -270,11 +278,10 @@ def test_run_job_api_errors(monkeypatch):
         ("series_order", {"command": "baxterise", "rep": hecke, "fn": {"case": "hecke"},
                           "series_order": MAX_SERIES_ORDER + 1}),
         ("series_order", {"command": "baxterise", "rep": hecke, "fn": {"case": "hecke"}, "series_order": 1000000}),
-        ("n", {"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "n": 1000000}}),
-        # n = len(assignment) + 1 is capped like n, before any item is parsed
+        # n = len(assignment) + 1 is capped, before any item is parsed
         ("assignment", {"command": "scalar-reps", "algebra": "A", "assignment": ["1"] * MAX_GENERATORS}),
         ("assignment", {"command": "scalar-reps", "algebra": "B", "assignment": [None] * 1000000}),
-        # a scalar rep takes n - 1 values, capped like n, before any item is parsed
+        # a scalar rep's n = len(values) + 1 is capped the same way
         ("values", {"command": "check-algebra", "algebra": "Braid",
                     "rep": {"builtin": "scalar", "values": ["1"] * MAX_GENERATORS}}),
         ("values", {"command": "check-algebra", "algebra": "Braid",
@@ -285,16 +292,11 @@ def test_run_job_api_errors(monkeypatch):
     for field, job in over_cap:
         with pytest.raises(JobError, match=f"^{field}: at most"):
             run_job(job)
-    # a scalar rep needs at least one generator: n >= 2
-    under_floor = [
-        (0, {"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "values": ["1"], "n": 0}}),
-        (-1, {"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "n": -1}}),
-    ]
-    for n, job in under_floor:
-        with pytest.raises(JobError, match=rf"^n: at least 2, got {n}$"):
-            run_job(job)
     with pytest.raises(JobError, match="^assignment: expected a nonempty list$"):
         run_job({"command": "scalar-reps", "algebra": "A", "assignment": []})
+    # a scalar rep needs at least one generator, so values is nonempty
+    with pytest.raises(JobError, match="^values: expected a nonempty list$"):
+        run_job({"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "values": []}})
 
 
 @pytest.mark.parametrize(
@@ -338,6 +340,76 @@ SCALAR_23 = {"builtin": "scalar", "values": ["2", "3"]}
 )
 def test_null_field_takes_default(job, field):
     assert run_job(dict(job, **{field: None})) == run_job(job)
+
+
+# a cheap valid job per command; each one reaches a worker that `never` replaces
+# (verify-ybe runs in symbolic mode, which ignores trials but still bounds it)
+BASE_JOBS = {
+    "prop1": {},
+    "check-algebra": {"algebra": "Braid", "rep": SCALAR_23},
+    "scalar-reps": {"algebra": "B", "assignment": ["1", "0"]},
+    "baxterise": {"rep": HECKE_Q2, "fn": {"case": "hecke"}},
+    "verify-ybe": {"rep": HECKE_Q2, "fn": {"case": "hecke"}},
+    "verify-lemmas": {"suite": "B", "rep": HECKE_Q2},
+    "transfer-commute": {"rep": HECKE_Q2, "fn": {"case": "hecke"}},
+    "correspondences": {"kind": "hecke_in_A", "rep": HECKE_Q2},
+    "batch": {"jobs": [{"command": "prop1"}]},
+}
+WORKERS = ("prop1_certificate", "builtin_rep", "relations_for", "check_relations", "classify_scalar", "verify_scalar",
+           "build_R", "series_agreement_order", "ybe_symbolic", "ybe_random", "lemma_suite_A", "lemma_suite_B",
+           "transfer_commute", "correspondence_check")
+# Fields whose parser carries no cap, with their out-of-range values: seed is
+# any integer by design, and lengths is bounded by check_chain_lengths (each
+# length in 1..MAX_CHAIN_LENGTH, none repeated), which runs before any rep is built.
+UNCAPPED = {"seed": [], "lengths": [[0], [MAX_CHAIN_LENGTH + 1], [1] * (MAX_CHAIN_LENGTH + 1)]}
+
+
+def _bounded_fields():
+    """(command, field, out-of-range values) for every top-level _int and _list parser in COMMANDS.
+
+    The values come from the parser's own floor, cap and nonempty flag; they
+    are None for a field with no cap or, for an integer, no floor.
+    """
+    for command, (_, spec) in cli.COMMANDS.items():
+        for field, (parse, _) in spec.items():
+            if parse.__qualname__ not in ("_int.<locals>.parse", "_list.<locals>.parse"):
+                continue
+            if field in UNCAPPED:
+                yield command, field, UNCAPPED[field]
+                continue
+            bounds = dict(zip(parse.__code__.co_freevars, (cell.cell_contents for cell in parse.__closure__)))
+            if bounds["cap"] is None:
+                yield command, field, None
+            elif "floor" in bounds:
+                yield command, field, None if bounds["floor"] is None else [bounds["cap"] + 1, bounds["floor"] - 1]
+            else:
+                yield command, field, [[None] * (bounds["cap"] + 1)] + ([[]] if bounds["nonempty"] else [])
+
+
+BOUNDED_FIELDS = list(_bounded_fields())
+
+
+def test_bounded_fields_find_the_integer_and_list_fields():
+    # guards the __qualname__ lookup: renaming _int or _list must not empty the table
+    fields = {field for _, field, _ in BOUNDED_FIELDS}
+    assert fields >= {"series_order", "trials", "seed", "pairs", "site", "assignment", "lengths", "jobs"}
+
+
+@pytest.mark.parametrize("command, field, values", BOUNDED_FIELDS, ids=[f"{c}.{f}" for c, f, _ in BOUNDED_FIELDS])
+def test_out_of_range_field_is_rejected_before_any_work(monkeypatch, command, field, values):
+    assert values is not None, f"{command}: field {field!r} needs a floor and a cap, or an entry in UNCAPPED"
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in WORKERS:
+        monkeypatch.setattr(cli, name, never)
+    job = dict(BASE_JOBS[command], command=command)
+    with pytest.raises(AssertionError, match="work started"):
+        run_job(job)  # in range, the job gets as far as a worker
+    for value in values:
+        with pytest.raises(JobError, match=None if field in UNCAPPED else f"^{field}: "):
+            run_job(dict(job, **{field: value}))
 
 
 _SCALAR_FIELDS = {
@@ -416,7 +488,7 @@ FUZZ_JOBS = [
     {"command": "prop1", "omit_term": "r3", "expect": "fail", "note": "control"},
     {"command": "check-algebra", "algebra": "Hecke", "parameters": {"q": "2"}, "rep": HECKE_Q2},
     {"command": "check-algebra", "algebra": "A", "parameters": {"a": "1", "b": None, "c": "1"},
-     "rep": dict(SCALAR_23, flip=True, n=3)},
+     "rep": dict(SCALAR_23, flip=True)},
     {"command": "scalar-reps", "algebra": "A", "parameters": {"a": "1", "b": "0", "c": "1"},
      "assignment": ["1", "-1"]},
     {"command": "baxterise", "rep": SCALAR_23, "fn": {"case": "i", "alpha1": "2", "alpha2": "1", "b": "0", "c": "1"},

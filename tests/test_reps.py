@@ -208,7 +208,7 @@ def test_correspondence_unknown_kind():
 # their elements' content where the golden reports (all n = 3) cannot.
 # UNIFORM is lam at every generator; MIXED is (lam, 2, lam), so the two sites
 # see (s, t) = (lam, 2) and (2, lam) and most residuals are nonzero.
-UNIFORM, MIXED = {"n": 4}, {"values": [None, 2, None], "n": 4}
+UNIFORM, MIXED = {"values": [None, None, None]}, {"values": [None, 2, None]}
 A_AT_N4 = [("locality(1,3)", 0)] + [(f"{f}({i})", 0) for i in (1, 2) for f in ("aa1", "aa2", "aa5", "aa3", "aa4")]
 
 
@@ -270,7 +270,7 @@ def test_relation_residuals_at_n4(algebra, rep, expected):
     ],
 )
 def test_correspondence_residuals_at_n4(kind, values, status, expected):
-    report = correspondence_check(kind, builtin_rep("scalar", values=values, n=4))
+    report = correspondence_check(kind, builtin_rep("scalar", values=values))
     assert (report.status, report.residuals) == (status, expected)
 
 
@@ -279,8 +279,10 @@ def test_builtin_rejects_unknown():
         builtin_rep("nope")
     with pytest.raises(ValueError):
         builtin_rep("A3_2dim", q=1)
-    with pytest.raises(ValueError):
-        builtin_rep("scalar", values=[1, 2, 3])  # three values for n=3
+    with pytest.raises(ValueError, match="at least one value"):
+        builtin_rep("scalar", values=[])
+    with pytest.raises(ValueError, match=r"unexpected parameters \['n'\]"):
+        builtin_rep("scalar", values=[1, 2], n=3)  # values fixes n
 
 
 def test_scalar_uniform_rep_is_trivial_correspondence():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from baxcheck import baxter, verify
-from baxcheck.baxter import SpectralFn, f_eval, reduce_cleared, rhat_cleared, spectral_symbols
+from baxcheck.baxter import reduce_cleared, rhat_cleared, spectral_fn, spectral_symbols
 from baxcheck.cli import EXIT_INTERNAL, run_job
 from baxcheck.exactnum import FieldMatrix, PoleError, RatFunc, SingularMatrixError, canonical_vars
 from baxcheck.report import VerifyReport
@@ -30,8 +30,8 @@ from helpers import kron
 
 def test_ybe_symbolic_pass_and_negative_control():
     rep = builtin_rep("A3_2dim", c=1)
-    assert ybe_symbolic(rep, SpectralFn.case_i(2, 1, 0, 1)).passed
-    control = ybe_symbolic(rep, SpectralFn.case_ii())
+    assert ybe_symbolic(rep, spectral_fn("i", 2, 1, 0, 1)).passed
+    control = ybe_symbolic(rep, spectral_fn("ii"))
     assert control.status == "fail"
     # the term count of the fully cross-multiplied residual, as before cancellation
     assert control.residuals == [("ybe", 1124)]
@@ -56,7 +56,7 @@ def _ybe_cross_multiplied(rep, fn):
 
 @pytest.mark.parametrize("values", [[1, 2], [2, "lam"], ["lam", "lam"]])
 @pytest.mark.parametrize(
-    "fn", [SpectralFn.case_ii(), SpectralFn.case_iii(), SpectralFn.case_i(2, 1, 0, 1)], ids=["ii", "iii", "i"]
+    "fn", [spectral_fn("ii"), spectral_fn("iii"), spectral_fn("i", 2, 1, 0, 1)], ids=["ii", "iii", "i"]
 )
 def test_ybe_symbolic_matches_full_cross_multiplication(values, fn):
     # scalar sites with different values share no denominator factor, so the
@@ -70,8 +70,8 @@ def test_ybe_symbolic_matches_full_cross_multiplication(values, fn):
 
 @pytest.mark.parametrize(
     "name, fn",
-    [("A3_2dim", SpectralFn.case_ii()), ("B3_2dim", SpectralFn.case_i(2, 1, 0, 1)),
-     ("Hecke3_burau", SpectralFn.case_i(-1, 0, 2, 3))],
+    [("A3_2dim", spectral_fn("ii")), ("B3_2dim", spectral_fn("i", 2, 1, 0, 1)),
+     ("Hecke3_burau", spectral_fn("i", -1, 0, 2, 3))],
     ids=["A3_2dim-ii", "B3_2dim-i(2,1,0,1)", "Hecke3_burau-i(-1,0,2,3)"],
 )
 def test_ybe_symbolic_matches_full_cross_multiplication_on_failing_builtins(name, fn):
@@ -94,7 +94,7 @@ def test_ybe_symbolic_builds_one_rhat_per_site(monkeypatch):
         return rhat_cleared(rep, i, fn, u, w, symbols)
 
     monkeypatch.setattr(verify, "rhat_cleared", counted)
-    assert ybe_symbolic(builtin_rep("B3_2dim"), SpectralFn.case_ii()).passed
+    assert ybe_symbolic(builtin_rep("B3_2dim"), spectral_fn("ii")).passed
     assert calls == [(1, "x", "y"), (2, "x", "y")]
 
 
@@ -108,9 +108,9 @@ def test_ybe_symbolic_and_build_R_reduce_once_per_site(monkeypatch):
     rep = builtin_rep("B3_2dim")
     monkeypatch.setattr(verify, "reduce_cleared", counted)
     monkeypatch.setattr(baxter, "reduce_cleared", counted)
-    assert ybe_symbolic(rep, SpectralFn.case_ii()).passed
+    assert ybe_symbolic(rep, spectral_fn("ii")).passed
     for site in (1, 2):
-        baxter.build_R(rep, site, SpectralFn.case_ii())
+        baxter.build_R(rep, site, spectral_fn("ii"))
     # ybe_symbolic's two reductions over (x, y, z), then build_R's one per site over (x, y)
     xyz, xy = ("x", "y", "z", "mu", "nu"), ("x", "y", "mu", "nu")
     assert calls == [xyz, xyz, xy, xy]
@@ -120,28 +120,28 @@ def test_spectral_name_collisions_are_rejected():
     # mu named x would merge with the spectral x symbolically but be drawn
     # independently in the randomized check
     rep = builtin_rep("B3_2dim", mu="x")
-    fn = SpectralFn.case_ii()
+    fn = spectral_fn("ii")
     for call in (
         lambda: ybe_symbolic(rep, fn),
         lambda: ybe_random(rep, fn, trials=2),
         lambda: lemma_suite_B(builtin_rep("B3_2dim", nu="v")),
-        lambda: transfer_commute(builtin_rep("Hecke3_std", q="x"), 1, SpectralFn.hecke_ratio(), lengths=[2]),
+        lambda: transfer_commute(builtin_rep("Hecke3_std", q="x"), 1, spectral_fn("hecke"), lengths=[2]),
     ):
         with pytest.raises(ValueError):
             call()
 
 
 def test_ybe_requires_three_strands():
-    lam = builtin_rep("scalar", values=[1], n=2)
+    lam = builtin_rep("scalar", values=[1])
     with pytest.raises(ValueError):
-        ybe_symbolic(lam, SpectralFn.case_ii())
+        ybe_symbolic(lam, spectral_fn("ii"))
 
 
 def test_ybe_random_agrees_with_symbolic():
     rep = builtin_rep("A3_2dim", c=1)
-    good = ybe_random(rep, SpectralFn.case_i(2, 1, 0, 1), trials=6, seed=3)
+    good = ybe_random(rep, spectral_fn("i", 2, 1, 0, 1), trials=6, seed=3)
     assert good.passed
-    bad = ybe_random(rep, SpectralFn.case_ii(), trials=6, seed=3)
+    bad = ybe_random(rep, spectral_fn("ii"), trials=6, seed=3)
     assert bad.status == "fail"
 
 
@@ -186,9 +186,8 @@ def test_numeric_rhat_matches_product_with_inverse(d):
         _numeric_rhat(sigma, Fraction(1), Fraction(1, 3))
 
 
-def _fraction_ybe_worst(rep, fn, trials, seed):
+def _fraction_ybe_worst(rep, f, trials, seed):
     """Reference for ybe_random: rational Rhats, worst nonzero-entry count of lhs - rhs over the trials."""
-    f = f_eval(fn, "x", "y")
     worst = 0
     for trial in range(trials):
         rng = split_rng(seed, trial)
@@ -213,19 +212,19 @@ def _fraction_ybe_worst(rep, fn, trials, seed):
 
 def test_ybe_random_integer_sides_match_fraction_reference():
     rep = builtin_rep("A3_2dim", c=1)
-    for fn, seed in ((SpectralFn.case_ii(), 1), (SpectralFn.case_ii(), 5), (SpectralFn.case_i(2, 1, 0, 1), 3)):
+    for fn, seed in ((spectral_fn("ii"), 1), (spectral_fn("ii"), 5), (spectral_fn("i", 2, 1, 0, 1), 3)):
         report = ybe_random(rep, fn, trials=3, seed=seed)
         assert report.residuals == [("ybe", _fraction_ybe_worst(rep, fn, 3, seed))]
     assert not report.residuals[0][1]
-    assert ybe_random(rep, SpectralFn.case_ii(), trials=3, seed=1).residuals[0][1] > 0
+    assert ybe_random(rep, spectral_fn("ii"), trials=3, seed=1).residuals[0][1] > 0
 
 
 def test_ybe_random_reports_are_seed_reproducible():
     rep = builtin_rep("B3_2dim")
-    r1 = ybe_random(rep, SpectralFn.case_ii(), trials=4, seed=9)
-    r2 = ybe_random(rep, SpectralFn.case_ii(), trials=4, seed=9)
+    r1 = ybe_random(rep, spectral_fn("ii"), trials=4, seed=9)
+    r2 = ybe_random(rep, spectral_fn("ii"), trials=4, seed=9)
     assert r1.to_record() == r2.to_record()
-    r3 = ybe_random(rep, SpectralFn.case_ii(), trials=4, seed=10)
+    r3 = ybe_random(rep, spectral_fn("ii"), trials=4, seed=10)
     assert r3.mode["samples"] != r1.mode["samples"]
 
 
@@ -233,9 +232,9 @@ def test_ratio_sign_convention_pinned():
     # generators with eigenvalues {-1, -q} pair with +x/y, so they must FAIL
     # the implemented ratio function; the unnegated ones must pass
     rep = builtin_rep("Hecke3_burau")
-    assert ybe_symbolic(rep, SpectralFn.hecke_ratio()).passed
+    assert ybe_symbolic(rep, spectral_fn("hecke")).passed
     negated = Rep(rep.n, rep.dim, rep.params, {i: -m for i, m in rep.matrices.items()})
-    assert ybe_symbolic(negated, SpectralFn.hecke_ratio()).status == "fail"
+    assert ybe_symbolic(negated, spectral_fn("hecke")).status == "fail"
 
 
 def test_two_site_tensor_rep_satisfies_ratio_ybe():
@@ -250,31 +249,31 @@ def test_two_site_tensor_rep_satisfies_ratio_ybe():
     ident = FieldMatrix.identity(2, RatFunc.one(std.params))
     rep8 = Rep(3, 8, std.params, {1: kron(s, ident), 2: kron(ident, s)})
     assert check_relations(rep8, relations_for("Hecke", 3)).passed
-    assert ybe_random(rep8, SpectralFn.hecke_ratio(), trials=4, seed=2).passed
+    assert ybe_random(rep8, spectral_fn("hecke"), trials=4, seed=2).passed
 
 
 def test_scalar_rep_ybe_trivial():
     lam = builtin_rep("scalar")
-    assert ybe_symbolic(lam, SpectralFn.case_ii()).passed
-    assert ybe_random(lam, SpectralFn.hecke_ratio(), trials=3, seed=1).passed
+    assert ybe_symbolic(lam, spectral_fn("ii")).passed
+    assert ybe_random(lam, spectral_fn("hecke"), trials=3, seed=1).passed
 
 
 def test_lemma_suite_A_vacuity_flags():
-    report = lemma_suite_A(builtin_rep("A3_2dim", c=1), 2, 1, 0, 1)
+    report = lemma_suite_A(builtin_rep("A3_2dim", c=1), 2, 0, 1)
     assert report.passed
     vacuous = {note.split(":")[0] for note in report.notes if "vacuous" in note}
     assert vacuous == {"rel1a", "rel1b", "rel2a", "rel2b", "rel4"}  # rel5 is live
 
 
 def test_lemma_suite_A_scalar_all_vacuous():
-    report = lemma_suite_A(builtin_rep("scalar"), 2, 1, 0, 1)
+    report = lemma_suite_A(builtin_rep("scalar"), 2, 0, 1)
     assert report.passed
     assert len([n for n in report.notes if "vacuous" in n]) == 6
 
 
 def test_lemma_suite_A_requires_nonzero_a():
     with pytest.raises(ValueError):
-        lemma_suite_A(builtin_rep("A3_2dim", c=1), 2, 0, 0, 1)
+        lemma_suite_A(builtin_rep("A3_2dim", c=1), 0, 0, 1)
 
 
 def test_lemma_suite_A_precondition_error():
@@ -283,7 +282,7 @@ def test_lemma_suite_A_precondition_error():
     m = broken.matrices[2]
     bumped = FieldMatrix.from_rows([[m[0, 0] + 1, m[0, 1]], [m[1, 0], m[1, 1]]])
     broken.matrices[2] = bumped
-    report = lemma_suite_A(broken, 2, 1, 0, 1)
+    report = lemma_suite_A(broken, 2, 0, 1)
     assert report.status == "error"
     assert any("precondition" in note for note in report.notes)
 
@@ -310,13 +309,13 @@ def test_lemma_suite_B_precondition_error():
 
 
 def test_reference_point_choice():
-    assert choose_reference_point(SpectralFn.hecke_ratio()) == 1
-    assert choose_reference_point(SpectralFn.case_ii()) == 0
+    assert choose_reference_point(spectral_fn("hecke")) == 1
+    assert choose_reference_point(spectral_fn("ii")) == 0
 
 
 def test_transfer_commutes_and_corruption_breaks_it():
     rep = builtin_rep("Hecke3_std", q=2)
-    fn = SpectralFn.hecke_ratio()
+    fn = spectral_fn("hecke")
     good = transfer_commute(rep, 1, fn, [2], count=3, seed=5)
     assert good.passed
     bad = transfer_commute(rep, 1, fn, [2], count=3, seed=5, corrupt=True)
@@ -325,17 +324,17 @@ def test_transfer_commutes_and_corruption_breaks_it():
 
 def test_transfer_trivial_chain():
     rep = builtin_rep("Hecke3_std", q=2)
-    assert transfer_commute(rep, 1, SpectralFn.hecke_ratio(), [1], count=2, seed=1).passed
+    assert transfer_commute(rep, 1, spectral_fn("hecke"), [1], count=2, seed=1).passed
 
 
 def test_transfer_usage_errors():
     with pytest.raises(ValueError):
-        transfer_commute(builtin_rep("B3_2dim", nu=1, mu=2), 1, SpectralFn.case_ii(), [2])
+        transfer_commute(builtin_rep("B3_2dim", nu=1, mu=2), 1, spectral_fn("ii"), [2])
     with pytest.raises(ValueError):
-        transfer_commute(builtin_rep("Hecke3_std"), 1, SpectralFn.hecke_ratio(), [2])
+        transfer_commute(builtin_rep("Hecke3_std"), 1, spectral_fn("hecke"), [2])
     for lengths in ([], [2, 9], [2, 3, 2]):
         with pytest.raises(ValueError, match="chain length"):
-            transfer_commute(builtin_rep("Hecke3_std", q=2), 1, SpectralFn.hecke_ratio(), lengths)
+            transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), lengths)
 
 
 def _dense_transfer(rhat, d, L):
@@ -367,7 +366,7 @@ def _dense_transfer(rhat, d, L):
 
 def _hecke_rhat(x, corrupt=False):
     sigma = builtin_rep("Hecke3_std", q=2).matrices[1].map_entries(lambda e: e.constant_value())
-    f = f_eval(SpectralFn.hecke_ratio(), "x", "y")
+    f = spectral_fn("hecke")
     rhat = _uncleared(*_numeric_rhat(sigma, f.eval({"x": x, "y": 1}), f.eval({"x": 1, "y": x})))
     if corrupt:
         rhat.entries[1] += 1
@@ -437,7 +436,7 @@ def test_commutator_support_same_over_fractions_and_ints(corrupt):
 
 def test_transfer_deeper_chain():
     rep = builtin_rep("Hecke3_std", q=2)
-    fn = SpectralFn.hecke_ratio()
+    fn = spectral_fn("hecke")
     assert transfer_commute(rep, 1, fn, [6], count=1, seed=0).passed
     bad = transfer_commute(rep, 1, fn, [6], count=1, seed=0, corrupt=True)
     assert bad.status == "fail"
@@ -458,7 +457,7 @@ def test_det_rng_is_deterministic_and_split_is_stable():
 def test_ybe_random_gives_up_after_max_resamples(monkeypatch):
     # every coordinate 0: f = -x/y has a pole at y = 0, so no draw is regular
     monkeypatch.setattr(verify, "sample_fraction", lambda rng: Fraction(0))
-    report = ybe_random(builtin_rep("Hecke3_std"), SpectralFn.hecke_ratio(), trials=3)
+    report = ybe_random(builtin_rep("Hecke3_std"), spectral_fn("hecke"), trials=3)
     assert report.status == "error"
     assert report.notes == ["measure-zero sampling failure: 100 consecutive poles"] == [SAMPLING_FAILURE]
     assert report.mode["resamples"] == MAX_RESAMPLES == 100
@@ -474,7 +473,7 @@ def test_transfer_point_pairs_give_up_after_max_resamples(monkeypatch):
     monkeypatch.setattr(verify, "sample_fraction", lambda rng: Fraction(0))
     monkeypatch.setattr(verify, "ybe_random", lambda *args, **kwargs: VerifyReport("ybe randomized"))
     rep = builtin_rep("Hecke3_std", q=2)
-    report = transfer_commute(rep, 1, SpectralFn.hecke_ratio(), [2], count=1)
+    report = transfer_commute(rep, 1, spectral_fn("hecke"), [2], count=1)
     assert report.status == "error"
     assert report.notes == [f"L=2: {SAMPLING_FAILURE}"]
     assert report.mode["runs"][0]["y0"] == "1" and report.mode["runs"][0]["points"] == []
@@ -491,7 +490,7 @@ def test_transfer_point_pairs_give_up_after_max_resamples(monkeypatch):
 
 
 def _hecke_transfer(lengths, corrupt=False):
-    return transfer_commute(builtin_rep("Hecke3_std", q=2), 1, SpectralFn.hecke_ratio(), lengths,
+    return transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), lengths,
                             count=2, seed=3, corrupt=corrupt)
 
 
@@ -541,11 +540,11 @@ def test_corrupt_perturbs_the_cleared_rhat_as_the_rational_one(monkeypatch, seed
         return original(rhat, d, lengths)
 
     monkeypatch.setattr(verify, "_transfer_matrices", capture)
-    rep, fn = builtin_rep("Hecke3_std", q=2), SpectralFn.hecke_ratio()
-    report = transfer_commute(rep, 1, fn, [2], count=4, seed=seed, corrupt=True)
+    rep, f = builtin_rep("Hecke3_std", q=2), spectral_fn("hecke")
+    report = transfer_commute(rep, 1, f, [2], count=4, seed=seed, corrupt=True)
     assert report.status == "fail"
     sigma = rep.site(1).map_entries(lambda e: e.constant_value())
-    f, y0 = f_eval(fn, "x", "y"), choose_reference_point(fn)
+    y0 = choose_reference_point(f)
     xs = [Fraction(x) for pair in report.mode["runs"][0]["points"] for x in pair]
     assert len(seen) == len(xs) == 8
     for x, M in zip(xs, seen):
