@@ -118,10 +118,7 @@ def rhat_cleared(
     B = ident.scale(wu_den * s0) - S.scale(wu_num)
     adj, det = B.adjugate_det()
     if det.is_zero:
-        raise SingularMatrixError(
-            f"R-matrix factor is identically singular: det(1 - f({w},{u})*sigma_{i}) = 0",
-            determinant=det,
-        )
+        raise SingularMatrixError(f"R-matrix factor is identically singular: det(1 - f({w},{u})*sigma_{i}) = 0")
     # A/(uw_den s0) * (B/(wu_den s0))^-1: the factor s0 of both cancels
     P = (A * adj).scale(wu_den)
     delta = uw_den * det
@@ -209,12 +206,18 @@ def check_unitarity(R: RMatrixSym) -> bool:
 
 
 def H_closed(rep: Rep, i: int, z: str = "z") -> FieldMatrix:
-    """H_i(z) = sigma_i (1 - z sigma_i)^(-1) over Q(z + rep params)."""
+    """H_i(z) = sigma_i (1 - z sigma_i)^(-1) over Q(z + rep params).
+
+    With sigma_i = S / s0 and the cleared inverse X / det, each entry is the
+    canonical RatFunc of S X over s0 det.
+    """
     symbols = spectral_symbols(rep, (z,))
     sigma = rep.site(i, symbols)
-    zz = RatFunc.var(symbols, z)
     ident = FieldMatrix.identity(rep.dim, RatFunc.one(symbols))
-    return sigma * (ident - sigma.scale(zz)).inv()
+    X, det = (ident - sigma.scale(RatFunc.var(symbols, z))).inv()
+    S, s0 = sigma.cleared()
+    den = s0 * det
+    return (S * X).map_entries(lambda e: RatFunc(e, den))
 
 
 def H_series(rep: Rep, i: int, order: int) -> FieldMatrix:

@@ -1,12 +1,12 @@
 """Dense matrices over an exact field (rationals or rational functions).
 
-Inverses are fraction-free: denominators are cleared row by row with
-`cleared` (rational-function rows become polynomials, rational rows become
-Python ints), determinants and cofactors run over that ring with Bareiss-style
-exact divisions (`divexact` or `//`), and a single division pass at the end
-produces the field result.  This bounds intermediate expression swell over
-rational-function fields and keeps gcds out of the elimination over the
-rationals.
+Inverses are fraction-free and returned cleared: `cleared` scales the whole
+matrix by one common denominator (rational-function entries become
+polynomials, rational entries become Python ints), determinants and cofactors
+run over that ring with Bareiss-style exact divisions (`divexact` or `//`),
+and the inverse is the ring pair (X, D) with no final division pass.  This
+bounds intermediate expression swell over rational-function fields and keeps
+gcds out of the elimination over the rationals.
 """
 
 from __future__ import annotations
@@ -23,15 +23,11 @@ from .ratfunc import RatFunc, denominator_lcm
 class SingularMatrixError(ArithmeticError):
     """Raised when inverting a matrix whose determinant is zero."""
 
-    def __init__(self, message: str, determinant=None):
-        super().__init__(message)
-        self.determinant = determinant
-
 
 class FieldMatrix:
     """Row-major dense matrix; entries are Fraction (or int), RatFunc, or
     MultiPoly (one kind per matrix).  inv takes field entries (Fraction or
-    RatFunc); adjugate_det takes ring entries (int or MultiPoly)."""
+    RatFunc) to ring ones (int or MultiPoly), the kind adjugate_det takes."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -191,18 +187,20 @@ class FieldMatrix:
                 adj[j * n + i] = cof  # adjugate is the transposed cofactor matrix
         return FieldMatrix(n, n, adj), det
 
-    def inv(self) -> "FieldMatrix":
-        """Exact two-sided inverse; raises SingularMatrixError when det = 0."""
+    def inv(self) -> tuple["FieldMatrix", object]:
+        """The exact inverse, cleared: (X, D) over the entry ring with self * X = X * self = D * identity.
+
+        X = c * adj(M) and D = det(M) for M, c = self.cleared(): ints from
+        Fraction (or int) entries, MultiPoly from RatFunc entries.  Raises
+        SingularMatrixError when D = 0.
+        """
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        field = _entry_kind(self.entries)
-        # inv(A) = adj(M) * diag(rowdens) / det(M) with M = diag(rowdens) * A
-        cleared = [FieldMatrix(1, n, self.row(i)).cleared() for i in range(n)]
-        adj, det = FieldMatrix(n, n, [e for row, _ in cleared for e in row.entries]).adjugate_det()
+        M, c = self.cleared()
+        adj, det = M.adjugate_det()
         if not det:
-            raise SingularMatrixError("singular matrix: determinant is 0", determinant=field(det))
-        return FieldMatrix(n, n, [field(adj[i, j] * cleared[j][1], det) for i in range(n) for j in range(n)])
+            raise SingularMatrixError("singular matrix: determinant is 0")
+        return adj.scale(c), det
 
     def cleared(self) -> tuple["FieldMatrix", object]:
         """(M, D) with M = D * self over the entry ring and D the lcm of the entry denominators.

@@ -192,12 +192,6 @@ class RelationSet:
     symbols: tuple[str, ...]
     elements: list[tuple[str, NCPoly]]
 
-    def labels(self) -> list[str]:
-        return [label for label, _ in self.elements]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def resolve_params(names: Iterable[str], given: Mapping | None) -> tuple[tuple[str, ...], dict[str, RatFunc]]:
     """Build the coefficient field and one RatFunc per named parameter.

@@ -168,12 +168,16 @@ def _numeric_rhat(sigma: FieldMatrix, f_uw: Fraction, f_wu: Fraction) -> tuple[F
     d = sigma.rows
     if not f_wu:
         return (FieldMatrix.identity(d, Fraction(1)) - sigma.scale(f_uw)).cleared()
-    # N = 1 - b sigma and r = a/b give 1 - a sigma = r N + (1 - r), so Rhat = r + (1 - r) N^-1
-    r = Fraction(f_uw) / f_wu
-    rhat = (FieldMatrix.identity(d, Fraction(1)) - sigma.scale(f_wu)).inv().scale(1 - r)
+    # N = 1 - b sigma and r = a/b = p/q give 1 - a sigma = r N + (1 - r), so with
+    # N^-1 = X / det, Rhat = r + (1 - r) N^-1 = ((q - p) X + p det) / (q det)
+    X, det = (FieldMatrix.identity(d, Fraction(1)) - sigma.scale(f_wu)).inv()
+    p, q = (Fraction(f_uw) / f_wu).as_integer_ratio()
+    M = X.scale(q - p)
     for k in range(0, d * d, d + 1):
-        rhat.entries[k] += r
-    return rhat.cleared()
+        M.entries[k] += p * det
+    D = q * det
+    g = math.gcd(D, *M.entries) * (1 if D > 0 else -1)  # reduced, with D > 0
+    return M.map_entries(lambda e: e // g), D // g
 
 
 def ybe_random(rep: Rep, f: RatFunc, trials: int = 20, seed: int = 0) -> VerifyReport:

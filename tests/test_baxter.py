@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -312,6 +313,28 @@ def test_H_closed_nilpotent_equals_generator():
     sigma = rep.matrices[1].map_entries(lambda e: e.lift(symbols))
     assert H_closed(rep, 1) == sigma
     assert H_series(rep, 1, 4) == sigma
+
+
+_T = RatFunc.var(("t",), "t")
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [(name, {}) for name in BUILTIN_NAMES]
+    + [("Hecke3_std", {"q": 2}), ("Hecke3_burau", {"q": Fraction(1, 3)}), ("B3_2dim", {"nu": _T / (_T + 1)})],
+)
+@pytest.mark.parametrize("site", [1, 2])
+def test_H_closed_solves_its_defining_identity(name, params, site):
+    """(1 - z sigma_i) H_i(z) = sigma_i = H_i(z) (1 - z sigma_i), checked with products only.
+
+    The last case has an entry denominator, t + 1, so sigma_i = S / s0 with s0 nonconstant.
+    """
+    rep = builtin_rep(name, **params)
+    symbols = spectral_symbols(rep, ("z",))
+    sigma = rep.site(site, symbols)
+    N = FieldMatrix.identity(rep.dim, RatFunc.one(symbols)) - sigma.scale(RatFunc.var(symbols, "z"))
+    H = H_closed(rep, site)
+    assert N * H == sigma == H * N
 
 
 def test_series_agreement_orders():

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and every
-private helper is used somewhere in the package.
+"""Every module-level import in the package is used by its module, every
+private helper is used somewhere in the package, and every public method is
+used somewhere in the package or in the README's Python examples.
 
 Package __init__ files are skipped as modules under test: their imports are
 the public re-exports.  They still count as places that use a helper.
@@ -7,11 +8,13 @@ the public re-exports.  They still count as places that use a helper.
 
 import ast
 import functools
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "baxcheck"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "baxcheck"
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
@@ -85,3 +88,24 @@ def test_private_helpers_are_used(path):
         and node.name.startswith("_") and not node.name.startswith("__") and node.name not in used
     }
     assert not dead, f"private helpers in {path.name} that nothing in the package uses: {dead}"
+
+
+def _readme_references() -> set[str]:
+    """Names read in the README's ```python blocks (the library quick tour)."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    return set().union(*(_references(ast.parse(block)) for block in blocks))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_public_methods_are_used(path):
+    used = _package_references() | _readme_references()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    dead = {
+        f"{cls.name}.{node.name}": node.lineno
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_") and node.name not in used
+    }
+    assert not dead, f"public methods in {path.name} that neither the package nor the README uses: {dead}"

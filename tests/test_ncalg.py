@@ -44,15 +44,15 @@ def test_mismatched_strands_rejected():
 
 def test_relation_counts():
     braid4 = relations_for("Braid", 4)
-    assert braid4.labels() == ["locality(1,3)", "braid(1)", "braid(2)"]
+    assert [label for label, _ in braid4.elements] == ["locality(1,3)", "braid(1)", "braid(2)"]
     a3 = relations_for("A", 3)
-    assert len(a3) == 5 and not [l for l in a3.labels() if l.startswith("locality")]
+    assert len(a3.elements) == 5 and not [label for label, _ in a3.elements if label.startswith("locality")]
     hecke3 = relations_for("Hecke", 3)
-    assert sorted(hecke3.labels()) == ["braid(1)", "hecke(1)", "hecke(2)"]
+    assert sorted(label for label, _ in hecke3.elements) == ["braid(1)", "hecke(1)", "hecke(2)"]
     a4 = relations_for("A", 4)
-    assert len(a4) == 11  # one locality pair plus five relations per site pair
+    assert len(a4.elements) == 11  # one locality pair plus five relations per site pair
     hecke4 = relations_for("Hecke", 4)
-    assert len(hecke4) == 6
+    assert len(hecke4.elements) == 6
 
 
 def test_relations_reject_bad_input():

@@ -148,7 +148,8 @@ def test_ybe_random_agrees_with_symbolic():
 def _two_inverse_rhat(sigma, a, b):
     """Reference: (1 - a sigma)(1 - b sigma)^-1 as written, one product and one inverse."""
     ident = FieldMatrix.identity(sigma.rows, Fraction(1))
-    return (ident - sigma.scale(a)) * (ident - sigma.scale(b)).inv()
+    X, D = (ident - sigma.scale(b)).inv()
+    return (ident - sigma.scale(a)) * X.map_entries(lambda e: Fraction(e, D))
 
 
 def _uncleared(M, D):
