@@ -37,11 +37,10 @@ def spectral_fn(case: str, alpha1=None, alpha2=None, b=None, c=None) -> RatFunc:
                 four parameters given and alpha1 - alpha2 = +-1.
     case "ii":  f(x, y) = (1 + y) * x / (1 + x)
     case "iii": f(x, y) = (1 + x) * y / (1 + y)
-    case "hecke": f(x, y) = -x / y.  The sign matches the quadratic
-                normalization (s - 1)(s - q) = 0 used by the Hecke relation
-                set: with it the braided Yang-Baxter equation, regularity,
-                and the transfer harness all hold; with +x/y all three
-                provably fail on faithful Hecke representations.
+    case "hecke": f(x, y) = -x / y, the sign of the Hecke normalization (s - 1)(s - q) = 0.
+                +x/y fails regularity, and the braided Yang-Baxter equation on the
+                tensor legs S (x) 1, 1 (x) S, but passes that on Hecke3_std (sigma_1 = sigma_2).
+                The transfer harness passes for any f when sigma has two eigenvalues.
     Cases ii, iii and hecke take no parameters.
     """
     params = (alpha1, alpha2, b, c)

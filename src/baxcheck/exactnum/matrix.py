@@ -164,17 +164,16 @@ class FieldMatrix:
         """(adj, det) over the entry ring, with adj * self = det * identity.
 
         Entries must be ring elements, MultiPoly or int (clear field
-        denominators first); any other entry raises TypeError.  Cofactor
-        determinants run through fraction-free Bareiss elimination.
+        denominators first); any other entry raises TypeError.  Cofactors run
+        through fraction-free Bareiss elimination; det = sum_j self[0, j] adj[j, 0].
         """
         if self.rows != self.cols:
             raise ValueError("adjugate of a non-square matrix")
         n = self.rows
         div = _ring_div(self.entries)
-        det = _bareiss_det(self.to_rows(), div)
         if n == 1:
             one = 1 if div is operator.floordiv else MultiPoly.const(self.entries[0].vars, 1)
-            return FieldMatrix(1, 1, [one]), det
+            return FieldMatrix(1, 1, [one]), self.entries[0]
         rows = self.to_rows()
         adj = [None] * (n * n)
         for i in range(n):
@@ -185,6 +184,7 @@ class FieldMatrix:
                 if (i + j) % 2:
                     cof = -cof
                 adj[j * n + i] = cof  # adjugate is the transposed cofactor matrix
+        det = sum(a * c for a, c in zip(rows[0], adj[::n]))
         return FieldMatrix(n, n, adj), det
 
     def inv(self) -> tuple["FieldMatrix", object]:
@@ -192,10 +192,8 @@ class FieldMatrix:
 
         X = c * adj(M) and D = det(M) for M, c = self.cleared(): ints from
         Fraction (or int) entries, MultiPoly from RatFunc entries.  Raises
-        SingularMatrixError when D = 0.
+        ValueError for a non-square matrix and SingularMatrixError when D = 0.
         """
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
         M, c = self.cleared()
         adj, det = M.adjugate_det()
         if not det:
@@ -205,9 +203,11 @@ class FieldMatrix:
     def cleared(self) -> tuple["FieldMatrix", object]:
         """(M, D) with M = D * self over the entry ring and D the lcm of the entry denominators.
 
-        RatFunc entries clear to MultiPoly over a MultiPoly D; Fraction (or
-        int) entries clear to int over an int D.  Ring entries raise TypeError.
+        RatFunc entries clear to MultiPoly over a MultiPoly D, Fraction entries
+        to int over an int D; an int matrix is itself over 1.  MultiPoly raises TypeError.
         """
+        if all(type(e) is int for e in self.entries):
+            return self, 1
         kind = _entry_kind(self.entries)
         if kind is MultiPoly:
             raise TypeError("clearing denominators needs Fraction or RatFunc entries; use adjugate_det over MultiPoly")

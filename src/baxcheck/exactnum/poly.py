@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 SPECTRAL = ("x", "y", "z", "v")
 
@@ -279,31 +279,6 @@ class MultiPoly:
 
     # -- evaluation / substitution ------------------------------------------
 
-    def eval(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at a full assignment of all variables.
-
-        With value a_i / b_i for variable i, whose top degree is top_i, each
-        term scaled by prod b_i^top_i is an int, so the sum runs over ints and
-        one Fraction is formed at the end.
-        """
-        missing = [v for v in self.vars if v not in point]
-        if missing:
-            raise ValueError(f"missing assignment for {missing}")
-        values = [_as_fraction(point[v]) for v in self.vars]
-        den, scaled = self.den, []
-        for i, val in enumerate(values):
-            top = max((exp >> (_W * i) & _MASK for exp in self.terms), default=0)
-            if top:
-                scaled.append((_W * i, top, val.numerator, val.denominator))
-                den *= val.denominator**top
-        total = 0
-        for exp, coeff in self.terms.items():
-            for shift, top, a, b in scaled:
-                e = exp >> shift & _MASK
-                coeff *= a**e * b ** (top - e)
-            total += coeff
-        return Fraction(total, den)
-
     def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
         """Substitute variables by variables (e.g. y := x), staying in the same ring.
 
@@ -382,6 +357,36 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def eval_cleared(polys: Sequence[MultiPoly], point: Mapping[str, Fraction]) -> tuple[list[int], int]:
+    """(nums, den) with polys[k](point) = nums[k] / den over one int den > 0, for polys over one variable tuple.
+
+    With value a_i / b_i for variable i, of top degree top_i over all polys,
+    each term scaled by prod b_i^top_i is an int: every sum runs over ints.
+    """
+    vars = polys[0].vars
+    missing = [v for v in vars if v not in point]
+    if missing:
+        raise ValueError(f"missing assignment for {missing}")
+    values = [_as_fraction(point[v]) for v in vars]
+    den = _int_lcm(*(p.den for p in polys))
+    scaled, scale = [], 1
+    for i, val in enumerate(values):
+        top = max((exp >> (_W * i) & _MASK for p in polys for exp in p.terms), default=0)
+        if top:
+            scaled.append((_W * i, top, val.numerator, val.denominator))
+            scale *= val.denominator**top
+    nums = []
+    for p in polys:
+        total = 0
+        for exp, coeff in p.terms.items():
+            for shift, top, a, b in scaled:
+                e = exp >> shift & _MASK
+                coeff *= a**e * b ** (top - e)
+            total += coeff
+        nums.append(total * (den // p.den))
+    return nums, den * scale
 
 
 # -- integer kernel: products and exact division --

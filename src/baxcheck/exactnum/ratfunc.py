@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .poly import MultiPoly, poly_gcd
+from .poly import MultiPoly, eval_cleared, poly_gcd
 
 
 class PoleError(ArithmeticError):
@@ -175,10 +175,10 @@ class RatFunc:
 
     def eval(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a full assignment; raises PoleError on a denominator zero."""
-        d = self.den.eval(point)
+        (n, d), _ = eval_cleared([self.num, self.den], point)
         if d == 0:
             raise PoleError(f"pole of {self} at {dict(point)}")
-        return self.num.eval(point) / d
+        return Fraction(n, d)
 
     def lift(self, new_vars: tuple[str, ...]) -> "RatFunc":
         if tuple(new_vars) == self.vars:

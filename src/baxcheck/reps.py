@@ -59,10 +59,6 @@ class Rep:
             return self
         return Rep(self.n, self.dim, symbols, {i: self.site(i, symbols) for i in self.matrices})
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> dict[int, FieldMatrix]:
-        """Numeric matrices at a full rational assignment of the parameters."""
-        return {i: m.map_entries(lambda e: e.eval(point)) for i, m in self.matrices.items()}
-
 
 def _b3_rows(one, zero, nu, mu):
     return [[[nu * mu, zero], [nu, one]], [[one, -mu], [zero, nu * mu]]]

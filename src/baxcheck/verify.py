@@ -16,9 +16,10 @@ polynomial arithmetic only.
 
 The randomized mode is exact polynomial identity testing: spectral variables
 and free representation parameters are drawn as random rationals, both sides
-are evaluated in exact arithmetic, and any pole or singular factor triggers a
-resample.  Verdicts agree with the symbolic mode up to the usual vanishing-
-at-a-random-point caveat, which the acceptance fixtures exercise both ways.
+are evaluated on ints (each site cleared once per call, each Rhat an int pair),
+and any pole or singular factor triggers a resample.  Verdicts agree with the
+symbolic mode up to the vanishing-at-a-random-point caveat, which the
+acceptance fixtures exercise both ways.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from itertools import permutations
 from typing import Callable, Sequence
 
 from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError
+from .exactnum.poly import eval_cleared
 from .exactnum.scalar import format_scalar
 from .baxter import (
     H_closed,
@@ -159,23 +161,38 @@ def _regular_draw(draw: Callable[[DetRng], object], rng: DetRng) -> tuple[object
     return None, MAX_RESAMPLES
 
 
-def _numeric_rhat(sigma: FieldMatrix, f_uw: Fraction, f_wu: Fraction) -> tuple[FieldMatrix, int]:
-    """Rhat = (1 - f_uw sigma)(1 - f_wu sigma)^-1 at a numeric point, from one inverse.
+def _site_at(S: FieldMatrix, s: MultiPoly, point: dict[str, Fraction]) -> tuple[FieldMatrix, int]:
+    """The cleared site matrix sigma = S / s at a rational point, as ints (S', s') with sigma = S' / s'.
 
-    Returned cleared, as (M, D): the int matrix M = D * Rhat over the lcm D of
-    Rhat's entry denominators.
+    s is the lcm of the entry denominators: PoleError exactly where some entry has a pole.
     """
-    d = sigma.rows
-    if not f_wu:
-        return (FieldMatrix.identity(d, Fraction(1)) - sigma.scale(f_uw)).cleared()
-    # N = 1 - b sigma and r = a/b = p/q give 1 - a sigma = r N + (1 - r), so with
-    # N^-1 = X / det, Rhat = r + (1 - r) N^-1 = ((q - p) X + p det) / (q det)
-    X, det = (FieldMatrix.identity(d, Fraction(1)) - sigma.scale(f_wu)).inv()
-    p, q = (Fraction(f_uw) / f_wu).as_integer_ratio()
-    M = X.scale(q - p)
-    for k in range(0, d * d, d + 1):
-        M.entries[k] += p * det
-    D = q * det
+    (s_val, *vals), _ = eval_cleared([s, *S.entries], point)
+    if not s_val:
+        raise PoleError(f"pole of the site matrix at {point}")
+    return FieldMatrix(S.rows, S.cols, vals), s_val
+
+
+def _shifted(M: FieldMatrix, a: int, c: int) -> FieldMatrix:
+    """a * M + c * identity for a square int matrix M."""
+    step = M.cols + 1
+    return FieldMatrix(M.rows, M.cols, [a * e + c if k % step == 0 else a * e for k, e in enumerate(M.entries)])
+
+
+def _numeric_rhat(S: FieldMatrix, s: int, f_uw: Fraction, f_wu: Fraction) -> tuple[FieldMatrix, int]:
+    """Rhat = (1 - f_uw sigma)(1 - f_wu sigma)^-1 for sigma = S / s (ints, s != 0), from one inverse.
+
+    Every step runs on ints; returned cleared, as M = D * Rhat over the lcm D of its entry denominators.
+    """
+    p_a, q_a = f_uw.as_integer_ratio()
+    if not f_wu:  # 1 - f_uw sigma = (q_a s - p_a S) / (q_a s)
+        M, D = _shifted(S, -p_a, q_a * s), q_a * s
+    else:
+        # N' = q_b s - p_b S = q_b s (1 - f_wu sigma) = q_b s N, N'^-1 = X / det.  r = f_uw/f_wu = p/q gives
+        # 1 - f_uw sigma = r N + 1 - r, so Rhat = r + (1 - r) N^-1 = ((q - p) q_b s X + p det) / (q det)
+        p_b, q_b = f_wu.as_integer_ratio()
+        X, det = _shifted(S, -p_b, q_b * s).inv()
+        p, q = p_a * q_b, q_a * p_b
+        M, D = _shifted(X, (q - p) * q_b * s, p * det), q * det
     g = math.gcd(D, *M.entries) * (1 if D > 0 else -1)  # reduced, with D > 0
     return M.map_entries(lambda e: e // g), D // g
 
@@ -191,15 +208,16 @@ def ybe_random(rep: Rep, f: RatFunc, trials: int = 20, seed: int = 0) -> VerifyR
         "ybe randomized",
         mode={"kind": "randomized", "seed": seed, "trials": trials, "samples": [], "resamples": 0},
     )
+    cleared = {site: rep.site(site).cleared() for site in (1, 2)}  # sigma_i = S_i / s_i
 
     def draw(rng: DetRng):
         xs = [sample_fraction(rng) for _ in _YBE_VARS]
         params = {name: sample_fraction(rng) for name in rep.params}
-        mats = rep.evaluate(params)
+        sites = {site: _site_at(S, s, params) for site, (S, s) in cleared.items()}
         # f once per ordered pair of spectral variables
         fv = {(u, w): f.eval({"x": xs[u], "y": xs[w]}) for u, w in permutations(range(3), 2)}
         # each Rhat as (D * Rhat, D) over the ints
-        R = {(site, u, w): _numeric_rhat(mats[site], fv[u, w], fv[w, u]) for site, u, w in _YBE_LHS + _YBE_RHS}
+        R = {(site, u, w): _numeric_rhat(*sites[site], fv[u, w], fv[w, u]) for site, u, w in _YBE_LHS + _YBE_RHS}
         return dict(zip(_YBE_VARS, xs)), params, R
 
     worst = 0
@@ -213,8 +231,7 @@ def ybe_random(rep: Rep, f: RatFunc, trials: int = 20, seed: int = 0) -> VerifyR
         c_lhs, c_rhs = math.prod(lhs_ds), math.prod(rhs_ds)
         # c_lhs * c_rhs * (lhs/c_lhs - rhs/c_rhs), nonzero exactly where the rational difference is
         diff = lhs.scale(c_rhs) - rhs.scale(c_lhs)
-        if not diff.is_zero:
-            worst = max(worst, sum(1 for e in diff.entries if e))
+        worst = max(worst, sum(1 for e in diff.entries if e))
         report.mode["samples"].append(
             {name: format_scalar(val) for name, val in list(point.items()) + list(params.items())}
         )
@@ -462,7 +479,7 @@ def transfer_commute(
     if corrupt and d < 2:
         raise ValueError(f"corrupt needs a site matrix on V (x) V with dim V >= 2, got dim V = {d}")
     check_chain_lengths(lengths)
-    sigma = rep.site(i).map_entries(lambda e: e.constant_value())
+    S, s = _site_at(*rep.site(i).cleared(), {})  # the constant sigma = S / s
     if count < 1:
         raise ValueError(f"need at least one point pair, got {count}")
     y0 = choose_reference_point(f)
@@ -480,7 +497,7 @@ def transfer_commute(
 
     def rhat_at(xval: Fraction) -> FieldMatrix:
         """D * Rhat(xval, y0), an int matrix."""
-        M, D = _numeric_rhat(sigma, f.eval({"x": xval, "y": y0}), f.eval({"x": y0, "y": xval}))
+        M, D = _numeric_rhat(S, s, f.eval({"x": xval, "y": y0}), f.eval({"x": y0, "y": xval}))
         if corrupt:
             # Rhat[1] += 1, a weight-breaking entry whose denominator stays the
             # same; perturbations inside the conserved blocks of this family

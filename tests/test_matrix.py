@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from baxcheck.exactnum import FieldMatrix, MultiPoly, RatFunc, SingularMatrixError, canonical_vars
+from baxcheck.exactnum.matrix import _bareiss_det, _ring_div
 from helpers import kron
 
 V = canonical_vars(["x", "y"])
@@ -160,6 +161,46 @@ def test_det_and_inv_match_sympy(rows):
     ]
 
 
+def _sympy_entry(e, syms):
+    """An int or MultiPoly entry as a sympy expression in syms (one per variable of V)."""
+    if isinstance(e, int):
+        return sympy.Integer(e)
+    return sum((sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**k for s, k in zip(syms, exp)))
+                for exp, c in e.sorted_terms()), sympy.Integer(0))
+
+
+@pytest.mark.parametrize("kind", ["int", "poly"])
+def test_adjugate_det_expands_its_cofactors(kind):
+    # det from the cofactors against a separate Bareiss elimination and sympy, 1x1 to 4x4, singular ones too
+    rng = random.Random(31)
+    syms = sympy.symbols(V)
+
+    def entry():
+        if kind == "int":
+            return rng.randint(-6, 6)
+        p = MultiPoly.zero(V)
+        for _ in range(rng.randint(0, 2)):
+            p = p + MultiPoly(V, {(rng.randint(0, 2), rng.randint(0, 1)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))})
+        return p
+
+    singular = 0
+    for n in (1, 2, 3, 4):
+        for trial in range(6):
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            if trial % 2:  # a repeated row, or a zero 1x1 matrix
+                rows[-1] = list(rows[0]) if n > 1 else [rows[0][0] * 0]
+            m = FieldMatrix.from_rows(rows)
+            adj, det = m.adjugate_det()
+            assert det == _bareiss_det(m.to_rows(), _ring_div(m.entries))
+            ref = sympy.Matrix([[_sympy_entry(e, syms) for e in row] for row in rows]).det()
+            assert sympy.expand(_sympy_entry(det, syms) - ref) == 0
+            assert adj * m == FieldMatrix.identity(n, det) == m * adj
+            singular += not det
+            if n == 1:
+                assert adj.entries == [1 if kind == "int" else MultiPoly.const(V, 1)] and det == rows[0][0]
+    assert singular >= 12
+
+
 def test_entry_kinds_are_checked():
     adj, det = FieldMatrix.from_rows([[2, 1], [4, 3]]).adjugate_det()
     assert det == 2 and adj == FieldMatrix.from_rows([[3, -1], [-4, 2]])
@@ -170,6 +211,8 @@ def test_entry_kinds_are_checked():
         FieldMatrix.from_rows([[x, x], [x, x + 1]]).adjugate_det()
     with pytest.raises(TypeError):
         FieldMatrix.from_rows([[x.num, x.num], [x.num, x.den]]).inv()
+    with pytest.raises(ValueError):
+        rational([[1, 2, 3], [4, 5, 6]]).inv()
 
 
 def test_cleared_scales_to_the_entry_ring():

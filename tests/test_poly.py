@@ -115,7 +115,7 @@ def test_lift_places_variables_by_name():
     p = MultiPoly(small, {(2, 1): 3, (0, 4): Fraction(1, 2)})
     lifted = p.lift(big)
     assert lifted == MultiPoly(big, {(2, 0, 1): 3, (0, 0, 4): Fraction(1, 2)})
-    assert lifted.eval({"x": 2, "y": 5, "mu": 3}) == p.eval({"x": 2, "mu": 3})
+    assert poly.eval_cleared([lifted], {"x": 2, "y": 5, "mu": 3}) == poly.eval_cleared([p], {"x": 2, "mu": 3})
     with pytest.raises(ValueError):
         lifted.lift(small)
 
@@ -414,9 +414,11 @@ def eval_inputs(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(eval_inputs())
-def test_eval_matches_fraction_evaluation(inputs):
+@given(eval_inputs(), st.integers(0, 3))
+def test_eval_matches_fraction_evaluation(inputs, shift):
+    # p, p + 1/7 and its powers over one denominator, each value as the term-by-term Fraction sum
     p, point = inputs
-    value = p.eval(point)
-    assert type(value) is Fraction
-    assert value == _fraction_eval(p, point)
+    polys = [p, p + Fraction(1, 7), p**2, MultiPoly.zero(p.vars), (p + 1) ** shift]
+    nums, den = poly.eval_cleared(polys, point)
+    assert type(den) is int and den > 0 and all(type(n) is int for n in nums)
+    assert [Fraction(n, den) for n in nums] == [_fraction_eval(q, point) for q in polys]

@@ -372,6 +372,9 @@ def test_parameter_resolution_is_shared(given, want):
 
 
 def test_evaluate_at_point():
+    # entry by entry, the independent route the cleared evaluation is checked against
     rep = builtin_rep("B3_2dim")
-    mats = rep.evaluate({"nu": Fraction(2), "mu": Fraction(3)})
-    assert mats[1][0, 0] == 6
+    point = {"nu": Fraction(2), "mu": Fraction(3)}
+    mats = {i: m.map_entries(lambda e: e.eval(point)) for i, m in rep.matrices.items()}
+    assert mats[1].to_rows() == [[6, 0], [2, 1]]
+    assert mats[2].to_rows() == [[1, -3], [0, 6]]

@@ -7,9 +7,9 @@ import pytest
 from baxcheck import baxter, verify
 from baxcheck.baxter import reduce_cleared, rhat_cleared, spectral_fn, spectral_symbols
 from baxcheck.cli import EXIT_INTERNAL, run_job
-from baxcheck.exactnum import FieldMatrix, PoleError, RatFunc, SingularMatrixError, canonical_vars
+from baxcheck.exactnum import FieldMatrix, PoleError, RatFunc, SingularMatrixError, canonical_vars, format_scalar
 from baxcheck.report import VerifyReport
-from baxcheck.reps import Rep, builtin_rep
+from baxcheck.reps import BUILTIN_NAMES, Rep, builtin_rep
 from baxcheck.verify import (
     MAX_RESAMPLES,
     SAMPLING_FAILURE,
@@ -26,6 +26,7 @@ from baxcheck.verify import (
     ybe_symbolic,
 )
 from helpers import kron
+from test_baxter import FIVE_FNS
 
 
 def test_ybe_symbolic_pass_and_negative_control():
@@ -159,44 +160,64 @@ def _uncleared(M, D):
     return M.map_entries(lambda e: Fraction(e, D))
 
 
+def _over(S, s):
+    """The Fraction matrix S / s."""
+    return S.map_entries(lambda e: Fraction(e, s))
+
+
 @pytest.mark.parametrize("d", [2, 4])
 def test_numeric_rhat_matches_product_with_inverse(d):
+    # sigma = S / s from an int pair, with s = 1, s > 1 and s < 0 in turn
     rng = random.Random(d)
 
     def scalar():
         return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
-    checked = 0
-    for _ in range(40):
-        sigma = FieldMatrix(d, d, [scalar() if rng.random() < 0.6 else Fraction(0) for _ in range(d * d)])
-        a, b = scalar(), rng.choice([Fraction(0), scalar()])
+    def agrees(S, s, a, b):
+        """True once checked against the reference; False when both find N singular."""
         try:
-            reference = _two_inverse_rhat(sigma, a, b)
+            reference = _two_inverse_rhat(_over(S, s), a, b)
         except SingularMatrixError:
             with pytest.raises(SingularMatrixError):
-                _numeric_rhat(sigma, a, b)
-            continue
-        assert _uncleared(*_numeric_rhat(sigma, a, b)) == reference
-        checked += 1
-    for a, b in ((Fraction(3, 2), Fraction(0)), (Fraction(0), Fraction(0)), (Fraction(5, 7), Fraction(5, 7))):
-        assert _uncleared(*_numeric_rhat(sigma, a, b)) == _two_inverse_rhat(sigma, a, b)
-    assert checked >= 20
+                _numeric_rhat(S, s, a, b)
+            return False
+        assert _uncleared(*_numeric_rhat(S, s, a, b)) == reference
+        return True
+
+    checked = 0
+    for trial in range(60):
+        s = (1, rng.randint(2, 5), -rng.randint(1, 5))[trial % 3]
+        S = FieldMatrix(d, d, [rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(d * d)])
+        checked += agrees(S, s, scalar(), rng.choice([Fraction(0), scalar()]))
+        for a, b in ((Fraction(3, 2), Fraction(0)), (Fraction(0), Fraction(0)), (Fraction(5, 7), Fraction(5, 7))):
+            agrees(S, s, a, b)
+    assert checked >= 30
     # N = 1 - b sigma is singular when 1/b is an eigenvalue of sigma
-    sigma = FieldMatrix(d, d, [Fraction(2 + i) if i == j else Fraction(0) for i in range(d) for j in range(d)])
-    with pytest.raises(SingularMatrixError):
-        _numeric_rhat(sigma, Fraction(1), Fraction(1, 3))
+    for s in (1, 3, -2):
+        S = FieldMatrix(d, d, [(2 + i) * s if i == j else 0 for i in range(d) for j in range(d)])
+        with pytest.raises(SingularMatrixError):
+            _numeric_rhat(S, s, Fraction(1), Fraction(1, 3))
 
 
-def _fraction_ybe_worst(rep, f, trials, seed):
-    """Reference for ybe_random: rational Rhats, worst nonzero-entry count of lhs - rhs over the trials."""
-    worst = 0
+def _site_matrices(rep, params):
+    """Each site matrix at params, entry by entry: the per-entry route, independent of verify._site_at."""
+    return {i: m.map_entries(lambda e: e.eval(params)) for i, m in rep.matrices.items()}
+
+
+def _fraction_ybe_worst(rep, f, trials, seed, draw=sample_fraction):
+    """Reference for ybe_random: rational Rhats over per-entry evaluation.
+
+    Returns (worst nonzero-entry count of lhs - rhs over the trials, the
+    sampled points as ybe_random formats them, the total resample count).
+    """
+    worst, samples, resamples = 0, [], 0
     for trial in range(trials):
         rng = split_rng(seed, trial)
         while True:  # the draw order of ybe_random: x, y, z, then the rep parameters
-            point = [sample_fraction(rng) for _ in range(3)]
-            params = {name: sample_fraction(rng) for name in rep.params}
+            point = [draw(rng) for _ in range(3)]
+            params = {name: draw(rng) for name in rep.params}
             try:
-                mats = rep.evaluate(params)
+                mats = _site_matrices(rep, params)
                 R = {
                     (site, u, w): _two_inverse_rhat(
                         mats[site], f.eval({"x": point[u], "y": point[w]}), f.eval({"x": point[w], "y": point[u]})
@@ -205,19 +226,106 @@ def _fraction_ybe_worst(rep, f, trials, seed):
                 }
                 break
             except (PoleError, SingularMatrixError, ZeroDivisionError):
+                resamples += 1
                 continue
         lhs, rhs = (R[seq[0]] * R[seq[1]] * R[seq[2]] for seq in (verify._YBE_LHS, verify._YBE_RHS))
         worst = max(worst, sum(1 for e in (lhs - rhs).entries if e))
-    return worst
+        samples.append({name: format_scalar(v) for name, v in [*zip("xyz", point), *params.items()]})
+    return worst, samples, resamples
 
 
 def test_ybe_random_integer_sides_match_fraction_reference():
     rep = builtin_rep("A3_2dim", c=1)
     for fn, seed in ((spectral_fn("ii"), 1), (spectral_fn("ii"), 5), (spectral_fn("i", 2, 1, 0, 1), 3)):
         report = ybe_random(rep, fn, trials=3, seed=seed)
-        assert report.residuals == [("ybe", _fraction_ybe_worst(rep, fn, 3, seed))]
+        assert report.residuals == [("ybe", _fraction_ybe_worst(rep, fn, 3, seed)[0])]
     assert not report.residuals[0][1]
     assert ybe_random(rep, spectral_fn("ii"), trials=3, seed=1).residuals[0][1] > 0
+
+
+_T = RatFunc.var(("t",), "t")
+# every builtin, symbolic and at numeric parameters, and B3_2dim at nu = t/(t + 1),
+# whose entry denominators are not constant
+SITE_REPS = {
+    **{name: builtin_rep(name) for name in BUILTIN_NAMES},
+    "Hecke3_std(2)": builtin_rep("Hecke3_std", q=2),
+    "Hecke3_burau(1/3)": builtin_rep("Hecke3_burau", q=Fraction(1, 3)),
+    "B3_2dim(t/(t+1))": builtin_rep("B3_2dim", nu=_T / (_T + 1)),
+}
+
+
+@pytest.mark.parametrize("name", SITE_REPS)
+def test_cleared_site_evaluation_matches_per_entry_evaluation(name):
+    rep = SITE_REPS[name]
+    rng = split_rng(17, len(name))
+    points = [{p: sample_fraction(rng) for p in rep.params} for _ in range(20)]
+    if "t" in rep.params:
+        points.append({"mu": Fraction(2), "t": Fraction(-1)})  # nu's pole
+    poles = 0
+    for site in range(1, rep.n):
+        S, s = rep.site(site).cleared()
+        for point in points:
+            try:
+                want = _site_matrices(rep, point)[site]
+            except PoleError:
+                poles += 1
+                with pytest.raises(PoleError):
+                    verify._site_at(S, s, point)
+                continue
+            S_p, s_p = verify._site_at(S, s, point)
+            assert type(s_p) is int and s_p and all(type(e) is int for e in S_p.entries)
+            assert _over(S_p, s_p) == want
+    assert poles == (rep.n - 1 if "t" in rep.params else 0)
+
+
+def _small_fraction(rng):
+    """A draw from {-2, ..., 2}, so poles and singular factors are hit often."""
+    return Fraction(rng.randint(-2, 2))
+
+
+@pytest.mark.parametrize("seed", [4, 13])
+def test_ybe_random_reports_match_the_per_entry_reference(monkeypatch, seed):
+    # samples, resamples and residual, for every builtin x FIVE_FNS
+    for rep in (builtin_rep(name) for name in BUILTIN_NAMES):
+        for fn in FIVE_FNS.values():
+            report = ybe_random(rep, fn, trials=2, seed=seed)
+            worst, samples, resamples = _fraction_ybe_worst(rep, fn, 2, seed)
+            assert report.residuals == [("ybe", worst)]
+            assert report.mode == {"kind": "randomized", "seed": seed, "trials": 2,
+                                   "samples": samples, "resamples": resamples}
+    # small draws: rep poles (t = -1), poles of f and singular factors all force resamples
+    monkeypatch.setattr(verify, "sample_fraction", _small_fraction)
+    total = 0
+    for rep in (SITE_REPS["B3_2dim(t/(t+1))"], builtin_rep("scalar")):
+        for fn in FIVE_FNS.values():
+            report = ybe_random(rep, fn, trials=2, seed=seed)
+            worst, samples, resamples = _fraction_ybe_worst(rep, fn, 2, seed, _small_fraction)
+            assert report.residuals == [("ybe", worst)]
+            assert report.mode["samples"] == samples and report.mode["resamples"] == resamples
+            total += resamples
+    assert total > 0
+
+
+def test_random_checks_build_no_fraction_matrices(monkeypatch):
+    # the randomized routes stay on ints: no FieldMatrix with a Fraction entry is built
+    built = []
+    original = FieldMatrix.__init__
+
+    def recording(self, rows, cols, entries):
+        original(self, rows, cols, entries)
+        if any(isinstance(e, Fraction) for e in self.entries):
+            built.append(self)
+
+    monkeypatch.setattr(FieldMatrix, "__init__", recording)
+    for rep in SITE_REPS.values():
+        for fn in (spectral_fn("ii"), spectral_fn("hecke")):
+            ybe_random(rep, fn, trials=3, seed=1)
+    assert built == []
+    rep, f = builtin_rep("Hecke3_std", q=2), spectral_fn("hecke")
+    for count, lengths, corrupt in ((1, [1], False), (4, [2, 3], False), (3, [3], True)):
+        built.clear()
+        transfer_commute(rep, 1, f, lengths, count=count, seed=count, corrupt=corrupt)
+        assert len(built) <= 1  # at most the constant sigma
 
 
 def test_ybe_random_reports_are_seed_reproducible():
@@ -366,9 +474,9 @@ def _dense_transfer(rhat, d, L):
 
 
 def _hecke_rhat(x, corrupt=False):
-    sigma = builtin_rep("Hecke3_std", q=2).matrices[1].map_entries(lambda e: e.constant_value())
+    S, s = builtin_rep("Hecke3_std", q=2).matrices[1].map_entries(lambda e: e.constant_value()).cleared()
     f = spectral_fn("hecke")
-    rhat = _uncleared(*_numeric_rhat(sigma, f.eval({"x": x, "y": 1}), f.eval({"x": 1, "y": x})))
+    rhat = _uncleared(*_numeric_rhat(S, s, f.eval({"x": x, "y": 1}), f.eval({"x": 1, "y": x})))
     if corrupt:
         rhat.entries[1] += 1
     return rhat
