@@ -4,9 +4,10 @@ and dense matrices over any of them with fraction-free inversion."""
 from .scalar import format_scalar, parse_scalar
 from .poly import MultiPoly, canonical_vars, poly_gcd
 from .ratfunc import PoleError, RatFunc
-from .matrix import FieldMatrix, SingularMatrixError
+from .matrix import ClearedMatrix, FieldMatrix, SingularMatrixError, split_factors
 
 __all__ = [
+    "ClearedMatrix",
     "FieldMatrix",
     "MultiPoly",
     "PoleError",
@@ -16,4 +17,5 @@ __all__ = [
     "format_scalar",
     "parse_scalar",
     "poly_gcd",
+    "split_factors",
 ]

@@ -6,7 +6,9 @@ polynomials, rational entries become Python ints), determinants and cofactors
 run over that ring with Bareiss-style exact divisions (`divexact` or `//`),
 and the inverse is the ring pair (X, D) with no final division pass.  This
 bounds intermediate expression swell over rational-function fields and keeps
-gcds out of the elimination over the rationals.
+gcds out of the elimination over the rationals.  Identities are summed the
+same way: a ClearedMatrix is a polynomial matrix over a list of denominator
+factors, and sums of them match factors instead of taking gcds.
 """
 
 from __future__ import annotations
@@ -222,6 +224,58 @@ class FieldMatrix:
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.rows}x{self.cols}, {self})"
+
+
+class ClearedMatrix:
+    """The matrix M / (f_1 ... f_k): a ring matrix M over a list of nonzero ring factors, never expanded.
+
+    A product concatenates the factor lists.  A sum runs over their union, each
+    side scaled by the factors it lacks (split_factors), so it needs no gcd.
+    The value is zero exactly when M is.  Unit factors are dropped.
+    """
+
+    __slots__ = ("M", "factors")
+
+    def __init__(self, M: FieldMatrix, *factors):
+        self.M, self.factors = M, [f for f in factors if not (f.is_constant() and f.constant_value() == 1)]
+
+    def __mul__(self, other: "ClearedMatrix") -> "ClearedMatrix":
+        return ClearedMatrix(self.M * other.M, *self.factors, *other.factors)
+
+    def scale(self, num, *dens) -> "ClearedMatrix":
+        """This matrix times the scalar num / (dens[0] ... dens[-1]), each den a further factor."""
+        return ClearedMatrix(self.M.scale(num), *self.factors, *dens)
+
+    def __add__(self, other: "ClearedMatrix") -> "ClearedMatrix":
+        mine, theirs, _ = split_factors(self.factors, other.factors)
+        lhs, rhs = (m.scale(math.prod(fs)) if fs else m for m, fs in ((self.M, theirs), (other.M, mine)))
+        return ClearedMatrix(lhs + rhs, *self.factors, *theirs)
+
+    def __neg__(self) -> "ClearedMatrix":
+        return ClearedMatrix(-self.M, *self.factors)
+
+    def __sub__(self, other: "ClearedMatrix") -> "ClearedMatrix":
+        return self + (-other)
+
+    def residual_size(self) -> int:
+        """Term count of the largest canonical RatFunc entry; 0, with no gcd, when M is zero."""
+        nonzero = [e for e in self.M.entries if e]
+        if not nonzero:
+            return 0
+        den = math.prod(self.factors, start=MultiPoly.const(nonzero[0].vars, 1))
+        return max(RatFunc(e, den).num_terms() for e in nonzero)
+
+
+def split_factors(a: Sequence, b: Sequence) -> tuple[list, list, list]:
+    """(a only, b only, shared): two factor lists split as multisets, factors matched by ==."""
+    a_only, b_only, shared = list(a), [], []
+    for f in b:
+        if f in a_only:
+            a_only.remove(f)
+            shared.append(f)
+        else:
+            b_only.append(f)
+    return a_only, b_only, shared
 
 
 def _entry_kind(entries):

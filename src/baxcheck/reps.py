@@ -7,7 +7,9 @@ three cubic-relation algebras, a four-dimensional two-site Hecke generator
 two-dimensional Hecke pair with distinct generator images, and scalar
 representations.  Checking a RelationSet against a Rep is the evaluation
 homomorphism: substitute matrices for generators and test for the exact zero
-matrix, element by element.
+matrix, element by element.  Each element is a sum of cleared terms
+(exactnum.ClearedMatrix) added with no gcd, zero exactly when its polynomial
+matrix is; only a nonzero one is reduced to its canonical entries for its size.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactnum import FieldMatrix, RatFunc, canonical_vars
+from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, canonical_vars
 from .ncalg import NCPoly, RelationSet, relations_for, resolve_params, site_relations
 from .report import VerifyReport
 
@@ -137,31 +139,33 @@ def flip_rep(rep: Rep) -> Rep:
 # -- relation checking --------------------------------------------------------
 
 
-def evaluate_element(element: NCPoly, matrices: Mapping[int, FieldMatrix], dim: int, symbols: tuple[str, ...]) -> FieldMatrix:
-    """Image of a free-algebra element under the evaluation homomorphism."""
-    acc = FieldMatrix.zeros(dim, dim, RatFunc.zero(symbols))
+def evaluate_element(element: NCPoly, sites: Mapping[int, ClearedMatrix], dim: int, symbols: tuple[str, ...]) -> ClearedMatrix:
+    """Image of a free-algebra element under the evaluation homomorphism, from the cleared sites S_i / s_i.
+
+    A coefficient n/d scales its word's product by n over the extra factor d;
+    the empty word is the identity, and an element with no terms is zero.
+    """
+    one = MultiPoly.const(symbols, 1)
+    acc = None
     for word, coeff in element.terms.items():
-        m = matrices[word[0]] if word else FieldMatrix.identity(dim, RatFunc.one(symbols))
+        m = sites[word[0]] if word else ClearedMatrix(FieldMatrix.identity(dim, one))
         for idx in word[1:]:
-            m = m * matrices[idx]
-        acc = acc + m.scale(coeff.lift(symbols))
-    return acc
-
-
-def _residual_size(m: FieldMatrix) -> int:
-    return max((e.num_terms() for e in m.entries if e), default=0)
+            m = m * sites[idx]
+        coeff = coeff.lift(symbols)
+        term = m.scale(coeff.num, coeff.den)
+        acc = term if acc is None else acc + term
+    return ClearedMatrix(FieldMatrix.zeros(dim, dim, one - one)) if acc is None else acc
 
 
 def check_relations(rep: Rep, rels: RelationSet) -> VerifyReport:
-    """Substitute the rep into every relation element; pass iff all are zero."""
+    """Substitute the rep into every relation element, each site cleared once; pass iff all are zero."""
     if rep.n != rels.n:
         raise ValueError(f"rep has n={rep.n} but relations have n={rels.n}")
     symbols = canonical_vars(set(rep.params) | set(rels.symbols))
-    lifted = rep.lift(symbols)
+    sites = {i: ClearedMatrix(*m.cleared()) for i, m in rep.lift(symbols).matrices.items()}
     report = VerifyReport(f"{rels.algebra}({rels.n}) relations")
     for label, element in rels.elements:
-        value = evaluate_element(element, lifted.matrices, rep.dim, symbols)
-        report.add_residual(label, _residual_size(value))
+        report.add_residual(label, evaluate_element(element, sites, rep.dim, symbols).residual_size())
     return report
 
 

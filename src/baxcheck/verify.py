@@ -6,13 +6,17 @@ is a polynomial matrix over one scalar polynomial, both sides of the identity
 are assembled as polynomial matrices, and the residual is the cross-
 multiplied difference.  Each site's cleared form is first divided by its
 content g, the common factor of its denominator and all its entries
-(baxter.reduce_cleared), and denominator factors shared by both sides are
-cancelled, so only the unmatched reduced ones are cross-multiplied.  Every
-removed factor is nonzero, so the verdict is unchanged.  A nonzero residual
-is reported by the term count of the fully cross-multiplied unreduced one:
-the shared factors and the g of every Rhat factor are multiplied back in, and
-only then.  Equality of rational-function matrices is thereby decided with
-polynomial arithmetic only.
+(baxter.reduce_cleared).  Both sides are cleared terms (exactnum.ClearedMatrix),
+so their difference cancels the denominator factors they share and
+cross-multiplies only the unmatched reduced ones.  Every removed factor is
+nonzero, so the verdict is unchanged.  A nonzero residual is reported by the
+term count of the fully cross-multiplied unreduced one: the shared factors and
+the g of every Rhat factor are multiplied back in, and only then.
+
+The identity suites sum cleared terms too: sites and H's are cleared, each
+coefficient is a numerator over its denominator factors, and lhs - rhs is zero
+exactly when its polynomial matrix is, which takes no gcd.  Only a nonzero one
+is reduced to canonical entries, whose largest term count is its size.
 
 The randomized mode is exact polynomial identity testing: spectral variables
 and free representation parameters are drawn as random rationals, both sides
@@ -29,7 +33,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Sequence
 
-from .exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError
+from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, split_factors
 from .exactnum.poly import eval_cleared
 from .exactnum.scalar import format_scalar
 from .baxter import (
@@ -42,7 +46,7 @@ from .baxter import (
 )
 from .ncalg import relations_for
 from .report import VerifyReport
-from .reps import Rep, _residual_size, check_relations
+from .reps import Rep, check_relations
 
 _M64 = (1 << 64) - 1
 
@@ -111,23 +115,14 @@ def ybe_symbolic(rep: Rep, f: RatFunc) -> VerifyReport:
         for key, mapping in (((site, 0, 2), {"y": "z"}), ((site, 1, 2), {"x": "y", "y": "z"})):
             factors[key] = (*rename_cleared(P, delta, mapping), g.rename(mapping))
 
-    lhs_P, lhs_ds = _side(factors, _YBE_LHS)
-    rhs_P, rhs_ds = _side(factors, _YBE_RHS)
-    # Cancel the denominator factors both sides share; the full cross-multiplied
-    # residual is resid * prod(shared) * prod(g), and every factor is nonzero.
-    lhs_only, rhs_only, shared = list(lhs_ds), [], []
-    for d in rhs_ds:
-        if d in lhs_only:
-            lhs_only.remove(d)
-            shared.append(d)
-        else:
-            rhs_only.append(d)
-    one = MultiPoly.const(symbols, 1)  # the empty product; multiplying by it returns the other factor
-    lhs_scale, rhs_scale = (math.prod(ds, start=one) for ds in (rhs_only, lhs_only))
-    resid = lhs_P * lhs_scale - rhs_P * rhs_scale
+    lhs, rhs = (ClearedMatrix(M, *ds) for M, ds in (_side(factors, _YBE_LHS), _side(factors, _YBE_RHS)))
+    # The difference cancels the denominator factors both sides share; the full
+    # cross-multiplied residual is resid * prod(shared) * prod(g), and every factor is nonzero.
+    resid = (lhs - rhs).M
     worst = 0
     if not resid.is_zero:
-        common = math.prod(shared + [g for _, _, g in factors.values()], start=one)
+        shared = split_factors(lhs.factors, rhs.factors)[2]
+        common = math.prod(shared + [g for _, _, g in factors.values()])
         worst = max((e * common).num_terms() for e in resid.entries if e)
     report = VerifyReport("ybe symbolic", mode={"kind": "symbolic", "vars": list(_YBE_VARS)})
     report.add_residual("ybe", worst)
@@ -242,19 +237,19 @@ def ybe_random(rep: Rep, f: RatFunc, trials: int = 20, seed: int = 0) -> VerifyR
 # -- auxiliary identity suites ----------------------------------------------------
 
 
-def _record(report: VerifyReport, label: str, lhs: FieldMatrix, rhs: FieldMatrix) -> None:
-    diff = lhs - rhs
-    report.add_residual(label, _residual_size(diff))
-    if lhs.is_zero and rhs.is_zero:
+def _record(report: VerifyReport, label: str, lhs: ClearedMatrix, rhs: ClearedMatrix) -> None:
+    report.add_residual(label, (lhs - rhs).residual_size())
+    if lhs.M.is_zero and rhs.M.is_zero:
         report.notes.append(f"{label}: vacuous (both sides identically zero)")
 
 
 def _suite(report: VerifyReport, rep: Rep, algebra: str, params: dict | None):
     """The setup both identity suites share.
 
-    Returns (symbols, s1, s2, H1(z), H2(z), H1(v), H2(v), z, v) over
-    Q(z, v, rep params), or None, with report marked as an error, when the
-    rep fails the relations of algebra at params.
+    Returns (s1, s2, H1(z), H2(z), H1(v), H2(v), z, v): the sites
+    and the H's (H_closed) as cleared matrices and z, v as polynomials, all
+    over Q(z, v, rep params).  Returns None, with report marked as an error,
+    when the rep fails the relations of algebra at params.
     """
     if rep.n < 3:
         raise ValueError("identity suite needs generators at sites 1 and 2")
@@ -264,9 +259,10 @@ def _suite(report: VerifyReport, rep: Rep, algebra: str, params: dict | None):
         report.residuals = [(f"precheck {label}", size) for label, size in pre.residuals]
         report.error("precondition failed: rep does not satisfy the relations")
         return None
-    H = [H_closed(rep, site, var).map_entries(lambda e: e.lift(symbols)) for var in ("z", "v") for site in (1, 2)]
-    return (symbols, rep.site(1, symbols), rep.site(2, symbols), *H,
-            RatFunc.var(symbols, "z"), RatFunc.var(symbols, "v"))
+    sites = [ClearedMatrix(*rep.site(site, symbols).cleared()) for site in (1, 2)]
+    H = [ClearedMatrix(*H_closed(rep, site, var).map_entries(lambda e: e.lift(symbols)).cleared())
+         for var in ("z", "v") for site in (1, 2)]
+    return (*sites, *H, MultiPoly.var(symbols, "z"), MultiPoly.var(symbols, "v"))
 
 
 def lemma_suite_A(rep: Rep, a, b, c) -> VerifyReport:
@@ -282,22 +278,21 @@ def lemma_suite_A(rep: Rep, a, b, c) -> VerifyReport:
     ops = _suite(report, rep, "A", {"a": a, "b": b, "c": c})
     if ops is None:
         return report
-    symbols, s1, s2, H1z, H2z, H1v, H2v, zz, vv = ops
-    hz = h_fun(a, b, c, "z").lift(symbols)
-    hv = h_fun(a, b, c, "v").lift(symbols)
+    s1, s2, H1z, H2z, H1v, H2v, zz, vv = ops
+    hz, hv = (h_fun(a, b, c, w).lift(zz.vars) for w in ("z", "v"))  # h = num / den, kept apart
     M = s2 * s2 * s1 - s2 * s1 * s1  # the recurring cubic difference
 
     _record(report, "rel1a", (s2 * s2 * s2 * s1 * s1 - s2 * s2 * s1 * s1 * s1).scale(a), M.scale(-c))
     _record(report, "rel1b", (s1 * s1 * s2 * s2 * s2 - s1 * s1 * s1 * s2 * s2).scale(a), M.scale(-c))
-    _record(report, "rel2a", s2 * H1z - H2z * s1, M.scale(zz * hz))
-    _record(report, "rel2b", H1z * s2 - s1 * H2z, M.scale(zz * hz))
-    _record(report, "rel4", H2v * H1z - H2z * H1v, M.scale((vv - zz) * hz * hv))
+    _record(report, "rel2a", s2 * H1z - H2z * s1, M.scale(zz * hz.num, hz.den))
+    _record(report, "rel2b", H1z * s2 - s1 * H2z, M.scale(zz * hz.num, hz.den))
+    _record(report, "rel4", H2v * H1z - H2z * H1v, M.scale((vv - zz) * hz.num * hv.num, hz.den, hv.den))
     rel5_lhs = s1 * H2v * H1z - H2z * H1v * s2
     rel5_rhs = (
-        (s2 - s1).scale(RatFunc.const(symbols, a) / (zz * vv))
-        + M.scale(((c * zz * vv - b * vv - a) / a) * hz * hv)
-        + (H1v - H2v).scale(RatFunc.const(symbols, a) / (vv * (vv - zz) * hv))
-        - (H1z - H2z).scale(RatFunc.const(symbols, a) / (zz * (vv - zz) * hz))
+        (s2 - s1).scale(a, zz, vv)
+        + M.scale((c * zz * vv - b * vv - a).scale(1 / a) * hz.num * hv.num, hz.den, hv.den)
+        + (H1v - H2v).scale(hv.den.scale(a), vv, vv - zz, hv.num)  # a / (v (v - z) h(v))
+        - (H1z - H2z).scale(hz.den.scale(a), zz, vv - zz, hz.num)
     )
     _record(report, "rel5", rel5_lhs, rel5_rhs)
     return report
@@ -309,46 +304,21 @@ def lemma_suite_B(rep: Rep) -> VerifyReport:
     ops = _suite(report, rep, "B", None)
     if ops is None:
         return report
-    symbols, s1, s2, H1z, H2z, H1v, H2v, zz, vv = ops
-    one = RatFunc.one(symbols)
-
+    s1, s2, H1z, H2z, H1v, H2v, zz, vv = ops
     K = s2 * s2 * s1 - s2 * s1 * s1 + s1 * s1 - s2 * s2  # recurring combination
-
-    _record(
-        report,
-        "relb1",
-        s2 * s2 * s2 * s1 * s1 - s2 * s2 * s1 * s1 * s1,
-        s2 * s2 * s2 - s1 * s1 * s1 + s1 * s1 - s2 * s2,
+    _record(report, "relb1", s2 * s2 * s2 * s1 * s1 - s2 * s2 * s1 * s1 * s1,
+            s2 * s2 * s2 - s1 * s1 * s1 + s1 * s1 - s2 * s2)
+    _record(report, "rel2b", s2 * H1z - H2z * s1, K.scale(zz, zz - 1) + (s2 - s1) + (H1z - H2z))
+    _record(report, "rel2bb", s1 * H2z - H1z * s2, (s2 - s1).scale(1, zz - 1) - H1z + H2z)
+    rel4b_rhs = (K - s1 + s2).scale(vv - zz, vv - 1, zz - 1) + (H2z - H1z).scale(1, vv - 1) - (H2v - H1v).scale(1, zz - 1)
+    _record(report, "rel4b", H2v * H1z - H2z * H1v, rel4b_rhs)
+    rel5b_rhs = (
+        (s2 - s1).scale(vv * zz - zz + 1, zz, zz - 1, vv - 1)
+        + K.scale(vv, vv - 1, zz - 1)
+        + (H1v - H2v).scale(vv - zz + 1, vv - zz, zz - 1)
+        - (H1z - H2z).scale(vv, zz, vv - 1, vv - zz)
     )
-    _record(
-        report,
-        "rel2b",
-        s2 * H1z - H2z * s1,
-        K.scale(zz / (zz - 1)) + (s2 - s1) + (H1z - H2z),
-    )
-    _record(
-        report,
-        "rel2bb",
-        s1 * H2z - H1z * s2,
-        (s2 - s1).scale(one / (zz - 1)) - H1z + H2z,
-    )
-    _record(
-        report,
-        "rel4b",
-        H2v * H1z - H2z * H1v,
-        (K - s1 + s2).scale((vv - zz) / ((vv - 1) * (zz - 1)))
-        + (H2z - H1z).scale(one / (vv - 1))
-        - (H2v - H1v).scale(one / (zz - 1)),
-    )
-    _record(
-        report,
-        "rel5b",
-        s1 * H2v * H1z - H2z * H1v * s2,
-        (s2 - s1).scale((vv * zz - zz + 1) / (zz * (zz - 1) * (vv - 1)))
-        + K.scale(vv / ((vv - 1) * (zz - 1)))
-        + (H1v - H2v).scale((vv - zz + 1) / ((vv - zz) * (zz - 1)))
-        - (H1z - H2z).scale(vv / (zz * (vv - 1) * (vv - zz))),
-    )
+    _record(report, "rel5b", s1 * H2v * H1z - H2z * H1v * s2, rel5b_rhs)
     return report
 
 

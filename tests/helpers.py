@@ -1,6 +1,6 @@
 """Reference operations the tests share and the package does not need."""
 
-from baxcheck.exactnum import FieldMatrix, PoleError, RatFunc
+from baxcheck.exactnum import ClearedMatrix, FieldMatrix, PoleError, RatFunc
 
 
 def kron(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
@@ -17,3 +17,11 @@ def rename_ratfunc(e: RatFunc, mapping) -> RatFunc:
     if den.is_zero:
         raise PoleError(f"substitution {mapping} annihilates the denominator of {e}")
     return RatFunc(e.num.rename(mapping), den)
+
+
+def cleared_value(c: ClearedMatrix) -> FieldMatrix:
+    """The RatFunc matrix M / (f_1 ... f_k) that a cleared matrix stands for, built by RatFunc arithmetic."""
+    den = RatFunc.one(c.M.entries[0].vars)
+    for f in c.factors:
+        den = den * RatFunc(f)
+    return c.M.map_entries(lambda e: RatFunc(e) / den)

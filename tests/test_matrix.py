@@ -5,9 +5,17 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from baxcheck.exactnum import FieldMatrix, MultiPoly, RatFunc, SingularMatrixError, canonical_vars
+from baxcheck.exactnum import (
+    ClearedMatrix,
+    FieldMatrix,
+    MultiPoly,
+    RatFunc,
+    SingularMatrixError,
+    canonical_vars,
+    split_factors,
+)
 from baxcheck.exactnum.matrix import _bareiss_det, _ring_div
-from helpers import kron
+from helpers import cleared_value, kron
 
 V = canonical_vars(["x", "y"])
 
@@ -310,3 +318,48 @@ def test_sparse_product_matches_naive(left, right):
         product = A * B
         assert product.is_zero and product == _naive_product(A, B)
         assert all(type(e) is type(A.entries[0] * B.entries[0]) for e in product.entries)
+
+
+def test_split_factors_is_a_multiset_split():
+    x, y = MultiPoly.var(V, "x"), MultiPoly.var(V, "y")
+    assert split_factors([x, x, y + 1], [x, y, y + 1]) == ([x], [y], [x, y + 1])
+    assert split_factors([], [x]) == ([], [x], [])
+
+
+def test_cleared_sums_agree_with_ratfunc_differences():
+    """The difference of two cleared terms against RatFunc arithmetic: the same value, the same
+    zero verdict, and residual_size is the largest term count of the canonical difference."""
+    rng = random.Random(43)
+
+    def rpoly():
+        p = MultiPoly.zero(V)
+        while p.is_zero:
+            for _ in range(rng.randint(1, 3)):
+                e = (rng.randint(0, 2), rng.randint(0, 1))
+                p = p + MultiPoly(V, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))})
+        return p
+
+    # a small pool, so factor lists repeat and share factors; constants and the unit included
+    pool = [rpoly() for _ in range(4)] + [MultiPoly.const(V, c) for c in (2, Fraction(-1, 3), 1)]
+
+    def term():
+        M = FieldMatrix(2, 2, [rpoly() if rng.random() < 0.7 else MultiPoly.zero(V) for _ in range(4)])
+        return ClearedMatrix(M, *(rng.choice(pool) for _ in range(rng.randint(0, 3))))
+
+    verdicts = set()
+    for trial in range(60):
+        a, b = term(), term()
+        if trial % 4 == 0:  # the same value as a over one more factor: a zero difference
+            f = rng.choice(pool)
+            b = ClearedMatrix(a.M.scale(f), *a.factors, f)
+        elif trial % 4 == 1:
+            b = term() * term() + term().scale(rpoly(), rng.choice(pool))
+        elif trial % 4 == 2:  # a difference that keeps only a's shared part
+            b = a.scale(1, *b.factors) + ClearedMatrix(b.M, *a.factors, *b.factors)
+        diff = a - b
+        expected = cleared_value(a) - cleared_value(b)
+        assert cleared_value(diff) == expected
+        assert diff.M.is_zero == expected.is_zero
+        assert diff.residual_size() == max((e.num_terms() for e in expected.entries if e), default=0)
+        verdicts.add(expected.is_zero)
+    assert verdicts == {True, False}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from baxcheck.exactnum import FieldMatrix, RatFunc
+from baxcheck.exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, canonical_vars
 from baxcheck.ncalg import NCPoly, relations_for
 from baxcheck.reps import (
     Rep,
@@ -15,7 +15,7 @@ from baxcheck.reps import (
     flip_rep,
     verify_scalar,
 )
-from helpers import kron
+from helpers import cleared_value, kron
 
 
 def test_a3_satisfies_relations_with_fully_symbolic_parameters():
@@ -32,13 +32,46 @@ def test_a3_generators_square_to_zero():
         assert (m * m).is_zero
 
 
+def _cleared_sites(rep, symbols):
+    return {i: ClearedMatrix(*m.cleared()) for i, m in rep.lift(symbols).matrices.items()}
+
+
 def test_evaluate_element_of_the_empty_word_and_of_one_generator():
     rep = builtin_rep("B3_2dim")
+    sites = _cleared_sites(rep, rep.params)
     one = RatFunc.one(rep.params)
-    assert evaluate_element(NCPoly.one(3, rep.params), rep.matrices, rep.dim, rep.params) == FieldMatrix.identity(2, one)
+    value = evaluate_element(NCPoly.one(3, rep.params), sites, rep.dim, rep.params)
+    assert cleared_value(value) == FieldMatrix.identity(2, one)
     for i in (1, 2):
         word = NCPoly.gen(3, i, rep.params)
-        assert evaluate_element(word, rep.matrices, rep.dim, rep.params) == rep.matrices[i]
+        assert cleared_value(evaluate_element(word, sites, rep.dim, rep.params)) == rep.matrices[i]
+
+
+def test_evaluate_element_with_denominators_in_sites_and_coefficients():
+    t = RatFunc.var(("t",), "t")
+    rep = builtin_rep("B3_2dim", nu=1 / (t + 1), mu="t")
+    symbols = rep.params
+    sites = _cleared_sites(rep, symbols)
+    assert [str(f) for f in sites[1].factors] == ["t + 1"]
+    s1, s2 = (NCPoly.gen(3, i, symbols) for i in (1, 2))
+    coeff = RatFunc.one(symbols) / (RatFunc.var(symbols, "t") - 2)
+    value = evaluate_element(s1 * s2 * s1 * coeff - s2 * s2 + s1, sites, rep.dim, symbols)
+    m1, m2 = rep.matrices[1], rep.matrices[2]
+    assert cleared_value(value) == (m1 * m2 * m1).scale(coeff) - m2 * m2 + m1
+
+
+def test_an_element_with_no_terms_evaluates_to_zero():
+    # at a = b = 0 the cubics aa5, aa3 and aa4 have no terms left
+    rep = builtin_rep("A3_2dim")
+    rels = relations_for("A", 3, {"a": 0, "b": 0, "c": -2})
+    symbols = canonical_vars(set(rep.params) | set(rels.symbols))
+    elements = dict(rels.elements)
+    assert not elements["aa5(1)"].terms
+    for element in (NCPoly.zero(3, symbols), elements["aa5(1)"]):
+        value = evaluate_element(element, _cleared_sites(rep, symbols), rep.dim, symbols)
+        assert value.M == FieldMatrix.zeros(2, 2, MultiPoly.zero(symbols)) and not value.factors
+        assert value.residual_size() == 0
+    assert dict(check_relations(rep, rels).residuals)["aa5(1)"] == 0
 
 
 def test_b3_and_c3_pass_their_relations():

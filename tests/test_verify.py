@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,19 @@ import pytest
 from baxcheck import baxter, verify
 from baxcheck.baxter import reduce_cleared, rhat_cleared, spectral_fn, spectral_symbols
 from baxcheck.cli import EXIT_INTERNAL, run_job
-from baxcheck.exactnum import FieldMatrix, PoleError, RatFunc, SingularMatrixError, canonical_vars, format_scalar
+from baxcheck.exactnum import (
+    FieldMatrix,
+    MultiPoly,
+    PoleError,
+    RatFunc,
+    SingularMatrixError,
+    canonical_vars,
+    format_scalar,
+    poly_gcd,
+)
+from baxcheck.ncalg import ALGEBRAS, relations_for
 from baxcheck.report import VerifyReport
-from baxcheck.reps import BUILTIN_NAMES, Rep, builtin_rep
+from baxcheck.reps import BUILTIN_NAMES, Rep, builtin_rep, check_relations
 from baxcheck.verify import (
     MAX_RESAMPLES,
     SAMPLING_FAILURE,
@@ -380,6 +391,12 @@ def test_lemma_suite_A_scalar_all_vacuous():
     assert len([n for n in report.notes if "vacuous" in n]) == 6
 
 
+def test_lemma_suite_A_with_every_identity_live():
+    # 3 and 1 are the two roots of a l^2 + b l - c at (1, -4, -3), so no identity is vacuous
+    report = lemma_suite_A(builtin_rep("scalar", values=[3, 1]), 1, -4, -3)
+    assert report.passed and report.notes == []
+
+
 def test_lemma_suite_A_requires_nonzero_a():
     with pytest.raises(ValueError):
         lemma_suite_A(builtin_rep("A3_2dim", c=1), 0, 0, 1)
@@ -415,6 +432,48 @@ def test_lemma_suite_B_scalar_uniform():
 def test_lemma_suite_B_precondition_error():
     report = lemma_suite_B(builtin_rep("A3_2dim", c=1))  # nilpotents fail the braid relation
     assert report.status == "error"
+
+
+def test_identity_suites_and_relation_checks_multiply_no_ratfunc_matrices(monkeypatch):
+    # the suites and the relation checks sum cleared terms: every product is polynomial
+    kinds = set()
+    original = FieldMatrix.__mul__
+
+    def recording(self, other):
+        kinds.update(type(e) for e in self.entries + (other.entries if isinstance(other, FieldMatrix) else [other]))
+        return original(self, other)
+
+    monkeypatch.setattr(FieldMatrix, "__mul__", recording)
+    passed = set()
+    for name in BUILTIN_NAMES:
+        rep = builtin_rep(name, c=1) if name == "A3_2dim" else builtin_rep(name)
+        for algebra in ALGEBRAS:
+            if check_relations(rep, relations_for(algebra, rep.n)).passed:
+                passed.add((name, algebra))
+        for suite, report in (("suite A", lemma_suite_A(rep, 2, 0, 1)), ("suite B", lemma_suite_B(rep))):
+            assert report.status != "fail"
+            if report.passed:
+                passed.add((name, suite))
+    assert {("A3_2dim", "suite A"), ("scalar", "suite A"), ("B3_2dim", "suite B"), ("C3_2dim", "suite B")} <= passed
+    assert {("B3_2dim", "B"), ("C3_2dim", "C"), ("Hecke3_std", "Hecke"), ("Hecke3_burau", "Hecke")} <= passed
+    assert MultiPoly in kinds and RatFunc not in kinds
+
+
+def test_lemma_suite_B_takes_gcds_only_for_the_H_operators(monkeypatch):
+    # H_closed's canonical entries and their lcm take 24 gcds; the identities themselves none
+    calls = []
+    original = poly_gcd
+
+    def counted(p, q):
+        calls.append((p, q))
+        return original(p, q)
+
+    patched = [m for name, m in sys.modules.items() if name.startswith("baxcheck") and getattr(m, "poly_gcd", None) is original]
+    for module in patched:
+        monkeypatch.setattr(module, "poly_gcd", counted)
+    assert "baxcheck.exactnum.ratfunc" in {m.__name__ for m in patched}
+    assert lemma_suite_B(builtin_rep("B3_2dim")).passed
+    assert 0 < len(calls) <= 24
 
 
 def test_reference_point_choice():
