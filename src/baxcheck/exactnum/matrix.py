@@ -2,13 +2,14 @@
 
 Inverses are fraction-free and returned cleared: `cleared` scales the whole
 matrix by one common denominator (rational-function entries become
-polynomials, rational entries become Python ints), determinants and cofactors
-run over that ring with Bareiss-style exact divisions (`divexact` or `//`),
-and the inverse is the ring pair (X, D) with no final division pass.  This
-bounds intermediate expression swell over rational-function fields and keeps
-gcds out of the elimination over the rationals.  Identities are summed the
-same way: a ClearedMatrix is a polynomial matrix over a list of denominator
-factors, and sums of them match factors instead of taking gcds.
+polynomials, rational entries become Python ints), the adjugate and the
+determinant come from the Faddeev–LeVerrier recurrence over that ring (matrix
+products, and one exact division of a trace by k per step), and the inverse is
+the ring pair (X, D) with no final division pass.  This bounds intermediate
+expression swell over rational-function fields and keeps gcds out of the
+inverse over the rationals.  Identities are summed the same way: a
+ClearedMatrix is a polynomial matrix over a list of denominator factors, and
+sums of them match factors instead of taking gcds.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Sequence
 
 from .poly import MultiPoly
@@ -70,9 +72,6 @@ class FieldMatrix:
 
     def row(self, i: int) -> list:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list]:
-        return [self.row(i) for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldMatrix):
@@ -166,41 +165,48 @@ class FieldMatrix:
         """(adj, det) over the entry ring, with adj * self = det * identity.
 
         Entries must be ring elements, MultiPoly or int (clear field
-        denominators first); any other entry raises TypeError.  Cofactors run
-        through fraction-free Bareiss elimination; det = sum_j self[0, j] adj[j, 0].
+        denominators first); any other entry raises TypeError.  Faddeev–LeVerrier:
+        B_1 = M + c_1 and B_k = M B_(k-1) + c_k with c_k = -tr(M B_(k-1)) / k, a
+        coefficient of det(t - M), so the division is exact.  adj = (-1)^(n-1) B_(n-1)
+        after n - 2 matrix products, and det = sum_j self[0, j] adj[j, 0].
         """
         if self.rows != self.cols:
             raise ValueError("adjugate of a non-square matrix")
-        n = self.rows
-        div = _ring_div(self.entries)
+        n, entries = self.rows, self.entries
+        if all(isinstance(e, int) for e in entries):
+            one, coeff = 1, lambda tr, k: -tr // k
+        elif all(isinstance(e, MultiPoly) for e in entries):
+            one, coeff = MultiPoly.const(entries[0].vars, 1), lambda tr, k: tr.scale(Fraction(-1, k))
+        else:
+            raise TypeError("adjugate_det needs MultiPoly or int entries; clear denominators first")
         if n == 1:
-            one = 1 if div is operator.floordiv else MultiPoly.const(self.entries[0].vars, 1)
-            return FieldMatrix(1, 1, [one]), self.entries[0]
-        rows = self.to_rows()
-        adj = [None] * (n * n)
-        for i in range(n):
-            others = rows[:i] + rows[i + 1 :]
-            for j in range(n):
-                minor = [row[:j] + row[j + 1 :] for row in others]
-                cof = _bareiss_det(minor, div)
-                if (i + j) % 2:
-                    cof = -cof
-                adj[j * n + i] = cof  # adjugate is the transposed cofactor matrix
-        det = sum(a * c for a, c in zip(rows[0], adj[::n]))
-        return FieldMatrix(n, n, adj), det
+            return FieldMatrix(1, 1, [one]), entries[0]
+        B, diag = self, range(0, n * n, n + 1)
+        for k in range(1, n):
+            if k > 1:
+                B = self * B
+            out = list(B.entries)
+            c = coeff(sum((out[i] for i in diag[1:]), out[0]), k)
+            for i in diag:
+                out[i] = out[i] + c
+            B = FieldMatrix(n, n, out)
+        adj = B if n % 2 else -B
+        det = reduce(operator.add, map(operator.mul, entries[:n], adj.entries[::n]))
+        return adj, det
 
     def inv(self) -> tuple["FieldMatrix", object]:
         """The exact inverse, cleared: (X, D) over the entry ring with self * X = X * self = D * identity.
 
         X = c * adj(M) and D = det(M) for M, c = self.cleared(): ints from
-        Fraction (or int) entries, MultiPoly from RatFunc entries.  Raises
-        ValueError for a non-square matrix and SingularMatrixError when D = 0.
+        Fraction (or int) entries, MultiPoly from RatFunc entries; an int c = 1
+        leaves adj(M) unscaled.  Raises ValueError for a non-square matrix and
+        SingularMatrixError when D = 0.
         """
         M, c = self.cleared()
         adj, det = M.adjugate_det()
         if not det:
             raise SingularMatrixError("singular matrix: determinant is 0")
-        return adj.scale(c), det
+        return (adj if c == 1 else adj.scale(c)), det
 
     def cleared(self) -> tuple["FieldMatrix", object]:
         """(M, D) with M = D * self over the entry ring and D the lcm of the entry denominators.
@@ -285,46 +291,3 @@ def _entry_kind(entries):
         if isinstance(e, MultiPoly):
             return MultiPoly
     return Fraction
-
-
-def _ring_div(entries) -> Callable:
-    """The exact division of the entry ring: divexact over MultiPoly, // over int."""
-    if all(isinstance(e, MultiPoly) for e in entries):
-        return MultiPoly.divexact
-    if all(isinstance(e, int) for e in entries):
-        return operator.floordiv
-    raise TypeError("Bareiss elimination needs MultiPoly or int entries; clear denominators first")
-
-
-def _bareiss_det(rows: list[list], div: Callable):
-    """Fraction-free Bareiss determinant; mutates its argument.
-
-    Intermediate entries are minors of the input, so every division by the
-    previous pivot is exact over the entry ring; div is that exact division.
-    """
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    zero = rows[0][0] - rows[0][0]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not rows[k][k]:
-            for r in range(k + 1, n):
-                if rows[r][k]:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            aik = rows[i][k]
-            rowi, rowk = rows[i], rows[k]
-            for j in range(k + 1, n):
-                num = pivot * rowi[j] - aik * rowk[j]
-                rowi[j] = num if prev is None else div(num, prev)
-            rowi[k] = zero
-        prev = pivot
-    d = rows[n - 1][n - 1]
-    return d if sign > 0 else -d

@@ -1,5 +1,7 @@
+import operator
 import random
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 import sympy
@@ -14,7 +16,7 @@ from baxcheck.exactnum import (
     canonical_vars,
     split_factors,
 )
-from baxcheck.exactnum.matrix import _bareiss_det, _ring_div
+from baxcheck.cli import MAX_SCALAR_BITS
 from helpers import cleared_value, kron
 
 V = canonical_vars(["x", "y"])
@@ -134,8 +136,8 @@ def test_shape_errors():
 
 @st.composite
 def rational_square(draw):
-    """An n x n rational matrix, n = 1..4; about half the draws repeat a scaled row."""
-    n = draw(st.integers(1, 4))
+    """An n x n rational matrix, n = 1..6; about half the draws repeat a scaled row."""
+    n = draw(st.integers(1, 6))
     entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
     rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
     if n > 1 and draw(st.booleans()):
@@ -164,7 +166,7 @@ def test_det_and_inv_match_sympy(rows):
             m.inv()
         return
     X, D = _checked_inv(m)
-    assert [[Fraction(e, D) for e in row] for row in X.to_rows()] == [
+    assert [[Fraction(e, D) for e in X.row(i)] for i in range(X.rows)] == [
         [_to_fraction(e) for e in row] for row in ref.inv().tolist()
     ]
 
@@ -177,36 +179,118 @@ def _sympy_entry(e, syms):
                 for exp, c in e.sorted_terms()), sympy.Integer(0))
 
 
-@pytest.mark.parametrize("kind", ["int", "poly"])
+def _bareiss_det(rows: list[list], div: Callable):
+    """Fraction-free Bareiss determinant; mutates its argument.
+
+    Intermediate entries are minors of the input, so every division by the
+    previous pivot is exact over the entry ring; div is that exact division.
+    """
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    zero = rows[0][0] - rows[0][0]
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if not rows[k][k]:
+            for r in range(k + 1, n):
+                if rows[r][k]:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return zero
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            aik = rows[i][k]
+            rowi, rowk = rows[i], rows[k]
+            for j in range(k + 1, n):
+                num = pivot * rowi[j] - aik * rowk[j]
+                rowi[j] = num if prev is None else div(num, prev)
+            rowi[k] = zero
+        prev = pivot
+    d = rows[n - 1][n - 1]
+    return d if sign > 0 else -d
+
+
+def _cofactor_adjugate(rows: list[list], div) -> FieldMatrix:
+    """Reference adjugate of an n x n matrix, n >= 2: the transposed cofactors, each one Bareiss elimination."""
+    n = len(rows)
+    adj = [None] * (n * n)
+    for i in range(n):
+        others = rows[:i] + rows[i + 1 :]
+        for j in range(n):
+            cof = _bareiss_det([row[:j] + row[j + 1 :] for row in others], div)
+            adj[j * n + i] = -cof if (i + j) % 2 else cof
+    return FieldMatrix(n, n, adj)
+
+
+@pytest.mark.parametrize("kind", ["int", "int256", "poly"])
 def test_adjugate_det_expands_its_cofactors(kind):
-    # det from the cofactors against a separate Bareiss elimination and sympy, 1x1 to 4x4, singular ones too
+    # adj entry by entry and det against sympy, the 5x5 polynomial ones against
+    # a separate Bareiss elimination of every cofactor instead; singular ones too
     rng = random.Random(31)
     syms = sympy.symbols(V)
+    big = (1 << MAX_SCALAR_BITS) - 1
+    div = MultiPoly.divexact if kind == "poly" else operator.floordiv
 
     def entry():
         if kind == "int":
             return rng.randint(-6, 6)
+        if kind == "int256":
+            return rng.randint(-big, big)
         p = MultiPoly.zero(V)
         for _ in range(rng.randint(0, 2)):
             p = p + MultiPoly(V, {(rng.randint(0, 2), rng.randint(0, 1)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))})
         return p
 
     singular = 0
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5) if kind == "poly" else (1, 2, 3, 4, 5, 6):
         for trial in range(6):
             rows = [[entry() for _ in range(n)] for _ in range(n)]
             if trial % 2:  # a repeated row, or a zero 1x1 matrix
                 rows[-1] = list(rows[0]) if n > 1 else [rows[0][0] * 0]
             m = FieldMatrix.from_rows(rows)
             adj, det = m.adjugate_det()
-            assert det == _bareiss_det(m.to_rows(), _ring_div(m.entries))
-            ref = sympy.Matrix([[_sympy_entry(e, syms) for e in row] for row in rows]).det()
-            assert sympy.expand(_sympy_entry(det, syms) - ref) == 0
+            assert det == _bareiss_det([list(row) for row in rows], div)
+            if n == 5 and kind == "poly":
+                assert adj == _cofactor_adjugate(rows, div)
+            else:
+                ref = sympy.Matrix([[_sympy_entry(e, syms) for e in row] for row in rows])
+                assert sympy.expand(_sympy_entry(det, syms) - ref.det()) == 0
+                ref_adj = ref.adjugate() if n > 1 else sympy.Matrix([[1]])
+                for e, r in zip(adj.entries, ref_adj):
+                    assert sympy.expand(_sympy_entry(e, syms) - r) == 0
             assert adj * m == FieldMatrix.identity(n, det) == m * adj
             singular += not det
             if n == 1:
-                assert adj.entries == [1 if kind == "int" else MultiPoly.const(V, 1)] and det == rows[0][0]
-    assert singular >= 12
+                assert adj.entries == [1 if kind != "poly" else MultiPoly.const(V, 1)] and det == rows[0][0]
+    assert singular >= 15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_adjugate_det_runs_n_minus_2_products_and_no_division(monkeypatch, n):
+    # the Faddeev–LeVerrier route: n - 2 matrix products, and no per-cofactor elimination's divexact
+    calls = {"mul": 0, "divexact": 0}
+    mul, divexact = FieldMatrix.__mul__, MultiPoly.divexact
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counting_divexact(self, divisor):
+        calls["divexact"] += 1
+        return divexact(self, divisor)
+
+    monkeypatch.setattr(FieldMatrix, "__mul__", counting_mul)
+    monkeypatch.setattr(MultiPoly, "divexact", counting_divexact)
+    x, y = MultiPoly.var(V, "x"), MultiPoly.var(V, "y")
+    rng = random.Random(n)
+    m = FieldMatrix(n, n, [x * rng.randint(-3, 3) + y * rng.randint(-3, 3) + rng.randint(-3, 3) for _ in range(n * n)])
+    adj, det = m.adjugate_det()
+    assert calls == {"mul": max(n - 2, 0), "divexact": 0}
+    monkeypatch.undo()
+    assert adj * m == FieldMatrix.identity(n, det)
 
 
 def test_entry_kinds_are_checked():

@@ -409,5 +409,5 @@ def test_evaluate_at_point():
     rep = builtin_rep("B3_2dim")
     point = {"nu": Fraction(2), "mu": Fraction(3)}
     mats = {i: m.map_entries(lambda e: e.eval(point)) for i, m in rep.matrices.items()}
-    assert mats[1].to_rows() == [[6, 0], [2, 1]]
-    assert mats[2].to_rows() == [[1, -3], [0, 6]]
+    assert [mats[1].row(i) for i in range(mats[1].rows)] == [[6, 0], [2, 1]]
+    assert [mats[2].row(i) for i in range(mats[2].rows)] == [[1, -3], [0, 6]]
