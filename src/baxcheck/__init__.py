@@ -9,6 +9,7 @@ the supporting operator identities, and the commutation of transfer matrices.
 """
 
 from .exactnum import (
+    ClearedMatrix,
     FieldMatrix,
     MultiPoly,
     PoleError,
@@ -32,7 +33,6 @@ from .reps import (
     verify_scalar,
 )
 from .baxter import (
-    RMatrixSym,
     H_closed,
     H_series,
     build_R,
@@ -47,13 +47,13 @@ from .verify import lemma_suite_A, lemma_suite_B, transfer_commute, ybe_random, 
 __version__ = "0.1.0"
 
 __all__ = [
+    "ClearedMatrix",
     "FieldMatrix",
     "H_closed",
     "H_series",
     "MultiPoly",
     "NCPoly",
     "PoleError",
-    "RMatrixSym",
     "RatFunc",
     "RelationSet",
     "Rep",

@@ -8,22 +8,22 @@ formal geometric series wherever that series makes sense; the
 series/closed-form agreement is checked by tests, never used as the
 construction mechanism.
 
-Both a canonical form (RatFunc entries) and a cleared form (one polynomial
-matrix over a single scalar denominator) are provided; every check reads the
-cleared form (regularity, unitarity, the Yang-Baxter suites), since identity
-checks can then cross-multiply denominators and compare polynomials.  Their
-one gcd step is reduce_cleared, once per site: it divides the cleared form by
-the common factor of its denominator and all its entries, which rhat_cleared
-leaves in.  (build_R's canonical entries take one more gcd each.)
+Rhat and H_i(z) are both exactnum.ClearedMatrix: a polynomial matrix over
+its denominator factors.  Every check reads that cleared form (regularity,
+unitarity, the Yang-Baxter and identity suites), since identity checks can
+then cross-multiply denominators and compare polynomials; a rename or a lift
+is ClearedMatrix.map.  Their one gcd step is reduce_cleared, once per site: it
+divides Rhat by the common factor of its denominator and all its entries,
+which rhat_cleared leaves in.  Canonical RatFunc entries come only from
+ClearedMatrix.value, for build_R's printed matrix and series_agreement_order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .exactnum import FieldMatrix, MultiPoly, RatFunc, SingularMatrixError, canonical_vars, poly_gcd
+from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, SingularMatrixError, canonical_vars, poly_gcd
 from .exactnum.poly import SPECTRAL
 from .reps import Rep
 
@@ -78,31 +78,13 @@ def spectral_symbols(rep: Rep, names: Sequence[str]) -> tuple[str, ...]:
     return canonical_vars(set(rep.params) | set(names))
 
 
-@dataclass
-class RMatrixSym:
-    """A baxterised R-matrix Rhat(x, y) over Q(x, y + rep params), with its reduced cleared form P / delta.
-
-    delta is the lcm of the canonical denominators of value's entries and P
-    is delta * value, so no nonconstant polynomial divides delta and every
-    entry of P.
-    """
-
-    rep: Rep
-    site: int
-    value: FieldMatrix  # RatFunc entries
-    P: FieldMatrix  # MultiPoly entries
-    delta: MultiPoly
-
-
-def rhat_cleared(
-    rep: Rep, i: int, f: RatFunc, u: str, w: str, symbols: tuple[str, ...]
-) -> tuple[FieldMatrix, MultiPoly]:
-    """Rhat_i(u, w) as (P, d): a polynomial matrix over a scalar denominator.
+def rhat_cleared(rep: Rep, i: int, f: RatFunc, u: str, w: str, symbols: tuple[str, ...]) -> ClearedMatrix:
+    """Rhat_i(u, w) as the cleared matrix P / d: a polynomial matrix over one scalar denominator.
 
     f is the spectral function f(x, y) of spectral_fn, and symbols holds x, y,
     u and w.  P/d equals (1 - f(u,w) sigma_i)(1 - f(w,u) sigma_i)^(-1); d is
     the determinant-bearing scalar, identically zero exactly when the inverse
-    does not exist, which raises SingularMatrixError.  The pair is
+    does not exist, which raises SingularMatrixError.  The form is
     unreduced: d and the entries of P may share a nonconstant factor (see
     reduce_cleared).
     """
@@ -119,16 +101,14 @@ def rhat_cleared(
     if det.is_zero:
         raise SingularMatrixError(f"R-matrix factor is identically singular: det(1 - f({w},{u})*sigma_{i}) = 0")
     # A/(uw_den s0) * (B/(wu_den s0))^-1: the factor s0 of both cancels
-    P = (A * adj).scale(wu_den)
-    delta = uw_den * det
-    return P, delta
+    return ClearedMatrix((A * adj).scale(wu_den), uw_den * det)
 
 
 def _at(f: RatFunc, u: str, w: str) -> tuple[MultiPoly, MultiPoly]:
     """A numerator and a denominator of f(u, w), renamed from f(x, y) = num/den.
 
     u != w, so the pair stays coprime.  It is not rescaled to a monic
-    denominator: rhat_cleared's pair then changes by a constant factor at
+    denominator: rhat_cleared's form then changes by a constant factor at
     most, which reduce_cleared divides out.
     """
     if (u, w) == ("x", "y"):
@@ -137,86 +117,75 @@ def _at(f: RatFunc, u: str, w: str) -> tuple[MultiPoly, MultiPoly]:
     return f.num.rename(mapping), f.den.rename(mapping)
 
 
-def reduce_cleared(P: FieldMatrix, delta: MultiPoly) -> tuple[FieldMatrix, MultiPoly, MultiPoly]:
-    """(P/g, delta/g, g) for the gcd g of a nonzero delta and every entry of P.
+def reduce_cleared(C: ClearedMatrix) -> tuple[ClearedMatrix, MultiPoly]:
+    """(C/g, g) for the gcd g of C's nonzero denominator delta and every entry of its matrix P.
 
     g is folded with poly_gcd over delta and the nonzero entries of P, then
     scaled so that delta/g is monic.  P/g over delta/g is the same matrix as
     P over delta, and no nonconstant polynomial divides delta/g and every
     entry of P/g, so delta/g is the monic lcm of the canonical denominators
-    of the entries.  Both divisions are exact: g * (P/g) == P and
-    g * (delta/g) == delta.
+    of the entries (no factor at all when that lcm is 1).  Both divisions are
+    exact: g * (P/g) == P and g * (delta/g) == delta.
     """
+    delta = C.denominator()
     g = delta
-    for e in P.entries:
+    for e in C.M.entries:
         if g.is_constant():
             break
         if e:
             g = poly_gcd(g, e)[0]
     g = g.monic().scale(delta.leading()[1])
-    return P.map_entries(lambda e: e.divexact(g)), delta.divexact(g), g
+    return ClearedMatrix(C.M.map_entries(lambda e: e.divexact(g)), delta.divexact(g)), g
 
 
-def rename_cleared(P: FieldMatrix, delta: MultiPoly, mapping: Mapping[str, str]) -> tuple[FieldMatrix, MultiPoly]:
-    """(P, delta) with spectral variables renamed, e.g. Rhat(x, y) to Rhat(x, z) by y := z.
+def build_R(rep: Rep, i: int, f: RatFunc) -> ClearedMatrix:
+    """The baxterised R-matrix Rhat_i(x, y) of the spectral function f, reduced (see reduce_cleared).
 
-    Renaming is a ring map, so the result is exactly a cleared form of Rhat
-    at the renamed pair.  While the renamed spectral variables keep their
-    canonical order (x, y, z, v ahead of every rep parameter), every term
-    keeps its place in the packed order, and the result is also exactly what
-    rhat_cleared builds at that pair.
+    Its canonical rational-function entries are R.value().
     """
-    return P.map_entries(lambda e: e.rename(mapping)), delta.rename(mapping)
-
-
-def build_R(rep: Rep, i: int, f: RatFunc) -> RMatrixSym:
-    """The baxterised R-matrix Rhat_i(x, y) of the spectral function f, with canonical rational-function entries."""
     symbols = spectral_symbols(rep, ("x", "y"))
-    P, delta, _ = reduce_cleared(*rhat_cleared(rep, i, f, "x", "y", symbols))
-    value = P.map_entries(lambda e: RatFunc(e, delta))
-    return RMatrixSym(rep=rep, site=i, value=value, P=P, delta=delta)
+    return reduce_cleared(rhat_cleared(rep, i, f, "x", "y", symbols))[0]
 
 
-def check_regularity(R: RMatrixSym) -> bool:
-    """Rhat(x, x) = identity, checked on R's reduced cleared form.
+def check_regularity(R: ClearedMatrix) -> bool:
+    """Rhat(x, x) = identity, checked on the reduced cleared form P / delta of build_R.
 
     delta is the lcm of the canonical denominators, so delta(x, x) = 0
     exactly when some entry has a pole all along y = x, which raises
     SingularMatrixError.  Otherwise Rhat(x, x) = 1 iff P(x, x) = delta(x, x)
     times the identity.
     """
-    P, delta = rename_cleared(R.P, R.delta, {"y": "x"})
+    diag = R.map(lambda e: e.rename({"y": "x"}))
+    delta = diag.denominator()
     if delta.is_zero:
         raise SingularMatrixError("R-matrix singular on the diagonal y = x")
-    return P == FieldMatrix.identity(R.rep.dim, delta)
+    return diag.M == FieldMatrix.identity(R.M.rows, delta)
 
 
-def check_unitarity(R: RMatrixSym) -> bool:
-    """Rhat(x, y) * Rhat(y, x) = identity, checked on R's reduced cleared form.
+def check_unitarity(R: ClearedMatrix) -> bool:
+    """Rhat(x, y) * Rhat(y, x) = identity, checked on the reduced cleared form P / delta of build_R.
 
     P(x, y) * P(y, x) is compared with delta(x, y) * delta(y, x) times the
-    identity; Rhat(y, x) is that form with its two spectral variables swapped.
+    identity; Rhat(y, x) is R with its two spectral variables swapped.
     """
-    P2, d2 = rename_cleared(R.P, R.delta, {"x": "y", "y": "x"})
-    return R.P * P2 == FieldMatrix.identity(R.rep.dim, R.delta * d2)
+    both = R * R.map(lambda e: e.rename({"x": "y", "y": "x"}))
+    return both.M == FieldMatrix.identity(R.M.rows, both.denominator())
 
 
 # -- H-operator utilities -------------------------------------------------------
 
 
-def H_closed(rep: Rep, i: int, z: str = "z") -> FieldMatrix:
-    """H_i(z) = sigma_i (1 - z sigma_i)^(-1) over Q(z + rep params).
+def H_closed(rep: Rep, i: int, z: str = "z") -> ClearedMatrix:
+    """H_i(z) = sigma_i (1 - z sigma_i)^(-1) over Q(z + rep params), as the cleared matrix S X / (s0 det).
 
-    With sigma_i = S / s0 and the cleared inverse X / det, each entry is the
-    canonical RatFunc of S X over s0 det.
+    sigma_i = S / s0, and X / det is the cleared inverse; no gcd is taken.
     """
     symbols = spectral_symbols(rep, (z,))
     sigma = rep.site(i, symbols)
     ident = FieldMatrix.identity(rep.dim, RatFunc.one(symbols))
     X, det = (ident - sigma.scale(RatFunc.var(symbols, z))).inv()
     S, s0 = sigma.cleared()
-    den = s0 * det
-    return (S * X).map_entries(lambda e: RatFunc(e, den))
+    return ClearedMatrix(S * X, s0, det)
 
 
 def H_series(rep: Rep, i: int, order: int) -> FieldMatrix:
@@ -252,7 +221,7 @@ def series_agreement_order(rep: Rep, i: int, order: int) -> int | None:
     None means the difference is identically zero (agreement to all orders).
     The valuation of a rational function is val(num) - val(den).
     """
-    diff = H_closed(rep, i, "z") - H_series(rep, i, order)
+    diff = H_closed(rep, i, "z").value() - H_series(rep, i, order)
     best: int | None = None
     for e in diff.entries:
         if e.is_zero:

@@ -240,7 +240,8 @@ def _baxterise(series_order, rep, fn, site):
         report.add_residual(f"series agreement order > {series_order}", 0 if ok else 1)
         if val is None:
             report.notes.append("series agreement: closed form and truncation coincide")
-    matrix = [[str(R.value[i, j]) for j in range(R.value.cols)] for i in range(R.value.rows)]
+    value = R.value()
+    matrix = [[str(e) for e in value.row(i)] for i in range(value.rows)]
     return report, {"rmatrix": matrix}
 
 

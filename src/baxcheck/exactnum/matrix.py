@@ -9,7 +9,9 @@ the ring pair (X, D) with no final division pass.  This bounds intermediate
 expression swell over rational-function fields and keeps gcds out of the
 inverse over the rationals.  Identities are summed the same way: a
 ClearedMatrix is a polynomial matrix over a list of denominator factors, and
-sums of them match factors instead of taking gcds.
+sums of them match factors instead of taking gcds.  It is the one symbolic
+cleared form (an R-matrix, an H-operator, both sides of an identity): map
+renames or lifts it, and value() is its one canonicalisation.
 """
 
 from __future__ import annotations
@@ -237,7 +239,8 @@ class ClearedMatrix:
 
     A product concatenates the factor lists.  A sum runs over their union, each
     side scaled by the factors it lacks (split_factors), so it needs no gcd.
-    The value is zero exactly when M is.  Unit factors are dropped.
+    The value is zero exactly when M is.  Unit factors are dropped, so a
+    denominator 1 leaves no factor at all.
     """
 
     __slots__ = ("M", "factors")
@@ -263,13 +266,26 @@ class ClearedMatrix:
     def __sub__(self, other: "ClearedMatrix") -> "ClearedMatrix":
         return self + (-other)
 
+    def map(self, fn: Callable) -> "ClearedMatrix":
+        """fn applied to every entry and every factor; for a ring map fn (a rename, a lift) the image matrix."""
+        return ClearedMatrix(self.M.map_entries(fn), *(fn(f) for f in self.factors))
+
+    def denominator(self) -> MultiPoly:
+        """f_1 ... f_k as one polynomial; the constant 1 when no factor is left."""
+        if not self.factors:
+            return MultiPoly.const(self.M.entries[0].vars, 1)
+        return math.prod(self.factors[1:], start=self.factors[0])
+
+    def value(self) -> FieldMatrix:
+        """The canonical RatFunc matrix M / (f_1 ... f_k), one gcd per nonzero entry."""
+        den = self.denominator()
+        return self.M.map_entries(lambda e: RatFunc(e, den))
+
     def residual_size(self) -> int:
         """Term count of the largest canonical RatFunc entry; 0, with no gcd, when M is zero."""
-        nonzero = [e for e in self.M.entries if e]
-        if not nonzero:
+        if self.M.is_zero:
             return 0
-        den = math.prod(self.factors, start=MultiPoly.const(nonzero[0].vars, 1))
-        return max(RatFunc(e, den).num_terms() for e in nonzero)
+        return max(e.num_terms() for e in self.value().entries if e)
 
 
 def split_factors(a: Sequence, b: Sequence) -> tuple[list, list, list]:

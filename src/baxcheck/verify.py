@@ -2,21 +2,22 @@
 suites, and the transfer-matrix commutation harness.
 
 The symbolic Yang-Baxter check works on cleared denominators: each R-matrix
-is a polynomial matrix over one scalar polynomial, both sides of the identity
-are assembled as polynomial matrices, and the residual is the cross-
-multiplied difference.  Each site's cleared form is first divided by its
-content g, the common factor of its denominator and all its entries
-(baxter.reduce_cleared).  Both sides are cleared terms (exactnum.ClearedMatrix),
-so their difference cancels the denominator factors they share and
-cross-multiplies only the unmatched reduced ones.  Every removed factor is
-nonzero, so the verdict is unchanged.  A nonzero residual is reported by the
-term count of the fully cross-multiplied unreduced one: the shared factors and
-the g of every Rhat factor are multiplied back in, and only then.
+is an exactnum.ClearedMatrix, a polynomial matrix over one scalar polynomial,
+each side of the identity is the product of its three factors, and the
+residual is the cross-multiplied difference.  Each site's cleared form is
+first divided by its content g, the common factor of its denominator and all
+its entries (baxter.reduce_cleared).  The difference of the two sides cancels
+the denominator factors they share and cross-multiplies only the unmatched
+reduced ones.  Every removed factor is nonzero, so the verdict is unchanged.
+A nonzero residual is reported by the term count of the fully
+cross-multiplied unreduced one: the shared factors and the g of every Rhat
+factor are multiplied back in, and only then.
 
-The identity suites sum cleared terms too: sites and H's are cleared, each
-coefficient is a numerator over its denominator factors, and lhs - rhs is zero
-exactly when its polynomial matrix is, which takes no gcd.  Only a nonzero one
-is reduced to canonical entries, whose largest term count is its size.
+The identity suites sum cleared terms too: sites and H's (baxter.H_closed, as
+it comes) are cleared, each coefficient is a numerator over its denominator
+factors, and lhs - rhs is zero exactly when its polynomial matrix is, which
+takes no gcd.  Only a nonzero one is reduced to canonical entries
+(ClearedMatrix.value), whose largest term count is its size.
 
 The randomized mode is exact polynomial identity testing: spectral variables
 and free representation parameters are drawn as random rationals, both sides
@@ -36,14 +37,7 @@ from typing import Callable, Sequence
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, split_factors
 from .exactnum.poly import eval_cleared
 from .exactnum.scalar import format_scalar
-from .baxter import (
-    H_closed,
-    h_fun,
-    reduce_cleared,
-    rename_cleared,
-    rhat_cleared,
-    spectral_symbols,
-)
+from .baxter import H_closed, h_fun, reduce_cleared, rhat_cleared, spectral_symbols
 from .ncalg import relations_for
 from .report import VerifyReport
 from .reps import Rep, check_relations
@@ -97,8 +91,9 @@ def ybe_symbolic(rep: Rep, f: RatFunc) -> VerifyReport:
 
     Each site's Rhat is built once, at (x, y), and divided by its content g
     (baxter.reduce_cleared); its (x, z) and (y, z) factors, and their g, are
-    renames that keep the canonical order of x, y, z, so each is exactly the
-    factor built at its pair (see baxter.rename_cleared), divided by the
+    renames (ClearedMatrix.map).  Renaming is a ring map, and these renames
+    keep the canonical order of x, y, z ahead of every rep parameter, so each
+    is exactly the factor rhat_cleared builds at its pair, divided by the
     renamed g.
 
     The six factors are six distinct keys, so the unreduced fully
@@ -109,20 +104,23 @@ def ybe_symbolic(rep: Rep, f: RatFunc) -> VerifyReport:
     if rep.n < 3:
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
     symbols = spectral_symbols(rep, _YBE_VARS)
-    factors = {}  # (site, u, w) -> (P/g, delta/g, g)
+    factors, gs = {}, []  # (site, u, w) -> the reduced Rhat factor; the six g's
     for site in (1, 2):
-        P, delta, g = factors[site, 0, 1] = reduce_cleared(*rhat_cleared(rep, site, f, "x", "y", symbols))
+        R, g = reduce_cleared(rhat_cleared(rep, site, f, "x", "y", symbols))
+        factors[site, 0, 1] = R
+        gs.append(g)
         for key, mapping in (((site, 0, 2), {"y": "z"}), ((site, 1, 2), {"x": "y", "y": "z"})):
-            factors[key] = (*rename_cleared(P, delta, mapping), g.rename(mapping))
+            factors[key] = R.map(lambda e: e.rename(mapping))
+            gs.append(g.rename(mapping))
 
-    lhs, rhs = (ClearedMatrix(M, *ds) for M, ds in (_side(factors, _YBE_LHS), _side(factors, _YBE_RHS)))
+    lhs, rhs = (factors[a] * factors[b] * factors[c] for a, b, c in (_YBE_LHS, _YBE_RHS))
     # The difference cancels the denominator factors both sides share; the full
     # cross-multiplied residual is resid * prod(shared) * prod(g), and every factor is nonzero.
     resid = (lhs - rhs).M
     worst = 0
     if not resid.is_zero:
         shared = split_factors(lhs.factors, rhs.factors)[2]
-        common = math.prod(shared + [g for _, _, g in factors.values()])
+        common = math.prod(shared + gs)
         worst = max((e * common).num_terms() for e in resid.entries if e)
     report = VerifyReport("ybe symbolic", mode={"kind": "symbolic", "vars": list(_YBE_VARS)})
     report.add_residual("ybe", worst)
@@ -130,7 +128,7 @@ def ybe_symbolic(rep: Rep, f: RatFunc) -> VerifyReport:
 
 
 def _side(factors: dict, seq: Sequence[tuple[int, int, int]]) -> tuple[FieldMatrix, list]:
-    """(M1 M2 M3, [D1, D2, D3]) for the cleared factors (M, D, ...) that seq names, in order."""
+    """(M1 M2 M3, [D1, D2, D3]) for the cleared int pairs (M, D) that seq names, in order."""
     M = factors[seq[0]][0]
     for key in seq[1:]:
         M = M * factors[key][0]
@@ -246,10 +244,10 @@ def _record(report: VerifyReport, label: str, lhs: ClearedMatrix, rhs: ClearedMa
 def _suite(report: VerifyReport, rep: Rep, algebra: str, params: dict | None):
     """The setup both identity suites share.
 
-    Returns (s1, s2, H1(z), H2(z), H1(v), H2(v), z, v): the sites
-    and the H's (H_closed) as cleared matrices and z, v as polynomials, all
-    over Q(z, v, rep params).  Returns None, with report marked as an error,
-    when the rep fails the relations of algebra at params.
+    Returns (s1, s2, H1(z), H2(z), H1(v), H2(v), z, v): the sites and the
+    H's (H_closed, lifted by map) as cleared matrices and z, v as
+    polynomials, all over Q(z, v, rep params).  Returns None, with report
+    marked as an error, when the rep fails the relations of algebra at params.
     """
     if rep.n < 3:
         raise ValueError("identity suite needs generators at sites 1 and 2")
@@ -260,8 +258,7 @@ def _suite(report: VerifyReport, rep: Rep, algebra: str, params: dict | None):
         report.error("precondition failed: rep does not satisfy the relations")
         return None
     sites = [ClearedMatrix(*rep.site(site, symbols).cleared()) for site in (1, 2)]
-    H = [ClearedMatrix(*H_closed(rep, site, var).map_entries(lambda e: e.lift(symbols)).cleared())
-         for var in ("z", "v") for site in (1, 2)]
+    H = [H_closed(rep, site, var).map(lambda e: e.lift(symbols)) for var in ("z", "v") for site in (1, 2)]
     return (*sites, *H, MultiPoly.var(symbols, "z"), MultiPoly.var(symbols, "v"))
 
 

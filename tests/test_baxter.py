@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,22 +5,29 @@ import pytest
 from baxcheck.baxter import (
     H_closed,
     H_series,
-    RMatrixSym,
     build_R,
     check_regularity,
     check_unitarity,
     h_fun,
     reduce_cleared,
-    rename_cleared,
     rhat_cleared,
     series_agreement_order,
     spectral_fn,
     spectral_symbols,
 )
-from baxcheck.exactnum import FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, canonical_vars, poly_gcd
+from baxcheck.exactnum import (
+    ClearedMatrix,
+    FieldMatrix,
+    MultiPoly,
+    PoleError,
+    RatFunc,
+    SingularMatrixError,
+    canonical_vars,
+    poly_gcd,
+)
 from baxcheck.exactnum.ratfunc import denominator_lcm
 from baxcheck.reps import BUILTIN_NAMES, Rep, builtin_rep
-from helpers import rename_ratfunc
+from helpers import cleared_value, rename_ratfunc
 
 FIVE_FNS = {
     "i(2,1,0,1)": spectral_fn("i", 2, 1, 0, 1),
@@ -105,7 +111,7 @@ def test_r_matrix_solves_its_defining_relation_with_a_hand_swapped_f(name, label
     for site in range(1, rep.n):
         sigma = rep.site(site, symbols)
         R = build_R(rep, site, FIVE_FNS[label])
-        assert R.value * (ident - sigma.scale(fyx)) == ident - sigma.scale(fxy)
+        assert R.value() * (ident - sigma.scale(fyx)) == ident - sigma.scale(fxy)
 
 
 def test_nilpotent_r_matrix_closed_form():
@@ -117,7 +123,7 @@ def test_nilpotent_r_matrix_closed_form():
     fyx = SWAPPED["i(2,1,0,1)"].lift(symbols)
     sigma = rep.matrices[1].map_entries(lambda e: e.lift(symbols))
     ident = FieldMatrix.identity(2, RatFunc.one(symbols))
-    assert R.value == ident + sigma.scale(fyx - fxy)
+    assert R.value() == ident + sigma.scale(fyx - fxy)
 
 
 def test_r_matrix_defining_invariant():
@@ -129,7 +135,7 @@ def test_r_matrix_defining_invariant():
     ident = FieldMatrix.identity(2, RatFunc.one(symbols))
     fxy = fn.lift(symbols)
     fyx = SWAPPED["ii"].lift(symbols)
-    assert R.value * (ident - sigma.scale(fyx)) == ident - sigma.scale(fxy)
+    assert R.value() * (ident - sigma.scale(fyx)) == ident - sigma.scale(fxy)
 
 
 def test_scalar_r_matrix_is_ratio_of_scalars():
@@ -140,7 +146,13 @@ def test_scalar_r_matrix_is_ratio_of_scalars():
     lam = RatFunc.var(symbols, "lam")
     fxy = fn.lift(symbols)
     fyx = SWAPPED["ii"].lift(symbols)
-    assert R.value[0, 0] == (1 - fxy * lam) / (1 - fyx * lam)
+    assert R.value()[0, 0] == (1 - fxy * lam) / (1 - fyx * lam)
+    # at lam = 0 the reduced Rhat is 1 over no denominator factor, which every baxterise check reads
+    zero = builtin_rep("scalar", values=[0, 0])
+    R = build_R(zero, 1, fn)
+    assert R.factors == [] and R.value() == FieldMatrix.identity(1, RatFunc.one(XY))
+    assert check_regularity(R) and check_unitarity(R)
+    assert series_agreement_order(zero, 1, 3) is None
 
 
 @pytest.mark.parametrize("case", ["i", "ii", "iii", "hecke"])
@@ -174,20 +186,18 @@ def test_renamed_rhat_equals_rhat_built_at_the_renamed_pair(name, fn):
     xyz = spectral_symbols(rep, ("x", "y", "z"))
     xy = spectral_symbols(rep, ("x", "y"))
     for site in range(1, rep.n):
-        P, delta = rhat_cleared(rep, site, fn, "x", "y", xyz)
-        assert rename_cleared(P, delta, {"y": "z"}) == rhat_cleared(rep, site, fn, "x", "z", xyz)
-        assert rename_cleared(P, delta, {"x": "y", "y": "z"}) == rhat_cleared(rep, site, fn, "y", "z", xyz)
+        C = rhat_cleared(rep, site, fn, "x", "y", xyz)
+        for mapping, (u, w) in (({"y": "z"}, "xz"), ({"x": "y", "y": "z"}, "yz")):
+            assert _parts(C.map(lambda e: e.rename(mapping))) == _parts(rhat_cleared(rep, site, fn, u, w, xyz))
         # build_R's form is reduced, so Rhat(y, x) is compared by value
         R = build_R(rep, site, fn)
-        assert _by_value(*rename_cleared(R.P, R.delta, {"x": "y", "y": "x"})) == _by_value(
-            *rhat_cleared(rep, site, fn, "y", "x", xy)
-        )
+        swapped = R.map(lambda e: e.rename({"x": "y", "y": "x"}))
+        assert cleared_value(swapped) == cleared_value(rhat_cleared(rep, site, fn, "y", "x", xy))
 
 
-def _by_value(P, delta):
-    """The matrix P / delta with canonical RatFunc entries."""
-    d = RatFunc(delta)
-    return P.map_entries(lambda e: RatFunc(e) / d)
+def _parts(C):
+    """The polynomial matrix and the factor list of a cleared matrix, compared term by term."""
+    return C.M, C.factors
 
 
 @pytest.mark.parametrize("fn", FIVE_FNS.values(), ids=FIVE_FNS)
@@ -196,9 +206,10 @@ def test_build_R_stores_the_reduced_cleared_form(name, fn):
     rep = builtin_rep(name)
     for site in range(1, rep.n):
         R = build_R(rep, site, fn)
-        assert R.delta == denominator_lcm(R.value.entries, R.delta.vars)
-        assert _by_value(R.P, R.delta) == R.value
-        assert _common_factor(R.P, R.delta).is_constant()
+        value = R.value()
+        assert R.factors == [denominator_lcm(value.entries, value.entries[0].vars)]
+        assert cleared_value(R) == value
+        assert _common_factor(R.M, R.denominator()).is_constant()
 
 
 def _common_factor(P, delta):
@@ -216,19 +227,20 @@ def test_reduce_cleared_divides_out_the_content(name, fn):
     rep = builtin_rep(name)
     symbols = spectral_symbols(rep, ("x", "y"))
     for site in range(1, rep.n):
-        P, delta = rhat_cleared(rep, site, fn, "x", "y", symbols)
-        P_red, delta_red, g = reduce_cleared(P, delta)
-        assert P_red.map_entries(lambda e: g * e) == P
+        C = rhat_cleared(rep, site, fn, "x", "y", symbols)
+        reduced, g = reduce_cleared(C)
+        (delta,), (delta_red,) = C.factors, reduced.factors
+        assert reduced.M.map_entries(lambda e: g * e) == C.M
         assert g * delta_red == delta
         assert delta_red.leading()[1] == 1
-        assert _common_factor(P_red, delta_red).is_constant()
+        assert _common_factor(reduced.M, delta_red).is_constant()
 
 
 @pytest.mark.parametrize("name, fn", [("B3_2dim", "ii"), ("C3_2dim", "iii"), ("Hecke3_std", "hecke")])
 def test_reduce_cleared_content_is_nonconstant_on_benchmark_rows(name, fn):
     rep = builtin_rep(name)
     for site in (1, 2):
-        _, _, g = reduce_cleared(*rhat_cleared(rep, site, FIVE_FNS[fn], "x", "y", spectral_symbols(rep, ("x", "y"))))
+        _, g = reduce_cleared(rhat_cleared(rep, site, FIVE_FNS[fn], "x", "y", spectral_symbols(rep, ("x", "y"))))
         assert not g.is_constant()
 
 
@@ -237,18 +249,18 @@ def test_unitarity_fails_on_a_perturbed_cleared_matrix():
     for name, fn in (("B3_2dim", spectral_fn("ii")), ("Hecke3_std", FIVE_FNS["i(2,1,0,1)"])):
         R = build_R(builtin_rep(name), 1, fn)
         assert check_unitarity(R)
-        entries = list(R.P.entries)
+        entries = list(R.M.entries)
         entries[1] = entries[1] + 1
-        assert not check_unitarity(dataclasses.replace(R, P=FieldMatrix(R.P.rows, R.P.cols, entries)))
+        assert not check_unitarity(ClearedMatrix(FieldMatrix(R.M.rows, R.M.cols, entries), *R.factors))
 
 
 def _regular_by_canonical_entries(R):
     """Reference for check_regularity: rename y := x in num and den of each canonical entry."""
     try:
-        at_diag = R.value.map_entries(lambda e: rename_ratfunc(e, {"y": "x"}))
+        at_diag = R.value().map_entries(lambda e: rename_ratfunc(e, {"y": "x"}))
     except PoleError:
         return "singular"
-    return at_diag == FieldMatrix.identity(R.rep.dim, RatFunc.one(at_diag.entries[0].vars))
+    return at_diag == FieldMatrix.identity(R.M.rows, RatFunc.one(at_diag.entries[0].vars))
 
 
 def _regular_by_cleared_form(R):
@@ -280,10 +292,7 @@ def test_regularity_fails_alike_at_q_minus_one():
 def test_regularity_raises_on_a_pole_all_along_the_diagonal():
     vars = canonical_vars({"x", "y"})
     x, y = MultiPoly.var(vars, "x"), MultiPoly.var(vars, "y")
-    delta = x - y
-    P = FieldMatrix(1, 1, [x])
-    rep = Rep(2, 1, (), {1: FieldMatrix(1, 1, [RatFunc.one(())])})
-    R = RMatrixSym(rep=rep, site=1, value=P.map_entries(lambda e: RatFunc(e, delta)), P=P, delta=delta)
+    R = ClearedMatrix(FieldMatrix(1, 1, [x]), x - y)
     with pytest.raises(SingularMatrixError, match="diagonal"):
         check_regularity(R)
 
@@ -311,7 +320,7 @@ def test_H_closed_nilpotent_equals_generator():
     rep = builtin_rep("A3_2dim")
     symbols = canonical_vars(set(rep.params) | {"z"})
     sigma = rep.matrices[1].map_entries(lambda e: e.lift(symbols))
-    assert H_closed(rep, 1) == sigma
+    assert H_closed(rep, 1).value() == sigma
     assert H_series(rep, 1, 4) == sigma
 
 
@@ -333,7 +342,7 @@ def test_H_closed_solves_its_defining_identity(name, params, site):
     symbols = spectral_symbols(rep, ("z",))
     sigma = rep.site(site, symbols)
     N = FieldMatrix.identity(rep.dim, RatFunc.one(symbols)) - sigma.scale(RatFunc.var(symbols, "z"))
-    H = H_closed(rep, site)
+    H = H_closed(rep, site).value()
     assert N * H == sigma == H * N
 
 

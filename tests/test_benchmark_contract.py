@@ -1,7 +1,8 @@
 """The benchmark's own judgement of one traced pass, per workload.
 
-Each workload runs once through `perfbench/worker.py WORKLOAD 0 trace` in a
-fresh interpreter, exactly as `perfbench/run.py` spawns it.  The pass must
+Each workload runs once through `perfbench/worker.py WORKLOAD SEED trace` in a
+fresh interpreter, exactly as `perfbench/run.py` spawns it, at the default
+seed 0 and at seed 7, whose seeded rows differ.  The pass must
 meet the benchmark's contract: every job ends with its expected exit code and
 its pinned payload digest (`run.judge`), and the per-layer counts keep the
 zero / non-zero pattern of `perfbench/predictions.json`
@@ -32,11 +33,15 @@ def bench():
     return module
 
 
-@pytest.mark.parametrize("workload", ["ybe-symbolic", "canonical-forms", "numeric-chain"])
-def test_traced_pass_meets_the_benchmark_contract(bench, workload):
+# the default seed keeps the bare workload id
+CASES = [(workload, seed) for seed in (0, 7) for workload in ("ybe-symbolic", "canonical-forms", "numeric-chain")]
+
+
+@pytest.mark.parametrize("workload, seed", CASES, ids=[w if s == 0 else f"{w}-seed{s}" for w, s in CASES])
+def test_traced_pass_meets_the_benchmark_contract(bench, workload, seed):
     assert workload in bench.WORKLOADS
     proc = subprocess.run(
-        [sys.executable, "-E", "-s", str(PERFBENCH / "worker.py"), workload, str(bench.DEFAULT_SEED), "trace"],
+        [sys.executable, "-E", "-s", str(PERFBENCH / "worker.py"), workload, str(seed), "trace"],
         cwd=PERFBENCH.parent,
         capture_output=True,
         timeout=120,
@@ -47,5 +52,5 @@ def test_traced_pass_meets_the_benchmark_contract(bench, workload):
     result = json.loads(lines[-1])
     digests = json.loads((PERFBENCH / "digests.json").read_text())
     predictions = json.loads((PERFBENCH / "predictions.json").read_text())
-    assert bench.judge(result["records"], digests, bench.DEFAULT_SEED) == []
+    assert bench.judge(result["records"], digests, seed) == []
     assert bench.check_predictions(workload, bench._layer_values(result["trace"]), predictions) == []

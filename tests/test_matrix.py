@@ -17,7 +17,7 @@ from baxcheck.exactnum import (
     split_factors,
 )
 from baxcheck.cli import MAX_SCALAR_BITS
-from helpers import cleared_value, kron
+from helpers import cleared_value, kron, rename_ratfunc
 
 V = canonical_vars(["x", "y"])
 
@@ -412,7 +412,8 @@ def test_split_factors_is_a_multiset_split():
 
 def test_cleared_sums_agree_with_ratfunc_differences():
     """The difference of two cleared terms against RatFunc arithmetic: the same value, the same
-    zero verdict, and residual_size is the largest term count of the canonical difference."""
+    zero verdict, and residual_size is the largest term count of the canonical difference.
+    value() is that RatFunc matrix, and map by a ring map (the swap x <-> y) maps it."""
     rng = random.Random(43)
 
     def rpoly():
@@ -443,6 +444,10 @@ def test_cleared_sums_agree_with_ratfunc_differences():
         diff = a - b
         expected = cleared_value(a) - cleared_value(b)
         assert cleared_value(diff) == expected
+        assert diff.value() == cleared_value(diff)
+        swap = {"x": "y", "y": "x"}
+        swapped = expected.map_entries(lambda e: rename_ratfunc(e, swap))
+        assert cleared_value(diff.map(lambda e: e.rename(swap))) == swapped
         assert diff.M.is_zero == expected.is_zero
         assert diff.residual_size() == max((e.num_terms() for e in expected.entries if e), default=0)
         verdicts.add(expected.is_zero)
