@@ -12,10 +12,10 @@ Rhat and H_i(z) are both exactnum.ClearedMatrix: a polynomial matrix over
 its denominator factors.  Every check reads that cleared form (regularity,
 unitarity, the Yang-Baxter and identity suites), since identity checks can
 then cross-multiply denominators and compare polynomials; a rename or a lift
-is ClearedMatrix.map.  Their one gcd step is reduce_cleared, once per site: it
-divides Rhat by the common factor of its denominator and all its entries,
-which rhat_cleared leaves in.  Canonical RatFunc entries come only from
-ClearedMatrix.value, for build_R's printed matrix and series_agreement_order.
+is ClearedMatrix.map.  With constant site denominators their one gcd step is
+reduce_cleared, once per site: it divides Rhat by the common factor of its
+denominator and all its entries, which rhat_cleared leaves in.  No check here
+builds canonical RatFunc entries: ClearedMatrix.value is read only to print.
 """
 
 from __future__ import annotations
@@ -178,7 +178,8 @@ def check_unitarity(R: ClearedMatrix) -> bool:
 def H_closed(rep: Rep, i: int, z: str = "z") -> ClearedMatrix:
     """H_i(z) = sigma_i (1 - z sigma_i)^(-1) over Q(z + rep params), as the cleared matrix S X / (s0 det).
 
-    sigma_i = S / s0, and X / det is the cleared inverse; no gcd is taken.
+    sigma_i = S / s0, and X / det is the cleared inverse; clearing takes a gcd
+    only when some entry of sigma_i has a nonconstant denominator.
     """
     symbols = spectral_symbols(rep, (z,))
     sigma = rep.site(i, symbols)
@@ -219,13 +220,9 @@ def series_agreement_order(rep: Rep, i: int, order: int) -> int | None:
     """Smallest z-valuation over entries of H_closed - H_series(order).
 
     None means the difference is identically zero (agreement to all orders).
-    The valuation of a rational function is val(num) - val(den).
+    It stays cleared, M / D, since val(M_jk / D) = val(M_jk) - val(D) in any form.
     """
-    diff = H_closed(rep, i, "z").value() - H_series(rep, i, order)
-    best: int | None = None
-    for e in diff.entries:
-        if e.is_zero:
-            continue
-        val = e.num.valuation_in("z") - (e.den.valuation_in("z") or 0)
-        best = val if best is None else min(best, val)
-    return best
+    diff = H_closed(rep, i, "z") - ClearedMatrix(*H_series(rep, i, order).cleared())
+    if diff.M.is_zero:
+        return None
+    return min(e.valuation_in("z") for e in diff.M.entries if e) - diff.denominator().valuation_in("z")

@@ -277,7 +277,7 @@ class ClearedMatrix:
         return math.prod(self.factors[1:], start=self.factors[0])
 
     def value(self) -> FieldMatrix:
-        """The canonical RatFunc matrix M / (f_1 ... f_k), one gcd per nonzero entry."""
+        """The canonical RatFunc matrix M / (f_1 ... f_k), one gcd per entry: read only by cli's printed R and residual_size."""
         den = self.denominator()
         return self.M.map_entries(lambda e: RatFunc(e, den))
 

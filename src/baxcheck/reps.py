@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, canonical_vars
+from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, canonical_vars, format_scalar
 from .ncalg import NCPoly, RelationSet, relations_for, resolve_params, site_relations
 from .report import VerifyReport
 
@@ -181,8 +181,6 @@ class ScalarRepClass:
     description: str
 
     def to_record(self) -> dict:
-        from .exactnum import format_scalar
-
         return {
             "kind": self.kind,
             "values": None if self.values is None else [format_scalar(v) for v in self.values],
@@ -191,8 +189,6 @@ class ScalarRepClass:
 
 
 def _values_text(values) -> str:
-    from .exactnum import format_scalar
-
     return "values in {" + ", ".join(format_scalar(v) for v in values) + "}"
 
 

@@ -325,13 +325,14 @@ def test_H_closed_nilpotent_equals_generator():
 
 
 _T = RatFunc.var(("t",), "t")
+H_CASES = [(name, {}) for name in BUILTIN_NAMES] + [
+    ("Hecke3_std", {"q": 2}),
+    ("Hecke3_burau", {"q": Fraction(1, 3)}),
+    ("B3_2dim", {"nu": _T / (_T + 1)}),
+]
 
 
-@pytest.mark.parametrize(
-    "name, params",
-    [(name, {}) for name in BUILTIN_NAMES]
-    + [("Hecke3_std", {"q": 2}), ("Hecke3_burau", {"q": Fraction(1, 3)}), ("B3_2dim", {"nu": _T / (_T + 1)})],
-)
+@pytest.mark.parametrize("name, params", H_CASES)
 @pytest.mark.parametrize("site", [1, 2])
 def test_H_closed_solves_its_defining_identity(name, params, site):
     """(1 - z sigma_i) H_i(z) = sigma_i = H_i(z) (1 - z sigma_i), checked with products only.
@@ -350,6 +351,18 @@ def test_series_agreement_orders():
     assert series_agreement_order(builtin_rep("A3_2dim"), 1, 8) is None  # exact
     assert series_agreement_order(builtin_rep("B3_2dim"), 1, 8) == 9
     assert series_agreement_order(builtin_rep("B3_2dim"), 1, 3) == 4
+
+    def canonical_order(rep, site, order):
+        """The oracle: the canonical RatFunc difference, entrywise val(num) - val(den)."""
+        diff = H_closed(rep, site).value() - H_series(rep, site, order)
+        vals = [e.num.valuation_in("z") - e.den.valuation_in("z") for e in diff.entries if not e.is_zero]
+        return min(vals) if vals else None
+
+    for name, params in H_CASES:
+        rep = builtin_rep(name, **params)
+        for site in (1, 2):
+            for order in range(9):
+                assert series_agreement_order(rep, site, order) == canonical_order(rep, site, order), (name, site, order)
 
 
 def test_h_fun():

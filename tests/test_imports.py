@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, every
 private helper is used somewhere in the package, and every public method is
-used somewhere in the package or in the README's Python examples.
+used somewhere in the package or in the README's Python examples.  The
+canonical form ClearedMatrix.value() is read only where a report prints it.
 
 Package __init__ files are skipped as modules under test: their imports are
 the public re-exports.  They still count as places that use a helper.
@@ -109,3 +110,34 @@ def test_public_methods_are_used(path):
         and not node.name.startswith("_") and node.name not in used
     }
     assert not dead, f"public methods in {path.name} that neither the package nor the README uses: {dead}"
+
+
+def _value_calls(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, innermost enclosing def) of every call of a .value() method."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "value":
+            found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+VALUE_READERS = {"cli.py": {"_baxterise"}, "exactnum/matrix.py": {"residual_size"}}
+
+
+def test_canonical_value_is_read_only_for_reports():
+    """ClearedMatrix.value() canonicalises every entry: only the printed R-matrix and a residual's size read it."""
+    stray = [
+        f"{module}:{line} in {where}"
+        for path in SOURCES
+        for module in [str(path.relative_to(PACKAGE))]
+        for line, where in _value_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if where not in VALUE_READERS.get(module, ())
+    ]
+    assert not stray, f".value() read outside the report printers: {stray}"

@@ -460,8 +460,9 @@ def test_identity_suites_and_relation_checks_multiply_no_ratfunc_matrices(monkey
     assert MultiPoly in kinds and RatFunc not in kinds
 
 
-def test_passing_lemma_suites_take_no_gcd(monkeypatch):
-    # sites, H's and identities are all cleared terms, and H_closed hands its cleared form over as it comes
+def test_passing_lemma_suites_and_series_checks_take_no_gcd(monkeypatch):
+    # sites, H's and identities are all cleared terms, and H_closed hands its cleared form over as it comes;
+    # with constant site denominators, clearing H_series and the cleared difference take no gcd either
     calls = []
     original = poly_gcd
 
@@ -476,6 +477,9 @@ def test_passing_lemma_suites_take_no_gcd(monkeypatch):
     assert lemma_suite_B(builtin_rep("B3_2dim")).passed
     assert lemma_suite_A(builtin_rep("A3_2dim", c=1), 2, 0, 1).passed
     assert calls == []
+    for name in BUILTIN_NAMES:
+        baxter.series_agreement_order(builtin_rep(name), 1, 8)
+        assert calls == [], name
 
 
 def test_reference_point_choice():
