@@ -175,16 +175,16 @@ def check_unitarity(R: ClearedMatrix) -> bool:
 # -- H-operator utilities -------------------------------------------------------
 
 
-def H_closed(rep: Rep, i: int, z: str = "z") -> ClearedMatrix:
+def H_closed(rep: Rep, i: int) -> ClearedMatrix:
     """H_i(z) = sigma_i (1 - z sigma_i)^(-1) over Q(z + rep params), as the cleared matrix S X / (s0 det).
 
     sigma_i = S / s0, and X / det is the cleared inverse; clearing takes a gcd
     only when some entry of sigma_i has a nonconstant denominator.
     """
-    symbols = spectral_symbols(rep, (z,))
+    symbols = spectral_symbols(rep, ("z",))
     sigma = rep.site(i, symbols)
     ident = FieldMatrix.identity(rep.dim, RatFunc.one(symbols))
-    X, det = (ident - sigma.scale(RatFunc.var(symbols, z))).inv()
+    X, det = (ident - sigma.scale(RatFunc.var(symbols, "z"))).inv()
     S, s0 = sigma.cleared()
     return ClearedMatrix(S * X, s0, det)
 
@@ -206,14 +206,13 @@ def H_series(rep: Rep, i: int, order: int) -> FieldMatrix:
     return acc
 
 
-def h_fun(a, b, c, z: str = "z") -> RatFunc:
+def h_fun(a, b, c) -> RatFunc:
     """h(z) = a / (c z^2 - b z - a); requires a != 0."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a == 0:
         raise ValueError("h undefined: the construction needs a != 0")
-    vars = canonical_vars({z})
-    zz = RatFunc.var(vars, z)
-    return RatFunc.const(vars, a) / (c * zz * zz - b * zz - a)
+    zz = RatFunc.var(("z",), "z")
+    return RatFunc.const(zz.vars, a) / (c * zz * zz - b * zz - a)
 
 
 def series_agreement_order(rep: Rep, i: int, order: int) -> int | None:
@@ -222,7 +221,7 @@ def series_agreement_order(rep: Rep, i: int, order: int) -> int | None:
     None means the difference is identically zero (agreement to all orders).
     It stays cleared, M / D, since val(M_jk / D) = val(M_jk) - val(D) in any form.
     """
-    diff = H_closed(rep, i, "z") - ClearedMatrix(*H_series(rep, i, order).cleared())
+    diff = H_closed(rep, i) - ClearedMatrix(*H_series(rep, i, order).cleared())
     if diff.M.is_zero:
         return None
     return min(e.valuation_in("z") for e in diff.M.entries if e) - diff.denominator().valuation_in("z")

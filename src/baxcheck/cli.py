@@ -8,8 +8,9 @@ every field:
 * null counts as absent, so the default applies; a required field left null
   is reported missing;
 * every scalar is a string "p" or "p/q" whose numerator and denominator
-  fit in MAX_SCALAR_BITS bits; inside `parameters` and a scalar rep's
-  `values`, a null item keeps that parameter symbolic;
+  fit in MAX_SCALAR_BITS bits; inside `parameters` (at most MAX_PARAMETERS
+  names) and a scalar rep's `values`, a null item keeps that parameter
+  symbolic;
 * unknown fields are rejected, and every field is parsed before any
   representation is built or any check starts;
 * every integer field but `seed` has a floor and a cap (the MAX_ constants
@@ -62,13 +63,15 @@ REQUIRED = object()  # the spec default of a field that must be given
 # Job-size caps, enforced when a job is parsed and before any work starts:
 # strand count n of a scalar rep or assignment (so sites run 1..n - 1),
 # series truncation order, randomized YBE trials, transfer point pairs, the
-# jobs of one batch, and the bit length of the numerator and of the
-# denominator of every job scalar.
+# jobs of one batch, the names of a `parameters` object (A's a, b, c is the
+# most any algebra or family declares), and the bit length of the numerator
+# and of the denominator of every job scalar.
 MAX_GENERATORS = 16
 MAX_SERIES_ORDER = 64
 MAX_TRIALS = 1000
 MAX_PAIRS = 100
 MAX_BATCH_JOBS = 64
+MAX_PARAMETERS = 3
 MAX_SCALAR_BITS = 256
 
 
@@ -168,7 +171,10 @@ def _object(value, where: str) -> dict:
 
 
 def _parameters(value, where: str) -> dict:
-    return {name: _symbolic(v, f"{where}.{name}") for name, v in _object(value, where).items()}
+    record = _object(value, where)
+    if len(record) > MAX_PARAMETERS:  # checked before any value is parsed
+        raise JobError(f"{where}: at most {MAX_PARAMETERS} names, got {len(record)}")
+    return {name: _symbolic(v, f"{where}.{name}") for name, v in record.items()}
 
 
 def _rep(value, where: str) -> dict:

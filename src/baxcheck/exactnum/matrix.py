@@ -140,9 +140,6 @@ class FieldMatrix:
     def scale(self, scalar) -> "FieldMatrix":
         return FieldMatrix(self.rows, self.cols, [e * scalar for e in self.entries])
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def map_entries(self, fn: Callable) -> "FieldMatrix":
         return FieldMatrix(self.rows, self.cols, [fn(e) for e in self.entries])
 

@@ -14,9 +14,9 @@ cross-multiplied unreduced one: the shared factors and the g of every Rhat
 factor are multiplied back in, and only then.
 
 The identity suites sum cleared terms too: sites and H's (baxter.H_closed, as
-it comes) are cleared, each coefficient is a numerator over its denominator
-factors, and lhs - rhs is zero exactly when its polynomial matrix is, which
-takes no gcd.  Only a nonzero one is reduced to canonical entries
+it comes, built at z and renamed to v) are cleared, each coefficient is a
+numerator over its denominator factors, and lhs - rhs is zero exactly when its
+polynomial matrix is, which takes no gcd.  Only a nonzero one is reduced to canonical entries
 (ClearedMatrix.value), whose largest term count is its size.
 
 The randomized mode is exact polynomial identity testing: spectral variables
@@ -245,9 +245,12 @@ def _suite(report: VerifyReport, rep: Rep, algebra: str, params: dict | None):
     """The setup both identity suites share.
 
     Returns (s1, s2, H1(z), H2(z), H1(v), H2(v), z, v): the sites and the
-    H's (H_closed, lifted by map) as cleared matrices and z, v as
-    polynomials, all over Q(z, v, rep params).  Returns None, with report
-    marked as an error, when the rep fails the relations of algebra at params.
+    H's as cleared matrices and z, v as polynomials, all over Q(z, v, rep
+    params).  Each H_i(z) is built once (H_closed, lifted by map) and H_i(v)
+    is its rename z -> v, a ring map: z and v hold the same place relative
+    to every rep parameter, so the renamed factors are the ones built at v.
+    Returns None, with report marked as an error, when the rep fails the
+    relations of algebra at params.
     """
     if rep.n < 3:
         raise ValueError("identity suite needs generators at sites 1 and 2")
@@ -258,8 +261,9 @@ def _suite(report: VerifyReport, rep: Rep, algebra: str, params: dict | None):
         report.error("precondition failed: rep does not satisfy the relations")
         return None
     sites = [ClearedMatrix(*rep.site(site, symbols).cleared()) for site in (1, 2)]
-    H = [H_closed(rep, site, var).map(lambda e: e.lift(symbols)) for var in ("z", "v") for site in (1, 2)]
-    return (*sites, *H, MultiPoly.var(symbols, "z"), MultiPoly.var(symbols, "v"))
+    Hz = [H_closed(rep, site).map(lambda e: e.lift(symbols)) for site in (1, 2)]
+    Hv = [H.map(lambda e: e.rename({"z": "v"})) for H in Hz]
+    return (*sites, *Hz, *Hv, MultiPoly.var(symbols, "z"), MultiPoly.var(symbols, "v"))
 
 
 def lemma_suite_A(rep: Rep, a, b, c) -> VerifyReport:
@@ -276,20 +280,22 @@ def lemma_suite_A(rep: Rep, a, b, c) -> VerifyReport:
     if ops is None:
         return report
     s1, s2, H1z, H2z, H1v, H2v, zz, vv = ops
-    hz, hv = (h_fun(a, b, c, w).lift(zz.vars) for w in ("z", "v"))  # h = num / den, kept apart
+    h = h_fun(a, b, c).lift(zz.vars)  # h(z) = nz / dz, kept apart
+    nz, dz = h.num, h.den
+    nv, dv = nz.rename({"z": "v"}), dz.rename({"z": "v"})  # h(v): a rename, so no RatFunc() and no gcd
     M = s2 * s2 * s1 - s2 * s1 * s1  # the recurring cubic difference
 
     _record(report, "rel1a", (s2 * s2 * s2 * s1 * s1 - s2 * s2 * s1 * s1 * s1).scale(a), M.scale(-c))
     _record(report, "rel1b", (s1 * s1 * s2 * s2 * s2 - s1 * s1 * s1 * s2 * s2).scale(a), M.scale(-c))
-    _record(report, "rel2a", s2 * H1z - H2z * s1, M.scale(zz * hz.num, hz.den))
-    _record(report, "rel2b", H1z * s2 - s1 * H2z, M.scale(zz * hz.num, hz.den))
-    _record(report, "rel4", H2v * H1z - H2z * H1v, M.scale((vv - zz) * hz.num * hv.num, hz.den, hv.den))
+    _record(report, "rel2a", s2 * H1z - H2z * s1, M.scale(zz * nz, dz))
+    _record(report, "rel2b", H1z * s2 - s1 * H2z, M.scale(zz * nz, dz))
+    _record(report, "rel4", H2v * H1z - H2z * H1v, M.scale((vv - zz) * nz * nv, dz, dv))
     rel5_lhs = s1 * H2v * H1z - H2z * H1v * s2
     rel5_rhs = (
         (s2 - s1).scale(a, zz, vv)
-        + M.scale((c * zz * vv - b * vv - a).scale(1 / a) * hz.num * hv.num, hz.den, hv.den)
-        + (H1v - H2v).scale(hv.den.scale(a), vv, vv - zz, hv.num)  # a / (v (v - z) h(v))
-        - (H1z - H2z).scale(hz.den.scale(a), zz, vv - zz, hz.num)
+        + M.scale((c * zz * vv - b * vv - a).scale(1 / a) * nz * nv, dz, dv)
+        + (H1v - H2v).scale(dv.scale(a), vv, vv - zz, nv)  # a / (v (v - z) h(v))
+        - (H1z - H2z).scale(dz.scale(a), zz, vv - zz, nz)
     )
     _record(report, "rel5", rel5_lhs, rel5_rhs)
     return report

@@ -16,6 +16,7 @@ from baxcheck.cli import (
     MAX_BATCH_JOBS,
     MAX_GENERATORS,
     MAX_PAIRS,
+    MAX_PARAMETERS,
     MAX_SCALAR_BITS,
     MAX_SERIES_ORDER,
     MAX_TRIALS,
@@ -167,6 +168,16 @@ def test_scalar_reps_with_a_symbolic_parameter_is_usage_error(tmp_path):
     assert json.loads(out)["error"] == "scalar classification needs rational a, b, c"
 
 
+@pytest.mark.parametrize("nested", [False, True], ids=["job", "rep"])
+def test_parameters_over_the_name_cap_is_usage_error(tmp_path, nested):
+    parameters = {"q": "2", "a": "1", "b": "1", "c": "1"}
+    rep = {"builtin": "Hecke3_std", "parameters": parameters} if nested else {"builtin": "Hecke3_std"}
+    job = {"command": "check-algebra", "algebra": "Hecke", "rep": rep}
+    code, out = invoke(tmp_path, job if nested else dict(job, parameters=parameters))
+    assert code == EXIT_USAGE
+    assert json.loads(out)["error"] == f"parameters: at most {MAX_PARAMETERS} names, got 4"
+
+
 def test_batch_over_the_job_cap_is_rejected_before_any_job_runs(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sub-job ran in a batch over the job cap")
@@ -263,7 +274,7 @@ def test_run_job_api_errors(monkeypatch):
     with pytest.raises(JobError, match="expect"):
         run_job({"command": "batch", "jobs": [{"command": "prop1"}], "expect": "fail"})
     # parameter names the algebra lacks are rejected with or without an assignment
-    for algebra, parameters in (("A", {"a": "1", "b": "1", "c": "2", "q": "7"}), ("B", {"a": "5"})):
+    for algebra, parameters in (("A", {"a": "1", "b": "1", "q": "7"}), ("B", {"a": "5"})):
         with pytest.raises(JobError, match="unexpected parameters"):
             run_job({"command": "scalar-reps", "algebra": algebra, "parameters": parameters})
     # job sizes are capped before any rep is built or any check starts
@@ -286,6 +297,11 @@ def test_run_job_api_errors(monkeypatch):
                     "rep": {"builtin": "scalar", "values": ["1"] * MAX_GENERATORS}}),
         ("values", {"command": "check-algebra", "algebra": "Braid",
                     "rep": {"builtin": "scalar", "values": [None] * 1000000}}),
+        # a parameters object, the job's or the rep's, is capped by its names before any value is parsed
+        ("parameters", {"command": "check-algebra", "algebra": "Hecke", "rep": hecke,
+                        "parameters": {f"p{k}": "x" for k in range(1000000)}}),
+        ("parameters", {"command": "check-algebra", "algebra": "Hecke",
+                        "rep": {"builtin": "Hecke3_std", "parameters": {f"p{k}": "x" for k in range(1000000)}}}),
         ("trials", dict(A3_II_RANDOM, trials=MAX_TRIALS + 1)),
         ("pairs", {"command": "transfer-commute", "rep": hecke, "fn": {"case": "hecke"}, "pairs": MAX_PAIRS + 1}),
     ]
@@ -365,13 +381,22 @@ UNCAPPED = {"seed": [], "lengths": [[0], [MAX_CHAIN_LENGTH + 1], [1] * (MAX_CHAI
 
 
 def _bounded_fields():
-    """(command, field, out-of-range values) for every top-level _int and _list parser in COMMANDS.
+    """(command, field, out-of-range values) for every top-level _int, _list and _parameters parser in COMMANDS,
+    and for the parameters object of every rep field, named "rep.parameters" (its values are whole rep records).
 
-    The values come from the parser's own floor, cap and nonempty flag; they
-    are None for a field with no cap or, for an integer, no floor.
+    The values come from the parser's own floor, cap and nonempty flag, or
+    MAX_PARAMETERS; they are None for a field with no cap or, for an integer,
+    no floor.
     """
+    over = {f"p{k}": "1" for k in range(MAX_PARAMETERS + 1)}
     for command, (_, spec) in cli.COMMANDS.items():
         for field, (parse, _) in spec.items():
+            if parse is cli._parameters:
+                yield command, field, [over]
+                continue
+            if parse is cli._rep:
+                yield command, "rep.parameters", [dict(HECKE_Q2, parameters=over)]
+                continue
             if parse.__qualname__ not in ("_int.<locals>.parse", "_list.<locals>.parse"):
                 continue
             if field in UNCAPPED:
@@ -390,9 +415,10 @@ BOUNDED_FIELDS = list(_bounded_fields())
 
 
 def test_bounded_fields_find_the_integer_and_list_fields():
-    # guards the __qualname__ lookup: renaming _int or _list must not empty the table
+    # guards the __qualname__ lookup (renaming _int or _list must not empty the table) and the _parameters fields
     fields = {field for _, field, _ in BOUNDED_FIELDS}
-    assert fields >= {"series_order", "trials", "seed", "pairs", "site", "assignment", "lengths", "jobs"}
+    assert fields >= {"series_order", "trials", "seed", "pairs", "site", "assignment", "lengths", "jobs",
+                      "parameters", "rep.parameters"}
 
 
 @pytest.mark.parametrize("command, field, values", BOUNDED_FIELDS, ids=[f"{c}.{f}" for c, f, _ in BOUNDED_FIELDS])
@@ -407,9 +433,10 @@ def test_out_of_range_field_is_rejected_before_any_work(monkeypatch, command, fi
     job = dict(BASE_JOBS[command], command=command)
     with pytest.raises(AssertionError, match="work started"):
         run_job(job)  # in range, the job gets as far as a worker
+    top, _, inner = field.partition(".")  # rep.parameters replaces the whole rep record
     for value in values:
-        with pytest.raises(JobError, match=None if field in UNCAPPED else f"^{field}: "):
-            run_job(dict(job, **{field: value}))
+        with pytest.raises(JobError, match=None if field in UNCAPPED else f"^{inner or top}: "):
+            run_job(dict(job, **{top: value}))
 
 
 _SCALAR_FIELDS = {

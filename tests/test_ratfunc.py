@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from baxcheck.exactnum import MultiPoly, PoleError, RatFunc, canonical_vars
+from test_poly import _to_sympy
 
 V = canonical_vars(["x", "y"])
 X = MultiPoly.var(V, "x")
@@ -100,6 +103,68 @@ def test_arithmetic_matches_the_cross_multiplied_canonical_form(p, q, r, s):
     for result, num, den in pairs:
         direct = RatFunc(num, den)
         assert result.num == direct.num and result.den == direct.den
+
+
+GENS = sympy.symbols(V)
+
+
+def _lc(p: sympy.Poly):
+    """The leading coefficient under graded lex with the last variable most significant, MultiPoly's order."""
+    return max(p.terms(), key=lambda t: (sum(t[0]), t[0][::-1]))[1]
+
+
+def _assert_is_sympy_cancel(result: RatFunc, expr) -> None:
+    """result is the canonical form of the sympy expression expr: sympy.cancel's num/den made monic."""
+    num, den = _to_sympy(result.num), _to_sympy(result.den)
+    assert sympy.gcd(num, den) == sympy.Poly(1, *GENS, domain=sympy.QQ) and _lc(den) == 1
+    p, q = (sympy.Poly(part, *GENS, domain=sympy.QQ) for part in sympy.fraction(sympy.cancel(expr)))
+    assert (num, den) == (p.quo_ground(_lc(q)), q.quo_ground(_lc(q)))
+
+
+def _expr(r: RatFunc):
+    return _to_sympy(r.num).as_expr() / _to_sympy(r.den).as_expr()
+
+
+# products of factors from a small pool, so two denominators often share one
+FACTORS = [X + 1, X - Y, Y.scale(2) + 3, X * X + Y, X.scale(Fraction(1, 2))]
+shared_den_strategy = st.lists(st.sampled_from(FACTORS), max_size=3).map(
+    lambda fs: math.prod(fs, start=MultiPoly.const(V, 1))
+)
+
+
+def _assert_arithmetic_matches_sympy(a: RatFunc, b: RatFunc) -> None:
+    _assert_is_sympy_cancel(a + b, _expr(a) + _expr(b))
+    _assert_is_sympy_cancel(a - b, _expr(a) - _expr(b))
+    _assert_is_sympy_cancel(a * b, _expr(a) * _expr(b))
+    if b:
+        _assert_is_sympy_cancel(a / b, _expr(a) / _expr(b))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_strategy(), st.one_of(den_strategy, shared_den_strategy),
+       poly_strategy(), st.one_of(den_strategy, shared_den_strategy))
+def test_arithmetic_matches_sympy_cancel(p, q, r, s):
+    _assert_arithmetic_matches_sympy(RatFunc(p, q), RatFunc(r, s))
+
+
+def test_arithmetic_matches_sympy_cancel_on_pinned_cases():
+    shared = RatFunc(Y, (X + 1) * (X - Y)), RatFunc(X, (X + 1) * (Y + 2))
+    # two nonconstant denominators sharing x + 1; the sum's denominator keeps one copy of it
+    _assert_arithmetic_matches_sympy(*shared)
+    # a sum whose numerator cancels the shared factor: 1/((x+1)(x-y)) + x/((x+1)(x-y)) = 1/(x-y)
+    a, b = RatFunc(MultiPoly.const(V, 1), (X + 1) * (X - Y)), RatFunc(X, (X + 1) * (X - Y))
+    _assert_arithmetic_matches_sympy(a, b)
+    assert a + b == RatFunc(MultiPoly.const(V, 1), X - Y)
+    zero = RatFunc.zero(V)
+    for r in (*shared, RatFunc(X, MultiPoly.const(V, 3))):
+        _assert_arithmetic_matches_sympy(zero, r)
+        _assert_arithmetic_matches_sympy(r, zero)  # r / 0 raises ZeroDivisionError
+        assert (r * zero).den == MultiPoly.const(V, 1) and (zero / r).den == MultiPoly.const(V, 1)
+    with pytest.raises(ZeroDivisionError):
+        shared[0] / 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -482,6 +482,18 @@ def test_passing_lemma_suites_and_series_checks_take_no_gcd(monkeypatch):
         assert calls == [], name
 
 
+def test_each_identity_suite_builds_H_once_per_site(monkeypatch):
+    # H_i(v) is the rename z -> v of H_i(z), so a suite call builds H at sites 1 and 2 only
+    calls = []
+    original = verify.H_closed
+    monkeypatch.setattr(verify, "H_closed", lambda rep, i: calls.append(i) or original(rep, i))
+    assert lemma_suite_A(builtin_rep("A3_2dim", c=1), 2, 0, 1).passed
+    assert calls == [1, 2]
+    calls.clear()
+    assert lemma_suite_B(builtin_rep("B3_2dim")).passed
+    assert calls == [1, 2]
+
+
 def test_reference_point_choice():
     assert choose_reference_point(spectral_fn("hecke")) == 1
     assert choose_reference_point(spectral_fn("ii")) == 0
