@@ -134,7 +134,7 @@ def reduce_cleared(C: ClearedMatrix) -> tuple[ClearedMatrix, MultiPoly]:
             break
         if e:
             g = poly_gcd(g, e)[0]
-    g = g.monic().scale(delta.leading()[1])
+    g = g.monic().scale(delta.lc())
     return ClearedMatrix(C.M.map_entries(lambda e: e.divexact(g)), delta.divexact(g)), g
 
 

@@ -1,13 +1,13 @@
-"""Dense matrices over an exact field (rationals or rational functions).
+"""Dense matrices over an exact ring or field: ints, polynomials or rational functions.
 
 Inverses are fraction-free and returned cleared: `cleared` scales the whole
 matrix by one common denominator (rational-function entries become
-polynomials, rational entries become Python ints), the adjugate and the
+polynomials; an int matrix is already cleared), the adjugate and the
 determinant come from the Faddeev–LeVerrier recurrence over that ring (matrix
 products, and one exact division of a trace by k per step), and the inverse is
 the ring pair (X, D) with no final division pass.  This bounds intermediate
 expression swell over rational-function fields and keeps gcds out of the
-inverse over the rationals.  Identities are summed the same way: a
+numeric int inverse.  Identities are summed the same way: a
 ClearedMatrix is a polynomial matrix over a list of denominator factors, and
 sums of them match factors instead of taking gcds.  It is the one symbolic
 cleared form (an R-matrix, an H-operator, both sides of an identity): map
@@ -31,9 +31,9 @@ class SingularMatrixError(ArithmeticError):
 
 
 class FieldMatrix:
-    """Row-major dense matrix; entries are Fraction (or int), RatFunc, or
-    MultiPoly (one kind per matrix).  inv takes field entries (Fraction or
-    RatFunc) to ring ones (int or MultiPoly), the kind adjugate_det takes."""
+    """Row-major dense matrix; entries are int, MultiPoly or RatFunc (one kind
+    per matrix).  inv takes int or RatFunc entries to ring ones (int or
+    MultiPoly), the kinds adjugate_det takes."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -196,10 +196,10 @@ class FieldMatrix:
     def inv(self) -> tuple["FieldMatrix", object]:
         """The exact inverse, cleared: (X, D) over the entry ring with self * X = X * self = D * identity.
 
-        X = c * adj(M) and D = det(M) for M, c = self.cleared(): ints from
-        Fraction (or int) entries, MultiPoly from RatFunc entries; an int c = 1
-        leaves adj(M) unscaled.  Raises ValueError for a non-square matrix and
-        SingularMatrixError when D = 0.
+        X = c * adj(M) and D = det(M) for M, c = self.cleared(): ints from int
+        entries, MultiPoly from RatFunc entries; an int c = 1 leaves adj(M)
+        unscaled.  Raises TypeError for any other entry, ValueError for a
+        non-square matrix and SingularMatrixError when D = 0.
         """
         M, c = self.cleared()
         adj, det = M.adjugate_det()
@@ -210,19 +210,15 @@ class FieldMatrix:
     def cleared(self) -> tuple["FieldMatrix", object]:
         """(M, D) with M = D * self over the entry ring and D the lcm of the entry denominators.
 
-        RatFunc entries clear to MultiPoly over a MultiPoly D, Fraction entries
-        to int over an int D; an int matrix is itself over 1.  MultiPoly raises TypeError.
+        An int matrix is itself over 1; RatFunc entries clear to MultiPoly over
+        a MultiPoly D.  MultiPoly, or any other entry, raises TypeError.
         """
         if all(type(e) is int for e in self.entries):
             return self, 1
-        kind = _entry_kind(self.entries)
-        if kind is MultiPoly:
-            raise TypeError("clearing denominators needs Fraction or RatFunc entries; use adjugate_det over MultiPoly")
-        if kind is RatFunc:
-            D = denominator_lcm(self.entries, self.entries[0].vars)
-            return self.map_entries(lambda e: e.num * D.divexact(e.den)), D
-        D = math.lcm(*(e.denominator for e in self.entries))
-        return self.map_entries(lambda e: e.numerator * (D // e.denominator)), D
+        if not all(isinstance(e, RatFunc) for e in self.entries):
+            raise TypeError("clearing denominators needs int or RatFunc entries; use adjugate_det over MultiPoly")
+        D = denominator_lcm(self.entries, self.entries[0].vars)
+        return self.map_entries(lambda e: e.num * D.divexact(e.den)), D
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in self.row(i)) for i in range(self.rows)) + "]"
@@ -296,11 +292,3 @@ def split_factors(a: Sequence, b: Sequence) -> tuple[list, list, list]:
             b_only.append(f)
     return a_only, b_only, shared
 
-
-def _entry_kind(entries):
-    for e in entries:
-        if isinstance(e, RatFunc):
-            return RatFunc
-        if isinstance(e, MultiPoly):
-            return MultiPoly
-    return Fraction

@@ -6,7 +6,7 @@ zero polynomial is the empty dict over 1.  The pair is kept in lowest terms
 (the denominator and all numerators have gcd 1), so the stored form of a
 polynomial is unique and equality is structural.  All arithmetic is exact and
 runs on the integer kernel below; rational coefficients and exponent tuples
-appear only at the interface (construction, leading terms, evaluation,
+appear only at the interface (construction, leading coefficients, evaluation,
 printing).
 
 A monomial x_0^e_0 ... x_{n-1}^e_{n-1} is packed into one int (Monagan &
@@ -165,15 +165,8 @@ class MultiPoly:
         shift = _W * self.vars.index(name)
         return min(e >> shift & _MASK for e in self.terms)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        """Leading (exponent, coefficient) under graded lex; usage error if zero."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms)
-        return _unpack(exp, len(self.vars)), Fraction(self.terms[exp], self.den)
-
-    def _lc(self) -> Fraction:
-        """The leading coefficient of a nonzero polynomial, without unpacking its exponent."""
+    def lc(self) -> Fraction:
+        """The graded-lex leading coefficient of a nonzero polynomial, without unpacking its exponent."""
         return Fraction(self.terms[max(self.terms)], self.den)
 
     def num_terms(self) -> int:
@@ -232,18 +225,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def scale(self, factor) -> "MultiPoly":
         """Multiply by a rational scalar."""
         factor = _as_fraction(factor)
@@ -257,7 +238,7 @@ class MultiPoly:
         """Scale so the graded-lex leading coefficient is 1."""
         if not self.terms:
             return self
-        return self.scale(1 / self._lc())
+        return self.scale(1 / self.lc())
 
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact division; raises ValueError when the division is not exact."""
@@ -272,6 +253,10 @@ class MultiPoly:
         return _make(self.vars, _ip_scale(quot, divisor.den), self.den * content)
 
     # -- evaluation / substitution ------------------------------------------
+
+    def at(self, name: str, value: int) -> "MultiPoly":
+        """Substitute the int value for variable `name`, staying in the same ring."""
+        return _make(self.vars, _ip_eval(self.terms, self.vars.index(name), value, len(self.vars)), self.den)
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
         """Substitute variables by variables (e.g. y := x), staying in the same ring.
@@ -574,7 +559,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPol
         raise ValueError("gcd(0, 0) is undefined")
     if p.is_zero or q.is_zero:
         nonzero = q if p.is_zero else p
-        g, unit = nonzero.monic(), MultiPoly.const(p.vars, nonzero._lc())
+        g, unit = nonzero.monic(), MultiPoly.const(p.vars, nonzero.lc())
         return (g, p, unit) if p.is_zero else (g, unit, q)
     if p.is_constant() or q.is_constant():
         return MultiPoly.const(p.vars, 1), p, q

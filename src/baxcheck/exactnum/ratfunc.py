@@ -135,12 +135,6 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -154,12 +148,6 @@ class RatFunc:
         if other is None:
             return NotImplemented
         return RatFunc(self.num * other.den, self.den * other.num)  # a zero divisor raises in RatFunc()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     # -- evaluation / substitution -------------------------------------------
 
@@ -207,7 +195,7 @@ def _reduced(num: MultiPoly, den: MultiPoly) -> RatFunc:
     if num.is_zero:
         den = MultiPoly.const(num.vars, 1)
     elif den.terms[max(den.terms)] != den.den:  # lc != 1: terms/den is in lowest terms, den > 0
-        lc = den._lc()
+        lc = den.lc()
         num, den = num.scale(1 / lc), den.scale(1 / lc)
     out.num = num
     out.den = den

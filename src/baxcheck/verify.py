@@ -387,25 +387,13 @@ def check_chain_lengths(lengths: Sequence[int]) -> None:
         seen.add(L)
 
 
-def choose_reference_point(f: RatFunc) -> Fraction:
+def choose_reference_point(f: RatFunc) -> int:
     """y0 = 0 unless the spectral function f(x, y) has a pole there, else y0 = 1."""
-    for y0 in (Fraction(0), Fraction(1)):
+    for y0 in (0, 1):
         # both orders f(x, y0) and f(y0, x) must stay finite as functions of x
-        if _poly_substitute_const(f.den, "y", y0).is_zero:
-            continue
-        if _poly_substitute_const(f.den, "x", y0).is_zero:
-            continue
-        return y0
+        if not (f.den.at("y", y0).is_zero or f.den.at("x", y0).is_zero):
+            return y0
     raise ValueError("no admissible reference point among {0, 1}")
-
-
-def _poly_substitute_const(p: MultiPoly, name: str, value: Fraction) -> MultiPoly:
-    idx = p.vars.index(name)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exp, coeff in p.sorted_terms():
-        key = exp[:idx] + (0,) + exp[idx + 1:]
-        out[key] = out.get(key, 0) + coeff * value ** exp[idx]
-    return MultiPoly(p.vars, out)
 
 
 def transfer_commute(

@@ -143,10 +143,10 @@ def test_scalar_r_matrix_is_ratio_of_scalars():
     fn = spectral_fn("ii")
     R = build_R(rep, 1, fn)
     symbols = canonical_vars(set(rep.params) | {"x", "y"})
-    lam = RatFunc.var(symbols, "lam")
+    lam, one = RatFunc.var(symbols, "lam"), RatFunc.one(symbols)
     fxy = fn.lift(symbols)
     fyx = SWAPPED["ii"].lift(symbols)
-    assert R.value()[0, 0] == (1 - fxy * lam) / (1 - fyx * lam)
+    assert R.value()[0, 0] == (one - fxy * lam) / (one - fyx * lam)
     # at lam = 0 the reduced Rhat is 1 over no denominator factor, which every baxterise check reads
     zero = builtin_rep("scalar", values=[0, 0])
     R = build_R(zero, 1, fn)
@@ -232,7 +232,7 @@ def test_reduce_cleared_divides_out_the_content(name, fn):
         (delta,), (delta_red,) = C.factors, reduced.factors
         assert reduced.M.map_entries(lambda e: g * e) == C.M
         assert g * delta_red == delta
-        assert delta_red.leading()[1] == 1
+        assert delta_red.lc() == 1
         assert _common_factor(reduced.M, delta_red).is_constant()
 
 

@@ -54,7 +54,7 @@ def test_zero_divisor_raises():
 
 def test_denominator_is_monic():
     r = RatFunc(X, 3 * Y + 3 * X)
-    assert r.den.leading()[1] == 1
+    assert r.den.lc() == 1
     # x/2 + 1 stores the leading numerator 1 over den 2, so it is not monic
     half_x_plus_1 = X.scale(Fraction(1, 2)) + 1
     assert RatFunc(X, half_x_plus_1).den == X + 2

@@ -49,7 +49,7 @@ def test_evaluate_element_of_the_empty_word_and_of_one_generator():
 
 def test_evaluate_element_with_denominators_in_sites_and_coefficients():
     t = RatFunc.var(("t",), "t")
-    rep = builtin_rep("B3_2dim", nu=1 / (t + 1), mu="t")
+    rep = builtin_rep("B3_2dim", nu=RatFunc.one(t.vars) / (t + 1), mu="t")
     symbols = rep.params
     sites = _cleared_sites(rep, symbols)
     assert [str(f) for f in sites[1].factors] == ["t + 1"]

@@ -159,10 +159,14 @@ def test_ybe_random_agrees_with_symbolic():
 
 
 def _two_inverse_rhat(sigma, a, b):
-    """Reference: (1 - a sigma)(1 - b sigma)^-1 as written, one product and one inverse."""
+    """Reference: (1 - a sigma)(1 - b sigma)^-1 as written, one product and one inverse.
+
+    The inverse is that of the int matrix c N for N = 1 - b sigma: (c N)^-1 = X / D gives N^-1 = c X / D.
+    """
     ident = FieldMatrix.identity(sigma.rows, Fraction(1))
-    X, D = (ident - sigma.scale(b)).inv()
-    return (ident - sigma.scale(a)) * X.map_entries(lambda e: Fraction(e, D))
+    c, cN = _scaled(ident - sigma.scale(b))
+    X, D = cN.inv()
+    return (ident - sigma.scale(a)) * X.map_entries(lambda e: Fraction(c * e, D))
 
 
 def _uncleared(M, D):
@@ -551,7 +555,7 @@ def _dense_transfer(rhat, d, L):
 
 
 def _hecke_rhat(x, corrupt=False):
-    S, s = builtin_rep("Hecke3_std", q=2).matrices[1].map_entries(lambda e: e.constant_value()).cleared()
+    S, s = verify._site_at(*builtin_rep("Hecke3_std", q=2).site(1).cleared(), {})
     f = spectral_fn("hecke")
     rhat = _uncleared(*_numeric_rhat(S, s, f.eval({"x": x, "y": 1}), f.eval({"x": 1, "y": x})))
     if corrupt:
@@ -736,7 +740,7 @@ def test_corrupt_perturbs_the_cleared_rhat_as_the_rational_one(monkeypatch, seed
     for x, M in zip(xs, seen):
         rhat = _two_inverse_rhat(sigma, f.eval({"x": x, "y": y0}), f.eval({"x": y0, "y": x}))
         rhat.entries[1] += 1
-        assert M == rhat.cleared()[0]
+        assert M == _scaled(rhat)[1]
 
 
 def test_transfer_job_shares_precheck_points_and_rhats(monkeypatch):
