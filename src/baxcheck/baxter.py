@@ -93,10 +93,8 @@ def rhat_cleared(rep: Rep, i: int, f: RatFunc, u: str, w: str, symbols: tuple[st
     f = f.lift(symbols)
     (uw_num, uw_den), (wu_num, wu_den) = _at(f, u, w), _at(f, w, u)
     S, s0 = rep.site(i, symbols).cleared()  # sigma_i = S / s0
-    d = rep.dim
-    ident = FieldMatrix.identity(d, MultiPoly.const(symbols, 1))
-    A = ident.scale(uw_den * s0) - S.scale(uw_num)
-    B = ident.scale(wu_den * s0) - S.scale(wu_num)
+    A = S.shifted(-uw_num, uw_den * s0)
+    B = S.shifted(-wu_num, wu_den * s0)
     adj, det = B.adjugate_det()
     if det.is_zero:
         raise SingularMatrixError(f"R-matrix factor is identically singular: det(1 - f({w},{u})*sigma_{i}) = 0")
@@ -176,33 +174,31 @@ def check_unitarity(R: ClearedMatrix) -> bool:
 
 
 def H_closed(rep: Rep, i: int) -> ClearedMatrix:
-    """H_i(z) = sigma_i (1 - z sigma_i)^(-1) over Q(z + rep params), as the cleared matrix S X / (s0 det).
+    """H_i(z) = sigma_i (1 - z sigma_i)^(-1) over Q(z + rep params), as the cleared matrix Y / det.
 
-    sigma_i = S / s0, and X / det is the cleared inverse; clearing takes a gcd
-    only when some entry of sigma_i has a nonconstant denominator.
+    X / det is the one cleared inverse of 1 - z sigma_i, so the resolvent identity H = ((1 - z sigma_i)^(-1) - 1) / z
+    gives Y = (X - det) / z, exact since X - det vanishes at z = 0.  Clearing takes a gcd only when some
+    entry of sigma_i has a nonconstant denominator.
     """
     symbols = spectral_symbols(rep, ("z",))
-    sigma = rep.site(i, symbols)
-    ident = FieldMatrix.identity(rep.dim, RatFunc.one(symbols))
-    X, det = (ident - sigma.scale(RatFunc.var(symbols, "z"))).inv()
-    S, s0 = sigma.cleared()
-    return ClearedMatrix(S * X, s0, det)
+    z = RatFunc.var(symbols, "z")
+    X, det = rep.site(i, symbols).shifted(-z, 1).inv()
+    return ClearedMatrix(X.shifted(1, -det).map_entries(lambda e: e.divexact(z.num)), det)
 
 
 def H_series(rep: Rep, i: int, order: int) -> FieldMatrix:
-    """Truncated series sum_{l=0..order} sigma_i^(l+1) z^l."""
+    """Truncated series sum_{l=0..order} sigma_i^(l+1) z^l, from sigma_i and order matrix products."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     symbols = spectral_symbols(rep, ("z",))
     sigma = rep.site(i, symbols)
     zz = RatFunc.var(symbols, "z")
-    acc = FieldMatrix.zeros(rep.dim, rep.dim, RatFunc.zero(symbols))
-    power = sigma
+    acc = power = sigma
     zpow = RatFunc.one(symbols)
-    for _ in range(order + 1):
-        acc = acc + power.scale(zpow)
+    for _ in range(order):
         power = power * sigma
         zpow = zpow * zz
+        acc = acc + power.scale(zpow)
     return acc
 
 

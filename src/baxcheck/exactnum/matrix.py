@@ -1,5 +1,6 @@
 """Dense matrices over an exact ring or field: ints, polynomials or rational functions.
 
+`*` multiplies matrices only (a scalar goes through `scale`); a * M + c * 1 is `shifted`.
 Inverses are fraction-free and returned cleared: `cleared` scales the whole
 matrix by one common denominator (rational-function entries become
 polynomials; an int matrix is already cleared), the adjugate and the
@@ -7,9 +8,9 @@ determinant come from the Faddeev–LeVerrier recurrence over that ring (matrix
 products, and one exact division of a trace by k per step), and the inverse is
 the ring pair (X, D) with no final division pass.  This bounds intermediate
 expression swell over rational-function fields and keeps gcds out of the
-numeric int inverse.  Identities are summed the same way: a
-ClearedMatrix is a polynomial matrix over a list of denominator factors, and
-sums of them match factors instead of taking gcds.  It is the one symbolic
+numeric int inverse.  Identities are summed the same way: a ClearedMatrix is
+a polynomial matrix over a list of denominator factors, and sums of them
+match factors instead of taking gcds.  It is the one symbolic
 cleared form (an R-matrix, an H-operator, both sides of an identity): map
 renames or lifts it, and value() is its one canonicalisation.
 """
@@ -108,37 +109,44 @@ class FieldMatrix:
         return FieldMatrix(self.rows, self.cols, [-a for a in self.entries])
 
     def __mul__(self, other):
-        """Matrix product, or scale for a non-matrix factor.
+        """Matrix product; a scalar factor goes through scale, so any other operand is NotImplemented.
 
         Sparse on both sides: each nonzero left entry a_it meets only the
         nonzero entries b_tj of right row t, summed into a per-row dict.  An
         entry no product reaches is one shared zero of the kind of a * b,
         built once per product, when first needed.
         """
-        if isinstance(other, FieldMatrix):
-            if self.cols != other.rows:
-                raise ValueError(f"incompatible shapes {self.rows}x{self.cols} and {other.rows}x{other.cols}")
-            n, m, k = self.rows, other.cols, self.cols
-            right = [[(j, b) for j, b in enumerate(other.entries[t * m : (t + 1) * m]) if b] for t in range(k)]
-            zero = None
-            out = []
-            for i in range(n):
-                acc = {}
-                for a, brow in zip(self.entries[i * k : (i + 1) * k], right):
-                    if a:
-                        for j, b in brow:
-                            if j in acc:
-                                acc[j] += a * b
-                            else:
-                                acc[j] = a * b
-                if zero is None and len(acc) < m:
-                    zero = (self.entries[0] * 0) * (other.entries[0] * 0)
-                out.extend(acc.get(j, zero) for j in range(m))
-            return FieldMatrix(n, m, out)
-        return self.scale(other)
+        if not isinstance(other, FieldMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError(f"incompatible shapes {self.rows}x{self.cols} and {other.rows}x{other.cols}")
+        n, m, k = self.rows, other.cols, self.cols
+        right = [[(j, b) for j, b in enumerate(other.entries[t * m : (t + 1) * m]) if b] for t in range(k)]
+        zero = None
+        out = []
+        for i in range(n):
+            acc = {}
+            for a, brow in zip(self.entries[i * k : (i + 1) * k], right):
+                if a:
+                    for j, b in brow:
+                        if j in acc:
+                            acc[j] += a * b
+                        else:
+                            acc[j] = a * b
+            if zero is None and len(acc) < m:
+                zero = (self.entries[0] * 0) * (other.entries[0] * 0)
+            out.extend(acc.get(j, zero) for j in range(m))
+        return FieldMatrix(n, m, out)
 
     def scale(self, scalar) -> "FieldMatrix":
         return FieldMatrix(self.rows, self.cols, [e * scalar for e in self.entries])
+
+    def shifted(self, a, c) -> "FieldMatrix":
+        """a * self + c * identity for a square matrix, one product per entry; ValueError when not square."""
+        if self.rows != self.cols:
+            raise ValueError("shift of a non-square matrix")
+        step = self.cols + 1
+        return FieldMatrix(self.rows, self.cols, [a * e + c if k % step == 0 else a * e for k, e in enumerate(self.entries)])
 
     def map_entries(self, fn: Callable) -> "FieldMatrix":
         return FieldMatrix(self.rows, self.cols, [fn(e) for e in self.entries])

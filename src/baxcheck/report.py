@@ -11,9 +11,10 @@ class VerifyReport:
 
     residuals holds one (label, size) pair per checked identity: size 0 means
     the residual was exactly zero, otherwise it is the largest nonzero term
-    count seen in the residual.  notes carries flags such as vacuous passes
-    and pole resamples.  mode records how the check ran (symbolic, or
-    randomized with seed/trials).
+    count seen in a symbolic residual, or the number of nonzero entries of an
+    int residual (ybe_random, transfer_commute).  notes carries flags such as
+    vacuous passes and pole resamples.  mode records how the check ran
+    (symbolic, or randomized with seed/trials).
     """
 
     name: str

@@ -177,7 +177,7 @@ class ScalarRepClass:
     """One family of scalar (1x1) representations."""
 
     kind: str  # "uniform" or "zero-pattern"
-    values: tuple[Fraction, ...] | None  # None when the roots are irrational
+    values: tuple[Fraction, ...] | None  # None when the roots are irrational or non-real
     description: str
 
     def to_record(self) -> dict:
@@ -224,10 +224,11 @@ def classify_scalar(algebra: str, params: Mapping | None = None) -> list[ScalarR
         raise ValueError("scalar classification needs rational a, b, c")
     a, b, c = (vals[name].constant_value() for name in ("a", "b", "c"))
     if a:
-        root = _sqrt_fraction(b * b + 4 * a * c)
+        disc = b * b + 4 * a * c
+        root = _sqrt_fraction(disc)
         if root is None:
-            irrational = "values 0 and the two (irrational) roots of the quadratic"
-            return [uniform, ScalarRepClass("zero-pattern", None, irrational)]
+            text = f"values 0 and the two ({'non-real' if disc < 0 else 'irrational'}) roots of the quadratic"
+            return [uniform, ScalarRepClass("zero-pattern", None, text)]
         roots = {(-b - root) / (2 * a), (-b + root) / (2 * a)}
     elif b:
         roots = {c / b}
@@ -253,11 +254,9 @@ def verify_scalar(assignment: Sequence[Fraction], algebra: str, params: Mapping 
 # -- correspondence checks -------------------------------------------------------
 
 
-def _shift_rep(rep: Rep, shift: RatFunc, scale: RatFunc | None = None) -> Rep:
-    """Map every generator matrix M to scale * (M + shift * I)."""
-    step = FieldMatrix.identity(rep.dim, RatFunc.one(rep.params)).scale(shift)
-    mats = {i: m + step if scale is None else (m + step).scale(scale) for i, m in rep.matrices.items()}
-    return Rep(rep.n, rep.dim, rep.params, mats)
+def _shift_rep(rep: Rep, a: RatFunc, c: RatFunc) -> Rep:
+    """Map every generator matrix M to a * M + c * I."""
+    return Rep(rep.n, rep.dim, rep.params, {i: m.shifted(a, c) for i, m in rep.matrices.items()})
 
 
 def _coset_families(b: RatFunc):
@@ -312,9 +311,9 @@ def correspondence_check(kind: str, rep: Rep, q=None, b=None) -> VerifyReport:
         if not b_rf:
             raise ValueError(f"{kind} requires b != 0")
         if kind == "braid_coset_to_A":
-            source, families, shifted = "Braid", _coset_families(b_rf), _shift_rep(lifted, -b_rf)
+            source, families, shifted = "Braid", _coset_families(b_rf), _shift_rep(lifted, RatFunc.one(symbols), -b_rf)
         else:  # B_to_A_shift: sigma -> b*(sigma - 1), the inverse of sigma -> sigma/b + 1
-            source, families, shifted = "B", _REMARK, _shift_rep(lifted, -RatFunc.one(symbols), b_rf)
+            source, families, shifted = "B", _REMARK, _shift_rep(lifted, b_rf, -b_rf)
         prechecks = [
             (f"precheck {'braid' if source == 'Braid' else source}:", relations_for(source, rep.n)),
             ("precheck ", RelationSet(kind, rep.n, symbols, site_relations(rep.n, symbols, families))),

@@ -165,12 +165,6 @@ def _site_at(S: FieldMatrix, s: MultiPoly, point: dict[str, Fraction]) -> tuple[
     return FieldMatrix(S.rows, S.cols, vals), s_val
 
 
-def _shifted(M: FieldMatrix, a: int, c: int) -> FieldMatrix:
-    """a * M + c * identity for a square int matrix M."""
-    step = M.cols + 1
-    return FieldMatrix(M.rows, M.cols, [a * e + c if k % step == 0 else a * e for k, e in enumerate(M.entries)])
-
-
 def _numeric_rhat(S: FieldMatrix, s: int, f_uw: Fraction, f_wu: Fraction) -> tuple[FieldMatrix, int]:
     """Rhat = (1 - f_uw sigma)(1 - f_wu sigma)^-1 for sigma = S / s (ints, s != 0), from one inverse.
 
@@ -178,14 +172,14 @@ def _numeric_rhat(S: FieldMatrix, s: int, f_uw: Fraction, f_wu: Fraction) -> tup
     """
     p_a, q_a = f_uw.as_integer_ratio()
     if not f_wu:  # 1 - f_uw sigma = (q_a s - p_a S) / (q_a s)
-        M, D = _shifted(S, -p_a, q_a * s), q_a * s
+        M, D = S.shifted(-p_a, q_a * s), q_a * s
     else:
         # N' = q_b s - p_b S = q_b s (1 - f_wu sigma) = q_b s N, N'^-1 = X / det.  r = f_uw/f_wu = p/q gives
         # 1 - f_uw sigma = r N + 1 - r, so Rhat = r + (1 - r) N^-1 = ((q - p) q_b s X + p det) / (q det)
         p_b, q_b = f_wu.as_integer_ratio()
-        X, det = _shifted(S, -p_b, q_b * s).inv()
+        X, det = S.shifted(-p_b, q_b * s).inv()
         p, q = p_a * q_b, q_a * p_b
-        M, D = _shifted(X, (q - p) * q_b * s, p * det), q * det
+        M, D = X.shifted((q - p) * q_b * s, p * det), q * det
     g = math.gcd(D, *M.entries) * (1 if D > 0 else -1)  # reduced, with D > 0
     return M.map_entries(lambda e: e // g), D // g
 

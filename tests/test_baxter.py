@@ -347,22 +347,49 @@ def test_H_closed_solves_its_defining_identity(name, params, site):
     assert N * H == sigma == H * N
 
 
+def _power_sums(rep: Rep, site: int, max_order: int) -> list[FieldMatrix]:
+    """[sum_{l <= order} sigma^(l+1) z^l for order = 0 .. max_order], sigma = rep.site(site) over (z, params).
+
+    The oracle for H_series: sigma^(l+1) is l + 1 factors of sigma, and z^l is the monomial with exponent l.
+    """
+    symbols = spectral_symbols(rep, ("z",))
+    sigma = rep.site(site, symbols)
+    sums = []
+    for l in range(max_order + 1):
+        power = sigma
+        for _ in range(l):
+            power = power * sigma
+        z_l = RatFunc(MultiPoly(symbols, {tuple(l if v == "z" else 0 for v in symbols): 1}))
+        term = power.map_entries(lambda e: e * z_l)
+        sums.append(sums[-1] + term if sums else term)
+    return sums
+
+
+@pytest.mark.parametrize("name, params", H_CASES)
+def test_H_series_is_the_power_sum(name, params):
+    rep = builtin_rep(name, **params)
+    for site in (1, 2):
+        for order, expected in enumerate(_power_sums(rep, site, 8)):
+            assert H_series(rep, site, order) == expected, (site, order)
+
+
 def test_series_agreement_orders():
     assert series_agreement_order(builtin_rep("A3_2dim"), 1, 8) is None  # exact
     assert series_agreement_order(builtin_rep("B3_2dim"), 1, 8) == 9
     assert series_agreement_order(builtin_rep("B3_2dim"), 1, 3) == 4
 
-    def canonical_order(rep, site, order):
+    def canonical_order(H, series):
         """The oracle: the canonical RatFunc difference, entrywise val(num) - val(den)."""
-        diff = H_closed(rep, site).value() - H_series(rep, site, order)
+        diff = H - series
         vals = [e.num.valuation_in("z") - e.den.valuation_in("z") for e in diff.entries if not e.is_zero]
         return min(vals) if vals else None
 
     for name, params in H_CASES:
         rep = builtin_rep(name, **params)
         for site in (1, 2):
-            for order in range(9):
-                assert series_agreement_order(rep, site, order) == canonical_order(rep, site, order), (name, site, order)
+            H = H_closed(rep, site).value()
+            for order, series in enumerate(_power_sums(rep, site, 8)):
+                assert series_agreement_order(rep, site, order) == canonical_order(H, series), (name, site, order)
 
 
 def test_h_fun():

@@ -206,13 +206,16 @@ def test_run_job_api_errors(monkeypatch):
         run_job({"command": "verify-lemmas", "suite": "A", "rep": {"builtin": "A3_2dim"}})
     with pytest.raises(JobError):
         run_job([1, 2, 3])
-    with pytest.raises(JobError):
-        # deep usage error surfaces as a schema/usage failure, not internal
-        run_job({
-            "command": "verify-ybe",
-            "rep": {"builtin": "scalar", "values": ["1"]},
-            "fn": {"case": "ii"},
-        })
+    # deep usage error surfaces as a schema/usage failure, not internal: every check on sites 1 and 2
+    one_site = {"builtin": "scalar", "values": ["1"]}
+    for job in (
+        {"command": "verify-ybe", "rep": one_site, "fn": {"case": "ii"}},
+        {"command": "verify-ybe", "rep": one_site, "fn": {"case": "ii"}, "mode": "random", "trials": 2},
+        {"command": "verify-lemmas", "suite": "A", "rep": one_site, "alpha1": "2", "alpha2": "1", "b": "0", "c": "1"},
+        {"command": "verify-lemmas", "suite": "B", "rep": one_site},
+    ):
+        with pytest.raises(JobError, match="sites 1 and 2"):
+            run_job(job)
     # list fields must be lists, never strings or ints iterated or unpacked
     for assignment in ("10", 10):
         with pytest.raises(JobError):

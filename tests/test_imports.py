@@ -2,6 +2,7 @@
 private helper is used somewhere in the package, and every public method is
 used somewhere in the package or in the README's Python examples.  The
 canonical form ClearedMatrix.value() is read only where a report prints it.
+The README's quick tour runs and returns what its comments state.
 
 Package __init__ files are skipped as modules under test: their imports are
 the public re-exports.  They still count as places that use a helper.
@@ -91,10 +92,30 @@ def test_private_helpers_are_used(path):
     assert not dead, f"private helpers in {path.name} that nothing in the package uses: {dead}"
 
 
+def _readme_blocks() -> list[str]:
+    """The README's ```python blocks (the library quick tour)."""
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+
+
 def _readme_references() -> set[str]:
-    """Names read in the README's ```python blocks (the library quick tour)."""
-    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
-    return set().union(*(_references(ast.parse(block)) for block in blocks))
+    """Names read in the README's ```python blocks."""
+    return set().union(*(_references(ast.parse(block)) for block in _readme_blocks()))
+
+
+def test_readme_quick_tour_runs_as_its_comments_say():
+    """Each statement of the tour runs in turn; an expression statement's value is kept under its source text."""
+    (block,) = _readme_blocks()
+    namespace, values = {}, {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[ast.get_source_segment(block, stmt.value)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+    statuses = [value for source, value in values.items() if source.endswith(".status")]
+    assert statuses == ["pass", "pass"]
+    assert values["check_regularity(R)"] is True
+    assert values["check_unitarity(R)"] is True
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))

@@ -17,6 +17,7 @@ from baxcheck.exactnum import (
     split_factors,
 )
 from baxcheck.cli import MAX_SCALAR_BITS
+from baxcheck.reps import BUILTIN_NAMES, builtin_rep
 from helpers import cleared_value, kron, rename_ratfunc
 
 V = canonical_vars(["x", "y"])
@@ -120,9 +121,49 @@ def test_shape_errors():
     with pytest.raises(ValueError):
         FieldMatrix.from_rows([[1, 2]]) * FieldMatrix.from_rows([[1, 2]])
     with pytest.raises(ValueError):
+        FieldMatrix.from_rows([[1, 2]]).shifted(1, 1)
+    with pytest.raises(TypeError):  # a scalar factor goes through scale only
+        FieldMatrix.from_rows([[1, 2], [3, 4]]) * 3
+    with pytest.raises(ValueError):
         FieldMatrix.from_rows([[1, 2]]).inv()
     with pytest.raises(ValueError):
         FieldMatrix(2, 2, [1] * 3)
+
+
+def _shift_reference(M: FieldMatrix, a, c, one) -> FieldMatrix:
+    """a * M + c * 1 built from the identity, two scales and a sum."""
+    return FieldMatrix.identity(M.rows, one).scale(c) + M.scale(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(lambda n: st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n).map(
+        lambda entries: FieldMatrix(n, n, entries))),
+    st.integers(-9, 9),
+    st.integers(-9, 9),
+)
+def test_shifted_int_matrices_match_the_identity_construction(M, a, c):
+    shifted = M.shifted(a, c)
+    assert shifted == _shift_reference(M, a, c, 1)
+    assert all(type(e) is int for e in shifted.entries)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_shifted_builtin_sites_match_the_identity_construction(name):
+    """RatFunc sites shifted as H_closed and the correspondences do, their cleared MultiPoly
+    forms as rhat_cleared does; scalars are a constant, a variable, a polynomial and a quotient."""
+    rep = builtin_rep(name)
+    symbols = canonical_vars(set(rep.params) | {"x", "z"})
+    x, z = RatFunc.var(symbols, "x"), RatFunc.var(symbols, "z")
+    for site in (1, 2):
+        sigma = rep.site(site, symbols)
+        for a, c in ((-z, 1), (x / (z + 1), -x * z + 1), (RatFunc.one(symbols), -x)):
+            assert sigma.shifted(a, c) == _shift_reference(sigma, a, c, RatFunc.one(symbols))
+        S, s0 = sigma.cleared()
+        for a, c in ((-z.num, s0), ((x * x + 3).num, (x * z - 2).num * s0), (2, x.num)):
+            shifted = S.shifted(a, c)
+            assert shifted == _shift_reference(S, a, c, MultiPoly.const(symbols, 1))
+            assert all(type(e) is MultiPoly for e in shifted.entries)
 
 
 @st.composite

@@ -152,8 +152,11 @@ def test_classify_scalar_families():
     assert classify_scalar("C")[1].values == (Fraction(0), Fraction(1))
     # a = 0, b != 0: the nonzero value is c/b
     assert classify_scalar("A", {"a": 0, "b": 1, "c": 2})[1].values == (Fraction(0), Fraction(2))
-    # irrational roots are reported symbolically
-    assert classify_scalar("A", {"a": 1, "b": 1, "c": 1})[1].values is None
+    # irrational roots are reported symbolically, and so are non-real ones (l^2 + 1 at (1, 0, -1))
+    for params, kind in (({"a": 1, "b": 1, "c": 1}, "irrational"), ({"a": 1, "b": 0, "c": -1}, "non-real")):
+        zero_pattern = classify_scalar("A", params)[1]
+        assert zero_pattern.values is None
+        assert zero_pattern.description == f"values 0 and the two ({kind}) roots of the quadratic"
     # a = b = 0: only the zero value remains
     assert classify_scalar("A", {"a": 0, "b": 0, "c": 5})[1].values == (Fraction(0),)
     with pytest.raises(ValueError):

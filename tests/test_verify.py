@@ -150,6 +150,18 @@ def test_ybe_requires_three_strands():
         ybe_symbolic(lam, spectral_fn("ii"))
 
 
+@pytest.mark.parametrize("check", [
+    lambda rep: ybe_random(rep, spectral_fn("ii"), trials=2, seed=1),
+    lambda rep: lemma_suite_A(rep, 2, 0, 1),
+    lambda rep: lemma_suite_B(rep),
+    lambda rep: transfer_commute(rep, 1, spectral_fn("hecke"), [2], count=1, seed=1),
+], ids=["ybe_random", "lemma_suite_A", "lemma_suite_B", "transfer_commute"])
+def test_two_site_checks_require_three_strands(check):
+    """Every other check built on sigma_1 and sigma_2 rejects a rep with one site too."""
+    with pytest.raises(ValueError, match="sites 1 and 2"):
+        check(builtin_rep("scalar", values=[1]))
+
+
 def test_ybe_random_agrees_with_symbolic():
     rep = builtin_rep("A3_2dim", c=1)
     good = ybe_random(rep, spectral_fn("i", 2, 1, 0, 1), trials=6, seed=3)
