@@ -153,10 +153,10 @@ def _one_of(options: tuple):
     return parse
 
 
-def _list(item, nonempty: bool = False, cap: int | None = None):
+def _list(item, cap: int | None = None):
     def parse(value, where: str) -> list:
-        if not isinstance(value, list) or (nonempty and not value):
-            raise JobError(f"{where}: expected a {'nonempty ' if nonempty else ''}list")
+        if not isinstance(value, list) or not value:
+            raise JobError(f"{where}: expected a nonempty list")
         if cap is not None and len(value) > cap:
             raise JobError(f"{where}: at most {cap} items, got {len(value)}")
         return [item(v, where) for v in value]
@@ -182,7 +182,7 @@ def _rep(value, where: str) -> dict:
     record = _object(value, where)
     rep = _fields(record, {"builtin": (_one_of(BUILTIN_NAMES), REQUIRED), "flip": (_bool, False)})
     if rep["builtin"] == "scalar":
-        values = _list(_symbolic, nonempty=True, cap=MAX_GENERATORS - 1)  # n = len(values) + 1
+        values = _list(_symbolic, cap=MAX_GENERATORS - 1)  # n = len(values) + 1
         rep["kwargs"] = _fields(record, {"values": (values, (None, None))})
     else:
         rep["kwargs"] = _fields(record, {"parameters": (_parameters, {})})["parameters"]
@@ -305,7 +305,7 @@ COMMANDS = {
     "scalar-reps": (
         _scalar_reps,
         {**_EXPECT, "algebra": _ALGEBRA, "parameters": _PARAMETERS,
-         "assignment": (_list(_scalar, nonempty=True, cap=MAX_GENERATORS - 1), None)},
+         "assignment": (_list(_scalar, cap=MAX_GENERATORS - 1), None)},
     ),
     "baxterise": (
         _baxterise,
@@ -324,7 +324,7 @@ COMMANDS = {
     "transfer-commute": (
         _transfer_commute,
         {**_EXPECT, "pairs": (_int(MAX_PAIRS, floor=1), 5), "rep": _REP, "fn": _FN, "site": _SITE,
-         "lengths": (_list(_int(), nonempty=True), (3,)), "seed": _SEED,
+         "lengths": (_list(_int()), (3,)), "seed": _SEED,
          "corrupt": (_bool, False)},
     ),
     "correspondences": (
@@ -332,7 +332,7 @@ COMMANDS = {
         {**_EXPECT, "kind": (_one_of(CORRESPONDENCE_KINDS), REQUIRED), "rep": _REP, "q": (_symbolic, None),
          "b": (_symbolic, None)},
     ),
-    "batch": (_batch, {"jobs": (_list(_object, nonempty=True, cap=MAX_BATCH_JOBS), REQUIRED)}),
+    "batch": (_batch, {"jobs": (_list(_object, cap=MAX_BATCH_JOBS), REQUIRED)}),
 }
 
 

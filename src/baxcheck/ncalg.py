@@ -7,6 +7,10 @@ or normal forms happen here: the defining relations of the braid-like
 algebras are stored as explicit LHS - RHS elements, and the quotient
 structure is only ever probed through representations or through exact
 free-algebra certificates.
+
+`*` is the product of two elements, and `c * p` is the one scalar multiple:
+c is a RatFunc over p's symbols, an int or a Fraction, written on the left
+as the paper writes a(...).  `p * c` raises TypeError.
 """
 
 from __future__ import annotations
@@ -19,8 +23,24 @@ from .exactnum import RatFunc, canonical_vars
 
 Word = tuple[int, ...]
 
+
+def _merge(out: dict[Word, RatFunc], pairs: Iterable[tuple[Word, RatFunc]]) -> dict[Word, RatFunc]:
+    """Add each (word, coefficient) pair into out, dropping every zero sum; the one merge of + and *."""
+    for word, coeff in pairs:
+        acc = out.get(word)
+        acc = coeff if acc is None else acc + coeff
+        if acc:
+            out[word] = acc
+        else:
+            out.pop(word, None)
+    return out
+
+
 class NCPoly:
-    """Noncommutative polynomial in generators sigma_1 .. sigma_(n-1)."""
+    """Noncommutative polynomial in generators sigma_1 .. sigma_(n-1).
+
+    `p * q` is the product and `c * p` the one scalar multiple.
+    """
 
     __slots__ = ("n", "symbols", "terms")
 
@@ -84,66 +104,40 @@ class NCPoly:
         if self.symbols != other.symbols:
             raise ValueError("mismatched coefficient fields")
 
-    def _coerce_scalar(self, value) -> RatFunc:
-        if isinstance(value, RatFunc):
-            if value.vars != self.symbols:
-                raise ValueError("coefficient field mismatch")
-            return value
-        if isinstance(value, (int, Fraction)):
-            return RatFunc.const(self.symbols, value)
-        raise TypeError(f"cannot scale NCPoly by {type(value).__name__}")
+    def _like(self, terms: dict[Word, RatFunc]) -> "NCPoly":
+        """An element over self's strands and symbols whose terms are already checked and nonzero."""
+        res = NCPoly.__new__(NCPoly)
+        res.n, res.symbols, res.terms = self.n, self.symbols, terms
+        return res
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._check(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[word] = acc
-            else:
-                out.pop(word, None)
-        res = NCPoly(self.n, self.symbols)
-        res.terms = out
-        return res
+        return self._like(_merge(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "NCPoly":
-        res = NCPoly(self.n, self.symbols)
-        res.terms = {w: -c for w, c in self.terms.items()}
-        return res
+        return self._like({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "NCPoly":
+        """The product of two elements; a scalar multiple is written c * p."""
         if not isinstance(other, NCPoly):
-            return self.scale(other)
+            return NotImplemented
         self._check(other)
-        out: dict[Word, RatFunc] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                word = wa + wb
-                prod = ca * cb
-                acc = out.get(word)
-                acc = prod if acc is None else acc + prod
-                if acc:
-                    out[word] = acc
-                else:
-                    out.pop(word, None)
-        res = NCPoly(self.n, self.symbols)
-        res.terms = out
-        return res
+        pairs = [(wa + wb, ca * cb) for wa, ca in self.terms.items() for wb, cb in other.terms.items()]
+        return self._like(_merge({}, pairs))
 
-    def __rmul__(self, other) -> "NCPoly":
-        return self.scale(other)
-
-    def scale(self, value) -> "NCPoly":
-        coeff = self._coerce_scalar(value)
-        if not coeff:
-            return NCPoly(self.n, self.symbols)
-        res = NCPoly(self.n, self.symbols)
-        res.terms = {w: c * coeff for w, c in self.terms.items()}
-        return res
+    def __rmul__(self, c) -> "NCPoly":
+        """The scalar multiple c * p, for c a RatFunc over p's symbols, an int or a Fraction."""
+        if isinstance(c, RatFunc):
+            if c.vars != self.symbols:
+                raise ValueError("coefficient field mismatch")
+        elif isinstance(c, (int, Fraction)):
+            c = RatFunc.const(self.symbols, c)
+        else:
+            return NotImplemented
+        return self._like({w: x * c for w, x in self.terms.items()} if c else {})
 
     def __pow__(self, k: int) -> "NCPoly":
         if not isinstance(k, int) or k < 0:
@@ -178,9 +172,7 @@ def nc_commutator(p: NCPoly, q: NCPoly) -> NCPoly:
 
 def flip(p: NCPoly) -> NCPoly:
     """Replace every index j by n - j letterwise; coefficients unchanged."""
-    res = NCPoly(p.n, p.symbols)
-    res.terms = {tuple(p.n - j for j in w): c for w, c in p.terms.items()}
-    return res
+    return p._like({tuple(p.n - j for j in w): c for w, c in p.terms.items()})
 
 
 @dataclass
@@ -326,8 +318,8 @@ def prop1_certificate(omit_term: str | None = None) -> tuple[NCPoly, bool]:
     terms = {
         "r3": (a - 2) * r3,
         "commutator": a * nc_commutator(s1 - s2, r2),
-        "left_r1": ((2 * s1 + s2) * r1).scale(a),
-        "right_r1": (r1 * (s1 + 2 * s2)).scale(a),
+        "left_r1": a * ((2 * s1 + s2) * r1),
+        "right_r1": a * (r1 * (s1 + 2 * s2)),
         "b_r1": (a * b) * r1,
     }
     combination = NCPoly.zero(3, symbols)

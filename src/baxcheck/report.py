@@ -9,12 +9,14 @@ from dataclasses import dataclass, field
 class VerifyReport:
     """Outcome of one verification run.
 
-    residuals holds one (label, size) pair per checked identity: size 0 means
-    the residual was exactly zero, otherwise it is the largest nonzero term
-    count seen in a symbolic residual, or the number of nonzero entries of an
-    int residual (ybe_random, transfer_commute).  notes carries flags such as
-    vacuous passes and pole resamples.  mode records how the check ran
-    (symbolic, or randomized with seed/trials).
+    residuals holds one (label, size) pair per checked identity.  Size 0 means
+    the residual was exactly zero; a nonzero size measures it, by the check's
+    own unit: the largest term count seen in a symbolic residual, the word
+    count of the prop1 residual, the number of nonzero entries of an int
+    residual (ybe_random, transfer_commute), or 1 for a failed yes/no check
+    (baxterise, scalar-reps).  summary prints it as "nonzero (size N)".
+    notes carries flags such as vacuous passes and pole resamples.  mode
+    records how the check ran (symbolic, or randomized with seed/trials).
     """
 
     name: str
@@ -50,7 +52,7 @@ class VerifyReport:
     def summary(self) -> str:
         parts = [f"{self.name}: {self.status}"]
         for label, size in self.residuals:
-            parts.append(f"  {label}: {'zero' if size == 0 else f'{size} terms'}")
+            parts.append(f"  {label}: {'zero' if size == 0 else f'nonzero (size {size})'}")
         for note in self.notes:
             parts.append(f"  note: {note}")
         return "\n".join(parts)

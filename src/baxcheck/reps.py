@@ -56,11 +56,6 @@ class Rep:
         m = self.matrices[i]
         return m if symbols is None else m.map_entries(lambda e: e.lift(symbols))
 
-    def lift(self, symbols: tuple[str, ...]) -> "Rep":
-        if symbols == self.params:
-            return self
-        return Rep(self.n, self.dim, symbols, {i: self.site(i, symbols) for i in self.matrices})
-
 
 def _b3_rows(one, zero, nu, mu):
     return [[[nu * mu, zero], [nu, one]], [[one, -mu], [zero, nu * mu]]]
@@ -158,11 +153,14 @@ def evaluate_element(element: NCPoly, sites: Mapping[int, ClearedMatrix], dim: i
 
 
 def check_relations(rep: Rep, rels: RelationSet) -> VerifyReport:
-    """Substitute the rep into every relation element, each site cleared once; pass iff all are zero."""
+    """Substitute the rep into every relation element; pass iff all are zero.
+
+    Each site is lifted to the joint symbols of the rep and the relations and cleared once.
+    """
     if rep.n != rels.n:
         raise ValueError(f"rep has n={rep.n} but relations have n={rels.n}")
     symbols = canonical_vars(set(rep.params) | set(rels.symbols))
-    sites = {i: ClearedMatrix(*m.cleared()) for i, m in rep.lift(symbols).matrices.items()}
+    sites = {i: ClearedMatrix(*rep.site(i, symbols).cleared()) for i in rep.matrices}
     report = VerifyReport(f"{rels.algebra}({rels.n}) relations")
     for label, element in rels.elements:
         report.add_residual(label, evaluate_element(element, sites, rep.dim, symbols).residual_size())
@@ -255,8 +253,8 @@ def verify_scalar(assignment: Sequence[Fraction], algebra: str, params: Mapping 
 
 
 def _shift_rep(rep: Rep, a: RatFunc, c: RatFunc) -> Rep:
-    """Map every generator matrix M to a * M + c * I."""
-    return Rep(rep.n, rep.dim, rep.params, {i: m.shifted(a, c) for i, m in rep.matrices.items()})
+    """Lift every generator matrix M to the symbols of a and c (one field), then map it to a * M + c * I."""
+    return Rep(rep.n, rep.dim, a.vars, {i: rep.site(i, a.vars).shifted(a, c) for i in rep.matrices})
 
 
 def _coset_families(b: RatFunc):
@@ -298,12 +296,11 @@ def correspondence_check(kind: str, rep: Rep, q=None, b=None) -> VerifyReport:
     except ValueError as exc:
         raise ValueError(f"{kind}: {exc}") from exc
     symbols = canonical_vars(set(rep.params) | set(param_symbols))
-    lifted = rep.lift(symbols)
     report = VerifyReport(f"correspondence {kind}")
 
     if kind == "hecke_in_A":
         q_rf = vals["q"].lift(symbols)
-        shifted = lifted
+        shifted = rep
         prechecks = [("precheck Hecke:", relations_for("Hecke", rep.n, {"q": q_rf}))]
         target, target_params = "A(0,0,-q)", {"a": 0, "b": 0, "c": -q_rf}
     else:
@@ -311,9 +308,9 @@ def correspondence_check(kind: str, rep: Rep, q=None, b=None) -> VerifyReport:
         if not b_rf:
             raise ValueError(f"{kind} requires b != 0")
         if kind == "braid_coset_to_A":
-            source, families, shifted = "Braid", _coset_families(b_rf), _shift_rep(lifted, RatFunc.one(symbols), -b_rf)
+            source, families, shifted = "Braid", _coset_families(b_rf), _shift_rep(rep, RatFunc.one(symbols), -b_rf)
         else:  # B_to_A_shift: sigma -> b*(sigma - 1), the inverse of sigma -> sigma/b + 1
-            source, families, shifted = "B", _REMARK, _shift_rep(lifted, b_rf, -b_rf)
+            source, families, shifted = "B", _REMARK, _shift_rep(rep, b_rf, -b_rf)
         prechecks = [
             (f"precheck {'braid' if source == 'Braid' else source}:", relations_for(source, rep.n)),
             ("precheck ", RelationSet(kind, rep.n, symbols, site_relations(rep.n, symbols, families))),
@@ -321,7 +318,7 @@ def correspondence_check(kind: str, rep: Rep, q=None, b=None) -> VerifyReport:
         target, target_params = "A(0,b,-b^2)", {"a": 0, "b": b_rf, "c": -(b_rf * b_rf)}
 
     for prefix, rels in prechecks:
-        for label, size in check_relations(lifted, rels).residuals:
+        for label, size in check_relations(rep, rels).residuals:
             report.add_residual(prefix + label, size)
             if size:
                 report.error(f"precondition failed: {label}")

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,17 +26,21 @@ from baxcheck.cli import (
 )
 from baxcheck.verify import MAX_CHAIN_LENGTH
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+REPO = Path(__file__).resolve().parent.parent
+FIXTURES = REPO / "fixtures"
+# the child interpreter imports baxcheck from the repo's src, as the in-process tests do
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def run_cli(*args):
+    """`python -m baxcheck.cli` with args in a subprocess, output captured as text."""
+    return subprocess.run([sys.executable, "-m", "baxcheck.cli", *args], capture_output=True, text=True, env=CLI_ENV)
 
 
 def invoke(tmp_path, job, extra=()):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
-    proc = subprocess.run(
-        [sys.executable, "-m", "baxcheck.cli", "--job", str(path), *extra],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("--job", str(path), *extra)
     return proc.returncode, proc.stdout
 
 
@@ -97,11 +102,7 @@ def test_unknown_command_rejected(tmp_path):
 
 
 def test_missing_job_file():
-    proc = subprocess.run(
-        [sys.executable, "-m", "baxcheck.cli", "--job", "/nonexistent.json"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("--job", "/nonexistent.json")
     assert proc.returncode == EXIT_USAGE
 
 
@@ -109,11 +110,7 @@ def test_report_written_to_file(tmp_path):
     job_path = tmp_path / "job.json"
     out_path = tmp_path / "report.json"
     job_path.write_text(json.dumps({"command": "prop1"}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "baxcheck.cli", "--job", str(job_path), "--out", str(out_path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("--job", str(job_path), "--out", str(out_path))
     assert proc.returncode == EXIT_PASS
     assert json.loads(out_path.read_text())["exit_code"] == 0
 
@@ -387,9 +384,9 @@ def _bounded_fields():
     """(command, field, out-of-range values) for every top-level _int, _list and _parameters parser in COMMANDS,
     and for the parameters object of every rep field, named "rep.parameters" (its values are whole rep records).
 
-    The values come from the parser's own floor, cap and nonempty flag, or
-    MAX_PARAMETERS; they are None for a field with no cap or, for an integer,
-    no floor.
+    The values come from the parser's own floor and cap (plus the empty list,
+    which every list field rejects), or MAX_PARAMETERS; they are None for a
+    field with no cap or, for an integer, no floor.
     """
     over = {f"p{k}": "1" for k in range(MAX_PARAMETERS + 1)}
     for command, (_, spec) in cli.COMMANDS.items():
@@ -411,7 +408,7 @@ def _bounded_fields():
             elif "floor" in bounds:
                 yield command, field, None if bounds["floor"] is None else [bounds["cap"] + 1, bounds["floor"] - 1]
             else:
-                yield command, field, [[None] * (bounds["cap"] + 1)] + ([[]] if bounds["nonempty"] else [])
+                yield command, field, [[None] * (bounds["cap"] + 1), []]
 
 
 BOUNDED_FIELDS = list(_bounded_fields())
@@ -503,11 +500,7 @@ def _write_bytes(tmp_path, data: bytes):
     ids=["invalid-utf8", "nested-1000", "5000-digit-int", "nested-batch"],
 )
 def test_unusable_job_file_is_usage_error(tmp_path, data):
-    proc = subprocess.run(
-        [sys.executable, "-m", "baxcheck.cli", "--job", str(_write_bytes(tmp_path, data))],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("--job", str(_write_bytes(tmp_path, data)))
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert json.loads(proc.stdout)["error"]
     assert proc.stderr == ""

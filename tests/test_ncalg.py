@@ -14,6 +14,7 @@ from baxcheck.ncalg import (
 )
 
 S = ()  # rational coefficients
+SYM = ("a", "b")  # rational-function coefficients
 
 
 def gen(i, n=3, symbols=S):
@@ -127,6 +128,26 @@ def test_associativity_and_distributivity():
         p, q, r = (_random_ncpoly(rng) for _ in range(3))
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
+    # c * p is the one scalar multiple; it commutes with the product and distributes over sums
+    for _ in range(10):
+        p, q = (_random_ncpoly(rng, symbols=SYM) for _ in range(2))
+        c = _random_ratfunc(rng)
+        assert c * (p * q) == (c * p) * q == p * (c * q)
+        assert c * (p + q) == c * p + c * q
+        assert (0 * p).is_zero and (RatFunc.zero(SYM) * p).is_zero
+        assert 2 * p == p + p and Fraction(1, 2) * (2 * p) == p
+
+
+def test_a_scalar_multiple_is_written_on_the_left_over_the_same_field():
+    p = gen(1, symbols=SYM)
+    for scalar in (RatFunc.var(SYM, "a"), 2, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            p * scalar
+    with pytest.raises(TypeError):
+        1.5 * p
+    for other_field in (RatFunc.var(("a",), "a"), RatFunc.var(("a", "b", "c"), "c")):
+        with pytest.raises(ValueError, match="coefficient field mismatch"):
+            other_field * p
 
 
 def test_serialization_is_length_then_lex():
@@ -136,10 +157,16 @@ def test_serialization_is_length_then_lex():
     assert words == ["", "1", "21", "111"]
 
 
-def _random_ncpoly(rng, n=3):
-    p = NCPoly.zero(n, S)
+def _random_ratfunc(rng, symbols=SYM):
+    """(i*a*b + j) / (b + k) for small random ints, k > 0; zero when i = j = 0."""
+    a, b = (RatFunc.var(symbols, name) for name in symbols)
+    return (rng.randint(-3, 3) * a * b + rng.randint(-3, 3)) / (b + rng.randint(1, 3))
+
+
+def _random_ncpoly(rng, n=3, symbols=S):
+    p = NCPoly.zero(n, symbols)
     for _ in range(rng.randint(1, 3)):
         word = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 3)))
-        coeff = RatFunc.const(S, Fraction(rng.randint(-3, 3)))
-        p = p + NCPoly(n, S, {word: coeff})
+        coeff = _random_ratfunc(rng, symbols) if symbols else RatFunc.const(S, Fraction(rng.randint(-3, 3)))
+        p = p + NCPoly(n, symbols, {word: coeff})
     return p

@@ -33,7 +33,7 @@ def test_a3_generators_square_to_zero():
 
 
 def _cleared_sites(rep, symbols):
-    return {i: ClearedMatrix(*m.cleared()) for i, m in rep.lift(symbols).matrices.items()}
+    return {i: ClearedMatrix(*rep.site(i, symbols).cleared()) for i in rep.matrices}
 
 
 def test_evaluate_element_of_the_empty_word_and_of_one_generator():
@@ -55,7 +55,7 @@ def test_evaluate_element_with_denominators_in_sites_and_coefficients():
     assert [str(f) for f in sites[1].factors] == ["t + 1"]
     s1, s2 = (NCPoly.gen(3, i, symbols) for i in (1, 2))
     coeff = RatFunc.one(symbols) / (RatFunc.var(symbols, "t") - 2)
-    value = evaluate_element(s1 * s2 * s1 * coeff - s2 * s2 + s1, sites, rep.dim, symbols)
+    value = evaluate_element(coeff * (s1 * s2 * s1) - s2 * s2 + s1, sites, rep.dim, symbols)
     m1, m2 = rep.matrices[1], rep.matrices[2]
     assert cleared_value(value) == (m1 * m2 * m1).scale(coeff) - m2 * m2 + m1
 

@@ -170,6 +170,13 @@ def test_ybe_random_agrees_with_symbolic():
     assert bad.status == "fail"
 
 
+def test_summary_names_a_nonzero_residual_by_its_size_in_either_unit():
+    # the randomized size counts nonzero int entries, the symbolic one counts terms
+    rep, fn = builtin_rep("A3_2dim", c=1), spectral_fn("ii")
+    assert ybe_random(rep, fn, trials=2, seed=1).summary() == "ybe randomized: fail\n  ybe: nonzero (size 4)"
+    assert ybe_symbolic(rep, fn).summary() == "ybe symbolic: fail\n  ybe: nonzero (size 1124)"
+
+
 def _two_inverse_rhat(sigma, a, b):
     """Reference: (1 - a sigma)(1 - b sigma)^-1 as written, one product and one inverse.
 
