@@ -118,22 +118,36 @@ def _at(f: RatFunc, u: str, w: str) -> tuple[MultiPoly, MultiPoly]:
 def reduce_cleared(C: ClearedMatrix) -> tuple[ClearedMatrix, MultiPoly]:
     """(C/g, g) for the gcd g of C's nonzero denominator delta and every entry of its matrix P.
 
-    g is folded with poly_gcd over delta and the nonzero entries of P, then
-    scaled so that delta/g is monic.  P/g over delta/g is the same matrix as
-    P over delta, and no nonconstant polynomial divides delta/g and every
-    entry of P/g, so delta/g is the monic lcm of the canonical denominators
-    of the entries (no factor at all when that lcm is 1).  Both divisions are
-    exact: g * (P/g) == P and g * (delta/g) == delta.
+    The running content g starts at delta, and each nonzero entry e is first
+    trial-divided by it: gcd(g, e) = g exactly when g divides e, so the
+    quotient e/g is kept and no gcd is taken.  Only a failed division calls
+    poly_gcd(g, e), whose cofactors are reused: e over the new g is the
+    entry's quotient, and g_old/g_new multiplies every quotient kept so far,
+    delta/g included.  So a site takes one gcd, plus one each time the
+    content shrinks, and no second division pass.  Last, g is scaled so that
+    delta/g is monic.  P/g over delta/g is the same matrix as P over delta,
+    and no nonconstant polynomial divides delta/g and every entry of P/g, so
+    delta/g is the monic lcm of the canonical denominators of the entries (no
+    factor at all when that lcm is 1).  Both divisions are exact:
+    g * (P/g) == P and g * (delta/g) == delta.
     """
-    delta = C.denominator()
-    g = delta
+    g = C.denominator()
+    reduced = MultiPoly.const(g.vars, 1)  # delta / g
+    quots = []
     for e in C.M.entries:
-        if g.is_constant():
-            break
         if e:
-            g = poly_gcd(g, e)[0]
-    g = g.monic().scale(delta.lc())
-    return ClearedMatrix(C.M.map_entries(lambda e: e.divexact(g)), delta.divexact(g)), g
+            try:
+                e = e.divexact(g)
+            except ValueError:
+                g, shrink, e = poly_gcd(g, e)
+                reduced *= shrink
+                quots = [q * shrink for q in quots]
+        quots.append(e)
+    unit = reduced.lc()
+    if unit != 1:
+        quots = [q.scale(1 / unit) for q in quots]
+        reduced, g = reduced.scale(1 / unit), g.scale(unit)
+    return ClearedMatrix(FieldMatrix(C.M.rows, C.M.cols, quots), reduced), g
 
 
 def build_R(rep: Rep, i: int, f: RatFunc) -> ClearedMatrix:

@@ -99,19 +99,20 @@ def ybe_symbolic(rep: Rep, f: RatFunc) -> VerifyReport:
     The six factors are six distinct keys, so the unreduced fully
     cross-multiplied residual is the reduced one times the product of the six
     g's.  A nonzero residual is multiplied back by them, and by the shared
-    denominator factors, before its terms are counted.
+    denominator factors, before its terms are counted; only then are the
+    two sites' g's renamed to the (x, z) and (y, z) pairs.
     """
     if rep.n < 3:
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
     symbols = spectral_symbols(rep, _YBE_VARS)
-    factors, gs = {}, []  # (site, u, w) -> the reduced Rhat factor; the six g's
+    renames = ({"y": "z"}, {"x": "y", "y": "z"})  # (x, y) -> (x, z) and (x, y) -> (y, z)
+    factors, site_gs = {}, []  # (site, u, w) -> the reduced Rhat factor; each site's g at (x, y)
     for site in (1, 2):
         R, g = reduce_cleared(rhat_cleared(rep, site, f, "x", "y", symbols))
         factors[site, 0, 1] = R
-        gs.append(g)
-        for key, mapping in (((site, 0, 2), {"y": "z"}), ((site, 1, 2), {"x": "y", "y": "z"})):
+        site_gs.append(g)
+        for key, mapping in zip(((site, 0, 2), (site, 1, 2)), renames):
             factors[key] = R.map(lambda e: e.rename(mapping))
-            gs.append(g.rename(mapping))
 
     lhs, rhs = (factors[a] * factors[b] * factors[c] for a, b, c in (_YBE_LHS, _YBE_RHS))
     # The difference cancels the denominator factors both sides share; the full
@@ -120,6 +121,7 @@ def ybe_symbolic(rep: Rep, f: RatFunc) -> VerifyReport:
     worst = 0
     if not resid.is_zero:
         shared = split_factors(lhs.factors, rhs.factors)[2]
+        gs = site_gs + [g.rename(mapping) for g in site_gs for mapping in renames]
         common = math.prod(shared + gs)
         worst = max((e * common).num_terms() for e in resid.entries if e)
     report = VerifyReport("ybe symbolic", mode={"kind": "symbolic", "vars": list(_YBE_VARS)})

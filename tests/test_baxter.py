@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from baxcheck import baxter
 from baxcheck.baxter import (
     H_closed,
     H_series,
@@ -214,11 +216,34 @@ def test_build_R_stores_the_reduced_cleared_form(name, fn):
 
 def _common_factor(P, delta):
     """gcd of delta and every nonzero entry of P, folded with poly_gcd."""
-    common = delta
+    return _content_fold(P, delta)[0]
+
+
+def _content_fold(P, delta):
+    """(gcd of delta and every nonzero entry of P, how often that running gcd shrinks), folded in entry order.
+
+    The running gcd starts at delta and shrinks at an entry that it does not divide.
+    """
+    common, shrinks = delta, 0
     for e in P.entries:
         if e:
-            common = poly_gcd(common, e)[0]
-    return common
+            g = poly_gcd(common, e)[0]
+            shrinks += g != common.monic()
+            common = g
+    return common, shrinks
+
+
+def _counted_reduce(C):
+    """(reduce_cleared(C), the number of poly_gcd calls it took)."""
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return poly_gcd(p, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baxter, "poly_gcd", counted)
+        return reduce_cleared(C), len(calls)
 
 
 @pytest.mark.parametrize("fn", FIVE_FNS.values(), ids=FIVE_FNS)
@@ -228,12 +253,86 @@ def test_reduce_cleared_divides_out_the_content(name, fn):
     symbols = spectral_symbols(rep, ("x", "y"))
     for site in range(1, rep.n):
         C = rhat_cleared(rep, site, fn, "x", "y", symbols)
-        reduced, g = reduce_cleared(C)
+        (reduced, g), gcds = _counted_reduce(C)
         (delta,), (delta_red,) = C.factors, reduced.factors
         assert reduced.M.map_entries(lambda e: g * e) == C.M
         assert g * delta_red == delta
         assert delta_red.lc() == 1
         assert _common_factor(reduced.M, delta_red).is_constant()
+        # one gcd per shrink of the running content, never more than the fold's one per nonzero entry
+        assert gcds == _content_fold(C.M, delta)[1] <= sum(1 for e in C.M.entries if e)
+
+
+@st.composite
+def planted_content(draw):
+    """(C, g): a 2x2 ClearedMatrix g*P over g*delta' in 1-3 variables, some entries zero, and its planted g."""
+    nvars = draw(st.integers(1, 3))
+    vars = ("x", "y", "z")[:nvars]
+    exp = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+    def poly_in(min_terms, max_terms):
+        terms = draw(st.lists(st.tuples(exp, coeff.filter(bool)), min_size=min_terms, max_size=max_terms))
+        return sum((MultiPoly(vars, {e: c}) for e, c in terms), MultiPoly.zero(vars))
+
+    g, delta = poly_in(1, 3), poly_in(1, 3)
+    assume(g and delta)
+    entries = [g * poly_in(0, 3) for _ in range(4)]
+    return ClearedMatrix(FieldMatrix(2, 2, entries), g * delta), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_content())
+def test_reduce_cleared_matches_the_gcd_fold(planted):
+    C, planted_g = planted
+    delta = C.denominator()
+    (reduced, g), gcds = _counted_reduce(C)
+    common, shrinks = _content_fold(C.M, delta)
+    assert g.monic() == common.monic()
+    assert g.divexact(planted_g)  # the planted factor divides the content
+    assert reduced.M.map_entries(lambda e: g * e) == C.M
+    assert g * reduced.denominator() == delta
+    assert reduced.denominator().lc() == 1
+    assert _common_factor(reduced.M, reduced.denominator()).is_constant()
+    # one gcd per shrink of the running content, never more than the fold's one per nonzero entry
+    assert gcds == shrinks <= sum(1 for e in C.M.entries if e)
+
+
+def test_reduce_cleared_content_shrinks_twice():
+    # g runs delta -> x*y -> x: the first entry divides, the next two each take a gcd, and the unit 2 moves into g
+    vars = ("x", "y")
+    x, y = MultiPoly.var(vars, "x"), MultiPoly.var(vars, "y")
+    half = Fraction(1, 2)
+    C = ClearedMatrix(FieldMatrix(2, 2, [3 * x * y * (x + 1), MultiPoly.zero(vars), x * y, x.scale(half)]),
+                      2 * x * y * (x + 1))
+    (reduced, g), gcds = _counted_reduce(C)
+    assert gcds == 2
+    assert g == 2 * x
+    assert reduced.M.entries == [(x + 1) * y.scale(Fraction(3, 2)), MultiPoly.zero(vars), y.scale(half),
+                                 MultiPoly.const(vars, Fraction(1, 4))]
+    assert reduced.factors == [(x + 1) * y]
+
+
+def test_reduce_cleared_leaves_no_factor_when_delta_divides_every_entry():
+    vars = ("x", "y")
+    x, y = MultiPoly.var(vars, "x"), MultiPoly.var(vars, "y")
+    delta = 2 * (x + y)
+    C = ClearedMatrix(FieldMatrix(2, 2, [delta * x, 3 * delta, MultiPoly.zero(vars), delta * delta]), delta)
+    (reduced, g), gcds = _counted_reduce(C)
+    assert gcds == 0
+    assert g == delta
+    assert reduced.factors == []
+    assert reduced.M.entries == [x, MultiPoly.const(vars, 3), MultiPoly.zero(vars), delta]
+
+
+@pytest.mark.parametrize("name, fn, per_site", [("Hecke3_std", "ii", 1), ("B3_2dim", "i(2,1,0,1)", 2)])
+def test_reduce_cleared_gcds_per_site(name, fn, per_site):
+    # the fold took one gcd per nonzero entry (six on Hecke3_std, three on B3_2dim); the content shrinks once on
+    # Hecke3_std and twice on B3_2dim
+    rep = builtin_rep(name)
+    symbols = spectral_symbols(rep, XY)
+    for site in range(1, rep.n):
+        assert _counted_reduce(rhat_cleared(rep, site, FIVE_FNS[fn], "x", "y", symbols))[1] == per_site
 
 
 @pytest.mark.parametrize("name, fn", [("B3_2dim", "ii"), ("C3_2dim", "iii"), ("Hecke3_std", "hecke")])
