@@ -371,11 +371,13 @@ def _transfer_matrices(rhat: FieldMatrix, d: int, lengths: Sequence[int]) -> dic
 
 
 def check_chain_lengths(lengths: Sequence[int]) -> None:
-    """Raise ValueError unless lengths is nonempty, each in 1..MAX_CHAIN_LENGTH, none repeated."""
+    """Raise ValueError unless lengths is nonempty, each an int (not a bool) in 1..MAX_CHAIN_LENGTH, none repeated."""
     if not lengths:
         raise ValueError("need at least one chain length")
     seen = set()
     for L in lengths:
+        if not isinstance(L, int) or isinstance(L, bool):
+            raise ValueError(f"chain length must be an int, got {L!r}")
         if not 1 <= L <= MAX_CHAIN_LENGTH:
             raise ValueError(f"chain length must be between 1 and {MAX_CHAIN_LENGTH}, got {L}")
         if L in seen:

@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from baxcheck.exactnum import MultiPoly, PoleError, RatFunc, canonical_vars
+from baxcheck.exactnum import MultiPoly, PoleError, RatFunc, canonical_vars, ratfunc
 from test_poly import _to_sympy
 
 V = canonical_vars(["x", "y"])
@@ -158,6 +158,8 @@ def test_arithmetic_matches_sympy_cancel_on_pinned_cases():
     a, b = RatFunc(MultiPoly.const(V, 1), (X + 1) * (X - Y)), RatFunc(X, (X + 1) * (X - Y))
     _assert_arithmetic_matches_sympy(a, b)
     assert a + b == RatFunc(MultiPoly.const(V, 1), X - Y)
+    # one constant and one nonconstant denominator: the sum takes one gcd of the full pair
+    _assert_arithmetic_matches_sympy(RatFunc(X * X + Y.scale(Fraction(1, 3))), RatFunc(X, (X + 1) * (X - Y)))
     zero = RatFunc.zero(V)
     for r in (*shared, RatFunc(X, MultiPoly.const(V, 3))):
         _assert_arithmetic_matches_sympy(zero, r)
@@ -165,6 +167,19 @@ def test_arithmetic_matches_sympy_cancel_on_pinned_cases():
         assert (r * zero).den == MultiPoly.const(V, 1) and (zero / r).den == MultiPoly.const(V, 1)
     with pytest.raises(ZeroDivisionError):
         shared[0] / 0
+
+
+def test_sum_of_denominator_one_operands_takes_no_gcd(monkeypatch):
+    a, b, c = RatFunc(X * X + Y.scale(Fraction(1, 3))), RatFunc(X - Y.scale(2)), RatFunc(X, X + 1)
+    calls = []
+    gcd = ratfunc.poly_gcd
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda p, q: calls.append((p, q)) or gcd(p, q))
+    total, difference = a + b, a - b
+    assert calls == []
+    assert total.num == X * X + X - Y.scale(Fraction(5, 3)) and total.den == MultiPoly.const(V, 1)
+    assert difference.num == X * X - X + Y.scale(Fraction(7, 3)) and difference.den == MultiPoly.const(V, 1)
+    c + a  # a nonconstant denominator on one side takes one gcd
+    assert len(calls) == 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from baxcheck.exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, canonical_vars
 from baxcheck.ncalg import NCPoly, relations_for
 from baxcheck.reps import (
+    BUILTIN_NAMES,
     Rep,
     builtin_rep,
     check_relations,
@@ -108,6 +110,27 @@ def test_rep_entries_are_rational_functions_over_its_params():
         Rep(3, 1, (), {1: FieldMatrix(1, 1, [x]), 2: FieldMatrix(1, 1, [x])})
     with pytest.raises(ValueError, match="rational functions over"):
         Rep(3, 1, (), {1: FieldMatrix(1, 1, [Fraction(2)]), 2: FieldMatrix(1, 1, [Fraction(2)])})
+
+
+# each builtin family's parameter names; a scalar rep takes a values list instead
+JOB_PARAMETERS = {"A3_2dim": ("c", "mu"), "B3_2dim": ("nu", "mu"), "C3_2dim": ("nu", "mu"),
+                  "Hecke3_std": ("q",), "Hecke3_burau": ("q",)}
+JOB_VALUES = (None, Fraction(-3, 2), 2)  # a job keeps a parameter symbolic or fixes it to a rational
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_job_parameters_give_entries_over_one(name):
+    # so every RatFunc sum a job forms adds two polynomials and takes no gcd
+    if name == "scalar":
+        choices = [{"values": v} for n in (1, 2, 3) for v in itertools.product(JOB_VALUES, repeat=n)]
+    else:
+        names = JOB_PARAMETERS[name]
+        choices = [dict(zip(names, v)) for v in itertools.product(JOB_VALUES, repeat=len(names))]
+    for params in choices:
+        rep = builtin_rep(name, **params)
+        for built in (rep, flip_rep(rep)):
+            one = MultiPoly.const(built.params, 1)
+            assert all(e.den == one for i in built.matrices for e in built.site(i).entries), params
 
 
 def test_hecke_burau_has_distinct_generators():

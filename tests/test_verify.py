@@ -541,7 +541,7 @@ def test_transfer_usage_errors():
         transfer_commute(builtin_rep("B3_2dim", nu=1, mu=2), 1, spectral_fn("ii"), [2])
     with pytest.raises(ValueError):
         transfer_commute(builtin_rep("Hecke3_std"), 1, spectral_fn("hecke"), [2])
-    for lengths in ([], [2, 9], [2, 3, 2]):
+    for lengths in ([], [2, 9], [2, 3, 2], [True, 2], [2, False], [2.5], ["3"], [2, None]):
         with pytest.raises(ValueError, match="chain length"):
             transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), lengths)
 
