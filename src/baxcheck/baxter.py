@@ -84,14 +84,20 @@ def rhat_cleared(rep: Rep, i: int, f: RatFunc, u: str, w: str, symbols: tuple[st
     f is the spectral function f(x, y) of spectral_fn, and symbols holds x, y,
     u and w.  P/d equals (1 - f(u,w) sigma_i)(1 - f(w,u) sigma_i)^(-1); d is
     the determinant-bearing scalar, identically zero exactly when the inverse
-    does not exist, which raises SingularMatrixError.  The form is
+    does not exist, which raises SingularMatrixError.
+
+    f(u, w) and f(w, u) are each one rename of f(x, y) = num/den, the identity
+    rename at (x, y) included.  u != w, so each renamed pair stays coprime.
+    It is not rescaled to a monic denominator, so the form changes by a
+    constant factor at most, which reduce_cleared divides out.  The form is
     unreduced: d and the entries of P may share a nonconstant factor (see
     reduce_cleared).
     """
     if u == w:
         raise ValueError("spectral arguments must be distinct symbols")
     f = f.lift(symbols)
-    (uw_num, uw_den), (wu_num, wu_den) = _at(f, u, w), _at(f, w, u)
+    uw, wu = {"x": u, "y": w}, {"x": w, "y": u}  # f(x, y) -> f(u, w) and f(w, u)
+    uw_num, uw_den, wu_num, wu_den = f.num.rename(uw), f.den.rename(uw), f.num.rename(wu), f.den.rename(wu)
     S, s0 = rep.site(i, symbols).cleared()  # sigma_i = S / s0
     A = S.shifted(-uw_num, uw_den * s0)
     B = S.shifted(-wu_num, wu_den * s0)
@@ -100,19 +106,6 @@ def rhat_cleared(rep: Rep, i: int, f: RatFunc, u: str, w: str, symbols: tuple[st
         raise SingularMatrixError(f"R-matrix factor is identically singular: det(1 - f({w},{u})*sigma_{i}) = 0")
     # A/(uw_den s0) * (B/(wu_den s0))^-1: the factor s0 of both cancels
     return ClearedMatrix((A * adj).scale(wu_den), uw_den * det)
-
-
-def _at(f: RatFunc, u: str, w: str) -> tuple[MultiPoly, MultiPoly]:
-    """A numerator and a denominator of f(u, w), renamed from f(x, y) = num/den.
-
-    u != w, so the pair stays coprime.  It is not rescaled to a monic
-    denominator: rhat_cleared's form then changes by a constant factor at
-    most, which reduce_cleared divides out.
-    """
-    if (u, w) == ("x", "y"):
-        return f.num, f.den
-    mapping = {"x": u, "y": w}
-    return f.num.rename(mapping), f.den.rename(mapping)
 
 
 def reduce_cleared(C: ClearedMatrix) -> tuple[ClearedMatrix, MultiPoly]:

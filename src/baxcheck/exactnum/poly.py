@@ -283,10 +283,8 @@ class MultiPoly:
         return _make(self.vars, out, self.den)
 
     def lift(self, new_vars: tuple[str, ...]) -> "MultiPoly":
-        """Embed into a ring with more variables (must contain the current ones)."""
+        """Embed into a ring with more variables (must contain the current ones); into its own ring, a copy."""
         new_vars = tuple(new_vars)
-        if new_vars == self.vars:
-            return self
         for name in self.vars:
             if name not in new_vars:
                 raise ValueError(f"target variables {new_vars} do not contain {name!r}")
@@ -549,7 +547,8 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPol
     GCDHEU (above): evaluation at a large integer, one integer gcd, and
     xi-adic interpolation, retried at larger points until it divides both
     numerators exactly; that division certifies the gcd and gives the
-    cofactors.  Both-zero input is a usage error.
+    cofactors.  A nonzero constant input goes through GCDHEU's content
+    branch, which gives g = 1.  Both-zero input is a usage error.
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise TypeError("poly_gcd expects two MultiPoly arguments")
@@ -561,8 +560,6 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPol
         nonzero = q if p.is_zero else p
         g, unit = nonzero.monic(), MultiPoly.const(p.vars, nonzero.lc())
         return (g, p, unit) if p.is_zero else (g, unit, q)
-    if p.is_constant() or q.is_constant():
-        return MultiPoly.const(p.vars, 1), p, q
     G, CP, CQ = _heu_gcd(p.terms, q.terms, len(p.vars))
     # g = G / lc(G) is monic, so p / g = CP * lc(G) / p.den
     lc = G[max(G)]

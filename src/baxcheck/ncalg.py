@@ -301,19 +301,19 @@ def prop1_certificate(omit_term: str | None = None) -> tuple[NCPoly, bool]:
     (a-2)*R3 + a*[s1 - s2, R2] + a*(2 s1 + s2)*R1 + a*R1*(s1 + 2 s2) + a*b*R1
     (R1, R2, R3 the aa1/aa2/aa3 elements; R1 enters with the orientation that
     makes the identity exact) and subtracts (a-2)*R5; the certificate passes
-    iff the residual is the zero element.  omit_term drops one of the five
-    summands (mutation control: the residual must then be nonzero).
+    iff the residual is the zero element.  R1, R2, R3 and R5 are read from
+    the A family table at site 1 (s = s1, t = s2), the table relations_for
+    reads.  omit_term drops one of the five summands (mutation control: the
+    residual must then be nonzero).
     """
     if omit_term is not None and omit_term not in PROP1_TERMS:
         raise ValueError(f"unknown term {omit_term!r}, expected one of {PROP1_TERMS}")
-    rels = relations_for("A", 3)
-    by_label = {label.split("(")[0]: el for label, el in rels.elements}
-    r1, r2, r3, r5 = by_label["aa1"], by_label["aa2"], by_label["aa3"], by_label["aa5"]
-    symbols = rels.symbols
-    a = RatFunc.var(symbols, "a")
-    b = RatFunc.var(symbols, "b")
+    symbols, vals = resolve_params(("a", "b", "c"), None)
+    a, b = vals["a"], vals["b"]
     s1 = NCPoly.gen(3, 1, symbols)
     s2 = NCPoly.gen(3, 2, symbols)
+    family = dict(_a_cubics(a, b, vals["c"]))
+    r1, r2, r3, r5 = (family[label](s1, s2) for label in ("aa1", "aa2", "aa3", "aa5"))
 
     terms = {
         "r3": (a - 2) * r3,

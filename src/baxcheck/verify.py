@@ -129,14 +129,6 @@ def ybe_symbolic(rep: Rep, f: RatFunc) -> VerifyReport:
     return report
 
 
-def _side(factors: dict, seq: Sequence[tuple[int, int, int]]) -> tuple[FieldMatrix, list]:
-    """(M1 M2 M3, [D1, D2, D3]) for the cleared int pairs (M, D) that seq names, in order."""
-    M = factors[seq[0]][0]
-    for key in seq[1:]:
-        M = M * factors[key][0]
-    return M, [factors[key][1] for key in seq]
-
-
 # -- braided Yang-Baxter, randomized -------------------------------------------
 
 MAX_RESAMPLES = 100  # consecutive pole or singular draws before a run gives up
@@ -146,12 +138,14 @@ SAMPLING_FAILURE = f"measure-zero sampling failure: {MAX_RESAMPLES} consecutive 
 def _regular_draw(draw: Callable[[DetRng], object], rng: DetRng) -> tuple[object | None, int]:
     """(draw(rng), resamples), redrawing while a pole or singular factor is hit.
 
-    The value is None once MAX_RESAMPLES draws in a row have failed.
+    The value is None once MAX_RESAMPLES draws in a row have failed.  Any
+    other error propagates: no draw divides by zero, since poles and
+    singular factors raise first, so a ZeroDivisionError is a defect.
     """
     for resamples in range(MAX_RESAMPLES):
         try:
             return draw(rng), resamples
-        except (PoleError, SingularMatrixError, ZeroDivisionError):
+        except (PoleError, SingularMatrixError):
             pass
     return None, MAX_RESAMPLES
 
@@ -216,8 +210,10 @@ def ybe_random(rep: Rep, f: RatFunc, trials: int = 20, seed: int = 0) -> VerifyR
         if drawn is None:
             return report.error(SAMPLING_FAILURE)
         point, params, R = drawn
-        (lhs, lhs_ds), (rhs, rhs_ds) = _side(R, _YBE_LHS), _side(R, _YBE_RHS)
-        c_lhs, c_rhs = math.prod(lhs_ds), math.prod(rhs_ds)
+        # each side as the int pair (M1 M2 M3, D1 D2 D3)
+        (lhs, c_lhs), (rhs, c_rhs) = (
+            (R[a][0] * R[b][0] * R[c][0], R[a][1] * R[b][1] * R[c][1]) for a, b, c in (_YBE_LHS, _YBE_RHS)
+        )
         # c_lhs * c_rhs * (lhs/c_lhs - rhs/c_rhs), nonzero exactly where the rational difference is
         diff = lhs.scale(c_rhs) - rhs.scale(c_lhs)
         worst = max(worst, sum(1 for e in diff.entries if e))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from baxcheck import ncalg
 from baxcheck.exactnum import RatFunc
 from baxcheck.ncalg import (
     NCPoly,
@@ -82,6 +83,29 @@ def test_prop1_specialization_a2():
 def test_prop1_mutation_controls(term):
     residual, ok = prop1_certificate(omit_term=term)
     assert not ok and not residual.is_zero
+
+
+def test_prop1_takes_the_aa1_aa2_aa3_aa5_elements_of_the_a_relations(monkeypatch):
+    # record each element prop1_certificate builds from the A family table
+    taken = {}
+    a_cubics = ncalg._a_cubics
+
+    def spy(a, b, c):
+        def recording(label, element):
+            def build(s, t):
+                taken[label] = element(s, t)
+                return taken[label]
+            return build
+
+        return tuple((label, recording(label, element)) for label, element in a_cubics(a, b, c))
+
+    monkeypatch.setattr(ncalg, "_a_cubics", spy)
+    assert prop1_certificate()[1]
+    monkeypatch.undo()
+    relations = dict(relations_for("A", 3).elements)
+    assert sorted(taken) == ["aa1", "aa2", "aa3", "aa5"]
+    for label, element in taken.items():
+        assert element == relations[f"{label}(1)"]
 
 
 def test_prop1_unknown_term_rejected():

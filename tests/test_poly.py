@@ -227,6 +227,56 @@ def _assert_gcd_matches_sympy(p, q):
 
 
 @settings(max_examples=60, deadline=None)
+@given(poly_strategy().filter(bool), small_coeff.filter(bool))
+def test_gcd_against_a_constant_is_one_with_the_inputs_as_cofactors(p, c):
+    # a constant side takes GCDHEU's content branch: (1, p, c) in either argument order
+    c = MultiPoly.const(V, c)
+    one = MultiPoly.const(V, 1)
+    for args in ((p, c), (c, p)):
+        triple = poly_gcd(*args)
+        assert triple == (one, *args)
+        assert [_terms(q) for q in triple] == [_terms(q) for q in (one, *args)]
+
+
+RENAME_VARS = ("x", "y", "z")
+
+
+@st.composite
+def polys_over_xyz(draw):
+    exp = st.tuples(*[st.integers(0, 3)] * len(RENAME_VARS))
+    return MultiPoly(RENAME_VARS, draw(st.dictionaries(exp, small_coeff, max_size=6)))
+
+
+def _sympy_expr(p: MultiPoly) -> sympy.Expr:
+    return _to_sympy(p).as_expr()
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_over_xyz())
+def test_rename_matches_sympy_simultaneous_subs(p):
+    x, y, z = sympy.symbols(RENAME_VARS)
+    cases = [
+        ({"x": "x", "y": "y"}, {}),  # the identity, f(x, y) read at (x, y)
+        ({"x": "y", "y": "x"}, {x: y, y: x}),  # a swap
+        ({"y": "x"}, {y: x}),  # a merging rename y := x
+        ({"x": "y", "y": "z"}, {x: y, y: z}),  # f(x, y) read at (y, z)
+        ({"x": "z", "y": "x"}, {x: z, y: x}),  # f(x, y) read at (z, x)
+    ]
+    for mapping, subs in cases:
+        expected = _sympy_expr(p).subs(subs, simultaneous=True)
+        assert sympy.expand(_sympy_expr(p.rename(mapping)) - expected) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_strategy())
+def test_lift_keeps_the_sympy_value(p):
+    for new_vars in (canonical_vars(["x", "y", "z", "mu"]), p.vars):
+        lifted = p.lift(new_vars)
+        assert lifted.vars == new_vars
+        assert sympy.expand(_sympy_expr(lifted) - _sympy_expr(p)) == 0
+
+
+@settings(max_examples=60, deadline=None)
 @given(planted_gcd_inputs())
 def test_gcd_matches_sympy_with_cofactors(pq):
     p, q = pq

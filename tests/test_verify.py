@@ -677,6 +677,21 @@ def test_ybe_random_gives_up_after_max_resamples(monkeypatch):
     assert payload["report"]["notes"] == [SAMPLING_FAILURE]
 
 
+def test_a_zero_division_in_a_draw_propagates():
+    # poles and singular factors are resampled; no regular draw divides by zero, so one that does is a defect
+    draws = []
+
+    def draw(rng):
+        draws.append(rng.next_u64())
+        if len(draws) == 1:
+            raise PoleError("pole")
+        raise ZeroDivisionError("defect")
+
+    with pytest.raises(ZeroDivisionError):
+        verify._regular_draw(draw, DetRng(0))
+    assert len(draws) == 2
+
+
 def test_transfer_point_pairs_give_up_after_max_resamples(monkeypatch):
     # y0 = 1 for f = -x/y, and f(1, 0) is a pole, so no point pair can be drawn
     monkeypatch.setattr(verify, "sample_fraction", lambda rng: Fraction(0))
