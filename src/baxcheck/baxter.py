@@ -20,11 +20,11 @@ builds canonical RatFunc entries: ClearedMatrix.value is read only to print.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, SingularMatrixError, canonical_vars, poly_gcd
 from .exactnum.poly import SPECTRAL
+from .exactnum.scalar import as_scalar
 from .reps import Rep
 
 SPECTRAL_CASES = ("i", "ii", "iii", "hecke")
@@ -57,7 +57,7 @@ def spectral_fn(case: str, alpha1=None, alpha2=None, b=None, c=None) -> RatFunc:
         return -x / y
     if any(v is None for v in params):
         raise ValueError("case i needs alpha1, alpha2, b and c")
-    alpha1, alpha2, b, c = (Fraction(v) for v in params)
+    alpha1, alpha2, b, c = map(as_scalar, params)
     if alpha1 - alpha2 not in (1, -1):
         raise ValueError("case i requires alpha1 - alpha2 in {1, -1}")
     return (alpha1 * x + alpha2 * y + b * x * y) / (1 + c * x * y)
@@ -138,8 +138,8 @@ def reduce_cleared(C: ClearedMatrix) -> tuple[ClearedMatrix, MultiPoly]:
         quots.append(e)
     unit = reduced.lc()
     if unit != 1:
-        quots = [q.scale(1 / unit) for q in quots]
-        reduced, g = reduced.scale(1 / unit), g.scale(unit)
+        quots = [(1 / unit) * q for q in quots]
+        reduced, g = (1 / unit) * reduced, unit * g
     return ClearedMatrix(FieldMatrix(C.M.rows, C.M.cols, quots), reduced), g
 
 
@@ -211,7 +211,7 @@ def H_series(rep: Rep, i: int, order: int) -> FieldMatrix:
 
 def h_fun(a, b, c) -> RatFunc:
     """h(z) = a / (c z^2 - b z - a); requires a != 0."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = map(as_scalar, (a, b, c))
     if a == 0:
         raise ValueError("h undefined: the construction needs a != 0")
     zz = RatFunc.var(("z",), "z")

@@ -1,6 +1,7 @@
 """Dense matrices over an exact ring or field: ints, polynomials or rational functions.
 
-`*` multiplies matrices only (a scalar goes through `scale`); a * M + c * 1 is `shifted`.
+`*` multiplies matrices only (a scalar goes through `scale`); a * M + c * 1 is `shifted`,
+and M - N is M + (-N).
 Inverses are fraction-free and returned cleared: `cleared` scales the whole
 matrix by one common denominator (rational-function entries become
 polynomials; an int matrix is already cleared), the adjugate and the
@@ -102,8 +103,7 @@ class FieldMatrix:
         return FieldMatrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_shape(other)
-        return FieldMatrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return self + (-other)
 
     def __neg__(self) -> "FieldMatrix":
         return FieldMatrix(self.rows, self.cols, [-a for a in self.entries])
@@ -183,7 +183,7 @@ class FieldMatrix:
         if all(isinstance(e, int) for e in entries):
             one, coeff = 1, lambda tr, k: -tr // k
         elif all(isinstance(e, MultiPoly) for e in entries):
-            one, coeff = MultiPoly.const(entries[0].vars, 1), lambda tr, k: tr.scale(Fraction(-1, k))
+            one, coeff = MultiPoly.const(entries[0].vars, 1), lambda tr, k: Fraction(-1, k) * tr
         else:
             raise TypeError("adjugate_det needs MultiPoly or int entries; clear denominators first")
         if n == 1:

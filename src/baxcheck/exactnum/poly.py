@@ -92,7 +92,7 @@ def _guards(n: int) -> int:
 
 
 class MultiPoly:
-    """Exact sparse polynomial in a fixed, ordered tuple of variables."""
+    """Exact sparse polynomial in a fixed, ordered tuple of variables; c * p is its scalar multiple."""
 
     __slots__ = ("vars", "terms", "den")
 
@@ -224,21 +224,6 @@ class MultiPoly:
         return _make(self.vars, _ip_mul(self.terms, other.terms, len(self.vars)), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def scale(self, factor) -> "MultiPoly":
-        """Multiply by a rational scalar."""
-        factor = _as_fraction(factor)
-        if not factor:
-            return MultiPoly(self.vars)
-        return _make(self.vars, _ip_scale(self.terms, factor.numerator), self.den * factor.denominator)
-
-    # -- normal forms ------------------------------------------------------
-
-    def monic(self) -> "MultiPoly":
-        """Scale so the graded-lex leading coefficient is 1."""
-        if not self.terms:
-            return self
-        return self.scale(1 / self.lc())
 
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact division; raises ValueError when the division is not exact."""
@@ -558,7 +543,8 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPol
         raise ValueError("gcd(0, 0) is undefined")
     if p.is_zero or q.is_zero:
         nonzero = q if p.is_zero else p
-        g, unit = nonzero.monic(), MultiPoly.const(p.vars, nonzero.lc())
+        lc = nonzero.lc()
+        g, unit = (1 / lc) * nonzero, MultiPoly.const(p.vars, lc)
         return (g, p, unit) if p.is_zero else (g, unit, q)
     G, CP, CQ = _heu_gcd(p.terms, q.terms, len(p.vars))
     # g = G / lc(G) is monic, so p / g = CP * lc(G) / p.den

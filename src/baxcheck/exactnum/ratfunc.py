@@ -7,13 +7,15 @@ is structural and reports are reproducible.
 
 The constructor is the one canonicalisation route: a sum, a product or a
 quotient is RatFunc(num, den) of the cross-multiplied pair, so any result is
-the one canonical form.  A sum of two denominator-1 operands takes no gcd.
-A sum of two nonconstant denominators takes one gcd of the full pair; no job
-parameter forms one (job parameters are rationals or symbols, so every rep
-entry is a polynomial).  On the library-only input
-H_series(B3_2dim at nu = t/(t + 1), 1, 8) this costs 20 ms against 8 ms with
-Henrici's operand-sized gcds (JACM 1956), min of 7 on a 2-vCPU host under
-Python 3.11.
+the one canonical form.  It is also the one way a polynomial p becomes a
+rational function, RatFunc(p): arithmetic takes a RatFunc, an int or a
+Fraction, and a MultiPoly operand is a TypeError.  A sum of two
+denominator-1 operands takes no gcd.  A sum of two nonconstant denominators
+takes one gcd of the full pair; no job parameter forms one (job parameters
+are rationals or symbols, so every rep entry is a polynomial).  On the
+library-only input H_series(B3_2dim at nu = t/(t + 1), 1, 8) this costs
+20 ms against 8 ms with Henrici's operand-sized gcds (JACM 1956), min of 7
+on a 2-vCPU host under Python 3.11.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class RatFunc:
         if not (num.is_constant() or den.is_constant()):
             _, num, den = poly_gcd(num, den)
         if den.terms[max(den.terms)] != den.den:  # lc != 1: terms/den is in lowest terms, den > 0
-            lc = den.lc()
-            num, den = num.scale(1 / lc), den.scale(1 / lc)
+            unit = 1 / den.lc()
+            num, den = unit * num, unit * den
         self.num, self.den = num, den
 
     # -- constructors ------------------------------------------------------
@@ -75,10 +77,6 @@ class RatFunc:
     def __bool__(self) -> bool:
         return not self.num.is_zero
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
@@ -105,8 +103,6 @@ class RatFunc:
             return other
         if isinstance(other, (int, Fraction)):
             return RatFunc.const(self.vars, other)
-        if isinstance(other, MultiPoly):
-            return RatFunc(other)
         return None
 
     def __add__(self, other):

@@ -149,15 +149,12 @@ class NCPoly:
 
     # -- formatting ---------------------------------------------------------------
 
-    def sorted_words(self) -> list[Word]:
-        """Deterministic order: by length, then lexicographic."""
-        return sorted(self.terms, key=lambda w: (len(w), w))
-
     def __str__(self) -> str:
+        """The terms in a deterministic order: words by length, then lexicographically."""
         if not self.terms:
             return "0"
         parts = []
-        for w in self.sorted_words():
+        for w in sorted(self.terms, key=lambda w: (len(w), w)):
             word = "*".join(f"s{i}" for i in w) if w else "1"
             parts.append(f"({self.terms[w]})*{word}")
         return " + ".join(parts)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, canonical_vars, format_scalar
+from .exactnum.scalar import as_scalar
 from .ncalg import NCPoly, RelationSet, relations_for, resolve_params, site_relations
 from .report import VerifyReport
 
@@ -244,7 +245,7 @@ def verify_scalar(assignment: Sequence[Fraction], algebra: str, params: Mapping 
     The strand count n is len(assignment) + 1.  This is the direct evaluation
     route, independent of classify_scalar.
     """
-    rep = builtin_rep("scalar", values=[Fraction(v) for v in assignment])
+    rep = builtin_rep("scalar", values=[as_scalar(v) for v in assignment])
     rels = relations_for(algebra, rep.n, params)
     return check_relations(rep, rels).passed
 

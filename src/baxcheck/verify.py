@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, split_factors
 from .exactnum.poly import eval_cleared
-from .exactnum.scalar import format_scalar
+from .exactnum.scalar import as_scalar, format_scalar
 from .baxter import H_closed, h_fun, reduce_cleared, rhat_cleared, spectral_symbols
 from .ncalg import relations_for
 from .report import VerifyReport
@@ -184,8 +184,8 @@ def ybe_random(rep: Rep, f: RatFunc, trials: int = 20, seed: int = 0) -> VerifyR
     """Randomized exact-evaluation check of the braided Yang-Baxter equation for the spectral function f."""
     if rep.n < 3:
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
     spectral_symbols(rep, _YBE_VARS)  # rejects a rep parameter named like a spectral variable
     report = VerifyReport(
         "ybe randomized",
@@ -264,7 +264,7 @@ def lemma_suite_A(rep: Rep, a, b, c) -> VerifyReport:
     Works over Q(z, v, rep params) with a != 0; the rep must first pass the
     three-parameter relations at (a, b, c).
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = map(as_scalar, (a, b, c))
     if a == 0:
         raise ValueError("identity suite requires a != 0")
     report = VerifyReport("lemma suite A", mode={"kind": "symbolic", "a": format_scalar(a)})
@@ -285,9 +285,9 @@ def lemma_suite_A(rep: Rep, a, b, c) -> VerifyReport:
     rel5_lhs = s1 * H2v * H1z - H2z * H1v * s2
     rel5_rhs = (
         (s2 - s1).scale(a, zz, vv)
-        + M.scale((c * zz * vv - b * vv - a).scale(1 / a) * nz * nv, dz, dv)
-        + (H1v - H2v).scale(dv.scale(a), vv, vv - zz, nv)  # a / (v (v - z) h(v))
-        - (H1z - H2z).scale(dz.scale(a), zz, vv - zz, nz)
+        + M.scale((1 / a) * (c * zz * vv - b * vv - a) * nz * nv, dz, dv)
+        + (H1v - H2v).scale(a * dv, vv, vv - zz, nv)  # a / (v (v - z) h(v))
+        - (H1z - H2z).scale(a * dz, zz, vv - zz, nz)
     )
     _record(report, "rel5", rel5_lhs, rel5_rhs)
     return report
@@ -435,8 +435,8 @@ def transfer_commute(
         raise ValueError(f"corrupt needs a site matrix on V (x) V with dim V >= 2, got dim V = {d}")
     check_chain_lengths(lengths)
     S, s = _site_at(*rep.site(i).cleared(), {})  # the constant sigma = S / s
-    if count < 1:
-        raise ValueError(f"need at least one point pair, got {count}")
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"need an int count of at least one point pair, got {count!r}")
     y0 = choose_reference_point(f)
     base = {"kind": "randomized", "seed": seed, "y0": format_scalar(y0), "corrupt": corrupt}
     runs = [{**base, "L": L, "points": []} for L in lengths]

@@ -76,6 +76,14 @@ def test_malformed_scalar_is_schema_error(tmp_path):
     assert "1/0" in json.loads(out)["error"]
 
 
+def test_non_ascii_digits_are_a_schema_error(tmp_path):
+    # the job grammar is ASCII "p" or "p/q": fullwidth digits are no scalar
+    job = {"command": "scalar-reps", "algebra": "B", "assignment": ["\uff11", "\uff10"]}
+    code, out = invoke(tmp_path, job)
+    assert code == EXIT_USAGE
+    assert "\uff11" in json.loads(out)["error"]
+
+
 def test_unknown_field_rejected(tmp_path):
     job = {"command": "prop1", "surprise": 1}
     code, _ = invoke(tmp_path, job)

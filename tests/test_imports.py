@@ -1,8 +1,11 @@
 """Every module-level import in the package is used by its module, every
 private helper is used somewhere in the package, and every public method is
-used somewhere in the package or in the README's Python examples.  The
-canonical form ClearedMatrix.value() is read only where a report prints it.
-The README's quick tour runs and returns what its comments state.
+used somewhere in the package or in the README's Python examples.  Every
+public method of the exact types is also called when the criterion fixtures
+and the README tour run, which a check by name cannot see (two classes may
+share a method name).  The canonical form ClearedMatrix.value() is read only
+where a report prints it.  The README's quick tour runs and returns what its
+comments state.
 
 Package __init__ files are skipped as modules under test: their imports are
 the public re-exports.  They still count as places that use a helper.
@@ -10,10 +13,15 @@ the public re-exports.  They still count as places that use a helper.
 
 import ast
 import functools
+import json
 import re
 from pathlib import Path
 
 import pytest
+
+from baxcheck.cli import run_job
+from baxcheck.exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc
+from baxcheck.ncalg import NCPoly
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "baxcheck"
@@ -102,7 +110,7 @@ def _readme_references() -> set[str]:
     return set().union(*(_references(ast.parse(block)) for block in _readme_blocks()))
 
 
-def test_readme_quick_tour_runs_as_its_comments_say():
+def _run_readme_tour() -> dict:
     """Each statement of the tour runs in turn; an expression statement's value is kept under its source text."""
     (block,) = _readme_blocks()
     namespace, values = {}, {}
@@ -112,6 +120,11 @@ def test_readme_quick_tour_runs_as_its_comments_say():
             values[ast.get_source_segment(block, stmt.value)] = eval(code, namespace)
         else:
             exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+    return values
+
+
+def test_readme_quick_tour_runs_as_its_comments_say():
+    values = _run_readme_tour()
     statuses = [value for source, value in values.items() if source.endswith(".status")]
     assert statuses == ["pass", "pass"]
     assert values["check_regularity(R)"] is True
@@ -131,6 +144,43 @@ def test_public_methods_are_used(path):
         and not node.name.startswith("_") and node.name not in used
     }
     assert not dead, f"public methods in {path.name} that neither the package nor the README uses: {dead}"
+
+
+EXACT_TYPES = (MultiPoly, RatFunc, FieldMatrix, ClearedMatrix, NCPoly)
+
+
+def test_public_methods_of_the_exact_types_are_called(monkeypatch):
+    """Every public method, classmethod and property of the exact types runs in the nine fixtures or the tour."""
+    called = set()
+
+    def spy(label, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            called.add(label)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrapped = set()
+    for cls in EXACT_TYPES:
+        for name, member in list(vars(cls).items()):
+            if name.startswith("_"):
+                continue
+            label = f"{cls.__name__}.{name}"
+            if isinstance(member, property):
+                monkeypatch.setattr(cls, name, property(spy(label, member.fget)))
+            elif isinstance(member, classmethod):
+                monkeypatch.setattr(cls, name, classmethod(spy(label, member.__func__)))
+            elif callable(member):
+                monkeypatch.setattr(cls, name, spy(label, member))
+            else:
+                continue
+            wrapped.add(label)
+    for path in sorted((ROOT / "fixtures").glob("criterion*.json")):
+        run_job(json.loads(path.read_text(encoding="utf-8")))
+    _run_readme_tour()
+    assert len(wrapped) > 40
+    assert sorted(wrapped - called) == [], "public methods that no fixture job and no tour statement calls"
 
 
 def _value_calls(tree: ast.Module) -> list[tuple[int, str]]:

@@ -26,9 +26,10 @@ V = canonical_vars(["x", "y"])
 def _checked_inv(m):
     """m.inv() = (X, D), after checking it is a cleared inverse: ring entries of m's kind, and m X = D 1 = X m."""
     X, D = m.inv()
-    ring = MultiPoly if isinstance(m.entries[0], RatFunc) else int
+    ring, field = (MultiPoly, RatFunc) if isinstance(m.entries[0], RatFunc) else (int, int)
     assert type(D) is ring and all(type(e) is ring for e in X.entries)
-    assert m * X == FieldMatrix.identity(m.rows, D) == X * m
+    Xf = X.map_entries(field)  # RatFunc(p) is the one way a polynomial enters a RatFunc product
+    assert m * Xf == FieldMatrix.identity(m.rows, field(D)) == Xf * m
     return X, D
 
 
@@ -128,6 +129,25 @@ def test_shape_errors():
         FieldMatrix.from_rows([[1, 2]]).inv()
     with pytest.raises(ValueError):
         FieldMatrix(2, 2, [1] * 3)
+
+
+def test_difference_is_the_sum_with_the_negation():
+    """M - N is M + (-N) on int, MultiPoly and RatFunc matrices, and equals the entrywise difference."""
+    x, y = MultiPoly.var(V, "x"), MultiPoly.var(V, "y")
+    xr, yr = RatFunc(x), RatFunc(y)
+    cases = [
+        ([1, -2, 3, 0], [4, 5, -6, 0]),
+        ([x, 2 * y, x * y - 1, MultiPoly.zero(V)], [x, y, MultiPoly.const(V, 3), x + y]),
+        ([xr / (yr + 1), RatFunc.one(V), yr, RatFunc.zero(V)], [xr / (yr + 1), xr, RatFunc.one(V) / (xr - yr), yr]),
+    ]
+    for a, b in cases:
+        M, N = FieldMatrix(2, 2, a), FieldMatrix(2, 2, b)
+        assert M - N == M + (-N) == FieldMatrix(2, 2, [p - q for p, q in zip(a, b)])
+        assert all(type(e) is type(a[0]) for e in (M - N).entries)
+        assert (M - M).is_zero
+        for other in (FieldMatrix(1, 4, b), FieldMatrix(4, 1, b)):
+            with pytest.raises(ValueError, match="shapes differ"):
+                M - other
 
 
 def _shift_reference(M: FieldMatrix, a, c, one) -> FieldMatrix:
@@ -367,7 +387,7 @@ def test_cleared_scales_to_the_entry_ring():
         M, D = A.cleared()
         assert isinstance(D, MultiPoly) and not D.is_zero
         assert all(type(e) is MultiPoly for e in M.entries)
-        assert all(RatFunc(m) == a for m, a in zip(M.entries, A.scale(D).entries))
+        assert all(RatFunc(m) == a for m, a in zip(M.entries, A.scale(RatFunc(D)).entries))
     with pytest.raises(TypeError):
         FieldMatrix.from_rows([[MultiPoly.var(V, "x"), MultiPoly.const(V, 1)]]).cleared()
 

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -56,9 +57,20 @@ def test_denominator_is_monic():
     r = RatFunc(X, 3 * Y + 3 * X)
     assert r.den.lc() == 1
     # x/2 + 1 stores the leading numerator 1 over den 2, so it is not monic
-    half_x_plus_1 = X.scale(Fraction(1, 2)) + 1
+    half_x_plus_1 = Fraction(1, 2) * X + 1
     assert RatFunc(X, half_x_plus_1).den == X + 2
     assert (RatFunc(X) / RatFunc(half_x_plus_1)).den == X + 2
+
+
+def test_arithmetic_takes_no_polynomial_operand():
+    """RatFunc(p) is the one way a polynomial becomes a rational function: a MultiPoly operand is a TypeError."""
+    r = RatFunc(X, X + 1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((r, X), (X, r)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert r + RatFunc(X) == RatFunc(X * X + 2 * X, X + 1)
+    assert (RatFunc(X) == X) is False
 
 
 small_coeff = st.integers(min_value=-3, max_value=3)
@@ -126,7 +138,7 @@ def _expr(r: RatFunc):
 
 
 # products of factors from a small pool, so two denominators often share one
-FACTORS = [X + 1, X - Y, Y.scale(2) + 3, X * X + Y, X.scale(Fraction(1, 2))]
+FACTORS = [X + 1, X - Y, 2 * Y + 3, X * X + Y, Fraction(1, 2) * X]
 shared_den_strategy = st.lists(st.sampled_from(FACTORS), max_size=3).map(
     lambda fs: math.prod(fs, start=MultiPoly.const(V, 1))
 )
@@ -159,7 +171,7 @@ def test_arithmetic_matches_sympy_cancel_on_pinned_cases():
     _assert_arithmetic_matches_sympy(a, b)
     assert a + b == RatFunc(MultiPoly.const(V, 1), X - Y)
     # one constant and one nonconstant denominator: the sum takes one gcd of the full pair
-    _assert_arithmetic_matches_sympy(RatFunc(X * X + Y.scale(Fraction(1, 3))), RatFunc(X, (X + 1) * (X - Y)))
+    _assert_arithmetic_matches_sympy(RatFunc(X * X + Fraction(1, 3) * Y), RatFunc(X, (X + 1) * (X - Y)))
     zero = RatFunc.zero(V)
     for r in (*shared, RatFunc(X, MultiPoly.const(V, 3))):
         _assert_arithmetic_matches_sympy(zero, r)
@@ -170,14 +182,14 @@ def test_arithmetic_matches_sympy_cancel_on_pinned_cases():
 
 
 def test_sum_of_denominator_one_operands_takes_no_gcd(monkeypatch):
-    a, b, c = RatFunc(X * X + Y.scale(Fraction(1, 3))), RatFunc(X - Y.scale(2)), RatFunc(X, X + 1)
+    a, b, c = RatFunc(X * X + Fraction(1, 3) * Y), RatFunc(X - 2 * Y), RatFunc(X, X + 1)
     calls = []
     gcd = ratfunc.poly_gcd
     monkeypatch.setattr(ratfunc, "poly_gcd", lambda p, q: calls.append((p, q)) or gcd(p, q))
     total, difference = a + b, a - b
     assert calls == []
-    assert total.num == X * X + X - Y.scale(Fraction(5, 3)) and total.den == MultiPoly.const(V, 1)
-    assert difference.num == X * X - X + Y.scale(Fraction(7, 3)) and difference.den == MultiPoly.const(V, 1)
+    assert total.num == X * X + X - Fraction(5, 3) * Y and total.den == MultiPoly.const(V, 1)
+    assert difference.num == X * X - X + Fraction(7, 3) * Y and difference.den == MultiPoly.const(V, 1)
     c + a  # a nonconstant denominator on one side takes one gcd
     assert len(calls) == 1
 

@@ -20,7 +20,7 @@ from baxcheck.exactnum import (
 )
 from baxcheck.ncalg import ALGEBRAS, relations_for
 from baxcheck.report import VerifyReport
-from baxcheck.reps import BUILTIN_NAMES, Rep, builtin_rep, check_relations
+from baxcheck.reps import BUILTIN_NAMES, Rep, builtin_rep, check_relations, verify_scalar
 from baxcheck.verify import (
     MAX_RESAMPLES,
     SAMPLING_FAILURE,
@@ -426,6 +426,24 @@ def test_lemma_suite_A_requires_nonzero_a():
         lemma_suite_A(builtin_rep("A3_2dim", c=1), 0, 0, 1)
 
 
+def test_library_scalars_are_exact():
+    """spectral_fn, h_fun, lemma_suite_A and verify_scalar take an int, a Fraction or a "p/q" string, never a float."""
+    half = Fraction(1, 2)
+    assert spectral_fn("i", "1/2", "3/2", "1/10", 1) == spectral_fn("i", half, 3 * half, Fraction(1, 10), 1)
+    assert baxter.h_fun("1/2", 0, 1) == baxter.h_fun(half, 0, 1)
+    assert lemma_suite_A(builtin_rep("scalar"), "2", 0, 1).passed
+    assert verify_scalar(["1", 0], "B")
+    for call in (
+        lambda: spectral_fn("i", 0.5, 1.5, 0.1, 1),
+        lambda: spectral_fn("i", True, 0, 0, 1),
+        lambda: baxter.h_fun(0.5, 0, 1),
+        lambda: lemma_suite_A(builtin_rep("scalar"), 2.0, 0, 1),
+        lambda: verify_scalar([0.5, 1.0], "B"),
+    ):
+        with pytest.raises(ValueError, match="scalar must be"):
+            call()
+
+
 def test_lemma_suite_A_precondition_error():
     rep = builtin_rep("A3_2dim", c=1, mu=Fraction(1, 2))
     broken = Rep(rep.n, rep.dim, rep.params, dict(rep.matrices))
@@ -544,6 +562,15 @@ def test_transfer_usage_errors():
     for lengths in ([], [2, 9], [2, 3, 2], [True, 2], [2, False], [2.5], ["3"], [2, None]):
         with pytest.raises(ValueError, match="chain length"):
             transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), lengths)
+    for count in (0, -1, True, 2.5, "3", None):
+        with pytest.raises(ValueError, match="point pair"):
+            transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], count=count)
+
+
+def test_ybe_random_usage_errors():
+    for trials in (0, -1, True, False, 2.5, "3", None):
+        with pytest.raises(ValueError, match="^trials must be"):
+            ybe_random(builtin_rep("Hecke3_std", q=2), spectral_fn("hecke"), trials=trials)
 
 
 def _dense_transfer(rhat, d, L):
