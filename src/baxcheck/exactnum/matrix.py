@@ -112,9 +112,9 @@ class FieldMatrix:
         """Matrix product; a scalar factor goes through scale, so any other operand is NotImplemented.
 
         Sparse on both sides: each nonzero left entry a_it meets only the
-        nonzero entries b_tj of right row t, summed into a per-row dict.  An
-        entry no product reaches is one shared zero of the kind of a * b,
-        built once per product, when first needed.
+        nonzero entries b_tj of right row t, summed into a per-row dict that
+        fills a row of zeros.  An entry no product reaches is one shared zero
+        of the kind of a * b, built once per product, when first needed.
         """
         if not isinstance(other, FieldMatrix):
             return NotImplemented
@@ -135,7 +135,10 @@ class FieldMatrix:
                             acc[j] = a * b
             if zero is None and len(acc) < m:
                 zero = (self.entries[0] * 0) * (other.entries[0] * 0)
-            out.extend(acc.get(j, zero) for j in range(m))
+            row = [zero] * m
+            for j, v in acc.items():
+                row[j] = v
+            out.extend(row)
         return FieldMatrix(n, m, out)
 
     def scale(self, scalar) -> "FieldMatrix":

@@ -11,18 +11,18 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$", re.ASCII)
+_SCALAR_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 
 def parse_scalar(text: str) -> Fraction:
     """Parse "p" or "p/q" (q > 0, ASCII digits) into an exact rational.
 
-    Raises ValueError on anything else, including "1/0", decimal points and
-    non-ASCII digits.
+    Raises ValueError on anything else, including "1/0", decimal points,
+    non-ASCII digits and surrounding whitespace of any kind.
     """
     if not isinstance(text, str):
         raise ValueError(f"scalar must be a string, got {type(text).__name__}")
-    m = _SCALAR_RE.match(text.strip())
+    m = _SCALAR_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"malformed scalar {text!r}: expected 'p' or 'p/q' with q > 0")
     num = int(m.group(1))

@@ -22,9 +22,14 @@ polynomial matrix is, which takes no gcd.  Only a nonzero one is reduced to cano
 The randomized mode is exact polynomial identity testing: spectral variables
 and free representation parameters are drawn as random rationals, both sides
 are evaluated on ints (each site cleared once per call, each Rhat an int pair),
-and any pole or singular factor triggers a resample.  Verdicts agree with the
-symbolic mode up to the vanishing-at-a-random-point caveat, which the
-acceptance fixtures exercise both ways.
+and any pole or singular factor triggers a resample.  Each Rhat inverts
+1 - f(w,u) sigma inside the commutative algebra Q[sigma], whose dimension k is
+the degree of sigma's minimal polynomial mu, found once per site and draw by
+fraction-free Krylov (_min_poly).  When k < n the inverse is that of a k x k
+companion pencil, mapped back to n x n matrices by one shift for k = 2;
+when k = n the n x n matrix is inverted as it stands (_numeric_rhat).
+Verdicts agree with the symbolic mode up to the vanishing-at-a-random-point
+caveat, which the acceptance fixtures exercise both ways.
 """
 
 from __future__ import annotations
@@ -161,21 +166,87 @@ def _site_at(S: FieldMatrix, s: MultiPoly, point: dict[str, Fraction]) -> tuple[
     return FieldMatrix(S.rows, S.cols, vals), s_val
 
 
-def _numeric_rhat(S: FieldMatrix, s: int, f_uw: Fraction, f_wu: Fraction) -> tuple[FieldMatrix, int]:
+def _min_poly(S: FieldMatrix) -> tuple[FieldMatrix, list[FieldMatrix]] | None:
+    """Q[sigma] for sigma = S / s, when its dimension k, the degree of S's minimal polynomial mu, is below n.
+
+    Returns (C, powers) for a square int S: C is the k x k int companion
+    matrix of the monic mu, multiplication by t on Z[t]/mu in the basis
+    1, t, ..., t^(k-1), and powers = [S^0, ..., S^(k-1)].  Returns None when
+    k = n, having formed no power above S^(n-1).
+
+    Fraction-free Krylov on vec(S^0), vec(S^1), ...: each power is reduced
+    against the earlier ones by integer row operations, tracked as a
+    combination of the powers.  The degree-1 step asks whether S is scalar:
+    vec(S^0) has its pivot 1 at (0, 0), so S reduces to S - S[0, 0].  The
+    first power that reduces to zero gives a relation whose leading
+    coefficient, a product of pivots, is nonzero.  It is mu times that
+    coefficient, and mu, a monic factor of S's monic integer characteristic
+    polynomial, lies in Z[t], so the quotients are exact ints.
+    """
+    n, lam = S.rows, S.entries[0]
+    reduced = S.shifted(1, -lam).entries
+    if not any(reduced):  # S = lam * 1, mu = t - lam
+        return (FieldMatrix(1, 1, [lam]), [FieldMatrix.identity(n, 1)]) if n > 1 else None
+    if n == 2:  # not scalar, so k = n
+        return None
+    powers = [FieldMatrix.identity(n, 1), S]
+    # (pivot, reduced vector, its coefficients on S^0, ..., S^(n-1))
+    basis = [(0, powers[0].entries, [1] + [0] * (n - 1)),
+             (next(i for i, x in enumerate(reduced) if x), reduced, [-lam, 1] + [0] * (n - 2))]
+    for d in range(2, n):
+        P = S * powers[-1]
+        v, comb = P.entries, [int(j == d) for j in range(n)]
+        for pivot, r, c in basis:
+            b = v[pivot]
+            if b:
+                a = r[pivot]
+                v = [a * x - b * y for x, y in zip(v, r)]
+                comb = [a * x - b * y for x, y in zip(comb, c)]
+        if not any(v):
+            m = [c // comb[d] for c in comb[:d]]  # mu = t^d + m[d-1] t^(d-1) + ... + m[0]
+            C = [int(i == j + 1) - (m[i] if j == d - 1 else 0) for i in range(d) for j in range(d)]
+            return FieldMatrix(d, d, C), powers
+        basis.append((next(i for i, x in enumerate(v) if x), v, comb))
+        powers.append(P)
+    return None
+
+
+def _numeric_rhat(
+    S: FieldMatrix, s: int, algebra: tuple[FieldMatrix, list[FieldMatrix]] | None, f_uw: Fraction, f_wu: Fraction
+) -> tuple[FieldMatrix, int]:
     """Rhat = (1 - f_uw sigma)(1 - f_wu sigma)^-1 for sigma = S / s (ints, s != 0), from one inverse.
 
-    Every step runs on ints; returned cleared, as M = D * Rhat over the lcm D of its entry denominators.
+    algebra is _min_poly(S).  Every step runs on ints; returned cleared, as
+    M = D * Rhat over the lcm D of its entry denominators.
+
+    With f_wu = p_b / q_b, N' = q_b s - p_b S = q_b s (1 - f_wu sigma) is
+    inverted in Q[sigma].  When k = n it is inverted as it stands, N'^-1 =
+    X / det.  When k < n it is gamma - p_b t in Z[t]/mu, gamma = q_b s, whose
+    inverse is the first column of that of the k x k companion pencil
+    gamma - p_b C: N'^-1 = sum_j X[j, 0] S^j / det.  The pencil is singular
+    exactly where N' is, when gamma / p_b is a root of mu, an eigenvalue of S.
+    Either way the closing division leaves the one reduced pair.
     """
     p_a, q_a = f_uw.as_integer_ratio()
     if not f_wu:  # 1 - f_uw sigma = (q_a s - p_a S) / (q_a s)
         M, D = S.shifted(-p_a, q_a * s), q_a * s
     else:
-        # N' = q_b s - p_b S = q_b s (1 - f_wu sigma) = q_b s N, N'^-1 = X / det.  r = f_uw/f_wu = p/q gives
-        # 1 - f_uw sigma = r N + 1 - r, so Rhat = r + (1 - r) N^-1 = ((q - p) q_b s X + p det) / (q det)
+        # r = f_uw/f_wu = p/q gives 1 - f_uw sigma = r N + 1 - r for N = 1 - f_wu sigma, so
+        # Rhat = r + (1 - r) N^-1 = ((q - p) q_b s N'^-1 + p) / q
         p_b, q_b = f_wu.as_integer_ratio()
-        X, det = S.shifted(-p_b, q_b * s).inv()
         p, q = p_a * q_b, q_a * p_b
-        M, D = X.shifted((q - p) * q_b * s, p * det), q * det
+        if algebra is None:
+            X, det = S.shifted(-p_b, q_b * s).inv()
+            M = X.shifted((q - p) * q_b * s, p * det)
+        else:
+            C, powers = algebra
+            X, det = C.shifted(-p_b, q_b * s).inv()
+            c = [(q - p) * q_b * s * X[j, 0] for j in range(C.rows)]
+            c[0] += p * det
+            M = S.shifted(c[1] if C.rows > 1 else 0, c[0])
+            for P, c_j in zip(powers[2:], c[2:]):
+                M = M + P.scale(c_j)
+        D = q * det
     g = math.gcd(D, *M.entries) * (1 if D > 0 else -1)  # reduced, with D > 0
     return M.map_entries(lambda e: e // g), D // g
 
@@ -197,6 +268,7 @@ def ybe_random(rep: Rep, f: RatFunc, trials: int = 20, seed: int = 0) -> VerifyR
         xs = [sample_fraction(rng) for _ in _YBE_VARS]
         params = {name: sample_fraction(rng) for name in rep.params}
         sites = {site: _site_at(S, s, params) for site, (S, s) in cleared.items()}
+        sites = {site: (S, s, _min_poly(S)) for site, (S, s) in sites.items()}  # each with its Q[sigma]
         # f once per ordered pair of spectral variables
         fv = {(u, w): f.eval({"x": xs[u], "y": xs[w]}) for u, w in permutations(range(3), 2)}
         # each Rhat as (D * Rhat, D) over the ints
@@ -450,9 +522,11 @@ def transfer_commute(
     if not ybe_random(rep, f, trials=3, seed=_mix(seed ^ 0xB7E1)).passed:
         return error("precondition failed: randomized Yang-Baxter check did not pass")
 
+    algebra = _min_poly(S)
+
     def rhat_at(xval: Fraction) -> FieldMatrix:
         """D * Rhat(xval, y0), an int matrix."""
-        M, D = _numeric_rhat(S, s, f.eval({"x": xval, "y": y0}), f.eval({"x": y0, "y": xval}))
+        M, D = _numeric_rhat(S, s, algebra, f.eval({"x": xval, "y": y0}), f.eval({"x": y0, "y": xval}))
         if corrupt:
             # Rhat[1] += 1, a weight-breaking entry whose denominator stays the
             # same; perturbations inside the conserved blocks of this family

@@ -84,6 +84,14 @@ def test_non_ascii_digits_are_a_schema_error(tmp_path):
     assert "\uff11" in json.loads(out)["error"]
 
 
+def test_whitespace_around_a_scalar_is_a_schema_error(tmp_path):
+    # no whitespace, ASCII or Unicode, belongs to a scalar
+    job = {"command": "scalar-reps", "algebra": "B", "assignment": [" 1", "0\u3000"]}
+    code, out = invoke(tmp_path, job)
+    assert code == EXIT_USAGE
+    assert "' 1'" in json.loads(out)["error"]
+
+
 def test_unknown_field_rejected(tmp_path):
     job = {"command": "prop1", "surprise": 1}
     code, _ = invoke(tmp_path, job)

@@ -17,7 +17,8 @@ def test_format_roundtrip():
         assert format_scalar(parse_scalar(text)) == text
 
 
-@pytest.mark.parametrize("bad", ["1/0", "1.5", "a", "", "1/-2", "0x3", "2/", None, "\u0663", "\uff11", "1/\uff12"])
+@pytest.mark.parametrize("bad", ["1/0", "1.5", "a", "", "1/-2", "0x3", "2/", None, "\u0663", "\uff11", "1/\uff12",
+                                 "3\u3000", " 3 ", "3\n", " 3", "1/2 ", "1 /2", "\t-1"])
 def test_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)

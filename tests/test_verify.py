@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from baxcheck import baxter, verify
 from baxcheck.baxter import reduce_cleared, rhat_cleared, spectral_fn, spectral_symbols
@@ -25,6 +26,7 @@ from baxcheck.verify import (
     MAX_RESAMPLES,
     SAMPLING_FAILURE,
     DetRng,
+    _min_poly,
     _numeric_rhat,
     _transfer_matrices,
     choose_reference_point,
@@ -200,7 +202,29 @@ def _over(S, s):
     return S.map_entries(lambda e: Fraction(e, s))
 
 
-@pytest.mark.parametrize("d", [2, 4])
+def _block_diagonal(*blocks):
+    """The int matrix diag(blocks[0], blocks[1], ...), each block a list of rows."""
+    n, rows = sum(len(b) for b in blocks), []
+    for b in blocks:
+        rows += [[0] * len(rows) + list(r) + [0] * (n - len(rows) - len(b)) for r in b]
+    return FieldMatrix.from_rows(rows)
+
+
+def _low_degree_blocks(d, rng, a):
+    """Block layouts of size d whose minimal polynomial has degree k < d, each with a as an eigenvalue."""
+    c, e, m = (rng.randint(-4, 4) for _ in range(3))
+    p, q = rng.randint(-5, 5), rng.randint(-5, 5)
+    B = [[p, q], [(p - a) * m, a + q * m]]  # det(B - a) = 0
+    T = [[a, rng.randint(-3, 3)], [0, c]]
+    T3 = [[a, rng.randint(-3, 3), rng.randint(-3, 3)], [0, c, rng.randint(-3, 3)], [0, 0, e]]
+    return {
+        3: [(T, [[a]]), ([[a]], [[a]], [[c]]), ([[a]], [[a]], [[a]])],
+        4: [(B, B), (T, [[a]], [[c]]), (T3, [[e]]), (T, T)],
+        8: [(B, B, B, B), (T, [[a]], T, [[c]], T), (T3, T3, T), (T3, [[a]], [[c]], T3)],
+    }[d]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
 def test_numeric_rhat_matches_product_with_inverse(d):
     # sigma = S / s from an int pair, with s = 1, s > 1 and s < 0 in turn
     rng = random.Random(d)
@@ -214,9 +238,9 @@ def test_numeric_rhat_matches_product_with_inverse(d):
             reference = _two_inverse_rhat(_over(S, s), a, b)
         except SingularMatrixError:
             with pytest.raises(SingularMatrixError):
-                _numeric_rhat(S, s, a, b)
+                _numeric_rhat(S, s, _min_poly(S), a, b)
             return False
-        assert _uncleared(*_numeric_rhat(S, s, a, b)) == reference
+        assert _uncleared(*_numeric_rhat(S, s, _min_poly(S), a, b)) == reference
         return True
 
     checked = 0
@@ -231,7 +255,124 @@ def test_numeric_rhat_matches_product_with_inverse(d):
     for s in (1, 3, -2):
         S = FieldMatrix(d, d, [(2 + i) * s if i == j else 0 for i in range(d) for j in range(d)])
         with pytest.raises(SingularMatrixError):
-            _numeric_rhat(S, s, Fraction(1), Fraction(1, 3))
+            _numeric_rhat(S, s, _min_poly(S), Fraction(1), Fraction(1, 3))
+    if d == 2:
+        return
+    # block-diagonal sites with repeated blocks or eigenvalues: mu has degree k < d, so the
+    # inverse is the companion pencil's; N is singular at b = s / a for an eigenvalue a of S
+    checked, degrees = 0, set()
+    for trial in range(40):
+        s = (1, rng.randint(2, 5), -rng.randint(1, 5))[trial % 3]
+        a = rng.choice([-3, -2, -1, 1, 2, 3])
+        S = _block_diagonal(*rng.choice(_low_degree_blocks(d, rng, a)))
+        degrees.add(_min_poly(S)[0].rows)
+        checked += agrees(S, s, scalar(), rng.choice([Fraction(0), scalar()]))
+        for b in (Fraction(5, 7), Fraction(0)):
+            agrees(S, s, b, b)
+        assert not agrees(S, s, scalar(), Fraction(s, a))
+    assert checked >= 30
+    assert max(degrees) < d and len(degrees) >= 2
+
+
+def _hecke_std_site(q):
+    """The int site pair (S', s') of Hecke3_std at q."""
+    return verify._site_at(*builtin_rep("Hecke3_std", q=q).site(1).cleared(), {})
+
+
+def _legs_sites(q):
+    """The int site matrices S' (x) 1 and 1 (x) S' of the 8 x 8 legs rep at q."""
+    S, _ = _hecke_std_site(q)
+    ident = FieldMatrix.identity(2, 1)
+    return kron(S, ident), kron(ident, S)
+
+
+def _min_poly_cases():
+    rng = random.Random(5)
+    rand = {f"random{n}x{n}#{i}": FieldMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])
+            for n in (3, 4) for i in range(3)}
+    return {
+        "1 x 1": FieldMatrix(1, 1, [5]),
+        "scalar": _block_diagonal([[3]], [[3]], [[3]], [[3]]),
+        "nilpotent Jordan block": _block_diagonal([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+        "nilpotent Jordan blocks 2 + 1 + 1": _block_diagonal([[0, 1], [0, 0]], [[0]], [[0]]),
+        "repeated eigenvalues": _block_diagonal([[2]], [[-1]], [[2]], [[5]], [[-1]]),
+        "Hecke3_std(2)": _hecke_std_site(2)[0],
+        "legs(2) site 1": _legs_sites(2)[0],
+        "legs(2) site 2": _legs_sites(2)[1],
+        **rand,
+    }
+
+
+MIN_POLY_CASES = _min_poly_cases()
+
+
+def _krylov_rank(ref, count):
+    """sympy's rank of [vec(S^0) ... vec(S^(count - 1))]."""
+    return sympy.Matrix([list(ref**j) for j in range(count)]).rank()
+
+
+@pytest.mark.parametrize("name", MIN_POLY_CASES)
+def test_min_poly_matches_sympy(name):
+    S = MIN_POLY_CASES[name]
+    n, ref = S.rows, sympy.Matrix(S.rows, S.cols, S.entries)
+    t = sympy.Symbol("t")
+    algebra = _min_poly(S)
+    if algebra is None:  # k = n: the Krylov vectors of S^0, ..., S^(n-1) are independent
+        assert _krylov_rank(ref, n) == n
+        return
+    C, powers = algebra
+    k = C.rows
+    assert k < n and all(type(e) is int for e in C.entries)
+    # C is the companion matrix of mu: 1's below the diagonal, mu's low coefficients negated in the last column
+    assert all(C[i, j] == (1 if i == j + 1 else 0) for i in range(k) for j in range(k - 1))
+    mu = [-C[i, k - 1] for i in range(k)] + [1]
+    assert powers == [FieldMatrix(n, n, list(ref**j)) for j in range(k)]
+    assert sum((m * ref**j for j, m in enumerate(mu)), sympy.zeros(n, n)) == sympy.zeros(n, n)
+    assert _krylov_rank(ref, k) == k
+    _, remainder = sympy.div(ref.charpoly(t).as_expr(), sum(m * t**j for j, m in enumerate(mu)), t)
+    assert remainder == 0
+
+
+def test_min_poly_degrees_of_the_named_cases():
+    degrees = {name: (algebra[0].rows if (algebra := _min_poly(S)) else None) for name, S in MIN_POLY_CASES.items()}
+    assert degrees["1 x 1"] is None and degrees["scalar"] == 1
+    assert degrees["nilpotent Jordan block"] is None
+    assert degrees["nilpotent Jordan blocks 2 + 1 + 1"] == 2
+    assert degrees["repeated eigenvalues"] == 3
+    assert degrees["Hecke3_std(2)"] == degrees["legs(2) site 1"] == degrees["legs(2) site 2"] == 2
+    assert all(degrees[name] is None for name in MIN_POLY_CASES if name.startswith("random"))
+
+
+def _recorded_inverses(monkeypatch, check):
+    """Every matrix FieldMatrix.inv is called on while check() runs."""
+    inverted, inv = [], FieldMatrix.inv
+
+    def recording(self):
+        inverted.append(self)
+        return inv(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(FieldMatrix, "inv", recording)
+        check()
+    return inverted
+
+
+def test_ybe_random_inverts_in_q_sigma(monkeypatch):
+    # Hecke3_std is 4 x 4 with k = 2: every inverse is a 2 x 2 companion pencil
+    rep = builtin_rep("Hecke3_std")
+    inverted = _recorded_inverses(monkeypatch, lambda: ybe_random(rep, spectral_fn("hecke"), trials=3, seed=1))
+    assert len(inverted) >= 18 and all((N.rows, N.cols) == (2, 2) for N in inverted)
+    # the 2 x 2 builtins have k = n = 2: every inverse is N' = q_b s - p_b S', in the span of 1 and S'
+    for name, params in (("A3_2dim", {"c": 1, "mu": 2}), ("B3_2dim", {"nu": 2, "mu": 3}),
+                         ("C3_2dim", {"nu": 2, "mu": 3}), ("Hecke3_burau", {"q": 2})):
+        rep = builtin_rep(name, **params)
+        sites = [verify._site_at(*rep.site(i).cleared(), {})[0] for i in (1, 2)]
+        assert all(_min_poly(S) is None for S in sites)
+        inverted = _recorded_inverses(monkeypatch, lambda: ybe_random(rep, spectral_fn("ii"), trials=2, seed=1))
+        assert len(inverted) >= 12
+        for N in inverted:
+            assert (N.rows, N.cols) == (2, 2)
+            assert any(sympy.Matrix([[1, 0, 0, 1], S.entries, N.entries]).rank() == 2 for S in sites)
 
 
 def _site_matrices(rep, params):
@@ -601,9 +742,9 @@ def _dense_transfer(rhat, d, L):
 
 
 def _hecke_rhat(x, corrupt=False):
-    S, s = verify._site_at(*builtin_rep("Hecke3_std", q=2).site(1).cleared(), {})
+    S, s = _hecke_std_site(2)
     f = spectral_fn("hecke")
-    rhat = _uncleared(*_numeric_rhat(S, s, f.eval({"x": x, "y": 1}), f.eval({"x": 1, "y": x})))
+    rhat = _uncleared(*_numeric_rhat(S, s, _min_poly(S), f.eval({"x": x, "y": 1}), f.eval({"x": 1, "y": x})))
     if corrupt:
         rhat.entries[1] += 1
     return rhat
