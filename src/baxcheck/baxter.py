@@ -102,7 +102,7 @@ def rhat_cleared(rep: Rep, i: int, f: RatFunc, u: str, w: str, symbols: tuple[st
     A = S.shifted(-uw_num, uw_den * s0)
     B = S.shifted(-wu_num, wu_den * s0)
     adj, det = B.adjugate_det()
-    if det.is_zero:
+    if not det:
         raise SingularMatrixError(f"R-matrix factor is identically singular: det(1 - f({w},{u})*sigma_{i}) = 0")
     # A/(uw_den s0) * (B/(wu_den s0))^-1: the factor s0 of both cancels
     return ClearedMatrix((A * adj).scale(wu_den), uw_den * det)
@@ -162,7 +162,7 @@ def check_regularity(R: ClearedMatrix) -> bool:
     """
     diag = R.map(lambda e: e.rename({"y": "x"}))
     delta = diag.denominator()
-    if delta.is_zero:
+    if not delta:
         raise SingularMatrixError("R-matrix singular on the diagonal y = x")
     return diag.M == FieldMatrix.identity(R.M.rows, delta)
 
@@ -201,7 +201,7 @@ def H_series(rep: Rep, i: int, order: int) -> FieldMatrix:
     sigma = rep.site(i, symbols)
     zz = RatFunc.var(symbols, "z")
     acc = power = sigma
-    zpow = RatFunc.one(symbols)
+    zpow = RatFunc.const(symbols, 1)
     for _ in range(order):
         power = power * sigma
         zpow = zpow * zz

@@ -2,8 +2,10 @@
 
 A job is one JSON object with a `command`.  The `COMMANDS` table below is
 the whole job schema: for each command, its handler and an ordered spec
-giving every field's parser and its default (or REQUIRED).  Rules shared by
-every field:
+giving every field's parser and its default (or REQUIRED).  One exception:
+`verify-lemmas` lists alpha1, alpha2, b and c with default None, and its
+handler `_verify_lemmas` makes them required for suite A and unknown fields
+for suite B.  Rules shared by every field:
 
 * null counts as absent, so the default applies; a required field left null
   is reported missing;

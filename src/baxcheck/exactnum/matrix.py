@@ -64,10 +64,6 @@ class FieldMatrix:
         zero = one - one
         return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, zero) -> "FieldMatrix":
-        return cls(rows, cols, [zero] * (rows * cols))
-
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, key: tuple[int, int]):

@@ -116,10 +116,6 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, vars: tuple[str, ...]) -> "MultiPoly":
-        return cls(vars)
-
-    @classmethod
     def const(cls, vars: tuple[str, ...], value) -> "MultiPoly":
         if not isinstance(value, int):  # ints carry numerator and denominator too
             value = _as_fraction(value)
@@ -135,10 +131,6 @@ class MultiPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -228,7 +220,7 @@ class MultiPoly:
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact division; raises ValueError when the division is not exact."""
         divisor = self._coerce(divisor)
-        if divisor is None or divisor.is_zero:
+        if divisor is None or not divisor:
             raise ValueError("division by zero polynomial")
         # self / divisor = (A / Bp) * den_b / (den_a * content(B)) for the
         # primitive part Bp of B; by Gauss's lemma A / Bp is integral when exact
@@ -539,13 +531,13 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPol
         raise TypeError("poly_gcd expects two MultiPoly arguments")
     if p.vars != q.vars:
         raise ValueError(f"mismatched variable lists {p.vars} vs {q.vars}")
-    if p.is_zero and q.is_zero:
+    if not (p or q):
         raise ValueError("gcd(0, 0) is undefined")
-    if p.is_zero or q.is_zero:
-        nonzero = q if p.is_zero else p
+    if not (p and q):
+        nonzero = p or q
         lc = nonzero.lc()
         g, unit = (1 / lc) * nonzero, MultiPoly.const(p.vars, lc)
-        return (g, p, unit) if p.is_zero else (g, unit, q)
+        return (g, unit, q) if p else (g, p, unit)
     G, CP, CQ = _heu_gcd(p.terms, q.terms, len(p.vars))
     # g = G / lc(G) is monic, so p / g = CP * lc(G) / p.den
     lc = G[max(G)]

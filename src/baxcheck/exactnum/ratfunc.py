@@ -37,9 +37,9 @@ class RatFunc:
         if den is not None:
             if num.vars != den.vars:
                 raise ValueError(f"mismatched variable lists {num.vars} vs {den.vars}")
-            if den.is_zero:
+            if not den:
                 raise ZeroDivisionError("zero divisor")
-        if den is None or num.is_zero:  # a polynomial over 1 is already canonical, and zero is 0/1
+        if den is None or not num:  # a polynomial over 1 is already canonical, and zero is 0/1
             self.num, self.den = num, MultiPoly.const(num.vars, 1)
             return
         # constants are units: no gcd needed when either side is constant
@@ -57,14 +57,6 @@ class RatFunc:
         return cls(MultiPoly.const(vars, value))
 
     @classmethod
-    def zero(cls, vars: tuple[str, ...]) -> "RatFunc":
-        return cls(MultiPoly.zero(vars))
-
-    @classmethod
-    def one(cls, vars: tuple[str, ...]) -> "RatFunc":
-        return cls(MultiPoly.const(vars, 1))
-
-    @classmethod
     def var(cls, vars: tuple[str, ...], name: str) -> "RatFunc":
         return cls(MultiPoly.var(vars, name))
 
@@ -75,7 +67,7 @@ class RatFunc:
         return self.num.vars
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero
+        return bool(self.num)
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
@@ -159,7 +151,7 @@ class RatFunc:
     # -- formatting ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
+        if self.den.is_constant():  # a constant monic denominator is 1
             return str(self.num)
         return f"({self.num})/({self.den})"
 

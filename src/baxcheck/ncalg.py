@@ -63,28 +63,20 @@ class NCPoly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, symbols: tuple[str, ...]) -> "NCPoly":
-        return cls(n, symbols)
-
-    @classmethod
     def one(cls, n: int, symbols: tuple[str, ...]) -> "NCPoly":
-        return cls(n, symbols, {(): RatFunc.one(symbols)})
+        return cls(n, symbols, {(): RatFunc.const(symbols, 1)})
 
     @classmethod
     def gen(cls, n: int, i: int, symbols: tuple[str, ...]) -> "NCPoly":
         """The generator sigma_i as an element."""
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator index {i} outside 1..{n - 1}")
-        return cls(n, symbols, {(i,): RatFunc.one(symbols)})
+        return cls(n, symbols, {(i,): RatFunc.const(symbols, 1)})
 
     # -- queries ---------------------------------------------------------------
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NCPoly):
@@ -319,10 +311,10 @@ def prop1_certificate(omit_term: str | None = None) -> tuple[NCPoly, bool]:
         "right_r1": a * (r1 * (s1 + 2 * s2)),
         "b_r1": (a * b) * r1,
     }
-    combination = NCPoly.zero(3, symbols)
+    combination = NCPoly(3, symbols)
     for name, term in terms.items():
         if name == omit_term:
             continue
         combination = combination + term
     residual = combination - (a - 2) * r5
-    return residual, residual.is_zero
+    return residual, not residual

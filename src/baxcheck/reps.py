@@ -107,7 +107,7 @@ def builtin_rep(name: str, **params) -> Rep:
         symbols, vals = resolve_params(names, params)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
-    gens = rows(RatFunc.one(symbols), RatFunc.zero(symbols), *(vals[p] for p in names))
+    gens = rows(RatFunc.const(symbols, 1), RatFunc.const(symbols, 0), *(vals[p] for p in names))
     return Rep(len(gens) + 1, len(gens[0]), symbols, {i: FieldMatrix.from_rows(g) for i, g in enumerate(gens, 1)})
 
 
@@ -150,7 +150,7 @@ def evaluate_element(element: NCPoly, sites: Mapping[int, ClearedMatrix], dim: i
         coeff = coeff.lift(symbols)
         term = m.scale(coeff.num, coeff.den)
         acc = term if acc is None else acc + term
-    return ClearedMatrix(FieldMatrix.zeros(dim, dim, one - one)) if acc is None else acc
+    return ClearedMatrix(FieldMatrix(dim, dim, [one - one] * (dim * dim))) if acc is None else acc
 
 
 def check_relations(rep: Rep, rels: RelationSet) -> VerifyReport:
@@ -309,7 +309,7 @@ def correspondence_check(kind: str, rep: Rep, q=None, b=None) -> VerifyReport:
         if not b_rf:
             raise ValueError(f"{kind} requires b != 0")
         if kind == "braid_coset_to_A":
-            source, families, shifted = "Braid", _coset_families(b_rf), _shift_rep(rep, RatFunc.one(symbols), -b_rf)
+            source, families, shifted = "Braid", _coset_families(b_rf), _shift_rep(rep, RatFunc.const(symbols, 1), -b_rf)
         else:  # B_to_A_shift: sigma -> b*(sigma - 1), the inverse of sigma -> sigma/b + 1
             source, families, shifted = "B", _REMARK, _shift_rep(rep, b_rf, -b_rf)
         prechecks = [

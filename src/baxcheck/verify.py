@@ -457,7 +457,7 @@ def choose_reference_point(f: RatFunc) -> int:
     """y0 = 0 unless the spectral function f(x, y) has a pole there, else y0 = 1."""
     for y0 in (0, 1):
         # both orders f(x, y0) and f(y0, x) must stay finite as functions of x
-        if not (f.den.at("y", y0).is_zero or f.den.at("x", y0).is_zero):
+        if f.den.at("y", y0) and f.den.at("x", y0):
             return y0
     raise ValueError("no admissible reference point among {0, 1}")
 
@@ -506,9 +506,9 @@ def transfer_commute(
     if corrupt and d < 2:
         raise ValueError(f"corrupt needs a site matrix on V (x) V with dim V >= 2, got dim V = {d}")
     check_chain_lengths(lengths)
-    S, s = _site_at(*rep.site(i).cleared(), {})  # the constant sigma = S / s
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError(f"need an int count of at least one point pair, got {count!r}")
+    S, s = _site_at(*rep.site(i).cleared(), {})  # the constant sigma = S / s
     y0 = choose_reference_point(f)
     base = {"kind": "randomized", "seed": seed, "y0": format_scalar(y0), "corrupt": corrupt}
     runs = [{**base, "L": L, "points": []} for L in lengths]

@@ -14,14 +14,14 @@ def kron(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 def rename_ratfunc(e: RatFunc, mapping) -> RatFunc:
     """e with variables renamed in its numerator and denominator; PoleError when the denominator vanishes."""
     den = e.den.rename(mapping)
-    if den.is_zero:
+    if not den:
         raise PoleError(f"substitution {mapping} annihilates the denominator of {e}")
     return RatFunc(e.num.rename(mapping), den)
 
 
 def cleared_value(c: ClearedMatrix) -> FieldMatrix:
     """The RatFunc matrix M / (f_1 ... f_k) that a cleared matrix stands for, built by RatFunc arithmetic."""
-    den = RatFunc.one(c.M.entries[0].vars)
+    den = RatFunc.const(c.M.entries[0].vars, 1)
     for f in c.factors:
         den = den * RatFunc(f)
     return c.M.map_entries(lambda e: RatFunc(e) / den)

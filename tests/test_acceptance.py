@@ -34,11 +34,11 @@ def test_criterion_1_prop1_certificate():
     start = time.monotonic()
     residual, ok = prop1_certificate()
     elapsed = time.monotonic() - start
-    assert ok and residual.is_zero
+    assert ok and not residual
     assert elapsed < 1.0, f"certificate took {elapsed:.2f}s"
     for term in PROP1_TERMS:
         mutated, passed = prop1_certificate(omit_term=term)
-        assert not passed and not mutated.is_zero, f"dropping {term} must break the certificate"
+        assert not passed and mutated, f"dropping {term} must break the certificate"
     announce(1, f"certificate residual 0 in {elapsed:.3f}s; all 5 mutation controls nonzero")
 
 

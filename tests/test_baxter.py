@@ -109,7 +109,7 @@ def test_r_matrix_solves_its_defining_relation_with_a_hand_swapped_f(name, label
     rep = builtin_rep(name)
     symbols = spectral_symbols(rep, XY)
     fxy, fyx = FIVE_FNS[label].lift(symbols), SWAPPED[label].lift(symbols)
-    ident = FieldMatrix.identity(rep.dim, RatFunc.one(symbols))
+    ident = FieldMatrix.identity(rep.dim, RatFunc.const(symbols, 1))
     for site in range(1, rep.n):
         sigma = rep.site(site, symbols)
         R = build_R(rep, site, FIVE_FNS[label])
@@ -124,7 +124,7 @@ def test_nilpotent_r_matrix_closed_form():
     fxy = fn.lift(symbols)
     fyx = SWAPPED["i(2,1,0,1)"].lift(symbols)
     sigma = rep.matrices[1].map_entries(lambda e: e.lift(symbols))
-    ident = FieldMatrix.identity(2, RatFunc.one(symbols))
+    ident = FieldMatrix.identity(2, RatFunc.const(symbols, 1))
     assert R.value() == ident + sigma.scale(fyx - fxy)
 
 
@@ -134,7 +134,7 @@ def test_r_matrix_defining_invariant():
     R = build_R(rep, 1, fn)
     symbols = canonical_vars(set(rep.params) | {"x", "y"})
     sigma = rep.matrices[1].map_entries(lambda e: e.lift(symbols))
-    ident = FieldMatrix.identity(2, RatFunc.one(symbols))
+    ident = FieldMatrix.identity(2, RatFunc.const(symbols, 1))
     fxy = fn.lift(symbols)
     fyx = SWAPPED["ii"].lift(symbols)
     assert R.value() * (ident - sigma.scale(fyx)) == ident - sigma.scale(fxy)
@@ -145,14 +145,14 @@ def test_scalar_r_matrix_is_ratio_of_scalars():
     fn = spectral_fn("ii")
     R = build_R(rep, 1, fn)
     symbols = canonical_vars(set(rep.params) | {"x", "y"})
-    lam, one = RatFunc.var(symbols, "lam"), RatFunc.one(symbols)
+    lam, one = RatFunc.var(symbols, "lam"), RatFunc.const(symbols, 1)
     fxy = fn.lift(symbols)
     fyx = SWAPPED["ii"].lift(symbols)
     assert R.value()[0, 0] == (one - fxy * lam) / (one - fyx * lam)
     # at lam = 0 the reduced Rhat is 1 over no denominator factor, which every baxterise check reads
     zero = builtin_rep("scalar", values=[0, 0])
     R = build_R(zero, 1, fn)
-    assert R.factors == [] and R.value() == FieldMatrix.identity(1, RatFunc.one(XY))
+    assert R.factors == [] and R.value() == FieldMatrix.identity(1, RatFunc.const(XY, 1))
     assert check_regularity(R) and check_unitarity(R)
     assert series_agreement_order(zero, 1, 3) is None
 
@@ -273,7 +273,7 @@ def planted_content(draw):
 
     def poly_in(min_terms, max_terms):
         terms = draw(st.lists(st.tuples(exp, coeff.filter(bool)), min_size=min_terms, max_size=max_terms))
-        return sum((MultiPoly(vars, {e: c}) for e, c in terms), MultiPoly.zero(vars))
+        return sum((MultiPoly(vars, {e: c}) for e, c in terms), MultiPoly(vars))
 
     g, delta = poly_in(1, 3), poly_in(1, 3)
     assume(g and delta)
@@ -303,12 +303,12 @@ def test_reduce_cleared_content_shrinks_twice():
     vars = ("x", "y")
     x, y = MultiPoly.var(vars, "x"), MultiPoly.var(vars, "y")
     half = Fraction(1, 2)
-    C = ClearedMatrix(FieldMatrix(2, 2, [3 * x * y * (x + 1), MultiPoly.zero(vars), x * y, half * x]),
+    C = ClearedMatrix(FieldMatrix(2, 2, [3 * x * y * (x + 1), MultiPoly(vars), x * y, half * x]),
                       2 * x * y * (x + 1))
     (reduced, g), gcds = _counted_reduce(C)
     assert gcds == 2
     assert g == 2 * x
-    assert reduced.M.entries == [(x + 1) * (Fraction(3, 2) * y), MultiPoly.zero(vars), half * y,
+    assert reduced.M.entries == [(x + 1) * (Fraction(3, 2) * y), MultiPoly(vars), half * y,
                                  MultiPoly.const(vars, Fraction(1, 4))]
     assert reduced.factors == [(x + 1) * y]
 
@@ -317,12 +317,12 @@ def test_reduce_cleared_leaves_no_factor_when_delta_divides_every_entry():
     vars = ("x", "y")
     x, y = MultiPoly.var(vars, "x"), MultiPoly.var(vars, "y")
     delta = 2 * (x + y)
-    C = ClearedMatrix(FieldMatrix(2, 2, [delta * x, 3 * delta, MultiPoly.zero(vars), delta * delta]), delta)
+    C = ClearedMatrix(FieldMatrix(2, 2, [delta * x, 3 * delta, MultiPoly(vars), delta * delta]), delta)
     (reduced, g), gcds = _counted_reduce(C)
     assert gcds == 0
     assert g == delta
     assert reduced.factors == []
-    assert reduced.M.entries == [x, MultiPoly.const(vars, 3), MultiPoly.zero(vars), delta]
+    assert reduced.M.entries == [x, MultiPoly.const(vars, 3), MultiPoly(vars), delta]
 
 
 @pytest.mark.parametrize("name, fn, per_site", [("Hecke3_std", "ii", 1), ("B3_2dim", "i(2,1,0,1)", 2)])
@@ -359,7 +359,7 @@ def _regular_by_canonical_entries(R):
         at_diag = R.value().map_entries(lambda e: rename_ratfunc(e, {"y": "x"}))
     except PoleError:
         return "singular"
-    return at_diag == FieldMatrix.identity(R.M.rows, RatFunc.one(at_diag.entries[0].vars))
+    return at_diag == FieldMatrix.identity(R.M.rows, RatFunc.const(at_diag.entries[0].vars, 1))
 
 
 def _regular_by_cleared_form(R):
@@ -441,7 +441,7 @@ def test_H_closed_solves_its_defining_identity(name, params, site):
     rep = builtin_rep(name, **params)
     symbols = spectral_symbols(rep, ("z",))
     sigma = rep.site(site, symbols)
-    N = FieldMatrix.identity(rep.dim, RatFunc.one(symbols)) - sigma.scale(RatFunc.var(symbols, "z"))
+    N = FieldMatrix.identity(rep.dim, RatFunc.const(symbols, 1)) - sigma.scale(RatFunc.var(symbols, "z"))
     H = H_closed(rep, site).value()
     assert N * H == sigma == H * N
 
@@ -494,6 +494,6 @@ def test_series_agreement_orders():
 def test_h_fun():
     h = h_fun(1, 0, 1)
     z = RatFunc.var(h.vars, "z")
-    assert h == RatFunc.one(h.vars) / (z * z - 1)
+    assert h == RatFunc.const(h.vars, 1) / (z * z - 1)
     with pytest.raises(ValueError):
         h_fun(0, 1, 1)

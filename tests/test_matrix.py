@@ -37,14 +37,14 @@ def test_identity_inverse():
     ident = FieldMatrix.identity(3, 1)
     X, D = _checked_inv(ident)
     assert X == ident and D == 1
-    X, D = _checked_inv(FieldMatrix.identity(2, RatFunc.one(V)))
+    X, D = _checked_inv(FieldMatrix.identity(2, RatFunc.const(V, 1)))
     assert D == MultiPoly.const(V, 1) and X == FieldMatrix.identity(2, D)
 
 
 def test_nilpotent_neumann_series_terminates():
     Vz = canonical_vars(["z"])
     z = RatFunc.var(Vz, "z")
-    one, zero = RatFunc.one(Vz), RatFunc.zero(Vz)
+    one, zero = RatFunc.const(Vz, 1), RatFunc.const(Vz, 0)
     m = FieldMatrix.from_rows([[one, -z], [zero, one]])
     X, D = _checked_inv(m)
     assert X.map_entries(lambda e: RatFunc(e, D)) == FieldMatrix.from_rows([[one, z], [zero, one]])
@@ -73,7 +73,7 @@ def test_random_function_field_inverses():
     rng = random.Random(3)
 
     def rpoly():
-        p = MultiPoly.zero(V)
+        p = MultiPoly(V)
         for _ in range(rng.randint(1, 2)):
             e = (rng.randint(0, 1), rng.randint(0, 1))
             p = p + MultiPoly(V, {e: Fraction(rng.randint(-3, 3))})
@@ -82,7 +82,7 @@ def test_random_function_field_inverses():
     def entry():
         while True:
             den = rpoly() + 1
-            if not den.is_zero:
+            if den:
                 return RatFunc(rpoly(), den)
 
     done = 0
@@ -104,7 +104,7 @@ def test_det_known_value_and_multiplicativity():
 
 def test_det_function_field():
     x = MultiPoly.var(V, "x")
-    one, zero = MultiPoly.const(V, 1), MultiPoly.zero(V)
+    one, zero = MultiPoly.const(V, 1), MultiPoly(V)
     m = FieldMatrix.from_rows([[x, one], [zero, x]])
     assert m.adjugate_det()[1] == x * x
 
@@ -137,8 +137,8 @@ def test_difference_is_the_sum_with_the_negation():
     xr, yr = RatFunc(x), RatFunc(y)
     cases = [
         ([1, -2, 3, 0], [4, 5, -6, 0]),
-        ([x, 2 * y, x * y - 1, MultiPoly.zero(V)], [x, y, MultiPoly.const(V, 3), x + y]),
-        ([xr / (yr + 1), RatFunc.one(V), yr, RatFunc.zero(V)], [xr / (yr + 1), xr, RatFunc.one(V) / (xr - yr), yr]),
+        ([x, 2 * y, x * y - 1, MultiPoly(V)], [x, y, MultiPoly.const(V, 3), x + y]),
+        ([xr / (yr + 1), RatFunc.const(V, 1), yr, RatFunc.const(V, 0)], [xr / (yr + 1), xr, RatFunc.const(V, 1) / (xr - yr), yr]),
     ]
     for a, b in cases:
         M, N = FieldMatrix(2, 2, a), FieldMatrix(2, 2, b)
@@ -177,8 +177,8 @@ def test_shifted_builtin_sites_match_the_identity_construction(name):
     x, z = RatFunc.var(symbols, "x"), RatFunc.var(symbols, "z")
     for site in (1, 2):
         sigma = rep.site(site, symbols)
-        for a, c in ((-z, 1), (x / (z + 1), -x * z + 1), (RatFunc.one(symbols), -x)):
-            assert sigma.shifted(a, c) == _shift_reference(sigma, a, c, RatFunc.one(symbols))
+        for a, c in ((-z, 1), (x / (z + 1), -x * z + 1), (RatFunc.const(symbols, 1), -x)):
+            assert sigma.shifted(a, c) == _shift_reference(sigma, a, c, RatFunc.const(symbols, 1))
         S, s0 = sigma.cleared()
         for a, c in ((-z.num, s0), ((x * x + 3).num, (x * z - 2).num * s0), (2, x.num)):
             shifted = S.shifted(a, c)
@@ -290,7 +290,7 @@ def test_adjugate_det_expands_its_cofactors(kind):
             return rng.randint(-6, 6)
         if kind == "int256":
             return rng.randint(-big, big)
-        p = MultiPoly.zero(V)
+        p = MultiPoly(V)
         for _ in range(rng.randint(0, 2)):
             p = p + MultiPoly(V, {(rng.randint(0, 2), rng.randint(0, 1)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))})
         return p
@@ -367,7 +367,7 @@ def test_cleared_scales_to_the_entry_ring():
     rng = random.Random(19)
 
     def rpoly():
-        p = MultiPoly.zero(V)
+        p = MultiPoly(V)
         for _ in range(rng.randint(1, 3)):
             e = (rng.randint(0, 2), rng.randint(0, 1))
             p = p + MultiPoly(V, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))})
@@ -376,7 +376,7 @@ def test_cleared_scales_to_the_entry_ring():
     def ratfunc():
         while True:
             den = rpoly()
-            if not den.is_zero:
+            if den:
                 return RatFunc(rpoly(), den)
 
     for _ in range(8):
@@ -385,7 +385,7 @@ def test_cleared_scales_to_the_entry_ring():
         assert A.cleared() == (A, 1)
         A = FieldMatrix(rows, cols, [ratfunc() for _ in range(rows * cols)])
         M, D = A.cleared()
-        assert isinstance(D, MultiPoly) and not D.is_zero
+        assert isinstance(D, MultiPoly) and D
         assert all(type(e) is MultiPoly for e in M.entries)
         assert all(RatFunc(m) == a for m, a in zip(M.entries, A.scale(RatFunc(D)).entries))
     with pytest.raises(TypeError):
@@ -408,8 +408,8 @@ def _sparse_entries(rng):
     """(entry(), zero) per kind; about 70% of the entries drawn are zero."""
 
     def rpoly():
-        p = MultiPoly.zero(V)
-        while p.is_zero:
+        p = MultiPoly(V)
+        while not p:
             for _ in range(rng.randint(1, 2)):
                 e = (rng.randint(0, 2), rng.randint(0, 1))
                 p = p + MultiPoly(V, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))})
@@ -418,8 +418,8 @@ def _sparse_entries(rng):
     return {
         "int": (lambda: rng.choice([-3, -1, 1, 2, 7]), 0),
         "fraction": (lambda: Fraction(rng.choice([-5, -1, 2, 9]), rng.randint(1, 4)), Fraction(0)),
-        "poly": (rpoly, MultiPoly.zero(V)),
-        "ratfunc": (lambda: RatFunc(rpoly(), rpoly()), RatFunc.zero(V)),
+        "poly": (rpoly, MultiPoly(V)),
+        "ratfunc": (lambda: RatFunc(rpoly(), rpoly()), RatFunc.const(V, 0)),
     }
 
 
@@ -449,8 +449,8 @@ def test_sparse_product_matches_naive(left, right):
         assert all(type(e) is kind for e in product.entries)
     # an all-zero factor: every product entry is a missing one
     for A, B in (
-        (FieldMatrix.zeros(2, 3, kinds[left][1]), sparse(3, 2, right)),
-        (sparse(2, 3, left), FieldMatrix.zeros(3, 2, kinds[right][1])),
+        (FieldMatrix(2, 3, [kinds[left][1]] * 6), sparse(3, 2, right)),
+        (sparse(2, 3, left), FieldMatrix(3, 2, [kinds[right][1]] * 6)),
     ):
         product = A * B
         assert product.is_zero and product == _naive_product(A, B)
@@ -470,8 +470,8 @@ def test_cleared_sums_agree_with_ratfunc_differences():
     rng = random.Random(43)
 
     def rpoly():
-        p = MultiPoly.zero(V)
-        while p.is_zero:
+        p = MultiPoly(V)
+        while not p:
             for _ in range(rng.randint(1, 3)):
                 e = (rng.randint(0, 2), rng.randint(0, 1))
                 p = p + MultiPoly(V, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))})
@@ -481,7 +481,7 @@ def test_cleared_sums_agree_with_ratfunc_differences():
     pool = [rpoly() for _ in range(4)] + [MultiPoly.const(V, c) for c in (2, Fraction(-1, 3), 1)]
 
     def term():
-        M = FieldMatrix(2, 2, [rpoly() if rng.random() < 0.7 else MultiPoly.zero(V) for _ in range(4)])
+        M = FieldMatrix(2, 2, [rpoly() if rng.random() < 0.7 else MultiPoly(V) for _ in range(4)])
         return ClearedMatrix(M, *(rng.choice(pool) for _ in range(rng.randint(0, 3))))
 
     verdicts = set()

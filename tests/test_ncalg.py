@@ -24,7 +24,7 @@ def gen(i, n=3, symbols=S):
 
 def test_self_commutator_vanishes():
     s1 = gen(1)
-    assert nc_commutator(s1, s1).is_zero
+    assert not nc_commutator(s1, s1)
 
 
 def test_commutator_has_two_words():
@@ -68,7 +68,7 @@ def test_relations_reject_bad_input():
 
 def test_prop1_certificate_is_identically_zero():
     residual, ok = prop1_certificate()
-    assert ok and residual.is_zero
+    assert ok and not residual
 
 
 def test_prop1_specialization_a2():
@@ -82,7 +82,7 @@ def test_prop1_specialization_a2():
 @pytest.mark.parametrize("term", PROP1_TERMS)
 def test_prop1_mutation_controls(term):
     residual, ok = prop1_certificate(omit_term=term)
-    assert not ok and not residual.is_zero
+    assert not ok and residual
 
 
 def test_prop1_takes_the_aa1_aa2_aa3_aa5_elements_of_the_a_relations(monkeypatch):
@@ -158,7 +158,7 @@ def test_associativity_and_distributivity():
         c = _random_ratfunc(rng)
         assert c * (p * q) == (c * p) * q == p * (c * q)
         assert c * (p + q) == c * p + c * q
-        assert (0 * p).is_zero and (RatFunc.zero(SYM) * p).is_zero
+        assert not 0 * p and not RatFunc.const(SYM, 0) * p
         assert 2 * p == p + p and Fraction(1, 2) * (2 * p) == p
 
 
@@ -188,7 +188,7 @@ def _random_ratfunc(rng, symbols=SYM):
 
 
 def _random_ncpoly(rng, n=3, symbols=S):
-    p = NCPoly.zero(n, symbols)
+    p = NCPoly(n, symbols)
     for _ in range(rng.randint(1, 3)):
         word = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 3)))
         coeff = _random_ratfunc(rng, symbols) if symbols else RatFunc.const(S, Fraction(rng.randint(-3, 3)))

@@ -20,18 +20,18 @@ def test_common_factor_normalizes_to_constant():
 
 def test_self_division_is_one():
     r = RatFunc.var(V, "x") / RatFunc.var(V, "y")
-    assert r / r == RatFunc.one(V)
+    assert r / r == RatFunc.const(V, 1)
 
 
 def test_partial_fractions_sum_to_one():
-    one = RatFunc.one(V)
+    one = RatFunc.const(V, 1)
     x = RatFunc.var(V, "x")
     assert one / (1 + x) + x / (1 + x) == one
 
 
 def test_eval_simple():
     x = RatFunc.var(V, "x")
-    r = RatFunc.one(V) / (1 + x)
+    r = RatFunc.const(V, 1) / (1 + x)
     assert r.eval({"x": Fraction(1), "y": Fraction(0)}) == Fraction(1, 2)
 
 
@@ -48,9 +48,9 @@ def test_eval_product():
 
 def test_zero_divisor_raises():
     with pytest.raises(ZeroDivisionError):
-        RatFunc.one(V) / RatFunc.zero(V)
+        RatFunc.const(V, 1) / RatFunc.const(V, 0)
     with pytest.raises(ZeroDivisionError):
-        RatFunc(X, MultiPoly.zero(V))
+        RatFunc(X, MultiPoly(V))
 
 
 def test_denominator_is_monic():
@@ -81,7 +81,7 @@ def poly_strategy():
     return st.lists(term, min_size=1, max_size=3).map(
         lambda terms: sum(
             (MultiPoly(V, {e: Fraction(c)}) for e, c in terms if c),
-            MultiPoly.zero(V),
+            MultiPoly(V),
         )
     )
 
@@ -90,7 +90,7 @@ def poly_strategy():
 @given(poly_strategy(), poly_strategy())
 def test_canonical_form_is_route_independent(p, q):
     # reduce-then-normalize vs build-by-division store identical representations
-    if q.is_zero:
+    if not q:
         return
     direct = RatFunc(p, q)
     routed = RatFunc(p) / RatFunc(q)
@@ -172,7 +172,7 @@ def test_arithmetic_matches_sympy_cancel_on_pinned_cases():
     assert a + b == RatFunc(MultiPoly.const(V, 1), X - Y)
     # one constant and one nonconstant denominator: the sum takes one gcd of the full pair
     _assert_arithmetic_matches_sympy(RatFunc(X * X + Fraction(1, 3) * Y), RatFunc(X, (X + 1) * (X - Y)))
-    zero = RatFunc.zero(V)
+    zero = RatFunc.const(V, 0)
     for r in (*shared, RatFunc(X, MultiPoly.const(V, 3))):
         _assert_arithmetic_matches_sympy(zero, r)
         _assert_arithmetic_matches_sympy(r, zero)  # r / 0 raises ZeroDivisionError
@@ -210,4 +210,4 @@ def test_lift_and_rename():
     back = big.eval({"x": Fraction(1), "y": Fraction(1), "mu": Fraction(9)})
     assert back == Fraction(1, 2)
     # renaming acts on the polynomials; x - y vanishes on the diagonal y = x
-    assert (X - Y).rename({"y": "x"}).is_zero
+    assert not (X - Y).rename({"y": "x"})

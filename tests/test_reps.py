@@ -41,7 +41,7 @@ def _cleared_sites(rep, symbols):
 def test_evaluate_element_of_the_empty_word_and_of_one_generator():
     rep = builtin_rep("B3_2dim")
     sites = _cleared_sites(rep, rep.params)
-    one = RatFunc.one(rep.params)
+    one = RatFunc.const(rep.params, 1)
     value = evaluate_element(NCPoly.one(3, rep.params), sites, rep.dim, rep.params)
     assert cleared_value(value) == FieldMatrix.identity(2, one)
     for i in (1, 2):
@@ -51,12 +51,12 @@ def test_evaluate_element_of_the_empty_word_and_of_one_generator():
 
 def test_evaluate_element_with_denominators_in_sites_and_coefficients():
     t = RatFunc.var(("t",), "t")
-    rep = builtin_rep("B3_2dim", nu=RatFunc.one(t.vars) / (t + 1), mu="t")
+    rep = builtin_rep("B3_2dim", nu=RatFunc.const(t.vars, 1) / (t + 1), mu="t")
     symbols = rep.params
     sites = _cleared_sites(rep, symbols)
     assert [str(f) for f in sites[1].factors] == ["t + 1"]
     s1, s2 = (NCPoly.gen(3, i, symbols) for i in (1, 2))
-    coeff = RatFunc.one(symbols) / (RatFunc.var(symbols, "t") - 2)
+    coeff = RatFunc.const(symbols, 1) / (RatFunc.var(symbols, "t") - 2)
     value = evaluate_element(coeff * (s1 * s2 * s1) - s2 * s2 + s1, sites, rep.dim, symbols)
     m1, m2 = rep.matrices[1], rep.matrices[2]
     assert cleared_value(value) == (m1 * m2 * m1).scale(coeff) - m2 * m2 + m1
@@ -69,9 +69,9 @@ def test_an_element_with_no_terms_evaluates_to_zero():
     symbols = canonical_vars(set(rep.params) | set(rels.symbols))
     elements = dict(rels.elements)
     assert not elements["aa5(1)"].terms
-    for element in (NCPoly.zero(3, symbols), elements["aa5(1)"]):
+    for element in (NCPoly(3, symbols), elements["aa5(1)"]):
         value = evaluate_element(element, _cleared_sites(rep, symbols), rep.dim, symbols)
-        assert value.M == FieldMatrix.zeros(2, 2, MultiPoly.zero(symbols)) and not value.factors
+        assert value.M == FieldMatrix(2, 2, [MultiPoly(symbols)] * 4) and not value.factors
         assert value.residual_size() == 0
     assert dict(check_relations(rep, rels).residuals)["aa5(1)"] == 0
 
@@ -98,7 +98,7 @@ def test_hecke_std_quadratic_and_tensor_braid():
     rep = builtin_rep("Hecke3_std")
     assert check_relations(rep, relations_for("Hecke", 3)).passed
     s = rep.matrices[1]
-    ident = FieldMatrix.identity(2, RatFunc.one(rep.params))
+    ident = FieldMatrix.identity(2, RatFunc.const(rep.params, 1))
     s_left, s_right = kron(s, ident), kron(ident, s)
     assert s_left * s_right * s_left == s_right * s_left * s_right
 

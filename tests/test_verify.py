@@ -531,7 +531,7 @@ def test_two_site_tensor_rep_satisfies_ratio_ybe():
 
     std = builtin_rep("Hecke3_std")
     s = std.matrices[1]
-    ident = FieldMatrix.identity(2, RatFunc.one(std.params))
+    ident = FieldMatrix.identity(2, RatFunc.const(std.params, 1))
     rep8 = Rep(3, 8, std.params, {1: kron(s, ident), 2: kron(ident, s)})
     assert check_relations(rep8, relations_for("Hecke", 3)).passed
     assert ybe_random(rep8, spectral_fn("hecke"), trials=4, seed=2).passed
@@ -706,6 +706,19 @@ def test_transfer_usage_errors():
     for count in (0, -1, True, 2.5, "3", None):
         with pytest.raises(ValueError, match="point pair"):
             transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], count=count)
+
+
+def test_transfer_rejects_a_bad_count_before_any_site_work(monkeypatch):
+    calls, site_at = [], verify._site_at
+
+    def spy(*args):
+        calls.append(args)
+        return site_at(*args)
+
+    monkeypatch.setattr(verify, "_site_at", spy)
+    with pytest.raises(ValueError, match="point pair"):
+        transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], count=0)
+    assert calls == []
 
 
 def test_ybe_random_usage_errors():
