@@ -36,7 +36,7 @@ import sys
 from fractions import Fraction
 
 from .baxter import SPECTRAL_CASES, build_R, check_regularity, check_unitarity, series_agreement_order, spectral_fn
-from .exactnum import RatFunc, parse_scalar
+from .exactnum import PoleError, RatFunc, SingularMatrixError, parse_scalar
 from .ncalg import ALGEBRAS, PROP1_TERMS, prop1_certificate, relations_for
 from .report import VerifyReport
 from .reps import (
@@ -363,8 +363,8 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
         raise
     except ValueError as exc:
         raise JobError(str(exc)) from exc
-    except ArithmeticError as exc:
-        # singular factors and unresolvable poles are mathematical outcomes
+    except (PoleError, SingularMatrixError) as exc:
+        # singular factors and unresolvable poles are mathematical outcomes, any other ArithmeticError a defect
         report = VerifyReport(command, status="error", notes=[str(exc)])
         extra = {}
     code = EXIT_PASS if report.passed else EXIT_FAIL
@@ -405,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         payload, code = run_job(job, overrides)
     except JobError as exc:
         payload, code = {"error": str(exc), "exit_code": EXIT_USAGE}, EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a defect, a ZeroDivisionError in a worker included
         payload, code = {"error": f"internal error: {exc}", "exit_code": EXIT_INTERNAL}, EXIT_INTERNAL
 
     _emit(payload, args.out)

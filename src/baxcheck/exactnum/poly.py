@@ -41,6 +41,8 @@ from fractions import Fraction
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .scalar import as_scalar
+
 SPECTRAL = ("x", "y", "z", "v")
 
 _W = 32  # bits per exponent field
@@ -54,14 +56,6 @@ def canonical_vars(names: Iterable[str]) -> tuple[str, ...]:
     head = [s for s in SPECTRAL if s in names]
     tail = sorted(n for n in names if n not in SPECTRAL)
     return tuple(head + tail)
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected a rational scalar, got {type(value).__name__}")
 
 
 def _pack(exp: tuple[int, ...]) -> int:
@@ -102,7 +96,7 @@ class MultiPoly:
         clean: dict[int, Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = as_scalar(coeff)
                 if coeff == 0:
                     continue
                 if len(exp) != nvars:
@@ -117,8 +111,8 @@ class MultiPoly:
 
     @classmethod
     def const(cls, vars: tuple[str, ...], value) -> "MultiPoly":
-        if not isinstance(value, int):  # ints carry numerator and denominator too
-            value = _as_fraction(value)
+        if type(value) is not int:  # an int carries numerator and denominator and needs no Fraction
+            value = as_scalar(value)
         return _make(tuple(vars), {0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
@@ -323,7 +317,7 @@ def eval_cleared(polys: Sequence[MultiPoly], point: Mapping[str, Fraction]) -> t
     missing = [v for v in vars if v not in point]
     if missing:
         raise ValueError(f"missing assignment for {missing}")
-    values = [_as_fraction(point[v]) for v in vars]
+    values = [as_scalar(point[v]) for v in vars]
     den = _int_lcm(*(p.den for p in polys))
     scaled, scale = [], 1
     for i, val in enumerate(values):

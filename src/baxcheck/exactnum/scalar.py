@@ -3,7 +3,8 @@
 The coefficient field everywhere in this package is the rationals.  We use
 :class:`fractions.Fraction`, which already maintains the canonical form we
 need (reduced, positive denominator, zero stored as 0/1).  Scalars cross
-module boundaries as strings "p" or "p/q" with q > 0.
+module boundaries as strings "p" or "p/q" with q > 0 (never symbol names),
+and as_scalar is the one gate for a rational a caller passes in.
 """
 
 from __future__ import annotations
@@ -31,21 +32,23 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def as_scalar(value) -> Fraction:
-    """An int or a Fraction as a Fraction, a str through parse_scalar.
+    """A Fraction as it is, an int as a Fraction, a str ("p" or "p/q") through parse_scalar.
 
     Anything else, a float or a bool included, raises ValueError: a binary
-    float is not the rational its decimal text names.
+    float is not the rational its decimal text names, and True is not 1.
     """
+    if isinstance(value, Fraction):
+        return value
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, str):
         return parse_scalar(value)
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return Fraction(value)
     raise ValueError(f"scalar must be an int, a Fraction or a 'p/q' string, got {value!r}")
 
 
-def format_scalar(value: Fraction) -> str:
-    """Render a rational as "p" or "p/q"."""
-    value = Fraction(value)
+def format_scalar(value) -> str:
+    """Render a rational (read by as_scalar) as "p" or "p/q"."""
+    value = as_scalar(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

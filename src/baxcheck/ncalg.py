@@ -177,35 +177,33 @@ class RelationSet:
 def resolve_params(names: Iterable[str], given: Mapping | None) -> tuple[tuple[str, ...], dict[str, RatFunc]]:
     """Build the coefficient field and one RatFunc per named parameter.
 
-    None (or an absent name) keeps the parameter symbolic as its own symbol; a
-    str names the symbol to use; an int or Fraction is a constant; a RatFunc
-    is lifted (so e.g. the parameter c of A can be set to -q).  Unknown names
-    and values of any other type raise ValueError.
+    None (or an absent name) keeps the parameter symbolic as its own symbol;
+    a RatFunc is lifted, so a symbol of another name is the RatFunc that
+    names it (q=RatFunc.var(("t",), "t")) and the parameter c of A can be set
+    to -q; anything else is a constant read by RatFunc.const, so a str is
+    always a "p/q" scalar.  An unknown name or a value as_scalar refuses (a
+    bool, a float) raises ValueError, which names the parameter.
     """
     given = dict(given or {})
     unknown = set(given) - set(names)
     if unknown:
         raise ValueError(f"unexpected parameters {sorted(unknown)}")
     values = {name: given.get(name) for name in names}
-    sym_names: set[str] = set()
-    for name, value in values.items():
-        if value is None:
-            sym_names.add(name)
-        elif isinstance(value, str):
-            sym_names.add(value)
-        elif isinstance(value, RatFunc):
-            sym_names.update(value.vars)
-        elif not isinstance(value, (int, Fraction)):
-            raise ValueError(f"parameter {name}: expected rational, symbol name, RatFunc, or None; got {value!r}")
-    symbols = canonical_vars(sym_names)
+    symbols = canonical_vars(
+        {name for name, value in values.items() if value is None}
+        | {s for value in values.values() if isinstance(value, RatFunc) for s in value.vars}
+    )
     out: dict[str, RatFunc] = {}
     for name, value in values.items():
-        if value is None or isinstance(value, str):
-            out[name] = RatFunc.var(symbols, name if value is None else value)
+        if value is None:
+            out[name] = RatFunc.var(symbols, name)
         elif isinstance(value, RatFunc):
             out[name] = value.lift(symbols)
         else:
-            out[name] = RatFunc.const(symbols, value)
+            try:
+                out[name] = RatFunc.const(symbols, value)
+            except ValueError as exc:
+                raise ValueError(f"parameter {name}: {exc}") from exc
     return symbols, out
 
 

@@ -86,7 +86,8 @@ def builtin_rep(name: str, **params) -> Rep:
     """Built-in representation families.
 
     Parameters are resolved by ncalg.resolve_params: None or omitted stays
-    symbolic, a str names the symbol, rationals and RatFuncs fix them.
+    symbolic, a RatFunc is lifted (RatFunc.var(("t",), "t") names the symbol
+    t), and an int, a Fraction or a "p/q" string is a constant.
       A3_2dim(c, mu)       2x2, both generators square to zero
       B3_2dim(nu, mu)      2x2
       C3_2dim(nu, mu)      the index flip of B3_2dim
@@ -95,8 +96,8 @@ def builtin_rep(name: str, **params) -> Rep:
                            relation on (C^2)^3, which the transfer harness
                            relies on
       Hecke3_burau(q)      2x2 with distinct generator images
-      scalar(values)       1x1 matrices; values is one rational or symbol
-                           name per generator, (None, None) by default
+      scalar(values)       1x1 matrices; values holds one value per
+                           generator, (None, None) by default
     """
     if name == "scalar":
         return _scalar_rep(**params)
@@ -112,13 +113,14 @@ def builtin_rep(name: str, **params) -> Rep:
 
 
 def _scalar_rep(values: Sequence = (None, None), **extras) -> Rep:
-    """One 1x1 matrix per generator, n = len(values) + 1; a value of None is the symbol lam."""
+    """One 1x1 matrix per generator, n = len(values) + 1; every None is the one symbol lam, a RatFunc."""
     _reject_extras("scalar", extras)
     if not values:
         raise ValueError("a scalar rep needs at least one value")
     n = len(values) + 1
     names = [str(i) for i in range(1, n)]
-    symbols, vals = resolve_params(names, {k: "lam" if v is None else v for k, v in zip(names, values)})
+    lam = RatFunc.var(("lam",), "lam")
+    symbols, vals = resolve_params(names, {k: lam if v is None else v for k, v in zip(names, values)})
     return Rep(n, 1, symbols, {i: FieldMatrix(1, 1, [vals[str(i)]]) for i in range(1, n)})
 
 

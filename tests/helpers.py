@@ -1,5 +1,7 @@
 """Reference operations the tests share and the package does not need."""
 
+import math
+
 from baxcheck.exactnum import ClearedMatrix, FieldMatrix, PoleError, RatFunc
 
 
@@ -9,6 +11,15 @@ def kron(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
         [a[i, j] * b[p, q] for j in range(a.cols) for q in range(b.cols)]
         for i in range(a.rows) for p in range(b.rows)
     ])
+
+
+def tensor_legs(S: FieldMatrix, n: int, one) -> dict[int, FieldMatrix]:
+    """sigma_i = 1^(i-1) (x) S (x) 1^(n-1-i) on n legs of dimension d, for a d^2 x d^2 site matrix S, i = 1 .. n-1."""
+    d = math.isqrt(S.rows)
+    return {
+        i: kron(kron(FieldMatrix.identity(d ** (i - 1), one), S), FieldMatrix.identity(d ** (n - 1 - i), one))
+        for i in range(1, n)
+    }
 
 
 def rename_ratfunc(e: RatFunc, mapping) -> RatFunc:

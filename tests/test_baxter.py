@@ -397,7 +397,7 @@ def test_regularity_raises_on_a_pole_all_along_the_diagonal():
 
 
 def test_spectral_symbols_reject_colliding_names():
-    rep = builtin_rep("B3_2dim", mu="x")
+    rep = builtin_rep("B3_2dim", mu=RatFunc.var(("x",), "x"))
     assert spectral_symbols(builtin_rep("B3_2dim"), ("y", "x")) == ("x", "y", "mu", "nu")
     with pytest.raises(ValueError, match="collide"):
         spectral_symbols(rep, ("z",))  # x is reserved even when unused

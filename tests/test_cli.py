@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from baxcheck import cli
 from baxcheck.cli import (
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_USAGE,
     MAX_BATCH_JOBS,
@@ -24,6 +25,7 @@ from baxcheck.cli import (
     JobError,
     run_job,
 )
+from baxcheck.exactnum import SingularMatrixError
 from baxcheck.verify import MAX_CHAIN_LENGTH
 
 REPO = Path(__file__).resolve().parent.parent
@@ -199,6 +201,35 @@ def test_batch_over_the_job_cap_is_rejected_before_any_job_runs(monkeypatch):
     for count in (MAX_BATCH_JOBS + 1, 20000):
         with pytest.raises(JobError, match=f"^jobs: at most {MAX_BATCH_JOBS} items, got {count}$"):
             run_job({"command": "batch", "jobs": [{"command": "prop1"}] * count})
+
+
+BAXTERISE = {"command": "baxterise", "rep": {"builtin": "B3_2dim"}, "fn": {"case": "ii"}}
+
+
+def _raising(exc):
+    def worker(*args, **kwargs):
+        raise exc
+
+    return worker
+
+
+def test_a_singular_factor_is_an_error_report(monkeypatch):
+    monkeypatch.setattr(cli, "build_R", _raising(SingularMatrixError("singular factor")))
+    payload, code = run_job(dict(BAXTERISE))
+    assert code == EXIT_FAIL == payload["exit_code"]
+    assert payload["report"]["status"] == "error"
+    assert payload["report"]["notes"] == ["singular factor"]
+
+
+def test_a_zero_division_in_a_worker_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # a ZeroDivisionError is a defect, not a failed precondition
+    monkeypatch.setattr(cli, "build_R", _raising(ZeroDivisionError("division by zero")))
+    with pytest.raises(ZeroDivisionError):
+        run_job(dict(BAXTERISE))
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(BAXTERISE))
+    assert cli.main(["--job", str(path)]) == EXIT_INTERNAL
+    assert json.loads(capsys.readouterr().out) == {"error": "internal error: division by zero", "exit_code": EXIT_INTERNAL}
 
 
 # the known-failing pairing: A3_2dim does not solve the case-ii Yang-Baxter equation

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from baxcheck import cli
 from baxcheck.exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, canonical_vars
 from baxcheck.ncalg import NCPoly, relations_for
 from baxcheck.reps import (
@@ -17,7 +18,7 @@ from baxcheck.reps import (
     flip_rep,
     verify_scalar,
 )
-from helpers import cleared_value, kron
+from helpers import cleared_value, tensor_legs
 
 
 def test_a3_satisfies_relations_with_fully_symbolic_parameters():
@@ -51,7 +52,7 @@ def test_evaluate_element_of_the_empty_word_and_of_one_generator():
 
 def test_evaluate_element_with_denominators_in_sites_and_coefficients():
     t = RatFunc.var(("t",), "t")
-    rep = builtin_rep("B3_2dim", nu=RatFunc.const(t.vars, 1) / (t + 1), mu="t")
+    rep = builtin_rep("B3_2dim", nu=RatFunc.const(t.vars, 1) / (t + 1), mu=t)
     symbols = rep.params
     sites = _cleared_sites(rep, symbols)
     assert [str(f) for f in sites[1].factors] == ["t + 1"]
@@ -97,10 +98,22 @@ def test_flip_rep_maps_b_to_c_and_preserves_a():
 def test_hecke_std_quadratic_and_tensor_braid():
     rep = builtin_rep("Hecke3_std")
     assert check_relations(rep, relations_for("Hecke", 3)).passed
-    s = rep.matrices[1]
-    ident = FieldMatrix.identity(2, RatFunc.const(rep.params, 1))
-    s_left, s_right = kron(s, ident), kron(ident, s)
+    legs = tensor_legs(rep.matrices[1], 3, RatFunc.const(rep.params, 1))
+    s_left, s_right = legs[1], legs[2]
     assert s_left * s_right * s_left == s_right * s_left * s_right
+
+
+@pytest.mark.parametrize("q", [2, None], ids=["q=2", "symbolic-q"])
+def test_locality_on_hecke_std_legs_at_n4(q):
+    # sigma_1 and sigma_3 act on disjoint legs of (C^2)^4, so they commute
+    std = builtin_rep("Hecke3_std", q=q)
+    legs = tensor_legs(std.matrices[1], 4, RatFunc.const(std.params, 1))
+    rels = relations_for("Hecke", 4, {"q": q})
+    others = [("braid(1)", 0), ("braid(2)", 0), ("hecke(1)", 0), ("hecke(2)", 0), ("hecke(3)", 0)]
+    assert check_relations(Rep(4, 16, std.params, legs), rels).residuals == [("locality(1,3)", 0)] + others
+    # control: sigma_3 acting on sigma_2's legs overlaps sigma_1, and only locality sees it
+    control = Rep(4, 16, std.params, {**legs, 3: legs[2]})
+    assert check_relations(control, rels).residuals == [("locality(1,3)", 2)] + others
 
 
 def test_rep_entries_are_rational_functions_over_its_params():
@@ -152,7 +165,8 @@ def test_uniform_scalar_passes_braid_and_cubic_algebras():
 
 
 def test_scalar_hecke_needs_eigenvalue_normalization():
-    assert check_relations(builtin_rep("scalar", values=["q", "q"]), relations_for("Hecke", 3)).passed
+    q = RatFunc.var(("q",), "q")
+    assert check_relations(builtin_rep("scalar", values=[q, q]), relations_for("Hecke", 3)).passed
     assert check_relations(builtin_rep("scalar", values=[1, 1]), relations_for("Hecke", 3)).passed
     assert not check_relations(builtin_rep("scalar"), relations_for("Hecke", 3)).passed
 
@@ -201,8 +215,8 @@ def test_classify_scalar_zero_pattern_is_sorted_and_distinct():
 
 
 def test_classify_scalar_needs_rational_parameters():
-    # an absent or named parameter stays symbolic, as in verify_scalar; none counts as 0
-    for params in ({"a": 1}, {"a": 1, "b": 0}, {"a": 1, "b": 0, "c": "q"}, None):
+    # an absent or symbolic parameter stays symbolic, as in verify_scalar; none counts as 0
+    for params in ({"a": 1}, {"a": 1, "b": 0}, {"a": 1, "b": 0, "c": RatFunc.var(("q",), "q")}, None):
         with pytest.raises(ValueError, match="needs rational a, b, c"):
             classify_scalar("A", params)
     with pytest.raises(ValueError, match=r"unexpected parameters \['q'\]"):
@@ -241,17 +255,17 @@ def test_correspondence_hecke_in_A_rejects_non_hecke_rep():
 def test_correspondence_braid_coset():
     rep = builtin_rep("Hecke3_burau")
     # the cubic coset relations hold exactly at b = 1 and b = q
-    for b in (Fraction(1), "q"):
+    for b in (Fraction(1), RatFunc.var(("q",), "q")):
         report = correspondence_check("braid_coset_to_A", rep, b=b)
         assert report.passed, (b, report.residuals)
     # a generic symbolic b fails the precondition
-    report = correspondence_check("braid_coset_to_A", rep, b="b")
+    report = correspondence_check("braid_coset_to_A", rep, b=RatFunc.var(("b",), "b"))
     assert report.status == "error"
 
 
 def test_correspondence_b_to_a_shift():
     rep = builtin_rep("B3_2dim")
-    for b in (Fraction(1), Fraction(2), "b"):  # holds for symbolic b as well
+    for b in (Fraction(1), Fraction(2), RatFunc.var(("b",), "b")):  # holds for symbolic b as well
         report = correspondence_check("B_to_A_shift", rep, b=b)
         assert report.passed, report.residuals
     with pytest.raises(ValueError):
@@ -400,14 +414,15 @@ Q = RatFunc.var(("q",), "q")
     [
         ({}, Q),  # an absent name stays symbolic as its own symbol
         ({"q": None}, Q),
-        ({"q": "t"}, T),  # a str names the symbol
+        ({"q": "2"}, RatFunc.const((), 2)),  # a str is always a "p/q" scalar
+        ({"q": T}, T),  # a RatFunc names a symbol of another name
         ({"q": 2}, RatFunc.const((), 2)),
         ({"q": Fraction(-1, 3)}, RatFunc.const((), Fraction(-1, 3))),
         ({"q": (T + 1) / T}, (T + 1) / T),  # a RatFunc is lifted
         ({"b": 2}, r"unexpected parameters \['b'\]$"),
         ({"q": 0.5}, "got 0.5$"),
     ],
-    ids=["absent", "None", "str", "int", "Fraction", "RatFunc", "unknown-name", "float"],
+    ids=["absent", "None", "str", "RatFunc-symbol", "int", "Fraction", "RatFunc", "unknown-name", "float"],
 )
 def test_parameter_resolution_is_shared(given, want):
     """builtin_rep, relations_for and correspondence_check resolve q alike."""
@@ -428,6 +443,12 @@ def test_parameter_resolution_is_shared(given, want):
     assert correspondence_check("hecke_in_A", rep, **given).passed
     # a different q fails the Hecke precheck
     assert correspondence_check("hecke_in_A", rep, q=want + 1).status == "error"
+
+
+def test_a_string_parameter_is_a_scalar_in_the_library_and_in_jobs():
+    rep = builtin_rep("Hecke3_std", q="2")
+    assert rep.params == () and rep == builtin_rep("Hecke3_std", q=2)
+    assert rep == cli._build(cli._rep({"builtin": "Hecke3_std", "parameters": {"q": "2"}}, "rep"))
 
 
 def test_evaluate_at_point():

@@ -38,7 +38,7 @@ from baxcheck.verify import (
     ybe_random,
     ybe_symbolic,
 )
-from helpers import kron
+from helpers import tensor_legs
 from test_baxter import FIVE_FNS
 
 
@@ -68,7 +68,7 @@ def _ybe_cross_multiplied(rep, fn):
     return max((e.num_terms() for e in resid.entries if e), default=0)
 
 
-@pytest.mark.parametrize("values", [[1, 2], [2, "lam"], ["lam", "lam"], [0, 0]])
+@pytest.mark.parametrize("values", [[1, 2], [2, None], [None, None], [0, 0]])
 @pytest.mark.parametrize(
     "fn", [spectral_fn("ii"), spectral_fn("iii"), spectral_fn("i", 2, 1, 0, 1)], ids=["ii", "iii", "i"]
 )
@@ -134,13 +134,14 @@ def test_ybe_symbolic_and_build_R_reduce_once_per_site(monkeypatch):
 def test_spectral_name_collisions_are_rejected():
     # mu named x would merge with the spectral x symbolically but be drawn
     # independently in the randomized check
-    rep = builtin_rep("B3_2dim", mu="x")
+    x, v = RatFunc.var(("x",), "x"), RatFunc.var(("v",), "v")
+    rep = builtin_rep("B3_2dim", mu=x)
     fn = spectral_fn("ii")
     for call in (
         lambda: ybe_symbolic(rep, fn),
         lambda: ybe_random(rep, fn, trials=2),
-        lambda: lemma_suite_B(builtin_rep("B3_2dim", nu="v")),
-        lambda: transfer_commute(builtin_rep("Hecke3_std", q="x"), 1, spectral_fn("hecke"), lengths=[2]),
+        lambda: lemma_suite_B(builtin_rep("B3_2dim", nu=v)),
+        lambda: transfer_commute(builtin_rep("Hecke3_std", q=x), 1, spectral_fn("hecke"), lengths=[2]),
     ):
         with pytest.raises(ValueError):
             call()
@@ -282,8 +283,8 @@ def _hecke_std_site(q):
 def _legs_sites(q):
     """The int site matrices S' (x) 1 and 1 (x) S' of the 8 x 8 legs rep at q."""
     S, _ = _hecke_std_site(q)
-    ident = FieldMatrix.identity(2, 1)
-    return kron(S, ident), kron(ident, S)
+    legs = tensor_legs(S, 3, 1)
+    return legs[1], legs[2]
 
 
 def _min_poly_cases():
@@ -530,9 +531,7 @@ def test_two_site_tensor_rep_satisfies_ratio_ybe():
     from baxcheck.reps import check_relations
 
     std = builtin_rep("Hecke3_std")
-    s = std.matrices[1]
-    ident = FieldMatrix.identity(2, RatFunc.const(std.params, 1))
-    rep8 = Rep(3, 8, std.params, {1: kron(s, ident), 2: kron(ident, s)})
+    rep8 = Rep(3, 8, std.params, tensor_legs(std.matrices[1], 3, RatFunc.const(std.params, 1)))
     assert check_relations(rep8, relations_for("Hecke", 3)).passed
     assert ybe_random(rep8, spectral_fn("hecke"), trials=4, seed=2).passed
 
