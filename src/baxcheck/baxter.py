@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, SingularMatrixError, canonical_vars, poly_gcd
 from .exactnum.poly import SPECTRAL
-from .exactnum.scalar import as_scalar
+from .exactnum.scalar import as_int, as_scalar, one_of
 from .reps import Rep
 
 SPECTRAL_CASES = ("i", "ii", "iii", "hecke")
@@ -44,9 +44,7 @@ def spectral_fn(case: str, alpha1=None, alpha2=None, b=None, c=None) -> RatFunc:
     Cases ii, iii and hecke take no parameters.
     """
     params = (alpha1, alpha2, b, c)
-    if case not in SPECTRAL_CASES:
-        raise ValueError(f"unknown spectral-fn case {case!r}, expected one of {SPECTRAL_CASES}")
-    if case != "i" and any(v is not None for v in params):
+    if one_of(case, SPECTRAL_CASES, "spectral-fn case") != "i" and any(v is not None for v in params):
         raise ValueError(f"case {case} takes no parameters")
     x, y = RatFunc.var(("x", "y"), "x"), RatFunc.var(("x", "y"), "y")
     if case == "ii":
@@ -195,8 +193,7 @@ def H_closed(rep: Rep, i: int) -> ClearedMatrix:
 
 def H_series(rep: Rep, i: int, order: int) -> FieldMatrix:
     """Truncated series sum_{l=0..order} sigma_i^(l+1) z^l, from sigma_i and order matrix products."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    as_int(order, "order", floor=0)
     symbols = spectral_symbols(rep, ("z",))
     sigma = rep.site(i, symbols)
     zz = RatFunc.var(symbols, "z")

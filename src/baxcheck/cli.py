@@ -18,6 +18,8 @@ for suite B.  Rules shared by every field:
 * every integer field but `seed` has a floor and a cap (the MAX_ constants
   below); the `lengths` items are checked by verify.check_chain_lengths
   before any representation is built;
+* integer and name fields are read by the library's own gates, as_int and
+  one_of of exactnum.scalar, whose messages _fields reports as JobErrors;
 * `lengths`, `assignment`, a scalar rep's `values` and a `batch`'s `jobs`
   must be nonempty lists; a batch takes no `expect`, and batches do not
   nest.
@@ -37,6 +39,7 @@ from fractions import Fraction
 
 from .baxter import SPECTRAL_CASES, build_R, check_regularity, check_unitarity, series_agreement_order, spectral_fn
 from .exactnum import PoleError, RatFunc, SingularMatrixError, parse_scalar
+from .exactnum.scalar import as_int, one_of
 from .ncalg import ALGEBRAS, PROP1_TERMS, prop1_certificate, relations_for
 from .report import VerifyReport
 from .reps import (
@@ -87,7 +90,12 @@ def _fields(record: dict, spec: dict) -> dict:
     for field, (parse, default) in spec.items():
         value = record.pop(field, None)
         if value is not None:
-            args[field] = parse(value, field)
+            try:
+                args[field] = parse(value, field)
+            except JobError:
+                raise
+            except ValueError as exc:  # a refusal by as_int or one_of, whose message names the field
+                raise JobError(str(exc)) from exc
         elif default is REQUIRED:
             raise JobError(f"missing required field {field!r}")
         else:
@@ -100,7 +108,7 @@ def _reject_unknown(record: dict) -> None:
         raise JobError(f"unknown fields {sorted(record)}")
 
 
-# -- field parsers: (value, where) -> parsed value, or JobError -----------------
+# -- field parsers: (value, where) -> parsed value, or ValueError (see _fields) --
 
 
 # the longest 'p/q' whose parts fit MAX_SCALAR_BITS: a sign, two parts and the slash
@@ -135,24 +143,13 @@ def _bool(value, where: str) -> bool:
 
 def _int(cap: int | None = None, floor: int | None = None):
     def parse(value, where: str) -> int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise JobError(f"{where}: expected an integer")
-        if floor is not None and value < floor:
-            raise JobError(f"{where}: at least {floor}, got {value}")
-        if cap is not None and value > cap:
-            raise JobError(f"{where}: at most {cap}, got {value}")
-        return value
+        return as_int(value, where, floor, cap)
 
     return parse
 
 
 def _one_of(options: tuple):
-    def parse(value, where: str):
-        if value not in options:
-            raise JobError(f"unknown {where} {value!r}, expected one of {options}")
-        return value
-
-    return parse
+    return lambda value, where: one_of(value, options, where)
 
 
 def _list(item, cap: int | None = None):

@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scalar import as_scalar
+from .scalar import as_int, as_scalar
 
 SPECTRAL = ("x", "y", "z", "v")
 
@@ -168,7 +168,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             self._check(other)
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):  # a bool is refused, as a float is
             return MultiPoly.const(self.vars, other)
         return None
 
@@ -227,6 +227,7 @@ class MultiPoly:
 
     def at(self, name: str, value: int) -> "MultiPoly":
         """Substitute the int value for variable `name`, staying in the same ring."""
+        value = as_int(value, f"value of {name}")
         return _make(self.vars, _ip_eval(self.terms, self.vars.index(name), value, len(self.vars)), self.den)
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":

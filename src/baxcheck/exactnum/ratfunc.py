@@ -93,7 +93,7 @@ class RatFunc:
             if self.vars != other.vars:
                 raise ValueError(f"mismatched variable lists {self.vars} vs {other.vars}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):  # a bool is refused, as a float is
             return RatFunc.const(self.vars, other)
         return None
 

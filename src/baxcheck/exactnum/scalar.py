@@ -3,8 +3,10 @@
 The coefficient field everywhere in this package is the rationals.  We use
 :class:`fractions.Fraction`, which already maintains the canonical form we
 need (reduced, positive denominator, zero stored as 0/1).  Scalars cross
-module boundaries as strings "p" or "p/q" with q > 0 (never symbol names),
-and as_scalar is the one gate for a rational a caller passes in.
+module boundaries as strings "p" or "p/q" with q > 0 (never symbol names).
+Each argument a caller passes in has one gate per kind, whose ValueError the
+job schema reports as it is: as_scalar for a rational, as_int for a count,
+an index or a seed (an int, never a bool), and one_of for a name.
 """
 
 from __future__ import annotations
@@ -44,6 +46,24 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, str):
         return parse_scalar(value)
     raise ValueError(f"scalar must be an int, a Fraction or a 'p/q' string, got {value!r}")
+
+
+def as_int(value, what: str, floor: int | None = None, cap: int | None = None) -> int:
+    """value itself when it is an int (not a bool) in floor..cap; ValueError naming what otherwise."""
+    if type(value) is not int:
+        raise ValueError(f"{what}: expected an integer")
+    if floor is not None and value < floor:
+        raise ValueError(f"{what}: at least {floor}, got {value}")
+    if cap is not None and value > cap:
+        raise ValueError(f"{what}: at most {cap}, got {value}")
+    return value
+
+
+def one_of(value, options: tuple, what: str):
+    """value itself when it is one of options; ValueError naming what otherwise."""
+    if value not in options:
+        raise ValueError(f"unknown {what} {value!r}, expected one of {options}")
+    return value
 
 
 def format_scalar(value) -> str:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .exactnum import RatFunc, canonical_vars
+from .exactnum.scalar import as_int, one_of
 
 Word = tuple[int, ...]
 
@@ -45,9 +46,7 @@ class NCPoly:
     __slots__ = ("n", "symbols", "terms")
 
     def __init__(self, n: int, symbols: tuple[str, ...], terms: Mapping[Word, RatFunc] | None = None):
-        if n < 2:
-            raise ValueError("strand count must be at least 2")
-        self.n = n
+        self.n = as_int(n, "strand count", floor=2)
         self.symbols = tuple(symbols)
         clean: dict[Word, RatFunc] = {}
         if terms:
@@ -69,8 +68,7 @@ class NCPoly:
     @classmethod
     def gen(cls, n: int, i: int, symbols: tuple[str, ...]) -> "NCPoly":
         """The generator sigma_i as an element."""
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} outside 1..{n - 1}")
+        i = as_int(i, "generator index", 1, n - 1)
         return cls(n, symbols, {(i,): RatFunc.const(symbols, 1)})
 
     # -- queries ---------------------------------------------------------------
@@ -125,17 +123,15 @@ class NCPoly:
         if isinstance(c, RatFunc):
             if c.vars != self.symbols:
                 raise ValueError("coefficient field mismatch")
-        elif isinstance(c, (int, Fraction)):
+        elif type(c) is int or isinstance(c, Fraction):  # a bool is refused, as a float is
             c = RatFunc.const(self.symbols, c)
         else:
             return NotImplemented
         return self._like({w: x * c for w, x in self.terms.items()} if c else {})
 
     def __pow__(self, k: int) -> "NCPoly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
         out = NCPoly.one(self.n, self.symbols)
-        for _ in range(k):
+        for _ in range(as_int(k, "exponent", floor=0)):
             out = out * self
         return out
 
@@ -259,11 +255,8 @@ def relations_for(algebra: str, n: int, params: Mapping | None = None) -> Relati
     Locality pairs appear for every |i - j| > 1; the per-site families run
     over i = 1 .. n-2, and the Hecke quadratic over i = 1 .. n-1.
     """
-    if algebra not in ALGEBRAS:
-        raise ValueError(f"unknown algebra {algebra!r}, expected one of {ALGEBRAS}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    names, blocks = _ALGEBRA_TABLE[algebra]
+    names, blocks = _ALGEBRA_TABLE[one_of(algebra, ALGEBRAS, "algebra")]
+    as_int(n, "n", floor=2)
     symbols, vals = resolve_params(names, params)
 
     def gen(i: int) -> NCPoly:
@@ -293,8 +286,8 @@ def prop1_certificate(omit_term: str | None = None) -> tuple[NCPoly, bool]:
     reads.  omit_term drops one of the five summands (mutation control: the
     residual must then be nonzero).
     """
-    if omit_term is not None and omit_term not in PROP1_TERMS:
-        raise ValueError(f"unknown term {omit_term!r}, expected one of {PROP1_TERMS}")
+    if omit_term is not None:
+        one_of(omit_term, PROP1_TERMS, "term")
     symbols, vals = resolve_params(("a", "b", "c"), None)
     a, b = vals["a"], vals["b"]
     s1 = NCPoly.gen(3, 1, symbols)

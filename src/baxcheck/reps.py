@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, canonical_vars, format_scalar
-from .exactnum.scalar import as_scalar
+from .exactnum.scalar import as_int, as_scalar, one_of
 from .ncalg import NCPoly, RelationSet, relations_for, resolve_params, site_relations
 from .report import VerifyReport
 
@@ -52,9 +52,7 @@ class Rep:
 
     def site(self, i: int, symbols: tuple[str, ...] | None = None) -> FieldMatrix:
         """Generator i's matrix, lifted to symbols when they are given."""
-        if i not in self.matrices:
-            raise ValueError(f"site {i} outside 1..{self.n - 1}")
-        m = self.matrices[i]
+        m = self.matrices[as_int(i, "site", 1, self.n - 1)]
         return m if symbols is None else m.map_entries(lambda e: e.lift(symbols))
 
 
@@ -99,10 +97,8 @@ def builtin_rep(name: str, **params) -> Rep:
       scalar(values)       1x1 matrices; values holds one value per
                            generator, (None, None) by default
     """
-    if name == "scalar":
+    if one_of(name, BUILTIN_NAMES, "representation") == "scalar":
         return _scalar_rep(**params)
-    if name not in _FAMILIES:
-        raise ValueError(f"unknown representation {name!r}, expected one of {BUILTIN_NAMES}")
     names, rows = _FAMILIES[name]
     try:
         symbols, vals = resolve_params(names, params)
@@ -215,11 +211,9 @@ def classify_scalar(algebra: str, params: Mapping | None = None) -> list[ScalarR
     """
     uniform = ScalarRepClass("uniform", None, "every generator equal to one free scalar")
     given = dict(params or {})
-    if algebra in ("B", "C"):
+    if one_of(algebra, ("A", "B", "C"), "algebra") != "A":
         _reject_extras(algebra, given)
         return [uniform, ScalarRepClass("zero-pattern", (Fraction(0), Fraction(1)), "values in {0, 1}")]
-    if algebra != "A":
-        raise ValueError(f"scalar classification covers A, B, C; got {algebra!r}")
     _, vals = resolve_params(("a", "b", "c"), given)
     if not all(v.is_constant() for v in vals.values()):
         raise ValueError("scalar classification needs rational a, b, c")
@@ -289,8 +283,7 @@ def correspondence_check(kind: str, rep: Rep, q=None, b=None) -> VerifyReport:
     its own source relations; failures there are reported with status "error"
     and the offending residuals.
     """
-    if kind not in CORRESPONDENCE_KINDS:
-        raise ValueError(f"unknown correspondence {kind!r}, expected one of {CORRESPONDENCE_KINDS}")
+    one_of(kind, CORRESPONDENCE_KINDS, "correspondence")
     given = {name: value for name, value in (("q", q), ("b", b)) if value is not None}
     if kind == "B_to_A_shift":
         given.setdefault("b", Fraction(1))

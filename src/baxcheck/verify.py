@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, split_factors
 from .exactnum.poly import eval_cleared
-from .exactnum.scalar import as_scalar, format_scalar
+from .exactnum.scalar import as_int, as_scalar, format_scalar
 from .baxter import H_closed, h_fun, reduce_cleared, rhat_cleared, spectral_symbols
 from .ncalg import relations_for
 from .report import VerifyReport
@@ -255,8 +255,8 @@ def ybe_random(rep: Rep, f: RatFunc, trials: int = 20, seed: int = 0) -> VerifyR
     """Randomized exact-evaluation check of the braided Yang-Baxter equation for the spectral function f."""
     if rep.n < 3:
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
+    as_int(trials, "trials", floor=1)
+    as_int(seed, "seed")
     spectral_symbols(rep, _YBE_VARS)  # rejects a rep parameter named like a spectral variable
     report = VerifyReport(
         "ybe randomized",
@@ -444,11 +444,7 @@ def check_chain_lengths(lengths: Sequence[int]) -> None:
         raise ValueError("need at least one chain length")
     seen = set()
     for L in lengths:
-        if not isinstance(L, int) or isinstance(L, bool):
-            raise ValueError(f"chain length must be an int, got {L!r}")
-        if not 1 <= L <= MAX_CHAIN_LENGTH:
-            raise ValueError(f"chain length must be between 1 and {MAX_CHAIN_LENGTH}, got {L}")
-        if L in seen:
+        if as_int(L, "chain length", 1, MAX_CHAIN_LENGTH) in seen:
             raise ValueError(f"chain length {L} is repeated")
         seen.add(L)
 
@@ -503,11 +499,13 @@ def transfer_commute(
     d = math.isqrt(rep.dim)
     if d * d != rep.dim:
         raise ValueError(f"rep dimension {rep.dim} is not a perfect square")
+    if type(corrupt) is not bool:
+        raise ValueError(f"corrupt: expected true or false, got {corrupt!r}")
     if corrupt and d < 2:
         raise ValueError(f"corrupt needs a site matrix on V (x) V with dim V >= 2, got dim V = {d}")
     check_chain_lengths(lengths)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ValueError(f"need an int count of at least one point pair, got {count!r}")
+    as_int(count, "count", floor=1)
+    as_int(seed, "seed")
     S, s = _site_at(*rep.site(i).cleared(), {})  # the constant sigma = S / s
     y0 = choose_reference_point(f)
     base = {"kind": "randomized", "seed": seed, "y0": format_scalar(y0), "corrupt": corrupt}

@@ -461,6 +461,31 @@ def _bounded_fields():
 BOUNDED_FIELDS = list(_bounded_fields())
 
 
+_YBE = {"command": "verify-ybe", "rep": {"builtin": "Hecke3_std"}, "fn": {"case": "hecke"}}
+
+
+@pytest.mark.parametrize("job, message", [
+    ({**_YBE, "trials": 0}, "trials: at least 1, got 0"),
+    ({**_YBE, "trials": MAX_TRIALS + 1}, f"trials: at most {MAX_TRIALS}, got {MAX_TRIALS + 1}"),
+    ({**_YBE, "trials": True}, "trials: expected an integer"),
+    ({**_YBE, "seed": 1.5}, "seed: expected an integer"),
+    ({**_YBE, "mode": "exact"}, "unknown mode 'exact', expected one of ('symbolic', 'random')"),
+    ({**_YBE, "fn": {"case": "iv"}}, "unknown case 'iv', expected one of ('i', 'ii', 'iii', 'hecke')"),
+    ({**_YBE, "rep": {"builtin": "D4"}},
+     "unknown builtin 'D4', expected one of ('A3_2dim', 'B3_2dim', 'C3_2dim', 'Hecke3_std', 'Hecke3_burau', 'scalar')"),
+    ({**_YBE, "expect": "maybe"}, "unknown expect 'maybe', expected one of ('pass', 'fail')"),
+    ({"command": "check-algebra", "algebra": "D", "rep": {"builtin": "B3_2dim"}},
+     "unknown algebra 'D', expected one of ('Braid', 'Hecke', 'A', 'B', 'C')"),
+    ({"command": "transfer-commute", "rep": {"builtin": "Hecke3_std"}, "fn": {"case": "hecke"}, "lengths": [2, "3"]},
+     "lengths: expected an integer"),
+    ({"command": "bogus"}, "unknown command 'bogus', expected one of " + str(tuple(cli.COMMANDS))),
+])
+def test_int_and_name_field_messages_are_pinned(job, message):
+    with pytest.raises(JobError) as exc:
+        run_job(job)
+    assert str(exc.value) == message
+
+
 def test_bounded_fields_find_the_integer_and_list_fields():
     # guards the __qualname__ lookup (renaming _int or _list must not empty the table) and the _parameters fields
     fields = {field for _, field, _ in BOUNDED_FIELDS}

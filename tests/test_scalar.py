@@ -1,10 +1,13 @@
 import pytest
 from fractions import Fraction
 
+from baxcheck import cli
+from baxcheck.baxter import SPECTRAL_CASES, H_series, build_R, spectral_fn
 from baxcheck.exactnum import MultiPoly, RatFunc, format_scalar, parse_scalar
-from baxcheck.exactnum.scalar import as_scalar
-from baxcheck.ncalg import relations_for
-from baxcheck.reps import builtin_rep, classify_scalar, correspondence_check
+from baxcheck.exactnum.scalar import as_int, as_scalar
+from baxcheck.ncalg import ALGEBRAS, PROP1_TERMS, NCPoly, prop1_certificate, relations_for
+from baxcheck.reps import BUILTIN_NAMES, CORRESPONDENCE_KINDS, builtin_rep, classify_scalar, correspondence_check
+from baxcheck.verify import transfer_commute, ybe_random
 
 
 def test_parse_plain_and_fraction():
@@ -60,3 +63,85 @@ RATIONAL_ENTRIES = {
 def test_every_rational_entry_refuses_a_bool_and_a_float(entry, bad):
     with pytest.raises(ValueError):
         entry(bad)
+
+
+def test_as_int_messages_are_the_job_schema_messages():
+    assert as_int(3, "trials") == 3 and as_int(-5, "seed") == -5 and as_int(2, "site", 1, 2) == 2
+    for value, floor, cap, message in (
+        (True, None, None, "^trials: expected an integer$"),
+        (2.0, None, None, "^trials: expected an integer$"),
+        (0, 1, None, "^trials: at least 1, got 0$"),
+        (9, 1, 8, "^trials: at most 8, got 9$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            as_int(value, "trials", floor, cap)
+
+
+def _hecke():
+    return builtin_rep("Hecke3_std", q=2)
+
+
+def _xy_plus_one():
+    x, y = MultiPoly.var(("x", "y"), "x"), MultiPoly.var(("x", "y"), "y")
+    return x * y + 1
+
+
+# every entry that reads an int a caller passes in (a count, an index, a seed), each called with one bad value
+INT_ENTRIES = {
+    "ybe_random.trials": lambda bad: ybe_random(_hecke(), spectral_fn("hecke"), trials=bad),
+    "ybe_random.seed": lambda bad: ybe_random(_hecke(), spectral_fn("hecke"), trials=1, seed=bad),
+    "transfer_commute.count": lambda bad: transfer_commute(_hecke(), 1, spectral_fn("hecke"), [2], count=bad),
+    "transfer_commute.seed": lambda bad: transfer_commute(_hecke(), 1, spectral_fn("hecke"), [2], count=1, seed=bad),
+    "transfer_commute.lengths": lambda bad: transfer_commute(_hecke(), 1, spectral_fn("hecke"), [2, bad]),
+    "H_series.order": lambda bad: H_series(_hecke(), 1, bad),
+    "relations_for.n": lambda bad: relations_for("B", bad),
+    "NCPoly.n": lambda bad: NCPoly(bad, ()),
+    "NCPoly.gen": lambda bad: NCPoly.gen(3, bad, ()),
+    "NCPoly.__pow__": lambda bad: NCPoly.gen(3, 1, ()) ** bad,
+    "Rep.site": lambda bad: build_R(_hecke(), bad, spectral_fn("hecke")),
+    "MultiPoly.at": lambda bad: _xy_plus_one().at("y", bad),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2), "2"], ids=["bool", "float", "Fraction", "str"])
+@pytest.mark.parametrize("entry", INT_ENTRIES.values(), ids=INT_ENTRIES.keys())
+def test_every_int_entry_refuses_a_bool_a_float_a_fraction_and_a_string(entry, bad):
+    with pytest.raises(ValueError, match=": expected an integer$"):
+        entry(bad)
+
+
+# every entry that reads a name: (its label, its options, the entry called with one name)
+NAME_ENTRIES = {
+    "spectral_fn": ("spectral-fn case", SPECTRAL_CASES, lambda name: spectral_fn(name)),
+    "builtin_rep": ("representation", BUILTIN_NAMES, lambda name: builtin_rep(name)),
+    "relations_for": ("algebra", ALGEBRAS, lambda name: relations_for(name, 3)),
+    "classify_scalar": ("algebra", ("A", "B", "C"), lambda name: classify_scalar(name)),
+    "correspondence_check": ("correspondence", CORRESPONDENCE_KINDS, lambda name: correspondence_check(name, _hecke())),
+    "prop1_certificate": ("term", PROP1_TERMS, lambda name: prop1_certificate(omit_term=name)),
+}
+
+
+@pytest.mark.parametrize("label, options, entry", NAME_ENTRIES.values(), ids=NAME_ENTRIES.keys())
+def test_every_name_entry_refuses_an_unknown_name_as_the_job_schema_does(label, options, entry):
+    with pytest.raises(ValueError) as schema:
+        cli._one_of(options)("bogus", label)
+    with pytest.raises(ValueError) as library:
+        entry("bogus")
+    assert str(library.value) == str(schema.value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MultiPoly.var(("x",), "x"),
+    lambda: RatFunc.var(("x",), "x"),
+    lambda: NCPoly.gen(3, 1, ()),
+], ids=["MultiPoly", "RatFunc", "NCPoly"])
+def test_a_bool_operand_is_refused_like_a_float(make):
+    p = make()
+    for bad in (True, 0.5):
+        with pytest.raises(TypeError):
+            bad * p
+        if not isinstance(p, NCPoly):  # an element takes no scalar sum
+            with pytest.raises(TypeError):
+                p + bad
+    assert (p == True) is False and True not in [p]  # noqa: E712
+    assert 2 * p == p + p

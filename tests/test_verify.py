@@ -703,7 +703,7 @@ def test_transfer_usage_errors():
         with pytest.raises(ValueError, match="chain length"):
             transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), lengths)
     for count in (0, -1, True, 2.5, "3", None):
-        with pytest.raises(ValueError, match="point pair"):
+        with pytest.raises(ValueError, match="^count: "):
             transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], count=count)
 
 
@@ -715,14 +715,28 @@ def test_transfer_rejects_a_bad_count_before_any_site_work(monkeypatch):
         return site_at(*args)
 
     monkeypatch.setattr(verify, "_site_at", spy)
-    with pytest.raises(ValueError, match="point pair"):
+    with pytest.raises(ValueError, match="^count: "):
         transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], count=0)
+    assert calls == []
+
+
+def test_transfer_refuses_a_corrupt_flag_that_is_not_a_bool_before_any_site_work(monkeypatch):
+    calls, site_at = [], verify._site_at
+
+    def spy(*args):
+        calls.append(args)
+        return site_at(*args)
+
+    monkeypatch.setattr(verify, "_site_at", spy)
+    for corrupt in ("no", 0, 1, None):
+        with pytest.raises(ValueError, match="^corrupt: expected true or false"):
+            transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], corrupt=corrupt)
     assert calls == []
 
 
 def test_ybe_random_usage_errors():
     for trials in (0, -1, True, False, 2.5, "3", None):
-        with pytest.raises(ValueError, match="^trials must be"):
+        with pytest.raises(ValueError, match="^trials: "):
             ybe_random(builtin_rep("Hecke3_std", q=2), spectral_fn("hecke"), trials=trials)
 
 
