@@ -109,8 +109,10 @@ def rhat_cleared(rep: Rep, i: int, f: RatFunc, u: str, w: str, symbols: tuple[st
 def reduce_cleared(C: ClearedMatrix) -> tuple[ClearedMatrix, MultiPoly]:
     """(C/g, g) for the gcd g of C's nonzero denominator delta and every entry of its matrix P.
 
-    The running content g starts at delta, and each nonzero entry e is first
-    trial-divided by it: gcd(g, e) = g exactly when g divides e, so the
+    The running content g starts at delta, and the nonzero entries are walked
+    smallest first (ascending term count, ties in storage order), so the one
+    gcd a site cannot avoid meets its smallest entry.  Each entry e is first
+    trial-divided by g: gcd(g, e) = g exactly when g divides e, so the
     quotient e/g is kept and no gcd is taken.  Only a failed division calls
     poly_gcd(g, e), whose cofactors are reused: e over the new g is the
     entry's quotient, and g_old/g_new multiplies every quotient kept so far,
@@ -124,16 +126,17 @@ def reduce_cleared(C: ClearedMatrix) -> tuple[ClearedMatrix, MultiPoly]:
     """
     g = C.denominator()
     reduced = MultiPoly.const(g.vars, 1)  # delta / g
-    quots = []
-    for e in C.M.entries:
-        if e:
-            try:
-                e = e.divexact(g)
-            except ValueError:
-                g, shrink, e = poly_gcd(g, e)
-                reduced *= shrink
-                quots = [q * shrink for q in quots]
-        quots.append(e)
+    quots = list(C.M.entries)  # a zero entry is its own quotient
+    done = []  # the positions whose quotient is kept
+    for k in sorted((k for k, e in enumerate(quots) if e), key=lambda k: quots[k].num_terms()):
+        try:
+            quots[k] = quots[k].divexact(g)
+        except ValueError:
+            g, shrink, quots[k] = poly_gcd(g, quots[k])
+            reduced *= shrink
+            for j in done:
+                quots[j] = quots[j] * shrink
+        done.append(k)
     unit = reduced.lc()
     if unit != 1:
         quots = [(1 / unit) * q for q in quots]

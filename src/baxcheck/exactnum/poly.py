@@ -338,6 +338,33 @@ def eval_cleared(polys: Sequence[MultiPoly], point: Mapping[str, Fraction]) -> t
     return nums, den * scale
 
 
+def max_product_terms(entries: Iterable[MultiPoly], common: MultiPoly) -> int:
+    """max((e * common).num_terms() for e in entries if e), 0 when no entry is nonzero; expands only what can set it.
+
+    The support of e * common lies in the sumset {a + b} of the two packed
+    supports, so the sumset's size bounds e's count, and so does the cruder
+    |e| * |common|.  A scalar multiple of an entry already visited has that
+    entry's count, which the running maximum already covers.  Entries are
+    visited by descending |e|, and one is expanded only while its bound beats
+    the running maximum; the sumset is formed only once there is a maximum to
+    beat.  So the maximum is the plain one.
+    """
+    supp = list(common.terms)
+    best, seen = 0, set()
+    for e in sorted((e for e in entries if e), key=MultiPoly.num_terms, reverse=True):
+        common._check(e)
+        if len(e.terms) * len(supp) <= best:
+            break
+        shape = _ip_shape(e.terms)
+        if shape in seen:
+            continue
+        seen.add(shape)
+        if best and len({a + b for a in e.terms for b in supp}) <= best:
+            continue
+        best = max(best, (e * common).num_terms())
+    return best
+
+
 # -- integer kernel: products and exact division --
 #
 # These work on MultiPoly numerators directly, keyed by packed monomials;
@@ -369,6 +396,14 @@ def _ip_scale(P: _IntPoly, k: int) -> _IntPoly:
 def _ip_scale_down(P: _IntPoly, k: int) -> _IntPoly:
     """P / k for a positive k dividing every coefficient."""
     return P if k == 1 else {e: c // k for e, c in P.items()}
+
+
+def _ip_shape(P: _IntPoly) -> frozenset:
+    """P over its content, signed so its leading coefficient is positive: one value for all nonzero multiples of P."""
+    c = _int_gcd(*P.values())
+    if P[max(P)] < 0:
+        c = -c
+    return frozenset((e, v // c) for e, v in P.items())
 
 
 def _ip_mul(P: _IntPoly, Q: _IntPoly, n: int) -> _IntPoly:

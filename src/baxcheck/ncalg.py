@@ -15,7 +15,6 @@ as the paper writes a(...).  `p * c` raises TypeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -51,8 +50,8 @@ class NCPoly:
         clean: dict[Word, RatFunc] = {}
         if terms:
             for word, coeff in terms.items():
-                if any(not (1 <= i <= n - 1) for i in word):
-                    raise ValueError(f"word {word} uses indices outside 1..{n - 1}")
+                for i in word:
+                    as_int(i, "generator index", 1, n - 1)
                 if coeff.vars != self.symbols:
                     raise ValueError("coefficient field mismatch")
                 if coeff:
@@ -160,14 +159,14 @@ def flip(p: NCPoly) -> NCPoly:
     return p._like({tuple(p.n - j for j in w): c for w, c in p.terms.items()})
 
 
-@dataclass
 class RelationSet:
     """Defining relations of one algebra, stored as LHS - RHS elements."""
 
-    algebra: str
-    n: int
-    symbols: tuple[str, ...]
-    elements: list[tuple[str, NCPoly]]
+    def __init__(self, algebra: str, n: int, symbols: tuple[str, ...], elements: list[tuple[str, NCPoly]]):
+        self.algebra = algebra
+        self.n = n
+        self.symbols = symbols
+        self.elements = elements
 
 
 def resolve_params(names: Iterable[str], given: Mapping | None) -> tuple[tuple[str, ...], dict[str, RatFunc]]:

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class VerifyReport:
     """Outcome of one verification run.
 
@@ -19,11 +16,19 @@ class VerifyReport:
     records how the check ran (symbolic, or randomized with seed/trials).
     """
 
-    name: str
-    status: str = "pass"  # pass | fail | error
-    residuals: list[tuple[str, int]] = field(default_factory=list)
-    mode: dict = field(default_factory=lambda: {"kind": "symbolic"})
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        name: str,
+        status: str = "pass",  # pass | fail | error
+        residuals: list[tuple[str, int]] | None = None,
+        mode: dict | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.name = name
+        self.status = status
+        self.residuals = [] if residuals is None else residuals
+        self.mode = {"kind": "symbolic"} if mode is None else mode
+        self.notes = [] if notes is None else notes
 
     def add_residual(self, label: str, size: int) -> None:
         self.residuals.append((label, size))

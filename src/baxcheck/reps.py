@@ -15,7 +15,6 @@ matrix is; only a nonzero one is reduced to its canonical entries for its size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -27,28 +26,34 @@ from .report import VerifyReport
 CORRESPONDENCE_KINDS = ("hecke_in_A", "braid_coset_to_A", "B_to_A_shift")
 
 
-@dataclass
 class Rep:
     """Matrices over Q(params) for the generators of an n-strand algebra.
 
     Every entry is a RatFunc over exactly params: a symbol the rep does not
-    declare could merge with a spectral variable of the same name.
+    declare could merge with a spectral variable of the same name.  Two reps
+    are equal when all four fields are.
     """
 
-    n: int
-    dim: int
-    params: tuple[str, ...]
-    matrices: dict[int, FieldMatrix]
-
-    def __post_init__(self):
-        expected = set(range(1, self.n))
-        if set(self.matrices) != expected:
+    def __init__(self, n: int, dim: int, params: tuple[str, ...], matrices: dict[int, FieldMatrix]):
+        expected = set(range(1, n))
+        if set(matrices) != expected:
             raise ValueError(f"need matrices for generators {sorted(expected)}")
-        for i, m in self.matrices.items():
-            if m.rows != self.dim or m.cols != self.dim:
-                raise ValueError(f"generator {i}: expected {self.dim}x{self.dim}")
-            if not all(isinstance(e, RatFunc) and e.vars == self.params for e in m.entries):
-                raise ValueError(f"generator {i}: entries must be rational functions over {self.params}")
+        for i, m in matrices.items():
+            if m.rows != dim or m.cols != dim:
+                raise ValueError(f"generator {i}: expected {dim}x{dim}")
+            if not all(isinstance(e, RatFunc) and e.vars == params for e in m.entries):
+                raise ValueError(f"generator {i}: entries must be rational functions over {params}")
+        self.n = n
+        self.dim = dim
+        self.params = params
+        self.matrices = matrices
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Rep):
+            return NotImplemented
+        return (self.n, self.dim, self.params, self.matrices) == (other.n, other.dim, other.params, other.matrices)
+
+    __hash__ = None
 
     def site(self, i: int, symbols: tuple[str, ...] | None = None) -> FieldMatrix:
         """Generator i's matrix, lifted to symbols when they are given."""
@@ -94,8 +99,8 @@ def builtin_rep(name: str, **params) -> Rep:
                            relation on (C^2)^3, which the transfer harness
                            relies on
       Hecke3_burau(q)      2x2 with distinct generator images
-      scalar(values)       1x1 matrices; values holds one value per
-                           generator, (None, None) by default
+      scalar(values)       1x1 matrices; values is a list or a tuple of one
+                           value per generator, (None, None) by default
     """
     if one_of(name, BUILTIN_NAMES, "representation") == "scalar":
         return _scalar_rep(**params)
@@ -108,9 +113,11 @@ def builtin_rep(name: str, **params) -> Rep:
     return Rep(len(gens) + 1, len(gens[0]), symbols, {i: FieldMatrix.from_rows(g) for i, g in enumerate(gens, 1)})
 
 
-def _scalar_rep(values: Sequence = (None, None), **extras) -> Rep:
+def _scalar_rep(values: list | tuple = (None, None), **extras) -> Rep:
     """One 1x1 matrix per generator, n = len(values) + 1; every None is the one symbol lam, a RatFunc."""
     _reject_extras("scalar", extras)
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"scalar: values must be a list or a tuple, got {type(values).__name__}")
     if not values:
         raise ValueError("a scalar rep needs at least one value")
     n = len(values) + 1
@@ -169,13 +176,13 @@ def check_relations(rep: Rep, rels: RelationSet) -> VerifyReport:
 # -- scalar representations ----------------------------------------------------
 
 
-@dataclass
 class ScalarRepClass:
     """One family of scalar (1x1) representations."""
 
-    kind: str  # "uniform" or "zero-pattern"
-    values: tuple[Fraction, ...] | None  # None when the roots are irrational or non-real
-    description: str
+    def __init__(self, kind: str, values: tuple[Fraction, ...] | None, description: str):
+        self.kind = kind  # "uniform" or "zero-pattern"
+        self.values = values  # None when the roots are irrational or non-real
+        self.description = description
 
     def to_record(self) -> dict:
         return {

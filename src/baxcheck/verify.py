@@ -11,7 +11,11 @@ the denominator factors they share and cross-multiplies only the unmatched
 reduced ones.  Every removed factor is nonzero, so the verdict is unchanged.
 A nonzero residual is reported by the term count of the fully
 cross-multiplied unreduced one: the shared factors and the g of every Rhat
-factor are multiplied back in, and only then.
+factor are restored, and only then.  The count is reached without
+multiplying every entry back (exactnum.poly.max_product_terms): an entry
+times the restoring factor has at most as many terms as the sumset of the
+two supports, so an entry is multiplied out only while that bound beats the
+largest count so far, and the reported size is the same.
 
 The identity suites sum cleared terms too: sites and H's (baxter.H_closed, as
 it comes, built at z and renamed to v) are cleared, each coefficient is a
@@ -40,7 +44,7 @@ from itertools import permutations
 from typing import Callable, Sequence
 
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, split_factors
-from .exactnum.poly import eval_cleared
+from .exactnum.poly import eval_cleared, max_product_terms
 from .exactnum.scalar import as_int, as_scalar, format_scalar
 from .baxter import H_closed, h_fun, reduce_cleared, rhat_cleared, spectral_symbols
 from .ncalg import relations_for
@@ -103,9 +107,12 @@ def ybe_symbolic(rep: Rep, f: RatFunc) -> VerifyReport:
 
     The six factors are six distinct keys, so the unreduced fully
     cross-multiplied residual is the reduced one times the product of the six
-    g's.  A nonzero residual is multiplied back by them, and by the shared
-    denominator factors, before its terms are counted; only then are the
-    two sites' g's renamed to the (x, z) and (y, z) pairs.
+    g's.  A nonzero residual's size is the largest term count of an entry
+    times them and the shared denominator factors; only then are the two
+    sites' g's renamed to the (x, z) and (y, z) pairs.  max_product_terms
+    reaches that count by multiplying out only the entries whose sumset
+    bound beats the largest count so far: on A3_2dim at c = 1 with case ii,
+    one entry of four.
     """
     if rep.n < 3:
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
@@ -128,7 +135,7 @@ def ybe_symbolic(rep: Rep, f: RatFunc) -> VerifyReport:
         shared = split_factors(lhs.factors, rhs.factors)[2]
         gs = site_gs + [g.rename(mapping) for g in site_gs for mapping in renames]
         common = math.prod(shared + gs)
-        worst = max((e * common).num_terms() for e in resid.entries if e)
+        worst = max_product_terms(resid.entries, common)
     report = VerifyReport("ybe symbolic", mode={"kind": "symbolic", "vars": list(_YBE_VARS)})
     report.add_residual("ybe", worst)
     return report
@@ -439,7 +446,9 @@ def _transfer_matrices(rhat: FieldMatrix, d: int, lengths: Sequence[int]) -> dic
 
 
 def check_chain_lengths(lengths: Sequence[int]) -> None:
-    """Raise ValueError unless lengths is nonempty, each an int (not a bool) in 1..MAX_CHAIN_LENGTH, none repeated."""
+    """Raise ValueError unless lengths is a nonempty list or tuple, each an int (not a bool) in 1..MAX_CHAIN_LENGTH, none repeated."""
+    if not isinstance(lengths, (list, tuple)):
+        raise ValueError(f"chain lengths: expected a list, got {type(lengths).__name__}")
     if not lengths:
         raise ValueError("need at least one chain length")
     seen = set()

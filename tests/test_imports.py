@@ -5,7 +5,7 @@ public method of the exact types is also called when the criterion fixtures
 and the README tour run, which a check by name cannot see (two classes may
 share a method name).  The canonical form ClearedMatrix.value() is read only
 where a report prints it.  The README's quick tour runs and returns what its
-comments state.
+comments state, and importing the CLI loads no dataclasses module.
 
 Package __init__ files are skipped as modules under test: their imports are
 the public re-exports.  They still count as places that use a helper.
@@ -15,6 +15,8 @@ import ast
 import functools
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -226,3 +228,10 @@ def test_canonical_value_is_read_only_for_reports():
         if where not in VALUE_READERS.get(module, ())
     ]
     assert not stray, f".value() read outside the report printers: {stray}"
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    # dataclasses pulls in inspect, ast, dis and tokenize: most of the import time of a fresh interpreter
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import baxcheck.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-E", "-s", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -66,6 +66,17 @@ def test_relations_reject_bad_input():
         relations_for("B", 3, {"q": 1})  # B takes no parameters
 
 
+def test_a_word_letter_is_an_int_generator_index():
+    one = RatFunc.const(S, 1)
+    for letter in (True, 1.0, Fraction(1), "1"):
+        with pytest.raises(ValueError, match="^generator index: expected an integer$"):
+            NCPoly(3, S, {(letter,): one})
+    for letter in (0, 3):
+        with pytest.raises(ValueError, match="^generator index: "):
+            NCPoly(3, S, {(1, letter): one})
+    assert NCPoly(3, S, {(1,): one}) == gen(1)
+
+
 def test_prop1_certificate_is_identically_zero():
     residual, ok = prop1_certificate()
     assert ok and not residual

@@ -508,3 +508,80 @@ def test_at_matches_evaluation_at_the_substituted_point(inputs, k):
             assert q.vars == p.vars and all(exp[i] == 0 for exp, _ in q.sorted_terms())
             assert MultiPoly(q.vars, dict(q.sorted_terms())) == q
             assert _fraction_eval(q, point) == _fraction_eval(p, {**point, v: value})
+
+
+# -- the sumset bound behind max_product_terms --
+
+def _cancelling_pairs():
+    """Pairs whose product cancels terms: (x + y)(x - y) = x^2 - y^2, (1 + x + x^2)(1 - x) = 1 - x^3, ..."""
+    x, y = x_y()
+    return [(x + y, x - y), (1 + x + x * x, -x + 1), (x + 1, x - 1), (x * y + 1, x * y - 1)]
+
+
+def _sumset_size(p, q):
+    """The number of exponent vectors a + b over the terms of p and of q."""
+    return len({tuple(i + j for i, j in zip(ea, eb)) for ea, _ in p.sorted_terms() for eb, _ in q.sorted_terms()})
+
+
+@st.composite
+def cancelling_factors(draw):
+    """(p, q) = (a * u, b * w) for drawn a, b and, often, a cancelling pair (u, w)."""
+    a, b = draw(poly_strategy()), draw(poly_strategy())
+    one = MultiPoly.const(V, 1)
+    u, w = draw(st.sampled_from(_cancelling_pairs() + [(one, one)]))
+    return a * u, b * w
+
+
+def test_a_product_can_have_fewer_terms_than_its_sumset():
+    p, q = _cancelling_pairs()[1]
+    assert (p * q).num_terms() == 2 and _sumset_size(p, q) == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(cancelling_factors())
+def test_a_product_has_at_most_the_sumset_of_the_supports_as_terms(pq):
+    p, q = pq
+    assert (p * q).num_terms() <= _sumset_size(p, q)
+
+
+@st.composite
+def product_entries(draw):
+    """(entries, common): zero entries, scalar multiples of earlier entries, and entries that cancel against common."""
+    u, w = draw(st.sampled_from(_cancelling_pairs()))
+    common = draw(poly_strategy()) * draw(st.sampled_from([u, MultiPoly.const(V, 1)]))
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["poly", "zero", "multiple", "cancelling"]))
+        if kind == "zero":
+            entries.append(MultiPoly(V))
+        elif kind == "multiple" and entries:
+            entries.append(draw(st.sampled_from([-1, 2, Fraction(-3, 4)])) * draw(st.sampled_from(entries)))
+        elif kind == "cancelling":
+            entries.append(draw(poly_strategy()) * w)
+        else:
+            entries.append(draw(poly_strategy()))
+    return entries, common
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_entries())
+def test_max_product_terms_is_the_plain_max(ec):
+    entries, common = ec
+    assert poly.max_product_terms(entries, common) == max(((e * common).num_terms() for e in entries if e), default=0)
+
+
+def test_max_product_terms_expands_only_what_can_set_the_max(monkeypatch):
+    x, y = x_y()
+    common = (1 + x + x * x) * (1 + y + y * y)  # the exponent box [0, 2]^2
+    big = (1 + x + x * x + x * x * x) * (1 + y + y * y + y * y * y)  # [0, 3]^2: times common, [0, 5]^2
+    small = (1 + x + x * x) * (1 + 2 * y + y * y)  # 9 terms, so 81 term products, but its sumset is [0, 4]^2
+    expanded = []
+    mul = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: expanded.append(a) or mul(a, b))
+    # -2 * big sets the max of 36 terms, big is a multiple of it, and small's sumset bound is 25
+    assert poly.max_product_terms([small, MultiPoly(V), -2 * big, big], common) == 36
+    assert expanded == [-2 * big]
+    assert poly.max_product_terms([big], MultiPoly(V)) == 0
+    assert poly.max_product_terms([], common) == 0
+    with pytest.raises(ValueError):
+        poly.max_product_terms([big], MultiPoly(("x",)))

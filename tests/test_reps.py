@@ -358,6 +358,21 @@ def test_builtin_rejects_unknown():
         builtin_rep("scalar", values=[1, 2], n=3)  # values fixes n
 
 
+def test_scalar_values_are_a_list_or_a_tuple():
+    # a string is a sequence of characters, not of values
+    for values in ("12", 12, {1: 1, 2: 2}, None):
+        with pytest.raises(ValueError, match="^scalar: values must be a list or a tuple"):
+            builtin_rep("scalar", values=values)
+    assert builtin_rep("scalar", values=(1, 2)) == builtin_rep("scalar", values=[1, 2])
+
+
+def test_a_rep_compares_by_value_and_has_no_hash():
+    rep = builtin_rep("B3_2dim")
+    assert rep == builtin_rep("B3_2dim") and rep != builtin_rep("C3_2dim") and rep != "B3_2dim"
+    with pytest.raises(TypeError):
+        hash(rep)
+
+
 def test_scalar_uniform_rep_is_trivial_correspondence():
     lam = builtin_rep("scalar", values=[1, 1])
     assert correspondence_check("hecke_in_A", lam, q=Fraction(1)).passed

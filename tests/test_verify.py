@@ -51,6 +51,30 @@ def test_ybe_symbolic_pass_and_negative_control():
     assert control.residuals == [("ybe", 1124)]
 
 
+def test_ybe_symbolic_control_row_expands_one_residual_entry(monkeypatch):
+    # the residual entries have 30, 60, 30 and 30 terms and the restoring factor 105, so the sumset bounds are
+    # 562, 1124, 562 and 562: the 60-term entry sets the reported 1124, and no other entry is multiplied out
+    seen, mul, original = [], MultiPoly.__mul__, verify.max_product_terms
+
+    def spy(entries, common):
+        expanded = []
+
+        def counted(a, b):
+            if b is common:
+                expanded.append(a.num_terms())
+            return mul(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(MultiPoly, "__mul__", counted)
+            worst = original(entries, common)
+        seen.append(([e.num_terms() for e in entries if e], common.num_terms(), expanded, worst))
+        return worst
+
+    monkeypatch.setattr(verify, "max_product_terms", spy)
+    assert ybe_symbolic(builtin_rep("A3_2dim", c=1), spectral_fn("ii")).residuals == [("ybe", 1124)]
+    assert seen == [([30, 60, 30, 30], 105, [60], 1124)]
+
+
 def _ybe_cross_multiplied(rep, fn):
     """Reference residual size: cross-multiply the full side denominators."""
     symbols = canonical_vars(set(rep.params) | {"x", "y", "z"})
@@ -717,6 +741,22 @@ def test_transfer_rejects_a_bad_count_before_any_site_work(monkeypatch):
     monkeypatch.setattr(verify, "_site_at", spy)
     with pytest.raises(ValueError, match="^count: "):
         transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], count=0)
+    assert calls == []
+
+
+def test_transfer_refuses_chain_lengths_that_are_not_a_list_or_a_tuple_before_any_site_work(monkeypatch):
+    calls, site_at = [], verify._site_at
+
+    def spy(*args):
+        calls.append(args)
+        return site_at(*args)
+
+    monkeypatch.setattr(verify, "_site_at", spy)
+    for lengths in (5, "23", {2, 3}, None):
+        with pytest.raises(ValueError, match="^chain lengths: expected a list"):
+            verify.check_chain_lengths(lengths)
+        with pytest.raises(ValueError, match="^chain lengths: expected a list"):
+            transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), lengths)
     assert calls == []
 
 
