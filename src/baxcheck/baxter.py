@@ -44,7 +44,7 @@ def spectral_fn(case: str, alpha1=None, alpha2=None, b=None, c=None) -> RatFunc:
     Cases ii, iii and hecke take no parameters.
     """
     params = (alpha1, alpha2, b, c)
-    if one_of(case, SPECTRAL_CASES, "spectral-fn case") != "i" and any(v is not None for v in params):
+    if one_of(case, SPECTRAL_CASES, "case") != "i" and any(v is not None for v in params):
         raise ValueError(f"case {case} takes no parameters")
     x, y = RatFunc.var(("x", "y"), "x"), RatFunc.var(("x", "y"), "y")
     if case == "ii":

@@ -18,8 +18,9 @@ for suite B.  Rules shared by every field:
 * every integer field but `seed` has a floor and a cap (the MAX_ constants
   below); the `lengths` items are checked by verify.check_chain_lengths
   before any representation is built;
-* integer and name fields are read by the library's own gates, as_int and
-  one_of of exactnum.scalar, whose messages _fields reports as JobErrors;
+* integer, name, flag and list fields are read by the library's own gates,
+  as_int, one_of, as_bool and as_list of exactnum.scalar, so a job and a
+  library call refuse a value with the same ValueError message;
 * `lengths`, `assignment`, a scalar rep's `values` and a `batch`'s `jobs`
   must be nonempty lists; a batch takes no `expect`, and batches do not
   nest.
@@ -28,7 +29,8 @@ for suite B.  Rules shared by every field:
 spec has that field.  Reports are serialized with sorted keys and no
 timestamps, so the same job and seed produce byte-identical output.  Exit
 codes: 0 pass, 1 mathematical fail (including failed preconditions), 2
-usage/schema error, 3 internal error.
+usage/schema error (any ValueError a job raises, or an --out that cannot be
+written), 3 internal error.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from fractions import Fraction
 
 from .baxter import SPECTRAL_CASES, build_R, check_regularity, check_unitarity, series_agreement_order, spectral_fn
 from .exactnum import PoleError, RatFunc, SingularMatrixError, parse_scalar
-from .exactnum.scalar import as_int, one_of
+from .exactnum.scalar import as_bool, as_int, as_list, one_of
 from .ncalg import ALGEBRAS, PROP1_TERMS, prop1_certificate, relations_for
 from .report import VerifyReport
 from .reps import (
@@ -80,24 +82,15 @@ MAX_PARAMETERS = 3
 MAX_SCALAR_BITS = 256
 
 
-class JobError(ValueError):
-    """Schema or usage problem in a job file."""
-
-
 def _fields(record: dict, spec: dict) -> dict:
     """Pop and parse every field of spec from record, in spec order."""
     args = {}
     for field, (parse, default) in spec.items():
         value = record.pop(field, None)
         if value is not None:
-            try:
-                args[field] = parse(value, field)
-            except JobError:
-                raise
-            except ValueError as exc:  # a refusal by as_int or one_of, whose message names the field
-                raise JobError(str(exc)) from exc
+            args[field] = parse(value, field)
         elif default is REQUIRED:
-            raise JobError(f"missing required field {field!r}")
+            raise ValueError(f"missing required field {field!r}")
         else:
             args[field] = default
     return args
@@ -105,10 +98,10 @@ def _fields(record: dict, spec: dict) -> dict:
 
 def _reject_unknown(record: dict) -> None:
     if record:
-        raise JobError(f"unknown fields {sorted(record)}")
+        raise ValueError(f"unknown fields {sorted(record)}")
 
 
-# -- field parsers: (value, where) -> parsed value, or ValueError (see _fields) --
+# -- field parsers: (value, where) -> parsed value, or ValueError --
 
 
 # the longest 'p/q' whose parts fit MAX_SCALAR_BITS: a sign, two parts and the slash
@@ -117,28 +110,22 @@ _MAX_SCALAR_CHARS = 2 * len(str(1 << MAX_SCALAR_BITS)) + 2
 
 def _scalar(value, where: str) -> Fraction:
     if not isinstance(value, str):
-        raise JobError(f"{where}: scalars must be 'p/q' strings, got {value!r}")
+        raise ValueError(f"{where}: scalars must be 'p/q' strings, got {value!r}")
     # checked before parsing, so no int is ever built from an oversized string
     if len(value) > _MAX_SCALAR_CHARS:
-        raise JobError(f"{where}: scalar strings have at most {_MAX_SCALAR_CHARS} characters, got {len(value)}")
+        raise ValueError(f"{where}: scalar strings have at most {_MAX_SCALAR_CHARS} characters, got {len(value)}")
     try:
         scalar = parse_scalar(value)
     except ValueError as exc:
-        raise JobError(f"{where}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
     if max(scalar.numerator.bit_length(), scalar.denominator.bit_length()) > MAX_SCALAR_BITS:
-        raise JobError(f"{where}: numerator and denominator must fit in {MAX_SCALAR_BITS} bits")
+        raise ValueError(f"{where}: numerator and denominator must fit in {MAX_SCALAR_BITS} bits")
     return scalar
 
 
 def _symbolic(value, where: str) -> Fraction | None:
     """A scalar, or None (null) for a parameter kept symbolic."""
     return None if value is None else _scalar(value, where)
-
-
-def _bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise JobError(f"{where}: expected true or false")
-    return value
 
 
 def _int(cap: int | None = None, floor: int | None = None):
@@ -154,32 +141,28 @@ def _one_of(options: tuple):
 
 def _list(item, cap: int | None = None):
     def parse(value, where: str) -> list:
-        if not isinstance(value, list) or not value:
-            raise JobError(f"{where}: expected a nonempty list")
-        if cap is not None and len(value) > cap:
-            raise JobError(f"{where}: at most {cap} items, got {len(value)}")
-        return [item(v, where) for v in value]
+        return [item(v, where) for v in as_list(value, where, cap)]
 
     return parse
 
 
 def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
-        raise JobError(f"{where}: expected an object")
+        raise ValueError(f"{where}: expected an object")
     return dict(value)
 
 
 def _parameters(value, where: str) -> dict:
     record = _object(value, where)
     if len(record) > MAX_PARAMETERS:  # checked before any value is parsed
-        raise JobError(f"{where}: at most {MAX_PARAMETERS} names, got {len(record)}")
+        raise ValueError(f"{where}: at most {MAX_PARAMETERS} names, got {len(record)}")
     return {name: _symbolic(v, f"{where}.{name}") for name, v in record.items()}
 
 
 def _rep(value, where: str) -> dict:
     """A builtin-rep record, checked but not yet built (see _build)."""
     record = _object(value, where)
-    rep = _fields(record, {"builtin": (_one_of(BUILTIN_NAMES), REQUIRED), "flip": (_bool, False)})
+    rep = _fields(record, {"builtin": (_one_of(BUILTIN_NAMES), REQUIRED), "flip": (as_bool, False)})
     if rep["builtin"] == "scalar":
         values = _list(_symbolic, cap=MAX_GENERATORS - 1)  # n = len(values) + 1
         rep["kwargs"] = _fields(record, {"values": (values, (None, None))})
@@ -198,14 +181,14 @@ def _fn(value, where: str) -> RatFunc:
     try:
         return spectral_fn(case, **args)
     except ValueError as exc:
-        raise JobError(f"{where}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _build(rep: dict):
     try:
         built = builtin_rep(rep["builtin"], **rep["kwargs"])
     except ValueError as exc:
-        raise JobError(f"rep: {exc}") from exc
+        raise ValueError(f"rep: {exc}") from exc
     return flip_rep(built) if rep["flip"] else built
 
 
@@ -261,11 +244,11 @@ def _verify_lemmas(suite, rep, **scalars):
     if suite == "B":
         given = sorted(name for name, value in scalars.items() if value is not None)
         if given:
-            raise JobError(f"unknown fields {given}")
+            raise ValueError(f"unknown fields {given}")
         return lemma_suite_B(_build(rep)), {}
     for name, value in scalars.items():
         if value is None:
-            raise JobError(f"missing required field {name!r}")
+            raise ValueError(f"missing required field {name!r}")
     return lemma_suite_A(_build(rep), scalars["alpha1"] * scalars["alpha2"], scalars["b"], scalars["c"]), {}
 
 
@@ -280,7 +263,7 @@ def _correspondences(kind, rep, q, b):
 
 def _batch(jobs, overrides):
     if any(sub.get("command") == "batch" for sub in jobs):
-        raise JobError("jobs: batches do not nest")
+        raise ValueError("jobs: batches do not nest")
     payloads = []
     worst = EXIT_PASS
     for sub in jobs:
@@ -324,7 +307,7 @@ COMMANDS = {
         _transfer_commute,
         {**_EXPECT, "pairs": (_int(MAX_PAIRS, floor=1), 5), "rep": _REP, "fn": _FN, "site": _SITE,
          "lengths": (_list(_int()), (3,)), "seed": _SEED,
-         "corrupt": (_bool, False)},
+         "corrupt": (as_bool, False)},
     ),
     "correspondences": (
         _correspondences,
@@ -356,14 +339,9 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
     expect = args.pop("expect")
     try:
         report, extra = handler(**args)
-    except JobError:
-        raise
-    except ValueError as exc:
-        raise JobError(str(exc)) from exc
     except (PoleError, SingularMatrixError) as exc:
         # singular factors and unresolvable poles are mathematical outcomes, any other ArithmeticError a defect
-        report = VerifyReport(command, status="error", notes=[str(exc)])
-        extra = {}
+        report, extra = VerifyReport(command).error(str(exc)), {}
     code = EXIT_PASS if report.passed else EXIT_FAIL
     if any(note.endswith(SAMPLING_FAILURE) for note in report.notes):  # transfer notes carry an L= prefix
         code = EXIT_INTERNAL
@@ -393,19 +371,20 @@ def main(argv: list[str] | None = None) -> int:
             job = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, invalid UTF-8 and over-long integers
-        _emit({"error": f"cannot read job: {exc}", "exit_code": EXIT_USAGE}, args.out)
-        return EXIT_USAGE
-
-    overrides = {"seed": args.seed, "trials": args.trials, "mode": args.mode}
+        payload, code = {"error": f"cannot read job: {exc}", "exit_code": EXIT_USAGE}, EXIT_USAGE
+    else:
+        try:
+            payload, code = run_job(job, {"seed": args.seed, "trials": args.trials, "mode": args.mode})
+        except ValueError as exc:  # a refused field or value, by a gate or a worker
+            payload, code = {"error": str(exc), "exit_code": EXIT_USAGE}, EXIT_USAGE
+        except Exception as exc:  # a defect, a ZeroDivisionError in a worker included
+            payload, code = {"error": f"internal error: {exc}", "exit_code": EXIT_INTERNAL}, EXIT_INTERNAL
 
     try:
-        payload, code = run_job(job, overrides)
-    except JobError as exc:
-        payload, code = {"error": str(exc), "exit_code": EXIT_USAGE}, EXIT_USAGE
-    except Exception as exc:  # a defect, a ZeroDivisionError in a worker included
-        payload, code = {"error": f"internal error: {exc}", "exit_code": EXIT_INTERNAL}, EXIT_INTERNAL
-
-    _emit(payload, args.out)
+        _emit(payload, args.out)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        code = EXIT_USAGE
+        _emit({"error": f"cannot write report: {exc}", "exit_code": code}, None)
     return code
 
 

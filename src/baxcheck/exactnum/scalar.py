@@ -6,7 +6,8 @@ need (reduced, positive denominator, zero stored as 0/1).  Scalars cross
 module boundaries as strings "p" or "p/q" with q > 0 (never symbol names).
 Each argument a caller passes in has one gate per kind, whose ValueError the
 job schema reports as it is: as_scalar for a rational, as_int for a count,
-an index or a seed (an int, never a bool), and one_of for a name.
+an index or a seed (an int, never a bool), one_of for a name, as_bool for a
+flag and as_list for a nonempty list or tuple.
 """
 
 from __future__ import annotations
@@ -63,6 +64,22 @@ def one_of(value, options: tuple, what: str):
     """value itself when it is one of options; ValueError naming what otherwise."""
     if value not in options:
         raise ValueError(f"unknown {what} {value!r}, expected one of {options}")
+    return value
+
+
+def as_bool(value, what: str) -> bool:
+    """value itself when it is a bool; ValueError naming what otherwise."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{what}: expected true or false")
+    return value
+
+
+def as_list(value, what: str, cap: int | None = None) -> list | tuple:
+    """value itself when it is a nonempty list or tuple of at most cap items; ValueError naming what otherwise."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"{what}: expected a nonempty list")
+    if cap is not None and len(value) > cap:
+        raise ValueError(f"{what}: at most {cap} items, got {len(value)}")
     return value
 
 

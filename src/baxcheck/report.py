@@ -6,29 +6,24 @@ from __future__ import annotations
 class VerifyReport:
     """Outcome of one verification run.
 
-    residuals holds one (label, size) pair per checked identity.  Size 0 means
-    the residual was exactly zero; a nonzero size measures it, by the check's
-    own unit: the largest term count seen in a symbolic residual, the word
-    count of the prop1 residual, the number of nonzero entries of an int
-    residual (ybe_random, transfer_commute), or 1 for a failed yes/no check
+    A report starts as a pass with no residuals and no notes; add_residual
+    and error are the only routes to fail and to error.  residuals holds one
+    (label, size) pair per checked identity.  Size 0 means the residual was
+    exactly zero; a nonzero size measures it, by the check's own unit: the
+    largest term count seen in a symbolic residual, the word count of the
+    prop1 residual, the number of nonzero entries of an int residual
+    (ybe_random, transfer_commute), or 1 for a failed yes/no check
     (baxterise, scalar-reps).  summary prints it as "nonzero (size N)".
     notes carries flags such as vacuous passes and pole resamples.  mode
     records how the check ran (symbolic, or randomized with seed/trials).
     """
 
-    def __init__(
-        self,
-        name: str,
-        status: str = "pass",  # pass | fail | error
-        residuals: list[tuple[str, int]] | None = None,
-        mode: dict | None = None,
-        notes: list[str] | None = None,
-    ):
+    def __init__(self, name: str, mode: dict | None = None):
         self.name = name
-        self.status = status
-        self.residuals = [] if residuals is None else residuals
+        self.status = "pass"  # pass | fail | error
+        self.residuals: list[tuple[str, int]] = []
         self.mode = {"kind": "symbolic"} if mode is None else mode
-        self.notes = [] if notes is None else notes
+        self.notes: list[str] = []
 
     def add_residual(self, label: str, size: int) -> None:
         self.residuals.append((label, size))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, canonical_vars, format_scalar
-from .exactnum.scalar import as_int, as_scalar, one_of
+from .exactnum.scalar import as_int, as_list, as_scalar, one_of
 from .ncalg import NCPoly, RelationSet, relations_for, resolve_params, site_relations
 from .report import VerifyReport
 
@@ -116,11 +116,7 @@ def builtin_rep(name: str, **params) -> Rep:
 def _scalar_rep(values: list | tuple = (None, None), **extras) -> Rep:
     """One 1x1 matrix per generator, n = len(values) + 1; every None is the one symbol lam, a RatFunc."""
     _reject_extras("scalar", extras)
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"scalar: values must be a list or a tuple, got {type(values).__name__}")
-    if not values:
-        raise ValueError("a scalar rep needs at least one value")
-    n = len(values) + 1
+    n = len(as_list(values, "values")) + 1
     names = [str(i) for i in range(1, n)]
     lam = RatFunc.var(("lam",), "lam")
     symbols, vals = resolve_params(names, {k: lam if v is None else v for k, v in zip(names, values)})

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, split_factors
 from .exactnum.poly import eval_cleared, max_product_terms
-from .exactnum.scalar import as_int, as_scalar, format_scalar
+from .exactnum.scalar import as_bool, as_int, as_list, as_scalar, format_scalar
 from .baxter import H_closed, h_fun, reduce_cleared, rhat_cleared, spectral_symbols
 from .ncalg import relations_for
 from .report import VerifyReport
@@ -447,12 +447,8 @@ def _transfer_matrices(rhat: FieldMatrix, d: int, lengths: Sequence[int]) -> dic
 
 def check_chain_lengths(lengths: Sequence[int]) -> None:
     """Raise ValueError unless lengths is a nonempty list or tuple, each an int (not a bool) in 1..MAX_CHAIN_LENGTH, none repeated."""
-    if not isinstance(lengths, (list, tuple)):
-        raise ValueError(f"chain lengths: expected a list, got {type(lengths).__name__}")
-    if not lengths:
-        raise ValueError("need at least one chain length")
     seen = set()
-    for L in lengths:
+    for L in as_list(lengths, "lengths"):
         if as_int(L, "chain length", 1, MAX_CHAIN_LENGTH) in seen:
             raise ValueError(f"chain length {L} is repeated")
         seen.add(L)
@@ -508,9 +504,7 @@ def transfer_commute(
     d = math.isqrt(rep.dim)
     if d * d != rep.dim:
         raise ValueError(f"rep dimension {rep.dim} is not a perfect square")
-    if type(corrupt) is not bool:
-        raise ValueError(f"corrupt: expected true or false, got {corrupt!r}")
-    if corrupt and d < 2:
+    if as_bool(corrupt, "corrupt") and d < 2:
         raise ValueError(f"corrupt needs a site matrix on V (x) V with dim V >= 2, got dim V = {d}")
     check_chain_lengths(lengths)
     as_int(count, "count", floor=1)

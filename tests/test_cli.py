@@ -22,11 +22,12 @@ from baxcheck.cli import (
     MAX_SCALAR_BITS,
     MAX_SERIES_ORDER,
     MAX_TRIALS,
-    JobError,
     run_job,
 )
+from baxcheck.baxter import spectral_fn
 from baxcheck.exactnum import SingularMatrixError
-from baxcheck.verify import MAX_CHAIN_LENGTH
+from baxcheck.reps import builtin_rep
+from baxcheck.verify import MAX_CHAIN_LENGTH, check_chain_lengths, transfer_commute, ybe_random
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -133,6 +134,14 @@ def test_report_written_to_file(tmp_path):
     assert json.loads(out_path.read_text())["exit_code"] == 0
 
 
+@pytest.mark.parametrize("out", [lambda tmp: tmp / "missing" / "x.json", lambda tmp: tmp], ids=["missing-dir", "directory"])
+def test_an_unwritable_out_is_a_usage_error(tmp_path, out):
+    proc = run_cli("--job", str(FIXTURES / "criterion1.json"), "--out", str(out(tmp_path)))
+    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, "")
+    payload = json.loads(proc.stdout)
+    assert payload["exit_code"] == EXIT_USAGE and payload["error"].startswith("cannot write report: ")
+
+
 def test_randomized_reports_are_byte_identical(tmp_path):
     job = {
         "command": "verify-ybe",
@@ -199,7 +208,7 @@ def test_batch_over_the_job_cap_is_rejected_before_any_job_runs(monkeypatch):
 
     monkeypatch.setattr(cli, "prop1_certificate", never)
     for count in (MAX_BATCH_JOBS + 1, 20000):
-        with pytest.raises(JobError, match=f"^jobs: at most {MAX_BATCH_JOBS} items, got {count}$"):
+        with pytest.raises(ValueError, match=f"^jobs: at most {MAX_BATCH_JOBS} items, got {count}$"):
             run_job({"command": "batch", "jobs": [{"command": "prop1"}] * count})
 
 
@@ -244,11 +253,11 @@ A3_II_RANDOM = {
 
 
 def test_run_job_api_errors(monkeypatch):
-    with pytest.raises(JobError):
+    with pytest.raises(ValueError):
         run_job({"command": "verify-ybe", "rep": {"builtin": "A3_2dim"}})  # missing fn
-    with pytest.raises(JobError):
+    with pytest.raises(ValueError):
         run_job({"command": "verify-lemmas", "suite": "A", "rep": {"builtin": "A3_2dim"}})
-    with pytest.raises(JobError):
+    with pytest.raises(ValueError):
         run_job([1, 2, 3])
     # deep usage error surfaces as a schema/usage failure, not internal: every check on sites 1 and 2
     one_site = {"builtin": "scalar", "values": ["1"]}
@@ -258,20 +267,20 @@ def test_run_job_api_errors(monkeypatch):
         {"command": "verify-lemmas", "suite": "A", "rep": one_site, "alpha1": "2", "alpha2": "1", "b": "0", "c": "1"},
         {"command": "verify-lemmas", "suite": "B", "rep": one_site},
     ):
-        with pytest.raises(JobError, match="sites 1 and 2"):
+        with pytest.raises(ValueError, match="sites 1 and 2"):
             run_job(job)
     # list fields must be lists, never strings or ints iterated or unpacked
     for assignment in ("10", 10):
-        with pytest.raises(JobError):
+        with pytest.raises(ValueError):
             run_job({"command": "scalar-reps", "algebra": "Braid", "assignment": assignment})
     for values in ("10", 10):
-        with pytest.raises(JobError):
+        with pytest.raises(ValueError):
             run_job({
                 "command": "check-algebra",
                 "algebra": "Braid",
                 "rep": {"builtin": "scalar", "values": values},
             })
-    with pytest.raises(JobError):
+    with pytest.raises(ValueError):
         run_job({
             "command": "transfer-commute",
             "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
@@ -280,7 +289,7 @@ def test_run_job_api_errors(monkeypatch):
         })
     # chain lengths are capped before anything is allocated
     for lengths in ([9], [1000000]):
-        with pytest.raises(JobError, match="chain length"):
+        with pytest.raises(ValueError, match="chain length"):
             run_job({
                 "command": "transfer-commute",
                 "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
@@ -288,7 +297,7 @@ def test_run_job_api_errors(monkeypatch):
                 "lengths": lengths,
             })
     # a 1x1 Rhat has no off-diagonal entry for the negative control to perturb
-    with pytest.raises(JobError, match="corrupt"):
+    with pytest.raises(ValueError, match="corrupt"):
         run_job({
             "command": "transfer-commute",
             "rep": {"builtin": "scalar", "values": ["2", "2"]},
@@ -297,20 +306,20 @@ def test_run_job_api_errors(monkeypatch):
             "pairs": 1,
             "corrupt": True,
         })
-    with pytest.raises(JobError, match="^site: expected an integer$"):
+    with pytest.raises(ValueError, match="^site: expected an integer$"):
         run_job({"command": "baxterise", "rep": {"builtin": "scalar"}, "fn": {"case": "ii"}, "site": True})
     # randomized checks with nothing to sample are usage errors, not vacuous passes
     for extra in ({"pairs": 0}, {"pairs": -4, "corrupt": True}):
-        with pytest.raises(JobError, match="^pairs: at least 1, got"):
+        with pytest.raises(ValueError, match="^pairs: at least 1, got"):
             run_job({
                 "command": "transfer-commute",
                 "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
                 "fn": {"case": "hecke"},
                 **extra,
             })
-    with pytest.raises(JobError, match="trials"):
+    with pytest.raises(ValueError, match="trials"):
         run_job(dict(A3_II_RANDOM, trials=0))
-    with pytest.raises(JobError, match="lengths: expected a nonempty list"):
+    with pytest.raises(ValueError, match="lengths: expected a nonempty list"):
         run_job({
             "command": "transfer-commute",
             "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
@@ -318,11 +327,11 @@ def test_run_job_api_errors(monkeypatch):
             "lengths": [],
         })
     # a batch has no verdict of its own to invert
-    with pytest.raises(JobError, match="expect"):
+    with pytest.raises(ValueError, match="expect"):
         run_job({"command": "batch", "jobs": [{"command": "prop1"}], "expect": "fail"})
     # parameter names the algebra lacks are rejected with or without an assignment
     for algebra, parameters in (("A", {"a": "1", "b": "1", "q": "7"}), ("B", {"a": "5"})):
-        with pytest.raises(JobError, match="unexpected parameters"):
+        with pytest.raises(ValueError, match="unexpected parameters"):
             run_job({"command": "scalar-reps", "algebra": algebra, "parameters": parameters})
     # job sizes are capped before any rep is built or any check starts
     def never(*args, **kwargs):
@@ -353,12 +362,12 @@ def test_run_job_api_errors(monkeypatch):
         ("pairs", {"command": "transfer-commute", "rep": hecke, "fn": {"case": "hecke"}, "pairs": MAX_PAIRS + 1}),
     ]
     for field, job in over_cap:
-        with pytest.raises(JobError, match=f"^{field}: at most"):
+        with pytest.raises(ValueError, match=f"^{field}: at most"):
             run_job(job)
-    with pytest.raises(JobError, match="^assignment: expected a nonempty list$"):
+    with pytest.raises(ValueError, match="^assignment: expected a nonempty list$"):
         run_job({"command": "scalar-reps", "algebra": "A", "assignment": []})
     # a scalar rep needs at least one generator, so values is nonempty
-    with pytest.raises(JobError, match="^values: expected a nonempty list$"):
+    with pytest.raises(ValueError, match="^values: expected a nonempty list$"):
         run_job({"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "values": []}})
 
 
@@ -481,9 +490,37 @@ _YBE = {"command": "verify-ybe", "rep": {"builtin": "Hecke3_std"}, "fn": {"case"
     ({"command": "bogus"}, "unknown command 'bogus', expected one of " + str(tuple(cli.COMMANDS))),
 ])
 def test_int_and_name_field_messages_are_pinned(job, message):
-    with pytest.raises(JobError) as exc:
+    with pytest.raises(ValueError) as exc:
         run_job(job)
     assert str(exc.value) == message
+
+
+_TRANSFER = {"command": "transfer-commute", "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
+             "fn": {"case": "hecke"}}
+
+# field: (the job with a bad value, the library entry that reads the same field, bad values)
+PARITY = {
+    "corrupt": (lambda bad: dict(_TRANSFER, corrupt=bad),
+                lambda bad: transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], corrupt=bad),
+                [1, "yes"]),
+    "lengths": (lambda bad: dict(_TRANSFER, lengths=bad), check_chain_lengths, [[], 5, "23"]),
+    "values": (lambda bad: {"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "values": bad}},
+               lambda bad: builtin_rep("scalar", values=bad), [[], 5, "12"]),
+    "seed": (lambda bad: dict(_YBE, mode="random", seed=bad),
+             lambda bad: ybe_random(builtin_rep("Hecke3_std"), spectral_fn("hecke"), seed=bad), [1.5, True]),
+    "fn.case": (lambda bad: dict(_YBE, fn={"case": bad}), spectral_fn, ["iv", "I"]),
+}
+
+
+@pytest.mark.parametrize("field", PARITY)
+def test_a_job_and_its_library_entry_refuse_a_bad_value_with_one_message(field):
+    job, entry, values = PARITY[field]
+    for bad in values:
+        with pytest.raises(ValueError) as schema:
+            run_job(job(bad))
+        with pytest.raises(ValueError) as library:
+            entry(bad)
+        assert str(library.value) == str(schema.value)
 
 
 def test_bounded_fields_find_the_integer_and_list_fields():
@@ -507,7 +544,7 @@ def test_out_of_range_field_is_rejected_before_any_work(monkeypatch, command, fi
         run_job(job)  # in range, the job gets as far as a worker
     top, _, inner = field.partition(".")  # rep.parameters replaces the whole rep record
     for value in values:
-        with pytest.raises(JobError, match=None if field in UNCAPPED else f"^{inner or top}: "):
+        with pytest.raises(ValueError, match=None if field in UNCAPPED else f"^{inner or top}: "):
             run_job(dict(job, **{top: value}))
 
 
@@ -525,11 +562,11 @@ def test_scalar_size_cap(field):
     job = _SCALAR_FIELDS[field]
     top = (1 << MAX_SCALAR_BITS) - 1
     for scalar in (str(top), f"-{top}/{top - 1}", f"1/{top}"):
-        run_job(job(scalar))  # a verdict either way, never a JobError
+        run_job(job(scalar))  # a verdict either way, never a ValueError
     for scalar in (str(top + 1), f"-{top + 1}", f"1/{top + 1}", f"{top + 1}/3"):
-        with pytest.raises(JobError, match=f"must fit in {MAX_SCALAR_BITS} bits"):
+        with pytest.raises(ValueError, match=f"must fit in {MAX_SCALAR_BITS} bits"):
             run_job(job(scalar))
-    with pytest.raises(JobError, match="scalar strings have at most"):
+    with pytest.raises(ValueError, match="scalar strings have at most"):
         run_job(job(str(top) + "0" * 100))
 
 
@@ -537,7 +574,7 @@ def test_oversized_scalar_string_is_rejected_before_parsing(monkeypatch):
     parse, parsed = cli.parse_scalar, []
     monkeypatch.setattr(cli, "parse_scalar", lambda text: parsed.append(text) or parse(text))
     for job in _SCALAR_FIELDS.values():
-        with pytest.raises(JobError, match=r"scalar strings have at most \d+ characters, got 5000"):
+        with pytest.raises(ValueError, match=r"scalar strings have at most \d+ characters, got 5000"):
             run_job(job("9" * 5000))
     assert max(map(len, parsed), default=0) < 5000
 
@@ -551,7 +588,7 @@ def test_spectral_fn_record_errors():
         (dict(case_i, extra="1"), "unknown fields"),
         ({"case": "iv"}, "unknown case"),
     ):
-        with pytest.raises(JobError, match=message):
+        with pytest.raises(ValueError, match=message):
             run_job({"command": "baxterise", "rep": SCALAR_23, "fn": fn})
 
 
@@ -642,7 +679,7 @@ def test_mutated_jobs_end_in_job_error_or_exit_code(mutation):
         _at(job, path[:-1])[path[-1]] = copy.deepcopy(action[1])
     try:
         payload, code = run_job(job)
-    except JobError:
+    except ValueError:
         return
     assert code in (0, 1, 2, 3)
     json.dumps(payload)
@@ -669,7 +706,7 @@ def test_zero_trials_override_rejected(tmp_path):
 def test_transfer_lengths_checked_before_any_run(monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "transfer_commute", lambda *args, **kwargs: calls.append(args))
-    with pytest.raises(JobError, match="got 9"):
+    with pytest.raises(ValueError, match="got 9"):
         run_job({
             "command": "transfer-commute",
             "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
@@ -677,7 +714,7 @@ def test_transfer_lengths_checked_before_any_run(monkeypatch):
             "lengths": [5, 9],
         })
     # a repeated length is rejected, so a list holds at most MAX_CHAIN_LENGTH lengths
-    with pytest.raises(JobError, match="chain length 1 is repeated"):
+    with pytest.raises(ValueError, match="chain length 1 is repeated"):
         run_job({
             "command": "transfer-commute",
             "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},

@@ -352,7 +352,7 @@ def test_builtin_rejects_unknown():
         builtin_rep("nope")
     with pytest.raises(ValueError):
         builtin_rep("A3_2dim", q=1)
-    with pytest.raises(ValueError, match="at least one value"):
+    with pytest.raises(ValueError, match="^values: expected a nonempty list$"):
         builtin_rep("scalar", values=[])
     with pytest.raises(ValueError, match=r"unexpected parameters \['n'\]"):
         builtin_rep("scalar", values=[1, 2], n=3)  # values fixes n
@@ -361,7 +361,7 @@ def test_builtin_rejects_unknown():
 def test_scalar_values_are_a_list_or_a_tuple():
     # a string is a sequence of characters, not of values
     for values in ("12", 12, {1: 1, 2: 2}, None):
-        with pytest.raises(ValueError, match="^scalar: values must be a list or a tuple"):
+        with pytest.raises(ValueError, match="^values: expected a nonempty list$"):
             builtin_rep("scalar", values=values)
     assert builtin_rep("scalar", values=(1, 2)) == builtin_rep("scalar", values=[1, 2])
 

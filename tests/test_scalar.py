@@ -4,7 +4,7 @@ from fractions import Fraction
 from baxcheck import cli
 from baxcheck.baxter import SPECTRAL_CASES, H_series, build_R, spectral_fn
 from baxcheck.exactnum import MultiPoly, RatFunc, format_scalar, parse_scalar
-from baxcheck.exactnum.scalar import as_int, as_scalar
+from baxcheck.exactnum.scalar import as_bool, as_int, as_list, as_scalar
 from baxcheck.ncalg import ALGEBRAS, PROP1_TERMS, NCPoly, prop1_certificate, relations_for
 from baxcheck.reps import BUILTIN_NAMES, CORRESPONDENCE_KINDS, builtin_rep, classify_scalar, correspondence_check
 from baxcheck.verify import transfer_commute, ybe_random
@@ -77,6 +77,19 @@ def test_as_int_messages_are_the_job_schema_messages():
             as_int(value, "trials", floor, cap)
 
 
+def test_as_bool_and_as_list_messages_are_the_job_schema_messages():
+    assert as_bool(False, "corrupt") is False
+    assert as_list((2, 3), "lengths") == (2, 3) and as_list([None], "values", 1) == [None]
+    for value in (0, 1, "true", None):
+        with pytest.raises(ValueError, match="^corrupt: expected true or false$"):
+            as_bool(value, "corrupt")
+    for value in ([], (), "12", 12, {2: 3}, {2, 3}, None):
+        with pytest.raises(ValueError, match="^lengths: expected a nonempty list$"):
+            as_list(value, "lengths")
+    with pytest.raises(ValueError, match="^jobs: at most 2 items, got 3$"):
+        as_list([1, 2, 3], "jobs", 2)
+
+
 def _hecke():
     return builtin_rep("Hecke3_std", q=2)
 
@@ -112,7 +125,7 @@ def test_every_int_entry_refuses_a_bool_a_float_a_fraction_and_a_string(entry, b
 
 # every entry that reads a name: (its label, its options, the entry called with one name)
 NAME_ENTRIES = {
-    "spectral_fn": ("spectral-fn case", SPECTRAL_CASES, lambda name: spectral_fn(name)),
+    "spectral_fn": ("case", SPECTRAL_CASES, lambda name: spectral_fn(name)),
     "builtin_rep": ("representation", BUILTIN_NAMES, lambda name: builtin_rep(name)),
     "relations_for": ("algebra", ALGEBRAS, lambda name: relations_for(name, 3)),
     "classify_scalar": ("algebra", ("A", "B", "C"), lambda name: classify_scalar(name)),

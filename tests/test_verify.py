@@ -723,7 +723,9 @@ def test_transfer_usage_errors():
         transfer_commute(builtin_rep("B3_2dim", nu=1, mu=2), 1, spectral_fn("ii"), [2])
     with pytest.raises(ValueError):
         transfer_commute(builtin_rep("Hecke3_std"), 1, spectral_fn("hecke"), [2])
-    for lengths in ([], [2, 9], [2, 3, 2], [True, 2], [2, False], [2.5], ["3"], [2, None]):
+    with pytest.raises(ValueError, match="^lengths: expected a nonempty list$"):
+        transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [])
+    for lengths in ([2, 9], [2, 3, 2], [True, 2], [2, False], [2.5], ["3"], [2, None]):
         with pytest.raises(ValueError, match="chain length"):
             transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), lengths)
     for count in (0, -1, True, 2.5, "3", None):
@@ -753,9 +755,9 @@ def test_transfer_refuses_chain_lengths_that_are_not_a_list_or_a_tuple_before_an
 
     monkeypatch.setattr(verify, "_site_at", spy)
     for lengths in (5, "23", {2, 3}, None):
-        with pytest.raises(ValueError, match="^chain lengths: expected a list"):
+        with pytest.raises(ValueError, match="^lengths: expected a nonempty list$"):
             verify.check_chain_lengths(lengths)
-        with pytest.raises(ValueError, match="^chain lengths: expected a list"):
+        with pytest.raises(ValueError, match="^lengths: expected a nonempty list$"):
             transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), lengths)
     assert calls == []
 
@@ -769,7 +771,7 @@ def test_transfer_refuses_a_corrupt_flag_that_is_not_a_bool_before_any_site_work
 
     monkeypatch.setattr(verify, "_site_at", spy)
     for corrupt in ("no", 0, 1, None):
-        with pytest.raises(ValueError, match="^corrupt: expected true or false"):
+        with pytest.raises(ValueError, match="^corrupt: expected true or false$"):
             transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], corrupt=corrupt)
     assert calls == []
 
@@ -956,7 +958,9 @@ def _hecke_transfer(lengths, corrupt=False):
                                           ("sampling", "error")])
 def test_transfer_lengths_concatenate_single_length_reports(monkeypatch, case, status):
     if case == "precheck":
-        monkeypatch.setattr(verify, "ybe_random", lambda *args, **kwargs: VerifyReport("ybe", status="fail"))
+        failed = VerifyReport("ybe")
+        failed.add_residual("lhs - rhs", 1)
+        monkeypatch.setattr(verify, "ybe_random", lambda *args, **kwargs: failed)
     if case == "sampling":
         # no regular point pair exists (see above); the precheck is passed by fiat
         monkeypatch.setattr(verify, "sample_fraction", lambda rng: Fraction(0))
