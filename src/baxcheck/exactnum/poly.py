@@ -7,7 +7,9 @@ zero polynomial is the empty dict over 1.  The pair is kept in lowest terms
 polynomial is unique and equality is structural.  All arithmetic is exact and
 runs on the integer kernel below; rational coefficients and exponent tuples
 appear only at the interface (construction, leading coefficients, evaluation,
-printing).
+printing).  Evaluation compiles a polynomial list once (`evaluator`) and then
+runs on ints at each point of a batch, from one power table per distinct
+(variable, value); `eval_cleared` is its one-shot use.
 
 A monomial x_0^e_0 ... x_{n-1}^e_{n-1} is packed into one int (Monagan &
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .scalar import as_int, as_scalar
 
@@ -308,34 +310,53 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def eval_cleared(polys: Sequence[MultiPoly], point: Mapping[str, Fraction]) -> tuple[list[int], int]:
-    """(nums, den) with polys[k](point) = nums[k] / den over one int den > 0, for polys over one variable tuple.
+def evaluator(polys: Sequence[MultiPoly]) -> Callable[[Sequence[Mapping[str, Fraction]]], list[tuple[list[int], int]]]:
+    """polys over one variable tuple, compiled: a batch of points -> (nums, den) per point, polys[k] = nums[k] / den.
 
-    With value a_i / b_i for variable i, of top degree top_i over all polys,
-    each term scaled by prod b_i^top_i is an int: every sum runs over ints.
+    The lcm of the denominators and each variable's top degree top_i are read
+    once.  With value a_i / b_i, a term scaled by prod b_i^top_i is an int read
+    off the power table [a_i^e b_i^(top_i - e)] of (i, a_i / b_i), one per
+    distinct pair in the batch, and den = lcm * prod b_i^top_i > 0.
     """
     vars = polys[0].vars
-    missing = [v for v in vars if v not in point]
-    if missing:
-        raise ValueError(f"missing assignment for {missing}")
-    values = [as_scalar(point[v]) for v in vars]
     den = _int_lcm(*(p.den for p in polys))
-    scaled, scale = [], 1
-    for i, val in enumerate(values):
-        top = max((exp >> (_W * i) & _MASK for p in polys for exp in p.terms), default=0)
-        if top:
-            scaled.append((_W * i, top, val.numerator, val.denominator))
-            scale *= val.denominator**top
-    nums = []
-    for p in polys:
-        total = 0
-        for exp, coeff in p.terms.items():
-            for shift, top, a, b in scaled:
-                e = exp >> shift & _MASK
-                coeff *= a**e * b ** (top - e)
-            total += coeff
-        nums.append(total * (den // p.den))
-    return nums, den * scale
+    keys = [exp for p in polys for exp in p.terms]
+    used = [(i, shift, top) for i, shift in enumerate(range(0, _W * len(vars), _W))
+            if (top := max([exp >> shift & _MASK for exp in keys], default=0))]
+    scaled = [(den // p.den, p.terms) for p in polys]
+
+    def at(points: Sequence[Mapping[str, Fraction]]) -> list[tuple[list[int], int]]:
+        tables, out = {}, []
+        for point in points:
+            try:
+                values = [as_scalar(point[v]) for v in vars]
+            except KeyError:
+                raise ValueError(f"missing assignment for {[v for v in vars if v not in point]}") from None
+            rows, scale = [], 1
+            for i, shift, top in used:
+                a, b = values[i].as_integer_ratio()
+                table = tables.get((i, a, b))
+                if table is None:
+                    table = tables[i, a, b] = [a**e * b ** (top - e) for e in range(top + 1)]
+                rows.append((shift, table))
+                scale *= b**top
+            nums = []
+            for k, terms in scaled:
+                total = 0
+                for exp, coeff in terms.items():
+                    for shift, table in rows:
+                        coeff *= table[exp >> shift & _MASK]
+                    total += coeff
+                nums.append(total * k)
+            out.append((nums, den * scale))
+        return out
+
+    return at
+
+
+def eval_cleared(polys: Sequence[MultiPoly], point: Mapping[str, Fraction]) -> tuple[list[int], int]:
+    """(nums, den) with polys[k](point) = nums[k] / den over one int den > 0: evaluator(polys) at one point."""
+    return evaluator(polys)([point])[0]
 
 
 def max_product_terms(entries: Iterable[MultiPoly], common: MultiPoly) -> int:

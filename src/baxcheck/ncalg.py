@@ -286,7 +286,7 @@ def prop1_certificate(omit_term: str | None = None) -> tuple[NCPoly, bool]:
     residual must then be nonzero).
     """
     if omit_term is not None:
-        one_of(omit_term, PROP1_TERMS, "term")
+        one_of(omit_term, PROP1_TERMS, "omit_term")
     symbols, vals = resolve_params(("a", "b", "c"), None)
     a, b = vals["a"], vals["b"]
     s1 = NCPoly.gen(3, 1, symbols)

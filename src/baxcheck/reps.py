@@ -102,7 +102,7 @@ def builtin_rep(name: str, **params) -> Rep:
       scalar(values)       1x1 matrices; values is a list or a tuple of one
                            value per generator, (None, None) by default
     """
-    if one_of(name, BUILTIN_NAMES, "representation") == "scalar":
+    if one_of(name, BUILTIN_NAMES, "builtin") == "scalar":
         return _scalar_rep(**params)
     names, rows = _FAMILIES[name]
     try:
@@ -286,7 +286,7 @@ def correspondence_check(kind: str, rep: Rep, q=None, b=None) -> VerifyReport:
     its own source relations; failures there are reported with status "error"
     and the offending residuals.
     """
-    one_of(kind, CORRESPONDENCE_KINDS, "correspondence")
+    one_of(kind, CORRESPONDENCE_KINDS, "kind")
     given = {name: value for name, value in (("q", q), ("b", b)) if value is not None}
     if kind == "B_to_A_shift":
         given.setdefault("b", Fraction(1))

@@ -26,10 +26,12 @@ polynomial matrix is, which takes no gcd.  Only a nonzero one is reduced to cano
 The randomized mode is exact polynomial identity testing: spectral variables
 and free representation parameters are drawn as random rationals, both sides
 are evaluated on ints (each site cleared once per call, each Rhat an int pair),
-and any pole or singular factor triggers a resample.  Each Rhat inverts
-1 - f(w,u) sigma inside the commutative algebra Q[sigma], whose dimension k is
-the degree of sigma's minimal polynomial mu, found once per site and draw by
-fraction-free Krylov (_min_poly).  When k < n the inverse is that of a k x k
+and any pole or singular factor triggers a resample.  A draw does each piece
+of work once: two equal sites share one evaluation and their Rhats, and f's
+six ordered pairs are one batch of f's compiled evaluator, as int pairs.  Each
+Rhat inverts 1 - f(w,u) sigma inside the commutative algebra Q[sigma], whose
+dimension k is the degree of sigma's minimal polynomial mu, found once per
+distinct site and draw by fraction-free Krylov (_min_poly).  When k < n the inverse is that of a k x k
 companion pencil, mapped back to n x n matrices by one shift for k = 2;
 when k = n the n x n matrix is inverted as it stands (_numeric_rhat).
 Verdicts agree with the symbolic mode up to the vanishing-at-a-random-point
@@ -44,7 +46,7 @@ from itertools import permutations
 from typing import Callable, Sequence
 
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, split_factors
-from .exactnum.poly import eval_cleared, max_product_terms
+from .exactnum.poly import eval_cleared, evaluator, max_product_terms
 from .exactnum.scalar import as_bool, as_int, as_list, as_scalar, format_scalar
 from .baxter import H_closed, h_fun, reduce_cleared, rhat_cleared, spectral_symbols
 from .ncalg import relations_for
@@ -95,21 +97,28 @@ _YBE_LHS = ((1, 0, 1), (2, 0, 2), (1, 1, 2))
 _YBE_RHS = ((2, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
+def _ybe_sides(site1, site2) -> tuple[tuple[int, ...], Sequence[tuple[int, int, int]], Sequence[tuple[int, int, int]]]:
+    """(sites to build, lhs keys, rhs keys) for sites of values site1, site2: equal ones share, as site 1."""
+    if site1 != site2:
+        return (1, 2), _YBE_LHS, _YBE_RHS
+    return (1,), *([(1, u, w) for _, u, w in side] for side in (_YBE_LHS, _YBE_RHS))
+
+
 def ybe_symbolic(rep: Rep, f: RatFunc) -> VerifyReport:
     """Exact check of R1(x,y) R2(x,z) R1(y,z) = R2(y,z) R1(x,z) R2(x,y) for the spectral function f.
 
-    Each site's Rhat is built once, at (x, y), and divided by its content g
-    (baxter.reduce_cleared); its (x, z) and (y, z) factors, and their g, are
-    renames (ClearedMatrix.map).  Renaming is a ring map, and these renames
-    keep the canonical order of x, y, z ahead of every rep parameter, so each
-    is exactly the factor rhat_cleared builds at its pair, divided by the
+    Each distinct site's Rhat is built once, at (x, y), and divided by its
+    content g (baxter.reduce_cleared); two equal sites share it
+    (_ybe_sides).  Its (x, z) and (y, z) factors are renames
+    (ClearedMatrix.map).  Renaming is a ring map, and these renames keep the
+    canonical order of x, y, z ahead of every rep parameter, so each is
+    exactly the factor rhat_cleared builds at its pair, divided by the
     renamed g.
 
-    The six factors are six distinct keys, so the unreduced fully
-    cross-multiplied residual is the reduced one times the product of the six
-    g's.  A nonzero residual's size is the largest term count of an entry
-    times them and the shared denominator factors; only then are the two
-    sites' g's renamed to the (x, z) and (y, z) pairs.  max_product_terms
+    The unreduced fully cross-multiplied residual is the reduced one times
+    the product of the six factors' g's.  A nonzero residual's size is the
+    largest term count of an entry times them and the shared denominator
+    factors; only then are the g's renamed to their pairs.  max_product_terms
     reaches that count by multiplying out only the entries whose sumset
     bound beats the largest count so far: on A3_2dim at c = 1 with case ii,
     one entry of four.
@@ -117,23 +126,23 @@ def ybe_symbolic(rep: Rep, f: RatFunc) -> VerifyReport:
     if rep.n < 3:
         raise ValueError("the braided Yang-Baxter check needs generators at sites 1 and 2")
     symbols = spectral_symbols(rep, _YBE_VARS)
-    renames = ({"y": "z"}, {"x": "y", "y": "z"})  # (x, y) -> (x, z) and (x, y) -> (y, z)
-    factors, site_gs = {}, []  # (site, u, w) -> the reduced Rhat factor; each site's g at (x, y)
-    for site in (1, 2):
-        R, g = reduce_cleared(rhat_cleared(rep, site, f, "x", "y", symbols))
+    renames = {(0, 2): {"y": "z"}, (1, 2): {"x": "y", "y": "z"}}  # (x, y) -> (x, z) and (x, y) -> (y, z)
+    sites, lhs_keys, rhs_keys = _ybe_sides(rep.site(1), rep.site(2))
+    factors, site_gs = {}, {}  # (site, u, w) -> the reduced Rhat factor; site -> its g at (x, y)
+    for site in sites:
+        R, site_gs[site] = reduce_cleared(rhat_cleared(rep, site, f, "x", "y", symbols))
         factors[site, 0, 1] = R
-        site_gs.append(g)
-        for key, mapping in zip(((site, 0, 2), (site, 1, 2)), renames):
-            factors[key] = R.map(lambda e: e.rename(mapping))
+        for (u, w), mapping in renames.items():
+            factors[site, u, w] = R.map(lambda e: e.rename(mapping))
 
-    lhs, rhs = (factors[a] * factors[b] * factors[c] for a, b, c in (_YBE_LHS, _YBE_RHS))
+    lhs, rhs = (factors[a] * factors[b] * factors[c] for a, b, c in (lhs_keys, rhs_keys))
     # The difference cancels the denominator factors both sides share; the full
     # cross-multiplied residual is resid * prod(shared) * prod(g), and every factor is nonzero.
     resid = (lhs - rhs).M
     worst = 0
     if not resid.is_zero:
         shared = split_factors(lhs.factors, rhs.factors)[2]
-        gs = site_gs + [g.rename(mapping) for g in site_gs for mapping in renames]
+        gs = [site_gs[site].rename(renames.get((u, w), {})) for site, u, w in lhs_keys + rhs_keys]  # one per factor
         common = math.prod(shared + gs)
         worst = max_product_terms(resid.entries, common)
     report = VerifyReport("ybe symbolic", mode={"kind": "symbolic", "vars": list(_YBE_VARS)})
@@ -171,6 +180,14 @@ def _site_at(S: FieldMatrix, s: MultiPoly, point: dict[str, Fraction]) -> tuple[
     if not s_val:
         raise PoleError(f"pole of the site matrix at {point}")
     return FieldMatrix(S.rows, S.cols, vals), s_val
+
+
+def _f_values(f_eval, pairs: list[tuple[Fraction, Fraction]]) -> list[tuple[int, int]]:
+    """f(u, w) = p / q as an int pair (p, q) at each (u, w), from evaluator([f.num, f.den]); PoleError at q = 0."""
+    values = [tuple(nums) for nums, _ in f_eval([{"x": u, "y": w} for u, w in pairs])]
+    if not all(q for _, q in values):
+        raise PoleError(f"pole of the spectral function at one of {pairs}")
+    return values
 
 
 def _min_poly(S: FieldMatrix) -> tuple[FieldMatrix, list[FieldMatrix]] | None:
@@ -219,12 +236,13 @@ def _min_poly(S: FieldMatrix) -> tuple[FieldMatrix, list[FieldMatrix]] | None:
 
 
 def _numeric_rhat(
-    S: FieldMatrix, s: int, algebra: tuple[FieldMatrix, list[FieldMatrix]] | None, f_uw: Fraction, f_wu: Fraction
+    S: FieldMatrix, s: int, algebra: tuple[FieldMatrix, list[FieldMatrix]] | None, f_uw: tuple, f_wu: tuple
 ) -> tuple[FieldMatrix, int]:
     """Rhat = (1 - f_uw sigma)(1 - f_wu sigma)^-1 for sigma = S / s (ints, s != 0), from one inverse.
 
-    algebra is _min_poly(S).  Every step runs on ints; returned cleared, as
-    M = D * Rhat over the lcm D of its entry denominators.
+    algebra is _min_poly(S); f_uw = p_a / q_a and f_wu = p_b / q_b are int
+    pairs, q != 0, in any scaling.  Every step runs on ints; returned
+    cleared, as M = D * Rhat over the lcm D of its entry denominators.
 
     With f_wu = p_b / q_b, N' = q_b s - p_b S = q_b s (1 - f_wu sigma) is
     inverted in Q[sigma].  When k = n it is inverted as it stands, N'^-1 =
@@ -234,13 +252,12 @@ def _numeric_rhat(
     exactly where N' is, when gamma / p_b is a root of mu, an eigenvalue of S.
     Either way the closing division leaves the one reduced pair.
     """
-    p_a, q_a = f_uw.as_integer_ratio()
-    if not f_wu:  # 1 - f_uw sigma = (q_a s - p_a S) / (q_a s)
+    (p_a, q_a), (p_b, q_b) = f_uw, f_wu
+    if not p_b:  # 1 - f_uw sigma = (q_a s - p_a S) / (q_a s)
         M, D = S.shifted(-p_a, q_a * s), q_a * s
     else:
         # r = f_uw/f_wu = p/q gives 1 - f_uw sigma = r N + 1 - r for N = 1 - f_wu sigma, so
         # Rhat = r + (1 - r) N^-1 = ((q - p) q_b s N'^-1 + p) / q
-        p_b, q_b = f_wu.as_integer_ratio()
         p, q = p_a * q_b, q_a * p_b
         if algebra is None:
             X, det = S.shifted(-p_b, q_b * s).inv()
@@ -255,7 +272,7 @@ def _numeric_rhat(
                 M = M + P.scale(c_j)
         D = q * det
     g = math.gcd(D, *M.entries) * (1 if D > 0 else -1)  # reduced, with D > 0
-    return M.map_entries(lambda e: e // g), D // g
+    return FieldMatrix(M.rows, M.cols, [e // g for e in M.entries]), D // g
 
 
 def ybe_random(rep: Rep, f: RatFunc, trials: int = 20, seed: int = 0) -> VerifyReport:
@@ -270,16 +287,19 @@ def ybe_random(rep: Rep, f: RatFunc, trials: int = 20, seed: int = 0) -> VerifyR
         mode={"kind": "randomized", "seed": seed, "trials": trials, "samples": [], "resamples": 0},
     )
     cleared = {site: rep.site(site).cleared() for site in (1, 2)}  # sigma_i = S_i / s_i
+    sites, lhs_keys, rhs_keys = _ybe_sides(cleared[1], cleared[2])
+    keys = dict.fromkeys(lhs_keys + rhs_keys)  # the distinct Rhats of a draw
+    f_eval, pairs = evaluator([f.num, f.den]), list(permutations(range(3), 2))
 
     def draw(rng: DetRng):
         xs = [sample_fraction(rng) for _ in _YBE_VARS]
         params = {name: sample_fraction(rng) for name in rep.params}
-        sites = {site: _site_at(S, s, params) for site, (S, s) in cleared.items()}
-        sites = {site: (S, s, _min_poly(S)) for site, (S, s) in sites.items()}  # each with its Q[sigma]
-        # f once per ordered pair of spectral variables
-        fv = {(u, w): f.eval({"x": xs[u], "y": xs[w]}) for u, w in permutations(range(3), 2)}
+        ints = {site: _site_at(*cleared[site], params) for site in sites}
+        ints = {site: (S, s, _min_poly(S)) for site, (S, s) in ints.items()}  # each with its Q[sigma]
+        # f at the six ordered pairs of spectral variables, one batch
+        fv = dict(zip(pairs, _f_values(f_eval, [(xs[u], xs[w]) for u, w in pairs])))
         # each Rhat as (D * Rhat, D) over the ints
-        R = {(site, u, w): _numeric_rhat(*sites[site], fv[u, w], fv[w, u]) for site, u, w in _YBE_LHS + _YBE_RHS}
+        R = {(site, u, w): _numeric_rhat(*ints[site], fv[u, w], fv[w, u]) for site, u, w in keys}
         return dict(zip(_YBE_VARS, xs)), params, R
 
     worst = 0
@@ -291,11 +311,10 @@ def ybe_random(rep: Rep, f: RatFunc, trials: int = 20, seed: int = 0) -> VerifyR
         point, params, R = drawn
         # each side as the int pair (M1 M2 M3, D1 D2 D3)
         (lhs, c_lhs), (rhs, c_rhs) = (
-            (R[a][0] * R[b][0] * R[c][0], R[a][1] * R[b][1] * R[c][1]) for a, b, c in (_YBE_LHS, _YBE_RHS)
+            (R[a][0] * R[b][0] * R[c][0], R[a][1] * R[b][1] * R[c][1]) for a, b, c in (lhs_keys, rhs_keys)
         )
-        # c_lhs * c_rhs * (lhs/c_lhs - rhs/c_rhs), nonzero exactly where the rational difference is
-        diff = lhs.scale(c_rhs) - rhs.scale(c_lhs)
-        worst = max(worst, sum(1 for e in diff.entries if e))
+        # lhs/c_lhs - rhs/c_rhs is nonzero exactly where lhs c_rhs != rhs c_lhs
+        worst = max(worst, sum(1 for a, b in zip(lhs.entries, rhs.entries) if a * c_rhs != b * c_lhs))
         report.mode["samples"].append(
             {name: format_scalar(val) for name, val in list(point.items()) + list(params.items())}
         )
@@ -523,11 +542,11 @@ def transfer_commute(
     if not ybe_random(rep, f, trials=3, seed=_mix(seed ^ 0xB7E1)).passed:
         return error("precondition failed: randomized Yang-Baxter check did not pass")
 
-    algebra = _min_poly(S)
+    algebra, f_eval = _min_poly(S), evaluator([f.num, f.den])
 
     def rhat_at(xval: Fraction) -> FieldMatrix:
         """D * Rhat(xval, y0), an int matrix."""
-        M, D = _numeric_rhat(S, s, algebra, f.eval({"x": xval, "y": y0}), f.eval({"x": y0, "y": xval}))
+        M, D = _numeric_rhat(S, s, algebra, *_f_values(f_eval, [(xval, y0), (y0, xval)]))
         if corrupt:
             # Rhat[1] += 1, a weight-breaking entry whose denominator stays the
             # same; perturbations inside the conserved blocks of this family

@@ -26,7 +26,8 @@ from baxcheck.cli import (
 )
 from baxcheck.baxter import spectral_fn
 from baxcheck.exactnum import SingularMatrixError
-from baxcheck.reps import builtin_rep
+from baxcheck.ncalg import prop1_certificate
+from baxcheck.reps import builtin_rep, correspondence_check
 from baxcheck.verify import MAX_CHAIN_LENGTH, check_chain_lengths, transfer_commute, ybe_random
 
 REPO = Path(__file__).resolve().parent.parent
@@ -509,6 +510,11 @@ PARITY = {
     "seed": (lambda bad: dict(_YBE, mode="random", seed=bad),
              lambda bad: ybe_random(builtin_rep("Hecke3_std"), spectral_fn("hecke"), seed=bad), [1.5, True]),
     "fn.case": (lambda bad: dict(_YBE, fn={"case": bad}), spectral_fn, ["iv", "I"]),
+    "builtin": (lambda bad: dict(_YBE, rep={"builtin": bad}), builtin_rep, ["D4", "hecke3_std", 5]),
+    "kind": (lambda bad: {"command": "correspondences", "kind": bad, "rep": {"builtin": "Hecke3_std"}},
+             lambda bad: correspondence_check(bad, builtin_rep("Hecke3_std")), ["bogus", "Hecke_in_A", 3]),
+    "omit_term": (lambda bad: {"command": "prop1", "omit_term": bad},
+                  lambda bad: prop1_certificate(omit_term=bad), ["bogus", 3]),
 }
 
 

@@ -497,6 +497,50 @@ def test_eval_matches_fraction_evaluation(inputs, shift):
     assert [Fraction(n, den) for n in nums] == [_fraction_eval(q, point) for q in polys]
 
 
+@st.composite
+def batch_inputs(draw):
+    """Polys with rational coefficients in x, y, z, none of which uses z, and a batch of points.
+
+    The coordinates come from a pool of at most three values, and the batch
+    ends with a repeat of its first point and that point with x and y
+    swapped, so values repeat within a variable and across variables.
+    """
+    vars = canonical_vars(["x", "y", "z"])
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4), st.just(0))
+    terms = st.dictionaries(exps, small_coeff, max_size=6)
+    polys = [MultiPoly(vars, draw(terms)) for _ in range(draw(st.integers(1, 4)))]
+    coord = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30)))
+    pool = draw(st.lists(coord, min_size=1, max_size=3))
+    points = [{name: draw(st.sampled_from(pool)) for name in vars} for _ in range(draw(st.integers(1, 4)))]
+    first = points[0]
+    return polys, points + [dict(first), {"x": first["y"], "y": first["x"], "z": first["z"]}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch_inputs())
+def test_evaluator_matches_fraction_evaluation_at_every_point_of_a_batch(inputs):
+    # one compiled evaluator, one batch; each point's pair is also eval_cleared's, its one-shot use
+    polys, points = inputs
+    batch = poly.evaluator(polys)(points)
+    assert len(batch) == len(points)
+    for (nums, den), point in zip(batch, points):
+        assert type(den) is int and den > 0 and all(type(n) is int for n in nums)
+        assert [Fraction(n, den) for n in nums] == [_fraction_eval(p, point) for p in polys]
+        assert (nums, den) == poly.eval_cleared(polys, point)
+
+
+def test_evaluator_refuses_a_missing_variable_or_a_bool_at_any_point():
+    # y is absent from the poly, yet every point must assign it a scalar
+    at = poly.evaluator([MultiPoly(V, {(2, 0): Fraction(1, 3), (0, 0): 1})])
+    assert at([{"x": 3, "y": "1/2"}]) == [([12], 3)]  # (x^2 + 3) / 3 at x = 3
+    with pytest.raises(ValueError, match=r"^missing assignment for \['y'\]$"):
+        at([{"x": 1, "y": 2}, {"x": 1}])
+    for bad in (True, False, 0.5):
+        for point in ({"x": bad, "y": 1}, {"x": 1, "y": bad}):
+            with pytest.raises(ValueError, match="^scalar must be"):
+                at([{"x": 1, "y": 1}, point])
+
+
 @settings(max_examples=60, deadline=None)
 @given(eval_inputs(), st.integers(-5, 5))
 def test_at_matches_evaluation_at_the_substituted_point(inputs, k):

@@ -126,11 +126,11 @@ def test_every_int_entry_refuses_a_bool_a_float_a_fraction_and_a_string(entry, b
 # every entry that reads a name: (its label, its options, the entry called with one name)
 NAME_ENTRIES = {
     "spectral_fn": ("case", SPECTRAL_CASES, lambda name: spectral_fn(name)),
-    "builtin_rep": ("representation", BUILTIN_NAMES, lambda name: builtin_rep(name)),
+    "builtin_rep": ("builtin", BUILTIN_NAMES, lambda name: builtin_rep(name)),
     "relations_for": ("algebra", ALGEBRAS, lambda name: relations_for(name, 3)),
     "classify_scalar": ("algebra", ("A", "B", "C"), lambda name: classify_scalar(name)),
-    "correspondence_check": ("correspondence", CORRESPONDENCE_KINDS, lambda name: correspondence_check(name, _hecke())),
-    "prop1_certificate": ("term", PROP1_TERMS, lambda name: prop1_certificate(omit_term=name)),
+    "correspondence_check": ("kind", CORRESPONDENCE_KINDS, lambda name: correspondence_check(name, _hecke())),
+    "prop1_certificate": ("omit_term", PROP1_TERMS, lambda name: prop1_certificate(omit_term=name)),
 }
 
 

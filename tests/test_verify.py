@@ -51,6 +51,19 @@ def test_ybe_symbolic_pass_and_negative_control():
     assert control.residuals == [("ybe", 1124)]
 
 
+def test_ybe_symbolic_builds_one_rhat_for_equal_sites(monkeypatch):
+    # sites are matched by value: Hecke3_std's two equal matrices and scalar(2, 2) share one Rhat, scalar(2, 3) does not
+    built, original = [], verify.rhat_cleared
+    monkeypatch.setattr(verify, "rhat_cleared", lambda rep, site, *a: built.append(site) or original(rep, site, *a))
+    for rep, fn, sites, status in ((builtin_rep("Hecke3_std"), "hecke", [1], "pass"),
+                                   (builtin_rep("scalar", values=[2, 2]), "ii", [1], "pass"),
+                                   (builtin_rep("scalar", values=[2, 3]), "ii", [1, 2], "fail"),
+                                   (builtin_rep("B3_2dim"), "ii", [1, 2], "pass")):
+        built.clear()
+        assert ybe_symbolic(rep, spectral_fn(fn)).status == status
+        assert built == sites
+
+
 def test_ybe_symbolic_control_row_expands_one_residual_entry(monkeypatch):
     # the residual entries have 30, 60, 30 and 30 terms and the restoring factor 105, so the sumset bounds are
     # 562, 1124, 562 and 562: the 60-term entry sets the reported 1124, and no other entry is multiplied out
@@ -263,9 +276,9 @@ def test_numeric_rhat_matches_product_with_inverse(d):
             reference = _two_inverse_rhat(_over(S, s), a, b)
         except SingularMatrixError:
             with pytest.raises(SingularMatrixError):
-                _numeric_rhat(S, s, _min_poly(S), a, b)
+                _numeric_rhat(S, s, _min_poly(S), a.as_integer_ratio(), b.as_integer_ratio())
             return False
-        assert _uncleared(*_numeric_rhat(S, s, _min_poly(S), a, b)) == reference
+        assert _uncleared(*_numeric_rhat(S, s, _min_poly(S), a.as_integer_ratio(), b.as_integer_ratio())) == reference
         return True
 
     checked = 0
@@ -280,7 +293,7 @@ def test_numeric_rhat_matches_product_with_inverse(d):
     for s in (1, 3, -2):
         S = FieldMatrix(d, d, [(2 + i) * s if i == j else 0 for i in range(d) for j in range(d)])
         with pytest.raises(SingularMatrixError):
-            _numeric_rhat(S, s, _min_poly(S), Fraction(1), Fraction(1, 3))
+            _numeric_rhat(S, s, _min_poly(S), (1, 1), (1, 3))
     if d == 2:
         return
     # block-diagonal sites with repeated blocks or eigenvalues: mu has degree k < d, so the
@@ -383,10 +396,11 @@ def _recorded_inverses(monkeypatch, check):
 
 
 def test_ybe_random_inverts_in_q_sigma(monkeypatch):
-    # Hecke3_std is 4 x 4 with k = 2: every inverse is a 2 x 2 companion pencil
+    # Hecke3_std is 4 x 4 with k = 2: every inverse is a 2 x 2 companion pencil, one per distinct Rhat,
+    # three a draw since sigma_1 = sigma_2, over three draws with no resample
     rep = builtin_rep("Hecke3_std")
     inverted = _recorded_inverses(monkeypatch, lambda: ybe_random(rep, spectral_fn("hecke"), trials=3, seed=1))
-    assert len(inverted) >= 18 and all((N.rows, N.cols) == (2, 2) for N in inverted)
+    assert len(inverted) == 3 * 3 and all((N.rows, N.cols) == (2, 2) for N in inverted)
     # the 2 x 2 builtins have k = n = 2: every inverse is N' = q_b s - p_b S', in the span of 1 and S'
     for name, params in (("A3_2dim", {"c": 1, "mu": 2}), ("B3_2dim", {"nu": 2, "mu": 3}),
                          ("C3_2dim", {"nu": 2, "mu": 3}), ("Hecke3_burau", {"q": 2})):
@@ -442,6 +456,41 @@ def test_ybe_random_integer_sides_match_fraction_reference():
         assert report.residuals == [("ybe", _fraction_ybe_worst(rep, fn, 3, seed)[0])]
     assert not report.residuals[0][1]
     assert ybe_random(rep, spectral_fn("ii"), trials=3, seed=1).residuals[0][1] > 0
+
+
+@pytest.mark.parametrize("name, fn, sites, rhats", [("Hecke3_std", "hecke", 1, 3), ("B3_2dim", "ii", 2, 6)])
+def test_ybe_random_does_each_piece_of_work_once_per_draw(monkeypatch, name, fn, sites, rhats):
+    # per draw: one site evaluation and one Q[sigma] per distinct site, one f batch, one Rhat per distinct factor;
+    # f is compiled once per call.  Hecke3_std's sigma_1 = sigma_2 share theirs
+    counts = dict.fromkeys(("_site_at", "_min_poly", "_f_values", "_numeric_rhat", "evaluator"), 0)
+    for fname in counts:
+        def counted(*args, _fname=fname, _original=getattr(verify, fname)):
+            counts[_fname] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(verify, fname, counted)
+    rep, f, trials = builtin_rep(name), spectral_fn(fn), 4
+    report = ybe_random(rep, f, trials=trials, seed=2)
+    assert report.mode["resamples"] == 0
+    assert counts == {"_site_at": sites * trials, "_min_poly": sites * trials, "_f_values": trials,
+                      "_numeric_rhat": rhats * trials, "evaluator": 1}
+    worst, samples, resamples = _fraction_ybe_worst(rep, f, trials, 2)
+    assert report.residuals == [("ybe", worst)]
+    assert report.mode["samples"] == samples and resamples == 0
+
+
+def test_numeric_rhat_is_one_pair_whatever_the_scaling_of_f():
+    # (p, q), (k p, k q) and (-p, -q) name one f value: the closing gcd leaves the one reduced pair, D > 0
+    sites = {"Hecke3_std(2), k = 2 < n": _hecke_std_site(2), "2 x 2, k = n": (FieldMatrix(2, 2, [3, -1, 4, 2]), -5)}
+    values = [(Fraction(3, 7), Fraction(-5, 2)), (Fraction(-2), Fraction(0)), (Fraction(0), Fraction(11, 4))]
+    for S, s in sites.values():
+        algebra = _min_poly(S)
+        for a, b in values:
+            (p_a, q_a), (p_b, q_b) = a.as_integer_ratio(), b.as_integer_ratio()
+            want = _numeric_rhat(S, s, algebra, (p_a, q_a), (p_b, q_b))
+            _uncleared(*want)
+            for k_a, k_b in ((3, 1), (1, -1), (-1, -1), (6, -4)):
+                assert _numeric_rhat(S, s, algebra, (k_a * p_a, k_a * q_a), (k_b * p_b, k_b * q_b)) == want
 
 
 _T = RatFunc.var(("t",), "t")
@@ -812,7 +861,8 @@ def _dense_transfer(rhat, d, L):
 def _hecke_rhat(x, corrupt=False):
     S, s = _hecke_std_site(2)
     f = spectral_fn("hecke")
-    rhat = _uncleared(*_numeric_rhat(S, s, _min_poly(S), f.eval({"x": x, "y": 1}), f.eval({"x": 1, "y": x})))
+    f_uw, f_wu = (f.eval(point).as_integer_ratio() for point in ({"x": x, "y": 1}, {"x": 1, "y": x}))
+    rhat = _uncleared(*_numeric_rhat(S, s, _min_poly(S), f_uw, f_wu))
     if corrupt:
         rhat.entries[1] += 1
     return rhat
@@ -1040,5 +1090,6 @@ def test_transfer_job_shares_precheck_points_and_rhats(monkeypatch):
     }
     _, code = run_job(job)
     assert code == 0
-    # one precheck of 3 trials x 6 Rhats, then 2 Rhats and 2 monodromies per drawn pair, for all lengths together
-    assert counts == {"ybe_random": 1, "_numeric_rhat": 3 * 6 + 5 * 2, "_transfer_matrices": 5 * 2}
+    # one precheck of 3 trials x 3 Rhats (sigma_1 = sigma_2 share theirs), then 2 Rhats and 2 monodromies
+    # per drawn pair, for all lengths together
+    assert counts == {"ybe_random": 1, "_numeric_rhat": 3 * 3 + 5 * 2, "_transfer_matrices": 5 * 2}
