@@ -2,8 +2,8 @@
 and dense matrices over any of them with fraction-free inversion."""
 
 from .scalar import format_scalar, parse_scalar
-from .poly import MultiPoly, canonical_vars, poly_gcd
-from .ratfunc import PoleError, RatFunc
+from .poly import MultiPoly, PoleError, canonical_vars, poly_gcd
+from .ratfunc import RatFunc
 from .matrix import ClearedMatrix, FieldMatrix, SingularMatrixError, split_factors
 
 __all__ = [

@@ -7,9 +7,10 @@ zero polynomial is the empty dict over 1.  The pair is kept in lowest terms
 polynomial is unique and equality is structural.  All arithmetic is exact and
 runs on the integer kernel below; rational coefficients and exponent tuples
 appear only at the interface (construction, leading coefficients, evaluation,
-printing).  Evaluation compiles a polynomial list once (`evaluator`) and then
-runs on ints at each point of a batch, from one power table per distinct
-(variable, value); `eval_cleared` is its one-shot use.
+printing).  Evaluation has one route, `evaluator(den, nums)`: it compiles the
+rational functions nums[k] / den once, runs on ints at each point of a batch,
+from one power table per distinct (variable, value), and raises PoleError,
+the one pole check, where den vanishes.
 
 A monomial x_0^e_0 ... x_{n-1}^e_{n-1} is packed into one int (Monagan &
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -43,7 +44,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .scalar import as_int, as_scalar
+from .scalar import as_int, as_scalar, one_of
 
 SPECTRAL = ("x", "y", "z", "v")
 
@@ -119,9 +120,8 @@ class MultiPoly:
 
     @classmethod
     def var(cls, vars: tuple[str, ...], name: str) -> "MultiPoly":
-        if name not in vars:
-            raise ValueError(f"unknown variable {name!r} (have {vars})")
-        return _make(tuple(vars), {_field(vars.index(name), len(vars)): 1}, 1)
+        vars = tuple(vars)
+        return _make(vars, {_field(vars.index(one_of(name, vars, "variable")), len(vars)): 1}, 1)
 
     # -- basic queries -----------------------------------------------------
 
@@ -148,10 +148,8 @@ class MultiPoly:
 
     def valuation_in(self, name: str) -> int | None:
         """Smallest exponent of `name` over all terms; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        shift = _W * self.vars.index(name)
-        return min(e >> shift & _MASK for e in self.terms)
+        shift = _W * self.vars.index(one_of(name, self.vars, "variable"))
+        return min((e >> shift & _MASK for e in self.terms), default=None)
 
     def lc(self) -> Fraction:
         """The graded-lex leading coefficient of a nonzero polynomial, without unpacking its exponent."""
@@ -229,17 +227,17 @@ class MultiPoly:
 
     def at(self, name: str, value: int) -> "MultiPoly":
         """Substitute the int value for variable `name`, staying in the same ring."""
-        value = as_int(value, f"value of {name}")
-        return _make(self.vars, _ip_eval(self.terms, self.vars.index(name), value, len(self.vars)), self.den)
+        m = self.vars.index(one_of(name, self.vars, "variable"))
+        return _make(self.vars, _ip_eval(self.terms, m, as_int(value, f"value of {name}"), len(self.vars)), self.den)
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
         """Substitute variables by variables (e.g. y := x), staying in the same ring.
 
         Every target must already be one of this polynomial's variables.
         """
-        for src, dst in mapping.items():
-            if src not in self.vars or dst not in self.vars:
-                raise ValueError(f"unknown variable in substitution {src!r}->{dst!r}")
+        for pair in mapping.items():
+            for name in pair:
+                one_of(name, self.vars, "variable")
         # moving a field keeps the total degree, so the degree field stays
         moves = [(_W * k, _W * self.vars.index(mapping[name]))
                  for k, name in enumerate(self.vars) if mapping.get(name, name) != name]
@@ -310,20 +308,26 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def evaluator(polys: Sequence[MultiPoly]) -> Callable[[Sequence[Mapping[str, Fraction]]], list[tuple[list[int], int]]]:
-    """polys over one variable tuple, compiled: a batch of points -> (nums, den) per point, polys[k] = nums[k] / den.
+class PoleError(ArithmeticError):
+    """Raised when evaluation hits a zero of the denominator."""
 
-    The lcm of the denominators and each variable's top degree top_i are read
-    once.  With value a_i / b_i, a term scaled by prod b_i^top_i is an int read
-    off the power table [a_i^e b_i^(top_i - e)] of (i, a_i / b_i), one per
-    distinct pair in the batch, and den = lcm * prod b_i^top_i > 0.
+
+def evaluator(den: MultiPoly, nums: Sequence[MultiPoly]) -> Callable[[Sequence[Mapping[str, Fraction]]], list[tuple[list[int], int]]]:
+    """nums[k] / den over one variable tuple, compiled: a batch of points -> (values, d) per point, nums[k] = values[k] / d.
+
+    The lcm L of the denominators and each variable's top degree top_i are
+    read once.  With value a_i / b_i, a term scaled by L * prod b_i^top_i is an
+    int read off the power table [a_i^e b_i^(top_i - e)] of (i, a_i / b_i), one
+    per distinct pair in the batch; d is den's value so scaled.  PoleError
+    where d = 0, exactly where den vanishes.
     """
-    vars = polys[0].vars
-    den = _int_lcm(*(p.den for p in polys))
+    polys = [den, *nums]
+    vars = den.vars
+    lcm = _int_lcm(*(p.den for p in polys))
     keys = [exp for p in polys for exp in p.terms]
     used = [(i, shift, top) for i, shift in enumerate(range(0, _W * len(vars), _W))
             if (top := max([exp >> shift & _MASK for exp in keys], default=0))]
-    scaled = [(den // p.den, p.terms) for p in polys]
+    scaled = [(lcm // p.den, p.terms) for p in polys]
 
     def at(points: Sequence[Mapping[str, Fraction]]) -> list[tuple[list[int], int]]:
         tables, out = {}, []
@@ -332,31 +336,27 @@ def evaluator(polys: Sequence[MultiPoly]) -> Callable[[Sequence[Mapping[str, Fra
                 values = [as_scalar(point[v]) for v in vars]
             except KeyError:
                 raise ValueError(f"missing assignment for {[v for v in vars if v not in point]}") from None
-            rows, scale = [], 1
+            rows = []
             for i, shift, top in used:
                 a, b = values[i].as_integer_ratio()
                 table = tables.get((i, a, b))
                 if table is None:
                     table = tables[i, a, b] = [a**e * b ** (top - e) for e in range(top + 1)]
                 rows.append((shift, table))
-                scale *= b**top
-            nums = []
+            ints = []
             for k, terms in scaled:
                 total = 0
                 for exp, coeff in terms.items():
                     for shift, table in rows:
                         coeff *= table[exp >> shift & _MASK]
                     total += coeff
-                nums.append(total * k)
-            out.append((nums, den * scale))
+                ints.append(total * k)
+            if not ints[0]:
+                raise PoleError(f"pole at {dict(point)}: the denominator {den} vanishes")
+            out.append((ints[1:], ints[0]))
         return out
 
     return at
-
-
-def eval_cleared(polys: Sequence[MultiPoly], point: Mapping[str, Fraction]) -> tuple[list[int], int]:
-    """(nums, den) with polys[k](point) = nums[k] / den over one int den > 0: evaluator(polys) at one point."""
-    return evaluator(polys)([point])[0]
 
 
 def max_product_terms(entries: Iterable[MultiPoly], common: MultiPoly) -> int:

@@ -15,7 +15,8 @@ takes one gcd of the full pair; no job parameter forms one (job parameters
 are rationals or symbols, so every rep entry is a polynomial).  On the
 library-only input H_series(B3_2dim at nu = t/(t + 1), 1, 8) this costs
 20 ms against 8 ms with Henrici's operand-sized gcds (JACM 1956), min of 7
-on a 2-vCPU host under Python 3.11.
+on a 2-vCPU host under Python 3.11.  Evaluation is one call of
+poly.evaluator, which owns the pole check (PoleError).
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .poly import MultiPoly, eval_cleared, poly_gcd
-
-
-class PoleError(ArithmeticError):
-    """Raised when evaluation hits a zero of the denominator."""
+from .poly import MultiPoly, evaluator, poly_gcd
 
 
 class RatFunc:
@@ -134,10 +131,8 @@ class RatFunc:
     # -- evaluation / substitution -------------------------------------------
 
     def eval(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Exact value at a full assignment; raises PoleError on a denominator zero."""
-        (n, d), _ = eval_cleared([self.num, self.den], point)
-        if d == 0:
-            raise PoleError(f"pole of {self} at {dict(point)}")
+        """Exact value at a full assignment, one evaluator call; PoleError on a denominator zero."""
+        (((n,), d),) = evaluator(self.den, [self.num])([point])
         return Fraction(n, d)
 
     def lift(self, new_vars: tuple[str, ...]) -> "RatFunc":

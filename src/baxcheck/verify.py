@@ -25,10 +25,11 @@ polynomial matrix is, which takes no gcd.  Only a nonzero one is reduced to cano
 
 The randomized mode is exact polynomial identity testing: spectral variables
 and free representation parameters are drawn as random rationals, both sides
-are evaluated on ints (each site cleared once per call, each Rhat an int pair),
-and any pole or singular factor triggers a resample.  A draw does each piece
-of work once: two equal sites share one evaluation and their Rhats, and f's
-six ordered pairs are one batch of f's compiled evaluator, as int pairs.  Each
+are evaluated on ints (each Rhat an int pair), and any pole or singular
+factor triggers a resample.  Each distinct site sigma = S / s and f are
+compiled once per call (exactnum.poly.evaluator, the one pole check).  A draw
+does each piece of work once: two equal sites share one evaluation and their
+Rhats, and f's six ordered pairs are one batch, as int pairs.  Each
 Rhat inverts 1 - f(w,u) sigma inside the commutative algebra Q[sigma], whose
 dimension k is the degree of sigma's minimal polynomial mu, found once per
 distinct site and draw by fraction-free Krylov (_min_poly).  When k < n the inverse is that of a k x k
@@ -46,7 +47,7 @@ from itertools import permutations
 from typing import Callable, Sequence
 
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, PoleError, RatFunc, SingularMatrixError, split_factors
-from .exactnum.poly import eval_cleared, evaluator, max_product_terms
+from .exactnum.poly import evaluator, max_product_terms
 from .exactnum.scalar import as_bool, as_int, as_list, as_scalar, format_scalar
 from .baxter import H_closed, h_fun, reduce_cleared, rhat_cleared, spectral_symbols
 from .ncalg import relations_for
@@ -171,25 +172,6 @@ def _regular_draw(draw: Callable[[DetRng], object], rng: DetRng) -> tuple[object
     return None, MAX_RESAMPLES
 
 
-def _site_at(S: FieldMatrix, s: MultiPoly, point: dict[str, Fraction]) -> tuple[FieldMatrix, int]:
-    """The cleared site matrix sigma = S / s at a rational point, as ints (S', s') with sigma = S' / s'.
-
-    s is the lcm of the entry denominators: PoleError exactly where some entry has a pole.
-    """
-    (s_val, *vals), _ = eval_cleared([s, *S.entries], point)
-    if not s_val:
-        raise PoleError(f"pole of the site matrix at {point}")
-    return FieldMatrix(S.rows, S.cols, vals), s_val
-
-
-def _f_values(f_eval, pairs: list[tuple[Fraction, Fraction]]) -> list[tuple[int, int]]:
-    """f(u, w) = p / q as an int pair (p, q) at each (u, w), from evaluator([f.num, f.den]); PoleError at q = 0."""
-    values = [tuple(nums) for nums, _ in f_eval([{"x": u, "y": w} for u, w in pairs])]
-    if not all(q for _, q in values):
-        raise PoleError(f"pole of the spectral function at one of {pairs}")
-    return values
-
-
 def _min_poly(S: FieldMatrix) -> tuple[FieldMatrix, list[FieldMatrix]] | None:
     """Q[sigma] for sigma = S / s, when its dimension k, the degree of S's minimal polynomial mu, is below n.
 
@@ -289,15 +271,19 @@ def ybe_random(rep: Rep, f: RatFunc, trials: int = 20, seed: int = 0) -> VerifyR
     cleared = {site: rep.site(site).cleared() for site in (1, 2)}  # sigma_i = S_i / s_i
     sites, lhs_keys, rhs_keys = _ybe_sides(cleared[1], cleared[2])
     keys = dict.fromkeys(lhs_keys + rhs_keys)  # the distinct Rhats of a draw
-    f_eval, pairs = evaluator([f.num, f.den]), list(permutations(range(3), 2))
+    site_evals = {site: evaluator(cleared[site][1], cleared[site][0].entries) for site in sites}
+    f_eval, pairs = evaluator(f.den, [f.num]), list(permutations(range(3), 2))
 
     def draw(rng: DetRng):
         xs = [sample_fraction(rng) for _ in _YBE_VARS]
         params = {name: sample_fraction(rng) for name in rep.params}
-        ints = {site: _site_at(*cleared[site], params) for site in sites}
-        ints = {site: (S, s, _min_poly(S)) for site, (S, s) in ints.items()}  # each with its Q[sigma]
+        ints = {}  # each site as ints (S', s') with sigma = S' / s', and its Q[sigma]
+        for site, site_eval in site_evals.items():
+            ((entries, s),) = site_eval([params])
+            S = FieldMatrix(rep.dim, rep.dim, entries)
+            ints[site] = (S, s, _min_poly(S))
         # f at the six ordered pairs of spectral variables, one batch
-        fv = dict(zip(pairs, _f_values(f_eval, [(xs[u], xs[w]) for u, w in pairs])))
+        fv = {pair: (p, q) for pair, ([p], q) in zip(pairs, f_eval([{"x": xs[u], "y": xs[w]} for u, w in pairs]))}
         # each Rhat as (D * Rhat, D) over the ints
         R = {(site, u, w): _numeric_rhat(*ints[site], fv[u, w], fv[w, u]) for site, u, w in keys}
         return dict(zip(_YBE_VARS, xs)), params, R
@@ -528,7 +514,9 @@ def transfer_commute(
     check_chain_lengths(lengths)
     as_int(count, "count", floor=1)
     as_int(seed, "seed")
-    S, s = _site_at(*rep.site(i).cleared(), {})  # the constant sigma = S / s
+    S, s = rep.site(i).cleared()
+    ((entries, s),) = evaluator(s, S.entries)([{}])  # the constant sigma = S / s, as ints
+    S = FieldMatrix(S.rows, S.cols, entries)
     y0 = choose_reference_point(f)
     base = {"kind": "randomized", "seed": seed, "y0": format_scalar(y0), "corrupt": corrupt}
     runs = [{**base, "L": L, "points": []} for L in lengths]
@@ -542,11 +530,12 @@ def transfer_commute(
     if not ybe_random(rep, f, trials=3, seed=_mix(seed ^ 0xB7E1)).passed:
         return error("precondition failed: randomized Yang-Baxter check did not pass")
 
-    algebra, f_eval = _min_poly(S), evaluator([f.num, f.den])
+    algebra, f_eval = _min_poly(S), evaluator(f.den, [f.num])
 
     def rhat_at(xval: Fraction) -> FieldMatrix:
         """D * Rhat(xval, y0), an int matrix."""
-        M, D = _numeric_rhat(S, s, algebra, *_f_values(f_eval, [(xval, y0), (y0, xval)]))
+        (([p_a], q_a), ([p_b], q_b)) = f_eval([{"x": xval, "y": y0}, {"x": y0, "y": xval}])
+        M, D = _numeric_rhat(S, s, algebra, (p_a, q_a), (p_b, q_b))
         if corrupt:
             # Rhat[1] += 1, a weight-breaking entry whose denominator stays the
             # same; perturbations inside the conserved blocks of this family

@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from baxcheck.exactnum import MultiPoly, canonical_vars, format_scalar, poly, poly_gcd
+from baxcheck.exactnum import MultiPoly, PoleError, canonical_vars, format_scalar, poly, poly_gcd
 
 V = canonical_vars(["x", "y"])
 
@@ -116,7 +116,8 @@ def test_lift_places_variables_by_name():
     p = MultiPoly(small, {(2, 1): 3, (0, 4): Fraction(1, 2)})
     lifted = p.lift(big)
     assert lifted == MultiPoly(big, {(2, 0, 1): 3, (0, 0, 4): Fraction(1, 2)})
-    assert poly.eval_cleared([lifted], {"x": 2, "y": 5, "mu": 3}) == poly.eval_cleared([p], {"x": 2, "mu": 3})
+    at_big = poly.evaluator(MultiPoly.const(big, 1), [lifted])
+    assert at_big([{"x": 2, "y": 5, "mu": 3}]) == poly.evaluator(MultiPoly.const(small, 1), [p])([{"x": 2, "mu": 3}])
     with pytest.raises(ValueError):
         lifted.lift(small)
 
@@ -133,6 +134,23 @@ def test_valuation():
     assert p.valuation_in("y") == 2
     assert p.valuation_in("x") == 1
     assert MultiPoly(V).valuation_in("x") is None
+
+
+def test_every_variable_name_is_read_through_one_gate():
+    # var, at, valuation_in and both names of a rename pair refuse an unknown name with one message
+    x, y = x_y()
+    p = x * y + 1
+    calls = {
+        "var": lambda: MultiPoly.var(V, "q"),
+        "at": lambda: p.at("q", 1),
+        "valuation_in": lambda: p.valuation_in("q"),
+        "valuation_in of zero": lambda: MultiPoly(V).valuation_in("q"),
+        "rename source": lambda: p.rename({"q": "x"}),
+        "rename target": lambda: p.rename({"x": "q"}),
+    }
+    for call in calls.values():
+        with pytest.raises(ValueError, match=r"^unknown variable 'q', expected one of \('x', 'y'\)$"):
+            call()
 
 
 def test_serialize_sorted_and_deterministic():
@@ -488,13 +506,20 @@ def eval_inputs(draw):
 @settings(max_examples=100, deadline=None)
 @given(eval_inputs(), st.integers(0, 3))
 def test_eval_matches_fraction_evaluation(inputs, shift):
-    # p, p + 1/7 and its powers over one denominator, each value as the term-by-term Fraction sum
+    # p, p + 1/7 and its powers over each of them in turn, each value as the quotient of term-by-term
+    # Fraction sums; PoleError exactly where the denominator vanishes (always for the zero polynomial)
     p, point = inputs
     power = math.prod([p + 1] * shift, start=MultiPoly.const(p.vars, 1))
     polys = [p, p + Fraction(1, 7), p * p, MultiPoly(p.vars), power]
-    nums, den = poly.eval_cleared(polys, point)
-    assert type(den) is int and den > 0 and all(type(n) is int for n in nums)
-    assert [Fraction(n, den) for n in nums] == [_fraction_eval(q, point) for q in polys]
+    for den in polys:
+        at, want = poly.evaluator(den, polys), _fraction_eval(den, point)
+        if not want:
+            with pytest.raises(PoleError):
+                at([point])
+            continue
+        ((values, d),) = at([point])
+        assert type(d) is int and d and all(type(n) is int for n in values)
+        assert [Fraction(n, d) for n in values] == [_fraction_eval(q, point) / want for q in polys]
 
 
 @st.composite
@@ -519,19 +544,26 @@ def batch_inputs(draw):
 @settings(max_examples=100, deadline=None)
 @given(batch_inputs())
 def test_evaluator_matches_fraction_evaluation_at_every_point_of_a_batch(inputs):
-    # one compiled evaluator, one batch; each point's pair is also eval_cleared's, its one-shot use
+    # one compiled evaluator, one batch; each point's pair is also that of a batch of that point alone.
+    # 1 + polys[0]^2 vanishes nowhere; polys[0] as the denominator refuses the whole batch where it vanishes
     polys, points = inputs
-    batch = poly.evaluator(polys)(points)
-    assert len(batch) == len(points)
-    for (nums, den), point in zip(batch, points):
-        assert type(den) is int and den > 0 and all(type(n) is int for n in nums)
-        assert [Fraction(n, den) for n in nums] == [_fraction_eval(p, point) for p in polys]
-        assert (nums, den) == poly.eval_cleared(polys, point)
+    for den in (1 + polys[0] * polys[0], polys[0]):
+        at, dens = poly.evaluator(den, polys), [_fraction_eval(den, point) for point in points]
+        if not all(dens):
+            with pytest.raises(PoleError):
+                at(points)
+            continue
+        batch = at(points)
+        assert len(batch) == len(points)
+        for (values, d), point, want in zip(batch, points, dens):
+            assert type(d) is int and d and all(type(n) is int for n in values)
+            assert [Fraction(n, d) for n in values] == [_fraction_eval(p, point) / want for p in polys]
+            assert at([point]) == [(values, d)]
 
 
 def test_evaluator_refuses_a_missing_variable_or_a_bool_at_any_point():
     # y is absent from the poly, yet every point must assign it a scalar
-    at = poly.evaluator([MultiPoly(V, {(2, 0): Fraction(1, 3), (0, 0): 1})])
+    at = poly.evaluator(MultiPoly.const(V, 1), [MultiPoly(V, {(2, 0): Fraction(1, 3), (0, 0): 1})])
     assert at([{"x": 3, "y": "1/2"}]) == [([12], 3)]  # (x^2 + 3) / 3 at x = 3
     with pytest.raises(ValueError, match=r"^missing assignment for \['y'\]$"):
         at([{"x": 1, "y": 2}, {"x": 1}])

@@ -17,6 +17,7 @@ from baxcheck.exactnum import (
     SingularMatrixError,
     canonical_vars,
     format_scalar,
+    poly,
     poly_gcd,
 )
 from baxcheck.ncalg import ALGEBRAS, relations_for
@@ -312,9 +313,30 @@ def test_numeric_rhat_matches_product_with_inverse(d):
     assert max(degrees) < d and len(degrees) >= 2
 
 
+def _site_ints(rep, site, point):
+    """The int pair (S', s') with sigma = S' / s' of rep's site at point, from the compiled site sigma = S / s."""
+    S, s = rep.site(site).cleared()
+    ((entries, s_p),) = poly.evaluator(s, S.entries)([point])
+    return FieldMatrix(S.rows, S.cols, entries), s_p
+
+
+def _counted_compiles(monkeypatch):
+    """A one-item list counting exactnum.poly.evaluator compiles, at every binding of it in baxcheck."""
+    original, compiles = poly.evaluator, [0]
+
+    def counted(*args):
+        compiles[0] += 1
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("baxcheck") and getattr(module, "evaluator", None) is original:
+            monkeypatch.setattr(module, "evaluator", counted)
+    return compiles
+
+
 def _hecke_std_site(q):
     """The int site pair (S', s') of Hecke3_std at q."""
-    return verify._site_at(*builtin_rep("Hecke3_std", q=q).site(1).cleared(), {})
+    return _site_ints(builtin_rep("Hecke3_std", q=q), 1, {})
 
 
 def _legs_sites(q):
@@ -405,7 +427,7 @@ def test_ybe_random_inverts_in_q_sigma(monkeypatch):
     for name, params in (("A3_2dim", {"c": 1, "mu": 2}), ("B3_2dim", {"nu": 2, "mu": 3}),
                          ("C3_2dim", {"nu": 2, "mu": 3}), ("Hecke3_burau", {"q": 2})):
         rep = builtin_rep(name, **params)
-        sites = [verify._site_at(*rep.site(i).cleared(), {})[0] for i in (1, 2)]
+        sites = [_site_ints(rep, i, {})[0] for i in (1, 2)]
         assert all(_min_poly(S) is None for S in sites)
         inverted = _recorded_inverses(monkeypatch, lambda: ybe_random(rep, spectral_fn("ii"), trials=2, seed=1))
         assert len(inverted) >= 12
@@ -415,7 +437,7 @@ def test_ybe_random_inverts_in_q_sigma(monkeypatch):
 
 
 def _site_matrices(rep, params):
-    """Each site matrix at params, entry by entry: the per-entry route, independent of verify._site_at."""
+    """Each site matrix at params, entry by entry: the per-entry route, independent of the cleared site."""
     return {i: m.map_entries(lambda e: e.eval(params)) for i, m in rep.matrices.items()}
 
 
@@ -460,9 +482,9 @@ def test_ybe_random_integer_sides_match_fraction_reference():
 
 @pytest.mark.parametrize("name, fn, sites, rhats", [("Hecke3_std", "hecke", 1, 3), ("B3_2dim", "ii", 2, 6)])
 def test_ybe_random_does_each_piece_of_work_once_per_draw(monkeypatch, name, fn, sites, rhats):
-    # per draw: one site evaluation and one Q[sigma] per distinct site, one f batch, one Rhat per distinct factor;
-    # f is compiled once per call.  Hecke3_std's sigma_1 = sigma_2 share theirs
-    counts = dict.fromkeys(("_site_at", "_min_poly", "_f_values", "_numeric_rhat", "evaluator"), 0)
+    # per draw: one Q[sigma] per distinct site and one Rhat per distinct factor; f and each distinct site
+    # are compiled once per call.  Hecke3_std's sigma_1 = sigma_2 share theirs
+    counts = dict.fromkeys(("_min_poly", "_numeric_rhat"), 0)
     for fname in counts:
         def counted(*args, _fname=fname, _original=getattr(verify, fname)):
             counts[_fname] += 1
@@ -470,13 +492,50 @@ def test_ybe_random_does_each_piece_of_work_once_per_draw(monkeypatch, name, fn,
 
         monkeypatch.setattr(verify, fname, counted)
     rep, f, trials = builtin_rep(name), spectral_fn(fn), 4
+    compiles = _counted_compiles(monkeypatch)
     report = ybe_random(rep, f, trials=trials, seed=2)
     assert report.mode["resamples"] == 0
-    assert counts == {"_site_at": sites * trials, "_min_poly": sites * trials, "_f_values": trials,
-                      "_numeric_rhat": rhats * trials, "evaluator": 1}
+    assert counts == {"_min_poly": sites * trials, "_numeric_rhat": rhats * trials}
+    assert compiles == [1 + sites]
     worst, samples, resamples = _fraction_ybe_worst(rep, f, trials, 2)
     assert report.residuals == [("ybe", worst)]
     assert report.mode["samples"] == samples and resamples == 0
+
+
+@pytest.mark.parametrize("name, fn, compiles", [("Hecke3_std", "hecke", 2), ("B3_2dim", "ii", 3)])
+def test_ybe_random_compiles_f_and_each_distinct_site_once_per_call(monkeypatch, name, fn, compiles):
+    # 1 + the number of distinct sites, at one trial as at eight: nothing is compiled per draw
+    rep, f = builtin_rep(name), spectral_fn(fn)
+    counted = _counted_compiles(monkeypatch)
+    for trials in (1, 8):
+        counted[0] = 0
+        assert len(ybe_random(rep, f, trials=trials, seed=2).mode["samples"]) == trials
+        assert counted == [compiles]
+
+
+def test_evaluator_is_the_one_pole_check():
+    # PoleError comes from the compiled evaluator exactly where its denominator vanishes: at a site whose
+    # entry denominators are not constant, at the poles of hecke's f = -x/y, and in RatFunc.eval
+    def refused(call):
+        with pytest.raises(PoleError) as info:
+            call()
+        return info.traceback[-1].frame.code.path.name == "poly.py"
+
+    rep = SITE_REPS["B3_2dim(t/(t+1))"]  # nu = t/(t+1) has its one pole at t = -1
+    for site in (1, 2):
+        S, s = rep.site(site).cleared()
+        at = poly.evaluator(s, S.entries)
+        for t in (Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(3)):
+            assert _over(*_site_ints(rep, site, {"mu": 2, "t": t})) == _site_matrices(rep, {"mu": 2, "t": t})[site]
+        assert refused(lambda: at([{"mu": Fraction(2), "t": Fraction(-1)}]))
+        assert refused(lambda: at([{"mu": Fraction(2), "t": Fraction(0)}, {"mu": Fraction(2), "t": Fraction(-1)}]))
+    f = spectral_fn("hecke")
+    f_eval = poly.evaluator(f.den, [f.num])
+    assert f_eval([{"x": 2, "y": 3}, {"x": 0, "y": -1}]) == [([-2], 3), ([0], -1)]
+    assert f.eval({"x": 2, "y": 3}) == Fraction(-2, 3)
+    for x in (-1, 0, 2):
+        assert refused(lambda: f_eval([{"x": 1, "y": 1}, {"x": x, "y": 0}]))
+        assert refused(lambda: f.eval({"x": x, "y": 0}))
 
 
 def test_numeric_rhat_is_one_pair_whatever_the_scaling_of_f():
@@ -514,15 +573,17 @@ def test_cleared_site_evaluation_matches_per_entry_evaluation(name):
     poles = 0
     for site in range(1, rep.n):
         S, s = rep.site(site).cleared()
+        at = poly.evaluator(s, S.entries)  # compiled once for every point
         for point in points:
             try:
                 want = _site_matrices(rep, point)[site]
             except PoleError:
                 poles += 1
                 with pytest.raises(PoleError):
-                    verify._site_at(S, s, point)
+                    at([point])
                 continue
-            S_p, s_p = verify._site_at(S, s, point)
+            ((entries, s_p),) = at([point])
+            S_p = FieldMatrix(S.rows, S.cols, entries)
             assert type(s_p) is int and s_p and all(type(e) is int for e in S_p.entries)
             assert _over(S_p, s_p) == want
     assert poles == (rep.n - 1 if "t" in rep.params else 0)
@@ -783,46 +844,28 @@ def test_transfer_usage_errors():
 
 
 def test_transfer_rejects_a_bad_count_before_any_site_work(monkeypatch):
-    calls, site_at = [], verify._site_at
-
-    def spy(*args):
-        calls.append(args)
-        return site_at(*args)
-
-    monkeypatch.setattr(verify, "_site_at", spy)
+    compiles = _counted_compiles(monkeypatch)  # the site is compiled first of all
     with pytest.raises(ValueError, match="^count: "):
         transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], count=0)
-    assert calls == []
+    assert compiles == [0]
 
 
 def test_transfer_refuses_chain_lengths_that_are_not_a_list_or_a_tuple_before_any_site_work(monkeypatch):
-    calls, site_at = [], verify._site_at
-
-    def spy(*args):
-        calls.append(args)
-        return site_at(*args)
-
-    monkeypatch.setattr(verify, "_site_at", spy)
+    compiles = _counted_compiles(monkeypatch)  # the site is compiled first of all
     for lengths in (5, "23", {2, 3}, None):
         with pytest.raises(ValueError, match="^lengths: expected a nonempty list$"):
             verify.check_chain_lengths(lengths)
         with pytest.raises(ValueError, match="^lengths: expected a nonempty list$"):
             transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), lengths)
-    assert calls == []
+    assert compiles == [0]
 
 
 def test_transfer_refuses_a_corrupt_flag_that_is_not_a_bool_before_any_site_work(monkeypatch):
-    calls, site_at = [], verify._site_at
-
-    def spy(*args):
-        calls.append(args)
-        return site_at(*args)
-
-    monkeypatch.setattr(verify, "_site_at", spy)
+    compiles = _counted_compiles(monkeypatch)  # the site is compiled first of all
     for corrupt in ("no", 0, 1, None):
         with pytest.raises(ValueError, match="^corrupt: expected true or false$"):
             transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], corrupt=corrupt)
-    assert calls == []
+    assert compiles == [0]
 
 
 def test_ybe_random_usage_errors():
