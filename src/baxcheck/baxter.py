@@ -196,7 +196,7 @@ def H_closed(rep: Rep, i: int) -> ClearedMatrix:
 
 def H_series(rep: Rep, i: int, order: int) -> FieldMatrix:
     """Truncated series sum_{l=0..order} sigma_i^(l+1) z^l, from sigma_i and order matrix products."""
-    as_int(order, "order", floor=0)
+    as_int(order, "series_order", floor=0)  # the job field's name
     symbols = spectral_symbols(rep, ("z",))
     sigma = rep.site(i, symbols)
     zz = RatFunc.var(symbols, "z")
@@ -224,7 +224,8 @@ def series_agreement_order(rep: Rep, i: int, order: int) -> int | None:
     None means the difference is identically zero (agreement to all orders).
     It stays cleared, M / D, since val(M_jk / D) = val(M_jk) - val(D) in any form.
     """
-    diff = H_closed(rep, i) - ClearedMatrix(*H_series(rep, i, order).cleared())
+    series = ClearedMatrix(*H_series(rep, i, order).cleared())  # reads order before H_closed is built
+    diff = H_closed(rep, i) - series
     if diff.M.is_zero:
         return None
     return min(e.valuation_in("z") for e in diff.M.entries if e) - diff.denominator().valuation_in("z")

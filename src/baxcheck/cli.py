@@ -16,11 +16,11 @@ for suite B.  Rules shared by every field:
 * unknown fields are rejected, and every field is parsed before any
   representation is built or any check starts;
 * every integer field but `seed` has a floor and a cap (the MAX_ constants
-  below); the `lengths` items are checked by verify.check_chain_lengths
-  before any representation is built;
+  below); `lengths` is read by verify.check_chain_lengths itself;
 * integer, name, flag and list fields are read by the library's own gates,
-  as_int, one_of, as_bool and as_list of exactnum.scalar, so a job and a
-  library call refuse a value with the same ValueError message;
+  as_int, one_of, as_bool and as_list of exactnum.scalar, and the job adds
+  no words to a library refusal, so a job and a library call refuse a value
+  with the same ValueError message;
 * `lengths`, `assignment`, a scalar rep's `values` and a `batch`'s `jobs`
   must be nonempty lists; a batch takes no `expect`, and batches do not
   nest.
@@ -47,6 +47,7 @@ from .report import VerifyReport
 from .reps import (
     BUILTIN_NAMES,
     CORRESPONDENCE_KINDS,
+    SCALAR_ALGEBRAS,
     builtin_rep,
     check_relations,
     classify_scalar,
@@ -178,17 +179,11 @@ def _fn(value, where: str) -> RatFunc:
     case = _fields(record, {"case": (_one_of(SPECTRAL_CASES), REQUIRED)})["case"]
     args = _fields(record, {name: (_scalar, REQUIRED) for name in ("alpha1", "alpha2", "b", "c") if case == "i"})
     _reject_unknown(record)
-    try:
-        return spectral_fn(case, **args)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+    return spectral_fn(case, **args)
 
 
 def _build(rep: dict):
-    try:
-        built = builtin_rep(rep["builtin"], **rep["kwargs"])
-    except ValueError as exc:
-        raise ValueError(f"rep: {exc}") from exc
+    built = builtin_rep(rep["builtin"], **rep["kwargs"])
     return flip_rep(built) if rep["flip"] else built
 
 
@@ -253,7 +248,6 @@ def _verify_lemmas(suite, rep, **scalars):
 
 
 def _transfer_commute(pairs, rep, fn, site, lengths, seed, corrupt):
-    check_chain_lengths(lengths)  # the whole list is checked before any chain is built
     return transfer_commute(_build(rep), site, fn, lengths, count=pairs, seed=seed, corrupt=corrupt), {}
 
 
@@ -286,7 +280,7 @@ COMMANDS = {
     ),
     "scalar-reps": (
         _scalar_reps,
-        {**_EXPECT, "algebra": _ALGEBRA, "parameters": _PARAMETERS,
+        {**_EXPECT, "algebra": (_one_of(SCALAR_ALGEBRAS), REQUIRED), "parameters": _PARAMETERS,
          "assignment": (_list(_scalar, cap=MAX_GENERATORS - 1), None)},
     ),
     "baxterise": (
@@ -306,7 +300,7 @@ COMMANDS = {
     "transfer-commute": (
         _transfer_commute,
         {**_EXPECT, "pairs": (_int(MAX_PAIRS, floor=1), 5), "rep": _REP, "fn": _FN, "site": _SITE,
-         "lengths": (_list(_int()), (3,)), "seed": _SEED,
+         "lengths": (lambda value, _: check_chain_lengths(value), (3,)), "seed": _SEED,
          "corrupt": (as_bool, False)},
     ),
     "correspondences": (

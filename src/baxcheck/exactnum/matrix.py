@@ -54,7 +54,7 @@ class FieldMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "FieldMatrix":
         r = len(rows)
-        c = len(rows[0])
+        c = len(rows[0]) if rows else 0  # no rows: the constructor's dimension error
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
         return cls(r, c, [e for row in rows for e in row])

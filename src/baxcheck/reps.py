@@ -24,6 +24,7 @@ from .ncalg import NCPoly, RelationSet, relations_for, resolve_params, site_rela
 from .report import VerifyReport
 
 CORRESPONDENCE_KINDS = ("hecke_in_A", "braid_coset_to_A", "B_to_A_shift")
+SCALAR_ALGEBRAS = ("A", "B", "C")  # the algebras classify_scalar reads
 
 
 class Rep:
@@ -214,7 +215,7 @@ def classify_scalar(algebra: str, params: Mapping | None = None) -> list[ScalarR
     """
     uniform = ScalarRepClass("uniform", None, "every generator equal to one free scalar")
     given = dict(params or {})
-    if one_of(algebra, ("A", "B", "C"), "algebra") != "A":
+    if one_of(algebra, SCALAR_ALGEBRAS, "algebra") != "A":
         _reject_extras(algebra, given)
         return [uniform, ScalarRepClass("zero-pattern", (Fraction(0), Fraction(1)), "values in {0, 1}")]
     _, vals = resolve_params(("a", "b", "c"), given)
@@ -244,7 +245,7 @@ def verify_scalar(assignment: Sequence[Fraction], algebra: str, params: Mapping 
     The strand count n is len(assignment) + 1.  This is the direct evaluation
     route, independent of classify_scalar.
     """
-    rep = builtin_rep("scalar", values=[as_scalar(v) for v in assignment])
+    rep = builtin_rep("scalar", values=[as_scalar(v) for v in as_list(assignment, "assignment")])
     rels = relations_for(algebra, rep.n, params)
     return check_relations(rep, rels).passed
 

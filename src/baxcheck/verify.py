@@ -450,13 +450,14 @@ def _transfer_matrices(rhat: FieldMatrix, d: int, lengths: Sequence[int]) -> dic
     return out
 
 
-def check_chain_lengths(lengths: Sequence[int]) -> None:
-    """Raise ValueError unless lengths is a nonempty list or tuple, each an int (not a bool) in 1..MAX_CHAIN_LENGTH, none repeated."""
+def check_chain_lengths(lengths: Sequence[int]) -> Sequence[int]:
+    """lengths itself if a nonempty list or tuple of ints (not bools) in 1..MAX_CHAIN_LENGTH, none repeated, else ValueError."""
     seen = set()
     for L in as_list(lengths, "lengths"):
-        if as_int(L, "chain length", 1, MAX_CHAIN_LENGTH) in seen:
+        if as_int(L, "lengths", 1, MAX_CHAIN_LENGTH) in seen:
             raise ValueError(f"chain length {L} is repeated")
         seen.add(L)
+    return lengths
 
 
 def choose_reference_point(f: RatFunc) -> int:
@@ -512,7 +513,7 @@ def transfer_commute(
     if as_bool(corrupt, "corrupt") and d < 2:
         raise ValueError(f"corrupt needs a site matrix on V (x) V with dim V >= 2, got dim V = {d}")
     check_chain_lengths(lengths)
-    as_int(count, "count", floor=1)
+    as_int(count, "pairs", floor=1)  # the job field's name
     as_int(seed, "seed")
     S, s = rep.site(i).cleared()
     ((entries, s),) = evaluator(s, S.entries)([{}])  # the constant sigma = S / s, as ints

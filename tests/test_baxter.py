@@ -491,6 +491,16 @@ def test_series_agreement_orders():
                 assert series_agreement_order(rep, site, order) == canonical_order(H, series), (name, site, order)
 
 
+def test_series_agreement_order_reads_the_order_before_building_H(monkeypatch):
+    built = []
+    monkeypatch.setattr(baxter, "H_closed", lambda *args: built.append(args))
+    rep = builtin_rep("B3_2dim")
+    for order in (-1, True, 1.5):
+        with pytest.raises(ValueError, match="^series_order: "):
+            series_agreement_order(rep, 1, order)
+    assert built == []
+
+
 def test_h_fun():
     h = h_fun(1, 0, 1)
     z = RatFunc.var(h.vars, "z")

@@ -24,10 +24,10 @@ from baxcheck.cli import (
     MAX_TRIALS,
     run_job,
 )
-from baxcheck.baxter import spectral_fn
+from baxcheck.baxter import series_agreement_order, spectral_fn
 from baxcheck.exactnum import SingularMatrixError
 from baxcheck.ncalg import prop1_certificate
-from baxcheck.reps import builtin_rep, correspondence_check
+from baxcheck.reps import builtin_rep, classify_scalar, correspondence_check, verify_scalar
 from baxcheck.verify import MAX_CHAIN_LENGTH, check_chain_lengths, transfer_commute, ybe_random
 
 REPO = Path(__file__).resolve().parent.parent
@@ -290,7 +290,7 @@ def test_run_job_api_errors(monkeypatch):
         })
     # chain lengths are capped before anything is allocated
     for lengths in ([9], [1000000]):
-        with pytest.raises(ValueError, match="chain length"):
+        with pytest.raises(ValueError, match=f"^lengths: at most {MAX_CHAIN_LENGTH}, got {lengths[0]}$"):
             run_job({
                 "command": "transfer-commute",
                 "rep": {"builtin": "Hecke3_std", "parameters": {"q": "2"}},
@@ -431,19 +431,20 @@ BASE_JOBS = {
 WORKERS = ("prop1_certificate", "builtin_rep", "relations_for", "check_relations", "classify_scalar", "verify_scalar",
            "build_R", "series_agreement_order", "ybe_symbolic", "ybe_random", "lemma_suite_A", "lemma_suite_B",
            "transfer_commute", "correspondence_check")
-# Fields whose parser carries no cap, with their out-of-range values: seed is
-# any integer by design, and lengths is bounded by check_chain_lengths (each
-# length in 1..MAX_CHAIN_LENGTH, none repeated), which runs before any rep is built.
+# Fields whose parser carries no cap of its own, with their out-of-range
+# values: seed is any integer by design, and lengths is read by
+# check_chain_lengths (each length in 1..MAX_CHAIN_LENGTH, none repeated).
 UNCAPPED = {"seed": [], "lengths": [[0], [MAX_CHAIN_LENGTH + 1], [1] * (MAX_CHAIN_LENGTH + 1)]}
 
 
 def _bounded_fields():
-    """(command, field, out-of-range values) for every top-level _int, _list and _parameters parser in COMMANDS,
-    and for the parameters object of every rep field, named "rep.parameters" (its values are whole rep records).
+    """(command, field, out-of-range values) for every UNCAPPED field and every top-level _int, _list and
+    _parameters parser in COMMANDS, and for the parameters object of every rep field, named "rep.parameters"
+    (its values are whole rep records).
 
-    The values come from the parser's own floor and cap (plus the empty list,
-    which every list field rejects), or MAX_PARAMETERS; they are None for a
-    field with no cap or, for an integer, no floor.
+    The values come from UNCAPPED, from the parser's own floor and cap (plus
+    the empty list, which every list field rejects), or MAX_PARAMETERS; they
+    are None for a field with no cap or, for an integer, no floor.
     """
     over = {f"p{k}": "1" for k in range(MAX_PARAMETERS + 1)}
     for command, (_, spec) in cli.COMMANDS.items():
@@ -454,10 +455,10 @@ def _bounded_fields():
             if parse is cli._rep:
                 yield command, "rep.parameters", [dict(HECKE_Q2, parameters=over)]
                 continue
-            if parse.__qualname__ not in ("_int.<locals>.parse", "_list.<locals>.parse"):
-                continue
-            if field in UNCAPPED:
+            if field in UNCAPPED:  # lengths has a reader of its own, check_chain_lengths
                 yield command, field, UNCAPPED[field]
+                continue
+            if parse.__qualname__ not in ("_int.<locals>.parse", "_list.<locals>.parse"):
                 continue
             bounds = dict(zip(parse.__code__.co_freevars, (cell.cell_contents for cell in parse.__closure__)))
             if bounds["cap"] is None:
@@ -504,7 +505,20 @@ PARITY = {
     "corrupt": (lambda bad: dict(_TRANSFER, corrupt=bad),
                 lambda bad: transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], corrupt=bad),
                 [1, "yes"]),
-    "lengths": (lambda bad: dict(_TRANSFER, lengths=bad), check_chain_lengths, [[], 5, "23"]),
+    "lengths": (lambda bad: dict(_TRANSFER, lengths=bad), check_chain_lengths,
+                [[], 5, "23", [2, "3"], [True], [0], [MAX_CHAIN_LENGTH + 1]]),
+    "pairs": (lambda bad: dict(_TRANSFER, pairs=bad),
+              lambda bad: transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], count=bad),
+              [0, True]),
+    "series_order": (lambda bad: {"command": "baxterise", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "series_order": bad},
+                     lambda bad: series_agreement_order(builtin_rep("Hecke3_std", q=2), 1, bad), [-1]),
+    "assignment": (lambda bad: {"command": "scalar-reps", "algebra": "B", "assignment": bad},
+                   lambda bad: verify_scalar(bad, "B"), [[], 5]),
+    "scalar-reps.algebra": (lambda bad: {"command": "scalar-reps", "algebra": bad}, classify_scalar, ["D", "Braid"]),
+    "rep.parameters": (lambda bad: dict(_YBE, rep={"builtin": "Hecke3_std", "parameters": bad}),
+                       lambda bad: builtin_rep("Hecke3_std", **bad), [{"zz": "1"}]),
+    "fn.alpha1": (lambda bad: dict(_YBE, fn={"case": "i", "alpha1": bad, "alpha2": bad, "b": "0", "c": "1"}),
+                  lambda bad: spectral_fn("i", bad, bad, "0", "1"), ["2"]),
     "values": (lambda bad: {"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "values": bad}},
                lambda bad: builtin_rep("scalar", values=bad), [[], 5, "12"]),
     "seed": (lambda bad: dict(_YBE, mode="random", seed=bad),
@@ -527,6 +541,18 @@ def test_a_job_and_its_library_entry_refuse_a_bad_value_with_one_message(field):
         with pytest.raises(ValueError) as library:
             entry(bad)
         assert str(library.value) == str(schema.value)
+
+
+def test_scalar_reps_refuses_an_algebra_without_a_scalar_classification_before_any_work(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in WORKERS:
+        monkeypatch.setattr(cli, name, never)
+    for algebra in ("Braid", "Hecke"):
+        with pytest.raises(ValueError) as exc:
+            run_job({"command": "scalar-reps", "algebra": algebra, "assignment": ["1", "1"]})
+        assert str(exc.value) == f"unknown algebra {algebra!r}, expected one of ('A', 'B', 'C')"
 
 
 def test_bounded_fields_find_the_integer_and_list_fields():

@@ -118,6 +118,15 @@ def test_kron_and_partial_trace():
     assert big.partial_trace_first(2) == b.scale(a[0, 0] + a[1, 1])
 
 
+def test_from_rows_refuses_an_empty_or_ragged_list():
+    for rows in ([], [[]]):
+        with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+            FieldMatrix.from_rows(rows)
+    for rows in ([[1, 2], [3]], [[1], []]):
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            FieldMatrix.from_rows(rows)
+
+
 def test_shape_errors():
     with pytest.raises(ValueError):
         FieldMatrix.from_rows([[1, 2]]) * FieldMatrix.from_rows([[1, 2]])

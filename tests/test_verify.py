@@ -835,17 +835,19 @@ def test_transfer_usage_errors():
         transfer_commute(builtin_rep("Hecke3_std"), 1, spectral_fn("hecke"), [2])
     with pytest.raises(ValueError, match="^lengths: expected a nonempty list$"):
         transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [])
-    for lengths in ([2, 9], [2, 3, 2], [True, 2], [2, False], [2.5], ["3"], [2, None]):
-        with pytest.raises(ValueError, match="chain length"):
+    for lengths in ([2, 9], [True, 2], [2, False], [2.5], ["3"], [2, None]):
+        with pytest.raises(ValueError, match="^lengths: "):
             transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), lengths)
+    with pytest.raises(ValueError, match="^chain length 2 is repeated$"):
+        transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2, 3, 2])
     for count in (0, -1, True, 2.5, "3", None):
-        with pytest.raises(ValueError, match="^count: "):
+        with pytest.raises(ValueError, match="^pairs: "):
             transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], count=count)
 
 
 def test_transfer_rejects_a_bad_count_before_any_site_work(monkeypatch):
     compiles = _counted_compiles(monkeypatch)  # the site is compiled first of all
-    with pytest.raises(ValueError, match="^count: "):
+    with pytest.raises(ValueError, match="^pairs: "):
         transfer_commute(builtin_rep("Hecke3_std", q=2), 1, spectral_fn("hecke"), [2], count=0)
     assert compiles == [0]
 
