@@ -20,6 +20,7 @@ builds canonical RatFunc entries: ClearedMatrix.value is read only to print.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, SingularMatrixError, canonical_vars, poly_gcd
@@ -41,24 +42,33 @@ def spectral_fn(case: str, alpha1=None, alpha2=None, b=None, c=None) -> RatFunc:
                 +x/y fails regularity, and the braided Yang-Baxter equation on the
                 tensor legs S (x) 1, 1 (x) S, but passes that on Hecke3_std (sigma_1 = sigma_2).
                 The transfer harness passes for any f when sigma has two eigenvalues.
-    Cases ii, iii and hecke take no parameters.
+    Cases ii, iii and hecke take no parameters, so each is built once per
+    process and every call returns that one RatFunc (no caller mutates a
+    RatFunc); case i is built per call.
     """
     params = (alpha1, alpha2, b, c)
-    if one_of(case, SPECTRAL_CASES, "case") != "i" and any(v is not None for v in params):
-        raise ValueError(f"case {case} takes no parameters")
-    x, y = RatFunc.var(("x", "y"), "x"), RatFunc.var(("x", "y"), "y")
-    if case == "ii":
-        return (1 + y) * x / (1 + x)
-    if case == "iii":
-        return (1 + x) * y / (1 + y)
-    if case == "hecke":
-        return -x / y
+    if one_of(case, SPECTRAL_CASES, "case") != "i":
+        if any(v is not None for v in params):
+            raise ValueError(f"case {case} takes no parameters")
+        return _constant_fn(case)
     if any(v is None for v in params):
         raise ValueError("case i needs alpha1, alpha2, b and c")
     alpha1, alpha2, b, c = map(as_scalar, params)
     if alpha1 - alpha2 not in (1, -1):
         raise ValueError("case i requires alpha1 - alpha2 in {1, -1}")
+    x, y = RatFunc.var(("x", "y"), "x"), RatFunc.var(("x", "y"), "y")
     return (alpha1 * x + alpha2 * y + b * x * y) / (1 + c * x * y)
+
+
+@functools.cache
+def _constant_fn(case: str) -> RatFunc:
+    """f(x, y) of the parameter-free case ii, iii or hecke."""
+    x, y = RatFunc.var(("x", "y"), "x"), RatFunc.var(("x", "y"), "y")
+    if case == "ii":
+        return (1 + y) * x / (1 + x)
+    if case == "iii":
+        return (1 + x) * y / (1 + y)
+    return -x / y
 
 
 def spectral_symbols(rep: Rep, names: Sequence[str]) -> tuple[str, ...]:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from .baxter import SPECTRAL_CASES, build_R, check_regularity, check_unitarity, series_agreement_order, spectral_fn
 from .exactnum import PoleError, RatFunc, SingularMatrixError, parse_scalar
 from .exactnum.scalar import as_bool, as_int, as_list, one_of
-from .ncalg import ALGEBRAS, PROP1_TERMS, prop1_certificate, relations_for
+from .ncalg import ALGEBRAS, MAX_GENERATORS, PROP1_TERMS, prop1_certificate, relations_for
 from .report import VerifyReport
 from .reps import (
     BUILTIN_NAMES,
@@ -69,12 +69,12 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 REQUIRED = object()  # the spec default of a field that must be given
 
 # Job-size caps, enforced when a job is parsed and before any work starts:
-# strand count n of a scalar rep or assignment (so sites run 1..n - 1),
 # series truncation order, randomized YBE trials, transfer point pairs, the
 # jobs of one batch, the names of a `parameters` object (A's a, b, c is the
 # most any algebra or family declares), and the bit length of the numerator
-# and of the denominator of every job scalar.
-MAX_GENERATORS = 16
+# and of the denominator of every job scalar.  The strand count n of a scalar
+# rep or an assignment (so sites run 1..n - 1) is capped at the library's
+# ncalg.MAX_GENERATORS, which relations_for and both scalar lists share.
 MAX_SERIES_ORDER = 64
 MAX_TRIALS = 1000
 MAX_PAIRS = 100

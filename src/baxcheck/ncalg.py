@@ -15,6 +15,7 @@ as the paper writes a(...).  `p * c` raises TypeError.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -246,16 +247,20 @@ _ALGEBRA_TABLE = {
     "C": ((), lambda: (_BRAID, _C_CUBICS)),
 }
 ALGEBRAS = tuple(_ALGEBRA_TABLE)
+# the largest strand count n of a relation set, so generators run 1 .. 15; relation
+# building is quadratic in n, and the job schema caps a scalar rep and an assignment here
+MAX_GENERATORS = 16
 
 
 def relations_for(algebra: str, n: int, params: Mapping | None = None) -> RelationSet:
     """All defining relations of one of the five algebras at strand count n.
 
-    Locality pairs appear for every |i - j| > 1; the per-site families run
-    over i = 1 .. n-2, and the Hecke quadratic over i = 1 .. n-1.
+    n runs from 2 to MAX_GENERATORS.  Locality pairs appear for every
+    |i - j| > 1; the per-site families run over i = 1 .. n-2, and the Hecke
+    quadratic over i = 1 .. n-1.
     """
     names, blocks = _ALGEBRA_TABLE[one_of(algebra, ALGEBRAS, "algebra")]
-    as_int(n, "n", floor=2)
+    as_int(n, "n", floor=2, cap=MAX_GENERATORS)
     symbols, vals = resolve_params(names, params)
 
     def gen(i: int) -> NCPoly:
@@ -280,31 +285,41 @@ def prop1_certificate(omit_term: str | None = None) -> tuple[NCPoly, bool]:
     (a-2)*R3 + a*[s1 - s2, R2] + a*(2 s1 + s2)*R1 + a*R1*(s1 + 2 s2) + a*b*R1
     (R1, R2, R3 the aa1/aa2/aa3 elements; R1 enters with the orientation that
     makes the identity exact) and subtracts (a-2)*R5; the certificate passes
-    iff the residual is the zero element.  R1, R2, R3 and R5 are read from
-    the A family table at site 1 (s = s1, t = s2), the table relations_for
-    reads.  omit_term drops one of the five summands (mutation control: the
+    iff the residual is the zero element.  The five summands and (a-2)*R5
+    depend on no argument, so _prop1_summands builds them once per process;
+    omit_term only drops one of the five from the sum (mutation control: the
     residual must then be nonzero).
     """
     if omit_term is not None:
         one_of(omit_term, PROP1_TERMS, "omit_term")
+    summands, rhs = _prop1_summands()
+    combination = NCPoly(3, rhs.symbols)
+    for name, term in summands:
+        if name != omit_term:
+            combination = combination + term
+    residual = combination - rhs
+    return residual, not residual
+
+
+@functools.cache
+def _prop1_summands() -> tuple[tuple[tuple[str, NCPoly], ...], NCPoly]:
+    """((name, summand) for the PROP1_TERMS, (a-2)*R5) over symbolic a, b, c.
+
+    R1, R2, R3 and R5 are read from the A family table at site 1 (s = s1,
+    t = s2), the table relations_for reads.  No caller mutates an NCPoly, so
+    every call of prop1_certificate can share these elements.
+    """
     symbols, vals = resolve_params(("a", "b", "c"), None)
     a, b = vals["a"], vals["b"]
     s1 = NCPoly.gen(3, 1, symbols)
     s2 = NCPoly.gen(3, 2, symbols)
     family = dict(_a_cubics(a, b, vals["c"]))
     r1, r2, r3, r5 = (family[label](s1, s2) for label in ("aa1", "aa2", "aa3", "aa5"))
-
-    terms = {
-        "r3": (a - 2) * r3,
-        "commutator": a * nc_commutator(s1 - s2, r2),
-        "left_r1": a * ((2 * s1 + s2) * r1),
-        "right_r1": a * (r1 * (s1 + 2 * s2)),
-        "b_r1": (a * b) * r1,
-    }
-    combination = NCPoly(3, symbols)
-    for name, term in terms.items():
-        if name == omit_term:
-            continue
-        combination = combination + term
-    residual = combination - (a - 2) * r5
-    return residual, not residual
+    summands = (
+        ("r3", (a - 2) * r3),
+        ("commutator", a * nc_commutator(s1 - s2, r2)),
+        ("left_r1", a * ((2 * s1 + s2) * r1)),
+        ("right_r1", a * (r1 * (s1 + 2 * s2))),
+        ("b_r1", (a * b) * r1),
+    )
+    return summands, (a - 2) * r5

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .exactnum import ClearedMatrix, FieldMatrix, MultiPoly, RatFunc, canonical_vars, format_scalar
 from .exactnum.scalar import as_int, as_list, as_scalar, one_of
-from .ncalg import NCPoly, RelationSet, relations_for, resolve_params, site_relations
+from .ncalg import MAX_GENERATORS, NCPoly, RelationSet, Word, relations_for, resolve_params, site_relations
 from .report import VerifyReport
 
 CORRESPONDENCE_KINDS = ("hecke_in_A", "braid_coset_to_A", "B_to_A_shift")
@@ -101,7 +101,8 @@ def builtin_rep(name: str, **params) -> Rep:
                            relies on
       Hecke3_burau(q)      2x2 with distinct generator images
       scalar(values)       1x1 matrices; values is a list or a tuple of one
-                           value per generator, (None, None) by default
+                           value per generator (at most MAX_GENERATORS - 1),
+                           (None, None) by default
     """
     if one_of(name, BUILTIN_NAMES, "builtin") == "scalar":
         return _scalar_rep(**params)
@@ -117,7 +118,7 @@ def builtin_rep(name: str, **params) -> Rep:
 def _scalar_rep(values: list | tuple = (None, None), **extras) -> Rep:
     """One 1x1 matrix per generator, n = len(values) + 1; every None is the one symbol lam, a RatFunc."""
     _reject_extras("scalar", extras)
-    n = len(as_list(values, "values")) + 1
+    n = len(as_list(values, "values", MAX_GENERATORS - 1)) + 1
     names = [str(i) for i in range(1, n)]
     lam = RatFunc.var(("lam",), "lam")
     symbols, vals = resolve_params(names, {k: lam if v is None else v for k, v in zip(names, values)})
@@ -137,18 +138,25 @@ def flip_rep(rep: Rep) -> Rep:
 # -- relation checking --------------------------------------------------------
 
 
-def evaluate_element(element: NCPoly, sites: Mapping[int, ClearedMatrix], dim: int, symbols: tuple[str, ...]) -> ClearedMatrix:
-    """Image of a free-algebra element under the evaluation homomorphism, from the cleared sites S_i / s_i.
+def evaluate_element(element: NCPoly, table: dict[Word, ClearedMatrix], dim: int, symbols: tuple[str, ...]) -> ClearedMatrix:
+    """Image of a free-algebra element under the evaluation homomorphism, read off a word table.
 
+    table maps words to their cleared images and holds at least every one-letter
+    word (the cleared site S_i / s_i).  A word not yet in it is its longest
+    evaluated prefix times one cleared site, letter by letter, and every prefix
+    formed on the way is added, so each word is multiplied out once per table.
     A coefficient n/d scales its word's product by n over the extra factor d;
     the empty word is the identity, and an element with no terms is zero.
     """
     one = MultiPoly.const(symbols, 1)
     acc = None
     for word, coeff in element.terms.items():
-        m = sites[word[0]] if word else ClearedMatrix(FieldMatrix.identity(dim, one))
-        for idx in word[1:]:
-            m = m * sites[idx]
+        k = len(word)
+        while k > 1 and word[:k] not in table:
+            k -= 1
+        m = table[word[:k]] if word else ClearedMatrix(FieldMatrix.identity(dim, one))
+        for j in range(k, len(word)):
+            m = table[word[:j + 1]] = m * table[word[j:j + 1]]
         coeff = coeff.lift(symbols)
         term = m.scale(coeff.num, coeff.den)
         acc = term if acc is None else acc + term
@@ -158,15 +166,17 @@ def evaluate_element(element: NCPoly, sites: Mapping[int, ClearedMatrix], dim: i
 def check_relations(rep: Rep, rels: RelationSet) -> VerifyReport:
     """Substitute the rep into every relation element; pass iff all are zero.
 
-    Each site is lifted to the joint symbols of the rep and the relations and cleared once.
+    Each site is lifted to the joint symbols of the rep and the relations and
+    cleared once, and one word table (see evaluate_element) serves every
+    element, so a word shared by several relations is multiplied out once.
     """
     if rep.n != rels.n:
         raise ValueError(f"rep has n={rep.n} but relations have n={rels.n}")
     symbols = canonical_vars(set(rep.params) | set(rels.symbols))
-    sites = {i: ClearedMatrix(*rep.site(i, symbols).cleared()) for i in rep.matrices}
+    table = {(i,): ClearedMatrix(*rep.site(i, symbols).cleared()) for i in rep.matrices}
     report = VerifyReport(f"{rels.algebra}({rels.n}) relations")
     for label, element in rels.elements:
-        report.add_residual(label, evaluate_element(element, sites, rep.dim, symbols).residual_size())
+        report.add_residual(label, evaluate_element(element, table, rep.dim, symbols).residual_size())
     return report
 
 
@@ -242,10 +252,11 @@ def classify_scalar(algebra: str, params: Mapping | None = None) -> list[ScalarR
 def verify_scalar(assignment: Sequence[Fraction], algebra: str, params: Mapping | None = None) -> bool:
     """Substitute one scalar per generator into the relation set; exact pass/fail.
 
-    The strand count n is len(assignment) + 1.  This is the direct evaluation
-    route, independent of classify_scalar.
+    The strand count n is len(assignment) + 1, at most MAX_GENERATORS.  This
+    is the direct evaluation route, independent of classify_scalar.
     """
-    rep = builtin_rep("scalar", values=[as_scalar(v) for v in as_list(assignment, "assignment")])
+    values = as_list(assignment, "assignment", MAX_GENERATORS - 1)
+    rep = builtin_rep("scalar", values=[as_scalar(v) for v in values])
     rels = relations_for(algebra, rep.n, params)
     return check_relations(rep, rels).passed
 

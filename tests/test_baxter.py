@@ -72,6 +72,12 @@ def test_ratio_function_sign_matches_hecke_normalization():
     assert spectral_fn("hecke") == -X / Y
 
 
+def test_parameter_free_cases_are_built_once_and_case_i_per_call():
+    for case in ("ii", "iii", "hecke"):
+        assert spectral_fn(case) is spectral_fn(case)
+    assert spectral_fn("i", 2, 1, 0, 1) is not spectral_fn("i", 2, 1, 0, 1)
+
+
 def test_case_i_validates_alpha_difference():
     for alphas in ((2, 0), (0, 0), ("1/2", 0)):
         with pytest.raises(ValueError, match="alpha1 - alpha2"):

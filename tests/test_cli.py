@@ -513,14 +513,14 @@ PARITY = {
     "series_order": (lambda bad: {"command": "baxterise", "rep": HECKE_Q2, "fn": {"case": "hecke"}, "series_order": bad},
                      lambda bad: series_agreement_order(builtin_rep("Hecke3_std", q=2), 1, bad), [-1]),
     "assignment": (lambda bad: {"command": "scalar-reps", "algebra": "B", "assignment": bad},
-                   lambda bad: verify_scalar(bad, "B"), [[], 5]),
+                   lambda bad: verify_scalar(bad, "B"), [[], 5, ["1"] * MAX_GENERATORS]),
     "scalar-reps.algebra": (lambda bad: {"command": "scalar-reps", "algebra": bad}, classify_scalar, ["D", "Braid"]),
     "rep.parameters": (lambda bad: dict(_YBE, rep={"builtin": "Hecke3_std", "parameters": bad}),
                        lambda bad: builtin_rep("Hecke3_std", **bad), [{"zz": "1"}]),
     "fn.alpha1": (lambda bad: dict(_YBE, fn={"case": "i", "alpha1": bad, "alpha2": bad, "b": "0", "c": "1"}),
                   lambda bad: spectral_fn("i", bad, bad, "0", "1"), ["2"]),
     "values": (lambda bad: {"command": "check-algebra", "algebra": "Braid", "rep": {"builtin": "scalar", "values": bad}},
-               lambda bad: builtin_rep("scalar", values=bad), [[], 5, "12"]),
+               lambda bad: builtin_rep("scalar", values=bad), [[], 5, "12", ["1"] * MAX_GENERATORS]),
     "seed": (lambda bad: dict(_YBE, mode="random", seed=bad),
              lambda bad: ybe_random(builtin_rep("Hecke3_std"), spectral_fn("hecke"), seed=bad), [1.5, True]),
     "fn.case": (lambda bad: dict(_YBE, fn={"case": bad}), spectral_fn, ["iv", "I"]),

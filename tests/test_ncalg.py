@@ -6,6 +6,7 @@ import pytest
 from baxcheck import ncalg
 from baxcheck.exactnum import RatFunc
 from baxcheck.ncalg import (
+    MAX_GENERATORS,
     NCPoly,
     PROP1_TERMS,
     flip,
@@ -37,6 +38,14 @@ def test_distinct_words_stay_distinct():
     s1, s2 = gen(1), gen(2)
     p = (s1 + s2) * s1
     assert p.terms.keys() == {(1, 1), (2, 1)}
+
+
+def test_relations_for_caps_the_strand_count():
+    # relation building is quadratic in n, so a library call is capped where a job is
+    assert relations_for("B", MAX_GENERATORS).n == MAX_GENERATORS
+    for n in (MAX_GENERATORS + 1, 200):
+        with pytest.raises(ValueError, match=f"^n: at most {MAX_GENERATORS}, got {n}$"):
+            relations_for("B", n)
 
 
 def test_mismatched_strands_rejected():
@@ -110,6 +119,7 @@ def test_prop1_takes_the_aa1_aa2_aa3_aa5_elements_of_the_a_relations(monkeypatch
 
         return tuple((label, recording(label, element)) for label, element in a_cubics(a, b, c))
 
+    ncalg._prop1_summands.cache_clear()  # an earlier call may have built the summands already
     monkeypatch.setattr(ncalg, "_a_cubics", spy)
     assert prop1_certificate()[1]
     monkeypatch.undo()

@@ -35,30 +35,31 @@ def test_a3_generators_square_to_zero():
         assert (m * m).is_zero
 
 
-def _cleared_sites(rep, symbols):
-    return {i: ClearedMatrix(*rep.site(i, symbols).cleared()) for i in rep.matrices}
+def _site_table(rep, symbols):
+    """The word table check_relations starts from: each one-letter word and its cleared site."""
+    return {(i,): ClearedMatrix(*rep.site(i, symbols).cleared()) for i in rep.matrices}
 
 
 def test_evaluate_element_of_the_empty_word_and_of_one_generator():
     rep = builtin_rep("B3_2dim")
-    sites = _cleared_sites(rep, rep.params)
+    table = _site_table(rep, rep.params)
     one = RatFunc.const(rep.params, 1)
-    value = evaluate_element(NCPoly.one(3, rep.params), sites, rep.dim, rep.params)
+    value = evaluate_element(NCPoly.one(3, rep.params), table, rep.dim, rep.params)
     assert cleared_value(value) == FieldMatrix.identity(2, one)
     for i in (1, 2):
         word = NCPoly.gen(3, i, rep.params)
-        assert cleared_value(evaluate_element(word, sites, rep.dim, rep.params)) == rep.matrices[i]
+        assert cleared_value(evaluate_element(word, table, rep.dim, rep.params)) == rep.matrices[i]
 
 
 def test_evaluate_element_with_denominators_in_sites_and_coefficients():
     t = RatFunc.var(("t",), "t")
     rep = builtin_rep("B3_2dim", nu=RatFunc.const(t.vars, 1) / (t + 1), mu=t)
     symbols = rep.params
-    sites = _cleared_sites(rep, symbols)
-    assert [str(f) for f in sites[1].factors] == ["t + 1"]
+    table = _site_table(rep, symbols)
+    assert [str(f) for f in table[(1,)].factors] == ["t + 1"]
     s1, s2 = (NCPoly.gen(3, i, symbols) for i in (1, 2))
     coeff = RatFunc.const(symbols, 1) / (RatFunc.var(symbols, "t") - 2)
-    value = evaluate_element(coeff * (s1 * s2 * s1) - s2 * s2 + s1, sites, rep.dim, symbols)
+    value = evaluate_element(coeff * (s1 * s2 * s1) - s2 * s2 + s1, table, rep.dim, symbols)
     m1, m2 = rep.matrices[1], rep.matrices[2]
     assert cleared_value(value) == (m1 * m2 * m1).scale(coeff) - m2 * m2 + m1
 
@@ -71,10 +72,30 @@ def test_an_element_with_no_terms_evaluates_to_zero():
     elements = dict(rels.elements)
     assert not elements["aa5(1)"].terms
     for element in (NCPoly(3, symbols), elements["aa5(1)"]):
-        value = evaluate_element(element, _cleared_sites(rep, symbols), rep.dim, symbols)
+        value = evaluate_element(element, _site_table(rep, symbols), rep.dim, symbols)
         assert value.M == FieldMatrix(2, 2, [MultiPoly(symbols)] * 4) and not value.factors
         assert value.residual_size() == 0
     assert dict(check_relations(rep, rels).residuals)["aa5(1)"] == 0
+
+
+@pytest.mark.parametrize("algebra, name", [("B", "B3_2dim"), ("A", "A3_2dim")])
+def test_check_relations_multiplies_each_word_once(monkeypatch, algebra, name):
+    # the table forms each word of length >= 2, and each prefix of one, as one product
+    rep, rels = builtin_rep(name), relations_for(algebra, 3)
+    words = {w for _, element in rels.elements for w in element.terms}
+    prefixes = {w[:k] for w in words for k in range(2, len(w) + 1)}
+    term_by_term = sum(len(w) - 1 for _, element in rels.elements for w in element.terms if w)
+    products = []
+    multiply = ClearedMatrix.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(ClearedMatrix, "__mul__", counting)
+    assert check_relations(rep, rels).passed
+    assert len(products) == len(prefixes) < term_by_term
+    assert len(prefixes) == {"B": 18, "A": 19}[algebra]
 
 
 def test_b3_and_c3_pass_their_relations():
