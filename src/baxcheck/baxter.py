@@ -46,14 +46,16 @@ def spectral_fn(case: str, alpha1=None, alpha2=None, b=None, c=None) -> RatFunc:
     process and every call returns that one RatFunc (no caller mutates a
     RatFunc); case i is built per call.
     """
-    params = (alpha1, alpha2, b, c)
+    params = {"alpha1": alpha1, "alpha2": alpha2, "b": b, "c": c}
     if one_of(case, SPECTRAL_CASES, "case") != "i":
-        if any(v is not None for v in params):
-            raise ValueError(f"case {case} takes no parameters")
+        extra = [name for name, v in params.items() if v is not None]
+        if extra:
+            raise ValueError(f"case {case} takes no parameters, got {extra}")
         return _constant_fn(case)
-    if any(v is None for v in params):
-        raise ValueError("case i needs alpha1, alpha2, b and c")
-    alpha1, alpha2, b, c = map(as_scalar, params)
+    missing = [name for name, v in params.items() if v is None]
+    if missing:
+        raise ValueError(f"case i needs alpha1, alpha2, b and c, missing {missing}")
+    alpha1, alpha2, b, c = map(as_scalar, params.values())
     if alpha1 - alpha2 not in (1, -1):
         raise ValueError("case i requires alpha1 - alpha2 in {1, -1}")
     x, y = RatFunc.var(("x", "y"), "x"), RatFunc.var(("x", "y"), "y")

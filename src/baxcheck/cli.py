@@ -2,10 +2,10 @@
 
 A job is one JSON object with a `command`.  The `COMMANDS` table below is
 the whole job schema: for each command, its handler and an ordered spec
-giving every field's parser and its default (or REQUIRED).  One exception:
-`verify-lemmas` lists alpha1, alpha2, b and c with default None, and its
-handler `_verify_lemmas` makes them required for suite A and unknown fields
-for suite B.  Rules shared by every field:
+giving every field's parser and its default (or REQUIRED), and for a field
+whose value adds fields, those fields per value (verify-lemmas suite A adds
+alpha1, alpha2, b and c; a rep's builtin adds `values` or `parameters`).
+Rules shared by every field:
 
 * null counts as absent, so the default applies; a required field left null
   is reported missing;
@@ -14,13 +14,14 @@ for suite B.  Rules shared by every field:
   names) and a scalar rep's `values`, a null item keeps that parameter
   symbolic;
 * unknown fields are rejected, and every field is parsed before any
-  representation is built or any check starts;
+  representation is built or any check starts, in a batch every sub-job's;
 * every integer field but `seed` has a floor and a cap (the MAX_ constants
   below); `lengths` is read by verify.check_chain_lengths itself;
 * integer, name, flag and list fields are read by the library's own gates,
   as_int, one_of, as_bool and as_list of exactnum.scalar, and the job adds
   no words to a library refusal, so a job and a library call refuse a value
-  with the same ValueError message;
+  with the same ValueError message (f's case-i parameters are checked by
+  baxter.spectral_fn alone);
 * `lengths`, `assignment`, a scalar rep's `values` and a `batch`'s `jobs`
   must be nonempty lists; a batch takes no `expect`, and batches do not
   nest.
@@ -84,9 +85,10 @@ MAX_SCALAR_BITS = 256
 
 
 def _fields(record: dict, spec: dict) -> dict:
-    """Pop and parse every field of spec from record, in spec order."""
+    """Pop and parse every field of spec from record, in spec order; an entry (parse, default, variants) is
+    followed by the fields variants gives for the field's parsed value."""
     args = {}
-    for field, (parse, default) in spec.items():
+    for field, (parse, default, *variants) in spec.items():
         value = record.pop(field, None)
         if value is not None:
             args[field] = parse(value, field)
@@ -94,12 +96,18 @@ def _fields(record: dict, spec: dict) -> dict:
             raise ValueError(f"missing required field {field!r}")
         else:
             args[field] = default
+        if variants:
+            args.update(_fields(record, variants[0].get(args[field], {})))
     return args
 
 
-def _reject_unknown(record: dict) -> None:
+def _record(value, where: str, spec: dict) -> dict:
+    """The fields of spec (see _fields) parsed from the object value, which may hold no other field."""
+    record = _object(value, where)
+    args = _fields(record, spec)
     if record:
         raise ValueError(f"unknown fields {sorted(record)}")
+    return args
 
 
 # -- field parsers: (value, where) -> parsed value, or ValueError --
@@ -160,30 +168,26 @@ def _parameters(value, where: str) -> dict:
     return {name: _symbolic(v, f"{where}.{name}") for name, v in record.items()}
 
 
+# the field a rep's builtin adds: a family's parameters, or scalar's values (n = len(values) + 1)
+_BUILTIN_FIELDS = {name: {"parameters": (_parameters, {})} for name in BUILTIN_NAMES}
+_BUILTIN_FIELDS["scalar"] = {"values": (_list(_symbolic, cap=MAX_GENERATORS - 1), (None, None))}
+_CASE_I = ("alpha1", "alpha2", "b", "c")  # f's case-i parameters, which verify-lemmas suite A also takes
+
+
 def _rep(value, where: str) -> dict:
     """A builtin-rep record, checked but not yet built (see _build)."""
-    record = _object(value, where)
-    rep = _fields(record, {"builtin": (_one_of(BUILTIN_NAMES), REQUIRED), "flip": (as_bool, False)})
-    if rep["builtin"] == "scalar":
-        values = _list(_symbolic, cap=MAX_GENERATORS - 1)  # n = len(values) + 1
-        rep["kwargs"] = _fields(record, {"values": (values, (None, None))})
-    else:
-        rep["kwargs"] = _fields(record, {"parameters": (_parameters, {})})["parameters"]
-    _reject_unknown(record)
-    return rep
+    return _record(value, where, {"builtin": (_one_of(BUILTIN_NAMES), REQUIRED, _BUILTIN_FIELDS), "flip": (as_bool, False)})
 
 
 def _fn(value, where: str) -> RatFunc:
-    """The job's spectral function f(x, y), built here once (see baxter.spectral_fn)."""
-    record = _object(value, where)
-    case = _fields(record, {"case": (_one_of(SPECTRAL_CASES), REQUIRED)})["case"]
-    args = _fields(record, {name: (_scalar, REQUIRED) for name in ("alpha1", "alpha2", "b", "c") if case == "i"})
-    _reject_unknown(record)
-    return spectral_fn(case, **args)
+    """The job's spectral function f(x, y), built here once; spectral_fn says which case takes which parameters."""
+    return spectral_fn(**_record(value, where, {"case": (_one_of(SPECTRAL_CASES), REQUIRED),
+                                                **{name: (_scalar, None) for name in _CASE_I}}))
 
 
 def _build(rep: dict):
-    built = builtin_rep(rep["builtin"], **rep["kwargs"])
+    """The rep a parsed rep record names: builtin_rep of a family's parameters, or of scalar's values."""
+    built = builtin_rep(rep["builtin"], **rep.get("parameters", {"values": rep.get("values")}))
     return flip_rep(built) if rep["flip"] else built
 
 
@@ -234,17 +238,11 @@ def _verify_ybe(trials, rep, fn, mode, seed):
     return ybe_random(_build(rep), fn, trials=trials, seed=seed), {}
 
 
-def _verify_lemmas(suite, rep, **scalars):
-    """Suite A needs alpha1, alpha2, b and c, and reads a = alpha1*alpha2; suite B takes none of them."""
+def _verify_lemmas(suite, rep, alpha1=None, alpha2=None, b=None, c=None):
+    """Suite A reads a = alpha1*alpha2, b and c; suite B takes none of them."""
     if suite == "B":
-        given = sorted(name for name, value in scalars.items() if value is not None)
-        if given:
-            raise ValueError(f"unknown fields {given}")
         return lemma_suite_B(_build(rep)), {}
-    for name, value in scalars.items():
-        if value is None:
-            raise ValueError(f"missing required field {name!r}")
-    return lemma_suite_A(_build(rep), scalars["alpha1"] * scalars["alpha2"], scalars["b"], scalars["c"]), {}
+    return lemma_suite_A(_build(rep), alpha1 * alpha2, b, c), {}
 
 
 def _transfer_commute(pairs, rep, fn, site, lengths, seed, corrupt):
@@ -253,18 +251,6 @@ def _transfer_commute(pairs, rep, fn, site, lengths, seed, corrupt):
 
 def _correspondences(kind, rep, q, b):
     return correspondence_check(kind, _build(rep), q=q, b=b), {}
-
-
-def _batch(jobs, overrides):
-    if any(sub.get("command") == "batch" for sub in jobs):
-        raise ValueError("jobs: batches do not nest")
-    payloads = []
-    worst = EXIT_PASS
-    for sub in jobs:
-        payload, code = run_job(sub, overrides)
-        payloads.append(payload)
-        worst = max(worst, code)
-    return {"command": "batch", "jobs": payloads, "exit_code": worst}, worst
 
 
 _EXPECT = {"expect": (_one_of(("pass", "fail")), "pass")}
@@ -294,8 +280,8 @@ COMMANDS = {
     ),
     "verify-lemmas": (
         _verify_lemmas,
-        {**_EXPECT, "suite": (_one_of(("A", "B")), REQUIRED), "rep": _REP,
-         **{name: (_scalar, None) for name in ("alpha1", "alpha2", "b", "c")}},
+        {**_EXPECT, "suite": (_one_of(("A", "B")), REQUIRED, {"A": {name: (_scalar, REQUIRED) for name in _CASE_I}}),
+         "rep": _REP},
     ),
     "transfer-commute": (
         _transfer_commute,
@@ -308,31 +294,44 @@ COMMANDS = {
         {**_EXPECT, "kind": (_one_of(CORRESPONDENCE_KINDS), REQUIRED), "rep": _REP, "q": (_symbolic, None),
          "b": (_symbolic, None)},
     ),
-    "batch": (_batch, {"jobs": (_list(_object, cap=MAX_BATCH_JOBS), REQUIRED)}),
+    "batch": (None, {"jobs": (_list(_object, cap=MAX_BATCH_JOBS), REQUIRED)}),  # run by run_job itself
 }
 
 
 def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
-    """Execute one job; returns (payload, exit_code).
+    """Parse one job whole, every sub-job of a batch included, then execute it; returns (payload, exit_code).
 
     overrides may carry seed/trials/mode from the command line; each replaces
-    the job's field exactly when the command's spec has that field.
+    a job's or a sub-job's field exactly when its command's spec has that field.
     """
+    command, args = _parse(job, overrides or {})
+    if command != "batch":
+        return _run(command, args)
+    results = [_run(*sub) for sub in args["jobs"]]
+    worst = max(code for _, code in results)
+    return {"command": "batch", "jobs": [payload for payload, _ in results], "exit_code": worst}, worst
+
+
+def _parse(job, overrides: dict) -> tuple[str, dict]:
+    """(command, parsed fields) of one job; a batch's jobs are parsed into such pairs."""
     job = _object(job, "job")
     job.pop("note", None)  # free-form documentation, ignored
     command = _fields(job, {"command": (_one_of(tuple(COMMANDS)), REQUIRED)})["command"]
-    handler, spec = COMMANDS[command]
-    for field, value in (overrides or {}).items():
-        if field in spec and value is not None:
-            job[field] = value
-    args = _fields(job, spec)
-    _reject_unknown(job)
+    spec = COMMANDS[command][1]
+    job.update({field: value for field, value in overrides.items() if field in spec and value is not None})
+    args = _record(job, "job", spec)
     if command == "batch":
-        return handler(args["jobs"], overrides)
+        if any(sub.get("command") == "batch" for sub in args["jobs"]):
+            raise ValueError("jobs: batches do not nest")
+        args["jobs"] = [_parse(sub, overrides) for sub in args["jobs"]]
+    return command, args
 
+
+def _run(command: str, args: dict) -> tuple[dict, int]:
+    """(payload, exit_code) of one parsed job that is not a batch."""
     expect = args.pop("expect")
     try:
-        report, extra = handler(**args)
+        report, extra = COMMANDS[command][0](**args)
     except (PoleError, SingularMatrixError) as exc:
         # singular factors and unresolvable poles are mathematical outcomes, any other ArithmeticError a defect
         report, extra = VerifyReport(command).error(str(exc)), {}

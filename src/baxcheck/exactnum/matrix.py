@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 from .poly import MultiPoly
 from .ratfunc import RatFunc, denominator_lcm
+from .scalar import as_int
 
 
 class SingularMatrixError(ArithmeticError):
@@ -61,6 +62,7 @@ class FieldMatrix:
 
     @classmethod
     def identity(cls, n: int, one) -> "FieldMatrix":
+        n = as_int(n, "n", floor=1)
         zero = one - one
         return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
@@ -152,6 +154,7 @@ class FieldMatrix:
 
     def partial_trace_first(self, dim_first: int) -> "FieldMatrix":
         """Trace out the first tensor factor of size dim_first."""
+        dim_first = as_int(dim_first, "dim_first", floor=1)
         if self.rows != self.cols or self.rows % dim_first:
             raise ValueError("matrix is not square with a compatible tensor split")
         m, n, entries = self.rows // dim_first, self.cols, self.entries

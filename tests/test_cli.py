@@ -437,10 +437,18 @@ WORKERS = ("prop1_certificate", "builtin_rep", "relations_for", "check_relations
 UNCAPPED = {"seed": [], "lengths": [[0], [MAX_CHAIN_LENGTH + 1], [1] * (MAX_CHAIN_LENGTH + 1)]}
 
 
+def _spec_entries(spec):
+    """(field, parser) of every entry of a COMMANDS spec, and of every field that a value of an entry adds."""
+    for field, (parse, _, *variants) in spec.items():
+        yield field, parse
+        for added in variants[0].values() if variants else ():
+            yield from _spec_entries(added)
+
+
 def _bounded_fields():
-    """(command, field, out-of-range values) for every UNCAPPED field and every top-level _int, _list and
-    _parameters parser in COMMANDS, and for the parameters object of every rep field, named "rep.parameters"
-    (its values are whole rep records).
+    """(command, field, out-of-range values) for every UNCAPPED field and every _int, _list and _parameters
+    parser of a job field in COMMANDS, the fields a value adds included, and for the parameters object of
+    every rep field, named "rep.parameters" (its values are whole rep records).
 
     The values come from UNCAPPED, from the parser's own floor and cap (plus
     the empty list, which every list field rejects), or MAX_PARAMETERS; they
@@ -448,7 +456,7 @@ def _bounded_fields():
     """
     over = {f"p{k}": "1" for k in range(MAX_PARAMETERS + 1)}
     for command, (_, spec) in cli.COMMANDS.items():
-        for field, (parse, _) in spec.items():
+        for field, parse in _spec_entries(spec):
             if parse is cli._parameters:
                 yield command, field, [over]
                 continue
@@ -524,6 +532,11 @@ PARITY = {
     "seed": (lambda bad: dict(_YBE, mode="random", seed=bad),
              lambda bad: ybe_random(builtin_rep("Hecke3_std"), spectral_fn("hecke"), seed=bad), [1.5, True]),
     "fn.case": (lambda bad: dict(_YBE, fn={"case": bad}), spectral_fn, ["iv", "I"]),
+    # spectral_fn alone says which case takes which parameters
+    "fn.missing": (lambda bad: dict(_YBE, fn=bad), lambda bad: spectral_fn(**bad),
+                   [{"case": "i", "alpha1": "2", "b": "0", "c": "1"}, {"case": "i", "alpha2": None, "b": "0"}]),
+    "fn.extra": (lambda bad: dict(_YBE, fn=bad), lambda bad: spectral_fn(**bad),
+                 [{"case": "ii", "alpha1": "2"}, {"case": "hecke", "b": "0", "c": None, "alpha2": "1"}]),
     "builtin": (lambda bad: dict(_YBE, rep={"builtin": bad}), builtin_rep, ["D4", "hecke3_std", 5]),
     "kind": (lambda bad: {"command": "correspondences", "kind": bad, "rep": {"builtin": "Hecke3_std"}},
              lambda bad: correspondence_check(bad, builtin_rep("Hecke3_std")), ["bogus", "Hecke_in_A", 3]),
@@ -553,6 +566,32 @@ def test_scalar_reps_refuses_an_algebra_without_a_scalar_classification_before_a
         with pytest.raises(ValueError) as exc:
             run_job({"command": "scalar-reps", "algebra": algebra, "assignment": ["1", "1"]})
         assert str(exc.value) == f"unknown algebra {algebra!r}, expected one of ('A', 'B', 'C')"
+
+
+@pytest.mark.parametrize("last, message", [
+    ({**_YBE, "trials": 0}, "trials: at least 1, got 0"),
+    ({**_YBE, "fn": {"case": "ii", "alpha1": "2"}}, "case ii takes no parameters, got ['alpha1']"),
+    ({**_YBE, "surprise": 1}, "unknown fields ['surprise']"),
+], ids=["trials-0", "bad-fn", "unknown-field"])
+def test_a_batch_is_parsed_whole_before_any_job_runs(monkeypatch, last, message):
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in WORKERS:
+        monkeypatch.setattr(cli, name, never)
+    with pytest.raises(AssertionError, match="work started"):
+        run_job({"command": "batch", "jobs": [_YBE, _YBE]})  # valid jobs get as far as a worker
+    with pytest.raises(ValueError) as exc:
+        run_job({"command": "batch", "jobs": [_YBE, _YBE, last]})
+    assert str(exc.value) == message
+
+
+def test_a_nested_batch_is_refused_before_any_sub_job_is_parsed():
+    nested = {"command": "batch", "jobs": [{"command": "prop1"}]}
+    for jobs in ([{"command": "prop1"}, nested], [{"command": "prop1", "surprise": 1}, nested]):
+        with pytest.raises(ValueError) as exc:
+            run_job({"command": "batch", "jobs": jobs})
+        assert str(exc.value) == "jobs: batches do not nest"
 
 
 def test_bounded_fields_find_the_integer_and_list_fields():
@@ -615,13 +654,14 @@ def test_spectral_fn_record_errors():
     case_i = {"case": "i", "alpha1": "2", "alpha2": "1", "b": "0", "c": "1"}
     missing_alpha2 = {k: v for k, v in case_i.items() if k != "alpha2"}
     for fn, message in (
-        (missing_alpha2, "missing required field 'alpha2'"),
-        ({"case": "ii", "extra": "1"}, "unknown fields"),
-        (dict(case_i, extra="1"), "unknown fields"),
-        ({"case": "iv"}, "unknown case"),
+        (missing_alpha2, "case i needs alpha1, alpha2, b and c, missing ['alpha2']"),
+        ({"case": "ii", "extra": "1"}, "unknown fields ['extra']"),
+        (dict(case_i, extra="1"), "unknown fields ['extra']"),
+        ({"case": "iv"}, "unknown case 'iv', expected one of ('i', 'ii', 'iii', 'hecke')"),
     ):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as exc:
             run_job({"command": "baxterise", "rep": SCALAR_23, "fn": fn})
+        assert str(exc.value) == message
 
 
 def _write_bytes(tmp_path, data: bytes):
@@ -727,6 +767,29 @@ def test_correspondence_field_of_another_kind_is_usage_error(tmp_path, kind, fie
     code, out = invoke(tmp_path, job)
     assert code == EXIT_USAGE
     assert json.loads(out)["error"] == f"{kind}: unexpected parameters ['{field}']"
+
+
+@pytest.mark.parametrize("kind, builtin, b", [
+    # at b = 1 the two coset cubics are bb2 and its flip
+    ("braid_coset_to_A", "B3_2dim", "1"),
+    ("braid_coset_to_A", "Hecke3_burau", "1"),
+    ("B_to_A_shift", "B3_2dim", "2"),
+])
+def test_correspondence_jobs_on_reps_with_distinct_generators_pass(kind, builtin, b):
+    payload, code = run_job({"command": "correspondences", "kind": kind, "rep": {"builtin": builtin}, "b": b})
+    assert code == EXIT_PASS == payload["exit_code"]
+    assert payload["report"]["status"] == "pass"
+
+
+def test_a_failed_coset_precondition_is_an_error_report():
+    job = {"command": "correspondences", "kind": "braid_coset_to_A", "rep": {"builtin": "B3_2dim"}, "b": "2"}
+    payload, code = run_job(job)
+    assert code == EXIT_FAIL == payload["exit_code"]
+    assert payload["report"]["status"] == "error"
+    # at b = 2 neither coset cubic holds on B3_2dim, so the A relations are never checked
+    assert payload["report"]["residuals"] == [["precheck braid:braid(1)", 0], ["precheck coset1(1)", 4],
+                                              ["precheck coset2(1)", 4]]
+    assert payload["report"]["notes"] == ["precondition failed: coset1(1)", "precondition failed: coset2(1)"]
 
 
 def test_zero_trials_override_rejected(tmp_path):

@@ -118,6 +118,19 @@ def test_kron_and_partial_trace():
     assert big.partial_trace_first(2) == b.scale(a[0, 0] + a[1, 1])
 
 
+@pytest.mark.parametrize("bad, message", [
+    (0, "at least 1, got 0"), (-1, "at least 1, got -1"), (True, "expected an integer"), (2.0, "expected an integer"),
+])
+def test_identity_and_partial_trace_refuse_a_dimension_that_is_not_a_positive_int(bad, message):
+    # True would be a 1x1 identity or a trace over a one-dimensional leg, 0 a ZeroDivisionError
+    with pytest.raises(ValueError) as exc:
+        FieldMatrix.identity(bad, 1)
+    assert str(exc.value) == f"n: {message}"
+    with pytest.raises(ValueError) as exc:
+        FieldMatrix.identity(4, 1).partial_trace_first(bad)
+    assert str(exc.value) == f"dim_first: {message}"
+
+
 def test_from_rows_refuses_an_empty_or_ragged_list():
     for rows in ([], [[]]):
         with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
